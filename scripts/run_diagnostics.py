@@ -11,7 +11,7 @@ import numpy as np
 
 from mlscert import instances
 from mlscert.config import Tolerances
-from mlscert.spectral import build_operators, check_symmetry, diagnose
+from mlscert.spectral import diagnose
 
 
 def sweep(seed: int, n: int) -> dict:
@@ -27,7 +27,7 @@ def sweep(seed: int, n: int) -> dict:
         d = rep.to_dict()
         if not d["pass"]:
             n_fail += 1
-        sym = check_symmetry(build_operators(sysm))
+        sym = d["symmetry"]
         worst_sym = max(worst_sym, sym["proj_dinv"], sym["comp_dinv"])
         worst_dev = max(worst_dev, d["eigen"]["proj"]["max_dev"],
                         d["eigen"]["comp"]["max_dev"])

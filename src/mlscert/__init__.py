@@ -16,6 +16,7 @@ from .core import (
     MlsError,
     MlsSystem,
     build_system,
+    build_systems,
     check_hypotheses,
     evaluate,
     evaluate_many,
@@ -35,6 +36,7 @@ __all__ = [
     "MlsError",
     "MlsSystem",
     "build_system",
+    "build_systems",
     "check_hypotheses",
     "evaluate",
     "evaluate_many",

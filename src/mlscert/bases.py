@@ -52,6 +52,10 @@ class BasisSpec:
         "monomial" or "custom".
     dim : int
         Spatial dimension the functions expect.
+    exponents : (size, dim) ndarray, optional
+        Monomial exponents, one row per basis function: function j is
+        prod_k x_k ** exponents[j, k].  When given, points are evaluated
+        in one vectorized step instead of one call per function.
     """
 
     size: int
@@ -59,24 +63,41 @@ class BasisSpec:
     derivative: Callable | None = field(default=None, compare=False)
     kind: str = "custom"
     dim: int = 1
+    exponents: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("basis size must be >= 1")
         if len(self.functions) != self.size:
             raise ValueError("number of functions must equal size")
+        if self.exponents is not None and np.shape(self.exponents) != (self.size, self.dim):
+            raise ValueError("exponents must have shape (size, dim)")
 
     def eval_at(self, x) -> np.ndarray:
         """Column of basis values (p_1(x), ..., p_size(x))."""
         pt = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
         if pt.shape[0] != self.dim:
             raise ValueError(f"point has dim {pt.shape[0]}, basis expects {self.dim}")
+        if self.exponents is not None:
+            # the products eval_rows forms, for one point
+            return np.prod(pt ** self.exponents, axis=1)
         return np.array([float(f(pt)) for f in self.functions])
+
+    def eval_rows(self, xs) -> np.ndarray:
+        """Basis values at every row of xs (n, d), shape (n, size).
+
+        Vectorized for monomials; other bases are evaluated row by row.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[-1] != self.dim:
+            raise ValueError(f"point has dim {xs.shape[-1]}, basis expects {self.dim}")
+        if self.exponents is None:
+            return np.array([self.eval_at(row) for row in xs]).reshape(-1, self.size)
+        return np.prod(xs[:, None, :] ** self.exponents, axis=2)
 
     def eval_design(self, nodes: np.ndarray) -> np.ndarray:
         """Design matrix: entry (i, j) holds basis function j at node i."""
-        nodes = np.asarray(nodes, dtype=float)
-        return np.vstack([self.eval_at(row) for row in nodes])
+        return self.eval_rows(nodes)
 
     def derivative_at(self, x) -> np.ndarray:
         """First derivatives of all basis functions at scalar x (d = 1)."""
@@ -111,9 +132,11 @@ def monomial_basis(size: int, dim: int = 1) -> BasisSpec:
     """Monomial basis 1, x, x^2, ... (graded lexicographic for dim > 1)."""
     expos = monomial_exponents(dim, size)
     fns = tuple(_mono_fn(e) for e in expos)
+    exponents = np.array(expos, dtype=float)
+    exponents.setflags(write=False)
     deriv = None
     if dim == 1:
-        powers = np.array([e[0] for e in expos], dtype=float)
+        powers = exponents[:, 0]
 
         def deriv(x, _p=powers):
             x = float(x)
@@ -122,4 +145,7 @@ def monomial_basis(size: int, dim: int = 1) -> BasisSpec:
             out[nz] = _p[nz] * x ** (_p[nz] - 1.0)
             return out
 
-    return BasisSpec(size=size, functions=fns, derivative=deriv, kind="monomial", dim=dim)
+    return BasisSpec(
+        size=size, functions=fns, derivative=deriv, kind="monomial", dim=dim,
+        exponents=exponents,
+    )

@@ -32,6 +32,7 @@ from .core import (
     MlsSystem,
     build_design,
     build_system,
+    build_systems,
     check_hypotheses,
 )
 from .points import PointSet
@@ -390,14 +391,11 @@ def certify_bound(
 
     design = build_design(points, basis)
     # anchor norms ||a(x_k)|| at every node (exp weights: nodes are regular
-    # points of the solve)
-    anchor_norm = np.empty(points.m)
-    for k in range(points.m):
-        sys_k = build_system(
-            xs_nodes[k], points, basis, weight,
-            cond_limit=cond_limit, design=design,
-        )
-        anchor_norm[k] = np.linalg.norm(sys_k.coeffs)
+    # points of the solve); one norm per row keeps the one-vector rounding
+    anchor_coeffs, _ = build_systems(
+        xs_nodes, points, basis, weight, cond_limit=cond_limit, design=design
+    )
+    anchor_norm = np.array([np.linalg.norm(a) for a in anchor_coeffs])
 
     m1 = consts.forcing_bound
     m2 = consts.growth_rate

@@ -24,7 +24,7 @@ import numpy as np
 from . import bound1d, error_analysis, selftest as selftest_mod
 from .bases import BasisSpec, monomial_basis
 from .config import Tolerances
-from .core import ConditioningError, HypothesisFailure, build_system
+from .core import ConditioningError, HypothesisFailure, build_system, build_systems
 from .points import PointSet
 from .reporting import canonical_json, csv_text, atomic_write
 from .spectral import diagnose as diagnose_system
@@ -163,16 +163,18 @@ def cmd_fit(args) -> int:
     if grid.ndim == 1:
         grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
 
-    rows = []
-    for xrow in grid:
-        x = float(xrow[0]) if points.dim == 1 else xrow
-        sysm = build_system(x, points, basis, weight)
-        coeffs = sysm.coeffs
-        lhat = float(coeffs @ points.values)
-        rows.append(
-            tuple(float(v) for v in np.atleast_1d(xrow))
-            + (lhat, float(np.sum(coeffs)), error_analysis.amplification(coeffs))
+    coeffs, _ = build_systems(grid, points, basis, weight)
+    # one dot product per row: a stacked product can differ in the last bit
+    lhat = [float(a @ points.values) for a in coeffs]
+    rows = [
+        tuple(xrow) + (f, s, amp)
+        for xrow, f, s, amp in zip(
+            grid.tolist(),
+            lhat,
+            coeffs.sum(axis=1).tolist(),
+            error_analysis.amplification(coeffs).tolist(),
         )
+    ]
     header = [f"x{i+1}" for i in range(points.dim)] + ["Lhat", "sum_a", "amplification"]
     if args.format == "csv":
         _emit(csv_text(header, rows), args.out)
@@ -204,8 +206,6 @@ def cmd_diagnose(args) -> int:
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim == 1 and points.dim != 1:
         grid = grid.reshape(1, -1)
-
-    from .spectral import build_operators  # deferred: keeps module import light
 
     reports = []
     all_pass = True

@@ -11,7 +11,8 @@ goes through one thin QR factorization of the row-scaled design matrix, so
 the squared conditioning of the normal equations never enters the solve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +48,12 @@ class HypothesisFailure(MlsError):
         super().__init__("hypothesis failure: " + ", ".join(self.items))
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def rank_tolerance(m: int, l: int, smax: float) -> float:
     """Singular-value cutoff used for all numerical rank decisions."""
-    return max(m, l) * smax * np.finfo(float).eps * 16
+    return max(m, l) * smax * _EPS * 16
 
 
 def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
@@ -61,13 +65,16 @@ def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
     return basis.eval_design(points.nodes)
 
 
-def build_weight_diag(x, points: PointSet, weight: WeightSpec) -> np.ndarray:
-    """Diagonal of the solver's scaling matrix: entries 2 * w(||x - x_i||).
+def build_weight_diag(dist, weight: WeightSpec) -> np.ndarray:
+    """Diagonal of the solver's scaling matrix: entries 2 * w(dist).
 
-    The doubled reciprocal weights are what the operator diagnostics are
-    phrased in; the factor 2 cancels from the fitted coefficients.
+    ``dist`` holds distances of any shape.  The doubled reciprocal weights
+    are what the operator diagnostics are phrased in; the factor 2 cancels
+    from the fitted coefficients.  Doubling a finite weight may overflow to
+    inf, the documented zero-influence limit, so that overflow is silent.
     """
-    return 2.0 * np.asarray(weight.w(points.distances(x)), dtype=float)
+    with np.errstate(over="ignore"):
+        return 2.0 * np.asarray(weight.w(dist), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,8 @@ class MlsSystem:
     dvec : (m,) ndarray            diagonal of the scaling matrix (2 * w)
     basis_at_x : (l,) ndarray      basis values at x
     coeffs : (m,) ndarray          fitted coefficient vector a(x)
-    qmat, rmat : ndarray or None   QR factors of design scaled by dvec^{-1/2}
+    qmat, rmat : ndarray or None   QR factors of design scaled by dvec^{-1/2};
+                                   rmat.T @ rmat is the Gram matrix
     cond_gram : float              condition estimate of the Gram matrix
     at_node : int or None          node index when x coincides with a node of
                                    an interpolating weight (coeffs is then the
@@ -97,7 +105,6 @@ class MlsSystem:
     rmat: np.ndarray | None
     cond_gram: float
     at_node: int | None = None
-    _gram_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("x", "design", "dvec", "basis_at_x", "coeffs"):
@@ -112,14 +119,81 @@ class MlsSystem:
     def l(self) -> int:
         return self.design.shape[1]
 
-    @property
-    def gram(self) -> np.ndarray:
-        """Normal-equations matrix design^T diag(dvec)^{-1} design, cached."""
-        if "gram" not in self._gram_cache:
-            if self.rmat is None:
-                raise ValueError("no gram matrix in the interpolation limit")
-            self._gram_cache["gram"] = self.rmat.T @ self.rmat
-        return self._gram_cache["gram"]
+
+#: grid rows per stacked solve in ``build_systems``; bounds the (rows, m, l)
+#: temporaries of a block
+_BLOCK = 128
+
+
+class _Rows(NamedTuple):
+    """A solved block of n rows.
+
+    ``at_node`` holds, per row, the node of an interpolation-limit row or
+    -1, and is None when no row is one; the QR fields cover the k rows
+    that are not at a node.
+    """
+
+    coeffs: np.ndarray  # (n, m)
+    at_node: np.ndarray | None  # (n,)
+    qmats: np.ndarray  # (k, m, l)
+    rmats: np.ndarray  # (k, l, l)
+    conds: list  # k Gram condition estimates
+
+
+def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
+    """Solve the local systems of a block of rows with stacked LAPACK calls.
+
+    ``cvecs`` (n, l) holds the basis values at the evaluation points,
+    ``dists`` and ``dvecs`` (n, m) their node distances and 2 * w.  A row
+    with a vanishing weight at a node is the interpolation limit; every
+    other row goes through QR of the scaled design, the rank and
+    conditioning checks and the coefficient solve.  If a row fails, the
+    error of a failing row is raised: for a single row, that point's error.
+    """
+    n, m = dvecs.shape
+    l = E.shape[1]
+    at_node = None
+    zero = dvecs == 0.0
+    if zero.any():
+        hit_rows = np.flatnonzero(zero.any(axis=1))
+        hits = np.argmax(zero[hit_rows], axis=1)
+        if np.any(dists[hit_rows, hits] > 0):
+            raise ValueError("weight vanished at positive distance")
+        at_node = np.full(n, -1)
+        at_node[hit_rows] = hits
+        regular = at_node < 0
+        dvecs, cvecs = dvecs[regular], cvecs[regular]
+
+    root = np.sqrt(dvecs)
+    qmats, rmats = np.linalg.qr(E / root[:, :, None], mode="reduced")
+    svals = np.linalg.svd(rmats, compute_uv=False)
+    # the checks run on Python floats, row by row: the same double arithmetic
+    # as scalar code (an array ** 2 can differ from it in the last bit)
+    conds = []
+    for sv in svals.tolist():
+        smax, smin = sv[0], sv[-1]
+        if smin <= rank_tolerance(m, l, smax):
+            raise HypothesisFailure(["design_full_rank"])
+        conds.append((smax / smin) ** 2)
+        if conds[-1] > cond_limit:
+            raise ConditioningError(conds[-1], cond_limit)
+
+    sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
+    coeffs = (qmats @ sol)[:, :, 0] / root
+    if at_node is not None:
+        # interpolation limit: the coefficient vector degenerates to the
+        # indicator of the coincident node
+        solved, coeffs = coeffs, np.zeros((n, m))
+        coeffs[regular] = solved
+        coeffs[hit_rows, hits] = 1.0
+    return _Rows(coeffs, at_node, qmats, rmats, conds)
+
+
+def _design_for(points, basis, design) -> np.ndarray:
+    E = build_design(points, basis) if design is None else np.asarray(design, float)
+    if E.shape[1] > E.shape[0]:
+        raise HypothesisFailure(["basis_size_le_nodes"])
+    return E
 
 
 def build_system(
@@ -156,47 +230,68 @@ def build_system(
         If the Gram condition estimate exceeds ``cond_limit``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    E = build_design(points, basis) if design is None else np.asarray(design, float)
-    m, l = E.shape
-    if l > m:
-        raise HypothesisFailure(["basis_size_le_nodes"])
+    E = _design_for(points, basis, design)
     cvec = basis.eval_at(xv)
     dist = points.distances(xv)
-    dvec = 2.0 * np.asarray(weight.w(dist), dtype=float)
-
-    zero = dvec == 0.0
-    if np.any(zero):
-        hit = int(np.argmax(zero))
-        if dist[hit] > 0:
-            raise ValueError("weight vanished at positive distance")
-        # interpolation limit: the coefficient vector degenerates to the
-        # indicator of the coincident node
-        coeffs = np.zeros(m)
-        coeffs[hit] = 1.0
+    dvec = build_weight_diag(dist, weight)
+    rows = _solve_rows(E, cvec[None], dist[None], dvec[None], cond_limit)
+    if rows.at_node is not None:
         return MlsSystem(
-            x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=coeffs,
-            qmat=None, rmat=None, cond_gram=np.inf, at_node=hit,
+            x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=rows.coeffs[0],
+            qmat=None, rmat=None, cond_gram=np.inf, at_node=int(rows.at_node[0]),
         )
-
-    scaled = E / np.sqrt(dvec)[:, None]
-    qmat, rmat = np.linalg.qr(scaled, mode="reduced")
-    svals = np.linalg.svd(rmat, compute_uv=False)
-    if svals[-1] <= rank_tolerance(m, l, svals[0]):
-        raise HypothesisFailure(["design_full_rank"])
-    cond_gram = float((svals[0] / svals[-1]) ** 2)
-    if cond_gram > cond_limit:
-        raise ConditioningError(cond_gram, cond_limit)
-
-    coeffs = (qmat @ np.linalg.solve(rmat.T, cvec)) / np.sqrt(dvec)
     return MlsSystem(
-        x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=coeffs,
-        qmat=qmat, rmat=rmat, cond_gram=cond_gram,
+        x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=rows.coeffs[0],
+        qmat=rows.qmats[0], rmat=rows.rmats[0], cond_gram=rows.conds[0],
     )
 
 
-def solve_coefficients(system: MlsSystem) -> np.ndarray:
-    """Coefficient vector a(x) of the assembled system (read-only view)."""
-    return system.coeffs
+def build_systems(
+    xs,
+    points: PointSet,
+    basis: BasisSpec,
+    weight: WeightSpec,
+    *,
+    cond_limit: float = COND_LIMIT,
+    design: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors a(x) at every row of xs, solved in blocks.
+
+    ``xs`` is (n, d), one evaluation point per row; a 1-d array is a column
+    of 1-d points.  Returns the coefficient stack (n, m), equal bit for bit
+    to ``build_system(x).coeffs`` row by row, and the node index of every
+    interpolation-limit row (-1 elsewhere).  The first failing row, in row
+    order, raises what ``build_system`` raises at that point.  A custom
+    weight is applied to a whole block of distances at once, so its
+    ``custom_w`` must act elementwise, as ``WeightSpec`` asks.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if xs.ndim == 1:
+        xs = xs[:, None]
+    E = _design_for(points, basis, design)
+    coeffs = np.empty((len(xs), E.shape[0]))
+    at_node = np.empty(len(xs), dtype=int)
+    for start in range(0, len(xs), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        try:
+            dists = np.linalg.norm(points.nodes[None] - xs[block, None, :], axis=2)
+            rows = _solve_rows(
+                E, basis.eval_rows(xs[block]), dists,
+                build_weight_diag(dists, weight), cond_limit,
+            )
+            coeffs[block] = rows.coeffs
+            at_node[block] = -1 if rows.at_node is None else rows.at_node
+        except (MlsError, ValueError):  # LinAlgError is a ValueError
+            # a block's error need not be its first failing row's (a stacked
+            # LAPACK error names no row at all): replay the block point by
+            # point, so that the first failing point raises its own error
+            for i, x in enumerate(xs[block], start):
+                sysm = build_system(
+                    x, points, basis, weight, cond_limit=cond_limit, design=E
+                )
+                coeffs[i] = sysm.coeffs
+                at_node[i] = -1 if sysm.at_node is None else sysm.at_node
+    return coeffs, at_node
 
 
 def evaluate(
@@ -221,13 +316,22 @@ def evaluate(
 
 def evaluate_many(xs, points, basis, weight, *, cond_limit=COND_LIMIT) -> np.ndarray:
     """Fitted values on a batch of evaluation points (rows of xs)."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    E = build_design(points, basis)
+    if points.values is None:
+        raise ValueError("points carry no values to fit")
+    coeffs, at_node = build_systems(xs, points, basis, weight, cond_limit=cond_limit)
+    return fitted_values(coeffs, at_node, points.values)
+
+
+def fitted_values(coeffs, at_node, values) -> np.ndarray:
+    """Fitted values from the output of ``build_systems``.
+
+    An interpolation-limit row takes its node's value; any other row is
+    a(x) @ values, one dot product per row, because a stacked product can
+    differ in the last bit.
+    """
     return np.array(
-        [evaluate(row, points, basis, weight, cond_limit=cond_limit, design=E)
-         for row in xs]
+        [values[k] if k >= 0 else a @ values for a, k in zip(coeffs, at_node)],
+        dtype=float,
     )
 
 

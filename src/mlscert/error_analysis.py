@@ -16,7 +16,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .bases import monomial_basis
 from .config import Tolerances
-from .core import build_design, build_system, evaluate
+from .core import build_systems, evaluate_many, fitted_values
 from .points import PointSet
 from .weights import WeightSpec
 
@@ -31,9 +31,11 @@ __all__ = [
 ]
 
 
-def amplification(coeffs) -> float:
-    """Amplification factor 1 + sum |a_i| of a coefficient vector."""
-    return 1.0 + float(np.sum(np.abs(np.asarray(coeffs, dtype=float))))
+def amplification(coeffs):
+    """Amplification factor 1 + sum |a_i| of a coefficient vector (a float),
+    or of every row of a stack of them (an array)."""
+    amp = 1.0 + np.sum(np.abs(np.asarray(coeffs, dtype=float)), axis=-1)
+    return float(amp) if np.ndim(amp) == 0 else amp
 
 
 def sup_error(points, basis, weight, eval_grid, f_true, **solve_kw) -> float:
@@ -43,13 +45,11 @@ def sup_error(points, basis, weight, eval_grid, f_true, **solve_kw) -> float:
     grid = np.atleast_1d(np.asarray(eval_grid, dtype=float))
     if grid.ndim == 1:
         grid = grid[:, None]
-    design = build_design(points, basis)
+    fits = evaluate_many(grid, points, basis, weight, **solve_kw)
     worst = 0.0
-    for row in grid:
+    for row, fit in zip(grid, fits):
         arg = float(row[0]) if points.dim == 1 else row
-        err = abs(f_true(arg) - evaluate(row, points, basis, weight,
-            design=design, **solve_kw))
-        worst = max(worst, err)
+        worst = max(worst, abs(f_true(arg) - fit))
     return worst
 
 
@@ -305,26 +305,15 @@ def convergence_study(
         pts = PointSet(nodes, values=np.array([float(f_true(x)) for x in nodes]))
         alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
         weight = WeightSpec(family, alpha)
-        design = build_design(pts, basis)
-
-        worst = 0.0
-        amp_max = 1.0
-        for x in eval_grid:
-            sysm = build_system(x, pts, basis, weight, design=design)
-            fit = (
-                float(pts.values[sysm.at_node])
-                if sysm.at_node is not None
-                else float(sysm.coeffs @ pts.values)
-            )
-            err = abs(float(f_true(x)) - fit)
-            amp = amplification(sysm.coeffs) if sysm.at_node is None else 2.0
-            worst = max(worst, err)
-            amp_max = max(amp_max, amp)
-            if best_level > sat_floor:
-                ratio = err / (best_level * amp)
-                max_ratio = max(max_ratio, ratio)
-                if ratio > 1.0:
-                    near_violations += 1
+        coeffs, at_node = build_systems(eval_grid, pts, basis, weight)
+        err = np.abs(fvals_eval - fitted_values(coeffs, at_node, pts.values))
+        amp = amplification(coeffs)  # 2 on a node row, whose a(x) is a unit vector
+        worst = float(np.max(err))
+        amp_max = float(np.max(amp))
+        if best_level > sat_floor:
+            ratios = err / (best_level * amp)
+            max_ratio = max(max_ratio, float(np.max(ratios)))
+            near_violations += int(np.count_nonzero(ratios > 1.0))
         hs.append(h)
         errs.append(worst)
         amps.append(amp_max)

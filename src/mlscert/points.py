@@ -55,28 +55,12 @@ class PointSet:
     def dim(self) -> int:
         return self.nodes.shape[1]
 
-    @property
-    def span(self) -> float:
-        """Extent of the node set: for d = 1 the distance between the extreme
-        nodes, in general the diameter of the bounding box."""
-        lo = self.nodes.min(axis=0)
-        hi = self.nodes.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
-
     def is_increasing(self) -> bool:
         """True when d = 1 and the node coordinates strictly increase."""
         if self.dim != 1:
             return False
         x = self.nodes[:, 0]
         return bool(np.all(np.diff(x) > 0))
-
-    def sorted_1d(self) -> "PointSet":
-        """Copy with nodes sorted ascending (d = 1 only)."""
-        if self.dim != 1:
-            raise ValueError("sorted_1d requires d = 1")
-        order = np.argsort(self.nodes[:, 0], kind="stable")
-        vals = None if self.values is None else self.values[order]
-        return PointSet(self.nodes[order].copy(), vals)
 
     def distances(self, x) -> np.ndarray:
         """Euclidean distances from evaluation point x to every node."""

@@ -1,22 +1,30 @@
 """Solver-level checks: the coefficient vector, its invariants, and the
 failure modes (hypotheses, rank, conditioning)."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlscert import core
 from mlscert.bases import BasisSpec, monomial_basis
+from mlscert.bound1d import uniform_grid
+from mlscert.cli import main
 from mlscert.core import (
     ConditioningError,
     HypothesisFailure,
     build_design,
     build_system,
+    build_systems,
     build_weight_diag,
     check_hypotheses,
     evaluate,
     evaluate_many,
 )
+from mlscert.error_analysis import amplification
 from mlscert.points import PointSet
+from mlscert.reporting import csv_text
 from mlscert.weights import WeightSpec
 
 NODES_012 = PointSet(np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 1.0, 2.0]))
@@ -35,7 +43,7 @@ def test_coefficients_match_hand_oracle():
 
 
 def test_weight_diag_example():
-    dvec = build_weight_diag(1.0, NODES_012, EXP1)
+    dvec = build_weight_diag(NODES_012.distances(1.0), EXP1)
     np.testing.assert_allclose(dvec, [2.0 * np.e, 2.0, 2.0 * np.e], rtol=1e-15)
 
 
@@ -136,11 +144,155 @@ def test_design_shape():
     np.testing.assert_array_equal(design[:, 1], NODES_012.nodes.ravel())
 
 
-def test_gram_cached_and_symmetric():
+def test_gram_from_rmat_symmetric():
     sysm = build_system(0.3, NODES_012, monomial_basis(2), EXP1)
-    gram = sysm.gram
+    gram = sysm.rmat.T @ sysm.rmat
     np.testing.assert_allclose(gram, gram.T, atol=1e-15)
     assert gram.shape == (2, 2)
+    normal = sysm.design.T @ (sysm.design / sysm.dvec[:, None])
+    np.testing.assert_allclose(gram, normal, rtol=1e-13)
+
+
+def test_far_node_exp_fit_raises_no_overflow_warning():
+    """2 * w overflowing to inf is the zero-influence limit, not an error."""
+    nodes = np.array([0.0, 0.01, 0.02, 0.03, 1.0])
+    pts = PointSet(nodes, values=np.sin(nodes))
+    # w(1) = exp(709.5) is finite; doubling it is not
+    weight = WeightSpec("exp", 709.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sysm = build_system(0.0, pts, monomial_basis(2), weight)
+        fits = evaluate_many(np.linspace(0.0, 0.03, 4), pts, monomial_basis(2), weight)
+    assert np.isinf(sysm.dvec[-1])
+    assert sysm.coeffs[-1] == 0.0
+    assert np.all(np.isfinite(fits))
+
+
+# --- the batched solve ------------------------------------------------------
+
+
+def _per_point(xs, pts, basis, weight):
+    """Reference: build_system point by point; stops at the first error."""
+    rows = []
+    for x in xs:
+        try:
+            rows.append(build_system(x, pts, basis, weight))
+        except Exception as exc:
+            return rows, (type(exc), str(exc))
+    return rows, None
+
+
+def _batched(xs, pts, basis, weight):
+    try:
+        return build_systems(xs, pts, basis, weight), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_rows_equal(out, rows):
+    coeffs, at_node = out
+    assert coeffs.shape == (len(rows), rows[0].m)
+    for a, k, sysm in zip(coeffs, at_node, rows):
+        assert a.tobytes() == sysm.coeffs.tobytes()
+        assert k == (-1 if sysm.at_node is None else sysm.at_node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    m=st.integers(3, 10),
+    l=st.integers(1, 3),
+    family=st.sampled_from(("exp", "shepard", "mclain", "levin")),
+    log_alpha=st.floats(np.log(1e-2), np.log(1e2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_build_systems_rows_match_build_system(dim, m, l, family, log_alpha, seed):
+    """Batched rows equal the one-point solve bit for bit, and a failing
+    grid raises the first failing point's error."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(0.0, 1.0, (m, dim))
+    pts = PointSet(nodes, values=rng.standard_normal(m))
+    basis = monomial_basis(l, dim)
+    weight = WeightSpec(family, float(np.exp(log_alpha)))
+    # inside the span, on nodes, and far outside it
+    xs = np.vstack([
+        rng.uniform(-0.1, 1.1, (12, dim)),
+        nodes[rng.integers(0, m, 3)],
+        rng.uniform(5.0, 50.0, (2, dim)),
+    ])
+    rng.shuffle(xs)
+    rows, error = _per_point(xs, pts, basis, weight)
+    out, batched_error = _batched(xs, pts, basis, weight)
+    assert batched_error == error
+    if error is None:
+        _assert_rows_equal(out, rows)
+    # the rows that solve, batched on their own
+    good = [x for x in xs if _per_point([x], pts, basis, weight)[1] is None]
+    if good:
+        rows, _ = _per_point(good, pts, basis, weight)
+        _assert_rows_equal(build_systems(np.array(good), pts, basis, weight), rows)
+
+
+def test_build_systems_block_boundary():
+    """One row past a full block, with a node hit as the last row."""
+    n = core._BLOCK + 1
+    nodes = np.linspace(0.0, 1.0, 7)
+    pts = PointSet(nodes, values=np.cos(nodes))
+    basis = monomial_basis(2)
+    for weight in (WeightSpec("exp", 3.0), WeightSpec("shepard", 1.0)):
+        xs = np.linspace(0.013, 0.987, n)
+        xs[-1] = nodes[4]
+        rows, error = _per_point(xs, pts, basis, weight)
+        assert error is None
+        _assert_rows_equal(build_systems(xs, pts, basis, weight), rows)
+    assert rows[-1].at_node == 4
+
+
+NEAR = 0.2 + 1e-9  # next to a node of an interpolating weight: ConditioningError
+FAR = 1e3  # mclain weight underflows to 0: ValueError
+FIRST_FAILURES = [
+    ([0.5, NEAR, FAR, np.nan], ConditioningError),
+    ([0.5, FAR, NEAR], ValueError),
+    ([0.5, np.nan, NEAR, FAR], np.linalg.LinAlgError),
+    ([0.5] * core._BLOCK + [NEAR, FAR], ConditioningError),
+    ([0.5, FAR] + [0.5] * core._BLOCK + [NEAR], ValueError),
+]
+
+
+@pytest.mark.parametrize("xs,expected", FIRST_FAILURES)
+def test_build_systems_first_failure_wins(xs, expected):
+    """The first failing grid point decides, even when a later point in the
+    same block fails differently or is not finite."""
+    pts = PointSet(np.linspace(0.0, 1.0, 6), values=np.arange(6.0))
+    basis, weight = monomial_basis(2), WeightSpec("mclain", 1.5)
+    _, error = _per_point(xs, pts, basis, weight)
+    assert error[0] is expected
+    assert _batched(np.array(xs), pts, basis, weight)[1] == error
+
+
+def test_cmd_fit_matches_per_point_evaluate(tmp_path):
+    """A fit over an N grid writes the bytes of a point-by-point table."""
+    nodes = np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 40))
+    pts = PointSet(nodes, values=np.sin(6.0 * nodes))
+    pts.to_csv(tmp_path / "in.csv")
+    (tmp_path / "cfg.json").write_text(
+        '{"l": 3, "weight": {"family": "exp", "alpha": 900.0}}'
+    )
+    n = 2 * core._BLOCK + 7
+    code = main([
+        "fit", "--input", str(tmp_path / "in.csv"),
+        "--config", str(tmp_path / "cfg.json"), "--grid", str(n),
+        "--format", "csv", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 0
+    basis, weight = monomial_basis(3), WeightSpec("exp", 900.0)
+    rows = []
+    for x in uniform_grid(pts, n, weight):
+        coeffs = build_system(x, pts, basis, weight).coeffs
+        rows.append((float(x), evaluate(x, pts, basis, weight),
+                     float(np.sum(coeffs)), amplification(coeffs)))
+    expected = csv_text(["x1", "Lhat", "sum_a", "amplification"], rows)
+    assert (tmp_path / "out.csv").read_text() == expected
 
 
 # --- point-set plumbing ----------------------------------------------------
