@@ -322,9 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process and reused by every ``main`` call: parse_args keeps
+# no state between calls (each call fills a fresh namespace, and the append
+# action starts from its None default)
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except CliError as exc:

@@ -137,6 +137,7 @@ class _Rows(NamedTuple):
     at_node: np.ndarray | None  # (n,)
     qmats: np.ndarray  # (k, m, l)
     rmats: np.ndarray  # (k, l, l)
+    roots: np.ndarray  # (k, m) square roots of 2 * w
     conds: list  # k Gram condition estimates
 
 
@@ -186,7 +187,7 @@ def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
         solved, coeffs = coeffs, np.zeros((n, m))
         coeffs[regular] = solved
         coeffs[hit_rows, hits] = 1.0
-    return _Rows(coeffs, at_node, qmats, rmats, conds)
+    return _Rows(coeffs, at_node, qmats, rmats, root, conds)
 
 
 def _design_for(points, basis, design) -> np.ndarray:
@@ -231,19 +232,57 @@ def build_system(
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     E = _design_for(points, basis, design)
-    cvec = basis.eval_at(xv)
-    dist = points.distances(xv)
-    dvec = build_weight_diag(dist, weight)
-    rows = _solve_rows(E, cvec[None], dist[None], dvec[None], cond_limit)
+    rows, cvecs, _, dvecs = _solve_points(xv[None], points, basis, weight, E, cond_limit)
     if rows.at_node is not None:
         return MlsSystem(
-            x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=rows.coeffs[0],
+            x=xv, design=E, dvec=dvecs[0], basis_at_x=cvecs[0], coeffs=rows.coeffs[0],
             qmat=None, rmat=None, cond_gram=np.inf, at_node=int(rows.at_node[0]),
         )
     return MlsSystem(
-        x=xv, design=E, dvec=dvec, basis_at_x=cvec, coeffs=rows.coeffs[0],
+        x=xv, design=E, dvec=dvecs[0], basis_at_x=cvecs[0], coeffs=rows.coeffs[0],
         qmat=rows.qmats[0], rmat=rows.rmats[0], cond_gram=rows.conds[0],
     )
+
+
+def _solve_points(xs, points, basis, weight, E, cond_limit):
+    """Solve the local systems at the rows of xs (n, d) in one block.
+
+    Returns the solved rows plus the basis values (n, l), the node
+    distances (n, m) and the weight diagonals 2 * w (n, m) of the points.
+    """
+    cvecs = basis.eval_rows(xs)
+    dists = np.linalg.norm(points.nodes[None] - xs[:, None, :], axis=2)
+    dvecs = build_weight_diag(dists, weight)
+    return _solve_rows(E, cvecs, dists, dvecs, cond_limit), cvecs, dists, dvecs
+
+
+def solve_blocks(xs, points, basis, weight, E, cond_limit, block_rows):
+    """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows.
+
+    Yields ``(start, rows, dists)`` per solved block, in row order: the
+    solved rows from ``start`` on and their node distances.  A block that
+    fails is replayed point by point, one row per yield, so the first
+    failing point raises its own error -- what ``build_system`` raises
+    there (a stacked LAPACK error names no row at all).  Blocks are solved
+    only as the caller asks for them, so a caller's own per-row error
+    before that point still comes first.
+    """
+    for start in range(0, len(xs), block_rows):
+        stop = min(start + block_rows, len(xs))
+        try:
+            rows, _, dists, _ = _solve_points(
+                xs[start:stop], points, basis, weight, E, cond_limit
+            )
+        except (MlsError, ValueError):  # LinAlgError is a ValueError
+            rows = None
+        if rows is not None:
+            yield start, rows, dists
+            continue
+        for i in range(start, stop):
+            rows, _, dists, _ = _solve_points(
+                xs[i : i + 1], points, basis, weight, E, cond_limit
+            )
+            yield i, rows, dists
 
 
 def build_systems(
@@ -271,26 +310,10 @@ def build_systems(
     E = _design_for(points, basis, design)
     coeffs = np.empty((len(xs), E.shape[0]))
     at_node = np.empty(len(xs), dtype=int)
-    for start in range(0, len(xs), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        try:
-            dists = np.linalg.norm(points.nodes[None] - xs[block, None, :], axis=2)
-            rows = _solve_rows(
-                E, basis.eval_rows(xs[block]), dists,
-                build_weight_diag(dists, weight), cond_limit,
-            )
-            coeffs[block] = rows.coeffs
-            at_node[block] = -1 if rows.at_node is None else rows.at_node
-        except (MlsError, ValueError):  # LinAlgError is a ValueError
-            # a block's error need not be its first failing row's (a stacked
-            # LAPACK error names no row at all): replay the block point by
-            # point, so that the first failing point raises its own error
-            for i, x in enumerate(xs[block], start):
-                sysm = build_system(
-                    x, points, basis, weight, cond_limit=cond_limit, design=E
-                )
-                coeffs[i] = sysm.coeffs
-                at_node[i] = -1 if sysm.at_node is None else sysm.at_node
+    for start, rows, _ in solve_blocks(xs, points, basis, weight, E, cond_limit, _BLOCK):
+        block = slice(start, start + len(rows.coeffs))
+        coeffs[block] = rows.coeffs
+        at_node[block] = -1 if rows.at_node is None else rows.at_node
     return coeffs, at_node
 
 

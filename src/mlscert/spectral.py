@@ -29,6 +29,7 @@ from .core import MlsSystem, rank_tolerance
 __all__ = [
     "OperatorBundle",
     "SpectralReport",
+    "operator_stack",
     "build_operators",
     "check_symmetry",
     "eigen_structure",
@@ -68,23 +69,39 @@ class OperatorBundle:
         return self.coef_map.shape[1]
 
 
+def operator_stack(qmats, rmats, roots, design):
+    """Coefficient maps and projectors of a block of k systems.
+
+    ``qmats`` (k, m, l) and ``rmats`` (k, l, l) are the QR factors of the
+    scaled designs, ``roots`` (k, m) the square roots of their weight
+    diagonals.  Returns ``coef_map`` (k, m, l) = Q R^{-T} / sqrt(d) and
+    ``proj`` (k, m, m) = coef_map E^T, each system computed as on its own
+    (stacked LAPACK and BLAS calls run per matrix); the complement is
+    ``proj - I``.
+    """
+    l = rmats.shape[-1]
+    # one triangular solve per column of the identity
+    coef_map = qmats @ np.linalg.solve(rmats.transpose(0, 2, 1), np.eye(l))
+    coef_map /= roots[:, :, None]
+    return coef_map, coef_map @ design.T
+
+
 def build_operators(system: MlsSystem) -> OperatorBundle:
     """Materialize the coefficient map, the projector and its scaled forms.
 
-    Requires a strictly positive weight diagonal: at an interpolation-limit
-    point (x on a node of an interpolating weight family) the scaled
-    operators do not exist.
+    The one-system case of ``operator_stack``.  Requires a strictly
+    positive weight diagonal: at an interpolation-limit point (x on a node
+    of an interpolating weight family) the scaled operators do not exist.
     """
     if system.at_node is not None or system.qmat is None:
         raise ValueError(
             "operators require x off the nodes for interpolating weights"
         )
     dvec = system.dvec
-    l = system.l
-    # coefficient map through the QR factors: one triangular solve per column
-    coef_map = (system.qmat @ np.linalg.solve(system.rmat.T, np.eye(l)))
-    coef_map = coef_map / np.sqrt(dvec)[:, None]
-    proj = coef_map @ system.design.T
+    coef_map, proj = operator_stack(
+        system.qmat[None], system.rmat[None], np.sqrt(dvec)[None], system.design
+    )
+    coef_map, proj = coef_map[0], proj[0]
     comp = proj - np.eye(system.m)
     proj_dinv = proj / dvec[None, :]
     comp_dinv = comp / dvec[None, :]

@@ -2,13 +2,18 @@
 derivative identity for the coefficient vector, envelope constants, and the
 grid certificate."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mlscert import bound1d, cli
 from mlscert.bases import BasisSpec, monomial_basis
 from mlscert.bound1d import (
+    SLOPE_GRID,
+    SLOPE_INFLATION,
     BoundConstants,
     bound_constants,
     certify_bound,
@@ -21,7 +26,8 @@ from mlscert.bound1d import (
     uniform_grid,
     weight_derivative_residual,
 )
-from mlscert.core import HypothesisFailure, build_system
+from mlscert.config import Tolerances
+from mlscert.core import ConditioningError, HypothesisFailure, build_system
 from mlscert.points import PointSet
 from mlscert.spectral import build_operators
 from mlscert.weights import WeightSpec
@@ -235,3 +241,225 @@ def test_certificate_wire_format():
     assert len(row) == 5  # [x, lhs, rhs, k0, slack]
     rows = cert.rows_csv()
     assert len(rows) == 20 and len(rows[0]) == 4
+
+
+# --- the slope sup ----------------------------------------------------------
+
+
+def _dense_slope_max(basis, lo, hi):
+    grid = np.linspace(lo, hi, SLOPE_GRID)
+    return max(float(np.linalg.norm(basis.derivative_at(g))) for g in grid)
+
+
+@pytest.mark.parametrize("lo,hi", [(0.1, 0.9), (-2.0, 1.0), (-3.0, -1.0)])
+@pytest.mark.parametrize("l", range(1, 7))
+def test_monomial_slope_sup_is_dense_grid_max(lo, hi, l):
+    """The endpoint sup equals the dense-grid maximum bit for bit."""
+    basis = monomial_basis(l)
+    consts = bound_constants(PointSet(np.linspace(lo, hi, 7)), basis, alpha=0.5)
+    dense = _dense_slope_max(basis, lo, hi)
+    assert consts.slope_sup == dense
+    assert consts.slope_bound == SLOPE_INFLATION * dense
+
+
+def test_custom_basis_slope_sup_samples_the_grid():
+    """A custom basis keeps the dense grid; here the sup is interior."""
+    basis = BasisSpec(
+        size=2,
+        functions=(lambda p: 1.0, lambda p: p[0] - (p[0] - 0.5) ** 3 / 3.0),
+        derivative=lambda x: np.array([0.0, 1.0 - (x - 0.5) ** 2]),
+    )
+    consts = bound_constants(PointSet(np.linspace(0.0, 1.0, 6)), basis, alpha=0.5)
+    endpoints = max(np.linalg.norm(basis.derivative_at(x)) for x in (0.0, 1.0))
+    assert consts.slope_sup == _dense_slope_max(basis, 0.0, 1.0)
+    assert consts.slope_sup > endpoints
+
+
+def _nan_between(lo, hi):
+    """Basis {1, x} whose derivative is NaN on (lo, hi)."""
+    return BasisSpec(
+        size=2,
+        functions=(lambda p: 1.0, lambda p: p[0]),
+        derivative=lambda x: np.array([0.0, np.nan if lo < x < hi else 1.0]),
+    )
+
+
+def test_nan_derivative_fails_the_certificate(tmp_path, monkeypatch):
+    """A NaN derivative sample is an error (exit 2), not a skipped sample."""
+    xs = np.linspace(0.0, 1.0, 6)
+    pts = PointSet(xs, values=np.sin(xs))
+    basis = _nan_between(0.3, 0.7)
+    with pytest.raises(ValueError, match=r"not finite at x = 0\.300"):
+        certify_bound(pts, basis, WeightSpec("exp", 0.5), n_grid=50)
+    pts.to_csv(tmp_path / "in.csv")
+    (tmp_path / "cfg.json").write_text('{"weight": {"family": "exp", "alpha": 0.5}}')
+    monkeypatch.setattr(cli, "_basis_from", lambda cfg, dim: basis)
+    code = cli.main([
+        "bound", "--input", str(tmp_path / "in.csv"),
+        "--config", str(tmp_path / "cfg.json"), "--grid", "50",
+    ])
+    assert code == 2
+
+
+def test_nan_derivative_off_the_slope_grid():
+    """A NaN only at a certificate grid point is caught by the majorant pass."""
+    xs = np.linspace(0.0, 1.0, 6)
+    third = 1.0 / 3.0  # not a point of the slope grid
+    basis = _nan_between(np.nextafter(third, 0.0), np.nextafter(third, 1.0))
+    consts = bound_constants(PointSet(xs), basis, alpha=0.5)
+    assert consts.slope_sup == 1.0
+    with pytest.raises(ValueError, match=f"not finite at x = {third!r}"):
+        certify_bound(PointSet(xs), basis, WeightSpec("exp", 0.5), grid=[0.1, third, 0.9])
+
+
+# --- the batched certificate against the point-by-point loop ---------------
+
+
+def _per_point_certificate(pts, basis, weight, grid, convention, cond_limit):
+    """Reference: one build_system, build_operators and nearest_node per
+    grid point, as the certificate was computed before it was batched."""
+    xs = pts.nodes[:, 0]
+    consts = bound_constants(pts, basis, weight.alpha, convention)
+    anchor = [
+        np.linalg.norm(build_system(x, pts, basis, weight, cond_limit=cond_limit).coeffs)
+        for x in xs
+    ]
+    m1, m2 = consts.forcing_bound, consts.growth_rate
+    lhs, rhs, k0s = [], [], []
+    max_comp_h = max_forcing = 0.0
+    for x in grid:
+        sysm = build_system(x, pts, basis, weight, cond_limit=cond_limit)
+        bundle = build_operators(sysm)
+        k0 = nearest_node(x, pts)
+        dist = float(abs(x - xs[k0]))
+        base = float(anchor[k0]) + m1 * dist
+        env = math.exp(min(math.log(base) + m2 * dist, bound1d._MAX_LOG)) if base > 0 else 0.0
+        lhs.append(np.linalg.norm(sysm.coeffs))
+        rhs.append(env)
+        k0s.append(k0)
+        comp_h = np.linalg.norm(bundle.comp * dlogw_diag(x, pts, weight.alpha)[None, :], 2)
+        forcing = np.linalg.norm(bundle.coef_map @ basis.derivative_at(x))
+        max_comp_h = max(max_comp_h, float(comp_h))
+        max_forcing = max(max_forcing, float(forcing))
+    return {
+        "lhs": np.array(lhs), "rhs": np.array(rhs), "k0": np.array(k0s),
+        "slack": np.array(rhs) - np.array(lhs),
+        "max_comp_h": max_comp_h, "max_forcing": max_forcing,
+    }
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_certificate(pts, basis, weight, grid, convention, cond_limit=1e12):
+    cert, error = _outcome(lambda: certify_bound(
+        pts, basis, weight, grid=grid, convention=convention, cond_limit=cond_limit
+    ))
+    ref, ref_error = _outcome(lambda: _per_point_certificate(
+        pts, basis, weight, grid, convention, cond_limit
+    ))
+    assert error == ref_error
+    if ref is None:
+        return None
+    for name in ("lhs", "rhs", "k0", "slack"):
+        assert getattr(cert, name).tobytes() == ref[name].tobytes(), name
+    maj = cert.majorants
+    m1, m2 = cert.constants.forcing_bound, cert.constants.growth_rate
+    expected = {
+        "max_comp_h": ref["max_comp_h"],
+        "growth_rate": m2,
+        "comp_h_margin": m2 - ref["max_comp_h"],
+        "max_forcing": ref["max_forcing"],
+        "forcing_bound": m1,
+        "forcing_margin": m1 - ref["max_forcing"],
+        "pass": ref["max_comp_h"] <= m2 + Tolerances().bound
+        and ref["max_forcing"] <= m1 + Tolerances().bound,
+    }
+    assert {k: repr(v) for k, v in maj.items()} == {k: repr(v) for k, v in expected.items()}
+    return cert
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(2, 40),
+    l=st.integers(1, 4),
+    log_alpha=st.floats(math.log(0.05), math.log(5.0)),
+    log_span=st.floats(math.log(0.2), math.log(20.0)),
+    convention=st.sampled_from(("standard", "paper")),
+    n_grid=st.one_of(st.integers(1, 120), st.just("block+1")),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a stacked forcing product differs from one matvec per row here
+@example(m=21, l=3, log_alpha=0.0, log_span=1.0, convention="standard", n_grid=2, seed=0)
+def test_batched_certificate_matches_per_point(
+    m, l, log_alpha, log_span, convention, n_grid, seed
+):
+    """lhs, rhs, k0, slack and every majorant equal the point-by-point loop
+    bit for bit, and a failing instance raises the same error."""
+    rng = np.random.default_rng(seed)
+    span = math.exp(log_span)
+    xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
+    pts = PointSet(xs, values=np.cos(xs))
+    block = bound1d._block_rows(len(xs))
+    if n_grid == "block+1":
+        n_grid = block + 1 if block < 400 else 41
+    grid = uniform_grid(pts, n_grid)
+    weight = WeightSpec("exp", math.exp(log_alpha))
+    _assert_same_certificate(pts, monomial_basis(min(l, len(xs))), weight, grid, convention)
+
+
+def test_batched_certificate_with_overflowing_weights():
+    """Weights whose doubling overflows to inf (w = exp(709.5) at the far
+    end) give exact zero coefficients, and the block pass still matches.
+    A larger alpha r^2 overflows exp(alpha r^2) in the constants: both
+    paths then raise the same error, which the property test covers."""
+    xs = np.linspace(0.0, 1.0, 40)
+    pts = PointSet(xs, values=np.sin(xs))
+    weight = WeightSpec("exp", 709.5)
+    assert np.isinf(build_system(0.0, pts, monomial_basis(1), weight).dvec[-1])
+    grid = uniform_grid(pts, bound1d._block_rows(40) + 1)
+    cert = _assert_same_certificate(pts, monomial_basis(1), weight, grid, "paper")
+    assert cert is not None and cert.metadata["n_grid"] == len(grid)
+
+
+def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
+    """A conditioning failure at one point of a later block raises that
+    point's ConditioningError, as a point-by-point loop does (exit 4)."""
+    # two clusters: the Gram condition peaks inside the gap, above every node
+    xs = np.concatenate([np.linspace(0.0, 1.0, 15), np.linspace(4.0, 5.0, 15)])
+    pts = PointSet(xs, values=np.sin(xs))
+    basis, weight = monomial_basis(2), WeightSpec("exp", 2.0)
+    grid = uniform_grid(pts, 200)
+    block = bound1d._block_rows(pts.m)
+    cond = [build_system(x, pts, basis, weight).cond_gram for x in grid]
+    worst_before = max(build_system(x, pts, basis, weight).cond_gram for x in xs)
+    # a point past the first block whose condition tops every earlier one
+    for j in range(len(grid)):
+        if j >= block and j % block and cond[j] > worst_before:
+            break
+        worst_before = max(worst_before, cond[j])
+    else:
+        pytest.fail("no later-block point has a new largest condition")
+    limit = (worst_before + cond[j]) / 2.0
+    assert j // block >= 1 and j % block > 0
+    with pytest.raises(ConditioningError) as err:
+        certify_bound(pts, basis, weight, grid=grid, cond_limit=limit)
+    expected = str(ConditioningError(cond[j], limit))
+    assert str(err.value) == expected
+    _assert_same_certificate(pts, basis, weight, grid, "standard", cond_limit=limit)
+    # and through the CLI, with its exit code
+    pts.to_csv(tmp_path / "in.csv")
+    (tmp_path / "cfg.json").write_text('{"l": 2, "weight": {"family": "exp", "alpha": 2.0}}')
+    monkeypatch.setattr(
+        cli.bound1d, "certify_bound",
+        functools.partial(bound1d.certify_bound, cond_limit=limit),
+    )
+    code = cli.main([
+        "bound", "--input", str(tmp_path / "in.csv"),
+        "--config", str(tmp_path / "cfg.json"), "--grid", "200",
+    ])
+    assert code == 4

@@ -242,3 +242,17 @@ def test_console_script_installed(const_csv):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"]
+
+
+def test_parser_built_once_without_shared_state(linear_csv, tmp_path, capsys):
+    """main reuses one parser per process; a --tol list from one call never
+    leaks into the next."""
+    from mlscert.config import Tolerances
+
+    out = tmp_path / "cert.json"
+    base = ["bound", "--input", linear_csv, "--grid", "5", "--out", str(out)]
+    assert run_cli(base + ["--tol", "not-a-pair"], capsys)[0] == 2
+    assert run_cli(base + ["--tol", "bound=2e-6"], capsys)[0] == 0
+    assert json.loads(out.read_text())["tolerances"]["bound"] == 2e-6
+    assert run_cli(base, capsys)[0] == 0
+    assert json.loads(out.read_text())["tolerances"] == Tolerances().to_dict()

@@ -17,6 +17,7 @@ from mlscert.spectral import (
     check_symmetry,
     diagnose,
     eigen_structure,
+    operator_stack,
 )
 from mlscert.weights import WeightSpec
 
@@ -150,3 +151,25 @@ def test_trace_counts_basis_size(seed):
     it = random_suite(1, seed)[0]
     b = build_operators(it.system())
     assert np.trace(b.proj) == pytest.approx(it.basis.size, abs=1e-8)
+
+
+@pytest.mark.parametrize("family", ["exp", "shepard", "levin"])
+def test_operator_stack_rows_match_build_operators(family):
+    """A stacked block gives each system's operators bit for bit."""
+    rng = np.random.default_rng(11)
+    nodes = np.sort(rng.uniform(0.0, 2.0, 9))
+    pts = PointSet(nodes)
+    systems = [
+        build_system(x, pts, monomial_basis(3), WeightSpec(family, 1.3))
+        for x in rng.uniform(-0.2, 2.2, 25)
+    ]
+    coef_map, proj = operator_stack(
+        np.stack([s.qmat for s in systems]),
+        np.stack([s.rmat for s in systems]),
+        np.sqrt(np.stack([s.dvec for s in systems])),
+        systems[0].design,
+    )
+    for i, sysm in enumerate(systems):
+        b = build_operators(sysm)
+        assert coef_map[i].tobytes() == b.coef_map.tobytes()
+        assert proj[i].tobytes() == b.proj.tobytes()
