@@ -67,10 +67,85 @@ _BLOCK_DOUBLES = 2**15
 #: log of the largest finite double; envelopes are clipped here
 _MAX_LOG = math.log(np.finfo(float).max)
 
+#: unit roundoff of doubles
+_UNIT_ROUNDOFF = 2.0**-53
+
+#: rows per stacked SVD when ``max_comp_h`` checks its candidate rows
+_SVD_CHUNK = 8
+
 
 def _block_rows(m: int) -> int:
     """Grid rows per block of the certificate for m nodes."""
     return max(1, _BLOCK_DOUBLES // (m * m))
+
+
+def _sigma_margin(m: int) -> float:
+    """Relative rounding margin of ``_sigma_max_upper`` for (m, m) matrices.
+
+    With u = 2^-53, forming G = A^T A and squaring it twice in floating
+    point moves G^4 by at most about 7 m^2 u ||A||^8 in the 2-norm
+    (|fl(XY) - XY| <= m u |X||Y| per product, and || |X| || <= sqrt(m) ||X||),
+    hence its Frobenius norm by 7 m^2.5 u ||A||^8: an eighth of that after
+    the root.  The sum of squares and the four square roots add about
+    m^2 u / 8 + 4 u, and LAPACK's SVD returns sigma_max within p(m) u of
+    the exact value, taken here as p(m) = m^2.  All of it stays below
+    8 m^3 u for every m >= 1.
+    """
+    return 1.0 + 8.0 * m**3 * _UNIT_ROUNDOFF
+
+
+def _sigma_max_upper(stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on the computed sigma_max of each matrix of a finite
+    (k, m, m) stack, from three matrix products instead of an SVD.
+
+    Each matrix M is scaled by the exact power of two 2^-e that brings its
+    largest |entry| into [1/2, 1), so A = 2^-e M has sigma_max in [1/2, m]
+    and nothing below overflows or underflows to any effect (a subnormal
+    maximum is scaled by 2^1022 at most and lands in [2^-53, 1/2)).  Since
+    sigma_max(A)^16 <= tr(G^8) = ||G^4||_F^2 for G = A^T A, the bound is
+    2^e ||G^4||_F^(1/8), times ``_sigma_margin(m)``; it is 0 for M = 0.
+    """
+    k, m, _ = stack.shape
+    _, expo = np.frexp(np.abs(stack).reshape(k, -1).max(axis=1))
+    expo = np.maximum(expo, -1022)
+    scaled = stack * np.ldexp(1.0, -expo)[:, None, None]
+    # contiguous operands: a transposed view takes numpy's slower matmul loop
+    gram = scaled.transpose(0, 2, 1).copy() @ scaled
+    gram = gram @ gram
+    gram = gram @ gram
+    root = np.sqrt(np.sqrt(np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram)))))
+    with np.errstate(over="ignore"):  # inf is still an upper bound
+        return np.ldexp(root, expo) * _sigma_margin(m)
+
+
+def _max_sigma(stack: np.ndarray, best: float) -> float:
+    """max(best, sigma_max of every matrix of the (k, m, m) stack).
+
+    The result is exact: an SVD of an actual matrix, the same stacked
+    ``np.linalg.norm(., 2)`` as over the whole stack.  Only matrices whose
+    upper bound exceeds the running maximum are decomposed, in decreasing
+    order of that bound, a few at a time; the others cannot raise it.  A
+    stack with a non-finite entry, or an m whose margin would pass 1%,
+    takes the norm of every matrix as before, so it fails the same way
+    (numpy raises ``LinAlgError``) or yields NaN, which ``np.max`` keeps.
+    """
+    if _sigma_margin(stack.shape[-1]) > 1.01 or not np.all(np.isfinite(stack)):
+        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
+    upper = _sigma_max_upper(stack)
+    order = np.argsort(upper)[::-1]
+    for start in range(0, order.size, _SVD_CHUNK):
+        rows = order[start : start + _SVD_CHUNK]
+        # a NaN best stops here too: nothing can change it
+        if not upper[rows[0]] > best:
+            break
+        best = max(best, float(np.max(np.linalg.norm(stack[rows], 2, axis=(1, 2)))))
+    return best
+
+
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a real vector: ``np.linalg.norm(vec)`` bit for bit
+    (numpy computes it as sqrt(vec.dot(vec))), minus its call overhead."""
+    return math.sqrt(vec.dot(vec))
 
 
 def _require_1d(points: PointSet) -> np.ndarray:
@@ -154,12 +229,19 @@ def coefficient_derivative(
 
 
 def _derivative(basis: BasisSpec, x) -> np.ndarray:
-    """c'(x); a non-finite sample is an error, not a value for ``max`` to
-    skip."""
-    dc = basis.derivative_at(x)
-    if not np.all(np.isfinite(dc)):
+    """c'(x), checked by ``_require_finite``."""
+    return _require_finite([x], basis.derivative_at(x).reshape(1, -1))[0]
+
+
+def _require_finite(xs, dcs) -> np.ndarray:
+    """The rows c'(x) (n, l) at the points xs, checked: the first point with
+    a non-finite value raises ``ValueError``, since such a sample is an
+    error, not a value for ``max`` to skip."""
+    finite = np.isfinite(dcs).all(axis=1)
+    if not finite.all():
+        x = xs[int(np.argmin(finite))]
         raise ValueError(f"basis derivative is not finite at x = {float(x)!r}")
-    return dc
+    return dcs
 
 
 def monomial_diff_matrix(l: int) -> np.ndarray:
@@ -275,7 +357,13 @@ def bound_constants(
     slope_sup = max(float(np.linalg.norm(_derivative(basis, g))) for g in samples)
     slope_bound = SLOPE_INFLATION * slope_sup
 
-    growth = math.exp(alpha * r * r)
+    try:
+        growth = math.exp(alpha * r * r)
+    except OverflowError:
+        raise ValueError(
+            f"alpha r^2 = {alpha * r * r!r} exceeds {_MAX_LOG!r}, the log of the "
+            "largest double: the growth factor exp(alpha r^2) overflows"
+        ) from None
     if convention == "standard":
         m2 = 2.0 * alpha * r * (1.0 + growth)
         m11 = growth / smin_design
@@ -344,7 +432,9 @@ class BoundCertificate:
 
     ``passed`` means every grid point satisfies lhs <= rhs within the
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
-    argument held on the same grid.
+    argument held on the same grid.  ``majorants["max_comp_h"]`` is the
+    exact max over the grid of sigma_max((P - I) H), the SVD of an actual
+    grid point, and ``max_forcing`` the max of ||A0 c'||.
     """
 
     constants: BoundConstants
@@ -403,6 +493,12 @@ def certify_bound(
     Raises ``HypothesisFailure`` listing the failed structural items when the
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a differentiable basis).
+
+    ``max_comp_h`` is exact, from candidate rows: per block, a cheap upper
+    bound on sigma_max((P - I) H) from G = M^T M squared twice picks the
+    rows that could hold the maximum, and only those get an SVD.  c' is
+    evaluated once per block; a non-finite value raises ``ValueError``
+    naming the first such grid point.
     """
     failed = check_hypotheses_1d(points, basis, weight)
     if failed:
@@ -424,15 +520,16 @@ def certify_bound(
     anchor_coeffs, _ = build_systems(
         xs_nodes, points, basis, weight, cond_limit=cond_limit, design=design
     )
-    anchor_norm = np.array([np.linalg.norm(a) for a in anchor_coeffs])
+    anchor_norm = [_norm(a) for a in anchor_coeffs]
+    nodes = xs_nodes.tolist()
 
     m1 = consts.forcing_bound
     m2 = consts.growth_rate
     lhs = np.empty(grid.size)
     rhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
-    comp_h = np.empty(grid.size)
     forcing = np.empty(grid.size)
+    max_comp_h = -math.inf
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
     for start, rows, dists in solve_blocks(
@@ -443,26 +540,25 @@ def certify_bound(
         # P - I, then (P - I) H, in place: a block holds one (rows, m, m) stack
         comp -= np.eye(points.m)
         comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
-        comp_h[block] = np.linalg.norm(comp, 2, axis=(1, 2))
+        max_comp_h = _max_sigma(comp, max_comp_h)
         k0s[block] = np.argmin(dists, axis=1)
+        dcs = _require_finite(grid[block], basis.derivative_rows(grid[block]))
         # per row: a stacked norm or product can differ in the last bit
-        for i, x in enumerate(grid[block]):
+        for i, (x, k0) in enumerate(zip(grid[block].tolist(), k0s[block].tolist())):
             j = start + i
-            k0 = k0s[j]
-            dist = float(abs(x - xs_nodes[k0]))
-            lhs[j] = np.linalg.norm(rows.coeffs[i])
+            dist = abs(x - nodes[k0])
+            lhs[j] = _norm(rows.coeffs[i])
             # evaluate the envelope in log space and clip at the largest
             # finite double: clipping only ever lowers the right-hand side,
             # so a pass stays a valid certificate
-            base = float(anchor_norm[k0]) + m1 * dist
+            base = anchor_norm[k0] + m1 * dist
             if base > 0.0:
                 log_env = math.log(base) + m2 * dist
                 rhs[j] = math.exp(min(log_env, _MAX_LOG))
             else:
                 rhs[j] = 0.0
-            forcing[j] = np.linalg.norm(coef_map[i] @ _derivative(basis, x))
+            forcing[j] = _norm(coef_map[i] @ dcs[i])
     # np.max keeps a NaN sample (Python's max would skip it)
-    max_comp_h = float(np.max(comp_h))
     max_forcing = float(np.max(forcing))
 
     slack = rhs - lhs

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bases import BasisSpec, monomial_basis
-from .core import ConditioningError, HypothesisFailure, build_system
+from .core import ConditioningError, HypothesisFailure, MlsSystem, build_system
 from .points import PointSet
 from .weights import WeightSpec
 
@@ -54,15 +54,23 @@ X_NODE_MARGIN = 1e-2
 
 @dataclass(frozen=True)
 class Instance:
-    """One random fitting problem: nodes+values, basis, weight, eval point."""
+    """One random fitting problem: nodes+values, basis, weight, eval point.
+
+    ``solved`` is the system at x that the generator already built to
+    accept the instance (default solver settings), or None.
+    """
 
     points: PointSet
     basis: BasisSpec
     weight: WeightSpec
     x: float
     meta: dict = field(default_factory=dict)
+    solved: MlsSystem | None = field(default=None, compare=False, repr=False)
 
     def system(self, **kw):
+        """The local system at x; without keywords, the generator's own."""
+        if not kw and self.solved is not None:
+            return self.solved
         return build_system(self.x, self.points, self.basis, self.weight, **kw)
 
 
@@ -143,6 +151,7 @@ def random_instance(
                 "cond_d": cond_d,
                 "attempts": attempt,
             },
+            solved=sysm,
         )
     raise RuntimeError(f"no acceptable instance after {max_attempts} attempts")
 
@@ -197,6 +206,7 @@ def random_h2_instance(
                 "cond_gram": float(sysm.cond_gram),
                 "attempts": attempt,
             },
+            solved=sysm,
         )
     raise RuntimeError(f"no acceptable 1-d bound instance after {max_attempts} attempts")
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import bound1d, error_analysis, instances
 from .config import Tolerances
-from .core import build_system
+from .core import build_system, build_systems, fitted_values
 from .spectral import (
     build_operators,
     check_eig_products,
@@ -41,11 +41,21 @@ FD_BATTERY = (1e-3, 1e-4, 1e-5)
 FD_FLOOR_SAFETY = 4.0
 FD_SLOPE_RANGE = (1.7, 2.3)
 
+#: instances of the general random suite, which core and spectral check
+GENERAL_N = 200
+_GENERAL_SUITES = ("core", "spectral")
 
-def suite_core(seed: int, tol: Tolerances, n: int = 200) -> dict:
+
+def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
     """Partition of unity, polynomial reproduction, weight-scaling
-    invariance, normal-equations cross-check, interpolation at nodes."""
-    suite = instances.random_suite(n, seed)
+    invariance, normal-equations cross-check, interpolation at nodes.
+
+    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
+    if not given.
+    """
+    if suite is None:
+        suite = instances.random_suite(GENERAL_N, seed)
+    n = len(suite)
     rng = np.random.default_rng(seed + 1)
     worst_unity = worst_repro = worst_scale = worst_oracle = 0.0
     worst_interp = 0.0
@@ -85,11 +95,11 @@ def suite_core(seed: int, tol: Tolerances, n: int = 200) -> dict:
 
         if it.weight.family == "shepard":
             n_interp += 1
-            from .core import evaluate
-
-            for j in range(it.points.m):
-                v = evaluate(it.points.nodes[j], it.points, it.basis, it.weight)
-                worst_interp = max(worst_interp, abs(v - float(it.points.values[j])))
+            pts = it.points
+            fitted = fitted_values(
+                *build_systems(pts.nodes, pts, it.basis, it.weight), pts.values
+            )
+            worst_interp = max([worst_interp, *np.abs(fitted - pts.values).tolist()])
 
     return {
         "n": n,
@@ -112,9 +122,15 @@ def suite_core(seed: int, tol: Tolerances, n: int = 200) -> dict:
     }
 
 
-def suite_spectral(seed: int, tol: Tolerances, n: int = 200) -> dict:
-    """Full operator diagnostics on every generated instance."""
-    suite = instances.random_suite(n, seed)
+def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
+    """Full operator diagnostics on every generated instance.
+
+    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
+    if not given.
+    """
+    if suite is None:
+        suite = instances.random_suite(GENERAL_N, seed)
+    n = len(suite)
     worst = {
         "symmetry": 0.0,
         "eig_dev": 0.0,
@@ -213,16 +229,19 @@ def _fd_slope(it, tol: Tolerances) -> dict:
     points the slope is unmeasurable and the instance is skipped.
     """
     pts, basis, weight, x = it.points, it.basis, it.weight, it.x
-    sysm = build_system(x, pts, basis, weight)
+    sysm = it.system()
     bundle = build_operators(sysm)
     rhs = bound1d.ode_rhs(sysm, bundle, pts, basis, weight.alpha)
     anorm = float(np.linalg.norm(sysm.coeffs))
     eps = float(np.finfo(float).eps)
-    errs = []
-    for h in FD_BATTERY:
-        ap = build_system(x + h, pts, basis, weight).coeffs
-        am = build_system(x - h, pts, basis, weight).coeffs
-        errs.append(float(np.linalg.norm((ap - am) / (2.0 * h) - rhs)))
+    # the probes x + h, x - h of every step, solved in one call
+    probes, _ = build_systems(
+        [p for h in FD_BATTERY for p in (x + h, x - h)], pts, basis, weight
+    )
+    errs = [
+        float(np.linalg.norm((ap - am) / (2.0 * h) - rhs))
+        for h, ap, am in zip(FD_BATTERY, probes[0::2], probes[1::2])
+    ]
     h0 = FD_BATTERY[0]
     keep = []
     for i, h in enumerate(FD_BATTERY):
@@ -339,17 +358,26 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, tol: Tolerances = Tolerances()) -> dict:
+def run_suite(name: str, seed: int, tol: Tolerances = Tolerances(), **kw) -> dict:
+    """Run one suite; ``kw`` goes to the suite function."""
     try:
         fn = _SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-    return fn(seed, tol)
+    return fn(seed, tol, **kw)
 
 
 def run_selftest(seed: int = 42, tol: Tolerances = Tolerances(), suites=None) -> dict:
     names = SUITE_NAMES if suites is None else tuple(suites)
-    reports = {name: run_suite(name, seed, tol) for name in names}
+    # core and spectral check the same seeded instances: draw them once per
+    # call, never across calls, so every run pays for its own draw
+    general = None
+    if not set(names).isdisjoint(_GENERAL_SUITES):
+        general = instances.random_suite(GENERAL_N, seed)
+    reports = {}
+    for name in names:
+        kw = {"suite": general} if name in _GENERAL_SUITES else {}
+        reports[name] = run_suite(name, seed, tol, **kw)
     return {
         "seed": int(seed),
         "tolerances": tol.to_dict(),

@@ -463,3 +463,191 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
         "--config", str(tmp_path / "cfg.json"), "--grid", "200",
     ])
     assert code == 4
+
+
+def test_overflowing_growth_factor_is_a_value_error(tmp_path, capsys):
+    """exp(alpha r^2) past the largest double is a ValueError naming alpha
+    r^2 and the limit (exit 2), not an OverflowError traceback."""
+    pts = PointSet(np.array([0.0, 10.0, 20.0]), values=np.array([0.0, 1.0, 2.0]))
+    limit = repr(bound1d._MAX_LOG)
+    with pytest.raises(ValueError, match=rf"alpha r\^2 = 800\.0 exceeds {limit}"):
+        bound_constants(pts, monomial_basis(2), alpha=2.0)
+    pts.to_csv(tmp_path / "in.csv")
+    (tmp_path / "cfg.json").write_text('{"l": 2, "weight": {"family": "exp", "alpha": 2.0}}')
+    code = cli.main([
+        "bound", "--input", str(tmp_path / "in.csv"), "--config", str(tmp_path / "cfg.json"),
+    ])
+    assert code == 2
+    assert f"alpha r^2 = 800.0 exceeds {limit}" in capsys.readouterr().err
+
+
+# --- max_comp_h from candidate rows -----------------------------------------
+
+
+def _with_singular_values(rng, k, m, svals):
+    """k random (m, m) matrices with the given singular values."""
+    out = np.empty((k, m, m))
+    for i in range(k):
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        out[i] = (u * svals) @ v.T
+    return out
+
+
+def _upper_bound_stacks():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 3, 8, 40, 120):
+        k = max(2, 2000 // (m * m))
+        for e in (-500, 0, 500):
+            yield f"gauss m={m} 2^{e}", np.ldexp(rng.standard_normal((k, m, m)), e)
+        top = 1.0 + np.ldexp(rng.uniform(0.0, 1.0, 2), -40)
+        near = np.concatenate([top, rng.uniform(0.0, 0.5, max(m - 2, 0))])[:m]
+        yield f"near-equal top m={m}", _with_singular_values(rng, k, m, near)
+        rank = np.where(np.arange(m) < max(1, m // 3), rng.uniform(0.5, 2.0, m), 0.0)
+        yield f"rank {max(1, m // 3)} m={m}", _with_singular_values(rng, k, m, rank)
+        yield f"zero m={m}", np.zeros((k, m, m))
+        mixed = rng.standard_normal((k, m, m))
+        mixed[::2] = 0.0
+        yield f"some zero m={m}", mixed
+        yield f"subnormal m={m}", np.ldexp(rng.standard_normal((k, m, m)), -1060)
+        yield f"near max double m={m}", np.ldexp(rng.uniform(-1.0, 1.0, (k, m, m)), 1023)
+
+
+@pytest.mark.parametrize(
+    "stack", [pytest.param(stack, id=name) for name, stack in _upper_bound_stacks()]
+)
+def test_sigma_max_upper_bounds_the_svd(stack):
+    """The product bound is never below numpy's stacked sigma_max."""
+    upper = bound1d._sigma_max_upper(stack)
+    sigma = np.linalg.norm(stack, 2, axis=(1, 2))
+    assert np.all(upper >= sigma)
+    assert not np.any(np.isnan(upper))
+
+
+def _full_max(blocks):
+    return float(np.max(np.concatenate([np.linalg.norm(b, 2, axis=(1, 2)) for b in blocks])))
+
+
+def _pruned_max(blocks):
+    best = -math.inf
+    for b in blocks:
+        best = bound1d._max_sigma(b, best)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 30),
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+    decay=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_max_sigma_equals_the_full_max(m, sizes, decay, seed):
+    """Over a run of blocks, the candidate-row maximum is the maximum of
+    the full stacked norm, bit for bit."""
+    rng = np.random.default_rng(seed)
+    blocks = [
+        rng.standard_normal((k, m, m)) * np.exp(-decay * rng.uniform(0.0, 1.0, (k, 1, 1)))
+        for k in sizes
+    ]
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+
+
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_pruned_max_sigma_with_a_nan_block(where):
+    """A block with a NaN takes the full stacked norm, so it fails exactly
+    as the full maximum does, whichever block it is."""
+    rng = np.random.default_rng(where)
+    blocks = [rng.standard_normal((6, 5, 5)) for _ in range(3)]
+    blocks[where][3, 1, 2] = np.nan
+    full, full_error = _outcome(lambda: _full_max(blocks))
+    pruned, pruned_error = _outcome(lambda: _pruned_max(blocks))
+    assert pruned_error == full_error
+    assert repr(pruned) == repr(full)
+
+
+@pytest.mark.parametrize("zero", [(0,), (1,), (0, 1)])
+def test_pruned_max_sigma_with_zero_blocks(zero):
+    """All-zero blocks (P - I = 0 when l = m) give the full maximum too."""
+    rng = np.random.default_rng(len(zero))
+    blocks = [rng.standard_normal((5, 4, 4)) for _ in range(2)]
+    for i in zero:
+        blocks[i][:] = 0.0
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+
+
+def test_pruned_max_sigma_keeps_a_nan_maximum():
+    """A NaN maximum stays NaN through later finite blocks, as in np.max."""
+    stack = np.random.default_rng(3).standard_normal((4, 6, 6))
+    assert math.isnan(bound1d._max_sigma(stack, math.nan))
+
+
+def test_certificate_max_comp_h_is_the_full_stacked_max(monkeypatch):
+    """The reported max_comp_h equals the maximum of the full stacked norm
+    of every block (the computation before candidate rows) bit for bit."""
+    rng = np.random.default_rng(11)
+    for m, l, n_grid in ((3, 1, 50), (4, 4, 60), (12, 3, 400), (30, 2, 200), (40, 4, 100)):
+        xs = np.sort(rng.uniform(0.0, 1.0, m))
+        pts = PointSet(xs, values=np.sin(xs))
+        weight = WeightSpec("exp", float(rng.uniform(0.1, 2.0)))
+        cert = certify_bound(pts, monomial_basis(l), weight, n_grid=n_grid)
+        stacks = []
+
+        def full(stack, best):
+            stacks.append(stack.copy())
+            return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
+
+        with monkeypatch.context() as mp:
+            mp.setattr(bound1d, "_max_sigma", full)
+            ref = certify_bound(pts, monomial_basis(l), weight, n_grid=n_grid)
+        assert len(stacks) > 1 or n_grid * m * m <= bound1d._BLOCK_DOUBLES
+        assert repr(cert.majorants["max_comp_h"]) == repr(ref.majorants["max_comp_h"])
+        assert repr(cert.majorants["max_comp_h"]) == repr(_full_max(stacks))
+
+
+# --- c' per block -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_derivative_rows_match_derivative_at(l):
+    """The vectorized monomial derivative equals derivative_at bit for bit,
+    including negative, tiny and zero x."""
+    basis = monomial_basis(l)
+    rng = np.random.default_rng(l)
+    xs = np.concatenate([
+        rng.uniform(-3.0, 3.0, 400),
+        -np.logspace(-300, 2, 200), np.logspace(-300, 2, 200),
+        [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0],
+    ])
+    rows = basis.derivative_rows(xs)
+    ref = np.array([basis.derivative_at(x) for x in xs])
+    assert rows.shape == (xs.size, l)
+    assert rows.tobytes() == ref.tobytes()
+
+
+def test_custom_derivative_rows_call_derivative_at():
+    basis = _nan_between(0.2, 0.4)
+    xs = np.array([0.1, 0.3, 0.5])
+    assert basis.derivative_rows(xs).tobytes() == np.array(
+        [basis.derivative_at(x) for x in xs]
+    ).tobytes()
+
+
+def test_nan_derivative_in_a_later_block():
+    """A NaN derivative at points of a later block raises the message of
+    the first of them in grid order."""
+    xs = np.linspace(0.0, 1.0, 40)
+    pts = PointSet(xs, values=np.cos(xs))
+    grid = uniform_grid(pts, 100)
+    block = bound1d._block_rows(pts.m)
+    j = 2 * block + 3
+    bad = {float(grid[j]), float(grid[j + 5])}  # neither is on the slope grid
+    basis = BasisSpec(
+        size=2,
+        functions=(lambda p: 1.0, lambda p: p[0]),
+        derivative=lambda x: np.array([0.0, np.nan if x in bad else 1.0]),
+    )
+    bound_constants(pts, basis, alpha=0.5)
+    with pytest.raises(ValueError) as err:
+        certify_bound(pts, basis, WeightSpec("exp", 0.5), grid=grid)
+    assert str(err.value) == f"basis derivative is not finite at x = {float(grid[j])!r}"
