@@ -36,63 +36,80 @@ def monomial_exponents(dim: int, size: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Basis of the local polynomial space.
+    """Basis of the local polynomial space: monomials, given by their
+    exponents, or custom callables.
 
     Parameters
     ----------
     size : int
         Number of basis functions (the dimension of the trial space).
     functions : tuple of callables
-        Each maps a (d,) point to a float.  ``functions[0]`` must be the
-        constant 1.
+        A custom basis: each maps a (d,) point to a float, and
+        ``functions[0]`` must be the constant 1.  Empty for monomials.
     derivative : callable, optional
-        For d = 1: maps a scalar x to the (size,) vector of first derivatives
-        of the basis functions at x.  Required by the growth-bound module.
-    kind : str
-        "monomial" or "custom".
+        A custom basis with d = 1: maps a scalar x to the (size,) vector of
+        first derivatives of the basis functions at x.  Required by the
+        growth-bound module; monomials differentiate their exponents.
     dim : int
         Spatial dimension the functions expect.
-    exponents : (size, dim) ndarray, optional
-        Monomial exponents, one row per basis function: function j is
-        prod_k x_k ** exponents[j, k].  When given, points are evaluated
-        in one vectorized step instead of one call per function.
+    exponents : (size, dim) array of nonnegative integers, optional
+        A monomial basis: function j is prod_k x_k ** exponents[j, k].
+        Given instead of ``functions`` and ``derivative``.
     """
 
     size: int
-    functions: tuple = field(compare=False)
+    functions: tuple = field(default=(), compare=False)
     derivative: Callable | None = field(default=None, compare=False)
-    kind: str = "custom"
     dim: int = 1
     exponents: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("basis size must be >= 1")
-        if len(self.functions) != self.size:
-            raise ValueError("number of functions must equal size")
-        if self.exponents is not None and np.shape(self.exponents) != (self.size, self.dim):
-            raise ValueError("exponents must have shape (size, dim)")
+        if self.exponents is None:
+            if len(self.functions) != self.size:
+                raise ValueError("number of functions must equal size")
+            return
+        if self.functions or self.derivative is not None:
+            raise ValueError("a monomial basis takes no functions or derivative")
+        expo = np.array(self.exponents, dtype=float)
+        if expo.shape != (self.size, self.dim) or not np.all(
+            (expo >= 0) & (expo == np.floor(expo))
+        ):
+            raise ValueError(
+                "exponents must be a (size, dim) array of nonnegative integers"
+            )
+        expo.setflags(write=False)
+        object.__setattr__(self, "exponents", expo)
+
+    @property
+    def kind(self) -> str:
+        """The basis kind: "monomial" when given by exponents, else "custom"."""
+        return "custom" if self.exponents is None else "monomial"
+
+    @property
+    def differentiable(self) -> bool:
+        """True when ``derivative_rows`` can evaluate c' (d = 1)."""
+        return self.derivative is not None or (
+            self.exponents is not None and self.dim == 1
+        )
 
     def eval_at(self, x) -> np.ndarray:
         """Column of basis values (p_1(x), ..., p_size(x))."""
-        pt = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        if pt.shape[0] != self.dim:
-            raise ValueError(f"point has dim {pt.shape[0]}, basis expects {self.dim}")
-        if self.exponents is not None:
-            # the products eval_rows forms, for one point
-            return np.prod(pt ** self.exponents, axis=1)
-        return np.array([float(f(pt)) for f in self.functions])
+        return self.eval_rows(np.reshape(x, (1, -1)))[0]
 
     def eval_rows(self, xs) -> np.ndarray:
         """Basis values at every row of xs (n, d), shape (n, size).
 
-        Vectorized for monomials; other bases are evaluated row by row.
+        Vectorized for monomials; custom functions are called per point.
         """
         xs = np.asarray(xs, dtype=float)
         if xs.shape[-1] != self.dim:
             raise ValueError(f"point has dim {xs.shape[-1]}, basis expects {self.dim}")
         if self.exponents is None:
-            return np.array([self.eval_at(row) for row in xs]).reshape(-1, self.size)
+            return np.array(
+                [[float(f(row)) for f in self.functions] for row in xs]
+            ).reshape(-1, self.size)
         return np.prod(xs[:, None, :] ** self.exponents, axis=2)
 
     def eval_design(self, nodes: np.ndarray) -> np.ndarray:
@@ -101,21 +118,22 @@ class BasisSpec:
 
     def derivative_at(self, x) -> np.ndarray:
         """First derivatives of all basis functions at scalar x (d = 1)."""
-        if self.derivative is None:
-            raise ValueError(
-                "basis has no derivative; supply one or use a monomial basis"
-            )
-        return np.asarray(self.derivative(float(np.ravel(x)[0])), dtype=float)
+        return self.derivative_rows(np.ravel(x)[:1])[0]
 
     def derivative_rows(self, xs) -> np.ndarray:
         """First derivatives at every point of xs (d = 1), shape (n, size).
 
-        Vectorized for monomials, equal bit for bit to ``derivative_at``
-        row by row; other bases call ``derivative_at`` per point.
+        Vectorized for monomials; a custom derivative is called per point.
         """
+        if not self.differentiable:
+            raise ValueError(
+                "basis has no derivative; supply one or use a monomial basis"
+            )
         xs = np.asarray(xs, dtype=float).ravel()
-        if self.kind != "monomial" or self.exponents is None or self.derivative is None:
-            return np.array([self.derivative_at(x) for x in xs]).reshape(-1, self.size)
+        if self.exponents is None:
+            return np.array(
+                [self.derivative(x) for x in xs.tolist()], dtype=float
+            ).reshape(-1, self.size)
         powers = self.exponents[:, 0]
         nz = powers > 0
         out = np.zeros((xs.size, self.size))
@@ -123,8 +141,10 @@ class BasisSpec:
         return out
 
     def to_dict(self) -> dict:
-        if self.kind != "monomial":
-            raise ValueError("only monomial bases are serializable")
+        if self.exponents is None or not np.array_equal(
+            self.exponents, monomial_exponents(self.dim, self.size)
+        ):
+            raise ValueError("only graded monomial bases are serializable")
         return {"kind": "monomial", "l": int(self.size), "d": int(self.dim)}
 
     @classmethod
@@ -136,31 +156,6 @@ class BasisSpec:
         return monomial_basis(int(d["l"]), dim=int(d.get("d", 1)))
 
 
-def _mono_fn(expo: tuple[int, ...]):
-    e = np.asarray(expo, dtype=float)
-    if not e.any():
-        return lambda pt: 1.0
-    return lambda pt: float(np.prod(np.asarray(pt, dtype=float) ** e))
-
-
 def monomial_basis(size: int, dim: int = 1) -> BasisSpec:
     """Monomial basis 1, x, x^2, ... (graded lexicographic for dim > 1)."""
-    expos = monomial_exponents(dim, size)
-    fns = tuple(_mono_fn(e) for e in expos)
-    exponents = np.array(expos, dtype=float)
-    exponents.setflags(write=False)
-    deriv = None
-    if dim == 1:
-        powers = exponents[:, 0]
-
-        def deriv(x, _p=powers):
-            x = float(x)
-            out = np.zeros_like(_p)
-            nz = _p > 0
-            out[nz] = _p[nz] * x ** (_p[nz] - 1.0)
-            return out
-
-    return BasisSpec(
-        size=size, functions=fns, derivative=deriv, kind="monomial", dim=dim,
-        exponents=exponents,
-    )
+    return BasisSpec(size=size, dim=dim, exponents=monomial_exponents(dim, size))

@@ -228,11 +228,6 @@ def coefficient_derivative(
     return ode_rhs(system, bundle, points, basis, weight.alpha)
 
 
-def _derivative(basis: BasisSpec, x) -> np.ndarray:
-    """c'(x), checked by ``_require_finite``."""
-    return _require_finite([x], basis.derivative_at(x).reshape(1, -1))[0]
-
-
 def _require_finite(xs, dcs) -> np.ndarray:
     """The rows c'(x) (n, l) at the points xs, checked: the first point with
     a non-finite value raises ``ValueError``, since such a sample is an
@@ -271,7 +266,7 @@ def check_hypotheses_1d(
             failed.append("nodes_increasing")
     base = check_hypotheses(points, basis, weight)
     failed.extend(base.failed_items)
-    if basis.derivative is None:
+    if not basis.differentiable:
         failed.append("basis_derivative_available")
     if weight.family != "exp":
         failed.append("exp_weight_family")
@@ -330,10 +325,11 @@ def bound_constants(
     M2 = 2 alpha r (1 + exp(alpha r^2)) and M11 = exp(alpha r^2)/smin(E^T);
     convention="paper" uses the square-root variants of the same two bounds.
     The forcing bound multiplies M11 by the sup of ||c'||, inflated by 1%.
-    For monomials ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease in
-    |x|, so the sup is exact: the larger of the two endpoint values.  Other
-    bases take the max over a dense grid of ``SLOPE_GRID`` points.  A
-    non-finite derivative sample raises ``ValueError``.
+    For monomials (the basis kind follows from its integer exponents k)
+    ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease in |x|, so the sup
+    is exact: the larger of the two endpoint values.  Custom bases take the
+    max over a dense grid of ``SLOPE_GRID`` points.  A non-finite derivative
+    sample raises ``ValueError``.
     """
     if convention not in ("standard", "paper"):
         raise ValueError("convention must be 'standard' or 'paper'")
@@ -342,7 +338,7 @@ def bound_constants(
         raise ValueError("need at least two nodes for a nondegenerate span")
     if not points.is_increasing():
         raise HypothesisFailure(["nodes_increasing"])
-    if basis.derivative is None:
+    if not basis.differentiable:
         raise HypothesisFailure(["basis_derivative_available"])
     r = float(xs[-1] - xs[0])
     design = build_design(points, basis)
@@ -351,10 +347,11 @@ def bound_constants(
     if basis.kind == "monomial":
         # the dense grid's maximum, bit for bit: linspace hits both ends
         # exactly, and rounding keeps the norm monotone in |x|
-        samples = (xs[0], xs[-1])
+        samples = xs[[0, -1]]
     else:
         samples = np.linspace(xs[0], xs[-1], SLOPE_GRID)
-    slope_sup = max(float(np.linalg.norm(_derivative(basis, g))) for g in samples)
+    dcs = _require_finite(samples, basis.derivative_rows(samples))
+    slope_sup = max(_norm(dc) for dc in dcs)
     slope_bound = SLOPE_INFLATION * slope_sup
 
     try:

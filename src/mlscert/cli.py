@@ -24,7 +24,13 @@ import numpy as np
 from . import bound1d, error_analysis, selftest as selftest_mod
 from .bases import BasisSpec, monomial_basis
 from .config import Tolerances
-from .core import ConditioningError, HypothesisFailure, build_system, build_systems
+from .core import (
+    ConditioningError,
+    HypothesisFailure,
+    build_system,
+    build_systems,
+    fitted_values,
+)
 from .points import PointSet
 from .reporting import canonical_json, csv_text, atomic_write
 from .spectral import diagnose as diagnose_system
@@ -163,14 +169,12 @@ def cmd_fit(args) -> int:
     if grid.ndim == 1:
         grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
 
-    coeffs, _ = build_systems(grid, points, basis, weight)
-    # one dot product per row: a stacked product can differ in the last bit
-    lhat = [float(a @ points.values) for a in coeffs]
+    coeffs, at_node = build_systems(grid, points, basis, weight)
     rows = [
         tuple(xrow) + (f, s, amp)
         for xrow, f, s, amp in zip(
             grid.tolist(),
-            lhat,
+            fitted_values(coeffs, at_node, points.values).tolist(),
             coeffs.sum(axis=1).tolist(),
             error_analysis.amplification(coeffs).tolist(),
         )
@@ -229,13 +233,12 @@ def cmd_bound(args) -> int:
     weight = _weight_from(cfg)
     basis = _basis_from(cfg, points.dim)
     grid = _parse_grid(args.grid or cfg.get("grid"), points, weight)
-    n_grid = DEFAULT_GRID_N if grid is None else None
     cert = bound1d.certify_bound(
         points,
         basis,
         weight,
         grid=grid,
-        n_grid=n_grid or DEFAULT_GRID_N,
+        n_grid=DEFAULT_GRID_N,
         convention=args.convention,
         tol=tol,
     )

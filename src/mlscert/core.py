@@ -204,7 +204,6 @@ def build_system(
     weight: WeightSpec,
     *,
     cond_limit: float = COND_LIMIT,
-    design: np.ndarray | None = None,
 ) -> MlsSystem:
     """Assemble and solve the local system at evaluation point x.
 
@@ -218,9 +217,6 @@ def build_system(
     cond_limit : float
         Admissible Gram condition estimate; beyond it ``ConditioningError``
         is raised.
-    design : ndarray, optional
-        Precomputed design matrix (it does not depend on x), for callers
-        evaluating on a grid.
 
     Raises
     ------
@@ -231,7 +227,7 @@ def build_system(
         If the Gram condition estimate exceeds ``cond_limit``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    E = _design_for(points, basis, design)
+    E = _design_for(points, basis, None)
     rows, cvecs, _, dvecs = _solve_points(xv[None], points, basis, weight, E, cond_limit)
     if rows.at_node is not None:
         return MlsSystem(
@@ -251,7 +247,7 @@ def _solve_points(xs, points, basis, weight, E, cond_limit):
     distances (n, m) and the weight diagonals 2 * w (n, m) of the points.
     """
     cvecs = basis.eval_rows(xs)
-    dists = np.linalg.norm(points.nodes[None] - xs[:, None, :], axis=2)
+    dists = points.distances(xs)
     dvecs = build_weight_diag(dists, weight)
     return _solve_rows(E, cvecs, dists, dvecs, cond_limit), cvecs, dists, dvecs
 
@@ -324,17 +320,11 @@ def evaluate(
     weight: WeightSpec,
     *,
     cond_limit: float = COND_LIMIT,
-    design: np.ndarray | None = None,
 ) -> float:
-    """Fitted value at x for the samples carried by ``points``."""
-    if points.values is None:
-        raise ValueError("points carry no values to fit")
-    system = build_system(
-        x, points, basis, weight, cond_limit=cond_limit, design=design
-    )
-    if system.at_node is not None:
-        return float(points.values[system.at_node])
-    return float(system.coeffs @ points.values)
+    """Fitted value at x for the samples carried by ``points``: the one-row
+    case of ``evaluate_many``."""
+    xs = np.reshape(x, (1, -1))
+    return float(evaluate_many(xs, points, basis, weight, cond_limit=cond_limit)[0])
 
 
 def evaluate_many(xs, points, basis, weight, *, cond_limit=COND_LIMIT) -> np.ndarray:

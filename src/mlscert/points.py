@@ -63,11 +63,17 @@ class PointSet:
         return bool(np.all(np.diff(x) > 0))
 
     def distances(self, x) -> np.ndarray:
-        """Euclidean distances from evaluation point x to every node."""
-        x = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"point has dim {x.shape[0]}, nodes have dim {self.dim}")
-        return np.linalg.norm(self.nodes - x[None, :], axis=1)
+        """Euclidean distances from evaluation points to every node.
+
+        ``x`` is one point, (d,) or a scalar for d = 1, giving shape (m,);
+        or an (n, d) stack of points, giving shape (n, m).
+        """
+        x = np.asarray(x, dtype=float)
+        rows = x if x.ndim == 2 else x.reshape(1, -1)
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"point has dim {rows.shape[1]}, nodes have dim {self.dim}")
+        dist = np.linalg.norm(self.nodes[None] - rows[:, None, :], axis=2)
+        return dist if x.ndim == 2 else dist[0]
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":

@@ -19,8 +19,6 @@ __all__ = [
     "format_float",
     "canonical_json",
     "atomic_write",
-    "write_json",
-    "write_csv",
     "csv_text",
 ]
 
@@ -92,10 +90,6 @@ def atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def write_json(path: str, obj) -> None:
-    atomic_write(path, canonical_json(obj) + "\n")
-
-
 def _cell(v) -> str:
     if isinstance(v, (float, np.floating)):
         return format_float(float(v))
@@ -113,7 +107,3 @@ def csv_text(header, rows) -> str:
     for row in rows:
         writer.writerow([_cell(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(path: str, header, rows) -> None:
-    atomic_write(path, csv_text(header, rows))

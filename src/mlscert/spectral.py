@@ -497,14 +497,15 @@ def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> SpectralRepor
     """Run every operator check on one assembled system."""
     bundle = build_operators(system)
     proj = bundle.proj
-    norm_p = _spectral_norm(proj)
+    norms = check_norm_bounds(bundle, tol)
+    norm_p = norms["smax_proj"]
     idem_res = _spectral_norm(proj @ proj - proj) / (norm_p if norm_p else 1.0)
     trace_dev = abs(float(np.trace(proj)) - system.l) / max(1.0, system.l)
     return SpectralReport(
         symmetry=check_symmetry(bundle),
         eigen=eigen_structure(bundle, tol),
         psd=check_psd(bundle, tol),
-        norms=check_norm_bounds(bundle, tol),
+        norms=norms,
         idempotence=float(idem_res),
         trace_dev=float(trace_dev),
         tolerances=tol,

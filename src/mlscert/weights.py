@@ -21,7 +21,6 @@ The exp family is the only one used by the 1-D growth-bound machinery; the
 others are offered for fitting and for exercising the interpolation limit.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -105,13 +104,6 @@ class WeightSpec:
                 out = np.asarray(self.custom_w(arr), dtype=float)
                 if np.any(out < 0):
                     raise ValueError("custom_w returned a negative weight")
-        return out if np.ndim(r) else float(out)
-
-    def W(self, r):
-        """Penalty weight W(r) = 1/w(r); +inf where w vanishes."""
-        wv = np.asarray(self.w(r), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(wv > 0, 1.0 / np.where(wv > 0, wv, 1.0), math.inf)
         return out if np.ndim(r) else float(out)
 
     def to_dict(self) -> dict:

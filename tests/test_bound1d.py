@@ -120,7 +120,6 @@ def test_hypotheses_1d_failures():
         size=1,
         functions=(lambda x: np.ones_like(x[..., 0]),),
         derivative=None,
-        kind="custom",
         dim=1,
     )
     failed = check_hypotheses_1d(PTS3, no_deriv, WeightSpec("exp", 1.0))
@@ -272,7 +271,7 @@ def test_custom_basis_slope_sup_samples_the_grid():
     consts = bound_constants(PointSet(np.linspace(0.0, 1.0, 6)), basis, alpha=0.5)
     endpoints = max(np.linalg.norm(basis.derivative_at(x)) for x in (0.0, 1.0))
     assert consts.slope_sup == _dense_slope_max(basis, 0.0, 1.0)
-    assert consts.slope_sup > endpoints
+    assert consts.slope_sup == 1.0 > endpoints == 0.75
 
 
 def _nan_between(lo, hi):
@@ -619,18 +618,29 @@ def test_derivative_rows_match_derivative_at(l):
         -np.logspace(-300, 2, 200), np.logspace(-300, 2, 200),
         [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0],
     ])
+    powers = np.arange(l, dtype=float)
+
+    def scalar_derivative(x):
+        """Reference: the derivative formula at one Python float."""
+        x = float(x)
+        out = np.zeros_like(powers)
+        nz = powers > 0
+        out[nz] = powers[nz] * x ** (powers[nz] - 1.0)
+        return out
+
     rows = basis.derivative_rows(xs)
-    ref = np.array([basis.derivative_at(x) for x in xs])
+    ref = np.array([scalar_derivative(x) for x in xs])
     assert rows.shape == (xs.size, l)
     assert rows.tobytes() == ref.tobytes()
+    assert np.array([basis.derivative_at(x) for x in xs]).tobytes() == ref.tobytes()
 
 
 def test_custom_derivative_rows_call_derivative_at():
     basis = _nan_between(0.2, 0.4)
     xs = np.array([0.1, 0.3, 0.5])
-    assert basis.derivative_rows(xs).tobytes() == np.array(
-        [basis.derivative_at(x) for x in xs]
-    ).tobytes()
+    rows = basis.derivative_rows(xs).tobytes()
+    assert rows == np.array([basis.derivative(x) for x in xs.tolist()]).tobytes()
+    assert rows == np.array([basis.derivative_at(x) for x in xs]).tobytes()
 
 
 def test_nan_derivative_in_a_later_block():

@@ -80,7 +80,6 @@ def test_rank_deficient_design_fails():
         size=2,
         functions=(lambda x: np.ones_like(x[..., 0]), lambda x: 2.0 * np.ones_like(x[..., 0])),
         derivative=None,
-        kind="custom",
         dim=1,
     )
     with pytest.raises(HypothesisFailure) as err:
@@ -129,7 +128,6 @@ def test_check_hypotheses_missing_constant():
         size=1,
         functions=(lambda x: x[..., 0],),
         derivative=None,
-        kind="custom",
         dim=1,
     )
     rep = check_hypotheses(NODES_012, no_const, EXP1)
@@ -142,6 +140,29 @@ def test_design_shape():
     assert design.shape == (3, 2)
     np.testing.assert_array_equal(design[:, 0], 1.0)
     np.testing.assert_array_equal(design[:, 1], NODES_012.nodes.ravel())
+
+
+def test_basis_kind_follows_from_exponents():
+    """A basis is monomial exactly when it is given by exponents; no basis
+    can declare its kind."""
+    with pytest.raises(TypeError):
+        BasisSpec(size=1, functions=(lambda p: 1.0,), kind="monomial")
+    by_hand = BasisSpec(size=3, exponents=[[0], [1], [2]])
+    assert by_hand.kind == "monomial" and by_hand.differentiable
+    assert by_hand.to_dict() == monomial_basis(3).to_dict()
+    np.testing.assert_array_equal(by_hand.eval_at(2.0), [1.0, 2.0, 4.0])
+    custom = BasisSpec(size=1, functions=(lambda p: 1.0,))
+    assert custom.kind == "custom" and not custom.differentiable
+    assert not monomial_basis(2, dim=2).differentiable
+    with pytest.raises(ValueError):
+        custom.to_dict()
+    with pytest.raises(ValueError):  # not the graded basis of size 2
+        BasisSpec(size=2, exponents=[[0], [2]]).to_dict()
+    for bad in ([[0], [0.5]], [[0], [-1]], [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError):
+            BasisSpec(size=2, exponents=bad)
+    with pytest.raises(ValueError):
+        BasisSpec(size=1, functions=(lambda p: 1.0,), exponents=[[0]])
 
 
 def test_gram_from_rmat_symmetric():
@@ -311,6 +332,20 @@ def test_nonfinite_nodes_rejected():
 def test_value_count_mismatch():
     with pytest.raises(ValueError):
         PointSet(np.array([0.0, 1.0]), values=np.array([1.0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distances_of_a_stack_match_per_point_calls(d):
+    rng = np.random.default_rng(d)
+    pts = PointSet(rng.uniform(-1.0, 1.0, (7, d)))
+    xs = rng.uniform(-2.0, 2.0, (300, d))
+    stack = pts.distances(xs)
+    assert stack.shape == (300, 7)
+    assert stack.tobytes() == np.array([pts.distances(x) for x in xs]).tobytes()
+    ref = np.array([np.linalg.norm(pts.nodes - x[None, :], axis=1) for x in xs])
+    assert stack.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError):
+        pts.distances(np.zeros((2, d + 1)))
 
 
 def test_csv_round_trip(tmp_path):

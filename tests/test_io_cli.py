@@ -63,6 +63,21 @@ def test_fit_defaults_to_nodes(const_csv, capsys):
     assert len(json.loads(out)["rows"]) == 4
 
 
+def test_fit_at_a_node_prints_the_node_value(tmp_path, capsys):
+    """An interpolating fit at a node returns the sample itself, so a -0.0
+    sample prints as -0 (a dot product with the unit coefficient vector
+    would give +0)."""
+    p = tmp_path / "signed_zero.csv"
+    p.write_text("x1,f\n0.0,1.0\n1.0,-0.0\n2.0,3.0\n")
+    cfg = tmp_path / "shepard.json"
+    cfg.write_text('{"weight": {"family": "shepard", "alpha": 1.0}}')
+    code, out, _ = run_cli(
+        ["fit", "--input", str(p), "--config", str(cfg), "--format", "csv"], capsys
+    )
+    assert code == 0
+    assert [line.split(",")[1] for line in out.split("\n")[1:-1]] == ["1", "-0", "3"]
+
+
 def test_fit_missing_values_column(tmp_path, capsys):
     p = tmp_path / "novals.csv"
     p.write_text("x1\n0.0\n1.0\n")
@@ -217,6 +232,8 @@ def test_selftest_deterministic_bytes(tmp_path, capsys):
     assert run_cli(["selftest", "--seed", "42", "--out", str(out1)], capsys)[0] == 0
     assert run_cli(["selftest", "--seed", "42", "--out", str(out2)], capsys)[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # one trailing newline after the canonical JSON text
+    assert out1.read_bytes().endswith(b"}\n")
     report = json.loads(out1.read_text())
     assert report["pass"] is True
     assert report["seed"] == 42

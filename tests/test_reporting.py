@@ -47,12 +47,6 @@ def test_json_rejects_unknown_types():
         rep.canonical_json({1: "non-string key"})
 
 
-def test_write_json_trailing_newline(tmp_path):
-    target = tmp_path / "t.json"
-    rep.write_json(target, {})
-    assert target.read_text() == "{}\n"
-
-
 def test_atomic_write_replaces(tmp_path):
     target = tmp_path / "out.json"
     rep.atomic_write(target, "first\n")
@@ -60,14 +54,6 @@ def test_atomic_write_replaces(tmp_path):
     assert target.read_text() == "second\n"
     # no stray temp files left behind
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
-
-
-def test_write_json_byte_identical(tmp_path):
-    payload = {"z": 1.0 / 3.0, "a": {"nested": [1, 2, 3]}}
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    rep.write_json(p1, payload)
-    rep.write_json(p2, payload)
-    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_csv_text_format():
@@ -79,7 +65,5 @@ def test_csv_text_format():
     assert text.endswith("\n")
 
 
-def test_csv_uses_unix_newlines(tmp_path):
-    target = tmp_path / "t.csv"
-    rep.write_csv(target, ["a"], [[1.0]])
-    assert b"\r" not in target.read_bytes()
+def test_csv_uses_unix_newlines():
+    assert "\r" not in rep.csv_text(["a", "b"], [[1.0, "x"], [2.0, "y"]])

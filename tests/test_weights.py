@@ -65,21 +65,10 @@ def test_smoothness_flags():
     assert not WeightSpec("shepard", 1.0).smooth
 
 
-def test_penalty_is_reciprocal():
-    spec = WeightSpec("levin", 0.7)
-    r = np.array([0.2, 0.9, 2.0])
-    np.testing.assert_allclose(spec.W(r), 1.0 / spec.w(r), rtol=1e-15)
-
-
-def test_penalty_infinite_at_interpolation_point():
-    assert WeightSpec("shepard", 1.0).W(0.0) == math.inf
-
-
 def test_overflow_maps_to_inf():
     # a node past the representable range has weight exactly zero
     spec = WeightSpec("exp", 400.0)
     assert spec.w(3.0) == math.inf
-    assert spec.W(3.0) == 0.0
 
 
 def test_custom_family():
