@@ -140,10 +140,15 @@ class BasisSpec:
         out[:, nz] = powers[nz] * xs[:, None] ** (powers[nz] - 1.0)
         return out
 
-    def to_dict(self) -> dict:
-        if self.exponents is None or not np.array_equal(
+    @property
+    def graded(self) -> bool:
+        """True for the graded monomial basis ``monomial_basis(size, dim)``."""
+        return self.exponents is not None and np.array_equal(
             self.exponents, monomial_exponents(self.dim, self.size)
-        ):
+        )
+
+    def to_dict(self) -> dict:
+        if not self.graded:
             raise ValueError("only graded monomial bases are serializable")
         return {"kind": "monomial", "l": int(self.size), "d": int(self.dim)}
 

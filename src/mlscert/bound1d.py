@@ -329,7 +329,9 @@ def bound_constants(
     ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease in |x|, so the sup
     is exact: the larger of the two endpoint values.  Custom bases take the
     max over a dense grid of ``SLOPE_GRID`` points.  A non-finite derivative
-    sample raises ``ValueError``.
+    sample raises ``ValueError``.  The differentiation-matrix fields of the
+    metadata describe the graded basis 1, x, ..., x^(l-1) and are reported
+    for it alone.
     """
     if convention not in ("standard", "paper"):
         raise ValueError("convention must be 'standard' or 'paper'")
@@ -374,7 +376,8 @@ def bound_constants(
         "m2_standard": 2.0 * alpha * r * (1.0 + growth),
         "m11_standard": growth / smin_design,
     }
-    if basis.kind == "monomial":
+    if basis.graded:
+        # the closed form holds for the exponents 0..l-1 that dbar acts on
         l = basis.size
         dbar = monomial_diff_matrix(l)
         svals = np.linalg.svd(dbar, compute_uv=False)

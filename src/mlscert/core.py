@@ -144,15 +144,17 @@ class _Rows(NamedTuple):
 def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
     """Solve the local systems of a block of rows with stacked LAPACK calls.
 
-    ``cvecs`` (n, l) holds the basis values at the evaluation points,
-    ``dists`` and ``dvecs`` (n, m) their node distances and 2 * w.  A row
-    with a vanishing weight at a node is the interpolation limit; every
-    other row goes through QR of the scaled design, the rank and
-    conditioning checks and the coefficient solve.  If a row fails, the
-    error of a failing row is raised: for a single row, that point's error.
+    ``E`` is the design (m, l) shared by every row, or a stack (n, m, l)
+    of one design per row.  ``cvecs`` (n, l) holds the basis values at the
+    evaluation points, ``dists`` and ``dvecs`` (n, m) their node distances
+    and 2 * w.  A row with a vanishing weight at a node is the
+    interpolation limit; every other row goes through QR of the scaled
+    design, the rank and conditioning checks and the coefficient solve.
+    If a row fails, the error of a failing row is raised: for a single
+    row, that point's error.
     """
     n, m = dvecs.shape
-    l = E.shape[1]
+    l = E.shape[-1]
     at_node = None
     zero = dvecs == 0.0
     if zero.any():
@@ -164,6 +166,8 @@ def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
         at_node[hit_rows] = hits
         regular = at_node < 0
         dvecs, cvecs = dvecs[regular], cvecs[regular]
+        if E.ndim == 3:
+            E = E[regular]
 
     root = np.sqrt(dvecs)
     qmats, rmats = np.linalg.qr(E / root[:, :, None], mode="reduced")
@@ -245,11 +249,30 @@ def _solve_points(xs, points, basis, weight, E, cond_limit):
 
     Returns the solved rows plus the basis values (n, l), the node
     distances (n, m) and the weight diagonals 2 * w (n, m) of the points.
+    A non-finite point raises ``ValueError`` naming the first one.
     """
+    finite = np.isfinite(xs).all(axis=1)
+    if not finite.all():
+        row = xs[np.argmin(finite)].tolist()
+        text = repr(row[0]) if len(row) == 1 else repr(tuple(row))
+        raise ValueError(f"evaluation point {text} is not finite")
     cvecs = basis.eval_rows(xs)
     dists = points.distances(xs)
     dvecs = build_weight_diag(dists, weight)
     return _solve_rows(E, cvecs, dists, dvecs, cond_limit), cvecs, dists, dvecs
+
+
+def solve_stack(designs, cvecs, dists, dvecs, *, cond_limit=COND_LIMIT) -> np.ndarray:
+    """Coefficient vectors of k unrelated systems of one shape, solved in
+    one stacked call.
+
+    Row i is the system of design ``designs[i]`` (m, l), basis values
+    ``cvecs[i]`` (l,), node distances ``dists[i]`` and weight diagonal
+    ``dvecs[i]`` (m,); its coefficients equal, bit for bit, what
+    ``build_system`` gives for it.  If a row fails, the error of a failing
+    row is raised: for a single row, that system's error.
+    """
+    return _solve_rows(designs, cvecs, dists, dvecs, cond_limit).coeffs
 
 
 def solve_blocks(xs, points, basis, weight, E, cond_limit, block_rows):

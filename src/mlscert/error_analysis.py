@@ -243,6 +243,15 @@ class ConvergenceStudy:
         return rows
 
 
+def _on_grid(f_true, grid: np.ndarray) -> np.ndarray:
+    vals = np.asarray(f_true(grid), dtype=float)
+    if vals.shape != grid.shape:
+        raise ValueError(
+            f"f_true must act elementwise: got shape {vals.shape} for {grid.shape} points"
+        )
+    return vals
+
+
 def convergence_study(
     f_true,
     l: int,
@@ -260,7 +269,8 @@ def convergence_study(
     Parameters
     ----------
     f_true : callable
-        Scalar function on the domain.
+        Function on the domain, applied elementwise: it is called once per
+        grid, with the whole array of points.
     l : int
         Basis size (monomials 1, x, ..., x^{l-1}).
     policy : str
@@ -285,13 +295,13 @@ def convergence_study(
         raise ValueError("domain must be a nondegenerate interval")
     basis = monomial_basis(l)
     eval_grid = np.linspace(lo, hi, eval_n)
-    fvals_eval = np.array([float(f_true(x)) for x in eval_grid])
+    fvals_eval = _on_grid(f_true, eval_grid)
     fscale = max(1.0, float(np.max(np.abs(fvals_eval))))
     sat_floor = SATURATION_FACTOR * np.finfo(float).eps * fscale
 
     # minimax oracle on the 10x denser grid (shared by all levels)
     dense = np.linspace(lo, hi, 10 * (eval_n - 1) + 1)
-    fdense = np.array([float(f_true(x)) for x in dense])
+    fdense = _on_grid(f_true, dense)
     best = minimax_fit(dense, fdense, degree=l - 1)
     best_level = best.grid_sup
 
@@ -302,7 +312,7 @@ def convergence_study(
         h = h0 / (2.0**level)
         m = int(round((hi - lo) / h)) + 1
         nodes = np.linspace(lo, hi, m)
-        pts = PointSet(nodes, values=np.array([float(f_true(x)) for x in nodes]))
+        pts = PointSet(nodes, values=_on_grid(f_true, nodes))
         alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
         weight = WeightSpec(family, alpha)
         coeffs, at_node = build_systems(eval_grid, pts, basis, weight)

@@ -30,9 +30,10 @@ class PointSet:
             raise ValueError("nodes must be a (m, d) array with m >= 1")
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodes must be finite")
-        # exact duplicates are always a construction error
-        uniq = np.unique(nodes, axis=0)
-        if uniq.shape[0] != nodes.shape[0]:
+        # exact duplicates are always a construction error; sorted rows put
+        # them next to each other (0.0 and -0.0 compare, and sort, equal)
+        srt = nodes[np.lexsort(nodes.T)]
+        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
             raise ValueError("nodes must be pairwise distinct")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

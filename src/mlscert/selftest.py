@@ -11,14 +11,18 @@ import numpy as np
 
 from . import bound1d, error_analysis, instances
 from .config import Tolerances
-from .core import build_system, build_systems, fitted_values
+from .core import (
+    MlsError,
+    build_systems,
+    fitted_values,
+    solve_stack,
+)
 from .spectral import (
     build_operators,
-    check_eig_products,
     check_sv_products,
-    diagnose,
+    diagnose_stack,
+    eig_product_stack,
 )
-from .weights import WeightSpec
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_selftest"]
 
@@ -46,70 +50,182 @@ GENERAL_N = 200
 _GENERAL_SUITES = ("core", "spectral")
 
 
+#: what a check raises for a bad instance; a group that raises one is
+#: replayed instance by instance
+_ERRORS = (MlsError, ValueError)  # LinAlgError is a ValueError
+
+
+def _by_shape(keys) -> list:
+    """Instance indices grouped by key, groups in order of first
+    appearance; a None key leaves its instance out."""
+    groups = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
+def _systems(suite):
+    """The instances' systems up to the first that fails, and its error."""
+    systems = []
+    for it in suite:
+        try:
+            systems.append(it.system())
+        except _ERRORS as exc:
+            return systems, exc
+    return systems, None
+
+
+def _stacked(check, groups, limit, error):
+    """Run ``check`` once per group of instance indices, on those below
+    ``limit``: the first instance already known to fail, with ``error``.
+
+    ``check(idx)`` checks the instances ``idx`` in one stacked call.  A
+    group that raises is replayed one instance at a time, so the earliest
+    failing instance is found; it becomes the new limit and its error the
+    new error.  Checks run stage by stage like this raise, in the end, what
+    a loop running every stage per instance raises first.  Returns the
+    results of the groups (and replayed instances) that passed, the limit
+    and the error.
+    """
+    done = []
+    for idx in groups:
+        idx = [i for i in idx if i < limit]
+        if not idx:
+            continue
+        try:
+            done.append(check(idx))
+            continue
+        except _ERRORS:
+            pass
+        for i in idx:
+            try:
+                done.append(check([i]))
+            except _ERRORS as exc:
+                limit, error = i, exc
+                break
+    return done, limit, error
+
+
+def _values(done, key=None) -> list:
+    """The per-instance values (under ``key``) in the results of
+    ``_stacked``, as Python scalars, one group after another.  The suites
+    reduce them with Python's max or min from a start of 0.0 or inf, as
+    their per-instance loops did: a NaN never replaces the start, and the
+    result does not depend on the order of the values."""
+    out = []
+    for res in done:
+        out += np.ravel(res if key is None else res[key]).tolist()
+    return out
+
+
+def _dots(a, b) -> np.ndarray:
+    """Row-wise dot products of two (k, n) stacks: one BLAS dot per row,
+    as ``a[i] @ b[i]`` computes it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _stack(systems, name: str) -> np.ndarray:
+    return np.stack([getattr(sysm, name) for sysm in systems])
+
+
+def _core_invariance(suite, systems, coefs, scales) -> dict:
+    """Per-instance metrics of ``suite_core`` for instances of one shape
+    (m, l) and their systems: the partition of unity, the amplification,
+    the reproduction of the basis combination ``coefs[i]``, and the change
+    of a(x) when the weight family is multiplied by ``scales[i]``, solved
+    for the whole group in one stacked call."""
+    a, design, cvecs = (_stack(systems, n) for n in ("coeffs", "design", "basis_at_x"))
+    dists = np.stack([it.points.distances(sysm.x) for it, sysm in zip(suite, systems)])
+    # the weight diagonal 2 (s w) of the rescaled family s w, with the
+    # operations build_weight_diag applies to it
+    with np.errstate(over="ignore"):
+        dvecs = 2.0 * np.stack(
+            [s * np.asarray(it.weight.w(d)) for it, s, d in zip(suite, scales, dists)]
+        )
+    a2 = solve_stack(design, cvecs, dists, dvecs)
+    coef = np.stack(coefs)
+    target = _dots(cvecs, coef)
+    got = _dots(a, (design @ coef[:, :, None])[:, :, 0])
+    return {
+        "unity": np.abs(np.sum(a, axis=1) - 1.0),
+        "amplification": error_analysis.amplification(a),
+        "reproduction": np.abs(got - target) / np.maximum(1.0, np.abs(target)),
+        "scale": np.max(np.abs(a - a2), axis=1),
+    }
+
+
+def _core_oracle(systems) -> np.ndarray:
+    """Relative distance of each a(x) to the normal-equations solution
+    D^-1 E G^-1 c, for systems of one shape, in stacked calls."""
+    a, design, dvecs = (_stack(systems, n) for n in ("coeffs", "design", "dvec"))
+    gram = np.swapaxes(design, 1, 2) @ (design / dvecs[:, :, None])
+    sol = np.linalg.solve(gram, _stack(systems, "basis_at_x")[:, :, None])
+    diff = a - (design @ sol)[:, :, 0] / dvecs
+    return np.sqrt(_dots(diff, diff)) / np.sqrt(_dots(a, a))
+
+
 def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
     """Partition of unity, polynomial reproduction, weight-scaling
     invariance, normal-equations cross-check, interpolation at nodes.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.
+    if not given.  The instances are checked in groups of one shape
+    (m, l), a stacked solve per group for the rescaled weights and one for
+    the normal-equations oracle; every per-instance value is what a solve
+    per instance gives, bit for bit, and the first failing instance raises
+    its own error.
     """
     if suite is None:
         suite = instances.random_suite(GENERAL_N, seed)
     n = len(suite)
     rng = np.random.default_rng(seed + 1)
-    worst_unity = worst_repro = worst_scale = worst_oracle = 0.0
-    worst_interp = 0.0
-    n_oracle = n_interp = 0
-    min_amp = float("inf")
+    coefs, scales = [], []
     for it in suite:
-        sysm = it.system()
-        a = sysm.coeffs
-        worst_unity = max(worst_unity, abs(float(np.sum(a)) - 1.0))
-        min_amp = min(min_amp, error_analysis.amplification(a))
+        coefs.append(rng.standard_normal(it.basis.size))
+        scales.append(float(np.exp(rng.uniform(-3.0, 3.0))))
+    systems, error = _systems(suite)
 
-        coef = rng.standard_normal(it.basis.size)
-        target = float(it.basis.eval_at(np.atleast_1d(it.x)) @ coef)
-        got = float(a @ (sysm.design @ coef))
-        worst_repro = max(worst_repro, abs(got - target) / max(1.0, abs(target)))
+    def invariance(idx):
+        group = ([seq[i] for i in idx] for seq in (suite, systems, coefs, scales))
+        return _core_invariance(*group)
 
-        s = float(np.exp(rng.uniform(-3.0, 3.0)))
-        scaled = WeightSpec(
-            "custom",
-            custom_w=lambda r, b=it.weight, s=s: s * np.asarray(b.w(r)),
-            custom_interpolating=it.weight.interpolating,
-            custom_smooth=it.weight.smooth,
-        )
-        a2 = build_system(it.x, it.points, it.basis, scaled).coeffs
-        worst_scale = max(worst_scale, float(np.max(np.abs(a - a2))))
+    def oracle(idx):
+        return _core_oracle([systems[i] for i in idx])
 
-        if it.meta["m"] <= 8 and it.meta["l"] <= 4 and it.meta["cond_gram"] <= 1e6:
-            n_oracle += 1
-            dvec = sysm.dvec
-            gram = sysm.design.T @ (sysm.design / dvec[:, None])
-            cvec = it.basis.eval_at(np.atleast_1d(it.x))
-            a_alt = (sysm.design @ np.linalg.solve(gram, cvec)) / dvec
-            worst_oracle = max(
-                worst_oracle,
-                float(np.linalg.norm(a - a_alt) / np.linalg.norm(a)),
-            )
+    def interpolation(idx):
+        pts, basis, weight = suite[idx[0]].points, suite[idx[0]].basis, suite[idx[0]].weight
+        fitted = fitted_values(*build_systems(pts.nodes, pts, basis, weight), pts.values)
+        return [max(np.abs(fitted - pts.values).tolist())]
 
-        if it.weight.family == "shepard":
-            n_interp += 1
-            pts = it.points
-            fitted = fitted_values(
-                *build_systems(pts.nodes, pts, it.basis, it.weight), pts.values
-            )
-            worst_interp = max([worst_interp, *np.abs(fitted - pts.values).tolist()])
+    shapes = [(s.m, s.l) for s in systems]
+    checked, limit, error = _stacked(invariance, _by_shape(shapes), len(systems), error)
+    eligible = [
+        key if it.meta["m"] <= 8 and it.meta["l"] <= 4 and it.meta["cond_gram"] <= 1e6
+        else None
+        for it, key in zip(suite, shapes)
+    ]
+    oracles, limit, error = _stacked(oracle, _by_shape(eligible), limit, error)
+    shepard = [[i] for i, it in enumerate(suite) if it.weight.family == "shepard"]
+    interps, limit, error = _stacked(interpolation, shepard, limit, error)
+    if error is not None:
+        raise error
 
+    worst_unity = max([0.0, *_values(checked, "unity")])
+    worst_repro = max([0.0, *_values(checked, "reproduction")])
+    worst_scale = max([0.0, *_values(checked, "scale")])
+    min_amp = min([float("inf"), *_values(checked, "amplification")])
+    worst_oracle = max([0.0, *_values(oracles)])
+    worst_interp = max([0.0, *_values(interps)])
     return {
         "n": n,
         "worst_unity": worst_unity,
         "worst_reproduction": worst_repro,
         "worst_scale_invariance": worst_scale,
         "worst_oracle_rel": worst_oracle,
-        "n_oracle": n_oracle,
+        "n_oracle": len(_values(oracles)),
         "worst_node_interpolation": worst_interp,
-        "n_interpolating": n_interp,
+        "n_interpolating": len(shepard),
         "min_amplification": min_amp,
         "pass": bool(
             worst_unity <= tol.bound
@@ -126,42 +242,39 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
     """Full operator diagnostics on every generated instance.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.
+    if not given.  ``diagnose_stack`` checks each group of one shape
+    (m, l) at once, and the worst values are reduced from its arrays; a
+    failing instance raises what ``diagnose`` raises for the first one.
     """
     if suite is None:
         suite = instances.random_suite(GENERAL_N, seed)
-    n = len(suite)
-    worst = {
-        "symmetry": 0.0,
-        "eig_dev": 0.0,
-        "idempotence": 0.0,
-        "trace_dev": 0.0,
-        "psd_min_rel": 0.0,
-        "lmax_slack": float("inf"),
-    }
-    n_fail = 0
-    for it in suite:
-        rep = diagnose(it.system(), tol).to_dict()
-        if not rep["pass"]:
-            n_fail += 1
-        worst["symmetry"] = max(
-            worst["symmetry"], rep["symmetry"]["proj_dinv"], rep["symmetry"]["comp_dinv"]
-        )
-        worst["eig_dev"] = max(
-            worst["eig_dev"],
-            rep["eigen"]["proj"]["max_dev"],
-            rep["eigen"]["comp"]["max_dev"],
-        )
-        worst["idempotence"] = max(worst["idempotence"], rep["idempotence"])
-        worst["trace_dev"] = max(worst["trace_dev"], rep["trace_dev"])
-        worst["psd_min_rel"] = min(
-            worst["psd_min_rel"],
-            rep["psd"]["proj_dinv_min_eig"] / rep["psd"]["scale"],
-            rep["psd"]["neg_comp_dinv_min_eig"] / rep["psd"]["scale"],
-        )
-        worst["lmax_slack"] = min(worst["lmax_slack"], rep["psd"]["lmax_slack"])
-    out = {"n": n, "n_fail": n_fail, "pass": bool(n_fail == 0)}
-    out.update(worst)
+    systems, error = _systems(suite)
+
+    def check(idx):
+        rep = diagnose_stack([systems[i] for i in idx], tol)
+        sym, eigen, psd = rep["symmetry"], rep["eigen"], rep["psd"]
+        return {
+            "pass": rep["pass"],
+            "symmetry": (sym["proj_dinv"], sym["comp_dinv"]),
+            "eig_dev": (eigen["proj"]["max_dev"], eigen["comp"]["max_dev"]),
+            "idempotence": rep["idempotence"],
+            "trace_dev": rep["trace_dev"],
+            "psd_min_rel": (psd["proj_dinv_min_eig"] / psd["scale"],
+                            psd["neg_comp_dinv_min_eig"] / psd["scale"]),
+            "lmax_slack": psd["lmax_slack"],
+        }
+
+    reports, _, error = _stacked(
+        check, _by_shape([(s.m, s.l) for s in systems]), len(systems), error
+    )
+    if error is not None:
+        raise error
+    n_fail = _values(reports, "pass").count(False)
+    out = {"n": len(suite), "n_fail": n_fail, "pass": bool(n_fail == 0)}
+    for key in ("symmetry", "eig_dev", "idempotence", "trace_dev"):
+        out[key] = max([0.0, *_values(reports, key)])
+    out["psd_min_rel"] = min([0.0, *_values(reports, "psd_min_rel")])
+    out["lmax_slack"] = min([float("inf"), *_values(reports, "lmax_slack")])
     return out
 
 
@@ -185,38 +298,45 @@ def suite_sv_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
 
 
 def suite_eig_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
-    """Eigenvalue-product sandwich bounds against a dense eigenvalue oracle."""
+    """Eigenvalue-product sandwich bounds against a dense eigenvalue oracle.
+
+    ``eig_product_stack`` checks each group of same-size pairs at once, and
+    the oracle's ``eigvals`` runs once per group too; a failing pair raises
+    what ``check_eig_products`` raises for the first one.
+    """
     pairs = instances.matrix_pair_suite(n, seed)
-    n_violations = 0
-    worst_slack = 0.0
-    worst_oracle = 0.0
-    n_pd_sandwich = 0
-    n_swapped = 0
-    for p in pairs:
-        rep = check_eig_products(p["umat"], p["vmat"], tol)
-        n_violations += len(rep["violations"])
-        worst_slack = max(worst_slack, rep["max_violation"])
-        if rep["swapped"]:
-            n_swapped += 1
-        if rep["pd_sandwich"]["applicable"]:
-            n_pd_sandwich += 1
-            if not rep["pd_sandwich"]["pass"]:
-                n_violations += 1
-        lam_oracle = np.sort(np.linalg.eigvals(p["umat"] @ p["vmat"]).real)
-        mine = np.sort(np.asarray(rep["product_eigenvalues"]))
-        scale = max(1.0, float(np.max(np.abs(lam_oracle))) if lam_oracle.size else 1.0)
-        worst_oracle = max(
-            worst_oracle, float(np.max(np.abs(mine - lam_oracle))) / scale
-        )
-    oracle_ok = worst_oracle <= 1e-9
+
+    def check(idx):
+        umat = np.stack([pairs[i]["umat"] for i in idx])
+        vmat = np.stack([pairs[i]["vmat"] for i in idx])
+        rep = eig_product_stack(umat, vmat, tol)
+        lam = np.sort(np.linalg.eigvals(umat @ vmat).real, axis=-1)
+        mine = np.sort(rep["product_eigenvalues"], axis=-1)
+        scale = np.maximum(1.0, np.max(np.abs(lam), axis=-1))
+        return {
+            "oracle_dev": np.max(np.abs(mine - lam), axis=-1) / scale,
+            # the violated indices, plus a failed PD sandwich
+            "n_violations": rep["violated"].sum(axis=1)
+            + (rep["pd_applicable"] & ~rep["pd_pass"]),
+            "max_violation": rep["max_violation"],
+            "pd_applicable": rep["pd_applicable"],
+            "swapped": rep["swapped"],
+        }
+
+    shapes = [(p["umat"].shape, p["vmat"].shape) for p in pairs]
+    reports, _, error = _stacked(check, _by_shape(shapes), n, None)
+    if error is not None:
+        raise error
+    worst_oracle = max([0.0, *_values(reports, "oracle_dev")])
+    n_violations = sum(_values(reports, "n_violations"))
     return {
         "n": n,
         "n_violations": n_violations,
-        "worst_slack": worst_slack,
+        "worst_slack": max([0.0, *_values(reports, "max_violation")]),
         "oracle_max_dev_rel": worst_oracle,
-        "n_pd_sandwich": n_pd_sandwich,
-        "n_swapped": n_swapped,
-        "pass": bool(n_violations == 0 and oracle_ok),
+        "n_pd_sandwich": sum(_values(reports, "pd_applicable")),
+        "n_swapped": sum(_values(reports, "swapped")),
+        "pass": bool(n_violations == 0 and worst_oracle <= 1e-9),
     }
 
 

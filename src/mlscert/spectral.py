@@ -16,10 +16,14 @@ their structure numerically:
   chain rests on.
 
 Every check returns residuals and slacks rather than booleans alone, so a
-report is auditable after the fact.
+report is auditable after the fact.  The checks run on stacks of systems
+(or matrix pairs) of one shape, one stacked LAPACK or BLAS call per check
+(``diagnose_stack``, ``eig_product_stack``); those calls run per matrix, so
+the single-system entries are the one-row cases and agree bit for bit.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,9 @@ __all__ = [
     "check_norm_bounds",
     "check_sv_products",
     "check_eig_products",
+    "eig_product_stack",
     "diagnose",
+    "diagnose_stack",
 ]
 
 
@@ -74,16 +80,80 @@ def operator_stack(qmats, rmats, roots, design):
 
     ``qmats`` (k, m, l) and ``rmats`` (k, l, l) are the QR factors of the
     scaled designs, ``roots`` (k, m) the square roots of their weight
-    diagonals.  Returns ``coef_map`` (k, m, l) = Q R^{-T} / sqrt(d) and
-    ``proj`` (k, m, m) = coef_map E^T, each system computed as on its own
-    (stacked LAPACK and BLAS calls run per matrix); the complement is
+    diagonals, ``design`` the design (m, l) they share or a stack (k, m, l)
+    of one design each.  Returns ``coef_map`` (k, m, l) = Q R^{-T} / sqrt(d)
+    and ``proj`` (k, m, m) = coef_map E^T, each system computed as on its
+    own (stacked LAPACK and BLAS calls run per matrix); the complement is
     ``proj - I``.
     """
     l = rmats.shape[-1]
     # one triangular solve per column of the identity
     coef_map = qmats @ np.linalg.solve(rmats.transpose(0, 2, 1), np.eye(l))
     coef_map /= roots[:, :, None]
-    return coef_map, coef_map @ design.T
+    return coef_map, coef_map @ _t(design)
+
+
+def _t(stack: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack (of a single matrix too)."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _smax(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a (k, r, c) stack."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+class _Ops(NamedTuple):
+    """Operators of k systems of one shape (m, l), stacked on axis 0."""
+
+    coef_map: np.ndarray  # (k, m, l)
+    proj: np.ndarray  # (k, m, m)
+    comp: np.ndarray  # (k, m, m)
+    proj_dinv: np.ndarray  # (k, m, m)
+    comp_dinv: np.ndarray  # (k, m, m)
+    qmats: np.ndarray  # (k, m, l) Q factors of the scaled designs
+    dvecs: np.ndarray  # (k, m) weight diagonals
+
+
+def _operators(systems) -> _Ops:
+    if any(s.at_node is not None or s.qmat is None for s in systems):
+        raise ValueError(
+            "operators require x off the nodes for interpolating weights"
+        )
+    qmats = np.stack([s.qmat for s in systems])
+    dvecs = np.stack([s.dvec for s in systems])
+    coef_map, proj = operator_stack(
+        qmats,
+        np.stack([s.rmat for s in systems]),
+        np.sqrt(dvecs),
+        np.stack([s.design for s in systems]),
+    )
+    comp = proj - np.eye(proj.shape[-1])
+    return _Ops(
+        coef_map, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
+        qmats, dvecs,
+    )
+
+
+def _ops_of(bundle: OperatorBundle) -> _Ops:
+    """A bundle as a stack of one."""
+    sysm = bundle.system
+    return _Ops(
+        *(a[None] for a in (bundle.coef_map, bundle.proj, bundle.comp,
+                            bundle.proj_dinv, bundle.comp_dinv, sysm.qmat, sysm.dvec))
+    )
+
+
+def _row(tree, i: int):
+    """Entry i of a report tree whose arrays stack k systems on axis 0, in
+    plain Python types; everything that is not an array is shared."""
+    if isinstance(tree, dict):
+        return {key: _row(val, i) for key, val in tree.items()}
+    if isinstance(tree, list):
+        return [_row(val, i) for val in tree]
+    if isinstance(tree, np.ndarray):
+        return tree[i].tolist()
+    return tree
 
 
 def build_operators(system: MlsSystem) -> OperatorBundle:
@@ -93,26 +163,18 @@ def build_operators(system: MlsSystem) -> OperatorBundle:
     positive weight diagonal: at an interpolation-limit point (x on a node
     of an interpolating weight family) the scaled operators do not exist.
     """
-    if system.at_node is not None or system.qmat is None:
-        raise ValueError(
-            "operators require x off the nodes for interpolating weights"
-        )
-    dvec = system.dvec
-    coef_map, proj = operator_stack(
-        system.qmat[None], system.rmat[None], np.sqrt(dvec)[None], system.design
-    )
-    coef_map, proj = coef_map[0], proj[0]
-    comp = proj - np.eye(system.m)
-    proj_dinv = proj / dvec[None, :]
-    comp_dinv = comp / dvec[None, :]
-    return OperatorBundle(
-        coef_map=coef_map, proj=proj, comp=comp,
-        proj_dinv=proj_dinv, comp_dinv=comp_dinv, system=system,
-    )
+    ops = _operators([system])
+    return OperatorBundle(*(a[0] for a in ops[:5]), system=system)
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
+def _symmetry(ops: _Ops, smax_proj_dinv) -> dict:
+    scale = np.maximum(
+        np.maximum(smax_proj_dinv, _smax(ops.comp_dinv)), np.finfo(float).tiny
+    )
+    return {
+        "proj_dinv": _smax(ops.proj_dinv - _t(ops.proj_dinv)) / scale,
+        "comp_dinv": _smax(ops.comp_dinv - _t(ops.comp_dinv)) / scale,
+    }
 
 
 def check_symmetry(bundle: OperatorBundle) -> dict:
@@ -124,27 +186,34 @@ def check_symmetry(bundle: OperatorBundle) -> dict:
     complement is exactly zero in exact arithmetic and the computed matrix
     is pure roundoff.
     """
-    scale = max(
-        _spectral_norm(bundle.proj_dinv),
-        _spectral_norm(bundle.comp_dinv),
-        np.finfo(float).tiny,
-    )
-    return {
-        "proj_dinv": _spectral_norm(bundle.proj_dinv - bundle.proj_dinv.T) / scale,
-        "comp_dinv": _spectral_norm(bundle.comp_dinv - bundle.comp_dinv.T) / scale,
-    }
+    ops = _ops_of(bundle)
+    return _row(_symmetry(ops, _smax(ops.proj_dinv)), 0)
 
 
 def _cluster(evals: np.ndarray, centers: tuple, expected: tuple) -> dict:
-    idx = np.argmin(np.abs(evals[:, None] - np.asarray(centers)[None, :]), axis=1)
-    counts = [int(np.sum(idx == j)) for j in range(len(centers))]
-    max_dev = float(np.max(np.abs(evals - np.asarray(centers)[idx]))) if evals.size else 0.0
+    cvec = np.asarray(centers)
+    idx = np.argmin(np.abs(evals[..., None] - cvec), axis=-1)
     return {
         "centers": list(centers),
-        "counts": counts,
+        "counts": np.stack([np.sum(idx == j, axis=-1) for j in range(len(cvec))], -1),
         "expected_counts": list(expected),
-        "max_dev": max_dev,
-        "eigenvalues": [float(v) for v in np.sort(evals)[::-1]],
+        "max_dev": np.max(np.abs(evals - cvec[idx]), axis=-1),
+        "eigenvalues": np.sort(evals, axis=-1)[..., ::-1],
+    }
+
+
+def _eigen(ops: _Ops, tol: Tolerances) -> dict:
+    m, l = ops.qmats.shape[-2:]
+    evals = np.linalg.eigvalsh(ops.qmats @ _t(ops.qmats))
+    proj = _cluster(evals, (1.0, 0.0), (l, m - l))
+    comp = _cluster(evals - 1.0, (0.0, -1.0), (l, m - l))
+    return {
+        "proj": proj,
+        "comp": comp,
+        "structural_failure": np.maximum(proj["max_dev"], comp["max_dev"])
+        > tol.cluster_fail,
+        "counts_ok": np.all(proj["counts"] == (l, m - l), axis=-1)
+        & np.all(comp["counts"] == (l, m - l), axis=-1),
     }
 
 
@@ -158,22 +227,24 @@ def eigen_structure(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> d
     further than ``tol.cluster_fail`` from its nearest center raises the
     structural-failure flag.
     """
-    sys_ = bundle.system
-    m, l = sys_.m, sys_.l
-    sym_similar = sys_.qmat @ sys_.qmat.T
-    evals = np.linalg.eigvalsh(sym_similar)
-    proj_rep = _cluster(evals, (1.0, 0.0), (l, m - l))
-    comp_rep = _cluster(evals - 1.0, (0.0, -1.0), (l, m - l))
-    failure = max(proj_rep["max_dev"], comp_rep["max_dev"]) > tol.cluster_fail
-    counts_ok = (
-        proj_rep["counts"] == proj_rep["expected_counts"]
-        and comp_rep["counts"] == comp_rep["expected_counts"]
-    )
+    return _row(_eigen(_ops_of(bundle), tol), 0)
+
+
+def _psd(ops: _Ops, tol: Tolerances) -> dict:
+    scale = 1.0 / np.min(ops.dvecs, axis=-1)
+    ev_p = np.linalg.eigvalsh(0.5 * (ops.proj_dinv + _t(ops.proj_dinv)))
+    ev_c = np.linalg.eigvalsh(-(0.5 * (ops.comp_dinv + _t(ops.comp_dinv))))
+    lmax = ev_p[:, -1]
     return {
-        "proj": proj_rep,
-        "comp": comp_rep,
-        "structural_failure": bool(failure),
-        "counts_ok": bool(counts_ok),
+        "proj_dinv_min_eig": ev_p[:, 0],
+        "neg_comp_dinv_min_eig": ev_c[:, 0],
+        "scale": scale,
+        "lmax_proj_dinv": lmax,
+        "lmax_bound": scale,
+        "lmax_slack": scale - lmax,
+        "pass": (ev_p[:, 0] >= -tol.psd * scale)
+        & (ev_c[:, 0] >= -tol.psd * scale)
+        & (lmax <= scale + tol.ineq * scale),
     }
 
 
@@ -183,40 +254,48 @@ def check_psd(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> dict:
     ``proj_dinv`` should be PSD and ``-comp_dinv`` too; margins are measured
     against ``-tol.psd`` times the norm of the inverse scaling diagonal.
     """
-    scale = 1.0 / float(np.min(bundle.system.dvec))
-    sym_p = 0.5 * (bundle.proj_dinv + bundle.proj_dinv.T)
-    sym_c = 0.5 * (bundle.comp_dinv + bundle.comp_dinv.T)
-    ev_p = np.linalg.eigvalsh(sym_p)
-    ev_c = np.linalg.eigvalsh(-sym_c)
-    lmax = float(ev_p[-1])
-    lmax_bound = scale
-    return {
-        "proj_dinv_min_eig": float(ev_p[0]),
-        "neg_comp_dinv_min_eig": float(ev_c[0]),
-        "scale": scale,
-        "lmax_proj_dinv": lmax,
-        "lmax_bound": lmax_bound,
-        "lmax_slack": lmax_bound - lmax,
-        "pass": bool(
-            ev_p[0] >= -tol.psd * scale
-            and ev_c[0] >= -tol.psd * scale
-            and lmax <= lmax_bound + tol.ineq * scale
-        ),
-    }
+    return _row(_psd(_ops_of(bundle), tol), 0)
 
 
 def _ineq(name, lhs, rhs, scale, tol, rhs_paper=None) -> dict:
+    """One inequality lhs <= rhs, with a slack and a scaled verdict; the
+    operands are floats or arrays over a stack of systems."""
     entry = {
         "name": name,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "slack": float(rhs - lhs),
-        "scale": float(scale),
-        "pass": bool(lhs <= rhs + tol * scale),
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": rhs - lhs,
+        "scale": scale,
+        "pass": lhs <= rhs + tol * scale,
     }
     if rhs_paper is not None:
-        entry["rhs_sqrt_convention"] = float(rhs_paper)
+        entry["rhs_sqrt_convention"] = rhs_paper
     return entry
+
+
+def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
+    dmin = np.min(ops.dvecs, axis=-1)
+    dmax = np.max(ops.dvecs, axis=-1)
+    smax_proj = _smax(ops.proj)
+    smax_proj_dinv = _smax(ops.proj_dinv)
+    cond_d = dmax / dmin
+    checks = [
+        _ineq("proj_dinv_smax_le_inv_dmin", smax_proj_dinv, 1.0 / dmin,
+              scale=1.0 / dmin, tol=tol.ineq),
+        _ineq("proj_smax_times_smin_dinv_le_smax_proj_dinv",
+              smax_proj * (1.0 / dmax), smax_proj_dinv,
+              scale=np.maximum(smax_proj_dinv, 1.0 / dmax), tol=tol.ineq),
+        _ineq("one_le_proj_smax", 1.0, smax_proj, scale=1.0, tol=tol.norm_chain),
+        _ineq("proj_smax_le_cond_d", smax_proj, cond_d, scale=cond_d,
+              tol=tol.norm_chain, rhs_paper=np.sqrt(cond_d)),
+    ]
+    return {
+        "checks": checks,
+        "smax_proj": smax_proj,
+        "smax_proj_dinv": smax_proj_dinv,
+        "cond_d": cond_d,
+        "pass": np.all([c["pass"] for c in checks], axis=0),
+    }
 
 
 def check_norm_bounds(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> dict:
@@ -226,28 +305,7 @@ def check_norm_bounds(bundle: OperatorBundle, tol: Tolerances = Tolerances()) ->
     value); the looser square-root variants of the two-sided chain are
     reported alongside for comparison.
     """
-    dvec = bundle.system.dvec
-    dmin, dmax = float(np.min(dvec)), float(np.max(dvec))
-    smax_proj = float(np.linalg.svd(bundle.proj, compute_uv=False)[0])
-    smax_proj_dinv = float(np.linalg.svd(bundle.proj_dinv, compute_uv=False)[0])
-    cond_d = dmax / dmin
-    checks = [
-        _ineq("proj_dinv_smax_le_inv_dmin", smax_proj_dinv, 1.0 / dmin,
-              scale=1.0 / dmin, tol=tol.ineq),
-        _ineq("proj_smax_times_smin_dinv_le_smax_proj_dinv",
-              smax_proj * (1.0 / dmax), smax_proj_dinv,
-              scale=max(smax_proj_dinv, 1.0 / dmax), tol=tol.ineq),
-        _ineq("one_le_proj_smax", 1.0, smax_proj, scale=1.0, tol=tol.norm_chain),
-        _ineq("proj_smax_le_cond_d", smax_proj, cond_d, scale=cond_d,
-              tol=tol.norm_chain, rhs_paper=float(np.sqrt(cond_d))),
-    ]
-    return {
-        "checks": checks,
-        "smax_proj": smax_proj,
-        "smax_proj_dinv": smax_proj_dinv,
-        "cond_d": cond_d,
-        "pass": bool(all(c["pass"] for c in checks)),
-    }
+    return _row(_norm_bounds(_ops_of(bundle), tol), 0)
 
 
 def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
@@ -335,20 +393,131 @@ def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
     }
 
 
-def _require_symmetric(mat: np.ndarray, label: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def _symmetric_stack(mats, label: str) -> np.ndarray:
+    """Symmetrized copy of a (k, m, m) stack; raises if any is not square
+    or not symmetric."""
+    mats = np.asarray(mats, dtype=float)
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise ValueError(f"{label} must be square")
-    norm = float(np.max(np.abs(mat))) or 1.0
-    if np.max(np.abs(mat - mat.T)) > 1e-10 * norm:
+    norm = np.max(np.abs(mats), axis=(1, 2))
+    norm[norm == 0] = 1.0
+    if np.any(np.max(np.abs(mats - _t(mats)), axis=(1, 2)) > 1e-10 * norm):
         raise ValueError(f"{label} must be symmetric")
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mats + _t(mats))
 
 
-def _psd_sqrt(mat: np.ndarray):
-    evals, evecs = np.linalg.eigh(mat)
-    clipped = np.clip(evals, 0.0, None)
-    return evecs @ np.diag(np.sqrt(clipped)) @ evecs.T
+def _first(values, better):
+    """Elementwise min (``better=np.less``) or max (``np.greater``) of a
+    list of arrays as Python's ``min`` or ``max`` picks it: a later value
+    replaces the current one only when strictly better."""
+    out = values[0]
+    for val in values[1:]:
+        out = np.where(better(val, out), val, out)
+    return out
+
+
+def _zero_tol(evals: np.ndarray) -> np.ndarray:
+    m = evals.shape[-1]
+    return m * np.maximum(1.0, np.max(np.abs(evals), axis=-1)) * np.finfo(float).eps * 64
+
+
+def eig_product_stack(U, V, tol: Tolerances = Tolerances()) -> dict:
+    """``check_eig_products`` on k symmetric pairs of one size m at once.
+
+    ``U`` and ``V`` are (k, m, m) stacks; pair i is (U[i], V[i]).  Returns
+    per-pair arrays on axis 0: ``swapped``, ``positive`` and ``negative``
+    (the inertia of the factor in the U slot), ``product_eigenvalues``
+    (k, m) in descending order, and per index k of the product spectrum
+    (k, m) arrays ``regime``, ``lower``, ``upper``, ``excess`` and
+    ``violated``; then ``max_violation``, the PD sandwich fields
+    ``pd_applicable``, ``pd_upper``, ``pd_lower``, ``pd_excess`` and
+    ``pd_pass``, and ``pass``.  Stacked LAPACK and BLAS calls run per
+    matrix, and the bounds are taken with Python's min/max semantics, so
+    pair i gives what ``check_eig_products`` gives for it, bit for bit.
+    An invalid pair raises what ``check_eig_products`` raises; for a
+    single pair, in the same order.
+    """
+    U = _symmetric_stack(U, "U")
+    V = _symmetric_stack(V, "V")
+    if U.shape != V.shape:
+        raise ValueError("U and V must have equal shape")
+    m = U.shape[-1]
+
+    lu = np.sort(np.linalg.eigvalsh(U), axis=-1)[:, ::-1]
+    lv = np.sort(np.linalg.eigvalsh(V), axis=-1)[:, ::-1]
+    mag = np.maximum(1.0, np.max(np.abs(lu), axis=-1)) * np.maximum(
+        1.0, np.max(np.abs(lv), axis=-1)
+    )
+    u_psd = lu[:, -1] >= -_zero_tol(lu)
+    v_psd = lv[:, -1] >= -_zero_tol(lv)
+    if not np.all(u_psd | v_psd):
+        raise ValueError("at least one factor must be positive semi-definite")
+    # put the PSD factor into the congruence slot; spectrum of VU = UV
+    swapped = ~v_psd
+    flip = swapped[:, None, None]
+    U, V = np.where(flip, V, U), np.where(flip, U, V)
+    lu, lv = np.where(swapped[:, None], lv, lu), np.where(swapped[:, None], lu, lv)
+
+    # eigenvalues of VU through the symmetric congruence V^{1/2} U V^{1/2}
+    evals, evecs = np.linalg.eigh(V)
+    diag = np.zeros_like(V)
+    diag[:, range(m), range(m)] = np.sqrt(np.clip(evals, 0.0, None))
+    root = evecs @ diag @ _t(evecs)
+    lvu = np.sort(np.linalg.eigvalsh(root @ U @ root), axis=-1)[:, ::-1]
+
+    ztol_u, ztol_v = _zero_tol(lu), _zero_tol(lv)
+    pi = np.sum(lu > ztol_u[:, None], axis=-1)
+    nu = np.sum(lu < -ztol_u[:, None], axis=-1)
+    slack_tol = tol.ineq * np.maximum(1.0, mag)
+
+    # prod[:, i, j] = lu[i] lv[j], 0-based; the bounds of index k (1-based)
+    prod = lu[:, :, None] * lv[:, None, :]
+    regime, lower, upper, excess = (np.empty_like(lu) for _ in range(4))
+    worst = np.zeros(len(lu))
+    for k in range(1, m + 1):
+        head, tail = range(1, k + 1), range(k, m + 1)
+        ub1 = _first([prod[:, i - 1, k - i] for i in head], np.less)
+        lb1 = _first([prod[:, i - 1, m + k - i - 1] for i in tail], np.greater)
+        ub3 = _first([prod[:, i - 1, m + i - k - 1] for i in head], np.less)
+        lb3 = _first([prod[:, i - 1, i - k] for i in tail], np.greater)
+        reg = np.where(k <= pi, 1, np.where(k <= m - nu, 2, 3))
+        ub = np.where(reg == 1, ub1, np.where(reg == 2, 0.0, ub3))
+        lb = np.where(reg == 1, lb1, np.where(reg == 2, 0.0, lb3))
+        val = lvu[:, k - 1]
+        over = _first([val - ub, lb - val], np.greater)
+        worst = _first([worst, over], np.greater)
+        regime[:, k - 1], lower[:, k - 1], upper[:, k - 1], excess[:, k - 1] = (
+            reg, lb, ub, over
+        )
+    violated = excess > slack_tol[:, None]
+
+    both_pd = (lu[:, -1] > ztol_u) & (lv[:, -1] > ztol_v)
+    pd_upper = lu[:, 0] * lv[:, 0]
+    pd_lower = lu[:, -1] * lv[:, -1]
+    pd_excess = _first(
+        [np.max(lvu, axis=-1) - pd_upper, pd_lower - np.min(lvu, axis=-1)], np.greater
+    )
+    worst = np.where(both_pd, _first([worst, pd_excess], np.greater), worst)
+    pd_pass = pd_excess <= slack_tol
+    return {
+        "m": m,
+        "swapped": swapped,
+        "positive": pi,
+        "negative": nu,
+        "product_eigenvalues": lvu,
+        "regime": regime.astype(int),
+        "lower": lower,
+        "upper": upper,
+        "excess": excess,
+        "violated": violated,
+        "max_violation": worst,
+        "pd_applicable": both_pd,
+        "pd_upper": pd_upper,
+        "pd_lower": pd_lower,
+        "pd_excess": pd_excess,
+        "pd_pass": pd_pass,
+        "pass": ~violated.any(axis=-1) & (~both_pd | pd_pass),
+    }
 
 
 def check_eig_products(U, V, tol: Tolerances = Tolerances()) -> dict:
@@ -363,94 +532,48 @@ def check_eig_products(U, V, tol: Tolerances = Tolerances()) -> dict:
 
     When both factors are PD the global sandwich
     lambda_1(U) lambda_1(V) >= lambda_k(VU) >= lambda_m(U) lambda_m(V)
-    is verified as well.
+    is verified as well.  The one-pair case of ``eig_product_stack``.
     """
-    U = _require_symmetric(U, "U")
-    V = _require_symmetric(V, "V")
-    if U.shape != V.shape:
-        raise ValueError("U and V must have equal shape")
-    m = U.shape[0]
+    stack = eig_product_stack(
+        np.asarray(U, dtype=float)[None], np.asarray(V, dtype=float)[None], tol
+    )
+    return _pair_report(stack, 0)
 
-    lu = np.sort(np.linalg.eigvalsh(U))[::-1]
-    lv = np.sort(np.linalg.eigvalsh(V))[::-1]
-    mag = max(1.0, float(np.max(np.abs(lu)))) * max(1.0, float(np.max(np.abs(lv))))
-    ztol_u = m * max(1.0, float(np.max(np.abs(lu)))) * np.finfo(float).eps * 64
-    ztol_v = m * max(1.0, float(np.max(np.abs(lv)))) * np.finfo(float).eps * 64
 
-    u_psd = bool(lu[-1] >= -ztol_u)
-    v_psd = bool(lv[-1] >= -ztol_v)
-    if not (u_psd or v_psd):
-        raise ValueError("at least one factor must be positive semi-definite")
-    swapped = False
-    if not v_psd:
-        # put the PSD factor into the congruence slot; spectrum of VU = UV
-        U, V = V, U
-        lu, lv = lv, lu
-        swapped = True
-
-    # eigenvalues of VU through the symmetric congruence V^{1/2} U V^{1/2}
-    root = _psd_sqrt(V)
-    lvu = np.sort(np.linalg.eigvalsh(root @ U @ root))[::-1]
-
-    ztol = m * max(1.0, float(np.max(np.abs(lu)))) * np.finfo(float).eps * 64
-    pi = int(np.sum(lu > ztol))
-    nu = int(np.sum(lu < -ztol))
-    xi = m - pi - nu
-
-    slack_tol = tol.ineq * max(1.0, mag)
-    violations = []
-    worst = 0.0
-    for k in range(1, m + 1):
-        val = float(lvu[k - 1])
-        if k <= pi:
-            regime = 1
-            ub = min(lu[i - 1] * lv[k - i] for i in range(1, k + 1))
-            lb = max(lu[i - 1] * lv[m + k - i - 1] for i in range(k, m + 1))
-        elif k <= m - nu:
-            regime = 2
-            ub = lb = 0.0
-        else:
-            regime = 3
-            ub = min(lu[i - 1] * lv[m + i - k - 1] for i in range(1, k + 1))
-            lb = max(lu[i - 1] * lv[i - k] for i in range(k, m + 1))
-        over = max(val - ub, lb - val)
-        worst = max(worst, over)
-        if over > slack_tol:
-            violations.append(
-                {"regime": regime, "k": k, "lower": float(lb),
-                 "value": val, "upper": float(ub), "excess": float(over)}
-            )
-
-    both_pd = bool(lu[-1] > ztol and lv[-1] > ztol_v)
-    pd_sandwich = {"applicable": both_pd}
-    if both_pd:
-        ub = float(lu[0] * lv[0])
-        lb = float(lu[-1] * lv[-1])
-        over = max(float(np.max(lvu)) - ub, lb - float(np.min(lvu)))
-        worst = max(worst, over)
-        pd_sandwich = {
-            "applicable": True,
-            "upper": ub,
-            "lower": lb,
-            "max_excess": float(over),
-            "pass": bool(over <= slack_tol),
-        }
-
+def _pair_report(stack: dict, i: int) -> dict:
+    """The ``check_eig_products`` report of pair i of ``eig_product_stack``."""
+    rep = _row(stack, i)
+    m = rep["m"]
+    violations = [
+        {"regime": rep["regime"][k], "k": k + 1, "lower": rep["lower"][k],
+         "value": rep["product_eigenvalues"][k], "upper": rep["upper"][k],
+         "excess": rep["excess"][k]}
+        for k in range(m)
+        if rep["violated"][k]
+    ]
+    pd_sandwich = {"applicable": False}
+    if rep["pd_applicable"]:
+        pd_sandwich = {"applicable": True, "upper": rep["pd_upper"],
+                       "lower": rep["pd_lower"], "max_excess": rep["pd_excess"],
+                       "pass": rep["pd_pass"]}
+    positive, negative = rep["positive"], rep["negative"]
     return {
         "m": m,
-        "swapped": swapped,
-        "inertia": {"positive": pi, "negative": nu, "zero": xi},
-        "product_eigenvalues": [float(v) for v in lvu],
-        "max_violation": float(worst),
+        "swapped": rep["swapped"],
+        "inertia": {"positive": positive, "negative": negative,
+                    "zero": m - positive - negative},
+        "product_eigenvalues": rep["product_eigenvalues"],
+        "max_violation": rep["max_violation"],
         "violations": violations,
         "pd_sandwich": pd_sandwich,
-        "pass": bool(not violations and pd_sandwich.get("pass", True)),
+        "pass": rep["pass"],
     }
 
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Aggregated certification result for one assembled system."""
+    """Certification result for one assembled system; ``passed`` is the
+    conjunction of every check at the report's tolerances."""
 
     symmetry: dict
     eigen: dict
@@ -458,27 +581,8 @@ class SpectralReport:
     norms: dict
     idempotence: float
     trace_dev: float
+    passed: bool
     tolerances: Tolerances = field(default_factory=Tolerances)
-
-    @property
-    def passed(self) -> bool:
-        tol = self.tolerances
-        sym_ok = (
-            self.symmetry["proj_dinv"] <= tol.symmetry
-            and self.symmetry["comp_dinv"] <= tol.symmetry
-        )
-        eig_ok = (
-            self.eigen["counts_ok"]
-            and not self.eigen["structural_failure"]
-            and max(self.eigen["proj"]["max_dev"], self.eigen["comp"]["max_dev"])
-            <= tol.eig_dev
-        )
-        idem_ok = self.idempotence <= tol.idem
-        trace_ok = self.trace_dev <= tol.lin
-        return bool(
-            sym_ok and eig_ok and self.psd["pass"] and self.norms["pass"]
-            and idem_ok and trace_ok
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -493,20 +597,51 @@ class SpectralReport:
         }
 
 
-def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> SpectralReport:
-    """Run every operator check on one assembled system."""
-    bundle = build_operators(system)
-    proj = bundle.proj
-    norms = check_norm_bounds(bundle, tol)
+def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
+    """Run every operator check on k assembled systems of one shape (m, l).
+
+    Returns the fields of ``SpectralReport.to_dict()`` but ``tolerances``,
+    with every per-system value an array whose axis 0 runs over the
+    systems (shared values, such as check names, are plain).  Each check
+    is one stacked LAPACK or BLAS call for the whole stack, and those run
+    per matrix, so system i gets exactly what ``diagnose`` reports for it.
+    Raises ``ValueError`` if any system sits at an interpolation-limit
+    node, where the scaled operators do not exist.
+    """
+    ops = _operators(systems)
+    proj = ops.proj
+    l = ops.qmats.shape[-1]
+    norms = _norm_bounds(ops, tol)
     norm_p = norms["smax_proj"]
-    idem_res = _spectral_norm(proj @ proj - proj) / (norm_p if norm_p else 1.0)
-    trace_dev = abs(float(np.trace(proj)) - system.l) / max(1.0, system.l)
-    return SpectralReport(
-        symmetry=check_symmetry(bundle),
-        eigen=eigen_structure(bundle, tol),
-        psd=check_psd(bundle, tol),
-        norms=norms,
-        idempotence=float(idem_res),
-        trace_dev=float(trace_dev),
-        tolerances=tol,
+    idem = _smax(proj @ proj - proj) / np.where(norm_p != 0, norm_p, 1.0)
+    trace_dev = np.abs(np.trace(proj, axis1=1, axis2=2) - l) / max(1.0, l)
+    symmetry = _symmetry(ops, norms["smax_proj_dinv"])
+    eigen = _eigen(ops, tol)
+    psd = _psd(ops, tol)
+    passed = (
+        (symmetry["proj_dinv"] <= tol.symmetry)
+        & (symmetry["comp_dinv"] <= tol.symmetry)
+        & eigen["counts_ok"]
+        & ~eigen["structural_failure"]
+        & (np.maximum(eigen["proj"]["max_dev"], eigen["comp"]["max_dev"]) <= tol.eig_dev)
+        & psd["pass"]
+        & norms["pass"]
+        & (idem <= tol.idem)
+        & (trace_dev <= tol.lin)
     )
+    return {
+        "symmetry": symmetry,
+        "eigen": eigen,
+        "psd": psd,
+        "norms": norms,
+        "idempotence": idem,
+        "trace_dev": trace_dev,
+        "pass": passed,
+    }
+
+
+def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> SpectralReport:
+    """Run every operator check on one assembled system: the one-system
+    case of ``diagnose_stack``."""
+    rep = _row(diagnose_stack([system], tol), 0)
+    return SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep)

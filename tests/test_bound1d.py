@@ -159,6 +159,18 @@ def test_slope_sup_symmetric_linear_basis():
     assert consts.slope_bound == pytest.approx(1.01, rel=1e-12)
 
 
+def test_diff_matrix_metadata_only_for_graded_basis():
+    """The differentiation-matrix fields describe the exponents 0..l-1; a
+    basis {1, x^2} gets none of them, while its exact slope sup is 2."""
+    pts = PointSet(np.linspace(0.0, 1.0, 5))
+    consts = bound_constants(pts, BasisSpec(size=2, exponents=[[0], [2]]), alpha=1.0)
+    assert consts.slope_sup == 2.0
+    assert not any(k.startswith(("diff_matrix_", "slope_closed_form_"))
+                   for k in consts.metadata)
+    graded = bound_constants(pts, monomial_basis(2), alpha=1.0)
+    assert graded.metadata["slope_closed_form_paper"] == graded.slope_sup == 1.0
+
+
 def test_constant_basis_has_zero_forcing():
     consts = bound_constants(PTS3, monomial_basis(1), alpha=1.0)
     assert consts.forcing_bound == 0.0

@@ -274,7 +274,7 @@ FAR = 1e3  # mclain weight underflows to 0: ValueError
 FIRST_FAILURES = [
     ([0.5, NEAR, FAR, np.nan], ConditioningError),
     ([0.5, FAR, NEAR], ValueError),
-    ([0.5, np.nan, NEAR, FAR], np.linalg.LinAlgError),
+    ([0.5, np.nan, NEAR, FAR], ValueError),  # names the point, not LAPACK
     ([0.5] * core._BLOCK + [NEAR, FAR], ConditioningError),
     ([0.5, FAR] + [0.5] * core._BLOCK + [NEAR], ValueError),
 ]
@@ -322,6 +322,30 @@ def test_cmd_fit_matches_per_point_evaluate(tmp_path):
 def test_duplicate_nodes_rejected():
     with pytest.raises(ValueError):
         PointSet(np.array([0.0, 0.0, 1.0]))
+
+
+def test_signed_zero_nodes_are_duplicates():
+    """0.0 and -0.0 are one node, in 1-d and as a coordinate of a row."""
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointSet(np.array([0.0, 1.0, -0.0]))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointSet(np.array([[0.0, 1.0], [0.5, 1.0], [-0.0, 1.0]]))
+    # rows that share coordinates but differ as rows are distinct
+    assert PointSet(np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]])).m == 3
+
+
+def test_non_finite_evaluation_point_is_named():
+    """A NaN point is a ValueError naming it, not LAPACK's 'SVD did not
+    converge'."""
+    pts = PointSet(np.linspace(0.0, 1.0, 5), values=np.arange(5.0))
+    basis, weight = monomial_basis(2), WeightSpec("exp", 1.0)
+    with pytest.raises(ValueError, match=r"^evaluation point nan is not finite$"):
+        evaluate(np.nan, pts, basis, weight)
+    with pytest.raises(ValueError, match=r"^evaluation point inf is not finite$"):
+        build_systems([0.5, np.inf, np.nan], pts, basis, weight)
+    pts2 = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"^evaluation point \(0\.5, nan\) is not"):
+        build_system(np.array([0.5, np.nan]), pts2, monomial_basis(3, dim=2), weight)
 
 
 def test_nonfinite_nodes_rejected():

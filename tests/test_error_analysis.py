@@ -7,6 +7,7 @@ from mlscert.bases import monomial_basis
 from mlscert.core import build_system
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
+from mlscert.reporting import canonical_json
 from mlscert.weights import WeightSpec
 
 
@@ -182,3 +183,20 @@ def test_order_monotone_in_basis_size():
             for l in (1, 2, 3)
         ]
         assert all(orders[i] <= orders[i + 1] + 0.02 for i in range(2)), orders
+
+
+def test_study_calls_f_true_once_per_grid():
+    """The evaluation grid, the dense oracle grid and each level's nodes:
+    one array call each."""
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return np.sin(x)
+
+    study = ea.convergence_study(f, l=2, n_levels=3)
+    ref = ea.convergence_study(np.sin, l=2, n_levels=3)
+    assert calls == [(301,), (3001,), (16,), (31,), (61,)]
+    assert canonical_json(study.to_dict()) == canonical_json(ref.to_dict())
+    with pytest.raises(ValueError, match="elementwise"):
+        ea.convergence_study(lambda x: 1.0, l=2)

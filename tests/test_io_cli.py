@@ -126,6 +126,12 @@ def test_bad_grid_specs(const_csv, capsys):
     assert run_cli(["fit", "--input", const_csv, "--grid", "0"], capsys)[0] == 2
 
 
+def test_fit_nan_grid_names_the_point(const_csv, capsys):
+    code, out, err = run_cli(["fit", "--input", const_csv, "--grid", "nan:1:5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation point nan is not finite\n"
+
+
 def test_bad_tol_specs(const_csv, capsys):
     assert run_cli(["diagnose", "--input", const_csv, "--tol", "symmetry"], capsys)[0] == 2
     assert run_cli(["diagnose", "--input", const_csv, "--tol", "sym=x"], capsys)[0] == 2
