@@ -27,13 +27,14 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
+    MlsError,
     build_system,
     build_systems,
     fitted_values,
 )
 from .points import PointSet
 from .reporting import canonical_json, csv_text, atomic_write
-from .spectral import diagnose as diagnose_system
+from .spectral import diagnose_each
 from .weights import WeightSpec
 
 EXIT_OK = 0
@@ -211,15 +212,22 @@ def cmd_diagnose(args) -> int:
     if grid.ndim == 1 and points.dim != 1:
         grid = grid.reshape(1, -1)
 
-    reports = []
-    all_pass = True
-    for xrow in np.atleast_1d(grid):
+    systems, error = [], None
+    for xrow in grid:
         x = float(np.atleast_1d(xrow)[0]) if points.dim == 1 else xrow
-        sysm = build_system(x, points, basis, weight)
-        rep = diagnose_system(sysm, tol)
-        d = rep.to_dict()
+        try:
+            systems.append(build_system(x, points, basis, weight))
+        except (MlsError, ValueError) as exc:  # LinAlgError is a ValueError
+            error = exc
+            break
+    # the points before a failing one are diagnosed first, so an error
+    # there still comes first, as in a loop over the points
+    reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
+    if error is not None:
+        raise error
+    all_pass = True
+    for d, xrow in zip(reports, grid):
         d["x"] = [float(v) for v in np.atleast_1d(xrow)]
-        reports.append(d)
         all_pass = all_pass and d["pass"]
     out = {"n_points": len(reports), "reports": reports, "pass": bool(all_pass)}
     _emit(canonical_json(out), args.out)

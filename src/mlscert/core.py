@@ -262,7 +262,7 @@ def _solve_points(xs, points, basis, weight, E, cond_limit):
     return _solve_rows(E, cvecs, dists, dvecs, cond_limit), cvecs, dists, dvecs
 
 
-def solve_stack(designs, cvecs, dists, dvecs, *, cond_limit=COND_LIMIT) -> np.ndarray:
+def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
     """Coefficient vectors of k unrelated systems of one shape, solved in
     one stacked call.
 
@@ -270,9 +270,10 @@ def solve_stack(designs, cvecs, dists, dvecs, *, cond_limit=COND_LIMIT) -> np.nd
     ``cvecs[i]`` (l,), node distances ``dists[i]`` and weight diagonal
     ``dvecs[i]`` (m,); its coefficients equal, bit for bit, what
     ``build_system`` gives for it.  If a row fails, the error of a failing
-    row is raised: for a single row, that system's error.
+    row is raised: for a single row, that system's error.  The Gram
+    condition limit is ``COND_LIMIT``, the default of ``build_system``.
     """
-    return _solve_rows(designs, cvecs, dists, dvecs, cond_limit).coeffs
+    return _solve_rows(designs, cvecs, dists, dvecs, COND_LIMIT).coeffs
 
 
 def solve_blocks(xs, points, basis, weight, E, cond_limit, block_rows):

@@ -35,16 +35,16 @@ __all__ = [
     "SpectralReport",
     "operator_stack",
     "build_operators",
-    "check_symmetry",
-    "eigen_structure",
-    "check_psd",
-    "check_norm_bounds",
     "check_sv_products",
     "check_eig_products",
     "eig_product_stack",
     "diagnose",
+    "diagnose_each",
     "diagnose_stack",
 ]
+
+# systems per stacked diagnose call: bounds the (k, m, m) temporaries
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -115,18 +115,22 @@ class _Ops(NamedTuple):
     dvecs: np.ndarray  # (k, m) weight diagonals
 
 
+def _stack(systems, name: str) -> np.ndarray:
+    """Field ``name`` of every system, stacked on axis 0 (a view for one)."""
+    if len(systems) == 1:
+        return getattr(systems[0], name)[None]
+    return np.stack([getattr(s, name) for s in systems])
+
+
 def _operators(systems) -> _Ops:
     if any(s.at_node is not None or s.qmat is None for s in systems):
         raise ValueError(
             "operators require x off the nodes for interpolating weights"
         )
-    qmats = np.stack([s.qmat for s in systems])
-    dvecs = np.stack([s.dvec for s in systems])
+    qmats = _stack(systems, "qmat")
+    dvecs = _stack(systems, "dvec")
     coef_map, proj = operator_stack(
-        qmats,
-        np.stack([s.rmat for s in systems]),
-        np.sqrt(dvecs),
-        np.stack([s.design for s in systems]),
+        qmats, _stack(systems, "rmat"), np.sqrt(dvecs), _stack(systems, "design")
     )
     comp = proj - np.eye(proj.shape[-1])
     return _Ops(
@@ -135,24 +139,16 @@ def _operators(systems) -> _Ops:
     )
 
 
-def _ops_of(bundle: OperatorBundle) -> _Ops:
-    """A bundle as a stack of one."""
-    sysm = bundle.system
-    return _Ops(
-        *(a[None] for a in (bundle.coef_map, bundle.proj, bundle.comp,
-                            bundle.proj_dinv, bundle.comp_dinv, sysm.qmat, sysm.dvec))
-    )
-
-
 def _row(tree, i: int):
     """Entry i of a report tree whose arrays stack k systems on axis 0, in
     plain Python types; everything that is not an array is shared."""
-    if isinstance(tree, dict):
-        return {key: _row(val, i) for key, val in tree.items()}
-    if isinstance(tree, list):
-        return [_row(val, i) for val in tree]
-    if isinstance(tree, np.ndarray):
+    kind = type(tree)  # exact types: a report tree holds no subclasses
+    if kind is np.ndarray:
         return tree[i].tolist()
+    if kind is dict:
+        return {key: _row(val, i) for key, val in tree.items()}
+    if kind is list:
+        return [_row(val, i) for val in tree]
     return tree
 
 
@@ -168,6 +164,14 @@ def build_operators(system: MlsSystem) -> OperatorBundle:
 
 
 def _symmetry(ops: _Ops, smax_proj_dinv) -> dict:
+    """Relative asymmetry of the two weight-scaled operators (both should
+    vanish: the scaled projector is self-adjoint).
+
+    Both residuals are measured against the size of the larger operator.
+    A per-matrix scale would be meaningless for square systems, where the
+    complement is exactly zero in exact arithmetic and the computed matrix
+    is pure roundoff.  ``smax_proj_dinv`` is the norm chain's value.
+    """
     scale = np.maximum(
         np.maximum(smax_proj_dinv, _smax(ops.comp_dinv)), np.finfo(float).tiny
     )
@@ -177,25 +181,12 @@ def _symmetry(ops: _Ops, smax_proj_dinv) -> dict:
     }
 
 
-def check_symmetry(bundle: OperatorBundle) -> dict:
-    """Relative asymmetry of the two weight-scaled operators (both should
-    vanish: the scaled projector is self-adjoint).
-
-    Both residuals are measured against the size of the larger operator.
-    A per-matrix scale would be meaningless for square systems, where the
-    complement is exactly zero in exact arithmetic and the computed matrix
-    is pure roundoff.
-    """
-    ops = _ops_of(bundle)
-    return _row(_symmetry(ops, _smax(ops.proj_dinv)), 0)
-
-
 def _cluster(evals: np.ndarray, centers: tuple, expected: tuple) -> dict:
     cvec = np.asarray(centers)
     idx = np.argmin(np.abs(evals[..., None] - cvec), axis=-1)
     return {
         "centers": list(centers),
-        "counts": np.stack([np.sum(idx == j, axis=-1) for j in range(len(cvec))], -1),
+        "counts": np.sum(idx[..., None] == np.arange(len(cvec)), axis=-2),
         "expected_counts": list(expected),
         "max_dev": np.max(np.abs(evals - cvec[idx]), axis=-1),
         "eigenvalues": np.sort(evals, axis=-1)[..., ::-1],
@@ -203,6 +194,15 @@ def _cluster(evals: np.ndarray, centers: tuple, expected: tuple) -> dict:
 
 
 def _eigen(ops: _Ops, tol: Tolerances) -> dict:
+    """Eigenvalue clusters of the projector and its complement.
+
+    The projector's spectrum is computed from its symmetric similarity
+    transform (an orthogonal projector assembled from the QR factor), so a
+    symmetric solver does the work; the complement's spectrum is the same
+    shifted by -1.  Counts are checked against (l, m - l) and any eigenvalue
+    further than ``tol.cluster_fail`` from its nearest center raises the
+    structural-failure flag.
+    """
     m, l = ops.qmats.shape[-2:]
     evals = np.linalg.eigvalsh(ops.qmats @ _t(ops.qmats))
     proj = _cluster(evals, (1.0, 0.0), (l, m - l))
@@ -217,20 +217,12 @@ def _eigen(ops: _Ops, tol: Tolerances) -> dict:
     }
 
 
-def eigen_structure(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> dict:
-    """Eigenvalue clusters of the projector and its complement.
-
-    The projector's spectrum is computed from its symmetric similarity
-    transform (an orthogonal projector assembled from the QR factor), so a
-    symmetric solver does the work; the complement's spectrum is the same
-    shifted by -1.  Counts are checked against (l, m - l) and any eigenvalue
-    further than ``tol.cluster_fail`` from its nearest center raises the
-    structural-failure flag.
-    """
-    return _row(_eigen(_ops_of(bundle), tol), 0)
-
-
 def _psd(ops: _Ops, tol: Tolerances) -> dict:
+    """Minimum eigenvalues of the symmetrized scaled operators.
+
+    ``proj_dinv`` should be PSD and ``-comp_dinv`` too; margins are measured
+    against ``-tol.psd`` times the norm of the inverse scaling diagonal.
+    """
     scale = 1.0 / np.min(ops.dvecs, axis=-1)
     ev_p = np.linalg.eigvalsh(0.5 * (ops.proj_dinv + _t(ops.proj_dinv)))
     ev_c = np.linalg.eigvalsh(-(0.5 * (ops.comp_dinv + _t(ops.comp_dinv))))
@@ -246,15 +238,6 @@ def _psd(ops: _Ops, tol: Tolerances) -> dict:
         & (ev_c[:, 0] >= -tol.psd * scale)
         & (lmax <= scale + tol.ineq * scale),
     }
-
-
-def check_psd(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> dict:
-    """Minimum eigenvalues of the symmetrized scaled operators.
-
-    ``proj_dinv`` should be PSD and ``-comp_dinv`` too; margins are measured
-    against ``-tol.psd`` times the norm of the inverse scaling diagonal.
-    """
-    return _row(_psd(_ops_of(bundle), tol), 0)
 
 
 def _ineq(name, lhs, rhs, scale, tol, rhs_paper=None) -> dict:
@@ -274,6 +257,12 @@ def _ineq(name, lhs, rhs, scale, tol, rhs_paper=None) -> dict:
 
 
 def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
+    """Singular-value norm chain on the materialized operators.
+
+    Verified in the standard convention (spectral norm = largest singular
+    value); the looser square-root variants of the two-sided chain are
+    reported alongside for comparison.
+    """
     dmin = np.min(ops.dvecs, axis=-1)
     dmax = np.max(ops.dvecs, axis=-1)
     smax_proj = _smax(ops.proj)
@@ -296,16 +285,6 @@ def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
         "cond_d": cond_d,
         "pass": np.all([c["pass"] for c in checks], axis=0),
     }
-
-
-def check_norm_bounds(bundle: OperatorBundle, tol: Tolerances = Tolerances()) -> dict:
-    """Singular-value norm chain on the materialized operators.
-
-    Verified in the standard convention (spectral norm = largest singular
-    value); the looser square-root variants of the two-sided chain are
-    reported alongside for comparison.
-    """
-    return _row(_norm_bounds(_ops_of(bundle), tol), 0)
 
 
 def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
@@ -640,8 +619,31 @@ def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
     }
 
 
+def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
+    """The ``SpectralReport`` of each of the systems, all of one shape
+    (m, l), in order.
+
+    The systems run through ``diagnose_stack`` in blocks.  A block that
+    fails is replayed one system at a time, so the first failing system
+    raises its own error, what ``diagnose`` raises for it.
+    """
+    reports = []
+    for start in range(0, len(systems), _BLOCK):
+        block = systems[start : start + _BLOCK]
+        try:
+            stacks = [diagnose_stack(block, tol)]
+        except ValueError:  # LinAlgError is a ValueError
+            stacks = [diagnose_stack([sysm], tol) for sysm in block]
+        for stack in stacks:
+            for i in range(len(stack["pass"])):
+                rep = _row(stack, i)
+                reports.append(
+                    SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep)
+                )
+    return reports
+
+
 def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> SpectralReport:
     """Run every operator check on one assembled system: the one-system
-    case of ``diagnose_stack``."""
-    rep = _row(diagnose_stack([system], tol), 0)
-    return SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep)
+    case of ``diagnose_each`` and ``diagnose_stack``."""
+    return diagnose_each([system], tol)[0]

@@ -16,7 +16,6 @@ from mlscert.core import build_system
 from mlscert.spectral import (
     build_operators,
     check_eig_products,
-    check_symmetry,
     diagnose,
 )
 
@@ -42,8 +41,8 @@ def spectral_material():
 
 def test_criterion_01_scaled_operators_symmetric(spectral_material):
     worst = 0.0
-    for _, _, bundle in spectral_material:
-        res = check_symmetry(bundle)
+    for _, sysm, _ in spectral_material:
+        res = diagnose(sysm, TOL).to_dict()["symmetry"]
         worst = max(worst, res["proj_dinv"], res["comp_dinv"])
     ok = worst <= 1e-10
     assert _verdict(

@@ -151,6 +151,50 @@ def test_diagnose_instance_file(const_csv, capsys):
     assert rep["x"] == [0.4]
 
 
+def test_diagnose_input_matches_per_point_reports(const_csv, tmp_path, capsys):
+    """300 grid points, more than one stacked block: the report is what a
+    loop of ``build_system`` and ``diagnose`` per point gives."""
+    from mlscert.bases import monomial_basis
+    from mlscert.core import build_system
+    from mlscert.points import PointSet
+    from mlscert.reporting import canonical_json
+    from mlscert.spectral import diagnose
+    from mlscert.weights import WeightSpec
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}')
+    code, out, _ = run_cli(
+        ["diagnose", "--input", const_csv, "--config", str(cfg), "--grid=-0.5:3.5:300"],
+        capsys,
+    )
+    pts = PointSet(np.arange(4.0), values=np.full(4, 7.0))
+    reports = []
+    for x in np.linspace(-0.5, 3.5, 300):
+        sysm = build_system(float(x), pts, monomial_basis(3), WeightSpec("exp", 0.7))
+        reports.append({**diagnose(sysm).to_dict(), "x": [float(x)]})
+    ok = all(r["pass"] for r in reports)
+    want = canonical_json({"n_points": 300, "reports": reports, "pass": ok})
+    assert code == (0 if ok else 5)
+    assert out.rstrip("\n") == want.rstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "grid,message",
+    [
+        # 0 is a node: its diagnosis fails before 50 fails to build
+        ("0:100:3", "operators require x off the nodes for interpolating weights"),
+        ("0.5:100:3", "weight vanished at positive distance"),
+    ],
+)
+def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys, grid, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}')
+    code, out, err = run_cli(
+        ["diagnose", "--input", const_csv, "--config", str(cfg), "--grid", grid], capsys
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_diagnose_suite_mode(capsys):
     code, out, err = run_cli(["diagnose", "--seed", "7"], capsys)
     assert code == 0

@@ -10,25 +10,27 @@ from mlscert.config import Tolerances
 from mlscert.core import build_system
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
-from mlscert.spectral import (
-    build_operators,
-    check_norm_bounds,
-    check_psd,
-    check_symmetry,
-    diagnose,
-    eigen_structure,
-    operator_stack,
-)
+from mlscert import spectral
+from mlscert.reporting import canonical_json
+from mlscert.spectral import build_operators, diagnose, diagnose_each, operator_stack
 from mlscert.weights import WeightSpec
 
 TOL = Tolerances()
 
 
-def _bundle(m=5, l=2, alpha=1.0, x=0.37):
+def _system(m=5, l=2, alpha=1.0, x=0.37):
     nodes = np.linspace(0.0, 1.0, m)
     pts = PointSet(nodes, values=np.sin(nodes))
-    sysm = build_system(x, pts, monomial_basis(l), WeightSpec("exp", alpha))
-    return build_operators(sysm)
+    return build_system(x, pts, monomial_basis(l), WeightSpec("exp", alpha))
+
+
+def _bundle(m=5, l=2, alpha=1.0, x=0.37):
+    return build_operators(_system(m, l, alpha, x))
+
+
+def _report(section, m=5, l=2):
+    """One section of the ``diagnose`` report of ``_system(m, l)``."""
+    return diagnose(_system(m, l), TOL).to_dict()[section]
 
 
 def test_projector_idempotent():
@@ -65,7 +67,7 @@ def test_coef_map_recovers_coefficients():
 
 
 def test_scaled_operators_symmetric():
-    res = check_symmetry(_bundle(m=8, l=3))
+    res = _report("symmetry", m=8, l=3)
     assert res["proj_dinv"] <= 1e-10
     assert res["comp_dinv"] <= 1e-10
 
@@ -73,12 +75,12 @@ def test_scaled_operators_symmetric():
 def test_symmetry_scale_is_shared_for_square_systems():
     """m = l makes the complement numerically zero; its asymmetry must be
     measured against the projector's scale, not its own roundoff norm."""
-    res = check_symmetry(_bundle(m=4, l=4))
+    res = _report("symmetry", m=4, l=4)
     assert res["comp_dinv"] <= 1e-10
 
 
 def test_eigenvalue_clusters():
-    rep = eigen_structure(_bundle(m=9, l=4), TOL)
+    rep = _report("eigen", m=9, l=4)
     # projector: l ones and m-l zeros; complement: l zeros and m-l at -1
     assert rep["proj"]["counts"] == [4, 5]
     assert rep["comp"]["counts"] == [4, 5]
@@ -92,20 +94,20 @@ def test_eigenvalues_against_dense_oracle():
     solve on the raw projector."""
     b = _bundle(m=7, l=2)
     dense = np.sort(np.linalg.eigvals(b.proj).real)
-    rep = eigen_structure(b, TOL)
+    rep = diagnose(b.system, TOL).to_dict()["eigen"]
     mine = np.sort(np.asarray(rep["proj"]["eigenvalues"]))
     np.testing.assert_allclose(mine, dense, atol=1e-9)
 
 
 def test_psd_checks():
-    rep = check_psd(_bundle(m=6, l=3), TOL)
+    rep = _report("psd", m=6, l=3)
     assert rep["pass"]
     assert rep["proj_dinv_min_eig"] >= -1e-10 * rep["scale"]
     assert rep["neg_comp_dinv_min_eig"] >= -1e-10 * rep["scale"]
 
 
 def test_norm_chain():
-    rep = check_norm_bounds(_bundle(m=8, l=2), TOL)
+    rep = _report("norms", m=8, l=2)
     assert rep["pass"]
     names = {c["name"] for c in rep["checks"]}
     assert "one_le_proj_smax" in names
@@ -113,7 +115,7 @@ def test_norm_chain():
 
 
 def test_norm_chain_reports_sqrt_convention_field():
-    rep = check_norm_bounds(_bundle(m=5, l=2), TOL)
+    rep = _report("norms", m=5, l=2)
     chain = {c["name"]: c for c in rep["checks"]}
     entry = chain["proj_smax_le_cond_d"]
     # the square-root variant is reported alongside, never asserted
@@ -173,3 +175,29 @@ def test_operator_stack_rows_match_build_operators(family):
         b = build_operators(sysm)
         assert coef_map[i].tobytes() == b.coef_map.tobytes()
         assert proj[i].tobytes() == b.proj.tobytes()
+
+
+def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
+    """Blocks of 4 systems, the last one short: every report equals the
+    one-system ``diagnose`` report, bit for bit."""
+    monkeypatch.setattr(spectral, "_BLOCK", 4)
+    systems = [_system(m=7, l=3, x=x) for x in np.linspace(-0.3, 1.3, 11)]
+    got = [canonical_json(rep.to_dict()) for rep in diagnose_each(systems, TOL)]
+    want = [canonical_json(diagnose(s, TOL).to_dict()) for s in systems]
+    assert got == want
+
+
+def test_diagnose_each_replays_a_failing_block(monkeypatch):
+    """A system at an interpolation-limit node in the second block raises
+    what ``diagnose`` raises for it."""
+    monkeypatch.setattr(spectral, "_BLOCK", 4)
+    pts = PointSet(np.linspace(0.0, 1.0, 7))
+    basis, weight = monomial_basis(3), WeightSpec("mclain", 1.0)
+    xs = [0.05, 0.3, 0.45, 0.6, 0.7, 0.8, 1.0 / 6.0, 0.9]
+    systems = [build_system(x, pts, basis, weight) for x in xs]
+    with pytest.raises(ValueError) as want:
+        diagnose(systems[6], TOL)
+    with pytest.raises(ValueError) as got:
+        diagnose_each(systems, TOL)
+    assert str(got.value) == str(want.value)
+    assert len(diagnose_each(systems[:6], TOL)) == 6
