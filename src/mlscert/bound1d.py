@@ -31,22 +31,19 @@ from .core import (
     HypothesisFailure,
     MlsSystem,
     build_design,
-    build_system,
     build_systems,
     check_hypotheses,
     solve_blocks,
 )
 from .points import PointSet
-from .spectral import OperatorBundle, build_operators, operator_stack
+from .spectral import OperatorBundle, operator_stack
 from .weights import WeightSpec
 
 __all__ = [
     "BoundConstants",
     "BoundCertificate",
     "dlogw_diag",
-    "weight_derivative_residual",
     "ode_rhs",
-    "coefficient_derivative",
     "monomial_diff_matrix",
     "check_hypotheses_1d",
     "bound_constants",
@@ -54,11 +51,6 @@ __all__ = [
     "uniform_grid",
     "certify_bound",
 ]
-
-#: grid resolution used to estimate sup ||c'|| for non-monomial bases
-#: (inflated by 1% afterwards, as is the exact monomial sup)
-SLOPE_GRID = 10001
-SLOPE_INFLATION = 1.01
 
 #: doubles per (rows, m, m) operator stack in ``certify_bound``: blocks
 #: are sized by bytes, not rows, so their memory does not grow with m
@@ -165,40 +157,6 @@ def dlogw_diag(x, points: PointSet, alpha: float) -> np.ndarray:
     return 2.0 * alpha * (np.asarray(x, dtype=float)[..., None] - xs)
 
 
-def weight_derivative_residual(
-    x: float, points: PointSet, alpha: float, h_fd: float = 1e-5
-) -> dict:
-    """Central-difference check of D' = H D for the exponential family.
-
-    Returns the max relative residual (normalized by the largest analytic
-    entry) plus a cancellation warning when halving the step makes the
-    residual worse instead of better.
-    """
-    xs = _require_1d(points)
-    if h_fd <= 0:
-        raise ValueError("h_fd must be positive")
-
-    def dvec(at):
-        return 2.0 * np.exp(alpha * (at - xs) ** 2)
-
-    def residual(h):
-        fd = (dvec(x + h) - dvec(x - h)) / (2.0 * h)
-        analytic = dlogw_diag(x, points, alpha) * dvec(x)
-        scale = float(np.max(np.abs(analytic)))
-        if scale == 0.0:  # alpha -> 0 limit: both sides vanish
-            return float(np.max(np.abs(fd)))
-        return float(np.max(np.abs(fd - analytic)) / scale)
-
-    res = residual(h_fd)
-    res_coarse = residual(2.0 * h_fd)
-    return {
-        "residual": res,
-        "residual_2h": res_coarse,
-        "step_warning": bool(res > res_coarse),
-        "h_fd": float(h_fd),
-    }
-
-
 def ode_rhs(
     system: MlsSystem,
     bundle: OperatorBundle,
@@ -208,35 +166,13 @@ def ode_rhs(
 ) -> np.ndarray:
     """Right-hand side of the coefficient ODE at the system's point.
 
-    Returns (P - I) H a + A0 c'; the basis must provide derivatives (monomial
-    bases do).
+    Returns (P - I) H a + A0 c', with c' the derivative k x^(k-1) of the
+    basis column.
     """
     x = float(system.x[0])
     hdiag = dlogw_diag(x, points, alpha)
     dc = basis.derivative_at(x)
     return bundle.comp @ (hdiag * system.coeffs) + bundle.coef_map @ dc
-
-
-def coefficient_derivative(
-    x: float, points: PointSet, basis: BasisSpec, weight: WeightSpec
-) -> np.ndarray:
-    """Assemble the system at x and evaluate the coefficient ODE's rhs."""
-    if weight.family != "exp":
-        raise HypothesisFailure(["exp_weight_family"])
-    system = build_system(x, points, basis, weight)
-    bundle = build_operators(system)
-    return ode_rhs(system, bundle, points, basis, weight.alpha)
-
-
-def _require_finite(xs, dcs) -> np.ndarray:
-    """The rows c'(x) (n, l) at the points xs, checked: the first point with
-    a non-finite value raises ``ValueError``, since such a sample is an
-    error, not a value for ``max`` to skip."""
-    finite = np.isfinite(dcs).all(axis=1)
-    if not finite.all():
-        x = xs[int(np.argmin(finite))]
-        raise ValueError(f"basis derivative is not finite at x = {float(x)!r}")
-    return dcs
 
 
 def monomial_diff_matrix(l: int) -> np.ndarray:
@@ -266,7 +202,7 @@ def check_hypotheses_1d(
             failed.append("nodes_increasing")
     base = check_hypotheses(points, basis, weight)
     failed.extend(base.failed_items)
-    if not basis.differentiable:
+    if basis.dim != 1:
         failed.append("basis_derivative_available")
     if weight.family != "exp":
         failed.append("exp_weight_family")
@@ -279,10 +215,9 @@ class BoundConstants:
 
     ``growth_rate``    M2: bound on ||(P - I) H||
     ``coef_norm_bound``M11: bound on ||A0||
-    ``slope_sup``      sup of ||c'|| on [x_1, x_m] (no inflation): exact
-                       for monomials (the larger endpoint value), a
-                       dense-grid estimate for other bases
-    ``slope_bound``    M12: slope_sup inflated by 1%
+    ``slope_sup``      sup of ||c'|| on [x_1, x_m], exact: the larger of
+                       its two endpoint values
+    ``slope_bound``    M12: equal to slope_sup
     ``forcing_bound``  M1 = M11 * M12: bound on ||A0 c'||
     """
 
@@ -324,14 +259,11 @@ def bound_constants(
     ||P|| <= smax(D)/smin(D) <= exp(alpha r^2), giving
     M2 = 2 alpha r (1 + exp(alpha r^2)) and M11 = exp(alpha r^2)/smin(E^T);
     convention="paper" uses the square-root variants of the same two bounds.
-    The forcing bound multiplies M11 by the sup of ||c'||, inflated by 1%.
-    For monomials (the basis kind follows from its integer exponents k)
-    ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease in |x|, so the sup
-    is exact: the larger of the two endpoint values.  Custom bases take the
-    max over a dense grid of ``SLOPE_GRID`` points.  A non-finite derivative
-    sample raises ``ValueError``.  The differentiation-matrix fields of the
-    metadata describe the graded basis 1, x, ..., x^(l-1) and are reported
-    for it alone.
+    The forcing bound multiplies M11 by the sup of ||c'||.  For the basis
+    1, x, ..., x^(l-1), ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease
+    in |x|, so the sup is exact: the larger of the two endpoint values.  The
+    metadata carries both conventions' constants and the
+    differentiation-matrix fields of that basis.
     """
     if convention not in ("standard", "paper"):
         raise ValueError("convention must be 'standard' or 'paper'")
@@ -340,21 +272,14 @@ def bound_constants(
         raise ValueError("need at least two nodes for a nondegenerate span")
     if not points.is_increasing():
         raise HypothesisFailure(["nodes_increasing"])
-    if not basis.differentiable:
+    if basis.dim != 1:
         raise HypothesisFailure(["basis_derivative_available"])
     r = float(xs[-1] - xs[0])
     design = build_design(points, basis)
     smin_design = float(np.linalg.svd(design, compute_uv=False)[-1])
 
-    if basis.kind == "monomial":
-        # the dense grid's maximum, bit for bit: linspace hits both ends
-        # exactly, and rounding keeps the norm monotone in |x|
-        samples = xs[[0, -1]]
-    else:
-        samples = np.linspace(xs[0], xs[-1], SLOPE_GRID)
-    dcs = _require_finite(samples, basis.derivative_rows(samples))
-    slope_sup = max(_norm(dc) for dc in dcs)
-    slope_bound = SLOPE_INFLATION * slope_sup
+    # any grid's maximum, bit for bit: rounding keeps the norm monotone in |x|
+    slope_sup = max(_norm(dc) for dc in basis.derivative_rows(xs[[0, -1]]))
 
     try:
         growth = math.exp(alpha * r * r)
@@ -370,26 +295,19 @@ def bound_constants(
         m2 = 2.0 * alpha * r * (1.0 + math.sqrt(growth))
         m11 = math.sqrt(growth) / smin_design
 
+    l = basis.size
+    dbar_smax = float(np.linalg.svd(monomial_diff_matrix(l), compute_uv=False)[0])
+    maxp = float(np.max(np.abs(basis.eval_at(xs[-1]))))
     meta = {
         "m2_paper": 2.0 * alpha * r * (1.0 + math.sqrt(growth)),
         "m11_paper": math.sqrt(growth) / smin_design,
         "m2_standard": 2.0 * alpha * r * (1.0 + growth),
         "m11_standard": growth / smin_design,
+        "diff_matrix_smax": dbar_smax,
+        "diff_matrix_norm_sqrt_claim": math.sqrt(l - 1),
+        "slope_closed_form_paper": math.sqrt(l - 1) * maxp,
+        "slope_closed_form_applicable": bool(abs(xs[0]) <= abs(xs[-1])),
     }
-    if basis.graded:
-        # the closed form holds for the exponents 0..l-1 that dbar acts on
-        l = basis.size
-        dbar = monomial_diff_matrix(l)
-        svals = np.linalg.svd(dbar, compute_uv=False)
-        maxp = float(np.max(np.abs(basis.eval_at(xs[-1]))))
-        meta.update(
-            {
-                "diff_matrix_smax": float(svals[0]),
-                "diff_matrix_norm_sqrt_claim": math.sqrt(max(l - 1, 0)),
-                "slope_closed_form_paper": math.sqrt(max(l - 1, 0)) * maxp,
-                "slope_closed_form_applicable": bool(abs(xs[0]) <= abs(xs[-1])),
-            }
-        )
 
     return BoundConstants(
         span=r,
@@ -398,8 +316,8 @@ def bound_constants(
         growth_rate=float(m2),
         coef_norm_bound=float(m11),
         slope_sup=float(slope_sup),
-        slope_bound=float(slope_bound),
-        forcing_bound=float(m11 * slope_bound),
+        slope_bound=float(slope_sup),
+        forcing_bound=float(m11 * slope_sup),
         convention=convention,
         metadata=meta,
     )
@@ -492,13 +410,12 @@ def certify_bound(
 
     Raises ``HypothesisFailure`` listing the failed structural items when the
     instance is outside the certified setting (needs d = 1, increasing nodes,
-    the exponential weight family, and a differentiable basis).
+    the exponential weight family, and a 1-D basis).
 
     ``max_comp_h`` is exact, from candidate rows: per block, a cheap upper
     bound on sigma_max((P - I) H) from G = M^T M squared twice picks the
     rows that could hold the maximum, and only those get an SVD.  c' is
-    evaluated once per block; a non-finite value raises ``ValueError``
-    naming the first such grid point.
+    evaluated once per block.
     """
     failed = check_hypotheses_1d(points, basis, weight)
     if failed:
@@ -542,7 +459,7 @@ def certify_bound(
         comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
         max_comp_h = _max_sigma(comp, max_comp_h)
         k0s[block] = np.argmin(dists, axis=1)
-        dcs = _require_finite(grid[block], basis.derivative_rows(grid[block]))
+        dcs = basis.derivative_rows(grid[block])
         # per row: a stacked norm or product can differ in the last bit
         for i, (x, k0) in enumerate(zip(grid[block].tolist(), k0s[block].tolist())):
             j = start + i

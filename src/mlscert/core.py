@@ -57,12 +57,29 @@ def rank_tolerance(m: int, l: int, smax: float) -> float:
 
 
 def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
-    """Design matrix: entry (i, j) is basis function j at node i, shape (m, l)."""
+    """Design matrix: entry (i, j) is basis function j at node i, shape (m, l).
+
+    A node whose basis values overflow raises ``ValueError`` naming the
+    first such node: an infinite design is malformed input, not a rank or
+    conditioning failure.
+    """
     if basis.dim != points.dim:
         raise ValueError(
             f"basis expects dim {basis.dim}, nodes have dim {points.dim}"
         )
-    return basis.eval_design(points.nodes)
+    with np.errstate(over="ignore"):
+        E = basis.eval_design(points.nodes)
+    finite = np.isfinite(E).all(axis=1)
+    if not finite.all():
+        text = _point_text(points.nodes[np.argmin(finite)])
+        raise ValueError(f"basis values at node {text} are not finite")
+    return E
+
+
+def _point_text(row) -> str:
+    """A point as an error message names it: a float, or a tuple of them."""
+    row = row.tolist()
+    return repr(row[0]) if len(row) == 1 else repr(tuple(row))
 
 
 def build_weight_diag(dist, weight: WeightSpec) -> np.ndarray:
@@ -253,8 +270,7 @@ def _solve_points(xs, points, basis, weight, E, cond_limit):
     """
     finite = np.isfinite(xs).all(axis=1)
     if not finite.all():
-        row = xs[np.argmin(finite)].tolist()
-        text = repr(row[0]) if len(row) == 1 else repr(tuple(row))
+        text = _point_text(xs[np.argmin(finite)])
         raise ValueError(f"evaluation point {text} is not finite")
     cvecs = basis.eval_rows(xs)
     dists = points.distances(xs)
@@ -376,14 +392,14 @@ def fitted_values(coeffs, at_node, values) -> np.ndarray:
 class HypothesisReport:
     """Outcome of the structural checks behind the fitting method.
 
-    ``constant_in_basis``   first basis function is identically 1 at the nodes
     ``basis_size_le_nodes`` basis dimension does not exceed the node count
     ``design_full_rank``    design matrix has full column rank
     ``weight_smooth``       weight family is smooth in x (None if no weight
                             was supplied); reported, but never gates a fit
+
+    The basis needs no check of its own: its first function is x^0 = 1.
     """
 
-    constant_in_basis: bool
     basis_size_le_nodes: bool
     design_full_rank: bool
     rank: int
@@ -392,29 +408,15 @@ class HypothesisReport:
     @property
     def ok(self) -> bool:
         """Gate used by fitting and diagnostics (smoothness is advisory)."""
-        return (
-            self.constant_in_basis
-            and self.basis_size_le_nodes
-            and self.design_full_rank
-        )
+        return self.basis_size_le_nodes and self.design_full_rank
 
     @property
     def failed_items(self) -> list[str]:
-        out = []
-        for name in ("constant_in_basis", "basis_size_le_nodes", "design_full_rank"):
-            if not getattr(self, name):
-                out.append(name)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "constant_in_basis": self.constant_in_basis,
-            "basis_size_le_nodes": self.basis_size_le_nodes,
-            "design_full_rank": self.design_full_rank,
-            "rank": self.rank,
-            "weight_smooth": self.weight_smooth,
-            "ok": self.ok,
-        }
+        return [
+            name
+            for name in ("basis_size_le_nodes", "design_full_rank")
+            if not getattr(self, name)
+        ]
 
 
 def check_hypotheses(
@@ -422,16 +424,14 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Verify the structural requirements on (points, basis[, weight]).
 
-    The weight argument only feeds the advisory smoothness flag; the three
-    load-bearing checks are about the basis and the node geometry.
+    The weight argument only feeds the advisory smoothness flag; the two
+    load-bearing checks are about the basis size and the node geometry.
     """
     E = build_design(points, basis)
     m, l = E.shape
-    constant_ok = bool(np.max(np.abs(E[:, 0] - 1.0)) <= 1e-12) if m else False
     svals = np.linalg.svd(E, compute_uv=False)
     rank = int(np.sum(svals > rank_tolerance(m, l, svals[0])))
     return HypothesisReport(
-        constant_in_basis=constant_ok,
         basis_size_le_nodes=l <= m,
         design_full_rank=rank == l,
         rank=rank,

@@ -16,13 +16,12 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .bases import monomial_basis
 from .config import Tolerances
-from .core import build_systems, evaluate_many, fitted_values
+from .core import build_systems, fitted_values
 from .points import PointSet
 from .weights import WeightSpec
 
 __all__ = [
     "amplification",
-    "sup_error",
     "MinimaxFit",
     "minimax_fit",
     "ConvergenceStudy",
@@ -36,21 +35,6 @@ def amplification(coeffs):
     or of every row of a stack of them (an array)."""
     amp = 1.0 + np.sum(np.abs(np.asarray(coeffs, dtype=float)), axis=-1)
     return float(amp) if np.ndim(amp) == 0 else amp
-
-
-def sup_error(points, basis, weight, eval_grid, f_true, **solve_kw) -> float:
-    """Max absolute error of the fit against f_true over the grid."""
-    if points.values is None:
-        raise ValueError("points carry no values")
-    grid = np.atleast_1d(np.asarray(eval_grid, dtype=float))
-    if grid.ndim == 1:
-        grid = grid[:, None]
-    fits = evaluate_many(grid, points, basis, weight, **solve_kw)
-    worst = 0.0
-    for row, fit in zip(grid, fits):
-        arg = float(row[0]) if points.dim == 1 else row
-        worst = max(worst, abs(f_true(arg) - fit))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mlscert import bound1d, cli
-from mlscert.bases import BasisSpec, monomial_basis
+from mlscert.bases import monomial_basis
 from mlscert.bound1d import (
-    SLOPE_GRID,
-    SLOPE_INFLATION,
     BoundConstants,
     bound_constants,
     certify_bound,
     check_hypotheses_1d,
-    coefficient_derivative,
     dlogw_diag,
     monomial_diff_matrix,
     nearest_node,
     ode_rhs,
     uniform_grid,
-    weight_derivative_residual,
 )
 from mlscert.config import Tolerances
-from mlscert.core import ConditioningError, HypothesisFailure, build_system
+from mlscert.core import (
+    ConditioningError,
+    HypothesisFailure,
+    build_system,
+    build_weight_diag,
+)
 from mlscert.points import PointSet
 from mlscert.spectral import build_operators
 from mlscert.weights import WeightSpec
@@ -40,9 +41,23 @@ def test_dlogw_diag_example():
 
 
 def test_weight_derivative_identity_fd():
-    res = weight_derivative_residual(1.0, PTS3, 1.0)
-    assert res["residual"] <= 1e-9
-    assert not res["step_warning"]
+    """D' = H D for the exponential family: a central difference of the
+    weight diagonal matches dlogw_diag * dvec, and halving the step does
+    not make it worse."""
+    x, alpha = 1.0, 1.0
+    weight = WeightSpec("exp", alpha)
+
+    def dvec(at):
+        return build_weight_diag(PTS3.distances(at), weight)
+
+    analytic = dlogw_diag(x, PTS3, alpha) * dvec(x)
+
+    def residual(h):
+        fd = (dvec(x + h) - dvec(x - h)) / (2.0 * h)
+        return np.max(np.abs(fd - analytic)) / np.max(np.abs(analytic))
+
+    assert residual(1e-5) <= 1e-9
+    assert residual(1e-5) <= residual(2e-5)
 
 
 def test_diff_matrix_entries():
@@ -83,23 +98,6 @@ def test_ode_rhs_matches_finite_difference():
     assert np.linalg.norm(fd - rhs) / np.linalg.norm(rhs) <= 1e-7
 
 
-def test_coefficient_derivative_convenience():
-    pts = PointSet(np.linspace(0.0, 2.0, 6))
-    basis = monomial_basis(2)
-    weight = WeightSpec("exp", 0.8)
-    x = 0.73
-    sysm = build_system(x, pts, basis, weight)
-    direct = ode_rhs(sysm, build_operators(sysm), pts, basis, 0.8)
-    np.testing.assert_allclose(
-        coefficient_derivative(x, pts, basis, weight), direct, rtol=1e-12
-    )
-
-
-def test_coefficient_derivative_requires_exp_family():
-    with pytest.raises(HypothesisFailure):
-        coefficient_derivative(0.5, PTS3, monomial_basis(2), WeightSpec("levin", 1.0))
-
-
 def test_hypotheses_1d_pass():
     assert check_hypotheses_1d(PTS3, monomial_basis(2), WeightSpec("exp", 1.0)) == []
 
@@ -114,16 +112,7 @@ def test_hypotheses_1d_failures():
 
     planar = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     failed = check_hypotheses_1d(planar, monomial_basis(1, 2), WeightSpec("exp", 1.0))
-    assert "dimension_one" in failed
-
-    no_deriv = BasisSpec(
-        size=1,
-        functions=(lambda x: np.ones_like(x[..., 0]),),
-        derivative=None,
-        dim=1,
-    )
-    failed = check_hypotheses_1d(PTS3, no_deriv, WeightSpec("exp", 1.0))
-    assert "basis_derivative_available" in failed
+    assert failed == ["dimension_one", "basis_derivative_available"]
 
 
 # --- envelope constants -----------------------------------------------------
@@ -156,17 +145,18 @@ def test_slope_sup_symmetric_linear_basis():
     pts = PointSet(np.linspace(-1.0, 1.0, 5))
     consts = bound_constants(pts, monomial_basis(2), alpha=0.5)
     assert consts.slope_sup == pytest.approx(1.0, rel=1e-12)
-    assert consts.slope_bound == pytest.approx(1.01, rel=1e-12)
+    assert consts.slope_bound == pytest.approx(1.0, rel=1e-12)
 
 
-def test_diff_matrix_metadata_only_for_graded_basis():
-    """The differentiation-matrix fields describe the exponents 0..l-1; a
-    basis {1, x^2} gets none of them, while its exact slope sup is 2."""
+def test_diff_matrix_metadata_always_emitted():
+    """Every basis is 1, x, ..., x^(l-1), the basis the differentiation
+    matrix acts on, so its fields are always reported."""
     pts = PointSet(np.linspace(0.0, 1.0, 5))
-    consts = bound_constants(pts, BasisSpec(size=2, exponents=[[0], [2]]), alpha=1.0)
-    assert consts.slope_sup == 2.0
-    assert not any(k.startswith(("diff_matrix_", "slope_closed_form_"))
-                   for k in consts.metadata)
+    for l in range(1, 5):
+        meta = bound_constants(pts, monomial_basis(l), alpha=1.0).metadata
+        assert meta["diff_matrix_smax"] == pytest.approx(l - 1, abs=1e-12)
+        assert meta["diff_matrix_norm_sqrt_claim"] == math.sqrt(l - 1)
+        assert meta["slope_closed_form_applicable"] is True
     graded = bound_constants(pts, monomial_basis(2), alpha=1.0)
     assert graded.metadata["slope_closed_form_paper"] == graded.slope_sup == 1.0
 
@@ -257,70 +247,22 @@ def test_certificate_wire_format():
 # --- the slope sup ----------------------------------------------------------
 
 
-def _dense_slope_max(basis, lo, hi):
-    grid = np.linspace(lo, hi, SLOPE_GRID)
-    return max(float(np.linalg.norm(basis.derivative_at(g))) for g in grid)
-
-
 @pytest.mark.parametrize("lo,hi", [(0.1, 0.9), (-2.0, 1.0), (-3.0, -1.0)])
 @pytest.mark.parametrize("l", range(1, 7))
 def test_monomial_slope_sup_is_dense_grid_max(lo, hi, l):
-    """The endpoint sup equals the dense-grid maximum bit for bit."""
+    """The endpoint sup equals the maximum over a dense grid bit for bit,
+    with no padding: M12 is the sup itself, and M1 = M11 * sup."""
     basis = monomial_basis(l)
-    consts = bound_constants(PointSet(np.linspace(lo, hi, 7)), basis, alpha=0.5)
-    dense = _dense_slope_max(basis, lo, hi)
-    assert consts.slope_sup == dense
-    assert consts.slope_bound == SLOPE_INFLATION * dense
-
-
-def test_custom_basis_slope_sup_samples_the_grid():
-    """A custom basis keeps the dense grid; here the sup is interior."""
-    basis = BasisSpec(
-        size=2,
-        functions=(lambda p: 1.0, lambda p: p[0] - (p[0] - 0.5) ** 3 / 3.0),
-        derivative=lambda x: np.array([0.0, 1.0 - (x - 0.5) ** 2]),
+    dense = max(
+        float(np.linalg.norm(basis.derivative_at(g))) for g in np.linspace(lo, hi, 10001)
     )
-    consts = bound_constants(PointSet(np.linspace(0.0, 1.0, 6)), basis, alpha=0.5)
-    endpoints = max(np.linalg.norm(basis.derivative_at(x)) for x in (0.0, 1.0))
-    assert consts.slope_sup == _dense_slope_max(basis, 0.0, 1.0)
-    assert consts.slope_sup == 1.0 > endpoints == 0.75
-
-
-def _nan_between(lo, hi):
-    """Basis {1, x} whose derivative is NaN on (lo, hi)."""
-    return BasisSpec(
-        size=2,
-        functions=(lambda p: 1.0, lambda p: p[0]),
-        derivative=lambda x: np.array([0.0, np.nan if lo < x < hi else 1.0]),
-    )
-
-
-def test_nan_derivative_fails_the_certificate(tmp_path, monkeypatch):
-    """A NaN derivative sample is an error (exit 2), not a skipped sample."""
-    xs = np.linspace(0.0, 1.0, 6)
-    pts = PointSet(xs, values=np.sin(xs))
-    basis = _nan_between(0.3, 0.7)
-    with pytest.raises(ValueError, match=r"not finite at x = 0\.300"):
-        certify_bound(pts, basis, WeightSpec("exp", 0.5), n_grid=50)
-    pts.to_csv(tmp_path / "in.csv")
-    (tmp_path / "cfg.json").write_text('{"weight": {"family": "exp", "alpha": 0.5}}')
-    monkeypatch.setattr(cli, "_basis_from", lambda cfg, dim: basis)
-    code = cli.main([
-        "bound", "--input", str(tmp_path / "in.csv"),
-        "--config", str(tmp_path / "cfg.json"), "--grid", "50",
-    ])
-    assert code == 2
-
-
-def test_nan_derivative_off_the_slope_grid():
-    """A NaN only at a certificate grid point is caught by the majorant pass."""
-    xs = np.linspace(0.0, 1.0, 6)
-    third = 1.0 / 3.0  # not a point of the slope grid
-    basis = _nan_between(np.nextafter(third, 0.0), np.nextafter(third, 1.0))
-    consts = bound_constants(PointSet(xs), basis, alpha=0.5)
-    assert consts.slope_sup == 1.0
-    with pytest.raises(ValueError, match=f"not finite at x = {third!r}"):
-        certify_bound(PointSet(xs), basis, WeightSpec("exp", 0.5), grid=[0.1, third, 0.9])
+    for convention in ("standard", "paper"):
+        consts = bound_constants(
+            PointSet(np.linspace(lo, hi, 7)), basis, alpha=0.5, convention=convention
+        )
+        assert consts.slope_sup == dense
+        assert consts.slope_bound == consts.slope_sup
+        assert consts.forcing_bound == consts.coef_norm_bound * consts.slope_sup
 
 
 # --- the batched certificate against the point-by-point loop ---------------
@@ -645,31 +587,3 @@ def test_derivative_rows_match_derivative_at(l):
     assert rows.shape == (xs.size, l)
     assert rows.tobytes() == ref.tobytes()
     assert np.array([basis.derivative_at(x) for x in xs]).tobytes() == ref.tobytes()
-
-
-def test_custom_derivative_rows_call_derivative_at():
-    basis = _nan_between(0.2, 0.4)
-    xs = np.array([0.1, 0.3, 0.5])
-    rows = basis.derivative_rows(xs).tobytes()
-    assert rows == np.array([basis.derivative(x) for x in xs.tolist()]).tobytes()
-    assert rows == np.array([basis.derivative_at(x) for x in xs]).tobytes()
-
-
-def test_nan_derivative_in_a_later_block():
-    """A NaN derivative at points of a later block raises the message of
-    the first of them in grid order."""
-    xs = np.linspace(0.0, 1.0, 40)
-    pts = PointSet(xs, values=np.cos(xs))
-    grid = uniform_grid(pts, 100)
-    block = bound1d._block_rows(pts.m)
-    j = 2 * block + 3
-    bad = {float(grid[j]), float(grid[j + 5])}  # neither is on the slope grid
-    basis = BasisSpec(
-        size=2,
-        functions=(lambda p: 1.0, lambda p: p[0]),
-        derivative=lambda x: np.array([0.0, np.nan if x in bad else 1.0]),
-    )
-    bound_constants(pts, basis, alpha=0.5)
-    with pytest.raises(ValueError) as err:
-        certify_bound(pts, basis, WeightSpec("exp", 0.5), grid=grid)
-    assert str(err.value) == f"basis derivative is not finite at x = {float(grid[j])!r}"

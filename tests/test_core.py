@@ -76,15 +76,14 @@ def test_basis_larger_than_nodes_fails():
 
 
 def test_rank_deficient_design_fails():
-    dependent = BasisSpec(
-        size=2,
-        functions=(lambda x: np.ones_like(x[..., 0]), lambda x: 2.0 * np.ones_like(x[..., 0])),
-        derivative=None,
-        dim=1,
-    )
+    """Collinear 2-d nodes make the columns x and y of {1, y, x} equal."""
+    collinear = PointSet(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
+    basis = monomial_basis(3, dim=2)
     with pytest.raises(HypothesisFailure) as err:
-        build_system(0.5, NODES_012, dependent, EXP1)
+        build_system(np.array([1.5, 1.5]), collinear, basis, EXP1)
     assert "design_full_rank" in err.value.items
+    rep = check_hypotheses(collinear, basis, EXP1)
+    assert rep.rank == 2 and rep.failed_items == ["design_full_rank"]
 
 
 def test_conditioning_limit_enforced():
@@ -111,7 +110,7 @@ def test_evaluate_many():
 def test_check_hypotheses_ok():
     rep = check_hypotheses(NODES_012, monomial_basis(2), EXP1)
     assert rep.ok
-    assert rep.constant_in_basis and rep.basis_size_le_nodes and rep.design_full_rank
+    assert rep.basis_size_le_nodes and rep.design_full_rank
     assert rep.weight_smooth is True
     assert rep.failed_items == []
 
@@ -123,18 +122,6 @@ def test_check_hypotheses_flags_nonsmooth_weight():
     assert rep.weight_smooth is False
 
 
-def test_check_hypotheses_missing_constant():
-    no_const = BasisSpec(
-        size=1,
-        functions=(lambda x: x[..., 0],),
-        derivative=None,
-        dim=1,
-    )
-    rep = check_hypotheses(NODES_012, no_const, EXP1)
-    assert not rep.constant_in_basis
-    assert not rep.ok
-
-
 def test_design_shape():
     design = build_design(NODES_012, monomial_basis(2))
     assert design.shape == (3, 2)
@@ -142,27 +129,21 @@ def test_design_shape():
     np.testing.assert_array_equal(design[:, 1], NODES_012.nodes.ravel())
 
 
-def test_basis_kind_follows_from_exponents():
-    """A basis is monomial exactly when it is given by exponents; no basis
-    can declare its kind."""
-    with pytest.raises(TypeError):
-        BasisSpec(size=1, functions=(lambda p: 1.0,), kind="monomial")
-    by_hand = BasisSpec(size=3, exponents=[[0], [1], [2]])
-    assert by_hand.kind == "monomial" and by_hand.differentiable
-    assert by_hand.to_dict() == monomial_basis(3).to_dict()
-    np.testing.assert_array_equal(by_hand.eval_at(2.0), [1.0, 2.0, 4.0])
-    custom = BasisSpec(size=1, functions=(lambda p: 1.0,))
-    assert custom.kind == "custom" and not custom.differentiable
-    assert not monomial_basis(2, dim=2).differentiable
+def test_basis_is_size_and_dim():
+    """A basis takes only its size and dimension; its exponents are the
+    graded monomial ones, derived and read-only."""
+    for keyword in ("functions", "derivative", "exponents", "kind"):
+        with pytest.raises(TypeError):
+            BasisSpec(size=1, **{keyword: None})
+    basis = BasisSpec(3, 2)
+    assert basis == monomial_basis(3, dim=2)
+    np.testing.assert_array_equal(basis.exponents, [[0, 0], [0, 1], [1, 0]])
+    assert not basis.exponents.flags.writeable
+    np.testing.assert_array_equal(monomial_basis(3).eval_at(2.0), [1.0, 2.0, 4.0])
     with pytest.raises(ValueError):
-        custom.to_dict()
-    with pytest.raises(ValueError):  # not the graded basis of size 2
-        BasisSpec(size=2, exponents=[[0], [2]]).to_dict()
-    for bad in ([[0], [0.5]], [[0], [-1]], [[0, 1], [1, 0]]):
-        with pytest.raises(ValueError):
-            BasisSpec(size=2, exponents=bad)
+        BasisSpec(size=0)
     with pytest.raises(ValueError):
-        BasisSpec(size=1, functions=(lambda p: 1.0,), exponents=[[0]])
+        monomial_basis(2, dim=2).derivative_at(0.5)
 
 
 def test_gram_from_rmat_symmetric():

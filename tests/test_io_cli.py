@@ -251,6 +251,34 @@ def test_bound_rejects_non_exponential_weight(tmp_path, capsys):
     assert "exp_weight_family" in err
 
 
+def test_bound_rejects_2d_input(tmp_path, capsys):
+    p = tmp_path / "planar.csv"
+    p.write_text("x1,x2,f\n0,0,0\n1,0,1\n0,1,2\n1,1,3\n")
+    code, out, err = run_cli(["bound", "--input", str(p)], capsys)
+    assert (code, out) == (3, "")
+    assert err == "hypothesis failure: dimension_one, basis_derivative_available\n"
+
+
+def test_bound_nan_grid_names_the_point(linear_csv, capsys):
+    code, out, err = run_cli(["bound", "--input", linear_csv, "--grid", "nan:1:5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: evaluation point nan is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose", "bound"])
+def test_overflowing_design_names_the_node(command, tmp_path, capfd):
+    """x^2 overflows at 1e155: malformed input naming the node, with no
+    numpy warning and no LAPACK message on the process's stderr."""
+    p = tmp_path / "huge.csv"
+    p.write_text("x1,f\n0,0\n1e155,1\n2e155,2\n")
+    cfg = tmp_path / "l3.json"
+    cfg.write_text('{"l": 3}')
+    code = main([command, "--input", str(p), "--config", str(cfg), "--grid", "3"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: basis values at node 1e+155 are not finite\n"
+
+
 def test_converge_csv_columns(capsys):
     code, out, _ = run_cli(["converge", "--format", "csv"], capsys)
     assert code == 0
