@@ -27,7 +27,6 @@ import numpy as np
 from .bases import BasisSpec
 from .config import Tolerances
 from .core import (
-    COND_LIMIT,
     HypothesisFailure,
     MlsSystem,
     build_design,
@@ -47,7 +46,6 @@ __all__ = [
     "monomial_diff_matrix",
     "check_hypotheses_1d",
     "bound_constants",
-    "nearest_node",
     "uniform_grid",
     "certify_bound",
 ]
@@ -200,7 +198,7 @@ def check_hypotheses_1d(
     else:
         if not points.is_increasing():
             failed.append("nodes_increasing")
-    base = check_hypotheses(points, basis, weight)
+    base = check_hypotheses(points, basis)
     failed.extend(base.failed_items)
     if basis.dim != 1:
         failed.append("basis_derivative_available")
@@ -323,11 +321,6 @@ def bound_constants(
     )
 
 
-def nearest_node(x: float, points: PointSet) -> int:
-    """Index of the node closest to x; ties go to the smaller index."""
-    return int(np.argmin(points.distances(np.atleast_1d(float(x)))))
-
-
 def uniform_grid(points: PointSet, n: int, weight: WeightSpec | None = None) -> np.ndarray:
     """Uniform 1-D evaluation grid spanning the nodes.
 
@@ -404,7 +397,6 @@ def certify_bound(
     n_grid: int = 200,
     convention: str = "standard",
     tol: Tolerances = Tolerances(),
-    cond_limit: float = COND_LIMIT,
 ) -> BoundCertificate:
     """Evaluate the growth envelope over a grid and check its majorants.
 
@@ -434,9 +426,7 @@ def certify_bound(
     design = build_design(points, basis)
     # anchor norms ||a(x_k)|| at every node (exp weights: nodes are regular
     # points of the solve); one norm per row keeps the one-vector rounding
-    anchor_coeffs, _ = build_systems(
-        xs_nodes, points, basis, weight, cond_limit=cond_limit, design=design
-    )
+    anchor_coeffs, _ = build_systems(xs_nodes, points, basis, weight, design=design)
     anchor_norm = [_norm(a) for a in anchor_coeffs]
     nodes = xs_nodes.tolist()
 
@@ -450,7 +440,7 @@ def certify_bound(
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
     for start, rows, dists in solve_blocks(
-        grid[:, None], points, basis, weight, design, cond_limit, _block_rows(points.m)
+        grid[:, None], points, basis, weight, design, _block_rows(points.m)
     ):
         block = slice(start, start + len(rows.coeffs))
         coef_map, comp = operator_stack(rows.qmats, rows.rmats, rows.roots, design)
@@ -458,6 +448,7 @@ def certify_bound(
         comp -= np.eye(points.m)
         comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
         max_comp_h = _max_sigma(comp, max_comp_h)
+        # the nearest node anchors the envelope; a tie goes to the smaller index
         k0s[block] = np.argmin(dists, axis=1)
         dcs = basis.derivative_rows(grid[block])
         # per row: a stacked norm or product can differ in the last bit

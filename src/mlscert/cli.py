@@ -297,38 +297,47 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if report["pass"] else EXIT_VIOLATION
 
 
+#: every flag, by name: its ``add_argument`` keywords
+_FLAGS = {
+    "input": dict(help="input CSV of nodes (and values)"),
+    "config": dict(help="JSON config file"),
+    "grid": dict(help="evaluation grid: N or a:b:N"),
+    "seed": dict(type=int, help="RNG seed (fallback: MLS_SEED, then 42)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "convention": dict(
+        choices=("standard", "paper"),
+        default="standard",
+        help="constant convention for bound certificates",
+    ),
+    "tol": dict(action="append", metavar="KEY=VAL", help="tolerance override (repeatable)"),
+    "out": dict(help="output file (default: stdout)"),
+}
+
+#: each subcommand: handler, help text and the flags it reads; any other
+#: flag is a usage error
+_COMMANDS = {
+    "fit": (cmd_fit, "fit input data over a grid",
+            ("input", "config", "grid", "format", "out")),
+    "diagnose": (cmd_diagnose, "operator diagnostics (file or random suite)",
+                 ("input", "config", "grid", "seed", "tol", "out")),
+    "bound": (cmd_bound, "growth-envelope certificate for 1-d data",
+              ("input", "config", "grid", "format", "convention", "tol", "out")),
+    "converge": (cmd_converge, "grid-refinement convergence study",
+                 ("config", "format", "out")),
+    "selftest": (cmd_selftest, "full certification battery", ("seed", "tol", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlscert",
         description="moving least-squares fitting with certified matrix analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, help_text in (
-        ("fit", cmd_fit, "fit input data over a grid"),
-        ("diagnose", cmd_diagnose, "operator diagnostics (file or random suite)"),
-        ("bound", cmd_bound, "growth-envelope certificate for 1-d data"),
-        ("converge", cmd_converge, "grid-refinement convergence study"),
-        ("selftest", cmd_selftest, "full certification battery"),
-    ):
+    for name, (fn, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="input CSV of nodes (and values)")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--grid", help="evaluation grid: N or a:b:N")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: MLS_SEED, then 42)")
-        p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--convention",
-            choices=("standard", "paper"),
-            default="standard",
-            help="constant convention for bound certificates",
-        )
-        p.add_argument(
-            "--tol",
-            action="append",
-            metavar="KEY=VAL",
-            help="tolerance override (repeatable)",
-        )
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(handler=fn)
     return parser
 

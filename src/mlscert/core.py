@@ -20,8 +20,9 @@ from .bases import BasisSpec
 from .points import PointSet
 from .weights import WeightSpec
 
-#: hard default for the admissible condition number of the normal-equations
-#: (Gram) matrix; beyond this the solve refuses rather than return noise
+#: admissible condition number of the normal-equations (Gram) matrix;
+#: beyond it the solve refuses rather than return noise.  The solve reads
+#: it at call time.
 COND_LIMIT = 1e12
 
 
@@ -69,16 +70,20 @@ def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
         )
     with np.errstate(over="ignore"):
         E = basis.eval_design(points.nodes)
-    finite = np.isfinite(E).all(axis=1)
-    if not finite.all():
-        text = _point_text(points.nodes[np.argmin(finite)])
-        raise ValueError(f"basis values at node {text} are not finite")
+    bad = _first_nonfinite(points.nodes, E)
+    if bad is not None:
+        raise ValueError(f"basis values at node {bad} are not finite")
     return E
 
 
-def _point_text(row) -> str:
-    """A point as an error message names it: a float, or a tuple of them."""
-    row = row.tolist()
+def _first_nonfinite(rows, values) -> str | None:
+    """The first of the points ``rows`` whose row of ``values`` is not
+    finite, as an error message names it (a float, or a tuple of them), or
+    None when every row is finite."""
+    finite = np.isfinite(values).all(axis=1)
+    if finite.all():
+        return None
+    row = rows[np.argmin(finite)].tolist()
     return repr(row[0]) if len(row) == 1 else repr(tuple(row))
 
 
@@ -158,7 +163,7 @@ class _Rows(NamedTuple):
     conds: list  # k Gram condition estimates
 
 
-def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
+def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
     """Solve the local systems of a block of rows with stacked LAPACK calls.
 
     ``E`` is the design (m, l) shared by every row, or a stack (n, m, l)
@@ -166,7 +171,8 @@ def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
     evaluation points, ``dists`` and ``dvecs`` (n, m) their node distances
     and 2 * w.  A row with a vanishing weight at a node is the
     interpolation limit; every other row goes through QR of the scaled
-    design, the rank and conditioning checks and the coefficient solve.
+    design, the rank check, the conditioning check against ``COND_LIMIT``
+    and the coefficient solve.
     If a row fails, the error of a failing row is raised: for a single
     row, that point's error.
     """
@@ -197,8 +203,8 @@ def _solve_rows(E, cvecs, dists, dvecs, cond_limit) -> _Rows:
         if smin <= rank_tolerance(m, l, smax):
             raise HypothesisFailure(["design_full_rank"])
         conds.append((smax / smin) ** 2)
-        if conds[-1] > cond_limit:
-            raise ConditioningError(conds[-1], cond_limit)
+        if conds[-1] > COND_LIMIT:
+            raise ConditioningError(conds[-1], COND_LIMIT)
 
     sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
     coeffs = (qmats @ sol)[:, :, 0] / root
@@ -218,14 +224,7 @@ def _design_for(points, basis, design) -> np.ndarray:
     return E
 
 
-def build_system(
-    x,
-    points: PointSet,
-    basis: BasisSpec,
-    weight: WeightSpec,
-    *,
-    cond_limit: float = COND_LIMIT,
-) -> MlsSystem:
+def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> MlsSystem:
     """Assemble and solve the local system at evaluation point x.
 
     Parameters
@@ -235,9 +234,6 @@ def build_system(
     points, basis, weight
         Problem data.  ``basis.size`` must not exceed the node count and the
         design matrix must have full column rank.
-    cond_limit : float
-        Admissible Gram condition estimate; beyond it ``ConditioningError``
-        is raised.
 
     Raises
     ------
@@ -245,11 +241,11 @@ def build_system(
         If the basis is larger than the node set or the design matrix is
         rank deficient.
     ConditioningError
-        If the Gram condition estimate exceeds ``cond_limit``.
+        If the Gram condition estimate exceeds ``COND_LIMIT``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     E = _design_for(points, basis, None)
-    rows, cvecs, _, dvecs = _solve_points(xv[None], points, basis, weight, E, cond_limit)
+    rows, cvecs, _, dvecs = _solve_points(xv[None], points, basis, weight, E)
     if rows.at_node is not None:
         return MlsSystem(
             x=xv, design=E, dvec=dvecs[0], basis_at_x=cvecs[0], coeffs=rows.coeffs[0],
@@ -261,21 +257,25 @@ def build_system(
     )
 
 
-def _solve_points(xs, points, basis, weight, E, cond_limit):
+def _solve_points(xs, points, basis, weight, E):
     """Solve the local systems at the rows of xs (n, d) in one block.
 
     Returns the solved rows plus the basis values (n, l), the node
     distances (n, m) and the weight diagonals 2 * w (n, m) of the points.
-    A non-finite point raises ``ValueError`` naming the first one.
+    A non-finite point, or one whose basis values overflow, raises
+    ``ValueError`` naming the first one.
     """
-    finite = np.isfinite(xs).all(axis=1)
-    if not finite.all():
-        text = _point_text(xs[np.argmin(finite)])
-        raise ValueError(f"evaluation point {text} is not finite")
-    cvecs = basis.eval_rows(xs)
+    bad = _first_nonfinite(xs, xs)
+    if bad is not None:
+        raise ValueError(f"evaluation point {bad} is not finite")
+    with np.errstate(over="ignore"):
+        cvecs = basis.eval_rows(xs)
+    bad = _first_nonfinite(xs, cvecs)
+    if bad is not None:
+        raise ValueError(f"basis values at evaluation point {bad} are not finite")
     dists = points.distances(xs)
     dvecs = build_weight_diag(dists, weight)
-    return _solve_rows(E, cvecs, dists, dvecs, cond_limit), cvecs, dists, dvecs
+    return _solve_rows(E, cvecs, dists, dvecs), cvecs, dists, dvecs
 
 
 def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
@@ -286,13 +286,12 @@ def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
     ``cvecs[i]`` (l,), node distances ``dists[i]`` and weight diagonal
     ``dvecs[i]`` (m,); its coefficients equal, bit for bit, what
     ``build_system`` gives for it.  If a row fails, the error of a failing
-    row is raised: for a single row, that system's error.  The Gram
-    condition limit is ``COND_LIMIT``, the default of ``build_system``.
+    row is raised: for a single row, that system's error.
     """
-    return _solve_rows(designs, cvecs, dists, dvecs, COND_LIMIT).coeffs
+    return _solve_rows(designs, cvecs, dists, dvecs).coeffs
 
 
-def solve_blocks(xs, points, basis, weight, E, cond_limit, block_rows):
+def solve_blocks(xs, points, basis, weight, E, block_rows):
     """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows.
 
     Yields ``(start, rows, dists)`` per solved block, in row order: the
@@ -306,18 +305,14 @@ def solve_blocks(xs, points, basis, weight, E, cond_limit, block_rows):
     for start in range(0, len(xs), block_rows):
         stop = min(start + block_rows, len(xs))
         try:
-            rows, _, dists, _ = _solve_points(
-                xs[start:stop], points, basis, weight, E, cond_limit
-            )
+            rows, _, dists, _ = _solve_points(xs[start:stop], points, basis, weight, E)
         except (MlsError, ValueError):  # LinAlgError is a ValueError
             rows = None
         if rows is not None:
             yield start, rows, dists
             continue
         for i in range(start, stop):
-            rows, _, dists, _ = _solve_points(
-                xs[i : i + 1], points, basis, weight, E, cond_limit
-            )
+            rows, _, dists, _ = _solve_points(xs[i : i + 1], points, basis, weight, E)
             yield i, rows, dists
 
 
@@ -327,7 +322,6 @@ def build_systems(
     basis: BasisSpec,
     weight: WeightSpec,
     *,
-    cond_limit: float = COND_LIMIT,
     design: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors a(x) at every row of xs, solved in blocks.
@@ -336,9 +330,7 @@ def build_systems(
     of 1-d points.  Returns the coefficient stack (n, m), equal bit for bit
     to ``build_system(x).coeffs`` row by row, and the node index of every
     interpolation-limit row (-1 elsewhere).  The first failing row, in row
-    order, raises what ``build_system`` raises at that point.  A custom
-    weight is applied to a whole block of distances at once, so its
-    ``custom_w`` must act elementwise, as ``WeightSpec`` asks.
+    order, raises what ``build_system`` raises at that point.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim == 1:
@@ -346,32 +338,24 @@ def build_systems(
     E = _design_for(points, basis, design)
     coeffs = np.empty((len(xs), E.shape[0]))
     at_node = np.empty(len(xs), dtype=int)
-    for start, rows, _ in solve_blocks(xs, points, basis, weight, E, cond_limit, _BLOCK):
+    for start, rows, _ in solve_blocks(xs, points, basis, weight, E, _BLOCK):
         block = slice(start, start + len(rows.coeffs))
         coeffs[block] = rows.coeffs
         at_node[block] = -1 if rows.at_node is None else rows.at_node
     return coeffs, at_node
 
 
-def evaluate(
-    x,
-    points: PointSet,
-    basis: BasisSpec,
-    weight: WeightSpec,
-    *,
-    cond_limit: float = COND_LIMIT,
-) -> float:
+def evaluate(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> float:
     """Fitted value at x for the samples carried by ``points``: the one-row
     case of ``evaluate_many``."""
-    xs = np.reshape(x, (1, -1))
-    return float(evaluate_many(xs, points, basis, weight, cond_limit=cond_limit)[0])
+    return float(evaluate_many(np.reshape(x, (1, -1)), points, basis, weight)[0])
 
 
-def evaluate_many(xs, points, basis, weight, *, cond_limit=COND_LIMIT) -> np.ndarray:
+def evaluate_many(xs, points, basis, weight) -> np.ndarray:
     """Fitted values on a batch of evaluation points (rows of xs)."""
     if points.values is None:
         raise ValueError("points carry no values to fit")
-    coeffs, at_node = build_systems(xs, points, basis, weight, cond_limit=cond_limit)
+    coeffs, at_node = build_systems(xs, points, basis, weight)
     return fitted_values(coeffs, at_node, points.values)
 
 
@@ -394,8 +378,6 @@ class HypothesisReport:
 
     ``basis_size_le_nodes`` basis dimension does not exceed the node count
     ``design_full_rank``    design matrix has full column rank
-    ``weight_smooth``       weight family is smooth in x (None if no weight
-                            was supplied); reported, but never gates a fit
 
     The basis needs no check of its own: its first function is x^0 = 1.
     """
@@ -403,11 +385,10 @@ class HypothesisReport:
     basis_size_le_nodes: bool
     design_full_rank: bool
     rank: int
-    weight_smooth: bool | None = None
 
     @property
     def ok(self) -> bool:
-        """Gate used by fitting and diagnostics (smoothness is advisory)."""
+        """Gate used by fitting and diagnostics."""
         return self.basis_size_le_nodes and self.design_full_rank
 
     @property
@@ -419,14 +400,9 @@ class HypothesisReport:
         ]
 
 
-def check_hypotheses(
-    points: PointSet, basis: BasisSpec, weight: WeightSpec | None = None
-) -> HypothesisReport:
-    """Verify the structural requirements on (points, basis[, weight]).
-
-    The weight argument only feeds the advisory smoothness flag; the two
-    load-bearing checks are about the basis size and the node geometry.
-    """
+def check_hypotheses(points: PointSet, basis: BasisSpec) -> HypothesisReport:
+    """Verify the structural requirements on (points, basis): the basis
+    size and the node geometry."""
     E = build_design(points, basis)
     m, l = E.shape
     svals = np.linalg.svd(E, compute_uv=False)
@@ -435,5 +411,4 @@ def check_hypotheses(
         basis_size_le_nodes=l <= m,
         design_full_rank=rank == l,
         rank=rank,
-        weight_smooth=None if weight is None else weight.smooth,
     )

@@ -15,7 +15,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .bases import monomial_basis
-from .config import Tolerances
 from .core import build_systems, fitted_values
 from .points import PointSet
 from .weights import WeightSpec
@@ -68,7 +67,13 @@ class MinimaxFit:
         return _cheb.chebval(t, self.coeffs)
 
 
-def minimax_fit(xs, fs, degree: int, max_iter: int = 100, tol: float = 1e-9) -> MinimaxFit:
+#: exchange steps ``minimax_fit`` takes at most, and the relative slack at
+#: which the largest error matches the equioscillation level
+MINIMAX_MAX_ITER = 100
+MINIMAX_TOL = 1e-9
+
+
+def minimax_fit(xs, fs, degree: int) -> MinimaxFit:
     """Exchange iteration for the best uniform polynomial on grid (xs, fs).
 
     Classic single-point exchange: solve the equioscillation system on a
@@ -107,7 +112,7 @@ def minimax_fit(xs, fs, degree: int, max_iter: int = 100, tol: float = 1e-9) -> 
     level = 0.0
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MINIMAX_MAX_ITER + 1):
         signs = np.array([(-1.0) ** j for j in range(n_ref)])
         system = np.hstack([vander[ref], signs[:, None]])
         sol = np.linalg.solve(system, fs[ref])
@@ -115,7 +120,7 @@ def minimax_fit(xs, fs, degree: int, max_iter: int = 100, tol: float = 1e-9) -> 
         resid = fs - vander @ coeffs
         j_star = int(np.argmax(np.abs(resid)))
         worst = float(abs(resid[j_star]))
-        if worst <= abs(level) * (1.0 + tol) + 1e-15:
+        if worst <= abs(level) * (1.0 + MINIMAX_TOL) + 1e-15:
             converged = True
             break
         # insert j_star into the reference, preserving sign alternation
@@ -166,6 +171,8 @@ TEST_FUNCTIONS = {
 
 #: sup errors below this multiple of machine epsilon count as saturated
 SATURATION_FACTOR = 1e2
+#: size of the evaluation grid every level of a study shares
+EVAL_N = 301
 
 
 def _slope(hs, errs) -> float:
@@ -245,8 +252,6 @@ def convergence_study(
     alpha0: float = 1.0,
     policy: str = "scaled",
     family: str = "exp",
-    eval_n: int = 301,
-    tol: Tolerances = Tolerances(),
 ) -> ConvergenceStudy:
     """Refine uniform nodes by halving h and track the sup error.
 
@@ -261,8 +266,6 @@ def convergence_study(
         "scaled" re-shapes the weight per level (alpha = alpha0 / h^2), which
         keeps the weight profile scale-invariant under refinement; "fixed"
         keeps alpha = alpha0 at every level.
-    eval_n : int
-        Size of the fixed evaluation grid shared by all levels.
 
     The product bound of the error (best-approximation level times
     amplification) is evaluated with the discrete-minimax oracle on a grid
@@ -278,13 +281,13 @@ def convergence_study(
     if hi <= lo:
         raise ValueError("domain must be a nondegenerate interval")
     basis = monomial_basis(l)
-    eval_grid = np.linspace(lo, hi, eval_n)
+    eval_grid = np.linspace(lo, hi, EVAL_N)
     fvals_eval = _on_grid(f_true, eval_grid)
     fscale = max(1.0, float(np.max(np.abs(fvals_eval))))
     sat_floor = SATURATION_FACTOR * np.finfo(float).eps * fscale
 
     # minimax oracle on the 10x denser grid (shared by all levels)
-    dense = np.linspace(lo, hi, 10 * (eval_n - 1) + 1)
+    dense = np.linspace(lo, hi, 10 * (EVAL_N - 1) + 1)
     fdense = _on_grid(f_true, dense)
     best = minimax_fit(dense, fdense, degree=l - 1)
     best_level = best.grid_sup
@@ -344,6 +347,6 @@ def convergence_study(
             "alpha0": alpha0,
             "policy": policy,
             "family": family,
-            "eval_n": eval_n,
+            "eval_n": EVAL_N,
         },
     )

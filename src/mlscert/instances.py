@@ -50,6 +50,19 @@ GRAM_COND_CAP = 1e8
 DIAG_COND_CAP = 1e12
 NODE_MIN_SEP = 1e-3
 X_NODE_MARGIN = 1e-2
+#: node count range, largest basis size and alpha range of the general suite
+M_RANGE = (2, 10)
+L_MAX = 5
+ALPHA_RANGE = (0.1, 4.0)
+#: the same for the 1-d growth-bound suite, with its wider node separation
+H2_M_RANGE = (3, 9)
+H2_L_MAX = 4
+H2_ALPHA_RANGE = (0.1, 2.0)
+H2_NODE_MIN_SEP = 1e-2
+#: draws before a generator gives up
+MAX_ATTEMPTS = 500
+#: largest matrix size of a random symmetric pair
+PAIR_M_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -57,7 +70,7 @@ class Instance:
     """One random fitting problem: nodes+values, basis, weight, eval point.
 
     ``solved`` is the system at x that the generator already built to
-    accept the instance (default solver settings), or None.
+    accept the instance, or None.
     """
 
     points: PointSet
@@ -67,11 +80,11 @@ class Instance:
     meta: dict = field(default_factory=dict)
     solved: MlsSystem | None = field(default=None, compare=False, repr=False)
 
-    def system(self, **kw):
-        """The local system at x; without keywords, the generator's own."""
-        if not kw and self.solved is not None:
+    def system(self):
+        """The local system at x: the generator's own, when it has one."""
+        if self.solved is not None:
             return self.solved
-        return build_system(self.x, self.points, self.basis, self.weight, **kw)
+        return build_system(self.x, self.points, self.basis, self.weight)
 
 
 def _smooth_values(rng, nodes: np.ndarray) -> np.ndarray:
@@ -109,22 +122,13 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def random_instance(
-    rng,
-    families=None,
-    m_range: tuple = (2, 10),
-    l_max: int = 5,
-    alpha_range: tuple = (0.1, 4.0),
-    cond_cap: float = GRAM_COND_CAP,
-    diag_cond_cap: float = DIAG_COND_CAP,
-    max_attempts: int = 500,
-) -> Instance:
+def random_instance(rng) -> Instance:
     """Draw one instance, rejecting badly conditioned configurations."""
-    for attempt in range(1, max_attempts + 1):
-        m = int(rng.integers(m_range[0], m_range[1] + 1))
-        l = int(rng.integers(1, min(m, l_max) + 1))
-        family = _pick_family(rng) if families is None else str(rng.choice(families))
-        alpha = _log_uniform(rng, *alpha_range)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        m = int(rng.integers(M_RANGE[0], M_RANGE[1] + 1))
+        l = int(rng.integers(1, min(m, L_MAX) + 1))
+        family = _pick_family(rng)
+        alpha = _log_uniform(rng, *ALPHA_RANGE)
         nodes = _sample_nodes(rng, m, NODE_MIN_SEP)
         x = _sample_x(rng, nodes, X_NODE_MARGIN)
         points = PointSet(nodes, values=_smooth_values(rng, nodes))
@@ -135,7 +139,7 @@ def random_instance(
         except (ConditioningError, HypothesisFailure):
             continue
         cond_d = float(np.max(sysm.dvec) / np.min(sysm.dvec))
-        if sysm.cond_gram > cond_cap or cond_d > diag_cond_cap:
+        if sysm.cond_gram > GRAM_COND_CAP or cond_d > DIAG_COND_CAP:
             continue
         return Instance(
             points,
@@ -153,24 +157,16 @@ def random_instance(
             },
             solved=sysm,
         )
-    raise RuntimeError(f"no acceptable instance after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
 
 
-def random_suite(n: int, seed: int, **kw) -> list:
+def random_suite(n: int, seed: int) -> list:
     """n independent instances from a single seeded generator."""
     rng = np.random.default_rng(seed)
-    return [random_instance(rng, **kw) for _ in range(n)]
+    return [random_instance(rng) for _ in range(n)]
 
 
-def random_h2_instance(
-    rng,
-    m_range: tuple = (3, 9),
-    l_max: int = 4,
-    alpha_range: tuple = (0.1, 2.0),
-    min_sep: float = 1e-2,
-    cond_cap: float = GRAM_COND_CAP,
-    max_attempts: int = 500,
-) -> Instance:
+def random_h2_instance(rng) -> Instance:
     """Instance satisfying the 1-d growth-bound hypotheses.
 
     One dimension, strictly increasing nodes, exponential weight family,
@@ -178,11 +174,11 @@ def random_h2_instance(
     evaluation margin are an order of magnitude wider than in the general
     suite so that finite-difference probes of da/dx have room to shrink.
     """
-    for attempt in range(1, max_attempts + 1):
-        m = int(rng.integers(m_range[0], m_range[1] + 1))
-        l = int(rng.integers(1, min(m, l_max) + 1))
-        alpha = _log_uniform(rng, *alpha_range)
-        nodes = _sample_nodes(rng, m, min_sep)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        m = int(rng.integers(H2_M_RANGE[0], H2_M_RANGE[1] + 1))
+        l = int(rng.integers(1, min(m, H2_L_MAX) + 1))
+        alpha = _log_uniform(rng, *H2_ALPHA_RANGE)
+        nodes = _sample_nodes(rng, m, H2_NODE_MIN_SEP)
         x = _sample_x(rng, nodes, X_NODE_MARGIN)
         points = PointSet(nodes, values=_smooth_values(rng, nodes))
         basis = monomial_basis(l)
@@ -191,7 +187,7 @@ def random_h2_instance(
             sysm = build_system(x, points, basis, weight)
         except (ConditioningError, HypothesisFailure):
             continue
-        if sysm.cond_gram > cond_cap:
+        if sysm.cond_gram > GRAM_COND_CAP:
             continue
         return Instance(
             points,
@@ -208,12 +204,12 @@ def random_h2_instance(
             },
             solved=sysm,
         )
-    raise RuntimeError(f"no acceptable 1-d bound instance after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable 1-d bound instance after {MAX_ATTEMPTS} attempts")
 
 
-def h2_suite(n: int, seed: int, **kw) -> list:
+def h2_suite(n: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    return [random_h2_instance(rng, **kw) for _ in range(n)]
+    return [random_h2_instance(rng) for _ in range(n)]
 
 
 def _random_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):
@@ -226,7 +222,7 @@ def _random_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0
     return q @ np.diag(eigs) @ q.T
 
 
-def random_matrix_pair(rng, m_max: int = 6) -> dict:
+def random_matrix_pair(rng) -> dict:
     """Symmetric pair (U, V) with at least one positive-semidefinite factor.
 
     Three kinds, mixed 40/30/30: V positive definite with U indefinite,
@@ -234,7 +230,7 @@ def random_matrix_pair(rng, m_max: int = 6) -> dict:
     positive definite (which additionally exercises the two-sided product
     bounds).
     """
-    m = int(rng.integers(1, m_max + 1))
+    m = int(rng.integers(1, PAIR_M_MAX + 1))
     u = float(rng.uniform())
     if u < 0.4:
         kind = "v_pd"
@@ -252,6 +248,6 @@ def random_matrix_pair(rng, m_max: int = 6) -> dict:
     return {"umat": umat, "vmat": vmat, "kind": kind, "m": m}
 
 
-def matrix_pair_suite(n: int, seed: int, **kw) -> list:
+def matrix_pair_suite(n: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
-    return [random_matrix_pair(rng, **kw) for _ in range(n)]
+    return [random_matrix_pair(rng) for _ in range(n)]

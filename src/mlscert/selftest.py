@@ -48,6 +48,16 @@ FD_SLOPE_RANGE = (1.7, 2.3)
 #: instances of the general random suite, which core and spectral check
 GENERAL_N = 200
 _GENERAL_SUITES = ("core", "spectral")
+#: random pairs of each of the sv_product and eig_product suites
+PAIR_N = 200
+#: measurable instances the ode suite needs, and the most it may draw
+ODE_TARGET = 20
+ODE_MAX_DRAWS = 60
+#: instances of the certificate suite, and the grid size of each
+CERTIFICATE_N = 20
+CERTIFICATE_GRID = 200
+#: the diff_matrix suite checks the bases of size 1 to this
+DIFF_MATRIX_L_MAX = 8
 
 
 #: what a check raises for a bad instance; a group that raises one is
@@ -278,12 +288,12 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
     return out
 
 
-def suite_sv_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
+def suite_sv_product(seed: int, tol: Tolerances) -> dict:
     """Singular-value product inequalities on random rectangular pairs."""
     rng = np.random.default_rng(seed)
     n_fail = 0
     n_checks = 0
-    for _ in range(n):
+    for _ in range(PAIR_N):
         d1, d2, d4 = (int(v) for v in rng.integers(1, 7, size=3))
         scale_u = float(np.exp(rng.uniform(-2.0, 2.0)))
         scale_v = float(np.exp(rng.uniform(-2.0, 2.0)))
@@ -294,17 +304,17 @@ def suite_sv_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
         n_checks += len(applicable)
         if not rep["pass"]:
             n_fail += 1
-    return {"n": n, "n_checks": n_checks, "n_fail": n_fail, "pass": bool(n_fail == 0)}
+    return {"n": PAIR_N, "n_checks": n_checks, "n_fail": n_fail, "pass": bool(n_fail == 0)}
 
 
-def suite_eig_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
+def suite_eig_product(seed: int, tol: Tolerances) -> dict:
     """Eigenvalue-product sandwich bounds against a dense eigenvalue oracle.
 
     ``eig_product_stack`` checks each group of same-size pairs at once, and
     the oracle's ``eigvals`` runs once per group too; a failing pair raises
     what ``check_eig_products`` raises for the first one.
     """
-    pairs = instances.matrix_pair_suite(n, seed)
+    pairs = instances.matrix_pair_suite(PAIR_N, seed)
 
     def check(idx):
         umat = np.stack([pairs[i]["umat"] for i in idx])
@@ -324,13 +334,13 @@ def suite_eig_product(seed: int, tol: Tolerances, n: int = 200) -> dict:
         }
 
     shapes = [(p["umat"].shape, p["vmat"].shape) for p in pairs]
-    reports, _, error = _stacked(check, _by_shape(shapes), n, None)
+    reports, _, error = _stacked(check, _by_shape(shapes), len(pairs), None)
     if error is not None:
         raise error
     worst_oracle = max([0.0, *_values(reports, "oracle_dev")])
     n_violations = sum(_values(reports, "n_violations"))
     return {
-        "n": n,
+        "n": len(pairs),
         "n_violations": n_violations,
         "worst_slack": max([0.0, *_values(reports, "max_violation")]),
         "oracle_max_dev_rel": worst_oracle,
@@ -378,13 +388,13 @@ def _fd_slope(it, tol: Tolerances) -> dict:
     return {"measurable": True, "slope": float(sol[0]), "n_points": len(keep), "errs": errs}
 
 
-def suite_ode(seed: int, tol: Tolerances, n_target: int = 20, n_max: int = 60) -> dict:
+def suite_ode(seed: int, tol: Tolerances) -> dict:
     """Finite-difference validation of the coefficient-derivative formula."""
     rng = np.random.default_rng(seed)
     slopes = []
     n_skipped = 0
     n_drawn = 0
-    while len(slopes) < n_target and n_drawn < n_max:
+    while len(slopes) < ODE_TARGET and n_drawn < ODE_MAX_DRAWS:
         it = instances.random_h2_instance(rng)
         n_drawn += 1
         res = _fd_slope(it, tol)
@@ -400,39 +410,39 @@ def suite_ode(seed: int, tol: Tolerances, n_target: int = 20, n_max: int = 60) -
         "n_drawn": n_drawn,
         "slope_min": min(slopes) if slopes else float("nan"),
         "slope_max": max(slopes) if slopes else float("nan"),
-        "pass": bool(len(slopes) >= n_target and all(in_range)),
+        "pass": bool(len(slopes) >= ODE_TARGET and all(in_range)),
     }
 
 
-def suite_certificate(seed: int, tol: Tolerances, n: int = 20, n_grid: int = 200) -> dict:
+def suite_certificate(seed: int, tol: Tolerances) -> dict:
     """Exponential-envelope certificates on generated 1-d instances."""
-    suite = instances.h2_suite(n, seed)
+    suite = instances.h2_suite(CERTIFICATE_N, seed)
     worst_slack = float("inf")
     n_fail = 0
     for it in suite:
         cert = bound1d.certify_bound(
-            it.points, it.basis, it.weight, n_grid=n_grid, tol=tol
+            it.points, it.basis, it.weight, n_grid=CERTIFICATE_GRID, tol=tol
         )
         worst_slack = min(worst_slack, float(min(cert.slack)))
         if not cert.passed:
             n_fail += 1
     return {
-        "n": n,
-        "n_grid": n_grid,
+        "n": CERTIFICATE_N,
+        "n_grid": CERTIFICATE_GRID,
         "worst_min_slack": worst_slack,
         "n_fail": n_fail,
         "pass": bool(n_fail == 0 and worst_slack >= -tol.bound),
     }
 
 
-def suite_diff_matrix(seed: int, tol: Tolerances, l_max: int = 8) -> dict:
+def suite_diff_matrix(seed: int, tol: Tolerances) -> dict:
     """Singular values of the monomial differentiation matrix are 0..l-1."""
     worst = 0.0
-    for l in range(1, l_max + 1):
+    for l in range(1, DIFF_MATRIX_L_MAX + 1):
         sv = np.linalg.svd(bound1d.monomial_diff_matrix(l), compute_uv=False)
         expect = np.arange(l - 1, -1, -1, dtype=float)
         worst = max(worst, float(np.max(np.abs(np.sort(sv)[::-1] - expect))))
-    return {"l_max": l_max, "worst_dev": worst, "pass": bool(worst <= 1e-12)}
+    return {"l_max": DIFF_MATRIX_L_MAX, "worst_dev": worst, "pass": bool(worst <= 1e-12)}
 
 
 def suite_convergence(seed: int, tol: Tolerances) -> dict:

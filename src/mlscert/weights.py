@@ -21,16 +21,11 @@ The exp family is the only one used by the 1-D growth-bound machinery; the
 others are offered for fitting and for exercising the interpolation limit.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = ("exp", "shepard", "mclain", "levin", "custom")
-
-# families whose w is a smooth function of x everywhere (shepard's fractional
-# power is generally not differentiable at the node)
-_SMOOTH = {"exp": True, "shepard": False, "mclain": True, "levin": True}
+FAMILIES = ("exp", "shepard", "mclain", "levin")
 
 
 @dataclass(frozen=True)
@@ -43,41 +38,21 @@ class WeightSpec:
         One of :data:`FAMILIES`.
     alpha : float
         Shape parameter, must be positive.
-    custom_w : callable, optional
-        For ``family="custom"``: vectorized map r -> w(r) with w(r) > 0 for
-        r > 0.
-    custom_interpolating : bool
-        For ``family="custom"``: declare that w(0) = 0.
-    custom_smooth : bool
-        For ``family="custom"``: declare w smooth in x.
     """
 
     family: str
     alpha: float = 1.0
-    custom_w: Callable | None = field(default=None, compare=False)
-    custom_interpolating: bool = False
-    custom_smooth: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
-        if self.family == "custom" and self.custom_w is None:
-            raise ValueError("custom family requires custom_w")
 
     @property
     def interpolating(self) -> bool:
         """True when w(0) = 0, so the fit reproduces node values exactly."""
-        if self.family == "custom":
-            return self.custom_interpolating
         return self.family != "exp"
-
-    @property
-    def smooth(self) -> bool:
-        if self.family == "custom":
-            return self.custom_smooth
-        return _SMOOTH[self.family]
 
     def w(self, r):
         """Reciprocal weight w(r) = 1/W(r) for distances r >= 0.
@@ -98,17 +73,11 @@ class WeightSpec:
                 out = arr ** (a * a)
             elif self.family == "mclain":
                 out = arr**2 * np.exp(-(a * a) * arr**2)
-            elif self.family == "levin":
+            else:  # levin
                 out = np.expm1((a * a) * arr**2)
-            else:
-                out = np.asarray(self.custom_w(arr), dtype=float)
-                if np.any(out < 0):
-                    raise ValueError("custom_w returned a negative weight")
         return out if np.ndim(r) else float(out)
 
     def to_dict(self) -> dict:
-        if self.family == "custom":
-            raise ValueError("custom weight families are not serializable")
         return {"family": self.family, "alpha": float(self.alpha)}
 
     @classmethod
@@ -117,6 +86,4 @@ class WeightSpec:
             family = d["family"]
         except KeyError:
             raise ValueError("weight config requires a 'family' key") from None
-        if family == "custom":
-            raise ValueError("custom weight families cannot be configured from JSON")
         return cls(family=family, alpha=float(d.get("alpha", 1.0)))

@@ -2,14 +2,13 @@
 derivative identity for the coefficient vector, envelope constants, and the
 grid certificate."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlscert import bound1d, cli
+from mlscert import bound1d, cli, core
 from mlscert.bases import monomial_basis
 from mlscert.bound1d import (
     BoundConstants,
@@ -18,7 +17,6 @@ from mlscert.bound1d import (
     check_hypotheses_1d,
     dlogw_diag,
     monomial_diff_matrix,
-    nearest_node,
     ode_rhs,
     uniform_grid,
 )
@@ -177,9 +175,11 @@ def test_constants_serializable():
 
 
 def test_nearest_node_tie_goes_to_smaller_index():
-    pts = PointSet(np.array([0.0, 1.0]))
-    assert nearest_node(0.5, pts) == 0
-    assert nearest_node(0.51, pts) == 1
+    """The envelope is anchored at the nearest node; at the midpoint of two
+    nodes the smaller index wins."""
+    pts = PointSet(np.array([0.0, 1.0]), values=np.array([0.0, 1.0]))
+    cert = certify_bound(pts, monomial_basis(1), WeightSpec("exp", 1.0), grid=[0.5, 0.51])
+    assert cert.k0.tolist() == [0, 1]
 
 
 def test_uniform_grid_plain():
@@ -268,22 +268,24 @@ def test_monomial_slope_sup_is_dense_grid_max(lo, hi, l):
 # --- the batched certificate against the point-by-point loop ---------------
 
 
-def _per_point_certificate(pts, basis, weight, grid, convention, cond_limit):
-    """Reference: one build_system, build_operators and nearest_node per
+def _nearest_node(x: float, points: PointSet) -> int:
+    """Index of the node closest to x; ties go to the smaller index."""
+    return int(np.argmin(points.distances(np.atleast_1d(float(x)))))
+
+
+def _per_point_certificate(pts, basis, weight, grid, convention):
+    """Reference: one build_system, build_operators and nearest node per
     grid point, as the certificate was computed before it was batched."""
     xs = pts.nodes[:, 0]
     consts = bound_constants(pts, basis, weight.alpha, convention)
-    anchor = [
-        np.linalg.norm(build_system(x, pts, basis, weight, cond_limit=cond_limit).coeffs)
-        for x in xs
-    ]
+    anchor = [np.linalg.norm(build_system(x, pts, basis, weight).coeffs) for x in xs]
     m1, m2 = consts.forcing_bound, consts.growth_rate
     lhs, rhs, k0s = [], [], []
     max_comp_h = max_forcing = 0.0
     for x in grid:
-        sysm = build_system(x, pts, basis, weight, cond_limit=cond_limit)
+        sysm = build_system(x, pts, basis, weight)
         bundle = build_operators(sysm)
-        k0 = nearest_node(x, pts)
+        k0 = _nearest_node(x, pts)
         dist = float(abs(x - xs[k0]))
         base = float(anchor[k0]) + m1 * dist
         env = math.exp(min(math.log(base) + m2 * dist, bound1d._MAX_LOG)) if base > 0 else 0.0
@@ -308,12 +310,12 @@ def _outcome(fn):
         return None, (type(exc), str(exc))
 
 
-def _assert_same_certificate(pts, basis, weight, grid, convention, cond_limit=1e12):
+def _assert_same_certificate(pts, basis, weight, grid, convention):
     cert, error = _outcome(lambda: certify_bound(
-        pts, basis, weight, grid=grid, convention=convention, cond_limit=cond_limit
+        pts, basis, weight, grid=grid, convention=convention
     ))
     ref, ref_error = _outcome(lambda: _per_point_certificate(
-        pts, basis, weight, grid, convention, cond_limit
+        pts, basis, weight, grid, convention
     ))
     assert error == ref_error
     if ref is None:
@@ -399,18 +401,15 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
         pytest.fail("no later-block point has a new largest condition")
     limit = (worst_before + cond[j]) / 2.0
     assert j // block >= 1 and j % block > 0
+    monkeypatch.setattr(core, "COND_LIMIT", limit)
     with pytest.raises(ConditioningError) as err:
-        certify_bound(pts, basis, weight, grid=grid, cond_limit=limit)
+        certify_bound(pts, basis, weight, grid=grid)
     expected = str(ConditioningError(cond[j], limit))
     assert str(err.value) == expected
-    _assert_same_certificate(pts, basis, weight, grid, "standard", cond_limit=limit)
+    _assert_same_certificate(pts, basis, weight, grid, "standard")
     # and through the CLI, with its exit code
     pts.to_csv(tmp_path / "in.csv")
     (tmp_path / "cfg.json").write_text('{"l": 2, "weight": {"family": "exp", "alpha": 2.0}}')
-    monkeypatch.setattr(
-        cli.bound1d, "certify_bound",
-        functools.partial(bound1d.certify_bound, cond_limit=limit),
-    )
     code = cli.main([
         "bound", "--input", str(tmp_path / "in.csv"),
         "--config", str(tmp_path / "cfg.json"), "--grid", "200",

@@ -82,13 +82,14 @@ def test_rank_deficient_design_fails():
     with pytest.raises(HypothesisFailure) as err:
         build_system(np.array([1.5, 1.5]), collinear, basis, EXP1)
     assert "design_full_rank" in err.value.items
-    rep = check_hypotheses(collinear, basis, EXP1)
+    rep = check_hypotheses(collinear, basis)
     assert rep.rank == 2 and rep.failed_items == ["design_full_rank"]
 
 
-def test_conditioning_limit_enforced():
+def test_conditioning_limit_enforced(monkeypatch):
+    monkeypatch.setattr(core, "COND_LIMIT", 1.0)
     with pytest.raises(ConditioningError):
-        build_system(1.0, NODES_012, monomial_basis(2), EXP1, cond_limit=1.0)
+        build_system(1.0, NODES_012, monomial_basis(2), EXP1)
 
 
 def test_interpolating_weight_at_node():
@@ -108,18 +109,10 @@ def test_evaluate_many():
 
 
 def test_check_hypotheses_ok():
-    rep = check_hypotheses(NODES_012, monomial_basis(2), EXP1)
+    rep = check_hypotheses(NODES_012, monomial_basis(2))
     assert rep.ok
     assert rep.basis_size_le_nodes and rep.design_full_rank
-    assert rep.weight_smooth is True
     assert rep.failed_items == []
-
-
-def test_check_hypotheses_flags_nonsmooth_weight():
-    rep = check_hypotheses(NODES_012, monomial_basis(2), WeightSpec("shepard", 1.0))
-    # smoothness is advisory, not gating
-    assert rep.ok
-    assert rep.weight_smooth is False
 
 
 def test_design_shape():

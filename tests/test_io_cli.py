@@ -279,6 +279,20 @@ def test_overflowing_design_names_the_node(command, tmp_path, capfd):
     assert err == "error: basis values at node 1e+155 are not finite\n"
 
 
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_overflowing_basis_at_a_point_names_the_point(command, linear_csv, tmp_path, capfd):
+    """x^2 overflows at the evaluation point 1e160, though the design at
+    the nodes 0, 1, 2 is fine: malformed input naming the point, with no
+    numpy warning and no wrong hypothesis label."""
+    cfg = tmp_path / "l3.json"
+    cfg.write_text('{"l": 3}')
+    code = main([command, "--input", linear_csv, "--config", str(cfg),
+                 "--grid", "1e160:1e160:1"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: basis values at evaluation point 1e+160 are not finite\n"
+
+
 def test_converge_csv_columns(capsys):
     code, out, _ = run_cli(["converge", "--format", "csv"], capsys)
     assert code == 0
@@ -351,3 +365,36 @@ def test_parser_built_once_without_shared_state(linear_csv, tmp_path, capsys):
     assert json.loads(out.read_text())["tolerances"]["bound"] == 2e-6
     assert run_cli(base, capsys)[0] == 0
     assert json.loads(out.read_text())["tolerances"] == Tolerances().to_dict()
+
+
+#: the flags each subcommand reads
+ACCEPTED = {
+    "fit": {"input", "config", "grid", "format", "out"},
+    "diagnose": {"input", "config", "grid", "seed", "tol", "out"},
+    "bound": {"input", "config", "grid", "format", "convention", "tol", "out"},
+    "converge": {"config", "format", "out"},
+    "selftest": {"seed", "tol", "out"},
+}
+#: a well-formed value per flag, so only the flag itself can be refused
+FLAG_VALUES = {
+    "input": "nodes.csv", "config": "cfg.json", "grid": "5", "seed": "3",
+    "format": "json", "convention": "standard", "tol": "lin=1e-9", "out": "out.json",
+}
+IGNORED = [
+    (command, flag)
+    for command, flags in ACCEPTED.items()
+    for flag in FLAG_VALUES
+    if flag not in flags
+]
+
+
+@pytest.mark.parametrize("command,flag", IGNORED)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, capsys):
+    """Each subcommand accepts only the flags it reads: any other is an
+    argparse usage error (exit 2), before the command runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{flag}", FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}" in captured.err

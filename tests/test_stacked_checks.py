@@ -34,6 +34,22 @@ def _norm2(mat):
     return float(np.linalg.norm(mat, 2))
 
 
+class _Weight:
+    """A weight family of this file's own, for what ``WeightSpec`` does
+    not offer: ``w`` maps distances to reciprocal weights elementwise, an
+    overflow to inf is silent and a negative weight raises ``ValueError``."""
+
+    def __init__(self, w, family="fake", interpolating=False):
+        self._w, self.family, self.interpolating = w, family, interpolating
+
+    def w(self, r):
+        with np.errstate(over="ignore"):
+            out = np.asarray(self._w(np.asarray(r, dtype=float)), dtype=float)
+        if np.any(out < 0):
+            raise ValueError("negative weight")
+        return out if np.ndim(r) else float(out)
+
+
 # --- per-instance references -------------------------------------------------
 
 
@@ -139,10 +155,9 @@ def _ref_core_rows(seed, suite):
         got = float(a @ (sysm.design @ coef))
         row["reproduction"] = abs(got - target) / max(1.0, abs(target))
         row["s"] = s = float(np.exp(rng.uniform(-3.0, 3.0)))
-        scaled = WeightSpec(
-            "custom", custom_w=lambda r, b=it.weight, s=s: s * np.asarray(b.w(r)),
-            custom_interpolating=it.weight.interpolating,
-            custom_smooth=it.weight.smooth,
+        scaled = _Weight(
+            lambda r, b=it.weight, s=s: s * np.asarray(b.w(r)),
+            interpolating=it.weight.interpolating,
         )
         a2 = build_system(it.x, it.points, it.basis, scaled).coeffs
         row["scale"] = float(np.max(np.abs(a - a2)))
@@ -334,7 +349,8 @@ def test_stacked_checks_match_per_instance_loops(seed, n):
             ref = _ref_eig_products(pairs[i]["umat"], pairs[i]["vmat"], TOL)
             _same(spectral._pair_report(stack, j), ref)
             _same(check_eig_products(pairs[i]["umat"], pairs[i]["vmat"], TOL), ref)
-    _same(selftest.suite_eig_product(seed, TOL, n=n), _ref_eig_suite(pairs, TOL))
+    with mock.patch.object(selftest, "PAIR_N", n):
+        _same(selftest.suite_eig_product(seed, TOL), _ref_eig_suite(pairs, TOL))
 
 
 def test_the_selftest_suite_mixes_weight_families_within_groups():
@@ -367,8 +383,8 @@ def _like(it, weight=None, x=None, solved=None):
                     it.x if x is None else x, meta=dict(it.meta), solved=solved)
 
 
-VANISH = WeightSpec("custom", custom_w=lambda r: np.where(r > 0.3, 0.0, 1.0 + r))
-NEGATIVE = WeightSpec("custom", custom_w=lambda r: -1.0 - r)
+VANISH = _Weight(lambda r: np.where(r > 0.3, 0.0, 1.0 + r))
+NEGATIVE = _Weight(lambda r: -1.0 - r)
 
 
 @pytest.mark.parametrize("order", ["odd_first", "odd_last"])
@@ -417,5 +433,5 @@ def test_eig_product_raises_the_first_failing_pair(order):
     expected = _raised(lambda: _ref_eig_suite(crafted, TOL))
     assert expected is not None
     with mock.patch.object(instances, "matrix_pair_suite", return_value=crafted):
-        got = _raised(lambda: selftest.suite_eig_product(8, TOL, n=len(crafted)))
+        got = _raised(lambda: selftest.suite_eig_product(8, TOL))
     assert got == expected

@@ -58,30 +58,10 @@ def test_interpolating_flags():
         assert spec.w(0.0) == 0.0
 
 
-def test_smoothness_flags():
-    assert WeightSpec("exp", 1.0).smooth
-    assert WeightSpec("mclain", 1.0).smooth
-    assert WeightSpec("levin", 1.0).smooth
-    assert not WeightSpec("shepard", 1.0).smooth
-
-
 def test_overflow_maps_to_inf():
     # a node past the representable range has weight exactly zero
     spec = WeightSpec("exp", 400.0)
     assert spec.w(3.0) == math.inf
-
-
-def test_custom_family():
-    spec = WeightSpec(
-        "custom",
-        custom_w=lambda r: np.asarray(r) ** 2,
-        custom_interpolating=True,
-        custom_smooth=True,
-    )
-    assert spec.w(2.0) == 4.0
-    assert spec.interpolating and spec.smooth
-    with pytest.raises(ValueError):
-        spec.to_dict()
 
 
 def test_dict_round_trip():
@@ -97,7 +77,7 @@ def test_from_dict_requires_family():
 
 @settings(max_examples=50, deadline=None)
 @given(
-    fam=st.sampled_from([f for f in FAMILIES if f != "custom"]),
+    fam=st.sampled_from(FAMILIES),
     alpha=st.floats(0.05, 4.0),
     r=st.floats(0.0, 3.0),
 )
