@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Digest every output the CLI writes for a set of seeds, one line per run.
+
+Usage:
+    python3 scripts/output_digests.py --seeds 42 7 3 > digests.txt
+
+Run it in two checkouts and diff the two files: equal lines mean equal
+bytes, so this is the check that a change keeps the reports byte-identical.
+Each line reads
+
+    <workload> <seed> <job> exit=<code> out=<sha256> err=<sha256>
+
+with the sha256 of the output file (``-`` when none was written) and of
+standard error.  The runs, each one ``python -m mlscert`` process on this
+checkout's ``src/`` in a fresh temporary directory, with BLAS on one
+thread:
+
+- ``fit`` and ``bound``: every job of the benchmark workloads of that seed
+  (``perfbench.workloads``, imported read-only; nothing is written there);
+- ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
+- ``converge`` (seed ``-``): the study on sin, exp and runge;
+- ``edge`` (seed ``-``): an evaluation point whose node distances
+  overflow, and ``--out`` naming a directory or a path under a missing one.
+
+Paths are relative to the run's directory, so messages that name a file
+read the same in every checkout.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # import perfbench without writing into it
+sys.path.insert(0, str(ROOT))
+from perfbench import workloads  # noqa: E402
+
+EDGE_INPUT = "x1,f\n0,0\n1,1\n2,4\n"
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv: list, workdir: Path, out: str | None) -> tuple:
+    """Exit code, output digest and stderr digest of one CLI process."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, "-m", "mlscert", *argv], cwd=workdir,
+                          env=env, capture_output=True)
+    path = workdir / out if out is not None else None
+    out_digest = _digest(path.read_bytes()) if path is not None and path.is_file() else "-"
+    return proc.returncode, out_digest, _digest(proc.stderr)
+
+
+def _seed_runs(seed: int):
+    """(workload, job, argv, input files, output name) of one seed."""
+    for workload in ("fit", "bound"):
+        for job in workloads.make_jobs(workload, seed):
+            files = {job.input_path(Path("."), flag).name: text
+                     for flag, text in job.inputs.items()}
+            yield workload, job.name, job.argv(Path(".")), files, job.out_path(Path(".")).name
+    for command in ("selftest", "diagnose"):
+        argv = [command, "--seed", str(seed), "--out", f"{command}.json"]
+        yield "selftest", command, argv, {}, f"{command}.json"
+
+
+def _fixed_runs():
+    for name in ("sin", "exp", "runge"):
+        argv = ["converge", "--config", "study.json", "--out", "converge.out"]
+        yield "converge", name, argv, {"study.json": json.dumps({"function": name})}, "converge.out"
+    fit = ["fit", "--input", "n3.csv", "--grid"]
+    inputs = {"n3.csv": EDGE_INPUT}
+    yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None
+    yield "edge", "out_is_directory", fit + ["0:2:3", "--out", "taken"], inputs, "taken"
+    yield "edge", "out_parent_missing", fit + ["0:2:3", "--out", "missing/out.json"], inputs, None
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[42])
+    args = ap.parse_args()
+    runs = [(str(seed), run) for seed in args.seeds for run in _seed_runs(seed)]
+    runs += [("-", run) for run in _fixed_runs()]
+    for seed, (workload, job, argv, files, out) in runs:
+        with tempfile.TemporaryDirectory() as tmp:
+            workdir = Path(tmp)
+            (workdir / "taken").mkdir()  # the directory edge/out_is_directory writes to
+            for name, text in files.items():
+                (workdir / name).write_text(text)
+            code, out_digest, err_digest = _run(argv, workdir, out)
+        print(f"{workload} {seed} {job} exit={code} out={out_digest} err={err_digest}",
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -367,13 +367,10 @@ class BoundCertificate:
         return self.envelope_ok and bool(self.majorants["pass"])
 
     def to_dict(self) -> dict:
-        pts = [
-            [float(x), float(l), float(r), int(k), float(s)]
-            for x, l, r, k, s in zip(self.xs, self.lhs, self.rhs, self.k0, self.slack)
-        ]
+        columns = (self.xs, self.lhs, self.rhs, self.k0, self.slack)
         return {
             "constants": self.constants.to_dict(),
-            "points": pts,
+            "points": [list(row) for row in zip(*(c.tolist() for c in columns))],
             "min_slack": float(np.min(self.slack)),
             "majorants": self.majorants,
             "pass": self.passed,
@@ -383,10 +380,8 @@ class BoundCertificate:
 
     def rows_csv(self) -> list[tuple]:
         """Plot-ready rows (x, lhs, rhs, slack)."""
-        return [
-            (float(x), float(l), float(r), float(s))
-            for x, l, r, s in zip(self.xs, self.lhs, self.rhs, self.slack)
-        ]
+        return list(zip(self.xs.tolist(), self.lhs.tolist(), self.rhs.tolist(),
+                        self.slack.tolist()))
 
 
 def certify_bound(

@@ -155,7 +155,10 @@ def _emit(text: str, out_path) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        try:
+            atomic_write(out_path, text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def cmd_fit(args) -> int:
@@ -172,7 +175,7 @@ def cmd_fit(args) -> int:
 
     coeffs, at_node = build_systems(grid, points, basis, weight)
     rows = [
-        tuple(xrow) + (f, s, amp)
+        xrow + [f, s, amp]
         for xrow, f, s, amp in zip(
             grid.tolist(),
             fitted_values(coeffs, at_node, points.values).tolist(),
@@ -184,7 +187,7 @@ def cmd_fit(args) -> int:
     if args.format == "csv":
         _emit(csv_text(header, rows), args.out)
     else:
-        _emit(canonical_json({"columns": header, "rows": [list(r) for r in rows]}), args.out)
+        _emit(canonical_json({"columns": header, "rows": rows}), args.out)
     return EXIT_OK
 
 

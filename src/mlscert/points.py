@@ -67,13 +67,16 @@ class PointSet:
         """Euclidean distances from evaluation points to every node.
 
         ``x`` is one point, (d,) or a scalar for d = 1, giving shape (m,);
-        or an (n, d) stack of points, giving shape (n, m).
+        or an (n, d) stack of points, giving shape (n, m).  A distance past
+        the largest double is inf, the zero-influence limit the weights
+        already map it to, without a numpy overflow warning.
         """
         x = np.asarray(x, dtype=float)
         rows = x if x.ndim == 2 else x.reshape(1, -1)
         if rows.shape[1] != self.dim:
             raise ValueError(f"point has dim {rows.shape[1]}, nodes have dim {self.dim}")
-        dist = np.linalg.norm(self.nodes[None] - rows[:, None, :], axis=2)
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(self.nodes[None] - rows[:, None, :], axis=2)
         return dist if x.ndim == 2 else dist[0]
 
     @classmethod

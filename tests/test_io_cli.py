@@ -293,6 +293,34 @@ def test_overflowing_basis_at_a_point_names_the_point(command, linear_csv, tmp_p
     assert err == "error: basis values at evaluation point 1e+160 are not finite\n"
 
 
+def test_overflowing_distance_gives_no_warning(linear_csv, capfd):
+    """With l = 2 the basis values at 1e160 stay finite, but the squared
+    node distances overflow: the distance is inf, the zero-influence limit,
+    and no numpy warning is printed (the RuntimeWarning filter in
+    pyproject.toml turns one into an error)."""
+    code = main(["fit", "--input", linear_csv, "--grid", "1e160:1e160:1"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "hypothesis failure: design_full_rank\n"
+
+
+@pytest.mark.parametrize("target", ["outdir", "missing/out.json"])
+def test_unwritable_out_is_a_clean_error(target, linear_csv, tmp_path, capsys):
+    """--out naming a directory or a path under a missing directory: exit 2
+    with the path and the OS reason, and no temp file left behind."""
+    (tmp_path / "outdir").mkdir()
+    out_path = tmp_path / target
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(
+        ["fit", "--input", linear_csv, "--grid", "0:2:3", "--out", str(out_path)], capsys
+    )
+    reason = "Is a directory" if target == "outdir" else "No such file or directory"
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {out_path}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
 def test_converge_csv_columns(capsys):
     code, out, _ = run_cli(["converge", "--format", "csv"], capsys)
     assert code == 0
