@@ -16,7 +16,10 @@ checkout's ``src/`` in a fresh temporary directory, with BLAS on one
 thread:
 
 - ``fit`` and ``bound``: every job of the benchmark workloads of that seed
-  (``perfbench.workloads``, imported read-only; nothing is written there);
+  (``perfbench.workloads``, imported read-only; nothing is written there),
+  plus the largest ``bound`` job again with ``--format csv``;
+- ``diagnose``: ``diagnose --input --grid N`` on the first ``fit`` job of an
+  interpolating weight on an ``N`` grid outside the known-failure ledger;
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
@@ -59,13 +62,24 @@ def _run(argv: list, workdir: Path, out: str | None) -> tuple:
     return proc.returncode, out_digest, _digest(proc.stderr)
 
 
+def _files(job) -> dict:
+    return {job.input_path(Path("."), flag).name: text for flag, text in job.inputs.items()}
+
+
 def _seed_runs(seed: int):
     """(workload, job, argv, input files, output name) of one seed."""
-    for workload in ("fit", "bound"):
-        for job in workloads.make_jobs(workload, seed):
-            files = {job.input_path(Path("."), flag).name: text
-                     for flag, text in job.inputs.items()}
-            yield workload, job.name, job.argv(Path(".")), files, job.out_path(Path(".")).name
+    jobs = {workload: workloads.make_jobs(workload, seed) for workload in ("fit", "bound")}
+    for workload, wjobs in jobs.items():
+        for job in wjobs:
+            yield workload, job.name, job.argv(Path(".")), _files(job), job.out_path(Path(".")).name
+    job = max(jobs["bound"], key=lambda j: j.size)
+    argv = job.argv(Path(".")) + ["--format", "csv"]
+    yield "bound", f"{job.name}_csv", argv, _files(job), job.out_path(Path(".")).name
+    job = next(j for j in jobs["fit"] if j.spec["family"] != "exp" and j.spec["grid"] == "N"
+               and not j.ledger)
+    argv = ["diagnose", "--input", f"{job.name}.csv", "--config", f"{job.name}.json",
+            "--grid", str(job.spec["n"]), "--out", "diagnose_grid.json"]
+    yield "diagnose", job.name, argv, _files(job), "diagnose_grid.json"
     for command in ("selftest", "diagnose"):
         argv = [command, "--seed", str(seed), "--out", f"{command}.json"]
         yield "selftest", command, argv, {}, f"{command}.json"

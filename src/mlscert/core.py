@@ -52,9 +52,15 @@ class HypothesisFailure(MlsError):
 _EPS = float(np.finfo(float).eps)
 
 
-def rank_tolerance(m: int, l: int, smax: float) -> float:
-    """Singular-value cutoff used for all numerical rank decisions."""
-    return max(m, l) * smax * _EPS * 16
+def rank_tolerance(m: int, l: int, smax):
+    """Singular-value cutoff used for all numerical rank decisions.
+
+    ``smax`` is a float or an array of them.  ``_EPS * 16`` is a power of
+    two, so grouping it changes no bit of the product while the result is
+    a normal double: it is unless smax < 1e-290, and a design's column of
+    ones keeps smax above 1e-155 (or at 0, when every weight is inf).
+    """
+    return max(m, l) * smax * (_EPS * 16)
 
 
 def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
@@ -80,10 +86,10 @@ def _first_nonfinite(rows, values) -> str | None:
     """The first of the points ``rows`` whose row of ``values`` is not
     finite, as an error message names it (a float, or a tuple of them), or
     None when every row is finite."""
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(values)
     if finite.all():
         return None
-    row = rows[np.argmin(finite)].tolist()
+    row = rows[np.argmin(finite.all(axis=1))].tolist()
     return repr(row[0]) if len(row) == 1 else repr(tuple(row))
 
 
@@ -179,8 +185,8 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
     n, m = dvecs.shape
     l = E.shape[-1]
     at_node = None
-    zero = dvecs == 0.0
-    if zero.any():
+    if not dvecs.all():  # a weight vanished at some node
+        zero = dvecs == 0.0
         hit_rows = np.flatnonzero(zero.any(axis=1))
         hits = np.argmax(zero[hit_rows], axis=1)
         if np.any(dists[hit_rows, hits] > 0):
@@ -195,16 +201,19 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
     root = np.sqrt(dvecs)
     qmats, rmats = np.linalg.qr(E / root[:, :, None], mode="reduced")
     svals = np.linalg.svd(rmats, compute_uv=False)
-    # the checks run on Python floats, row by row: the same double arithmetic
-    # as scalar code (an array ** 2 can differ from it in the last bit)
-    conds = []
-    for sv in svals.tolist():
-        smax, smin = sv[0], sv[-1]
-        if smin <= rank_tolerance(m, l, smax):
-            raise HypothesisFailure(["design_full_rank"])
-        conds.append((smax / smin) ** 2)
-        if conds[-1] > COND_LIMIT:
-            raise ConditioningError(conds[-1], COND_LIMIT)
+    smax, smin = svals[:, 0], svals[:, -1]
+    # rows up to the first rank-deficient one; a row's first failing check
+    # decides, and the first failing row in row order raises
+    deficient = (smin <= rank_tolerance(m, l, smax)).tolist()
+    full = deficient.index(True) if True in deficient else len(deficient)
+    # Python's float power, not np.square: the two differ in the last bit
+    # on about 1 value in 1200 (2e6 random ratios)
+    conds = [(a / b) ** 2 for a, b in zip(smax.tolist()[:full], smin.tolist()[:full])]
+    failing = next((c for c in conds if c > COND_LIMIT), None)
+    if failing is not None:
+        raise ConditioningError(failing, COND_LIMIT)
+    if full < len(deficient):
+        raise HypothesisFailure(["design_full_rank"])
 
     sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
     coeffs = (qmats @ sol)[:, :, 0] / root
@@ -363,13 +372,13 @@ def fitted_values(coeffs, at_node, values) -> np.ndarray:
     """Fitted values from the output of ``build_systems``.
 
     An interpolation-limit row takes its node's value; any other row is
-    a(x) @ values, one dot product per row, because a stacked product can
-    differ in the last bit.
+    a(x) @ values.  ``np.vecdot`` takes the same BLAS dot product per row
+    as ``a @ values``, so the stack equals the per-row products bit for bit.
     """
-    return np.array(
-        [values[k] if k >= 0 else a @ values for a, k in zip(coeffs, at_node)],
-        dtype=float,
-    )
+    fitted = np.vecdot(coeffs, values)
+    hit = at_node >= 0
+    fitted[hit] = values[at_node[hit]]
+    return fitted
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ __all__ = [
     "random_suite",
     "random_h2_instance",
     "h2_suite",
-    "random_matrix_pair",
     "matrix_pair_suite",
     "FAMILY_MIX",
 ]
@@ -212,18 +211,19 @@ def h2_suite(n: int, seed: int) -> list:
     return [random_h2_instance(rng) for _ in range(n)]
 
 
-def _random_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):
-    """Symmetric matrix with known spectrum: Q diag(eigs) Q^T."""
+def _draw_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):
+    """Draws of a symmetric matrix with known spectrum Q diag(eigs) Q^T:
+    the eigenvalues and the Gaussian matrix whose QR gives Q."""
     eigs = rng.uniform(eig_lo, eig_hi, size=m)
     if n_zero:
         eigs[:n_zero] = 0.0
     rng.shuffle(eigs)
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    return q @ np.diag(eigs) @ q.T
+    return eigs, rng.standard_normal((m, m))
 
 
-def random_matrix_pair(rng) -> dict:
-    """Symmetric pair (U, V) with at least one positive-semidefinite factor.
+def _draw_pair(rng) -> tuple:
+    """Kind, size and the U and V draws of one pair, in the generator's
+    order.
 
     Three kinds, mixed 40/30/30: V positive definite with U indefinite,
     V singular positive semidefinite with U indefinite, and both factors
@@ -234,20 +234,49 @@ def random_matrix_pair(rng) -> dict:
     u = float(rng.uniform())
     if u < 0.4:
         kind = "v_pd"
-        umat = _random_symmetric(rng, m, -2.0, 3.0)
-        vmat = _random_symmetric(rng, m, 0.1, 3.0)
+        udraw = _draw_symmetric(rng, m, -2.0, 3.0)
+        vdraw = _draw_symmetric(rng, m, 0.1, 3.0)
     elif u < 0.7:
         kind = "v_psd_singular"
-        umat = _random_symmetric(rng, m, -2.0, 3.0)
+        udraw = _draw_symmetric(rng, m, -2.0, 3.0)
         n_zero = 1 if m == 1 else int(rng.integers(1, m))
-        vmat = _random_symmetric(rng, m, 0.1, 3.0, n_zero=n_zero)
+        vdraw = _draw_symmetric(rng, m, 0.1, 3.0, n_zero=n_zero)
     else:
         kind = "both_pd"
-        umat = _random_symmetric(rng, m, 0.05, 2.0)
-        vmat = _random_symmetric(rng, m, 0.1, 3.0)
-    return {"umat": umat, "vmat": vmat, "kind": kind, "m": m}
+        udraw = _draw_symmetric(rng, m, 0.05, 2.0)
+        vdraw = _draw_symmetric(rng, m, 0.1, 3.0)
+    return kind, m, udraw, vdraw
+
+
+def _symmetric_stack(draws: list) -> np.ndarray:
+    """Q diag(eigs) Q^T for each (eigs, gauss) of ``draws``, all of one size,
+    with Q from the QR of gauss.
+
+    One stacked QR and two stacked products; LAPACK and BLAS run per
+    matrix, so each result equals the one-matrix computation bit for bit.
+    """
+    eigs = np.stack([e for e, _ in draws])
+    q, _ = np.linalg.qr(np.stack([g for _, g in draws]))
+    diag = np.zeros(q.shape)
+    idx = np.arange(q.shape[-1])
+    diag[:, idx, idx] = eigs
+    return q @ diag @ q.transpose(0, 2, 1)
 
 
 def matrix_pair_suite(n: int, seed: int) -> list:
+    """n symmetric pairs (U, V), each with at least one positive-semidefinite
+    factor, from a single seeded generator (see ``_draw_pair``).
+
+    Every pair is drawn first, in order.  The QR that orthogonalizes the
+    Gaussian matrices draws no random numbers, so it runs afterwards, one
+    stacked call per matrix size.
+    """
     rng = np.random.default_rng(seed)
-    return [random_matrix_pair(rng) for _ in range(n)]
+    pairs = [_draw_pair(rng) for _ in range(n)]
+    out = [None] * n
+    for m in {m for _, m, _, _ in pairs}:
+        idx = [i for i, pair in enumerate(pairs) if pair[1] == m]
+        mats = _symmetric_stack([d for i in idx for d in pairs[i][2:]])
+        for j, i in enumerate(idx):
+            out[i] = {"umat": mats[2 * j], "vmat": mats[2 * j + 1], "kind": pairs[i][0], "m": m}
+    return out

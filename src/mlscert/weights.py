@@ -63,7 +63,7 @@ class WeightSpec:
         the solver handles that limit exactly (its coefficient comes out 0).
         """
         arr = np.asarray(r, dtype=float)
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError("distance must be nonnegative")
         a = self.alpha
         with np.errstate(over="ignore"):

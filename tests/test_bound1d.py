@@ -182,6 +182,29 @@ def test_nearest_node_tie_goes_to_smaller_index():
     assert cert.k0.tolist() == [0, 1]
 
 
+@pytest.mark.parametrize("family", ["shepard", "mclain", "levin", "exp"])
+def test_uniform_grid_nudge_matches_per_point_reference(family):
+    """The stacked nudge moves the same grid points by the same bits as a
+    check per grid point."""
+    rng = np.random.default_rng(4)
+    # grid points land on 31 nodes or within 1e-13 of them, 5e-13 from one
+    # more, and 2e-12 from the last, which keeps its place
+    xs = np.concatenate([np.linspace(0.0, 3.0, 31), [0.35 + 5e-13, 0.75 + 2e-12]])
+    pts = PointSet(np.sort(xs + rng.choice([0.0, 1e-13], xs.size) * (xs > 0)))
+    weight = WeightSpec(family, 1.0)
+    grid = uniform_grid(pts, 301, weight)
+    nodes = pts.nodes[:, 0]
+    ref = np.linspace(nodes.min(), nodes.max(), 301)
+    if weight.interpolating:
+        r = float(nodes.max() - nodes.min())
+        for i, g in enumerate(ref):
+            if np.min(np.abs(nodes - g)) < 1e-12:
+                ref[i] = g + 1e-9 * r
+    assert grid.tobytes() == ref.tobytes()
+    nudged = int(np.sum(grid != np.linspace(nodes.min(), nodes.max(), 301)))
+    assert nudged == (32 if weight.interpolating else 0)
+
+
 def test_uniform_grid_plain():
     grid = uniform_grid(PTS3, 5, WeightSpec("exp", 1.0))
     np.testing.assert_allclose(grid, [0.0, 0.5, 1.0, 1.5, 2.0], rtol=0)
@@ -348,7 +371,7 @@ def _assert_same_certificate(pts, basis, weight, grid, convention):
     n_grid=st.one_of(st.integers(1, 120), st.just("block+1")),
     seed=st.integers(0, 2**32 - 1),
 )
-# a stacked forcing product differs from one matvec per row here
+# an einsum of the forcing products differs from one matvec per row here
 @example(m=21, l=3, log_alpha=0.0, log_span=1.0, convention="standard", n_grid=2, seed=0)
 def test_batched_certificate_matches_per_point(
     m, l, log_alpha, log_span, convention, n_grid, seed
@@ -365,6 +388,29 @@ def test_batched_certificate_matches_per_point(
     grid = uniform_grid(pts, n_grid)
     weight = WeightSpec("exp", math.exp(log_alpha))
     _assert_same_certificate(pts, monomial_basis(min(l, len(xs))), weight, grid, convention)
+
+
+@pytest.mark.parametrize("m,l,alpha,span,n,seed", [
+    (21, 3, 1.0, math.e, 2, 0),  # where an einsum of the products differs
+    (40, 4, 0.3, 5.0, 300, 1),
+    (7, 1, 2.0, 1.0, 50, 2),
+])
+def test_certificate_norms_match_per_row_norms(m, l, alpha, span, n, seed):
+    """lhs and max_forcing equal one ``np.linalg.norm`` per grid row of a(x)
+    and of coef_map @ c'(x), bit for bit."""
+    rng = np.random.default_rng(seed)
+    xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
+    pts = PointSet(xs, values=np.cos(xs))
+    basis, weight = monomial_basis(l), WeightSpec("exp", alpha)
+    grid = uniform_grid(pts, n)
+    cert = certify_bound(pts, basis, weight, grid=grid)
+    lhs, forcing = [], []
+    for x in grid:
+        sysm = build_system(x, pts, basis, weight)
+        lhs.append(np.linalg.norm(sysm.coeffs))
+        forcing.append(np.linalg.norm(build_operators(sysm).coef_map @ basis.derivative_at(x)))
+    assert cert.lhs.tobytes() == np.array(lhs).tobytes()
+    assert repr(cert.majorants["max_forcing"]) == repr(float(max(forcing)))
 
 
 def test_batched_certificate_with_overflowing_weights():

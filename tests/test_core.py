@@ -21,6 +21,8 @@ from mlscert.core import (
     check_hypotheses,
     evaluate,
     evaluate_many,
+    fitted_values,
+    solve_stack,
 )
 from mlscert.error_analysis import amplification
 from mlscert.points import PointSet
@@ -241,6 +243,49 @@ def test_build_systems_block_boundary():
         assert error is None
         _assert_rows_equal(build_systems(xs, pts, basis, weight), rows)
     assert rows[-1].at_node == 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 25, 300])
+def test_fitted_values_match_per_row_products(m):
+    """The stacked dot products equal a @ values row by row, bit for bit,
+    and an interpolation-limit row takes its node's value, -0.0 included."""
+    rng = np.random.default_rng(m)
+    coeffs = rng.standard_normal((130, m)) * np.exp(rng.uniform(-20.0, 20.0, (130, 1)))
+    values = rng.standard_normal(m)
+    values[0] = -0.0
+    at_node = np.full(130, -1)
+    at_node[[3, 64, 129]] = [0, m - 1, m // 2]
+    coeffs[at_node >= 0] = np.eye(m)[at_node[at_node >= 0]]
+    ref = np.array([values[k] if k >= 0 else a @ values for a, k in zip(coeffs, at_node)])
+    assert fitted_values(coeffs, at_node, values).tobytes() == ref.tobytes()
+    assert fitted_values(coeffs[:0], at_node[:0], values).shape == (0,)
+
+
+# a design of rank 1, one whose Gram condition is about 1e15, and a good one
+RANK_DEFICIENT = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+ILL_CONDITIONED = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-7], [1.0, 1.0]])
+WELL_CONDITIONED = np.eye(3, 2)
+
+
+def _solve_designs(*designs):
+    k = len(designs)
+    ones = np.ones((k, 3))
+    return solve_stack(np.stack(designs), np.tile([1.0, 0.5], (k, 1)), ones, 2.0 * ones)
+
+
+@pytest.mark.parametrize("designs,expected", [
+    ((RANK_DEFICIENT,), HypothesisFailure),
+    ((ILL_CONDITIONED,), ConditioningError),
+    ((ILL_CONDITIONED, RANK_DEFICIENT), ConditioningError),
+    ((RANK_DEFICIENT, ILL_CONDITIONED), HypothesisFailure),
+    ((WELL_CONDITIONED, ILL_CONDITIONED, RANK_DEFICIENT), ConditioningError),
+    ((WELL_CONDITIONED, RANK_DEFICIENT, ILL_CONDITIONED), HypothesisFailure),
+])
+def test_first_failing_row_of_a_block_raises(designs, expected):
+    """The rank and conditioning checks of a stacked solve raise what the
+    first failing row raises, whatever fails after it."""
+    with pytest.raises(expected):
+        _solve_designs(*designs)
 
 
 NEAR = 0.2 + 1e-9  # next to a node of an interpolating weight: ConditioningError

@@ -86,6 +86,46 @@ def test_matrix_pairs_deterministic():
         np.testing.assert_array_equal(x["vmat"], y["vmat"])
 
 
+def _per_pair_suite(n, seed):
+    """Reference: every pair drawn and orthogonalized on its own, one QR
+    per matrix, as the suite did before its QRs were stacked."""
+    rng = np.random.default_rng(seed)
+
+    def symmetric(m, lo, hi, n_zero=0):
+        eigs = rng.uniform(lo, hi, size=m)
+        eigs[:n_zero] = 0.0
+        rng.shuffle(eigs)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        return q @ np.diag(eigs) @ q.T
+
+    out = []
+    for _ in range(n):
+        m = int(rng.integers(1, inst.PAIR_M_MAX + 1))
+        u = float(rng.uniform())
+        if u < 0.4:
+            kind, umat, vmat = "v_pd", symmetric(m, -2.0, 3.0), symmetric(m, 0.1, 3.0)
+        elif u < 0.7:
+            kind, umat = "v_psd_singular", symmetric(m, -2.0, 3.0)
+            n_zero = 1 if m == 1 else int(rng.integers(1, m))
+            vmat = symmetric(m, 0.1, 3.0, n_zero)
+        else:
+            kind, umat, vmat = "both_pd", symmetric(m, 0.05, 2.0), symmetric(m, 0.1, 3.0)
+        out.append({"umat": umat, "vmat": vmat, "kind": kind, "m": m})
+    return out
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (1, 17), (60, 5), (200, 42)])
+def test_matrix_pair_suite_matches_per_pair_draws(n, seed):
+    """One stacked QR per matrix size gives every pair bit for bit."""
+    got = inst.matrix_pair_suite(n, seed)
+    ref = _per_pair_suite(n, seed)
+    assert [(p["kind"], p["m"]) for p in got] == [(p["kind"], p["m"]) for p in ref]
+    for p, q in zip(got, ref):
+        assert p["umat"].tobytes() == q["umat"].tobytes()
+        assert p["vmat"].tobytes() == q["vmat"].tobytes()
+        assert p["umat"].shape == q["umat"].shape == (p["m"], p["m"])
+
+
 def test_meta_records_rejections():
     suite = inst.random_suite(40, 42)
     assert all(it.meta["attempts"] >= 1 for it in suite)
