@@ -23,14 +23,20 @@ def main() -> None:
 
     print(f"domain [{a}, {b}]  h0={args.h0}  levels={args.levels}  "
           f"alpha policy={args.policy}")
-    for name, f in sorted(ea.TEST_FUNCTIONS.items()):
+    names, fs = zip(*sorted(ea.TEST_FUNCTIONS.items()))
+    # one set of solves per basis size, shared by every function
+    by_l = {
+        l: ea.convergence_studies(
+            fs, l=l, domain=(a, b), h0=args.h0, n_levels=args.levels,
+            alpha0=args.alpha0, policy=args.policy,
+        )
+        for l in (1, 2, 3)
+    }
+    for k, name in enumerate(names):
         print(f"\n{name}")
         print(f"  {'l':>2}  {'h_final':>9}  {'sup error':>12}  {'order':>7}  amp")
-        for l in (1, 2, 3):
-            study = ea.convergence_study(
-                f, l=l, domain=(a, b), h0=args.h0, n_levels=args.levels,
-                alpha0=args.alpha0, policy=args.policy,
-            )
+        for l, studies in by_l.items():
+            study = studies[k]
             order = ("exact" if study.exact_reproduction
                      else f"{study.observed_order:7.3f}")
             print(f"  {l:>2}  {study.hs[-1]:9.4f}  {study.sup_errors[-1]:12.4e}"

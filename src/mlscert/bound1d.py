@@ -436,7 +436,7 @@ def certify_bound(
     max_comp_h = -math.inf
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
-    for start, rows, dists in solve_blocks(
+    for start, rows in solve_blocks(
         grid[:, None], points, basis, weight, design, _block_rows(points.m)
     ):
         block = slice(start, start + len(rows.coeffs))
@@ -446,7 +446,7 @@ def certify_bound(
         comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
         max_comp_h = _max_sigma(comp, max_comp_h)
         # the nearest node anchors the envelope; a tie goes to the smaller index
-        k0s[block] = np.argmin(dists, axis=1)
+        k0s[block] = np.argmin(rows.dists, axis=1)
         lhs[block] = _norms(rows.coeffs)
         # a stacked matmul runs one BLAS matrix-vector product per row, as
         # coef_map[i] @ c'(x_i) does (an einsum sums in another order)

@@ -27,8 +27,7 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
-    MlsError,
-    build_system,
+    build_system_list,
     build_systems,
     fitted_values,
 )
@@ -215,14 +214,9 @@ def cmd_diagnose(args) -> int:
     if grid.ndim == 1 and points.dim != 1:
         grid = grid.reshape(1, -1)
 
-    systems, error = [], None
-    for xrow in grid:
-        x = float(np.atleast_1d(xrow)[0]) if points.dim == 1 else xrow
-        try:
-            systems.append(build_system(x, points, basis, weight))
-        except (MlsError, ValueError) as exc:  # LinAlgError is a ValueError
-            error = exc
-            break
+    systems, error = build_system_list(
+        grid[:, None] if grid.ndim == 1 else grid, points, basis, weight
+    )
     # the points before a failing one are diagnosed first, so an error
     # there still comes first, as in a loop over the points
     reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]

@@ -154,7 +154,7 @@ _BLOCK = 128
 
 
 class _Rows(NamedTuple):
-    """A solved block of n rows.
+    """A solved block of n rows, with the inputs of its solve.
 
     ``at_node`` holds, per row, the node of an interpolation-limit row or
     -1, and is None when no row is one; the QR fields cover the k rows
@@ -167,6 +167,9 @@ class _Rows(NamedTuple):
     rmats: np.ndarray  # (k, l, l)
     roots: np.ndarray  # (k, m) square roots of 2 * w
     conds: list  # k Gram condition estimates
+    cvecs: np.ndarray  # (n, l) basis values at the points
+    dists: np.ndarray  # (n, m) node distances
+    dvecs: np.ndarray  # (n, m) weight diagonals 2 * w
 
 
 def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
@@ -182,6 +185,7 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
     If a row fails, the error of a failing row is raised: for a single
     row, that point's error.
     """
+    inputs = (cvecs, dists, dvecs)
     n, m = dvecs.shape
     l = E.shape[-1]
     at_node = None
@@ -223,7 +227,7 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
         solved, coeffs = coeffs, np.zeros((n, m))
         coeffs[regular] = solved
         coeffs[hit_rows, hits] = 1.0
-    return _Rows(coeffs, at_node, qmats, rmats, root, conds)
+    return _Rows(coeffs, at_node, qmats, rmats, root, conds, *inputs)
 
 
 def _design_for(points, basis, design) -> np.ndarray:
@@ -252,28 +256,34 @@ def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> M
     ConditioningError
         If the Gram condition estimate exceeds ``COND_LIMIT``.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[None]
     E = _design_for(points, basis, None)
-    rows, cvecs, _, dvecs = _solve_points(xv[None], points, basis, weight, E)
-    if rows.at_node is not None:
-        return MlsSystem(
-            x=xv, design=E, dvec=dvecs[0], basis_at_x=cvecs[0], coeffs=rows.coeffs[0],
-            qmat=None, rmat=None, cond_gram=np.inf, at_node=int(rows.at_node[0]),
-        )
-    return MlsSystem(
-        x=xv, design=E, dvec=dvecs[0], basis_at_x=cvecs[0], coeffs=rows.coeffs[0],
-        qmat=rows.qmats[0], rmat=rows.rmats[0], cond_gram=rows.conds[0],
-    )
+    return _systems(xv, E, _solve_points(xv, points, basis, weight, E))[0]
 
 
-def _solve_points(xs, points, basis, weight, E):
-    """Solve the local systems at the rows of xs (n, d) in one block.
+def _systems(xs, E, rows) -> list:
+    """The ``MlsSystem`` of each row of the block ``rows`` solved at the
+    points xs (n, d), whose design is ``E`` (m, l) or the stack (n, m, l)."""
+    out = []
+    k = 0  # index among the rows off the nodes, which carry QR factors
+    for i, xv in enumerate(xs):
+        node = -1 if rows.at_node is None else int(rows.at_node[i])
+        if node >= 0:
+            solve = dict(qmat=None, rmat=None, cond_gram=np.inf, at_node=node)
+        else:
+            solve = dict(qmat=rows.qmats[k], rmat=rows.rmats[k], cond_gram=rows.conds[k])
+            k += 1
+        out.append(MlsSystem(
+            x=xv, design=E if E.ndim == 2 else E[i], dvec=rows.dvecs[i],
+            basis_at_x=rows.cvecs[i], coeffs=rows.coeffs[i], **solve,
+        ))
+    return out
 
-    Returns the solved rows plus the basis values (n, l), the node
-    distances (n, m) and the weight diagonals 2 * w (n, m) of the points.
-    A non-finite point, or one whose basis values overflow, raises
-    ``ValueError`` naming the first one.
-    """
+
+def _basis_rows(xs, basis) -> np.ndarray:
+    """Basis values (n, l) at the rows of xs (n, d).  A non-finite point,
+    or one whose basis values overflow, raises ``ValueError`` naming the
+    first one."""
     bad = _first_nonfinite(xs, xs)
     if bad is not None:
         raise ValueError(f"evaluation point {bad} is not finite")
@@ -282,9 +292,14 @@ def _solve_points(xs, points, basis, weight, E):
     bad = _first_nonfinite(xs, cvecs)
     if bad is not None:
         raise ValueError(f"basis values at evaluation point {bad} are not finite")
+    return cvecs
+
+
+def _solve_points(xs, points, basis, weight, E) -> _Rows:
+    """Solve the local systems at the rows of xs (n, d) in one block."""
+    cvecs = _basis_rows(xs, basis)
     dists = points.distances(xs)
-    dvecs = build_weight_diag(dists, weight)
-    return _solve_rows(E, cvecs, dists, dvecs), cvecs, dists, dvecs
+    return _solve_rows(E, cvecs, dists, build_weight_diag(dists, weight))
 
 
 def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
@@ -300,29 +315,61 @@ def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
     return _solve_rows(designs, cvecs, dists, dvecs).coeffs
 
 
+def build_system_stack(xs, point_sets, basis: BasisSpec, weights) -> list:
+    """The systems of k unrelated problems of one shape (m, l), solved in
+    one stacked call.
+
+    Problem i is the node set ``point_sets[i]`` with weight ``weights[i]``
+    at the point ``xs[i]``, a row of xs (k, d); all share ``basis``.  Each
+    system equals, bit for bit, what ``build_system`` gives for its
+    problem.  If a problem fails, the error of a failing one is raised (an
+    ``MlsError`` or ``ValueError``); a caller that needs each problem's own
+    error replays them with ``build_system``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    designs = np.stack([_design_for(p, basis, None) for p in point_sets])
+    cvecs = _basis_rows(xs, basis)
+    dists = np.stack([p.distances(x) for p, x in zip(point_sets, xs)])
+    dvecs = np.stack([build_weight_diag(d, w) for d, w in zip(dists, weights)])
+    return _systems(xs, designs, _solve_rows(designs, cvecs, dists, dvecs))
+
+
 def solve_blocks(xs, points, basis, weight, E, block_rows):
     """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows.
 
-    Yields ``(start, rows, dists)`` per solved block, in row order: the
-    solved rows from ``start`` on and their node distances.  A block that
-    fails is replayed point by point, one row per yield, so the first
-    failing point raises its own error -- what ``build_system`` raises
-    there (a stacked LAPACK error names no row at all).  Blocks are solved
-    only as the caller asks for them, so a caller's own per-row error
-    before that point still comes first.
+    Yields ``(start, rows)`` per solved block, in row order: the solved
+    rows from ``start`` on.  A block that fails is replayed point by point,
+    one row per yield, so the first failing point raises its own error --
+    what ``build_system`` raises there (a stacked LAPACK error names no row
+    at all).  Blocks are solved only as the caller asks for them, so a
+    caller's own per-row error before that point still comes first.
     """
     for start in range(0, len(xs), block_rows):
         stop = min(start + block_rows, len(xs))
         try:
-            rows, _, dists, _ = _solve_points(xs[start:stop], points, basis, weight, E)
+            rows = _solve_points(xs[start:stop], points, basis, weight, E)
         except (MlsError, ValueError):  # LinAlgError is a ValueError
             rows = None
         if rows is not None:
-            yield start, rows, dists
+            yield start, rows
             continue
         for i in range(start, stop):
-            rows, _, dists, _ = _solve_points(xs[i : i + 1], points, basis, weight, E)
-            yield i, rows, dists
+            yield i, _solve_points(xs[i : i + 1], points, basis, weight, E)
+
+
+def build_system_list(xs, points: PointSet, basis: BasisSpec, weight: WeightSpec):
+    """The systems at the rows of xs (n, d), solved in blocks: those of the
+    points before the first failing one, in row order, and the error that
+    ``build_system`` raises at that point (None when every point solves).
+    """
+    systems = []
+    try:
+        E = _design_for(points, basis, None)
+        for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK):
+            systems += _systems(xs[start : start + len(rows.coeffs)], E, rows)
+    except (MlsError, ValueError) as exc:  # LinAlgError is a ValueError
+        return systems, exc
+    return systems, None
 
 
 def build_systems(
@@ -347,7 +394,7 @@ def build_systems(
     E = _design_for(points, basis, design)
     coeffs = np.empty((len(xs), E.shape[0]))
     at_node = np.empty(len(xs), dtype=int)
-    for start, rows, _ in solve_blocks(xs, points, basis, weight, E, _BLOCK):
+    for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK):
         block = slice(start, start + len(rows.coeffs))
         coeffs[block] = rows.coeffs
         at_node[block] = -1 if rows.at_node is None else rows.at_node

@@ -25,6 +25,7 @@ __all__ = [
     "minimax_fit",
     "ConvergenceStudy",
     "convergence_study",
+    "convergence_studies",
     "TEST_FUNCTIONS",
 ]
 
@@ -272,6 +273,86 @@ def convergence_study(
     10x denser than the evaluation grid and reported alongside: ratios above
     1 can only stem from the oracle's grid resolution, and are reported
     rather than asserted.
+
+    The one-function case of ``convergence_studies``.
+    """
+    return convergence_studies(
+        [f_true], l, domain, h0, n_levels, alpha0, policy, family
+    )[0]
+
+
+class _Track:
+    """What a study of one function collects over the levels."""
+
+    def __init__(self, f_true, eval_grid, dense, l: int):
+        self.f_true = f_true
+        self.fvals_eval = _on_grid(f_true, eval_grid)
+        fscale = max(1.0, float(np.max(np.abs(self.fvals_eval))))
+        self.sat_floor = SATURATION_FACTOR * np.finfo(float).eps * fscale
+        # minimax oracle on the 10x denser grid (shared by all levels)
+        self.best = minimax_fit(dense, _on_grid(f_true, dense), degree=l - 1)
+        self.errs, self.sats = [], []
+        self.max_ratio = 0.0
+        self.near_violations = 0
+
+    def add_level(self, fitted, amp) -> None:
+        err = np.abs(self.fvals_eval - fitted)
+        worst = float(np.max(err))
+        best_level = self.best.grid_sup
+        if best_level > self.sat_floor:
+            ratios = err / (best_level * amp)
+            self.max_ratio = max(self.max_ratio, float(np.max(ratios)))
+            self.near_violations += int(np.count_nonzero(ratios > 1.0))
+        self.errs.append(worst)
+        self.sats.append(bool(worst <= self.sat_floor))
+
+    def study(self, hs, amps, meta) -> ConvergenceStudy:
+        errs, sats = self.errs, self.sats
+        usable = [k for k in range(len(hs)) if not sats[k]]
+        observed = _slope([hs[k] for k in usable], [errs[k] for k in usable])
+        per_level = []
+        for k in range(len(hs)):
+            use = [j for j in usable if j <= k]
+            per_level.append(_slope([hs[j] for j in use], [errs[j] for j in use]))
+        best_level = self.best.grid_sup
+        return ConvergenceStudy(
+            hs=list(hs),
+            sup_errors=errs,
+            amplifications=list(amps),
+            saturated=sats,
+            observed_order=observed,
+            order_per_level=per_level,
+            exact_reproduction=len(usable) == 0,
+            product_bound={
+                "best_level": best_level,
+                "oracle_converged": self.best.converged,
+                "max_ratio": self.max_ratio,
+                "near_violations": self.near_violations,
+                "skipped_exact": bool(best_level <= self.sat_floor),
+            },
+            meta=meta,
+        )
+
+
+def convergence_studies(
+    fs,
+    l: int,
+    domain: tuple = (0.0, 3.0),
+    h0: float = 0.2,
+    n_levels: int = 3,
+    alpha0: float = 1.0,
+    policy: str = "scaled",
+    family: str = "exp",
+) -> list:
+    """``convergence_study`` of each function of ``fs`` on the same grids,
+    one study per function, in order.
+
+    The coefficients a(x) depend on the nodes, the basis and the weight,
+    never on the sampled values, so each level is solved once for every
+    function.  Each function is evaluated on each grid as in its own study
+    -- the evaluation grid, the dense oracle grid, then the nodes of each
+    level -- and gets its own fitted values, minimax oracle and product
+    bound.
     """
     if n_levels < 3:
         raise ValueError("need at least three refinement levels")
@@ -282,71 +363,32 @@ def convergence_study(
         raise ValueError("domain must be a nondegenerate interval")
     basis = monomial_basis(l)
     eval_grid = np.linspace(lo, hi, EVAL_N)
-    fvals_eval = _on_grid(f_true, eval_grid)
-    fscale = max(1.0, float(np.max(np.abs(fvals_eval))))
-    sat_floor = SATURATION_FACTOR * np.finfo(float).eps * fscale
-
-    # minimax oracle on the 10x denser grid (shared by all levels)
     dense = np.linspace(lo, hi, 10 * (EVAL_N - 1) + 1)
-    fdense = _on_grid(f_true, dense)
-    best = minimax_fit(dense, fdense, degree=l - 1)
-    best_level = best.grid_sup
+    tracks = [_Track(f, eval_grid, dense, l) for f in fs]
 
-    hs, errs, amps, sats = [], [], [], []
-    max_ratio = 0.0
-    near_violations = 0
+    hs, amps = [], []
     for level in range(n_levels):
         h = h0 / (2.0**level)
         m = int(round((hi - lo) / h)) + 1
         nodes = np.linspace(lo, hi, m)
-        pts = PointSet(nodes, values=_on_grid(f_true, nodes))
+        samples = [PointSet(nodes, values=_on_grid(t.f_true, nodes)) for t in tracks]
         alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
-        weight = WeightSpec(family, alpha)
-        coeffs, at_node = build_systems(eval_grid, pts, basis, weight)
-        err = np.abs(fvals_eval - fitted_values(coeffs, at_node, pts.values))
+        coeffs, at_node = build_systems(
+            eval_grid, PointSet(nodes), basis, WeightSpec(family, alpha)
+        )
         amp = amplification(coeffs)  # 2 on a node row, whose a(x) is a unit vector
-        worst = float(np.max(err))
-        amp_max = float(np.max(amp))
-        if best_level > sat_floor:
-            ratios = err / (best_level * amp)
-            max_ratio = max(max_ratio, float(np.max(ratios)))
-            near_violations += int(np.count_nonzero(ratios > 1.0))
+        for track, pts in zip(tracks, samples):
+            track.add_level(fitted_values(coeffs, at_node, pts.values), amp)
         hs.append(h)
-        errs.append(worst)
-        amps.append(amp_max)
-        sats.append(bool(worst <= sat_floor))
+        amps.append(float(np.max(amp)))
 
-    usable = [k for k in range(n_levels) if not sats[k]]
-    exact = len(usable) == 0
-    observed = _slope([hs[k] for k in usable], [errs[k] for k in usable])
-    per_level = []
-    for k in range(n_levels):
-        use = [j for j in usable if j <= k]
-        per_level.append(_slope([hs[j] for j in use], [errs[j] for j in use]))
-
-    product_bound = {
-        "best_level": best_level,
-        "oracle_converged": best.converged,
-        "max_ratio": max_ratio,
-        "near_violations": near_violations,
-        "skipped_exact": bool(best_level <= sat_floor),
+    meta = {
+        "l": l,
+        "domain": [lo, hi],
+        "h0": h0,
+        "alpha0": alpha0,
+        "policy": policy,
+        "family": family,
+        "eval_n": EVAL_N,
     }
-    return ConvergenceStudy(
-        hs=hs,
-        sup_errors=errs,
-        amplifications=amps,
-        saturated=sats,
-        observed_order=observed,
-        order_per_level=per_level,
-        exact_reproduction=exact,
-        product_bound=product_bound,
-        meta={
-            "l": l,
-            "domain": [lo, hi],
-            "h0": h0,
-            "alpha0": alpha0,
-            "policy": policy,
-            "family": family,
-            "eval_n": EVAL_N,
-        },
-    )
+    return [track.study(hs, amps, dict(meta)) for track in tracks]

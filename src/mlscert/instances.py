@@ -19,11 +19,19 @@ quality checks have something nontrivial to chew on.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bases import BasisSpec, monomial_basis
-from .core import ConditioningError, HypothesisFailure, MlsSystem, build_system
+from .core import (
+    ConditioningError,
+    HypothesisFailure,
+    MlsError,
+    MlsSystem,
+    build_system,
+    build_system_stack,
+)
 from .points import PointSet
 from .weights import WeightSpec
 
@@ -121,94 +129,156 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def random_instance(rng) -> Instance:
-    """Draw one instance, rejecting badly conditioned configurations."""
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        m = int(rng.integers(M_RANGE[0], M_RANGE[1] + 1))
-        l = int(rng.integers(1, min(m, L_MAX) + 1))
-        family = _pick_family(rng)
-        alpha = _log_uniform(rng, *ALPHA_RANGE)
-        nodes = _sample_nodes(rng, m, NODE_MIN_SEP)
-        x = _sample_x(rng, nodes, X_NODE_MARGIN)
-        points = PointSet(nodes, values=_smooth_values(rng, nodes))
-        basis = monomial_basis(l)
-        weight = WeightSpec(family, alpha)
+class _Candidate(NamedTuple):
+    """One draw of a generator, before its system is solved."""
+
+    points: PointSet
+    basis: BasisSpec
+    weight: WeightSpec
+    x: float
+    meta: dict  # m, l, family and alpha
+
+
+def _draw_general(rng) -> _Candidate:
+    m = int(rng.integers(M_RANGE[0], M_RANGE[1] + 1))
+    l = int(rng.integers(1, min(m, L_MAX) + 1))
+    family = _pick_family(rng)
+    alpha = _log_uniform(rng, *ALPHA_RANGE)
+    nodes = _sample_nodes(rng, m, NODE_MIN_SEP)
+    x = _sample_x(rng, nodes, X_NODE_MARGIN)
+    points = PointSet(nodes, values=_smooth_values(rng, nodes))
+    meta = {"m": m, "l": l, "family": family, "alpha": alpha}
+    return _Candidate(points, monomial_basis(l), WeightSpec(family, alpha), x, meta)
+
+
+def _accept_general(sysm) -> dict | None:
+    cond_d = float(np.max(sysm.dvec) / np.min(sysm.dvec))
+    if sysm.cond_gram > GRAM_COND_CAP or cond_d > DIAG_COND_CAP:
+        return None
+    return {"cond_gram": float(sysm.cond_gram), "cond_d": cond_d}
+
+
+def _draw_h2(rng) -> _Candidate:
+    m = int(rng.integers(H2_M_RANGE[0], H2_M_RANGE[1] + 1))
+    l = int(rng.integers(1, min(m, H2_L_MAX) + 1))
+    alpha = _log_uniform(rng, *H2_ALPHA_RANGE)
+    nodes = _sample_nodes(rng, m, H2_NODE_MIN_SEP)
+    x = _sample_x(rng, nodes, X_NODE_MARGIN)
+    points = PointSet(nodes, values=_smooth_values(rng, nodes))
+    meta = {"m": m, "l": l, "family": "exp", "alpha": alpha}
+    return _Candidate(points, monomial_basis(l), WeightSpec("exp", alpha), x, meta)
+
+
+def _accept_h2(sysm) -> dict | None:
+    if sysm.cond_gram > GRAM_COND_CAP:
+        return None
+    return {"cond_gram": float(sysm.cond_gram)}
+
+
+def _solve_candidates(cands) -> list:
+    """The system at x of each candidate: None for a rejected one, whose
+    build raises ``ConditioningError`` or ``HypothesisFailure``, and the
+    error for one whose build raises any other ``ValueError``.
+
+    One stacked solve per shape (m, l).  A group whose solve raises is
+    replayed one candidate at a time, so each candidate gets what
+    ``build_system`` gives it.
+    """
+    out = [None] * len(cands)
+    groups = {}
+    for i, cand in enumerate(cands):
+        groups.setdefault((cand.points.m, cand.basis.size), []).append(i)
+    for idx in groups.values():
+        group = [cands[i] for i in idx]
         try:
-            sysm = build_system(x, points, basis, weight)
-        except (ConditioningError, HypothesisFailure):
-            continue
-        cond_d = float(np.max(sysm.dvec) / np.min(sysm.dvec))
-        if sysm.cond_gram > GRAM_COND_CAP or cond_d > DIAG_COND_CAP:
-            continue
-        return Instance(
-            points,
-            basis,
-            weight,
-            x,
-            meta={
-                "m": m,
-                "l": l,
-                "family": family,
-                "alpha": alpha,
-                "cond_gram": float(sysm.cond_gram),
-                "cond_d": cond_d,
-                "attempts": attempt,
-            },
-            solved=sysm,
-        )
-    raise RuntimeError(f"no acceptable instance after {MAX_ATTEMPTS} attempts")
+            solved = build_system_stack(
+                [[c.x] for c in group], [c.points for c in group],
+                group[0].basis, [c.weight for c in group],
+            )
+        except (MlsError, ValueError):  # LinAlgError is a ValueError
+            solved = None
+        if solved is None:
+            solved = [_solve_one(c) for c in group]
+        for i, sysm in zip(idx, solved):
+            out[i] = sysm
+    return out
+
+
+def _solve_one(cand):
+    # a rejection keeps no exception: its traceback would hold the solve's
+    # frames in a reference cycle until the next full garbage collection
+    try:
+        return build_system(cand.x, cand.points, cand.basis, cand.weight)
+    except (ConditioningError, HypothesisFailure):
+        return None
+    except ValueError as exc:  # LinAlgError is a ValueError
+        return exc
+
+
+def _draw_accepted(rng, n: int, draw, accept, what: str) -> list:
+    """The first n instances that ``accept`` keeps among the candidates
+    ``draw(rng)`` draws, in draw order.
+
+    A candidate is rejected when its build raises ``ConditioningError`` or
+    ``HypothesisFailure``, or when ``accept(system)`` gives None; otherwise
+    that dict joins its meta.  Any other build error is raised where the
+    walk reaches its candidate, and ``MAX_ATTEMPTS`` rejections in a row
+    raise ``RuntimeError``.  Each round draws exactly the number of
+    instances still missing and then solves them together
+    (``_solve_candidates``), so the generator ends where a loop that draws
+    and solves one candidate at a time ends, with the same instances.  (A
+    draw that cannot place its points raises as it is drawn, and a raise
+    may leave the generator further on than that loop would.)
+    """
+    out = []
+    attempt = 0
+    while len(out) < n:
+        cands = [draw(rng) for _ in range(n - len(out))]
+        for cand, sysm in zip(cands, _solve_candidates(cands)):
+            attempt += 1
+            if isinstance(sysm, Exception):
+                raise sysm
+            extra = None if sysm is None else accept(sysm)
+            if extra is not None:
+                meta = {**cand.meta, **extra, "attempts": attempt}
+                out.append(Instance(
+                    cand.points, cand.basis, cand.weight, cand.x, meta=meta, solved=sysm
+                ))
+                attempt = 0
+            elif attempt == MAX_ATTEMPTS:
+                raise RuntimeError(f"no acceptable {what} after {MAX_ATTEMPTS} attempts")
+    return out
+
+
+def random_instance(rng) -> Instance:
+    """Draw one instance, rejecting badly conditioned configurations: the
+    one-instance case of ``random_suite``."""
+    return _draw_accepted(rng, 1, _draw_general, _accept_general, "instance")[0]
 
 
 def random_suite(n: int, seed: int) -> list:
     """n independent instances from a single seeded generator."""
     rng = np.random.default_rng(seed)
-    return [random_instance(rng) for _ in range(n)]
+    return _draw_accepted(rng, n, _draw_general, _accept_general, "instance")
 
 
 def random_h2_instance(rng) -> Instance:
-    """Instance satisfying the 1-d growth-bound hypotheses.
+    """Instance satisfying the 1-d growth-bound hypotheses: the
+    one-instance case of ``h2_suite``.
 
     One dimension, strictly increasing nodes, exponential weight family,
     monomial basis (continuously differentiable).  Node separation and the
     evaluation margin are an order of magnitude wider than in the general
     suite so that finite-difference probes of da/dx have room to shrink.
     """
-    for attempt in range(1, MAX_ATTEMPTS + 1):
-        m = int(rng.integers(H2_M_RANGE[0], H2_M_RANGE[1] + 1))
-        l = int(rng.integers(1, min(m, H2_L_MAX) + 1))
-        alpha = _log_uniform(rng, *H2_ALPHA_RANGE)
-        nodes = _sample_nodes(rng, m, H2_NODE_MIN_SEP)
-        x = _sample_x(rng, nodes, X_NODE_MARGIN)
-        points = PointSet(nodes, values=_smooth_values(rng, nodes))
-        basis = monomial_basis(l)
-        weight = WeightSpec("exp", alpha)
-        try:
-            sysm = build_system(x, points, basis, weight)
-        except (ConditioningError, HypothesisFailure):
-            continue
-        if sysm.cond_gram > GRAM_COND_CAP:
-            continue
-        return Instance(
-            points,
-            basis,
-            weight,
-            x,
-            meta={
-                "m": m,
-                "l": l,
-                "family": "exp",
-                "alpha": alpha,
-                "cond_gram": float(sysm.cond_gram),
-                "attempts": attempt,
-            },
-            solved=sysm,
-        )
-    raise RuntimeError(f"no acceptable 1-d bound instance after {MAX_ATTEMPTS} attempts")
+    return _draw_accepted(rng, 1, _draw_h2, _accept_h2, "1-d bound instance")[0]
 
 
 def h2_suite(n: int, seed: int) -> list:
+    """n independent ``random_h2_instance`` draws from a single seeded
+    generator."""
     rng = np.random.default_rng(seed)
-    return [random_h2_instance(rng) for _ in range(n)]
+    return _draw_accepted(rng, n, _draw_h2, _accept_h2, "1-d bound instance")
 
 
 def _draw_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):

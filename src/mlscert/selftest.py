@@ -450,15 +450,18 @@ def suite_convergence(seed: int, tol: Tolerances) -> dict:
     study = error_analysis.convergence_study(
         np.sin, l=2, domain=(0.0, 3.0), h0=0.2, alpha0=1.0, policy="scaled"
     )
+    # each basis size solves its levels once for all the test functions
+    names, fs = zip(*error_analysis.TEST_FUNCTIONS.items())
+    by_l = [
+        error_analysis.convergence_studies(
+            fs, l=l, domain=(-1.0, 1.0), h0=0.1, alpha0=1.0, policy="scaled"
+        )
+        for l in (1, 2, 3)
+    ]
     battery = {}
     battery_ok = True
-    for name, f in error_analysis.TEST_FUNCTIONS.items():
-        orders = []
-        for l in (1, 2, 3):
-            s = error_analysis.convergence_study(
-                f, l=l, domain=(-1.0, 1.0), h0=0.1, alpha0=1.0, policy="scaled"
-            )
-            orders.append(s.observed_order)
+    for k, name in enumerate(names):
+        orders = [studies[k].observed_order for studies in by_l]
         mono = all(orders[i] <= orders[i + 1] + 0.02 for i in range(len(orders) - 1))
         battery[name] = {"orders": orders, "monotone": mono}
         battery_ok = battery_ok and mono

@@ -260,8 +260,9 @@ def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
     """Singular-value norm chain on the materialized operators.
 
     Verified in the standard convention (spectral norm = largest singular
-    value); the looser square-root variants of the two-sided chain are
-    reported alongside for comparison.
+    value).  The square-root variant of the two-sided chain, ||P|| <=
+    sqrt(cond D), is reported alongside for comparison: it is the sharper
+    bound, since sqrt(cond D) <= cond D.
     """
     dmin = np.min(ops.dvecs, axis=-1)
     dmax = np.max(ops.dvecs, axis=-1)

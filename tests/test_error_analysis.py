@@ -206,3 +206,76 @@ def test_study_calls_f_true_once_per_grid():
     assert canonical_json(study.to_dict()) == canonical_json(ref.to_dict())
     with pytest.raises(ValueError, match="elementwise"):
         ea.convergence_study(lambda x: 1.0, l=2)
+
+
+@pytest.mark.parametrize("l,kw", [
+    (1, dict(domain=(-1.0, 1.0), h0=0.1)),
+    (2, dict(domain=(-1.0, 1.0), h0=0.1)),
+    (3, dict(domain=(-1.0, 1.0), h0=0.1)),
+    (2, dict(n_levels=4, policy="fixed", alpha0=2.0)),
+    (1, dict(family="levin")),
+])
+def test_shared_studies_equal_one_study_per_function(l, kw):
+    """One solve per level for every function gives each function its own
+    study, byte for byte, and evaluates it once per grid, in its order."""
+    calls = {}
+
+    def counted(name, f):
+        def g(x):
+            calls.setdefault(name, []).append(np.shape(x))
+            return f(x)
+        return g
+
+    fs = [counted(name, f) for name, f in ea.TEST_FUNCTIONS.items()]
+    shared = ea.convergence_studies(fs, l, **kw)
+    alone = [ea.convergence_study(f, l, **kw) for f in ea.TEST_FUNCTIONS.values()]
+    assert [canonical_json(s.to_dict()) for s in shared] == [
+        canonical_json(s.to_dict()) for s in alone
+    ]
+    lo, hi = shared[0].meta["domain"]
+    grids = [(ea.EVAL_N,), (10 * (ea.EVAL_N - 1) + 1,)]
+    grids += [(int(round((hi - lo) / h)) + 1,) for h in shared[0].hs]
+    assert calls == {name: grids for name in ea.TEST_FUNCTIONS}
+
+
+def test_shared_studies_solve_each_level_once(monkeypatch):
+    solves = []
+    solve = ea.build_systems
+
+    def counted(*args, **kw):
+        solves.append(len(args[1].nodes))
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(ea, "build_systems", counted)
+    ea.convergence_studies(list(ea.TEST_FUNCTIONS.values()), 2, n_levels=4)
+    assert solves == [16, 31, 61, 121]
+
+
+def test_each_selftest_run_does_its_own_solves(monkeypatch):
+    """Nothing is kept between two runs in one process: each draws the
+    random suite once and solves its 12 convergence levels (3 for the
+    study, 3 per basis size of the battery)."""
+    from mlscert import selftest
+
+    draws, solves = [], []
+    draw, solve = selftest.instances.random_suite, ea.build_systems
+
+    def counted_draw(n, seed):
+        draws.append(seed)
+        return draw(n, seed)
+
+    def counted_solve(*args, **kw):
+        solves.append(len(args[1].nodes))
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(selftest.instances, "random_suite", counted_draw)
+    monkeypatch.setattr(ea, "build_systems", counted_solve)
+    reports = []
+    for _ in range(2):
+        reports.append(canonical_json(
+            selftest.run_selftest(42, suites=("core", "spectral", "convergence"))
+        ))
+    assert draws == [42, 42]
+    assert len(solves) == 24
+    assert solves[:12] == solves[12:]
+    assert reports[0] == reports[1]

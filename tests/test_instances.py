@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from mlscert import instances as inst
+from mlscert import core, instances as inst
+from mlscert.bases import monomial_basis
+from mlscert.core import ConditioningError, HypothesisFailure
+from mlscert.points import PointSet
+from mlscert.weights import WeightSpec
 
 
 def test_suite_deterministic():
@@ -129,3 +133,187 @@ def test_matrix_pair_suite_matches_per_pair_draws(n, seed):
 def test_meta_records_rejections():
     suite = inst.random_suite(40, 42)
     assert all(it.meta["attempts"] >= 1 for it in suite)
+
+
+# --- the batched draw against one candidate at a time -------------------------
+
+
+def _one_at_a_time(rng, h2: bool) -> inst.Instance:
+    """Reference: draw a candidate, solve it on its own, accept or redraw,
+    as the generators did before their solves were stacked."""
+    for attempt in range(1, inst.MAX_ATTEMPTS + 1):
+        if h2:
+            m = int(rng.integers(inst.H2_M_RANGE[0], inst.H2_M_RANGE[1] + 1))
+            l = int(rng.integers(1, min(m, inst.H2_L_MAX) + 1))
+            family = "exp"
+            alpha = inst._log_uniform(rng, *inst.H2_ALPHA_RANGE)
+            nodes = inst._sample_nodes(rng, m, inst.H2_NODE_MIN_SEP)
+        else:
+            m = int(rng.integers(inst.M_RANGE[0], inst.M_RANGE[1] + 1))
+            l = int(rng.integers(1, min(m, inst.L_MAX) + 1))
+            family = inst._pick_family(rng)
+            alpha = inst._log_uniform(rng, *inst.ALPHA_RANGE)
+            nodes = inst._sample_nodes(rng, m, inst.NODE_MIN_SEP)
+        x = inst._sample_x(rng, nodes, inst.X_NODE_MARGIN)
+        points = PointSet(nodes, values=inst._smooth_values(rng, nodes))
+        basis, weight = monomial_basis(l), WeightSpec(family, alpha)
+        try:
+            sysm = inst.build_system(x, points, basis, weight)
+        except (ConditioningError, HypothesisFailure):
+            continue
+        meta = {"m": m, "l": l, "family": family, "alpha": alpha,
+                "cond_gram": float(sysm.cond_gram)}
+        if sysm.cond_gram > inst.GRAM_COND_CAP:
+            continue
+        if not h2:
+            meta["cond_d"] = float(np.max(sysm.dvec) / np.min(sysm.dvec))
+            if meta["cond_d"] > inst.DIAG_COND_CAP:
+                continue
+        meta["attempts"] = attempt
+        return inst.Instance(points, basis, weight, x, meta=meta, solved=sysm)
+    what = "1-d bound instance" if h2 else "instance"
+    raise RuntimeError(f"no acceptable {what} after {inst.MAX_ATTEMPTS} attempts")
+
+
+def _assert_same_instance(got, ref):
+    assert got.meta == ref.meta
+    assert repr(got.x) == repr(ref.x)
+    assert (got.basis, got.weight) == (ref.basis, ref.weight)
+    for name in ("nodes", "values"):
+        assert getattr(got.points, name).tobytes() == getattr(ref.points, name).tobytes()
+    a, b = got.solved, ref.solved
+    for name in ("x", "design", "dvec", "basis_at_x", "coeffs", "qmat", "rmat"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert repr(a.cond_gram) == repr(b.cond_gram)
+    assert a.at_node == b.at_node
+
+
+def _suite_and_rng(monkeypatch, suite_fn, n, seed):
+    """``suite_fn(n, seed)`` and the generator it drew from."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(s):
+        made.append(default_rng(s))
+        return made[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording)
+        suite = suite_fn(n, seed)
+    return suite, made[0]
+
+
+_SUITES = {"general": (inst.random_suite, False), "h2": (inst.h2_suite, True)}
+
+
+@pytest.mark.parametrize("kind,n,seed", [
+    ("general", 1, 0), ("general", 30, 3), ("general", 200, 42),
+    ("h2", 1, 0), ("h2", 20, 42), ("h2", 60, 5),
+])
+def test_batched_draw_matches_one_at_a_time(monkeypatch, kind, n, seed):
+    """Drawing a round first and solving it per shape gives every instance
+    bit for bit, and leaves the generator where the one-by-one loop does."""
+    suite_fn, h2 = _SUITES[kind]
+    got, rng = _suite_and_rng(monkeypatch, suite_fn, n, seed)
+    ref_rng = np.random.default_rng(seed)
+    ref = [_one_at_a_time(ref_rng, h2) for _ in range(n)]
+    assert len(got) == n
+    for a, b in zip(got, ref):
+        _assert_same_instance(a, b)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("h2", [False, True])
+def test_single_draws_share_the_stream(h2):
+    """``random_instance`` and ``random_h2_instance`` are the one-instance
+    case: successive calls on one generator see the reference's stream."""
+    draw = inst.random_h2_instance if h2 else inst.random_instance
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(15):
+        _assert_same_instance(draw(rng), _one_at_a_time(ref_rng, h2))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["general", "h2"])
+def test_low_gram_cap_rejects_whole_groups(monkeypatch, kind):
+    """With a cap that most candidates miss, whole shape groups are
+    rejected and several rounds run; the instances do not change."""
+    monkeypatch.setattr(inst, "GRAM_COND_CAP", 30.0)
+    suite_fn, h2 = _SUITES[kind]
+    got = suite_fn(40, 8)
+    ref_rng = np.random.default_rng(8)
+    ref = [_one_at_a_time(ref_rng, h2) for _ in range(40)]
+    assert max(it.meta["attempts"] for it in ref) > 3
+    for a, b in zip(got, ref):
+        _assert_same_instance(a, b)
+
+
+@pytest.mark.parametrize("kind", ["general", "h2"])
+def test_failing_group_solves_are_replayed(monkeypatch, kind):
+    """A low conditioning limit makes stacked solves raise; their groups
+    are replayed one candidate at a time, and the instances do not change."""
+    monkeypatch.setattr(core, "COND_LIMIT", 1e3)
+    singles = []
+    one = inst.build_system
+
+    def counted(*args):
+        singles.append(args)
+        return one(*args)
+
+    monkeypatch.setattr(inst, "build_system", counted)
+    suite_fn, h2 = _SUITES[kind]
+    got = suite_fn(40, 9)
+    assert singles, "no group was replayed"
+    monkeypatch.setattr(inst, "build_system", one)
+    ref_rng = np.random.default_rng(9)
+    ref = [_one_at_a_time(ref_rng, h2) for _ in range(40)]
+    for a, b in zip(got, ref):
+        _assert_same_instance(a, b)
+
+
+@pytest.mark.parametrize("h2", [False, True])
+def test_max_attempts_raises_the_same_error(monkeypatch, h2):
+    monkeypatch.setattr(inst, "GRAM_COND_CAP", 0.0)
+    monkeypatch.setattr(inst, "MAX_ATTEMPTS", 7)
+    with pytest.raises(RuntimeError) as ref_err:
+        _one_at_a_time(np.random.default_rng(4), h2)
+    suite_fn = inst.h2_suite if h2 else inst.random_suite
+    with pytest.raises(RuntimeError) as got_err:
+        suite_fn(5, 4)
+    assert str(got_err.value) == str(ref_err.value)
+    assert "after 7 attempts" in str(got_err.value)
+    # one instance at a time, the generator stops where the reference does
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    draw = inst.random_h2_instance if h2 else inst.random_instance
+    with pytest.raises(RuntimeError):
+        draw(rng)
+    with pytest.raises(RuntimeError):
+        _one_at_a_time(ref_rng, h2)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_other_build_errors_raise_at_their_candidate(monkeypatch):
+    """An error that is not a rejection is raised where the walk reaches
+    its candidate: the first such candidate in draw order, whatever group
+    it was solved in."""
+    one = inst.build_system
+
+    def stack_fails(*args):
+        raise ValueError("stacked solve failed")
+
+    def fails_right_of(x, points, basis, weight):
+        if x > 0.9:
+            raise ValueError(f"no solve at {x!r}")
+        return one(x, points, basis, weight)
+
+    monkeypatch.setattr(inst, "build_system_stack", stack_fails)
+    monkeypatch.setattr(inst, "build_system", fails_right_of)
+    # seed 1: the 13th candidate is the first right of 0.9, and its group
+    # is solved after one that holds a later such candidate
+    ref_rng = np.random.default_rng(1)
+    with pytest.raises(ValueError) as ref_err:
+        for _ in range(200):
+            _one_at_a_time(ref_rng, False)
+    with pytest.raises(ValueError) as got_err:
+        inst.random_suite(200, 1)
+    assert str(got_err.value) == str(ref_err.value)

@@ -195,6 +195,61 @@ def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def _per_point_systems(xs, points, basis, weight):
+    """Reference: one ``build_system`` per point, up to the first failing
+    point, and its error."""
+    from mlscert.core import MlsError, build_system
+
+    systems = []
+    for x in xs:
+        try:
+            systems.append(build_system(x, points, basis, weight))
+        except (MlsError, ValueError) as exc:
+            return systems, exc
+    return systems, None
+
+
+@pytest.mark.parametrize(
+    "csv_text,config,grid",
+    [
+        # passes; three blocks
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "-0.5:3.5:300"),
+        # conditioning failure in a later block
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "0.5:60:300"),
+        ("const", '{"l": 4, "weight": {"family": "shepard", "alpha": 3}}', "0.5:60:300"),
+        # rank failure
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 30}}', "0.1:2.9:257"),
+        # a node of an interpolating weight, then a vanished weight
+        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0:100:3"),
+        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0.5:100:3"),
+        # 2-d nodes: at the nodes, then on a row of a:b:N
+        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', None),
+        ("plane", '{"l": 3, "weight": {"family": "mclain", "alpha": 1.0}}', "0:1:2"),
+        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', "0:1:3"),
+    ],
+)
+def test_diagnose_input_matches_per_point_builds(
+    tmp_path, capsys, monkeypatch, csv_text, config, grid
+):
+    """Block-solved systems give the output, exit code and error of one
+    ``build_system`` per point."""
+    from mlscert import cli
+
+    data = tmp_path / "in.csv"
+    data.write_text({
+        "const": "x1,f\n0.0,7.0\n1.0,7.0\n2.0,7.0\n3.0,7.0\n",
+        "plane": "x1,x2,f\n0,0,1\n1,0,2\n0,1,3\n1,1,4\n0.5,0.3,5\n0.2,0.8,6\n",
+    }[csv_text])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    argv = ["diagnose", "--input", str(data), "--config", str(cfg)]
+    if grid is not None:
+        argv.append(f"--grid={grid}")
+    got = run_cli(argv, capsys)
+    monkeypatch.setattr(cli, "build_system_list", _per_point_systems)
+    assert got == run_cli(argv, capsys)
+
+
 def test_diagnose_suite_mode(capsys):
     code, out, err = run_cli(["diagnose", "--seed", "7"], capsys)
     assert code == 0
