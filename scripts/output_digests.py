@@ -17,7 +17,8 @@ thread:
 
 - ``fit`` and ``bound``: every job of the benchmark workloads of that seed
   (``perfbench.workloads``, imported read-only; nothing is written there),
-  plus the largest ``bound`` job again with ``--format csv``;
+  plus the largest ``bound`` job again with ``--format csv``, and again on
+  its grid reversed, ``--grid x_m:x_1:N``, so its grid rows run backwards;
 - ``diagnose``: ``diagnose --input --grid N`` on the first ``fit`` job of an
   interpolating weight on an ``N`` grid outside the known-failure ledger;
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
@@ -75,6 +76,10 @@ def _seed_runs(seed: int):
     job = max(jobs["bound"], key=lambda j: j.size)
     argv = job.argv(Path(".")) + ["--format", "csv"]
     yield "bound", f"{job.name}_csv", argv, _files(job), job.out_path(Path(".")).name
+    xs = job.spec["nodes"][:, 0].tolist()
+    backwards = f"--grid={xs[-1]!r}:{xs[0]!r}:{job.spec['n']}"
+    argv = [backwards if a.startswith("--grid=") else a for a in job.argv(Path("."))]
+    yield "bound", f"{job.name}_reversed", argv, _files(job), job.out_path(Path(".")).name
     job = next(j for j in jobs["fit"] if j.spec["family"] != "exp" and j.spec["grid"] == "N"
                and not j.ledger)
     argv = ["diagnose", "--input", f"{job.name}.csv", "--config", f"{job.name}.json",

@@ -11,7 +11,20 @@ import numpy as np
 
 from mlscert import instances
 from mlscert.config import Tolerances
-from mlscert.spectral import diagnose
+from mlscert.spectral import diagnose_each
+
+
+def _reports(systems, tol) -> list:
+    """The diagnose report of every system, in order, computed in one
+    ``diagnose_each`` call per shape (m, l)."""
+    groups = {}
+    for i, sysm in enumerate(systems):
+        groups.setdefault((sysm.m, sysm.l), []).append(i)
+    reports = [None] * len(systems)
+    for rows in groups.values():
+        for i, rep in zip(rows, diagnose_each([systems[i] for i in rows], tol)):
+            reports[i] = rep
+    return reports
 
 
 def sweep(seed: int, n: int) -> dict:
@@ -20,10 +33,11 @@ def sweep(seed: int, n: int) -> dict:
     worst_min_eig = 0.0
     n_fail = 0
     fams = {}
-    for it in instances.random_suite(n, seed):
-        sysm = it.system()
+    suite = instances.random_suite(n, seed)
+    reports = _reports([it.system() for it in suite], tol)
+    # reduce in instance order, so a NaN lands where it did one call at a time
+    for it, rep in zip(suite, reports):
         fams[it.meta["family"]] = fams.get(it.meta["family"], 0) + 1
-        rep = diagnose(sysm, tol)
         d = rep.to_dict()
         if not d["pass"]:
             n_fail += 1

@@ -60,8 +60,16 @@ _MAX_LOG = math.log(np.finfo(float).max)
 #: unit roundoff of doubles
 _UNIT_ROUNDOFF = 2.0**-53
 
-#: rows per stacked SVD when ``max_comp_h`` checks its candidate rows
-_SVD_CHUNK = 8
+#: one grid row in this many gets a product bound up front; the rows
+#: between chain theirs from it (see ``_chained_upper``)
+_CHAIN_STRIDE = 8
+
+#: Gram squarings of the refined bound, G^(2^_SQUARINGS) (``_sigma_max_upper``)
+_SQUARINGS = 6
+
+#: least m whose candidate rows get the refined bound: below it, an SVD
+#: of the rows left costs less than the numpy calls of a refinement
+_REFINE_MIN_ORDER = 16
 
 
 def _block_rows(m: int) -> int:
@@ -72,67 +80,206 @@ def _block_rows(m: int) -> int:
 def _sigma_margin(m: int) -> float:
     """Relative rounding margin of ``_sigma_max_upper`` for (m, m) matrices.
 
-    With u = 2^-53, forming G = A^T A and squaring it twice in floating
-    point moves G^4 by at most about 7 m^2 u ||A||^8 in the 2-norm
-    (|fl(XY) - XY| <= m u |X||Y| per product, and || |X| || <= sqrt(m) ||X||),
-    hence its Frobenius norm by 7 m^2.5 u ||A||^8: an eighth of that after
-    the root.  The sum of squares and the four square roots add about
-    m^2 u / 8 + 4 u, and LAPACK's SVD returns sigma_max within p(m) u of
-    the exact value, taken here as p(m) = m^2.  All of it stays below
+    With u = 2^-53, forming G = A^T A in floating point moves it by at
+    most m^2 u ||A||^2 in the 2-norm (|fl(XY) - XY| <= m u |X||Y| per
+    product, and || |X| || <= sqrt(m) ||X||).  Each squaring doubles the
+    relative error it is given and adds its own m^2 u, so G^(2^p) is off
+    by (2^(p+1) - 1) m^2 u ||A||^(2^(p+1)), and its Frobenius norm, which
+    is at least sigma_max^(2^(p+1)), by sqrt(m) times that.  The
+    2^(p+1)-th root divides the relative error by 2^(p+1), so less than
+    m^2.5 u is left for every p.  The sum of squares adds at most
+    m^2 u / 16 after the root, the square roots 2 u together and the last
+    product u, and LAPACK's SVD returns sigma_max within p(m) u of the
+    exact value, taken here as p(m) = m^2.  All of it stays below
     8 m^3 u for every m >= 1.
     """
     return 1.0 + 8.0 * m**3 * _UNIT_ROUNDOFF
 
 
-def _sigma_max_upper(stack: np.ndarray) -> np.ndarray:
+def _chain_margin(m: int) -> float:
+    """Relative rounding margin of a bound chained over at most
+    ``_CHAIN_STRIDE`` = S steps between (m, m) matrices.
+
+    A chained bound is fl(U + d_1 + ... + d_s), s <= S, with U an upper
+    bound on the exact sigma_max of the starting matrix and d_i the
+    computed ||A_i - A_(i-1)||_F.  The subtraction is exact up to a factor
+    1 + u (and exact when the result is subnormal), the squares lose a
+    relative u, and at most 2^-1075 each to underflow, the sum of m^2
+    nonnegative terms a relative (m^2 - 1) u and the root u, so the exact
+    step is below d_i (1 + (m^2/2 + 3) u) + m 2^-537.  The s additions of
+    nonnegative terms lose at most a relative s u, LAPACK's SVD adds
+    m^2 u as in ``_sigma_margin``, and the product with this margin and
+    the sum with the absolute term ``_chain_floor(m)`` round once each:
+    together less than (2 m^2 + S + 8) u while that is far below 1.
+    """
+    return 1.0 + (2.0 * m * m + _CHAIN_STRIDE + 8.0) * _UNIT_ROUNDOFF
+
+
+def _chain_floor(m: int) -> float:
+    """Absolute term of a chained bound: the underflow of the squares in
+    up to ``_CHAIN_STRIDE`` steps (``_chain_margin``), with room for the
+    rounding of the SVD."""
+    return _CHAIN_STRIDE * m * 2.0**-536
+
+
+def _sigma_max(matrix: np.ndarray) -> float:
+    """sigma_max of a finite (m, m) matrix, bit for bit what
+    ``np.linalg.norm(stack, 2, axis=(1, 2))`` gives for it in any stack:
+    the same LAPACK SVD, whose values come sorted, without the norm's axis
+    handling and maximum."""
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
+                     squarings: int = 2) -> np.ndarray:
     """Upper bounds on the computed sigma_max of each matrix of a finite
-    (k, m, m) stack, from three matrix products instead of an SVD.
+    (k, m, m) stack, from matrix products instead of an SVD.
 
     Each matrix M is scaled by the exact power of two 2^-e that brings its
-    largest |entry| into [1/2, 1), so A = 2^-e M has sigma_max in [1/2, m]
-    and nothing below overflows or underflows to any effect (a subnormal
-    maximum is scaled by 2^1022 at most and lands in [2^-53, 1/2)).  Since
-    sigma_max(A)^16 <= tr(G^8) = ||G^4||_F^2 for G = A^T A, the bound is
-    2^e ||G^4||_F^(1/8), times ``_sigma_margin(m)``; it is 0 for M = 0.
+    largest |entry| into [1/2, 1) (``ldexp`` per entry, so a subnormal
+    maximum is scaled exactly too), and A = 2^-e M has sigma_max in
+    [1/2, m].  Since sigma_max(A)^(2^(p+2)) <= tr(G^(2^(p+1))) =
+    ||G^(2^p)||_F^2 for G = A^T A, the power G^(2^p) bounds sigma_max(M)
+    by 2^e ||G^(2^p)||_F^(2^-(p+1)) times ``_sigma_margin(m)``, an
+    overestimate by a factor of at most m^(2^-(p+2)): 1.26 for p = 2,
+    1.06 for p = 4 and 1.015 for p = 6 at m = 40.
+
+    Every matrix gets the bound of G^4 (three products).  Up to an even
+    ``squarings``, the matrices whose bound still exceeds ``best`` square
+    their last power twice more, G^4 to G^16 to G^64, each time after
+    rescaling it by the exact power of two that brings its largest |entry|
+    back into [1/2, 1), and keep the least bound.  So every power's norm
+    lies in [1/16, m^4] before its exponent (G^4 in [2^-8, m^8]), nothing
+    overflows, and what underflows is below 2^-900 of that norm.
     """
     k, m, _ = stack.shape
     _, expo = np.frexp(np.abs(stack).reshape(k, -1).max(axis=1))
-    expo = np.maximum(expo, -1022)
-    scaled = stack * np.ldexp(1.0, -expo)[:, None, None]
+    power = np.ldexp(stack, -expo[:, None, None])
     # contiguous operands: a transposed view takes numpy's slower matmul loop
-    gram = scaled.transpose(0, 2, 1).copy() @ scaled
-    gram = gram @ gram
-    gram = gram @ gram
-    root = np.sqrt(np.sqrt(np.sqrt(np.sqrt(np.einsum("kij,kij->k", gram, gram)))))
+    power = power.transpose(0, 2, 1).copy() @ power
+    power = power @ power
+    power = power @ power
+    upper = _power_bound(power, 2, 0, expo, m)
+    rows = np.flatnonzero(upper > best)
+    if squarings > 2 and rows.size:
+        power, shift = power[rows], np.zeros(rows.size, dtype=int)
+        for _ in range(2, squarings, 2):
+            _, rescale = np.frexp(np.abs(power).reshape(rows.size, m * m).max(axis=1))
+            power = np.ldexp(power, -rescale[:, None, None])
+            power = power @ power
+            power = power @ power
+            shift = 4 * (shift + rescale)
+        refined = _power_bound(power, squarings, shift, expo[rows], m)
+        upper[rows] = np.minimum(upper[rows], refined)
+    return upper
+
+
+def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
+    """The bound of ``_sigma_max_upper`` from a stack of powers
+    2^-shift G^(2^p) of matrices scaled by 2^-expo.
+
+    sigma_max^n <= 2^(2 shift) ||power||_F^2 with n = 2^(p+2), and
+    2 shift = n q + r with 0 <= r < n, so the n-th root, p + 2 square
+    roots, is exact in 2^q.  The bound is rounded up one ulp, so that a
+    subnormal one, which ``ldexp`` rounds to nearest, stays an upper
+    bound; it is 0 for power = 0.
+    """
+    q, r = np.divmod(2 * shift, 2 ** (p + 2))
+    flat = power.reshape(len(power), m * m)
+    root = np.ldexp(np.vecdot(flat, flat), r)
+    for _ in range(p + 2):
+        root = np.sqrt(root)
     with np.errstate(over="ignore"):  # inf is still an upper bound
-        return np.ldexp(root, expo) * _sigma_margin(m)
+        upper = np.ldexp(root * _sigma_margin(m), expo + q)
+    return np.nextafter(upper, np.inf, out=upper, where=root > 0)
 
 
-def _max_sigma(stack: np.ndarray, best: float) -> float:
-    """max(best, sigma_max of every matrix of the (k, m, m) stack).
+def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
+    """Upper bounds on the computed sigma_max of each matrix of a finite
+    (k, m, m) stack of consecutive grid rows, most of them chained from a
+    few product bounds; and the running maximum and carry of
+    ``_max_sigma``.
+
+    Every ``_CHAIN_STRIDE``-th row and the last row (the anchors) get
+    ``_sigma_max_upper``.  Weyl's inequality, |sigma_max(A) -
+    sigma_max(B)| <= ||A - B||_2 <= ||A - B||_F, bounds every other row
+    by an anchor's bound plus the Frobenius norms of the steps between
+    consecutive rows: forward from the anchor before it (the carried last
+    row of the block before, if any) and backward from the one after it,
+    whichever is smaller, times ``_chain_margin(m)`` plus
+    ``_chain_floor(m)``.  The anchor with the largest bound gets its SVD
+    first when it is sure to raise best: when its bound beats best even
+    divided by m^(1/16), the most the bound of G^4 overestimates (always,
+    while best is -inf).  Only rows whose chained bound still beats best
+    get a product bound, refined up to G^(2^_SQUARINGS) from
+    m = ``_REFINE_MIN_ORDER`` on; the others cannot raise best.  The row
+    that got its SVD gets that value as its bound, which no later SVD
+    exceeds; the carry takes its bound from before.
+    """
+    k, m, _ = stack.shape
+    stride = _CHAIN_STRIDE
+    anchors = np.append(np.arange(stride - 1, k - 1, stride), k - 1)
+    anchor_upper = _sigma_max_upper(stack[anchors])
+    # segment s holds the rows after anchor s - 1 up to anchor s, padded
+    # with zero steps after the last row
+    steps = np.zeros(anchors.size * stride)
+    if k > 1:
+        diff = (stack[1:] - stack[:-1]).reshape(k - 1, -1)
+        steps[1:k] = np.sqrt(np.vecdot(diff, diff))
+    if carry is not None:
+        diff = (stack[0] - carry[0]).ravel()
+        steps[0] = math.sqrt(np.vecdot(diff, diff))
+    steps = steps.reshape(anchors.size, stride)
+    start = np.concatenate(([math.inf if carry is None else carry[1]], anchor_upper[:-1]))
+    forward = start[:, None] + np.cumsum(steps, axis=1)
+    back = np.zeros_like(steps)
+    back[:, :-1] = steps[:, 1:]
+    backward = anchor_upper[:, None] + np.cumsum(back[:, ::-1], axis=1)[:, ::-1]
+    upper = np.minimum(forward, backward).ravel()[:k] * _chain_margin(m) + _chain_floor(m)
+    top = int(np.argmax(anchor_upper))
+    seeded = anchors[top]
+    seed = _sigma_max(stack[seeded]) if anchor_upper[top] * m ** (-1 / 16) > best else None
+    if seed is not None:
+        best = max(best, seed)
+    rows = np.flatnonzero(upper > best)
+    if rows.size:
+        squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
+        refined = _sigma_max_upper(stack[rows], best, squarings)
+        upper[rows] = np.minimum(upper[rows], refined)
+    carry = (stack[-1].copy(), float(upper[-1]))
+    if seed is not None:
+        upper[seeded] = seed
+    return upper, best, carry
+
+
+def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
+    """max(best, sigma_max of every matrix of the (k, m, m) stack), and
+    the carry for the next block of the same grid.
 
     The result is exact: an SVD of an actual matrix, the same stacked
     ``np.linalg.norm(., 2)`` as over the whole stack.  Only matrices whose
     upper bound exceeds the running maximum are decomposed, in decreasing
-    order of that bound, a few at a time; the others cannot raise it, and
-    each chunk drops them against the maximum of the chunks before.  A
-    stack with a non-finite entry, or an m whose margin would pass 1%,
-    takes the norm of every matrix as before, so it fails the same way
-    (numpy raises ``LinAlgError``) or yields NaN, which ``np.max`` keeps.
+    order of that bound, one at a time, so each SVD drops the rows it
+    settles; the others cannot raise the maximum.  The bounds come from
+    ``_chained_upper``.  ``carry`` is None or (matrix, bound): the last row
+    of the block before and an upper bound on its exact sigma_max, which
+    the chain starts from; the carry of this block's last row is returned
+    with the maximum.  A stack with a non-finite entry, or an m whose
+    margin would pass 1%, takes the norm of every matrix as before and
+    drops the carry, so it fails the same way (numpy raises
+    ``LinAlgError``) or yields NaN, which ``np.max`` keeps.
     """
-    if _sigma_margin(stack.shape[-1]) > 1.01 or not np.all(np.isfinite(stack)):
-        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
-    upper = _sigma_max_upper(stack)
-    order = np.argsort(upper)[::-1]
-    for start in range(0, order.size, _SVD_CHUNK):
-        rows = order[start : start + _SVD_CHUNK]
+    k, m, _ = stack.shape
+    if _sigma_margin(m) > 1.01 or not np.all(np.isfinite(stack)):
+        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best)), None
+    upper, best, carry = _chained_upper(stack, best, carry)
+    for row in np.argsort(upper)[::-1].tolist():
         # the bounds decrease, so the rows that beat best are a prefix; a
         # NaN best stops here too: nothing can change it
-        rows = rows[upper[rows] > best]
-        if rows.size == 0:
+        if not upper[row] > best:
             break
-        best = max(best, float(np.max(np.linalg.norm(stack[rows], 2, axis=(1, 2)))))
-    return best
+        best = max(best, _sigma_max(stack[row]))
+    return best, carry
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -194,16 +341,22 @@ def monomial_diff_matrix(l: int) -> np.ndarray:
 
 
 def check_hypotheses_1d(
-    points: PointSet, basis: BasisSpec, weight: WeightSpec
+    points: PointSet,
+    basis: BasisSpec,
+    weight: WeightSpec,
+    *,
+    design_svals: np.ndarray | None = None,
 ) -> list[str]:
-    """Structural requirements of the growth bound; returns failed items."""
+    """Structural requirements of the growth bound; returns failed items.
+    ``design_svals`` are the singular values of the design, when the
+    caller has them already."""
     failed = []
     if points.dim != 1:
         failed.append("dimension_one")
     else:
         if not points.is_increasing():
             failed.append("nodes_increasing")
-    base = check_hypotheses(points, basis)
+    base = check_hypotheses(points, basis, design_svals=design_svals)
     failed.extend(base.failed_items)
     if basis.dim != 1:
         failed.append("basis_derivative_available")
@@ -255,6 +408,8 @@ def bound_constants(
     basis: BasisSpec,
     alpha: float,
     convention: str = "standard",
+    *,
+    design_svals: np.ndarray | None = None,
 ) -> BoundConstants:
     """Compute the envelope constants on [x_1, x_m].
 
@@ -266,7 +421,8 @@ def bound_constants(
     1, x, ..., x^(l-1), ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease
     in |x|, so the sup is exact: the larger of the two endpoint values.  The
     metadata carries both conventions' constants and the
-    differentiation-matrix fields of that basis.
+    differentiation-matrix fields of that basis.  ``design_svals`` are the
+    singular values of the design, when the caller has them already.
     """
     if convention not in ("standard", "paper"):
         raise ValueError("convention must be 'standard' or 'paper'")
@@ -278,8 +434,9 @@ def bound_constants(
     if basis.dim != 1:
         raise HypothesisFailure(["basis_derivative_available"])
     r = float(xs[-1] - xs[0])
-    design = build_design(points, basis)
-    smin_design = float(np.linalg.svd(design, compute_uv=False)[-1])
+    if design_svals is None:
+        design_svals = np.linalg.svd(build_design(points, basis), compute_uv=False)
+    smin_design = float(design_svals[-1])
 
     # any grid's maximum, bit for bit: rounding keeps the norm monotone in |x|
     slope_sup = max(_norms(basis.derivative_rows(xs[[0, -1]])).tolist())
@@ -349,7 +506,8 @@ class BoundCertificate:
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
     argument held on the same grid.  ``majorants["max_comp_h"]`` is the
     exact max over the grid of sigma_max((P - I) H), the SVD of an actual
-    grid point, and ``max_forcing`` the max of ||A0 c'||.
+    grid point (the points whose chained or product upper bounds cannot
+    beat it get none), and ``max_forcing`` the max of ||A0 c'||.
     """
 
     constants: BoundConstants
@@ -403,17 +561,25 @@ def certify_bound(
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a 1-D basis).
 
-    ``max_comp_h`` is exact, from candidate rows: per block, a cheap upper
-    bound on sigma_max((P - I) H) from G = M^T M squared twice picks the
-    rows that could hold the maximum, and only those get an SVD.  c' is
-    evaluated once per block.
+    ``max_comp_h`` is exact, from candidate rows: per block, upper bounds
+    on sigma_max((P - I) H) pick the rows that could hold the maximum, and
+    only those get an SVD (``_max_sigma``).  A few rows get a bound from
+    products of G = M^T M; the others chain theirs from them along the
+    grid by Weyl's inequality, and the last row of each block carries the
+    chain into the next.  Any grid order gives the same maximum.  The
+    design and its SVD are computed once, for the hypotheses, the
+    constants and the solves.  c' is evaluated once per block.
     """
-    failed = check_hypotheses_1d(points, basis, weight)
+    # the design and its SVD serve the hypotheses, the constants and the
+    # solves; nothing before it in the checks can raise
+    design = build_design(points, basis)
+    svals = np.linalg.svd(design, compute_uv=False)
+    failed = check_hypotheses_1d(points, basis, weight, design_svals=svals)
     if failed:
         raise HypothesisFailure(failed)
     xs_nodes = points.nodes[:, 0]
     alpha = weight.alpha
-    consts = bound_constants(points, basis, alpha, convention)
+    consts = bound_constants(points, basis, alpha, convention, design_svals=svals)
     if grid is None:
         grid = uniform_grid(points, n_grid, weight)
     grid = np.asarray(grid, dtype=float).ravel()
@@ -422,7 +588,6 @@ def certify_bound(
     if grid.min() < xs_nodes[0] - 1e-12 or grid.max() > xs_nodes[-1] + 1e-12:
         raise ValueError("grid must lie within [x_1, x_m]")
 
-    design = build_design(points, basis)
     # anchor norms ||a(x_k)|| at every node (exp weights: nodes are regular
     # points of the solve)
     anchor_coeffs, _ = build_systems(xs_nodes, points, basis, weight, design=design)
@@ -433,7 +598,7 @@ def certify_bound(
     lhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
     forcing = np.empty(grid.size)
-    max_comp_h = -math.inf
+    max_comp_h, carry = -math.inf, None
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
     for start, rows in solve_blocks(
@@ -444,7 +609,7 @@ def certify_bound(
         # P - I, then (P - I) H, in place: a block holds one (rows, m, m) stack
         comp -= np.eye(points.m)
         comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
-        max_comp_h = _max_sigma(comp, max_comp_h)
+        max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
         # the nearest node anchors the envelope; a tie goes to the smaller index
         k0s[block] = np.argmin(rows.dists, axis=1)
         lhs[block] = _norms(rows.coeffs)

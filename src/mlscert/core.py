@@ -456,13 +456,16 @@ class HypothesisReport:
         ]
 
 
-def check_hypotheses(points: PointSet, basis: BasisSpec) -> HypothesisReport:
+def check_hypotheses(
+    points: PointSet, basis: BasisSpec, *, design_svals: np.ndarray | None = None
+) -> HypothesisReport:
     """Verify the structural requirements on (points, basis): the basis
-    size and the node geometry."""
-    E = build_design(points, basis)
-    m, l = E.shape
-    svals = np.linalg.svd(E, compute_uv=False)
-    rank = int(np.sum(svals > rank_tolerance(m, l, svals[0])))
+    size and the node geometry.  ``design_svals`` are the singular values
+    of the design, when the caller has them already."""
+    if design_svals is None:
+        design_svals = np.linalg.svd(build_design(points, basis), compute_uv=False)
+    m, l = points.m, basis.size
+    rank = int(np.sum(design_svals > rank_tolerance(m, l, design_svals[0])))
     return HypothesisReport(
         basis_size_le_nodes=l <= m,
         design_full_rank=rank == l,

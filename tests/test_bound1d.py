@@ -249,6 +249,52 @@ def test_certificate_envelope_clipping_keeps_validity():
     assert np.max(cert.rhs) <= np.finfo(float).max
 
 
+def test_certificate_builds_the_design_and_its_svd_once(monkeypatch):
+    """One certificate builds the design once and takes its SVD once, for
+    the hypotheses, the constants and the solves."""
+    xs = np.linspace(0.0, 3.0, 9)
+    pts, basis = PointSet(xs, values=np.sin(xs)), monomial_basis(3)
+    calls = {"design": 0, "svd": 0}
+    build, svd = bound1d.build_design, np.linalg.svd
+
+    def counted_build(*args):
+        calls["design"] += 1
+        return build(*args)
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd"] += np.shape(a) == (9, 3)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(bound1d, "build_design", counted_build)
+    monkeypatch.setattr(core, "build_design", counted_build)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    cert = certify_bound(pts, basis, WeightSpec("exp", 1.0), n_grid=50)
+    assert calls == {"design": 1, "svd": 1}
+    monkeypatch.undo()
+    assert cert.constants == bound_constants(pts, basis, alpha=1.0)
+
+
+def test_certificate_hypothesis_errors_keep_their_order():
+    """With the design built up front, a certificate still fails first on
+    the design (a dimension mismatch or an overflowing node), then on the
+    structural items in their order, then on the constants."""
+    exp = WeightSpec("exp", 1.0)
+    planar = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="basis expects dim 1, nodes have dim 2"):
+        certify_bound(planar, monomial_basis(2), exp)
+    with pytest.raises(HypothesisFailure) as err:
+        certify_bound(planar, monomial_basis(3, 2), WeightSpec("shepard", 1.0))
+    assert err.value.items == ["dimension_one", "basis_derivative_available",
+                               "exp_weight_family"]
+    with pytest.raises(ValueError, match=r"basis values at node 1e\+200 are not finite"):
+        certify_bound(PointSet(np.array([0.0, 1.0, 1e200])), monomial_basis(3), exp)
+    with pytest.raises(HypothesisFailure) as err:
+        certify_bound(PointSet(np.array([1.0, 0.0, 2.0])), monomial_basis(4), exp)
+    assert err.value.items == ["nodes_increasing", "basis_size_le_nodes", "design_full_rank"]
+    with pytest.raises(ValueError, match="need at least two nodes"):
+        certify_bound(PointSet(np.array([1.0])), monomial_basis(1), exp)
+
+
 def test_certificate_rejects_wrong_family():
     with pytest.raises(HypothesisFailure) as err:
         certify_bound(PTS3, monomial_basis(2), WeightSpec("mclain", 1.0), n_grid=10)
@@ -511,15 +557,63 @@ def _upper_bound_stacks():
         yield f"near max double m={m}", np.ldexp(rng.uniform(-1.0, 1.0, (k, m, m)), 1023)
 
 
-@pytest.mark.parametrize(
-    "stack", [pytest.param(stack, id=name) for name, stack in _upper_bound_stacks()]
-)
+UPPER_BOUND_STACKS = [pytest.param(stack, id=name) for name, stack in _upper_bound_stacks()]
+
+
+@pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
 def test_sigma_max_upper_bounds_the_svd(stack):
-    """The product bound is never below numpy's stacked sigma_max."""
-    upper = bound1d._sigma_max_upper(stack)
+    """The product bound of G^4 and the refined bounds of G^16 and G^64
+    are never below numpy's stacked sigma_max, and each refinement keeps
+    the smaller bound."""
     sigma = np.linalg.norm(stack, 2, axis=(1, 2))
+    upper = bound1d._sigma_max_upper(stack)
     assert np.all(upper >= sigma)
     assert not np.any(np.isnan(upper))
+    for squarings in range(4, bound1d._SQUARINGS + 1, 2):
+        refined = bound1d._sigma_max_upper(stack, -math.inf, squarings)
+        assert np.all(refined >= sigma), squarings
+        assert np.all(refined <= upper), squarings
+        assert not np.any(np.isnan(refined))
+
+
+@pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
+def test_sigma_max_is_the_stacked_norm(stack):
+    """The one-matrix SVD gives the bits of the stacked norm."""
+    sigma = np.linalg.norm(stack, 2, axis=(1, 2))
+    assert [bound1d._sigma_max(mat) for mat in stack] == sigma.tolist()
+
+
+def _smooth_run(rng, m, n, peak):
+    """n (m, m) matrices along a smooth path, like the grid rows of a
+    certificate, whose sigma_max has a bump at t = peak of [0, 1]."""
+    a, b, c = rng.standard_normal((3, m, m))
+    t = np.linspace(0.0, 1.0, n)[:, None, None]
+    return a + t * b + 3.0 * np.exp(-(((t - peak) / 0.15) ** 2)) * c
+
+
+def _blocks_of(run):
+    """The blocks a certificate grid of these rows would be split into."""
+    rows = bound1d._block_rows(run.shape[1])
+    return [run[i : i + rows] for i in range(0, len(run), rows)]
+
+
+def _count_work(monkeypatch) -> dict:
+    """Count the rows that get a product bound and the rows that get an
+    SVD in ``bound1d`` from here on."""
+    counts = {"product": 0, "svd": 0}
+    upper, sigma = bound1d._sigma_max_upper, bound1d._sigma_max
+
+    def counted_upper(stack, *args):
+        counts["product"] += len(stack)
+        return upper(stack, *args)
+
+    def counted_sigma(matrix):
+        counts["svd"] += 1
+        return sigma(matrix)
+
+    monkeypatch.setattr(bound1d, "_sigma_max_upper", counted_upper)
+    monkeypatch.setattr(bound1d, "_sigma_max", counted_sigma)
+    return counts
 
 
 def _full_max(blocks):
@@ -527,9 +621,9 @@ def _full_max(blocks):
 
 
 def _pruned_max(blocks):
-    best = -math.inf
+    best, carry = -math.inf, None
     for b in blocks:
-        best = bound1d._max_sigma(b, best)
+        best, carry = bound1d._max_sigma(b, best, carry)
     return best
 
 
@@ -551,6 +645,72 @@ def test_pruned_max_sigma_equals_the_full_max(m, sizes, decay, seed):
     assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    k=st.integers(1, 40),
+    smooth=st.booleans(),
+    carried=st.booleans(),
+    best_share=st.sampled_from([None, 0.0, 0.5, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chained_bounds_majorize_the_svd(m, k, smooth, carried, best_share, seed):
+    """Every bound of a block, chained or refined, and the bound it
+    carries on are at least numpy's sigma_max of their row, whatever the
+    running maximum and the carry it starts from."""
+    rng = np.random.default_rng(seed)
+    run = _smooth_run(rng, m, k + 1, 0.5) if smooth else rng.standard_normal((k + 1, m, m))
+    carry = (run[0], float(bound1d._sigma_max_upper(run[:1])[0])) if carried else None
+    stack = run[1:]
+    sigma = np.linalg.norm(stack, 2, axis=(1, 2))
+    best = -math.inf if best_share is None else best_share * float(np.max(sigma))
+    upper, new_best, new_carry = bound1d._chained_upper(stack, best, carry)
+    assert np.all(upper >= sigma)
+    assert new_best >= best and new_best <= np.max(sigma)
+    assert new_carry[0].tobytes() == stack[-1].tobytes()
+    assert new_carry[1] >= sigma[-1]
+
+
+@pytest.mark.parametrize("m,n,peak", [
+    (12, 300, 0.43),  # the maximum inside the grid, away from any anchor
+    (20, 400, 0.0),
+    (30, 200, 0.2),
+    (5, 200, 0.61),
+])
+def test_chain_prunes_smooth_runs(monkeypatch, m, n, peak):
+    """On smooth grid-like runs the chain leaves most rows without a
+    product bound and a few with an SVD (more below the order that gets
+    refined bounds), and the maximum is still the full one, bit for bit."""
+    run = _smooth_run(np.random.default_rng(m), m, n, peak)
+    blocks = _blocks_of(run)
+    counts = _count_work(monkeypatch)
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+    assert counts["product"] <= n / 2
+    assert counts["svd"] <= (8 if m >= bound1d._REFINE_MIN_ORDER else 16)
+    if 0.0 < peak < 1.0:
+        top = int(np.argmax(np.linalg.norm(run, 2, axis=(1, 2))))
+        assert 0 < top < n - 1 and top % bound1d._CHAIN_STRIDE != bound1d._CHAIN_STRIDE - 1
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_pruned_max_sigma_on_reordered_runs(order):
+    """A run read backwards, or in no order at all, gives the full
+    maximum too: the chain needs no order, only pruning does."""
+    run = _smooth_run(np.random.default_rng(2), 15, 300, 0.37)
+    run = run[::-1] if order == "reversed" else run[np.random.default_rng(3).permutation(300)]
+    blocks = _blocks_of(np.ascontiguousarray(run))
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+
+
+@pytest.mark.parametrize("m", [3, 17])
+def test_one_row_blocks_chain_through_the_carry(m):
+    """Blocks of one row, as a failing block is replayed, carry the chain
+    from row to row and still give the full maximum."""
+    run = _smooth_run(np.random.default_rng(m), m, 60, 0.3)
+    blocks = [run[i : i + 1] for i in range(60)]
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+
+
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_pruned_max_sigma_with_a_nan_block(where):
     """A block with a NaN takes the full stacked norm, so it fails exactly
@@ -564,6 +724,27 @@ def test_pruned_max_sigma_with_a_nan_block(where):
     assert repr(pruned) == repr(full)
 
 
+def test_non_finite_block_drops_the_carry(monkeypatch):
+    """An inf in a later block of a smooth run gives a NaN sigma_max
+    (a NaN raises LinAlgError, as ``test_pruned_max_sigma_with_a_nan_block``
+    checks), so the maximum is NaN, and the carry is dropped; the blocks
+    after it start a new chain, and a NaN maximum takes no SVD."""
+    blocks = _blocks_of(_smooth_run(np.random.default_rng(4), 20, 300, 0.5))
+    blocks[2] = blocks[2].copy()
+    blocks[2][5, 3, 3] = np.inf
+    assert math.isnan(_full_max(blocks))
+    best, carry = -math.inf, None
+    for b in blocks[:2]:
+        best, carry = bound1d._max_sigma(b, best, carry)
+    assert carry is not None and carry[0].tobytes() == blocks[1][-1].tobytes()
+    best, carry = bound1d._max_sigma(blocks[2], best, carry)
+    assert math.isnan(best) and carry is None
+    counts = _count_work(monkeypatch)
+    best, carry = bound1d._max_sigma(blocks[3], best, carry)
+    assert math.isnan(best) and carry[0].tobytes() == blocks[3][-1].tobytes()
+    assert counts["svd"] == 0
+
+
 @pytest.mark.parametrize("zero", [(0,), (1,), (0, 1)])
 def test_pruned_max_sigma_with_zero_blocks(zero):
     """All-zero blocks (P - I = 0 when l = m) give the full maximum too."""
@@ -575,32 +756,64 @@ def test_pruned_max_sigma_with_zero_blocks(zero):
 
 
 def test_pruned_max_sigma_keeps_a_nan_maximum():
-    """A NaN maximum stays NaN through later finite blocks, as in np.max."""
+    """A NaN maximum stays NaN through later finite blocks, as in np.max,
+    with or without a carry."""
     stack = np.random.default_rng(3).standard_normal((4, 6, 6))
-    assert math.isnan(bound1d._max_sigma(stack, math.nan))
+    for carry in (None, (stack[0], math.inf)):
+        best, _ = bound1d._max_sigma(stack, math.nan, carry)
+        assert math.isnan(best)
 
 
 def test_certificate_max_comp_h_is_the_full_stacked_max(monkeypatch):
     """The reported max_comp_h equals the maximum of the full stacked norm
     of every block (the computation before candidate rows) bit for bit."""
+    _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, "sorted")
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_certificate_max_comp_h_on_reordered_grids(monkeypatch, order):
+    """The same holds on a grid given backwards or in no order."""
+    _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order)
+
+
+def _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order):
     rng = np.random.default_rng(11)
     for m, l, n_grid in ((3, 1, 50), (4, 4, 60), (12, 3, 400), (30, 2, 200), (40, 4, 100)):
         xs = np.sort(rng.uniform(0.0, 1.0, m))
         pts = PointSet(xs, values=np.sin(xs))
         weight = WeightSpec("exp", float(rng.uniform(0.1, 2.0)))
-        cert = certify_bound(pts, monomial_basis(l), weight, n_grid=n_grid)
+        grid = uniform_grid(pts, n_grid)
+        if order == "reversed":
+            grid = grid[::-1].copy()
+        elif order == "shuffled":
+            grid = grid[rng.permutation(n_grid)]
+        cert = certify_bound(pts, monomial_basis(l), weight, grid=grid)
         stacks = []
 
-        def full(stack, best):
+        def full(stack, best, carry):
             stacks.append(stack.copy())
-            return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
+            return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best)), None
 
         with monkeypatch.context() as mp:
             mp.setattr(bound1d, "_max_sigma", full)
-            ref = certify_bound(pts, monomial_basis(l), weight, n_grid=n_grid)
+            ref = certify_bound(pts, monomial_basis(l), weight, grid=grid)
         assert len(stacks) > 1 or n_grid * m * m <= bound1d._BLOCK_DOUBLES
         assert repr(cert.majorants["max_comp_h"]) == repr(ref.majorants["max_comp_h"])
         assert repr(cert.majorants["max_comp_h"]) == repr(_full_max(stacks))
+
+
+def test_certificate_work_counts(monkeypatch):
+    """A 38-node, 400-point certificate gives an SVD to at most 8 grid rows
+    and a product bound to at most a third of them (every row got a
+    product bound, and about 41 an SVD, before the chain)."""
+    rng = np.random.default_rng(0)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 36)]))
+    pts = PointSet(xs, values=np.sin(xs))
+    counts = _count_work(monkeypatch)
+    cert = certify_bound(pts, monomial_basis(3), WeightSpec("exp", 1.0), n_grid=400)
+    assert cert.metadata["n_grid"] == 400
+    assert counts["svd"] <= 8
+    assert counts["product"] <= 400 / 3
 
 
 # --- c' per block -------------------------------------------------------------
