@@ -223,19 +223,20 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
     # segment s holds the rows after anchor s - 1 up to anchor s, padded
     # with zero steps after the last row
     steps = np.zeros(anchors.size * stride)
-    if k > 1:
-        diff = (stack[1:] - stack[:-1]).reshape(k - 1, -1)
-        steps[1:k] = np.sqrt(np.vecdot(diff, diff))
-    if carry is not None:
-        diff = (stack[0] - carry[0]).ravel()
-        steps[0] = math.sqrt(np.vecdot(diff, diff))
-    steps = steps.reshape(anchors.size, stride)
-    start = np.concatenate(([math.inf if carry is None else carry[1]], anchor_upper[:-1]))
-    forward = start[:, None] + np.cumsum(steps, axis=1)
-    back = np.zeros_like(steps)
-    back[:, :-1] = steps[:, 1:]
-    backward = anchor_upper[:, None] + np.cumsum(back[:, ::-1], axis=1)[:, ::-1]
-    upper = np.minimum(forward, backward).ravel()[:k] * _chain_margin(m) + _chain_floor(m)
+    with np.errstate(over="ignore"):  # inf is still an upper bound
+        if k > 1:
+            diff = (stack[1:] - stack[:-1]).reshape(k - 1, -1)
+            steps[1:k] = np.sqrt(np.vecdot(diff, diff))
+        if carry is not None:
+            diff = (stack[0] - carry[0]).ravel()
+            steps[0] = math.sqrt(np.vecdot(diff, diff))
+        steps = steps.reshape(anchors.size, stride)
+        start = np.concatenate(([math.inf if carry is None else carry[1]], anchor_upper[:-1]))
+        forward = start[:, None] + np.cumsum(steps, axis=1)
+        back = np.zeros_like(steps)
+        back[:, :-1] = steps[:, 1:]
+        backward = anchor_upper[:, None] + np.cumsum(back[:, ::-1], axis=1)[:, ::-1]
+        upper = np.minimum(forward, backward).ravel()[:k] * _chain_margin(m) + _chain_floor(m)
     top = int(np.argmax(anchor_upper))
     seeded = anchors[top]
     seed = _sigma_max(stack[seeded]) if anchor_upper[top] * m ** (-1 / 16) > best else None

@@ -702,6 +702,17 @@ def test_pruned_max_sigma_on_reordered_runs(order):
     assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
 
 
+@pytest.mark.parametrize("e", [1000, -600, -1060])
+def test_chain_on_huge_and_tiny_runs(e):
+    """Steps between huge matrices overflow to inf, a bound that prunes
+    nothing, without a warning (pytest makes it an error); tiny and
+    subnormal ones lose their squares to underflow, which the chain's
+    absolute term covers.  Either way the maximum is the full one."""
+    run = np.ldexp(_smooth_run(np.random.default_rng(6), 12, 200, 0.4), e)
+    blocks = _blocks_of(run)
+    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+
+
 @pytest.mark.parametrize("m", [3, 17])
 def test_one_row_blocks_chain_through_the_carry(m):
     """Blocks of one row, as a failing block is replayed, carry the chain
