@@ -17,14 +17,17 @@ thread:
 
 - ``fit`` and ``bound``: every job of the benchmark workloads of that seed
   (``perfbench.workloads``, imported read-only; nothing is written there),
-  plus the largest ``bound`` job again with ``--format csv``, and again on
-  its grid reversed, ``--grid x_m:x_1:N``, so its grid rows run backwards;
+  plus the largest ``bound`` job again with ``--format csv``, again on its
+  grid reversed, ``--grid x_m:x_1:N``, so its grid rows run backwards, and
+  again without its ``--convention`` flag, which ``bound`` accepts and
+  ignores, so that line must equal the job's own;
 - ``diagnose``: ``diagnose --input --grid N`` on the first ``fit`` job of an
   interpolating weight on an ``N`` grid outside the known-failure ledger;
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
-  overflow, and ``--out`` naming a directory or a path under a missing one.
+  overflow, ``--out`` naming a directory or a path under a missing one,
+  ``converge`` with h0 = 0, and ``bound --tol bound=nan``.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -80,6 +83,10 @@ def _seed_runs(seed: int):
     backwards = f"--grid={xs[-1]!r}:{xs[0]!r}:{job.spec['n']}"
     argv = [backwards if a.startswith("--grid=") else a for a in job.argv(Path("."))]
     yield "bound", f"{job.name}_reversed", argv, _files(job), job.out_path(Path(".")).name
+    argv = job.argv(Path("."))
+    at = argv.index("--convention")
+    argv = argv[:at] + argv[at + 2:]
+    yield "bound", f"{job.name}_no_convention", argv, _files(job), job.out_path(Path(".")).name
     job = next(j for j in jobs["fit"] if j.spec["family"] != "exp" and j.spec["grid"] == "N"
                and not j.ledger)
     argv = ["diagnose", "--input", f"{job.name}.csv", "--config", f"{job.name}.json",
@@ -99,6 +106,10 @@ def _fixed_runs():
     yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None
     yield "edge", "out_is_directory", fit + ["0:2:3", "--out", "taken"], inputs, "taken"
     yield "edge", "out_parent_missing", fit + ["0:2:3", "--out", "missing/out.json"], inputs, None
+    argv = ["converge", "--config", "study.json", "--out", "converge.out"]
+    yield "edge", "converge_h0_zero", argv, {"study.json": '{"h0": 0}'}, "converge.out"
+    argv = ["bound", "--input", "n3.csv", "--tol", "bound=nan", "--out", "bound.out"]
+    yield "edge", "bound_tol_nan", argv, inputs, "bound.out"
 
 
 def main() -> None:

@@ -24,20 +24,17 @@ def main() -> None:
     ap.add_argument("--l", type=int, default=2)
     ap.add_argument("--alpha", type=float, default=0.5)
     ap.add_argument("--grid", type=int, default=200)
-    ap.add_argument("--convention", choices=("standard", "paper"),
-                    default="standard")
     args = ap.parse_args()
 
     xs = np.linspace(0.0, args.span, args.nodes)
     pts = PointSet(xs, values=np.sin(xs))
     cert = certify_bound(
         pts, monomial_basis(args.l), WeightSpec("exp", args.alpha),
-        n_grid=args.grid, convention=args.convention,
+        n_grid=args.grid,
     )
 
     c = cert.constants
-    print(f"nodes={args.nodes} span={args.span} l={args.l} alpha={args.alpha} "
-          f"({args.convention} convention)")
+    print(f"nodes={args.nodes} span={args.span} l={args.l} alpha={args.alpha}")
     print(f"growth rate      {c.growth_rate:.6g}")
     print(f"forcing bound    {c.forcing_bound:.6g}")
     print(f"coef norm bound  {c.coef_norm_bound:.6g}")

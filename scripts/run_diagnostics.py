@@ -7,50 +7,19 @@ the verdicts are seed-independent (every seed should print PASS).
 
 import argparse
 
-import numpy as np
-
 from mlscert import instances
 from mlscert.config import Tolerances
-from mlscert.spectral import diagnose_each
-
-
-def _reports(systems, tol) -> list:
-    """The diagnose report of every system, in order, computed in one
-    ``diagnose_each`` call per shape (m, l)."""
-    groups = {}
-    for i, sysm in enumerate(systems):
-        groups.setdefault((sysm.m, sysm.l), []).append(i)
-    reports = [None] * len(systems)
-    for rows in groups.values():
-        for i, rep in zip(rows, diagnose_each([systems[i] for i in rows], tol)):
-            reports[i] = rep
-    return reports
+from mlscert.selftest import suite_spectral
 
 
 def sweep(seed: int, n: int) -> dict:
-    tol = Tolerances()
-    worst_sym = worst_dev = 0.0
-    worst_min_eig = 0.0
-    n_fail = 0
-    fams = {}
     suite = instances.random_suite(n, seed)
-    reports = _reports([it.system() for it in suite], tol)
-    # reduce in instance order, so a NaN lands where it did one call at a time
-    for it, rep in zip(suite, reports):
+    r = suite_spectral(seed, Tolerances(), suite=suite)
+    fams = {}
+    for it in suite:
         fams[it.meta["family"]] = fams.get(it.meta["family"], 0) + 1
-        d = rep.to_dict()
-        if not d["pass"]:
-            n_fail += 1
-        sym = d["symmetry"]
-        worst_sym = max(worst_sym, sym["proj_dinv"], sym["comp_dinv"])
-        worst_dev = max(worst_dev, d["eigen"]["proj"]["max_dev"],
-                        d["eigen"]["comp"]["max_dev"])
-        scale = d["psd"]["scale"]
-        worst_min_eig = min(worst_min_eig,
-                            d["psd"]["proj_dinv_min_eig"] / scale,
-                            d["psd"]["neg_comp_dinv_min_eig"] / scale)
-    return {"n_fail": n_fail, "worst_sym": worst_sym, "worst_dev": worst_dev,
-            "worst_min_eig": worst_min_eig, "families": fams}
+    return {"n_fail": r["n_fail"], "worst_sym": r["symmetry"], "worst_dev": r["eig_dev"],
+            "worst_min_eig": r["psd_min_rel"], "families": fams}
 
 
 def main() -> None:

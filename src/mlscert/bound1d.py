@@ -15,12 +15,17 @@ envelope
     ||a(x)|| <= (||a(x_k0)|| + M1 |x - x_k0|) * exp(M2 |x - x_k0|)
 
 anchored at the node nearest to x.  This module builds the ingredients,
-computes the constants in both conventions, and checks the envelope (plus
-the pointwise majorants it rests on) over a grid.
+computes the constants, and checks the envelope (plus the pointwise
+majorants it rests on) over a grid.
+
+The constants rest on two proven norm bounds.  P = D^(-1/2) Pi D^(1/2) with
+Pi the orthogonal projector onto range(D^(-1/2) E), so ||P|| <= sqrt(cond D);
+and A0 = D^(-1/2) (D^(-1/2) E)^(+T), so ||A0|| <= sqrt(cond D) / smin(E).
+On [x_1, x_m] cond D <= exp(alpha r^2), with r the span.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -372,9 +377,8 @@ class BoundConstants:
 
     ``growth_rate``    M2: bound on ||(P - I) H||
     ``coef_norm_bound``M11: bound on ||A0||
-    ``slope_sup``      sup of ||c'|| on [x_1, x_m], exact: the larger of
-                       its two endpoint values
-    ``slope_bound``    M12: equal to slope_sup
+    ``slope_sup``      M12: sup of ||c'|| on [x_1, x_m], exact: the larger
+                       of its two endpoint values
     ``forcing_bound``  M1 = M11 * M12: bound on ||A0 c'||
     """
 
@@ -384,49 +388,32 @@ class BoundConstants:
     growth_rate: float
     coef_norm_bound: float
     slope_sup: float
-    slope_bound: float
     forcing_bound: float
-    convention: str
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "span": self.span,
-            "alpha": self.alpha,
-            "sigma_min_design_t": self.sigma_min_design_t,
-            "growth_rate": self.growth_rate,
-            "coef_norm_bound": self.coef_norm_bound,
-            "slope_sup": self.slope_sup,
-            "slope_bound": self.slope_bound,
-            "forcing_bound": self.forcing_bound,
-            "convention": self.convention,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
 
 def bound_constants(
     points: PointSet,
     basis: BasisSpec,
     alpha: float,
-    convention: str = "standard",
     *,
     design_svals: np.ndarray | None = None,
 ) -> BoundConstants:
     """Compute the envelope constants on [x_1, x_m].
 
-    convention="standard" uses the spectral-norm chain
-    ||P|| <= smax(D)/smin(D) <= exp(alpha r^2), giving
-    M2 = 2 alpha r (1 + exp(alpha r^2)) and M11 = exp(alpha r^2)/smin(E^T);
-    convention="paper" uses the square-root variants of the same two bounds.
-    The forcing bound multiplies M11 by the sup of ||c'||.  For the basis
+    The norm chain ||P|| <= sqrt(cond D) <= exp(alpha r^2 / 2) of the module
+    docstring gives M2 = 2 alpha r (1 + sqrt(exp(alpha r^2))), since
+    ||H|| <= 2 alpha r, and M11 = sqrt(exp(alpha r^2)) / smin(E^T).  The
+    forcing bound multiplies M11 by the sup of ||c'||.  For the basis
     1, x, ..., x^(l-1), ||c'(x)||^2 = sum_k k^2 x^(2(k-1)) does not decrease
     in |x|, so the sup is exact: the larger of the two endpoint values.  The
-    metadata carries both conventions' constants and the
-    differentiation-matrix fields of that basis.  ``design_svals`` are the
-    singular values of the design, when the caller has them already.
+    metadata carries the differentiation-matrix fields of that basis.
+    ``design_svals`` are the singular values of the design, when the caller
+    has them already.
     """
-    if convention not in ("standard", "paper"):
-        raise ValueError("convention must be 'standard' or 'paper'")
     xs = _require_1d(points)
     if points.m < 2:
         raise ValueError("need at least two nodes for a nondegenerate span")
@@ -449,21 +436,14 @@ def bound_constants(
             f"alpha r^2 = {alpha * r * r!r} exceeds {_MAX_LOG!r}, the log of the "
             "largest double: the growth factor exp(alpha r^2) overflows"
         ) from None
-    if convention == "standard":
-        m2 = 2.0 * alpha * r * (1.0 + growth)
-        m11 = growth / smin_design
-    else:
-        m2 = 2.0 * alpha * r * (1.0 + math.sqrt(growth))
-        m11 = math.sqrt(growth) / smin_design
+    sqrt_growth = math.sqrt(growth)  # the bound on sqrt(cond D)
+    m2 = 2.0 * alpha * r * (1.0 + sqrt_growth)
+    m11 = sqrt_growth / smin_design
 
     l = basis.size
     dbar_smax = float(np.linalg.svd(monomial_diff_matrix(l), compute_uv=False)[0])
     maxp = float(np.max(np.abs(basis.eval_at(xs[-1]))))
     meta = {
-        "m2_paper": 2.0 * alpha * r * (1.0 + math.sqrt(growth)),
-        "m11_paper": math.sqrt(growth) / smin_design,
-        "m2_standard": 2.0 * alpha * r * (1.0 + growth),
-        "m11_standard": growth / smin_design,
         "diff_matrix_smax": dbar_smax,
         "diff_matrix_norm_sqrt_claim": math.sqrt(l - 1),
         "slope_closed_form_paper": math.sqrt(l - 1) * maxp,
@@ -477,9 +457,7 @@ def bound_constants(
         growth_rate=float(m2),
         coef_norm_bound=float(m11),
         slope_sup=float(slope_sup),
-        slope_bound=float(slope_sup),
         forcing_bound=float(m11 * slope_sup),
-        convention=convention,
         metadata=meta,
     )
 
@@ -553,7 +531,6 @@ def certify_bound(
     weight: WeightSpec,
     grid=None,
     n_grid: int = 200,
-    convention: str = "standard",
     tol: Tolerances = Tolerances(),
 ) -> BoundCertificate:
     """Evaluate the growth envelope over a grid and check its majorants.
@@ -580,7 +557,7 @@ def certify_bound(
         raise HypothesisFailure(failed)
     xs_nodes = points.nodes[:, 0]
     alpha = weight.alpha
-    consts = bound_constants(points, basis, alpha, convention, design_svals=svals)
+    consts = bound_constants(points, basis, alpha, design_svals=svals)
     if grid is None:
         grid = uniform_grid(points, n_grid, weight)
     grid = np.asarray(grid, dtype=float).ravel()
@@ -652,5 +629,5 @@ def certify_bound(
         slack=slack,
         majorants=majorants,
         tolerances=tol,
-        metadata={"convention": convention, "n_grid": int(grid.size)},
+        metadata={"n_grid": int(grid.size)},
     )

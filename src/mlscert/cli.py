@@ -16,6 +16,7 @@ at 17 significant digits.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -244,7 +245,6 @@ def cmd_bound(args) -> int:
         weight,
         grid=grid,
         n_grid=DEFAULT_GRID_N,
-        convention=args.convention,
         tol=tol,
     )
     if args.format == "csv":
@@ -254,25 +254,45 @@ def cmd_bound(args) -> int:
     return EXIT_OK if cert.passed else EXIT_VIOLATION
 
 
+def _study_options(cfg: dict) -> dict:
+    """The ``convergence_study`` arguments of a converge config.  A value of
+    the wrong type or out of range is a ``CliError`` naming its key; the
+    study checks the rest (levels >= 3, a < b, the policy and the family)."""
+
+    def read(key, default, cast, what, ok=lambda v: True):
+        value = cfg.get(key, default)
+        try:
+            result = cast(value)
+        except (TypeError, ValueError, OverflowError, KeyError):
+            result = None
+        if result is None or not ok(result):
+            raise CliError(f"converge config {key!r} must be {what}, got {value!r}")
+        return result
+
+    def positive(key, default):
+        return read(key, default, float, "positive and finite",
+                    lambda v: math.isfinite(v) and v > 0.0)
+
+    functions = error_analysis.TEST_FUNCTIONS
+    return {
+        "f_true": read("function", "sin", functions.__getitem__, f"one of {sorted(functions)}"),
+        "l": read("l", 2, int, "an integer"),
+        "domain": read("domain", [0.0, 3.0],
+                       lambda v: tuple(map(float, v)) if isinstance(v, list) else None,
+                       "two finite numbers [a, b]",
+                       lambda v: len(v) == 2 and all(map(math.isfinite, v))),
+        "h0": positive("h0", 0.2),
+        "n_levels": read("levels", 3, int, "an integer"),
+        "alpha0": positive("alpha0", 1.0),
+        "policy": str(cfg.get("policy", "scaled")),
+        "family": str(cfg.get("family", "exp")),
+    }
+
+
 def cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    fname = cfg.get("function", "sin")
-    if fname not in error_analysis.TEST_FUNCTIONS:
-        raise CliError(
-            f"unknown function {fname!r}; choose from "
-            f"{sorted(error_analysis.TEST_FUNCTIONS)}"
-        )
+    options = _study_options(_load_config(args.config))
     try:
-        study = error_analysis.convergence_study(
-            error_analysis.TEST_FUNCTIONS[fname],
-            l=int(cfg.get("l", 2)),
-            domain=tuple(cfg.get("domain", (0.0, 3.0))),
-            h0=float(cfg.get("h0", 0.2)),
-            n_levels=int(cfg.get("levels", 3)),
-            alpha0=float(cfg.get("alpha0", 1.0)),
-            policy=str(cfg.get("policy", "scaled")),
-            family=str(cfg.get("family", "exp")),
-        )
+        study = error_analysis.convergence_study(**options)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "csv":
@@ -301,11 +321,9 @@ _FLAGS = {
     "grid": dict(help="evaluation grid: N or a:b:N"),
     "seed": dict(type=int, help="RNG seed (fallback: MLS_SEED, then 42)"),
     "format": dict(choices=("json", "csv"), default="json"),
-    "convention": dict(
-        choices=("standard", "paper"),
-        default="standard",
-        help="constant convention for bound certificates",
-    ),
+    # accepted and ignored: the certificate has one set of constants; kept
+    # only so that existing ``bound --convention`` command lines still run
+    "convention": dict(choices=("standard", "paper"), help=argparse.SUPPRESS),
     "tol": dict(action="append", metavar="KEY=VAL", help="tolerance override (repeatable)"),
     "out": dict(help="output file (default: stdout)"),
 }

@@ -1,5 +1,6 @@
 """Tolerance configuration shared by the certification checks."""
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -24,12 +25,17 @@ class Tolerances:
     cluster_fail: float = 0.5  # deviation that flags a structural failure
 
     def with_overrides(self, overrides: dict) -> "Tolerances":
-        """Copy with ``key=value`` overrides; unknown keys raise."""
+        """Copy with ``key=value`` overrides; unknown keys and values that
+        are negative or not finite raise."""
         valid = {f.name for f in fields(self)}
         bad = set(overrides) - valid
         if bad:
             raise ValueError(f"unknown tolerance keys: {sorted(bad)}")
-        return replace(self, **{k: float(v) for k, v in overrides.items()})
+        values = {k: float(v) for k, v in overrides.items()}
+        for key, value in values.items():
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"tolerance {key} must be finite and >= 0, got {value!r}")
+        return replace(self, **values)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -10,7 +10,7 @@ their structure numerically:
 * P D^{-1} and (P - I) D^{-1} are symmetric; the first is PSD, the second NSD;
 * the spectrum of P is {1, 0} with multiplicities (l, m - l);
 * lambda_max(P D^{-1}) <= 1 / lambda_min(D), and the singular-value chain
-  1 <= smax(P) <= smax(D) / smin(D);
+  1 <= smax(P) <= sqrt(smax(D) / smin(D)), proved in ``_norm_bounds``;
 * classical singular-value product inequalities and eigenvalue-product
   sandwich bounds for symmetric pairs with a PSD factor, which the norm
   chain rests on.
@@ -240,10 +240,10 @@ def _psd(ops: _Ops, tol: Tolerances) -> dict:
     }
 
 
-def _ineq(name, lhs, rhs, scale, tol, rhs_paper=None) -> dict:
+def _ineq(name, lhs, rhs, scale, tol) -> dict:
     """One inequality lhs <= rhs, with a slack and a scaled verdict; the
     operands are floats or arrays over a stack of systems."""
-    entry = {
+    return {
         "name": name,
         "lhs": lhs,
         "rhs": rhs,
@@ -251,24 +251,22 @@ def _ineq(name, lhs, rhs, scale, tol, rhs_paper=None) -> dict:
         "scale": scale,
         "pass": lhs <= rhs + tol * scale,
     }
-    if rhs_paper is not None:
-        entry["rhs_sqrt_convention"] = rhs_paper
-    return entry
 
 
 def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
     """Singular-value norm chain on the materialized operators.
 
-    Verified in the standard convention (spectral norm = largest singular
-    value).  The square-root variant of the two-sided chain, ||P|| <=
-    sqrt(cond D), is reported alongside for comparison: it is the sharper
-    bound, since sqrt(cond D) <= cond D.
+    The two-sided chain is 1 <= ||P|| <= sqrt(cond D), the spectral norm
+    being the largest singular value: P is a projector, and
+    P = D^{-1/2} Pi D^{1/2} with Pi the orthogonal projector onto
+    range(D^{-1/2} E), so ||P|| <= ||D^{-1/2}|| ||D^{1/2}|| = sqrt(cond D).
     """
     dmin = np.min(ops.dvecs, axis=-1)
     dmax = np.max(ops.dvecs, axis=-1)
     smax_proj = _smax(ops.proj)
     smax_proj_dinv = _smax(ops.proj_dinv)
     cond_d = dmax / dmin
+    sqrt_cond_d = np.sqrt(cond_d)
     checks = [
         _ineq("proj_dinv_smax_le_inv_dmin", smax_proj_dinv, 1.0 / dmin,
               scale=1.0 / dmin, tol=tol.ineq),
@@ -276,8 +274,8 @@ def _norm_bounds(ops: _Ops, tol: Tolerances) -> dict:
               smax_proj * (1.0 / dmax), smax_proj_dinv,
               scale=np.maximum(smax_proj_dinv, 1.0 / dmax), tol=tol.ineq),
         _ineq("one_le_proj_smax", 1.0, smax_proj, scale=1.0, tol=tol.norm_chain),
-        _ineq("proj_smax_le_cond_d", smax_proj, cond_d, scale=cond_d,
-              tol=tol.norm_chain, rhs_paper=np.sqrt(cond_d)),
+        _ineq("proj_smax_le_sqrt_cond_d", smax_proj, sqrt_cond_d,
+              scale=sqrt_cond_d, tol=tol.norm_chain),
     ]
     return {
         "checks": checks,

@@ -6,6 +6,8 @@ Every test prints a single ``[PASS]``/``[FAIL]`` verdict line (visible with
 All suites use seed 42 and the standard instance generators.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,11 +98,11 @@ def test_criterion_04_singular_value_norm_chain(spectral_material):
     worst_inverse = -np.inf
     for _, sysm, bundle in spectral_material:
         dmin, dmax = float(np.min(sysm.dvec)), float(np.max(sysm.dvec))
-        cond_d = dmax / dmin
+        sqrt_cond_d = math.sqrt(dmax / dmin)
         smax = float(np.linalg.svd(bundle.proj, compute_uv=False)[0])
         smax_dinv = float(np.linalg.svd(bundle.proj_dinv, compute_uv=False)[0])
         worst_lower = min(worst_lower, smax)
-        worst_upper = max(worst_upper, (smax - cond_d) / cond_d)
+        worst_upper = max(worst_upper, (smax - sqrt_cond_d) / sqrt_cond_d)
         prod_scale = max(smax_dinv, 1.0 / dmax)
         worst_product = max(worst_product, (smax / dmax - smax_dinv) / prod_scale)
         worst_inverse = max(worst_inverse, (smax_dinv - 1.0 / dmin) * dmin)
@@ -114,7 +116,7 @@ def test_criterion_04_singular_value_norm_chain(spectral_material):
         ok,
         "criterion 04 singular-value norm chain",
         f"min smax {worst_lower:.12f} (>= 1-1e-10); "
-        f"worst scaled excess over cond(D) {worst_upper:.3e} (tol 1e-10); "
+        f"worst scaled excess over sqrt(cond D) {worst_upper:.3e} (tol 1e-10); "
         f"worst product-bound excess {worst_product:.3e}, "
         f"worst inverse-bound excess {worst_inverse:.3e} (tol 1e-12)",
     )

@@ -116,26 +116,19 @@ def test_hypotheses_1d_failures():
 # --- envelope constants -----------------------------------------------------
 
 
-def test_constants_standard_convention():
+def test_constants_are_the_sqrt_chain():
+    """M2 = 2 alpha r (1 + sqrt(exp(alpha r^2))) and M11 =
+    sqrt(exp(alpha r^2)) / smin(E), from ||P|| <= sqrt(cond D) and
+    ||A0|| <= sqrt(cond D) / smin(E), bit for bit; no other set of
+    constants is reported."""
     consts = bound_constants(PTS3, monomial_basis(2), alpha=1.0)
     r = 2.0
+    root = math.sqrt(math.exp(r * r))
     assert consts.span == r
-    assert consts.growth_rate == pytest.approx(2.0 * 1.0 * r * (1.0 + math.exp(r * r)), rel=1e-14)
-    assert consts.coef_norm_bound == pytest.approx(
-        math.exp(r * r) / consts.sigma_min_design_t, rel=1e-14
-    )
-    assert consts.forcing_bound == pytest.approx(
-        consts.coef_norm_bound * consts.slope_bound, rel=1e-14
-    )
-
-
-def test_constants_paper_convention_smaller():
-    std = bound_constants(PTS3, monomial_basis(2), alpha=1.0, convention="standard")
-    pap = bound_constants(PTS3, monomial_basis(2), alpha=1.0, convention="paper")
-    assert pap.growth_rate < std.growth_rate
-    assert pap.coef_norm_bound < std.coef_norm_bound
-    # both conventions recorded in the metadata regardless
-    assert "m2_standard" in std.metadata and "m2_paper" in std.metadata
+    assert consts.growth_rate == 2.0 * 1.0 * r * (1.0 + root)
+    assert consts.coef_norm_bound == root / consts.sigma_min_design_t
+    assert consts.forcing_bound == consts.coef_norm_bound * consts.slope_sup
+    assert not any(key.startswith(("m2_", "m11_")) for key in consts.metadata)
 
 
 def test_slope_sup_symmetric_linear_basis():
@@ -143,7 +136,6 @@ def test_slope_sup_symmetric_linear_basis():
     pts = PointSet(np.linspace(-1.0, 1.0, 5))
     consts = bound_constants(pts, monomial_basis(2), alpha=0.5)
     assert consts.slope_sup == pytest.approx(1.0, rel=1e-12)
-    assert consts.slope_bound == pytest.approx(1.0, rel=1e-12)
 
 
 def test_diff_matrix_metadata_always_emitted():
@@ -167,7 +159,10 @@ def test_constant_basis_has_zero_forcing():
 def test_constants_serializable():
     consts = bound_constants(PTS3, monomial_basis(2), alpha=0.5)
     d = consts.to_dict()
-    assert isinstance(d, dict) and d["convention"] == "standard"
+    assert sorted(d) == [
+        "alpha", "coef_norm_bound", "forcing_bound", "growth_rate", "metadata",
+        "sigma_min_design_t", "slope_sup", "span",
+    ]
     assert BoundConstants(**{**consts.__dict__}) == consts
 
 
@@ -231,11 +226,10 @@ def test_certificate_on_wide_stencil():
 
 
 def test_certificate_paper_convention():
+    """A certificate on the constants the paper proves passes."""
     xs = np.linspace(0.0, 4.0, 5)
     pts = PointSet(xs, values=np.sin(xs))
-    cert = certify_bound(
-        pts, monomial_basis(2), WeightSpec("exp", 0.5), n_grid=100, convention="paper"
-    )
+    cert = certify_bound(pts, monomial_basis(2), WeightSpec("exp", 0.5), n_grid=100)
     assert cert.passed
 
 
@@ -325,13 +319,9 @@ def test_monomial_slope_sup_is_dense_grid_max(lo, hi, l):
     dense = max(
         float(np.linalg.norm(basis.derivative_at(g))) for g in np.linspace(lo, hi, 10001)
     )
-    for convention in ("standard", "paper"):
-        consts = bound_constants(
-            PointSet(np.linspace(lo, hi, 7)), basis, alpha=0.5, convention=convention
-        )
-        assert consts.slope_sup == dense
-        assert consts.slope_bound == consts.slope_sup
-        assert consts.forcing_bound == consts.coef_norm_bound * consts.slope_sup
+    consts = bound_constants(PointSet(np.linspace(lo, hi, 7)), basis, alpha=0.5)
+    assert consts.slope_sup == dense
+    assert consts.forcing_bound == consts.coef_norm_bound * consts.slope_sup
 
 
 # --- the batched certificate against the point-by-point loop ---------------
@@ -342,11 +332,11 @@ def _nearest_node(x: float, points: PointSet) -> int:
     return int(np.argmin(points.distances(np.atleast_1d(float(x)))))
 
 
-def _per_point_certificate(pts, basis, weight, grid, convention):
+def _per_point_certificate(pts, basis, weight, grid):
     """Reference: one build_system, build_operators and nearest node per
     grid point, as the certificate was computed before it was batched."""
     xs = pts.nodes[:, 0]
-    consts = bound_constants(pts, basis, weight.alpha, convention)
+    consts = bound_constants(pts, basis, weight.alpha)
     anchor = [np.linalg.norm(build_system(x, pts, basis, weight).coeffs) for x in xs]
     m1, m2 = consts.forcing_bound, consts.growth_rate
     lhs, rhs, k0s = [], [], []
@@ -379,13 +369,9 @@ def _outcome(fn):
         return None, (type(exc), str(exc))
 
 
-def _assert_same_certificate(pts, basis, weight, grid, convention):
-    cert, error = _outcome(lambda: certify_bound(
-        pts, basis, weight, grid=grid, convention=convention
-    ))
-    ref, ref_error = _outcome(lambda: _per_point_certificate(
-        pts, basis, weight, grid, convention
-    ))
+def _assert_same_certificate(pts, basis, weight, grid):
+    cert, error = _outcome(lambda: certify_bound(pts, basis, weight, grid=grid))
+    ref, ref_error = _outcome(lambda: _per_point_certificate(pts, basis, weight, grid))
     assert error == ref_error
     if ref is None:
         return None
@@ -413,14 +399,13 @@ def _assert_same_certificate(pts, basis, weight, grid, convention):
     l=st.integers(1, 4),
     log_alpha=st.floats(math.log(0.05), math.log(5.0)),
     log_span=st.floats(math.log(0.2), math.log(20.0)),
-    convention=st.sampled_from(("standard", "paper")),
     n_grid=st.one_of(st.integers(1, 120), st.just("block+1")),
     seed=st.integers(0, 2**32 - 1),
 )
 # an einsum of the forcing products differs from one matvec per row here
-@example(m=21, l=3, log_alpha=0.0, log_span=1.0, convention="standard", n_grid=2, seed=0)
+@example(m=21, l=3, log_alpha=0.0, log_span=1.0, n_grid=2, seed=0)
 def test_batched_certificate_matches_per_point(
-    m, l, log_alpha, log_span, convention, n_grid, seed
+    m, l, log_alpha, log_span, n_grid, seed
 ):
     """lhs, rhs, k0, slack and every majorant equal the point-by-point loop
     bit for bit, and a failing instance raises the same error."""
@@ -433,7 +418,7 @@ def test_batched_certificate_matches_per_point(
         n_grid = block + 1 if block < 400 else 41
     grid = uniform_grid(pts, n_grid)
     weight = WeightSpec("exp", math.exp(log_alpha))
-    _assert_same_certificate(pts, monomial_basis(min(l, len(xs))), weight, grid, convention)
+    _assert_same_certificate(pts, monomial_basis(min(l, len(xs))), weight, grid)
 
 
 @pytest.mark.parametrize("m,l,alpha,span,n,seed", [
@@ -469,7 +454,7 @@ def test_batched_certificate_with_overflowing_weights():
     weight = WeightSpec("exp", 709.5)
     assert np.isinf(build_system(0.0, pts, monomial_basis(1), weight).dvec[-1])
     grid = uniform_grid(pts, bound1d._block_rows(40) + 1)
-    cert = _assert_same_certificate(pts, monomial_basis(1), weight, grid, "paper")
+    cert = _assert_same_certificate(pts, monomial_basis(1), weight, grid)
     assert cert is not None and cert.metadata["n_grid"] == len(grid)
 
 
@@ -498,7 +483,7 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
         certify_bound(pts, basis, weight, grid=grid)
     expected = str(ConditioningError(cond[j], limit))
     assert str(err.value) == expected
-    _assert_same_certificate(pts, basis, weight, grid, "standard")
+    _assert_same_certificate(pts, basis, weight, grid)
     # and through the CLI, with its exit code
     pts.to_csv(tmp_path / "in.csv")
     (tmp_path / "cfg.json").write_text('{"l": 2, "weight": {"family": "exp", "alpha": 2.0}}')

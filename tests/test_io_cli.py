@@ -136,6 +136,16 @@ def test_bad_tol_specs(const_csv, capsys):
     assert run_cli(["diagnose", "--input", const_csv, "--tol", "symmetry"], capsys)[0] == 2
     assert run_cli(["diagnose", "--input", const_csv, "--tol", "sym=x"], capsys)[0] == 2
     assert run_cli(["diagnose", "--input", const_csv, "--tol", "nope=1"], capsys)[0] == 2
+    # a tolerance is finite and nonnegative; the message names the key
+    for spec in ("bound=nan", "bound=-1", "lin=inf", "norm_chain=nan", "psd=-inf"):
+        key = spec.partition("=")[0]
+        for command in (["diagnose", "--input", const_csv], ["bound", "--input", const_csv],
+                        ["selftest"]):
+            code, out, err = run_cli(command + ["--tol", spec], capsys)
+            assert (code, out) == (2, ""), (command, spec)
+            assert f"tolerance {key} must be finite and >= 0" in err
+    # zero is allowed, though roundoff may then show as a reported failure
+    assert run_cli(["diagnose", "--input", const_csv, "--tol", "lin=0"], capsys)[0] in (0, 5)
 
 
 def test_diagnose_instance_file(const_csv, capsys):
@@ -280,6 +290,10 @@ def test_bound_certificate_passes(tmp_path, capsys):
 
 
 def test_bound_csv_and_paper_convention(tmp_path, capsys):
+    """The certificate has one set of constants: ``--convention paper``,
+    ``--convention standard`` and no flag write the same bytes, CSV and
+    JSON.  The flag is accepted and ignored, ``--help`` does not list it,
+    and a value outside the two choices is still a usage error."""
     xs = np.linspace(0.0, 4.0, 5)
     p = tmp_path / "sin5.csv"
     p.write_text("x1,f\n" + "".join(f"{x},{np.sin(x)}\n" for x in xs))
@@ -294,6 +308,20 @@ def test_bound_csv_and_paper_convention(tmp_path, capsys):
     assert len(lines) == 41
     for line in lines[1:]:
         assert float(line.split(",")[3]) >= -1e-9
+    for fmt in ("csv", "json"):
+        outs = {
+            run_cli(["bound", "--input", str(p), "--format", fmt] + flag, capsys)
+            for flag in ([], ["--convention", "standard"], ["--convention", "paper"])
+        }
+        assert len(outs) == 1 and next(iter(outs))[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--input", str(p), "--convention", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--help"])
+    assert exc.value.code == 0
+    assert "convention" not in capsys.readouterr().out
 
 
 def test_bound_rejects_non_exponential_weight(tmp_path, capsys):
@@ -400,6 +428,24 @@ def test_converge_unknown_function(tmp_path, capsys):
     cfg = tmp_path / "conv.json"
     cfg.write_text('{"function": "cos"}')
     assert run_cli(["converge", "--config", str(cfg)], capsys)[0] == 2
+    # a value of the wrong type or out of range is exit 2 naming its key,
+    # never a traceback or a numpy message
+    for text, key in [
+        ('{"function": ["sin"]}', "function"),
+        ('{"domain": [0]}', "domain"),
+        ('{"domain": 5}', "domain"),
+        ('{"domain": [0, NaN]}', "domain"),
+        ('{"h0": null}', "h0"),
+        ('{"h0": 0}', "h0"),
+        ('{"h0": -0.2}', "h0"),
+        ('{"levels": 1e400}', "levels"),
+        ('{"l": null}', "l"),
+        ('{"alpha0": NaN}', "alpha0"),
+    ]:
+        cfg.write_text(text)
+        code, out, err = run_cli(["converge", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, ""), text
+        assert err.startswith(f"error: converge config {key!r} must be "), (text, err)
 
 
 def test_selftest_deterministic_bytes(tmp_path, capsys):

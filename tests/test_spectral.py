@@ -111,18 +111,19 @@ def test_norm_chain():
     assert rep["pass"]
     names = {c["name"] for c in rep["checks"]}
     assert "one_le_proj_smax" in names
-    assert "proj_smax_le_cond_d" in names
+    assert "proj_smax_le_sqrt_cond_d" in names
 
 
 def test_norm_chain_reports_sqrt_convention_field():
+    """The upper end of the chain is the sharp bound ||P|| <= sqrt(cond D),
+    asserted at that scale; no looser right-hand side is reported."""
     rep = _report("norms", m=5, l=2)
     chain = {c["name"]: c for c in rep["checks"]}
-    entry = chain["proj_smax_le_cond_d"]
-    # the square-root variant is reported alongside, never asserted
-    assert "rhs_sqrt_convention" in entry
-    assert entry["rhs_sqrt_convention"] == pytest.approx(
-        np.sqrt(entry["rhs"]), rel=1e-12
-    )
+    entry = chain["proj_smax_le_sqrt_cond_d"]
+    sqrt_cond_d = np.sqrt(rep["cond_d"])
+    assert entry["rhs"] == sqrt_cond_d and entry["scale"] == sqrt_cond_d
+    assert entry["slack"] == sqrt_cond_d - rep["smax_proj"]
+    assert "rhs_sqrt_convention" not in entry
 
 
 def test_interpolation_limit_rejected():

@@ -5,6 +5,7 @@ per-instance references below are written out in full, one numpy call per
 matrix, so they share no code with the stacked path."""
 
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -83,12 +84,12 @@ def _ref_diagnose(sysm, tol):
     dmin, dmax = float(np.min(dvec)), float(np.max(dvec))
     smax_p = float(np.linalg.svd(proj, compute_uv=False)[0])
     smax_pd = float(np.linalg.svd(proj_dinv, compute_uv=False)[0])
-    cond_d = dmax / dmin
+    sqrt_cond_d = math.sqrt(dmax / dmin)
     norms_ok = (
         smax_pd <= 1.0 / dmin + tol.ineq * (1.0 / dmin)
         and smax_p * (1.0 / dmax) <= smax_pd + tol.ineq * max(smax_pd, 1.0 / dmax)
         and 1.0 <= smax_p + tol.norm_chain * 1.0
-        and smax_p <= cond_d + tol.norm_chain * cond_d
+        and smax_p <= sqrt_cond_d + tol.norm_chain * sqrt_cond_d
     )
     idem = _norm2(proj @ proj - proj) / (smax_p if smax_p else 1.0)
     trace_dev = abs(float(np.trace(proj)) - l) / max(1.0, l)
