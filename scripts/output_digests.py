@@ -27,7 +27,8 @@ thread:
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
-  ``converge`` with h0 = 0, and ``bound --tol bound=nan``.
+  ``converge`` with h0 = 0, ``bound --tol bound=nan``, and ``fit`` and
+  ``bound`` with the weight's alpha 1e400 (inf) or the basis size 2.5.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -110,6 +111,13 @@ def _fixed_runs():
     yield "edge", "converge_h0_zero", argv, {"study.json": '{"h0": 0}'}, "converge.out"
     argv = ["bound", "--input", "n3.csv", "--tol", "bound=nan", "--out", "bound.out"]
     yield "edge", "bound_tol_nan", argv, inputs, "bound.out"
+    configs = {"alpha_inf": '{"weight": {"family": "exp", "alpha": 1e400}}',
+               "l_non_integral": '{"l": 2.5}'}
+    for name, text in configs.items():
+        for command in ("fit", "bound"):
+            argv = [command, "--input", "n3.csv", "--config", "cfg.json", "--grid", "3",
+                    "--out", f"{command}.out"]
+            yield "edge", f"{command}_{name}", argv, {**inputs, "cfg.json": text}, f"{command}.out"
 
 
 def main() -> None:

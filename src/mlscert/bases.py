@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import config_int
+
 
 def monomial_exponents(dim: int, size: int) -> list[tuple[int, ...]]:
     """First `size` exponent multi-indices in graded lexicographic order.
@@ -88,7 +90,7 @@ class BasisSpec:
             raise ValueError("only monomial bases can be configured from JSON")
         if "l" not in d:
             raise ValueError("basis config requires an 'l' key")
-        return monomial_basis(int(d["l"]), dim=int(d.get("d", 1)))
+        return monomial_basis(config_int(d["l"], "l"), dim=config_int(d.get("d", 1), "d"))
 
 
 def monomial_basis(size: int, dim: int = 1) -> BasisSpec:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bound1d, error_analysis, selftest as selftest_mod
 from .bases import BasisSpec, monomial_basis
-from .config import Tolerances
+from .config import Tolerances, config_int
 from .core import (
     ConditioningError,
     HypothesisFailure,
@@ -91,7 +91,7 @@ def _basis_from(cfg: dict, dim: int) -> BasisSpec:
     try:
         if "basis" in cfg:
             return BasisSpec.from_dict(cfg["basis"])
-        return monomial_basis(int(cfg.get("l", 2)), dim)
+        return monomial_basis(config_int(cfg.get("l", 2), "l"), dim)
     except (ValueError, TypeError) as exc:
         raise CliError(f"bad basis config: {exc}") from None
 
@@ -276,13 +276,13 @@ def _study_options(cfg: dict) -> dict:
     functions = error_analysis.TEST_FUNCTIONS
     return {
         "f_true": read("function", "sin", functions.__getitem__, f"one of {sorted(functions)}"),
-        "l": read("l", 2, int, "an integer"),
+        "l": read("l", 2, lambda v: config_int(v, "l"), "an integer"),
         "domain": read("domain", [0.0, 3.0],
                        lambda v: tuple(map(float, v)) if isinstance(v, list) else None,
                        "two finite numbers [a, b]",
                        lambda v: len(v) == 2 and all(map(math.isfinite, v))),
         "h0": positive("h0", 0.2),
-        "n_levels": read("levels", 3, int, "an integer"),
+        "n_levels": read("levels", 3, lambda v: config_int(v, "levels"), "an integer"),
         "alpha0": positive("alpha0", 1.0),
         "policy": str(cfg.get("policy", "scaled")),
         "family": str(cfg.get("family", "exp")),

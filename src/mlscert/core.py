@@ -158,7 +158,9 @@ class _Rows(NamedTuple):
 
     ``at_node`` holds, per row, the node of an interpolation-limit row or
     -1, and is None when no row is one; the QR fields cover the k rows
-    that are not at a node.
+    that are not at a node.  ``conds`` is None when the caller reads no
+    condition estimates and ``_certified`` proved the block's checks pass,
+    so no SVD was taken.
     """
 
     coeffs: np.ndarray  # (n, m)
@@ -166,13 +168,13 @@ class _Rows(NamedTuple):
     qmats: np.ndarray  # (k, m, l)
     rmats: np.ndarray  # (k, l, l)
     roots: np.ndarray  # (k, m) square roots of 2 * w
-    conds: list  # k Gram condition estimates
+    conds: list | None  # k Gram condition estimates
     cvecs: np.ndarray  # (n, l) basis values at the points
     dists: np.ndarray  # (n, m) node distances
     dvecs: np.ndarray  # (n, m) weight diagonals 2 * w
 
 
-def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
+def _solve_rows(E, cvecs, dists, dvecs, conds: bool = False) -> _Rows:
     """Solve the local systems of a block of rows with stacked LAPACK calls.
 
     ``E`` is the design (m, l) shared by every row, or a stack (n, m, l)
@@ -181,7 +183,9 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
     and 2 * w.  A row with a vanishing weight at a node is the
     interpolation limit; every other row goes through QR of the scaled
     design, the rank check, the conditioning check against ``COND_LIMIT``
-    and the coefficient solve.
+    and the coefficient solve.  The checks take an SVD of every R
+    (``_checked_conds``) unless ``_certified`` proves they pass; ``conds``
+    asks for the condition estimates, and so for the SVD, in any case.
     If a row fails, the error of a failing row is raised: for a single
     row, that point's error.
     """
@@ -204,10 +208,33 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
 
     root = np.sqrt(dvecs)
     qmats, rmats = np.linalg.qr(E / root[:, :, None], mode="reduced")
+    estimates = None
+    if conds or not _certified(rmats, m, l):
+        estimates = _checked_conds(rmats, m, l)
+
+    sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
+    coeffs = (qmats @ sol)[:, :, 0] / root
+    if at_node is not None:
+        # interpolation limit: the coefficient vector degenerates to the
+        # indicator of the coincident node
+        solved, coeffs = coeffs, np.zeros((n, m))
+        coeffs[regular] = solved
+        coeffs[hit_rows, hits] = 1.0
+    return _Rows(coeffs, at_node, qmats, rmats, root, estimates, *inputs)
+
+
+def _checked_conds(rmats, m: int, l: int) -> list:
+    """The Gram condition estimate (smax / smin)^2 of every R of the
+    (k, l, l) stack, from its singular values.
+
+    A row fails the rank check when smin <= ``rank_tolerance`` and the
+    conditioning check when its estimate exceeds ``COND_LIMIT``; a row's
+    first failing check decides, and the first failing row in row order
+    raises ``HypothesisFailure`` or ``ConditioningError``.
+    """
     svals = np.linalg.svd(rmats, compute_uv=False)
     smax, smin = svals[:, 0], svals[:, -1]
-    # rows up to the first rank-deficient one; a row's first failing check
-    # decides, and the first failing row in row order raises
+    # rows up to the first rank-deficient one
     deficient = (smin <= rank_tolerance(m, l, smax)).tolist()
     full = deficient.index(True) if True in deficient else len(deficient)
     # Python's float power, not np.square: the two differ in the last bit
@@ -218,16 +245,67 @@ def _solve_rows(E, cvecs, dists, dvecs) -> _Rows:
         raise ConditioningError(failing, COND_LIMIT)
     if full < len(deficient):
         raise HypothesisFailure(["design_full_rank"])
+    return conds
 
-    sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
-    coeffs = (qmats @ sol)[:, :, 0] / root
-    if at_node is not None:
-        # interpolation limit: the coefficient vector degenerates to the
-        # indicator of the coincident node
-        solved, coeffs = coeffs, np.zeros((n, m))
-        coeffs[regular] = solved
-        coeffs[hit_rows, hits] = 1.0
-    return _Rows(coeffs, at_node, qmats, rmats, root, conds, *inputs)
+
+#: largest basis size l for which ``_certified`` can prove the checks pass
+_CERTIFIED_MAX_L = 12
+
+
+def _certified(rmats, m: int, l: int) -> bool:
+    """True when every R of the (k, l, l) upper-triangular stack provably
+    passes both checks of ``_checked_conds``, shown from singular-value
+    inequalities instead of an SVD.  False says only that the proof does
+    not apply.
+
+    Every singular value of R is at most sigma_max <= ||R||_F, and
+    prod |r_ii| = |det R| = prod sigma_i <= sigma_min sigma_max^(l-1), so
+    kappa = sigma_max / sigma_min obeys
+
+        kappa^2 <= prod_i ||R||_F^2 / r_ii^2.
+
+    The gate asks this bound to stay below T = min(COND_LIMIT, c^-2) / 2,
+    where c = max(m, l) 16 eps is the factor of ``rank_tolerance``.  With
+    u = 2^-53, LAPACK's computed singular values are taken within
+    l^2 u sigma_max of the exact ones, as in ``bound1d._sigma_margin``.
+    Since kappa < 1 / (c sqrt(2)) and c >= 32 l u, l^2 u kappa is below
+    l / 45 <= 0.27 for l <= 12.  The computed smin then exceeds
+    sigma_max (1 / kappa - l^2 u), and the computed tolerance stays below
+    c sigma_max (1 + l^2 u)(1 + u).  Their difference is at least
+    sigma_max u (13.25 max(m, l) - l^2) > 0, so no row is rank deficient.
+    The computed smax / smin is below kappa (1 + l^2 u) / 0.73, and its
+    rounded square below 1.9 kappa^2 < COND_LIMIT.
+
+    In floating point the bound is scale-free: the gate needs the
+    computed ||R||_F^2 of every row in [2^-900, 2^900), so sigma_max lies
+    in [2^-452, 2^450] and the tolerance and the ratio stay normal.
+    Squares that underflow move ||R||_F^2 by less than l^2 2^-1074, far
+    below u of it.  The sum of l^2 squares is off by a relative
+    l^2 u / (1 - l^2 u), and the l factors r_ii^2 / ||R||_F^2 and their
+    product take 3 l - 1 roundings.  So the computed product exceeds the
+    exact one by a relative (l^3 + 3 l) u at most, and with the roundings
+    of T and of the last product by less than the margin 8 l^3 u.  Each
+    factor is at most 1 + 2 l^2 u, and a passing product is above 2^-96,
+    so every r_ii^2 of a passing row is normal and no partial product
+    underflowed.  The gate refuses l > 12 and m < l, and the range check
+    refuses every R with a NaN or inf entry, and R = 0.
+    """
+    c = max(m, l) * (16 * _EPS)
+    limit = 0.5 * min(COND_LIMIT, 1.0 / (c * c))
+    if l > _CERTIFIED_MAX_L or m < l or not limit > 0.0:  # m < l: R is not square
+        return False
+    flat = rmats.reshape(len(rmats), l * l)
+    with np.errstate(over="ignore"):  # an inf norm fails the range check
+        norms = np.vecdot(flat, flat)
+    # a NaN compares false, so this refuses NaN entries too
+    if not (norms.min(initial=np.inf) >= 2.0**-900 and norms.max(initial=0.0) < 2.0**900):
+        return False
+    # (l, k), so that the product runs over the outer axis
+    ratios = np.diagonal(rmats, axis1=1, axis2=2).T.copy()
+    ratios *= ratios
+    ratios /= norms
+    margin = 1.0 + 4.0 * l**3 * _EPS  # 8 l^3 u
+    return bool(np.multiply.reduce(ratios).min(initial=np.inf) * limit > margin)
 
 
 def _design_for(points, basis, design) -> np.ndarray:
@@ -258,7 +336,7 @@ def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> M
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[None]
     E = _design_for(points, basis, None)
-    return _systems(xv, E, _solve_points(xv, points, basis, weight, E))[0]
+    return _systems(xv, E, _solve_points(xv, points, basis, weight, E, conds=True))[0]
 
 
 def _systems(xs, E, rows) -> list:
@@ -295,11 +373,12 @@ def _basis_rows(xs, basis) -> np.ndarray:
     return cvecs
 
 
-def _solve_points(xs, points, basis, weight, E) -> _Rows:
-    """Solve the local systems at the rows of xs (n, d) in one block."""
+def _solve_points(xs, points, basis, weight, E, conds=False) -> _Rows:
+    """Solve the local systems at the rows of xs (n, d) in one block;
+    ``conds`` as in ``_solve_rows``."""
     cvecs = _basis_rows(xs, basis)
     dists = points.distances(xs)
-    return _solve_rows(E, cvecs, dists, build_weight_diag(dists, weight))
+    return _solve_rows(E, cvecs, dists, build_weight_diag(dists, weight), conds)
 
 
 def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
@@ -331,11 +410,12 @@ def build_system_stack(xs, point_sets, basis: BasisSpec, weights) -> list:
     cvecs = _basis_rows(xs, basis)
     dists = np.stack([p.distances(x) for p, x in zip(point_sets, xs)])
     dvecs = np.stack([build_weight_diag(d, w) for d, w in zip(dists, weights)])
-    return _systems(xs, designs, _solve_rows(designs, cvecs, dists, dvecs))
+    return _systems(xs, designs, _solve_rows(designs, cvecs, dists, dvecs, conds=True))
 
 
-def solve_blocks(xs, points, basis, weight, E, block_rows):
-    """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows.
+def solve_blocks(xs, points, basis, weight, E, block_rows, *, conds=False):
+    """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows;
+    ``conds`` asks for the condition estimates, as in ``_solve_rows``.
 
     Yields ``(start, rows)`` per solved block, in row order: the solved
     rows from ``start`` on.  A block that fails is replayed point by point,
@@ -347,14 +427,14 @@ def solve_blocks(xs, points, basis, weight, E, block_rows):
     for start in range(0, len(xs), block_rows):
         stop = min(start + block_rows, len(xs))
         try:
-            rows = _solve_points(xs[start:stop], points, basis, weight, E)
+            rows = _solve_points(xs[start:stop], points, basis, weight, E, conds)
         except (MlsError, ValueError):  # LinAlgError is a ValueError
             rows = None
         if rows is not None:
             yield start, rows
             continue
         for i in range(start, stop):
-            yield i, _solve_points(xs[i : i + 1], points, basis, weight, E)
+            yield i, _solve_points(xs[i : i + 1], points, basis, weight, E, conds)
 
 
 def build_system_list(xs, points: PointSet, basis: BasisSpec, weight: WeightSpec):
@@ -365,7 +445,7 @@ def build_system_list(xs, points: PointSet, basis: BasisSpec, weight: WeightSpec
     systems = []
     try:
         E = _design_for(points, basis, None)
-        for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK):
+        for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK, conds=True):
             systems += _systems(xs[start : start + len(rows.coeffs)], E, rows)
     except (MlsError, ValueError) as exc:  # LinAlgError is a ValueError
         return systems, exc

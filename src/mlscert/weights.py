@@ -21,6 +21,7 @@ The exp family is the only one used by the 1-D growth-bound machinery; the
 others are offered for fitting and for exercising the interpolation limit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class WeightSpec:
     family : str
         One of :data:`FAMILIES`.
     alpha : float
-        Shape parameter, must be positive.
+        Shape parameter, must be positive and finite.
     """
 
     family: str
@@ -46,8 +47,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown weight family {self.family!r}")
-        if not (self.alpha > 0):
-            raise ValueError("alpha must be positive")
+        if not (0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
     @property
     def interpolating(self) -> bool:

@@ -5,11 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mlscert import core
 from mlscert.bases import BasisSpec, monomial_basis
-from mlscert.bound1d import uniform_grid
+from mlscert.bound1d import certify_bound, uniform_grid
 from mlscert.cli import main
 from mlscert.core import (
     ConditioningError,
@@ -26,7 +26,7 @@ from mlscert.core import (
 )
 from mlscert.error_analysis import amplification
 from mlscert.points import PointSet
-from mlscert.reporting import csv_text
+from mlscert.reporting import canonical_json, csv_text
 from mlscert.weights import WeightSpec
 
 NODES_012 = PointSet(np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 1.0, 2.0]))
@@ -459,3 +459,177 @@ def test_linear_reproduction_property(nodes, alpha, coef0, coef1):
         return
     target = coef0 + coef1 * x
     assert abs(got - target) <= 1e-9 * max(1.0, abs(target))
+
+
+# --- the certified gate -----------------------------------------------------
+
+
+def _triangular_stack(rng, k, l, kind, scale):
+    """k upper-triangular (l, l) matrices of one kind, scaled by 2^scale."""
+    rmats = np.triu(rng.standard_normal((k, l, l)))
+    diag = np.arange(l)
+    rmats[:, diag, diag] += np.where(rng.random((k, l)) < 0.5, -1.0, 1.0) * l
+    row, col = rng.integers(0, k), rng.integers(0, l)
+    if kind == "near_singular":
+        rmats[row, col, col] *= 10.0 ** -rng.uniform(0.0, 17.0)
+    elif kind == "zero_diag":
+        rmats[row, col, col] = 0.0
+    elif kind in ("inf", "nan"):
+        rmats[row, rng.integers(0, l), l - 1] = np.inf if kind == "inf" else np.nan
+    return np.ldexp(rmats, scale)
+
+
+@pytest.mark.parametrize("limit", [1e12, 1.0, 1e3])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    l=st.integers(1, 8),
+    extra=st.integers(0, 30),
+    k=st.integers(1, 5),
+    kind=st.sampled_from(("random", "near_singular", "zero_diag", "inf", "nan")),
+    scale=st.sampled_from((0, 400, -400, 600, -600, -1060)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certified_stacks_pass_the_svd_checks(monkeypatch, limit, l, extra, k, kind, scale,
+                                              seed):
+    """Whenever the gate admits a stack, the SVD checks find every row
+    full rank and within ``COND_LIMIT``; the gate itself warns about
+    nothing, whatever the stack holds."""
+    monkeypatch.setattr(core, "COND_LIMIT", limit)
+    m = l + extra
+    rmats = _triangular_stack(np.random.default_rng(seed), k, l, kind, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        admitted = core._certified(rmats, m, l)
+    if not admitted:
+        return
+    svals = np.linalg.svd(rmats, compute_uv=False)
+    smax, smin = svals[:, 0], svals[:, -1]
+    assert np.all(smin > core.rank_tolerance(m, l, smax))
+    assert all((a / b) ** 2 <= limit for a, b in zip(smax.tolist(), smin.tolist()))
+    assert len(core._checked_conds(rmats, m, l)) == k
+
+
+def test_gate_admits_what_it_should():
+    """Well-conditioned triangular factors pass at any scale the gate
+    covers; outside its range, and with a zero, inf or NaN entry, they
+    do not."""
+    rng = np.random.default_rng(0)
+    for l in (1, 3, 8):
+        for scale in (0, 400, -400):
+            assert core._certified(_triangular_stack(rng, 4, l, "random", scale), l + 2, l)
+        for scale in (600, -600, -1060):
+            assert not core._certified(_triangular_stack(rng, 4, l, "random", scale), l + 2, l)
+        for kind in ("zero_diag", "inf", "nan"):
+            assert not core._certified(_triangular_stack(rng, 4, l, kind, 0), l + 2, l)
+    assert core._certified(np.zeros((0, 3, 3)), 5, 3)
+    assert not core._certified(np.eye(13)[None], 13, 13)  # beyond the proof's l
+    assert not core._certified(np.eye(2, 3)[None], 2, 3)  # a wide design's R
+
+
+def _outcome(fn, *args, **kwargs):
+    """(result, None) or (None, (error type, message))."""
+    try:
+        return fn(*args, **kwargs), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+def _svd_only(monkeypatch):
+    monkeypatch.setattr(core, "_certified", lambda rmats, m, l: False)
+
+
+def _assert_same_outcome(got, ref):
+    assert got[1] == ref[1]
+    if ref[0] is not None:
+        for a, b in zip(got[0], ref[0]):
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    dim=st.sampled_from((1, 2)),
+    m=st.integers(3, 10),
+    l=st.integers(1, 3),
+    family=st.sampled_from(("exp", "shepard", "mclain", "levin")),
+    log_alpha=st.floats(np.log(1e-2), np.log(1e2)),
+    fail_at=st.one_of(st.none(), st.integers(0, 2 * core._BLOCK)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gate_keeps_build_systems_bits(monkeypatch, dim, m, l, family, log_alpha, fail_at,
+                                       seed):
+    """``build_systems`` gives the bytes and the errors of the SVD-only
+    path, with rows at nodes and a failing point in any block."""
+    rng = np.random.default_rng(seed)
+    nodes = rng.uniform(0.0, 1.0, (m, dim))
+    pts = PointSet(nodes)
+    basis = monomial_basis(l, dim)
+    weight = WeightSpec(family, float(np.exp(log_alpha)))
+    xs = rng.uniform(-0.1, 1.1, (2 * core._BLOCK + 1, dim))
+    xs[rng.integers(0, len(xs), 5)] = nodes[rng.integers(0, m, 5)]
+    if fail_at is not None:  # a node nudged off itself, or a far point
+        xs[fail_at] = nodes[0] + 1e-9 if rng.random() < 0.5 else 50.0
+    gated = _outcome(build_systems, xs, pts, basis, weight)
+    _svd_only(monkeypatch)
+    _assert_same_outcome(gated, _outcome(build_systems, xs, pts, basis, weight))
+
+
+@pytest.mark.parametrize("designs", [
+    (WELL_CONDITIONED,) * 3,
+    (WELL_CONDITIONED, ILL_CONDITIONED, RANK_DEFICIENT),
+    (WELL_CONDITIONED, RANK_DEFICIENT, ILL_CONDITIONED),
+    (WELL_CONDITIONED, 2.0**600 * WELL_CONDITIONED, 2.0**-600 * ILL_CONDITIONED),
+])
+def test_gate_keeps_solve_stack(monkeypatch, designs):
+    gated = _outcome(_solve_designs, *designs)
+    _svd_only(monkeypatch)
+    _assert_same_outcome(gated, _outcome(_solve_designs, *designs))
+
+
+@pytest.mark.parametrize("limit", [core.COND_LIMIT, 3e3])
+def test_gate_keeps_certificates(monkeypatch, limit):
+    """``certify_bound`` writes the same bytes, or raises the same error
+    when a point of a later block fails the conditioning check."""
+    monkeypatch.setattr(core, "COND_LIMIT", limit)
+    xs = np.concatenate([np.linspace(0.0, 1.0, 15), np.linspace(4.0, 5.0, 15)])
+    pts = PointSet(xs, values=np.sin(xs))
+    for l, alpha in ((1, 0.5), (2, 2.0), (3, 0.3), (4, 1.0)):
+        args = (pts, monomial_basis(l), WeightSpec("exp", alpha))
+        gated = _outcome(lambda: canonical_json(certify_bound(*args, n_grid=400).to_dict()))
+        with monkeypatch.context() as patch:
+            _svd_only(patch)
+            ref = _outcome(lambda: canonical_json(certify_bound(*args, n_grid=400).to_dict()))
+        assert gated == ref
+
+
+def test_condition_estimates_keep_their_svd(monkeypatch):
+    """The callers that read the condition estimates get the SVD's, even
+    where the gate would admit the rows."""
+    pts = PointSet(np.linspace(0.0, 1.0, 7), values=np.arange(7.0))
+    basis, weight = monomial_basis(3), WeightSpec("exp", 2.0)
+    xs = np.array([[0.2], [0.55]])
+    monkeypatch.setattr(core, "_certified", lambda rmats, m, l: True)
+    systems, error = core.build_system_list(xs, pts, basis, weight)
+    assert error is None
+    stacked = core.build_system_stack(xs, [pts, pts], basis, [weight, weight])
+    for x, sysm, other in zip(xs, systems, stacked):
+        svals = np.linalg.svd(sysm.rmat, compute_uv=False)
+        expected = (float(svals[0]) / float(svals[-1])) ** 2
+        assert build_system(x, pts, basis, weight).cond_gram == expected
+        assert sysm.cond_gram == other.cond_gram == expected
+
+
+def test_well_conditioned_grid_takes_no_svd(monkeypatch):
+    """A 2000-point grid of a well-conditioned fit (m = 25, l = 2) is
+    certified block by block: the kernel takes no SVD at all."""
+    rng = np.random.default_rng(11)
+    nodes = np.sort(rng.uniform(0.0, 1.0, 25))
+    pts = PointSet(nodes, values=np.sin(nodes))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    xs = np.linspace(nodes[0], nodes[-1], 2000)
+    coeffs, at_node = build_systems(xs, pts, monomial_basis(2), WeightSpec("exp", 3.0))
+    assert coeffs.shape == (2000, 25) and np.all(at_node == -1)
+    assert calls == []

@@ -440,6 +440,10 @@ def test_converge_unknown_function(tmp_path, capsys):
         ('{"h0": -0.2}', "h0"),
         ('{"levels": 1e400}', "levels"),
         ('{"l": null}', "l"),
+        ('{"l": 2.5}', "l"),
+        ('{"l": true}', "l"),
+        ('{"levels": 3.5}', "levels"),
+        ('{"levels": false}', "levels"),
         ('{"alpha0": NaN}', "alpha0"),
     ]:
         cfg.write_text(text)
@@ -527,3 +531,51 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unrecognized arguments: --{flag} {FLAG_VALUES[flag]}" in captured.err
+
+
+@pytest.mark.parametrize("alpha", ["1e400", "-1e400", "NaN"])
+@pytest.mark.parametrize("command", ["fit", "bound", "diagnose"])
+def test_non_finite_alpha_is_a_bad_weight_config(command, alpha, linear_csv, tmp_path, capfd):
+    """alpha = inf (JSON 1e400) is refused as a config value, exit 2,
+    instead of reaching LAPACK or the hypothesis checks."""
+    cfg = tmp_path / "w.json"
+    cfg.write_text(f'{{"weight": {{"family": "exp", "alpha": {alpha}}}}}')
+    code = main([command, "--input", linear_csv, "--config", str(cfg), "--grid", "3"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad weight config: alpha must be positive and finite, got ")
+
+
+@pytest.mark.parametrize("text,key", [
+    ('{"l": 2.5}', "l"),
+    ('{"l": true}', "l"),
+    ('{"l": 1e400}', "l"),
+    ('{"basis": {"l": 2.5}}', "l"),
+    ('{"basis": {"l": false}}', "l"),
+    ('{"basis": {"l": 2, "d": 1.5}}', "d"),
+    ('{"basis": {"l": 2, "d": true}}', "d"),
+])
+@pytest.mark.parametrize("command", ["fit", "bound", "diagnose"])
+def test_non_integral_basis_size_is_a_bad_basis_config(command, text, key, linear_csv,
+                                                       tmp_path, capfd):
+    """A bool or a non-integral basis size exits 2 naming its key, rather
+    than running with int() of it."""
+    cfg = tmp_path / "b.json"
+    cfg.write_text(text)
+    code = main([command, "--input", linear_csv, "--config", str(cfg), "--grid", "3"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad basis config: {key!r} must be an integer, got "), err
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_integral_basis_sizes_run_as_before(command, linear_csv, tmp_path, capsys):
+    outputs = set()
+    for text in ('{"l": 2}', '{"l": 2.0}', '{"l": "2"}', '{"basis": {"l": 2, "d": 1.0}}'):
+        cfg = tmp_path / "b.json"
+        cfg.write_text(text)
+        code, out, _ = run_cli([command, "--input", linear_csv, "--config", str(cfg),
+                                "--grid", "5"], capsys)
+        assert code == 0, text
+        outputs.add(out)
+    assert len(outputs) == 1

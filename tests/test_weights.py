@@ -90,3 +90,9 @@ def test_weights_nonnegative(fam, alpha, r):
 def test_positive_distance_positive_weight(alpha, r):
     for fam in ("exp", "shepard", "mclain", "levin"):
         assert WeightSpec(fam, alpha).w(r) > 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_alpha_must_be_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        WeightSpec("exp", alpha)
