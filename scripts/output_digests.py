@@ -27,8 +27,12 @@ thread:
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
-  ``converge`` with h0 = 0, ``bound --tol bound=nan``, and ``fit`` and
-  ``bound`` with the weight's alpha 1e400 (inf) or the basis size 2.5.
+  ``converge`` with h0 = 0, ``bound --tol bound=nan``; ``fit`` and
+  ``bound`` with the weight's alpha 1e400 (inf), the basis size 2.5, a
+  config key no subcommand reads (a misspelt one, ``basis``, ``grid``, or
+  one inside ``weight``) or alpha ``true``; and ``diagnose`` given a flag
+  of its other mode (``--seed`` with ``--input``, ``--config`` and
+  ``--grid`` without it).  Each of these exits 2.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -112,12 +116,21 @@ def _fixed_runs():
     argv = ["bound", "--input", "n3.csv", "--tol", "bound=nan", "--out", "bound.out"]
     yield "edge", "bound_tol_nan", argv, inputs, "bound.out"
     configs = {"alpha_inf": '{"weight": {"family": "exp", "alpha": 1e400}}',
-               "l_non_integral": '{"l": 2.5}'}
+               "l_non_integral": '{"l": 2.5}',
+               "unknown_key": '{"L": 3, "weigth": {"family": "exp", "alpha": 2}}',
+               "basis_key": '{"l": 2, "basis": {"l": 3}}',
+               "grid_key": '{"grid": "0:2:3"}',
+               "unknown_weight_key": '{"weight": {"family": "exp", "alfa": 2}}',
+               "alpha_true": '{"weight": {"family": "exp", "alpha": true}}'}
     for name, text in configs.items():
         for command in ("fit", "bound"):
             argv = [command, "--input", "n3.csv", "--config", "cfg.json", "--grid", "3",
                     "--out", f"{command}.out"]
             yield "edge", f"{command}_{name}", argv, {**inputs, "cfg.json": text}, f"{command}.out"
+    argv = ["diagnose", "--input", "n3.csv", "--seed", "7", "--out", "diagnose.out"]
+    yield "edge", "diagnose_input_seed", argv, inputs, "diagnose.out"
+    argv = ["diagnose", "--config", "cfg.json", "--grid", "5", "--out", "diagnose.out"]
+    yield "edge", "diagnose_suite_config_grid", argv, {"cfg.json": "{}"}, "diagnose.out"
 
 
 def main() -> None:

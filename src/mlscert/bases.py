@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import config_int
-
 
 def monomial_exponents(dim: int, size: int) -> list[tuple[int, ...]]:
     """First `size` exponent multi-indices in graded lexicographic order.
@@ -83,14 +81,6 @@ class BasisSpec:
         out = np.zeros((xs.size, self.size))
         out[:, 1:] = powers * xs[:, None] ** (powers - 1.0)
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasisSpec":
-        if d.get("kind", "monomial") != "monomial":
-            raise ValueError("only monomial bases can be configured from JSON")
-        if "l" not in d:
-            raise ValueError("basis config requires an 'l' key")
-        return monomial_basis(config_int(d["l"], "l"), dim=config_int(d.get("d", 1), "d"))
 
 
 def monomial_basis(size: int, dim: int = 1) -> BasisSpec:

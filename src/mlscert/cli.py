@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import bound1d, error_analysis, selftest as selftest_mod
-from .bases import BasisSpec, monomial_basis
-from .config import Tolerances, config_int
+from .bases import monomial_basis
+from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
@@ -63,37 +63,100 @@ def _resolve_seed(value) -> int:
     return DEFAULT_SEED
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise CliError("config root must be a JSON object")
-    return cfg
+def _load_config(args) -> dict:
+    """The config values ``args.command`` reads, by key: each key of its
+    table in ``_COMMANDS``, from the ``--config`` file or its default."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise CliError(f"cannot read config: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise CliError(f"config is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise CliError("config root must be a JSON object")
+    return _read_keys(cfg, _COMMANDS[args.command][3])
 
 
-def _weight_from(cfg: dict) -> WeightSpec:
+def _read_keys(cfg: dict, table: dict, where: str = "") -> dict:
+    """Every key of ``table`` read from the config object ``cfg`` by
+    ``_read``.  A key of ``cfg`` that ``table`` lacks is a ``CliError``
+    naming it, with ``where`` the path of ``cfg`` in the file."""
+    for key in cfg:
+        if key not in table:
+            raise CliError(f"unknown config key {where + key!r}; expected one of {sorted(table)}")
+    return {key: _read(cfg, key, *spec) for key, spec in table.items()}
+
+
+def _read(cfg: dict, key: str, label: str, default, cast, what: str, ok=lambda v: True):
+    """``cast`` of the config value of ``key``, ``default`` when absent.  A
+    value that ``cast`` refuses (or maps to None) or ``ok`` rejects is a
+    ``CliError`` naming the key."""
+    value = cfg.get(key, default)
     try:
-        if "weight" in cfg:
-            return WeightSpec.from_dict(cfg["weight"])
-        return WeightSpec("exp", 1.0)
-    except (ValueError, TypeError) as exc:
+        result = cast(value)
+    except (TypeError, ValueError, OverflowError, KeyError):
+        result = None
+    if result is None or not ok(result):
+        raise CliError(f"{label} {key!r} must be {what}, got {value!r}")
+    return result
+
+
+def _integer(value) -> int:
+    """``int(value)``, but a bool or a float that is not integral is refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(value)
+    return int(value)
+
+
+def _positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0.0
+
+
+def _weight(value) -> WeightSpec:
+    """The weight of a config ``weight`` object, None when ``value`` is not
+    an object.  The family and alpha go through ``WeightSpec``'s checks."""
+    if not isinstance(value, dict):
+        return None
+    if "family" not in value:
+        raise CliError("bad weight config: weight config requires a 'family' key")
+    keys = _read_keys(value, _WEIGHT_KEYS, "weight.")
+    try:
+        return WeightSpec(keys["family"], keys["alpha"])
+    except ValueError as exc:
         raise CliError(f"bad weight config: {exc}") from None
 
 
-def _basis_from(cfg: dict, dim: int) -> BasisSpec:
-    try:
-        if "basis" in cfg:
-            return BasisSpec.from_dict(cfg["basis"])
-        return monomial_basis(config_int(cfg.get("l", 2), "l"), dim)
-    except (ValueError, TypeError) as exc:
-        raise CliError(f"bad basis config: {exc}") from None
+# Config key tables: key -> (label, default, cast, what[, ok]), the
+# arguments of ``_read`` after the key.
+_WEIGHT_KEYS = {
+    "family": ("bad weight config:", None, lambda v: v, "a family name"),
+    "alpha": ("bad weight config:", 1.0, lambda v: None if isinstance(v, bool) else float(v),
+              "a number"),
+}
+#: the keys of ``fit``, ``diagnose`` and ``bound``: the basis size and weight
+_INSTANCE_KEYS = {
+    "l": ("bad basis config:", 2, _integer, "an integer"),
+    "weight": ("bad weight config:", {"family": "exp"}, _weight, "an object"),
+}
+_STUDY = "converge config"
+#: the keys of ``converge``, the ``convergence_study`` arguments but
+#: ``function`` (``f_true``) and ``levels`` (``n_levels``).  The study checks
+#: the rest (levels >= 3, a < b, the policy and the family).
+_STUDY_KEYS = {
+    "function": (_STUDY, "sin", error_analysis.TEST_FUNCTIONS.__getitem__,
+                 f"one of {sorted(error_analysis.TEST_FUNCTIONS)}"),
+    "l": (_STUDY, 2, _integer, "an integer"),
+    "domain": (_STUDY, [0.0, 3.0], lambda v: tuple(map(float, v)) if isinstance(v, list) else None,
+               "two finite numbers [a, b]", lambda v: len(v) == 2 and all(map(math.isfinite, v))),
+    "h0": (_STUDY, 0.2, float, "positive and finite", _positive),
+    "levels": (_STUDY, 3, _integer, "an integer"),
+    "alpha0": (_STUDY, 1.0, float, "positive and finite", _positive),
+    "policy": (_STUDY, "scaled", str, "a string"),
+    "family": (_STUDY, "exp", str, "a string"),
+}
 
 
 def _tolerances(pairs) -> Tolerances:
@@ -162,11 +225,11 @@ def _emit(text: str, out_path) -> None:
 
 
 def cmd_fit(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     points = _load_points(args.input, need_values=True)
-    weight = _weight_from(cfg)
-    basis = _basis_from(cfg, points.dim)
-    grid = _parse_grid(args.grid or cfg.get("grid"), points, weight)
+    weight = cfg["weight"]
+    basis = monomial_basis(cfg["l"], points.dim)
+    grid = _parse_grid(args.grid, points, weight)
     if grid is None:
         grid = points.nodes
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -192,10 +255,13 @@ def cmd_fit(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg = _load_config(args.config)
-    tol = _tolerances(args.tol)
+    # each mode reads its own flags; one of the other mode is exit 2
     if args.input is None:
         # no instance given: certify the operator claims on the random suite
+        for flag in ("config", "grid"):
+            if getattr(args, flag) is not None:
+                raise CliError(f"--{flag} requires --input")
+        tol = _tolerances(args.tol)
         seed = _resolve_seed(args.seed)
         names = ("spectral", "sv_product", "eig_product")
         report = selftest_mod.run_selftest(seed, tol, suites=names)
@@ -205,10 +271,14 @@ def cmd_diagnose(args) -> int:
         _emit(canonical_json(report), args.out)
         return EXIT_OK if report["pass"] else EXIT_VIOLATION
 
+    if args.seed is not None:
+        raise CliError("--seed is not read with --input")
+    cfg = _load_config(args)
+    tol = _tolerances(args.tol)
     points = _load_points(args.input, need_values=False)
-    weight = _weight_from(cfg)
-    basis = _basis_from(cfg, points.dim)
-    grid = _parse_grid(args.grid or cfg.get("grid"), points, weight)
+    weight = cfg["weight"]
+    basis = monomial_basis(cfg["l"], points.dim)
+    grid = _parse_grid(args.grid, points, weight)
     if grid is None:
         grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -233,12 +303,12 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     tol = _tolerances(args.tol)
     points = _load_points(args.input, need_values=True)
-    weight = _weight_from(cfg)
-    basis = _basis_from(cfg, points.dim)
-    grid = _parse_grid(args.grid or cfg.get("grid"), points, weight)
+    weight = cfg["weight"]
+    basis = monomial_basis(cfg["l"], points.dim)
+    grid = _parse_grid(args.grid, points, weight)
     cert = bound1d.certify_bound(
         points,
         basis,
@@ -254,47 +324,12 @@ def cmd_bound(args) -> int:
     return EXIT_OK if cert.passed else EXIT_VIOLATION
 
 
-def _study_options(cfg: dict) -> dict:
-    """The ``convergence_study`` arguments of a converge config.  A value of
-    the wrong type or out of range is a ``CliError`` naming its key; the
-    study checks the rest (levels >= 3, a < b, the policy and the family)."""
-
-    def read(key, default, cast, what, ok=lambda v: True):
-        value = cfg.get(key, default)
-        try:
-            result = cast(value)
-        except (TypeError, ValueError, OverflowError, KeyError):
-            result = None
-        if result is None or not ok(result):
-            raise CliError(f"converge config {key!r} must be {what}, got {value!r}")
-        return result
-
-    def positive(key, default):
-        return read(key, default, float, "positive and finite",
-                    lambda v: math.isfinite(v) and v > 0.0)
-
-    functions = error_analysis.TEST_FUNCTIONS
-    return {
-        "f_true": read("function", "sin", functions.__getitem__, f"one of {sorted(functions)}"),
-        "l": read("l", 2, lambda v: config_int(v, "l"), "an integer"),
-        "domain": read("domain", [0.0, 3.0],
-                       lambda v: tuple(map(float, v)) if isinstance(v, list) else None,
-                       "two finite numbers [a, b]",
-                       lambda v: len(v) == 2 and all(map(math.isfinite, v))),
-        "h0": positive("h0", 0.2),
-        "n_levels": read("levels", 3, lambda v: config_int(v, "levels"), "an integer"),
-        "alpha0": positive("alpha0", 1.0),
-        "policy": str(cfg.get("policy", "scaled")),
-        "family": str(cfg.get("family", "exp")),
-    }
-
-
 def cmd_converge(args) -> int:
-    options = _study_options(_load_config(args.config))
-    try:
-        study = error_analysis.convergence_study(**options)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    # a ValueError of the study (levels < 3, a >= b, ...) is exit 2 in main
+    options = _load_config(args)
+    study = error_analysis.convergence_study(
+        options.pop("function"), n_levels=options.pop("levels"), **options
+    )
     if args.format == "csv":
         header = ["level", "h", "sup_error", "amplification", "observed_order_cum"]
         _emit(csv_text(header, study.rows_csv()), args.out)
@@ -328,18 +363,20 @@ _FLAGS = {
     "out": dict(help="output file (default: stdout)"),
 }
 
-#: each subcommand: handler, help text and the flags it reads; any other
-#: flag is a usage error
+#: each subcommand: handler, help text, the flags it reads and the table of
+#: the config keys it reads; any other flag is a usage error, and any other
+#: config key exit 2
 _COMMANDS = {
     "fit": (cmd_fit, "fit input data over a grid",
-            ("input", "config", "grid", "format", "out")),
+            ("input", "config", "grid", "format", "out"), _INSTANCE_KEYS),
     "diagnose": (cmd_diagnose, "operator diagnostics (file or random suite)",
-                 ("input", "config", "grid", "seed", "tol", "out")),
+                 ("input", "config", "grid", "seed", "tol", "out"), _INSTANCE_KEYS),
     "bound": (cmd_bound, "growth-envelope certificate for 1-d data",
-              ("input", "config", "grid", "format", "convention", "tol", "out")),
+              ("input", "config", "grid", "format", "convention", "tol", "out"),
+              _INSTANCE_KEYS),
     "converge": (cmd_converge, "grid-refinement convergence study",
-                 ("config", "format", "out")),
-    "selftest": (cmd_selftest, "full certification battery", ("seed", "tol", "out")),
+                 ("config", "format", "out"), _STUDY_KEYS),
+    "selftest": (cmd_selftest, "full certification battery", ("seed", "tol", "out"), {}),
 }
 
 
@@ -349,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="moving least-squares fitting with certified matrix analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, flags) in _COMMANDS.items():
+    for name, (fn, help_text, flags, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])

@@ -1,21 +1,7 @@
-"""Tolerance configuration shared by the certification checks, and the
-reading of integer config values."""
+"""Tolerance configuration shared by the certification checks."""
 
 import math
 from dataclasses import dataclass, fields, replace
-
-
-def config_int(value, key: str) -> int:
-    """The config value ``value`` of ``key`` as an int, as ``int()`` reads
-    it.  A bool or a number that is not integral (2.5, inf, nan), or
-    anything ``int()`` refuses, raises ``ValueError`` naming the key."""
-    message = f"{key!r} must be an integer, got {value!r}"
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(message)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(message) from None
 
 
 @dataclass(frozen=True)

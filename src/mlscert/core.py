@@ -50,6 +50,7 @@ class HypothesisFailure(MlsError):
 
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def rank_tolerance(m: int, l: int, smax):
@@ -59,8 +60,11 @@ def rank_tolerance(m: int, l: int, smax):
     two, so grouping it changes no bit of the product while the result is
     a normal double: it is unless smax < 1e-290, and a design's column of
     ones keeps smax above 1e-155 (or at 0, when every weight is inf).
+    Below that the cutoff is floored at the smallest normal double, so an
+    R whose singular values are all subnormal fails the rank check rather
+    than passing it on a tolerance that underflowed to 0.
     """
-    return max(m, l) * smax * (_EPS * 16)
+    return np.maximum(max(m, l) * smax * (_EPS * 16), _TINY)
 
 
 def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
@@ -521,11 +525,6 @@ class HypothesisReport:
     basis_size_le_nodes: bool
     design_full_rank: bool
     rank: int
-
-    @property
-    def ok(self) -> bool:
-        """Gate used by fitting and diagnostics."""
-        return self.basis_size_le_nodes and self.design_full_rank
 
     @property
     def failed_items(self) -> list[str]:

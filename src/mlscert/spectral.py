@@ -66,14 +66,6 @@ class OperatorBundle:
     comp_dinv: np.ndarray
     system: MlsSystem
 
-    @property
-    def m(self) -> int:
-        return self.proj.shape[0]
-
-    @property
-    def l(self) -> int:
-        return self.coef_map.shape[1]
-
 
 def operator_stack(qmats, rmats, roots, design):
     """Coefficient maps and projectors of a block of k systems.

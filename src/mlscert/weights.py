@@ -77,14 +77,3 @@ class WeightSpec:
             else:  # levin
                 out = np.expm1((a * a) * arr**2)
         return out if np.ndim(r) else float(out)
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "alpha": float(self.alpha)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeightSpec":
-        try:
-            family = d["family"]
-        except KeyError:
-            raise ValueError("weight config requires a 'family' key") from None
-        return cls(family=family, alpha=float(d.get("alpha", 1.0)))

@@ -112,7 +112,6 @@ def test_evaluate_many():
 
 def test_check_hypotheses_ok():
     rep = check_hypotheses(NODES_012, monomial_basis(2))
-    assert rep.ok
     assert rep.basis_size_le_nodes and rep.design_full_rank
     assert rep.failed_items == []
 
@@ -286,6 +285,20 @@ def test_first_failing_row_of_a_block_raises(designs, expected):
     first failing row raises, whatever fails after it."""
     with pytest.raises(expected):
         _solve_designs(*designs)
+
+
+def test_subnormal_design_fails_the_rank_check():
+    """With every singular value of R subnormal, the rank tolerance is the
+    smallest normal double instead of an underflowed 0, so the row fails
+    the rank check rather than solving to NaN coefficients."""
+    with pytest.raises(HypothesisFailure):
+        _solve_designs(2.0**-1060 * WELL_CONDITIONED)
+    tiny = np.finfo(float).tiny
+    assert core.rank_tolerance(3, 2, 2.0**-1060) == tiny
+    assert core.rank_tolerance(3, 2, 0.0) == tiny
+    # no bit moves where the product is normal
+    for smax in (1e-155, 1.0, 1e300):
+        assert core.rank_tolerance(3, 2, smax) == 3 * smax * (16 * np.finfo(float).eps)
 
 
 NEAR = 0.2 + 1e-9  # next to a node of an interpolating weight: ConditioningError

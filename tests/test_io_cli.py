@@ -559,19 +559,23 @@ def test_non_finite_alpha_is_a_bad_weight_config(command, alpha, linear_csv, tmp
 def test_non_integral_basis_size_is_a_bad_basis_config(command, text, key, linear_csv,
                                                        tmp_path, capfd):
     """A bool or a non-integral basis size exits 2 naming its key, rather
-    than running with int() of it."""
+    than running with int() of it.  No subcommand reads a ``basis`` object,
+    so one exits 2 naming ``basis``, whatever size it holds."""
     cfg = tmp_path / "b.json"
     cfg.write_text(text)
     code = main([command, "--input", linear_csv, "--config", str(cfg), "--grid", "3"])
     out, err = capfd.readouterr()
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: bad basis config: {key!r} must be an integer, got "), err
+    if text.startswith('{"basis"'):
+        assert err == "error: unknown config key 'basis'; expected one of ['l', 'weight']\n"
+    else:
+        assert err.startswith(f"error: bad basis config: {key!r} must be an integer, got "), err
 
 
 @pytest.mark.parametrize("command", ["fit", "bound"])
 def test_integral_basis_sizes_run_as_before(command, linear_csv, tmp_path, capsys):
     outputs = set()
-    for text in ('{"l": 2}', '{"l": 2.0}', '{"l": "2"}', '{"basis": {"l": 2, "d": 1.0}}'):
+    for text in ('{"l": 2}', '{"l": 2.0}', '{"l": "2"}'):
         cfg = tmp_path / "b.json"
         cfg.write_text(text)
         code, out, _ = run_cli([command, "--input", linear_csv, "--config", str(cfg),
@@ -579,3 +583,102 @@ def test_integral_basis_sizes_run_as_before(command, linear_csv, tmp_path, capsy
         assert code == 0, text
         outputs.add(out)
     assert len(outputs) == 1
+
+
+#: the config keys each subcommand reads
+CONFIG_KEYS = {
+    "fit": {"l", "weight"},
+    "diagnose": {"l", "weight"},
+    "bound": {"l", "weight"},
+    "converge": {"function", "l", "domain", "h0", "levels", "alpha0", "policy", "family"},
+}
+#: a well-formed value per key, each its default where a subcommand reads
+#: it, so only the key itself can be refused; ``basis`` and ``grid`` were
+#: read once, the last two are misspellings
+CONFIG_VALUES = {
+    "l": 2, "weight": {"family": "exp", "alpha": 1.0}, "function": "sin",
+    "domain": [0.0, 3.0], "h0": 0.2, "levels": 3, "alpha0": 1.0, "policy": "scaled",
+    "family": "exp", "basis": {"kind": "monomial", "l": 2, "d": 1}, "grid": "0:2:3",
+    "L": 2, "weigth": {"family": "exp"},
+}
+#: (command, key path) of keys the command does not read, inside ``weight`` too
+UNREAD = [
+    (command, key) for command, keys in CONFIG_KEYS.items()
+    for key in CONFIG_VALUES if key not in keys
+] + [
+    (command, f"weight.{key}") for command in ("fit", "diagnose", "bound")
+    for key in ("alfa", "l", "kind", "grid")
+]
+
+
+def _config_argv(command, cfg, csv):
+    if command == "converge":
+        return [command, "--config", str(cfg)]
+    return [command, "--input", csv, "--config", str(cfg), "--grid", "3"]
+
+
+@pytest.mark.parametrize("command,key", UNREAD)
+def test_a_config_key_the_command_does_not_read_is_exit_2(command, key, linear_csv,
+                                                          tmp_path, capsys):
+    """Each subcommand reads only the config keys of its table: any other,
+    at the top level or inside ``weight``, is exit 2 naming it."""
+    cfg = tmp_path / "cfg.json"
+    if key.startswith("weight."):
+        text, expected = {"weight": {"family": "exp", key[7:]: 1.0}}, ["alpha", "family"]
+    else:
+        text, expected = {key: CONFIG_VALUES[key]}, sorted(CONFIG_KEYS[command])
+    cfg.write_text(json.dumps(text))
+    code, out, err = run_cli(_config_argv(command, cfg, linear_csv), capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: unknown config key {key!r}; expected one of {expected}\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "converge"])
+def test_every_read_key_at_its_default_changes_nothing(command, linear_csv, tmp_path, capsys):
+    """A config that sets every key of the table to its default writes the
+    bytes of an empty one."""
+    cfg = tmp_path / "cfg.json"
+    outputs = []
+    for text in (json.dumps({key: CONFIG_VALUES[key] for key in CONFIG_KEYS[command]}), "{}"):
+        cfg.write_text(text)
+        outputs.append(run_cli(_config_argv(command, cfg, linear_csv), capsys))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"weight": {"family": "exp", "alpha": true}}', "'alpha' must be a number, got True"),
+    ('{"weight": {"family": "exp", "alpha": "x"}}', "'alpha' must be a number, got 'x'"),
+    ('{"weight": "exp"}', "'weight' must be an object, got 'exp'"),
+    ('{"weight": null}', "'weight' must be an object, got None"),
+    ('{"weight": {"family": null}}', "'family' must be a family name, got None"),
+    ('{"weight": {"family": "gauss"}}', "unknown weight family 'gauss'"),
+])
+@pytest.mark.parametrize("command", ["fit", "bound", "diagnose"])
+def test_bad_weight_value_is_exit_2(command, text, message, linear_csv, tmp_path, capsys):
+    cfg = tmp_path / "w.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(_config_argv(command, cfg, linear_csv), capsys)
+    assert (code, out, err) == (2, "", f"error: bad weight config: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["fit", "bound", "diagnose"])
+def test_weight_config_requires_a_family(command, linear_csv, tmp_path, capsys):
+    cfg = tmp_path / "w.json"
+    cfg.write_text('{"weight": {"alpha": 1.0}}')
+    code, out, err = run_cli(_config_argv(command, cfg, linear_csv), capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: bad weight config: weight config requires a 'family' key\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--input", "nodes.csv", "--seed", "7"], "--seed is not read with --input"),
+    (["--config", "cfg.json"], "--config requires --input"),
+    (["--grid", "5"], "--grid requires --input"),
+    (["--config", "cfg.json", "--grid", "5"], "--config requires --input"),
+])
+def test_diagnose_refuses_the_flags_of_its_other_mode(argv, message, capsys):
+    """diagnose reads --seed only without --input, and --config and --grid
+    only with it; a flag of the other mode is exit 2 naming it, before any
+    file is read."""
+    code, out, err = run_cli(["diagnose", *argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

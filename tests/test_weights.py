@@ -64,17 +64,6 @@ def test_overflow_maps_to_inf():
     assert spec.w(3.0) == math.inf
 
 
-def test_dict_round_trip():
-    spec = WeightSpec("mclain", 2.5)
-    again = WeightSpec.from_dict(spec.to_dict())
-    assert again == spec
-
-
-def test_from_dict_requires_family():
-    with pytest.raises(ValueError):
-        WeightSpec.from_dict({"alpha": 1.0})
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     fam=st.sampled_from(FAMILIES),
