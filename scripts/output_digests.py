@@ -25,14 +25,16 @@ thread:
   interpolating weight on an ``N`` grid outside the known-failure ledger;
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
+- ``bound`` (seed ``-``): a certificate with l = m (four nodes, l = 4),
+  whose P - I is exactly 0;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
-  ``converge`` with h0 = 0, ``bound --tol bound=nan``; ``fit`` and
-  ``bound`` with the weight's alpha 1e400 (inf), the basis size 2.5, a
-  config key no subcommand reads (a misspelt one, ``basis``, ``grid``, or
-  one inside ``weight``) or alpha ``true``; and ``diagnose`` given a flag
-  of its other mode (``--seed`` with ``--input``, ``--config`` and
-  ``--grid`` without it).  Each of these exits 2.
+  ``converge`` with h0 = 0 or h0 ``true``, ``bound --tol bound=nan``;
+  ``fit`` and ``bound`` with the weight's alpha 1e400 (inf), the basis
+  size 2.5, a config key no subcommand reads (a misspelt one, ``basis``,
+  ``grid``, or one inside ``weight``) or alpha ``true``; and ``diagnose``
+  given a flag of its other mode (``--seed`` with ``--input``,
+  ``--config`` and ``--grid`` without it).  Each of these exits 2.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -53,6 +55,7 @@ sys.path.insert(0, str(ROOT))
 from perfbench import workloads  # noqa: E402
 
 EDGE_INPUT = "x1,f\n0,0\n1,1\n2,4\n"
+SQUARE_INPUT = "x1,f\n0.1,0\n0.35,1\n0.6,0\n0.9,1\n"
 
 
 def _digest(data: bytes) -> str:
@@ -106,6 +109,10 @@ def _fixed_runs():
     for name in ("sin", "exp", "runge"):
         argv = ["converge", "--config", "study.json", "--out", "converge.out"]
         yield "converge", name, argv, {"study.json": json.dumps({"function": name})}, "converge.out"
+    argv = ["bound", "--input", "n4.csv", "--config", "cfg.json", "--grid", "200",
+            "--out", "bound.out"]
+    files = {"n4.csv": SQUARE_INPUT, "cfg.json": '{"l": 4, "weight": {"family": "exp"}}'}
+    yield "bound", "square_design", argv, files, "bound.out"
     fit = ["fit", "--input", "n3.csv", "--grid"]
     inputs = {"n3.csv": EDGE_INPUT}
     yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None
@@ -113,6 +120,7 @@ def _fixed_runs():
     yield "edge", "out_parent_missing", fit + ["0:2:3", "--out", "missing/out.json"], inputs, None
     argv = ["converge", "--config", "study.json", "--out", "converge.out"]
     yield "edge", "converge_h0_zero", argv, {"study.json": '{"h0": 0}'}, "converge.out"
+    yield "edge", "converge_h0_true", argv, {"study.json": '{"h0": true}'}, "converge.out"
     argv = ["bound", "--input", "n3.csv", "--tol", "bound=nan", "--out", "bound.out"]
     yield "edge", "bound_tol_nan", argv, inputs, "bound.out"
     configs = {"alpha_inf": '{"weight": {"family": "exp", "alpha": 1e400}}',

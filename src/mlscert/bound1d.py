@@ -32,6 +32,7 @@ import numpy as np
 from .bases import BasisSpec
 from .config import Tolerances
 from .core import (
+    _BLOCK,
     HypothesisFailure,
     MlsSystem,
     build_design,
@@ -40,7 +41,7 @@ from .core import (
     solve_blocks,
 )
 from .points import PointSet
-from .spectral import OperatorBundle, operator_stack
+from .spectral import OperatorBundle, coef_map_stack
 from .weights import WeightSpec
 
 __all__ = [
@@ -55,9 +56,13 @@ __all__ = [
     "certify_bound",
 ]
 
-#: doubles per (rows, m, m) operator stack in ``certify_bound``: blocks
-#: are sized by bytes, not rows, so their memory does not grow with m
-_BLOCK_DOUBLES = 2**15
+#: the memory budget of ``certify_bound``'s grid loop, in doubles: an
+#: operator sub-block holds one (rows, m, m) stack of at most this size
+#: (one row when m^2 exceeds it), and ``_chained_upper`` takes its step
+#: differences and product bounds in chunks of an eighth of those rows,
+#: so every (rows, m, m) temporary alive beside the stack fits in half of
+#: one more: all of them together come to about 1.5 times this, 768 KiB
+_BLOCK_DOUBLES = 2**16
 
 #: log of the largest finite double; envelopes are clipped here
 _MAX_LOG = math.log(np.finfo(float).max)
@@ -78,8 +83,25 @@ _REFINE_MIN_ORDER = 16
 
 
 def _block_rows(m: int) -> int:
-    """Grid rows per block of the certificate for m nodes."""
+    """Grid rows per operator sub-block of the certificate for m nodes:
+    one (rows, m, m) stack of at most ``_BLOCK_DOUBLES`` doubles.  A solve
+    block holds max(``core._BLOCK``, this) rows (``_solve_block_rows``)."""
     return max(1, _BLOCK_DOUBLES // (m * m))
+
+
+def _solve_block_rows(m: int) -> int:
+    """Grid rows per solve block of the certificate for m nodes: the
+    (rows, m, l) solve takes ``core._BLOCK`` rows, as ``build_systems``
+    does, and never fewer than one operator sub-block."""
+    return max(_BLOCK, _block_rows(m))
+
+
+def _chunk_rows(m: int) -> int:
+    """Rows per chunk of ``_chained_upper``'s step differences and
+    product bounds: a chunk of candidate rows, its scaled copy, the
+    transposed copy and the product are four (rows, m, m) arrays, an
+    eighth of a sub-block's stack each."""
+    return max(1, _block_rows(m) // 8)
 
 
 def _sigma_margin(m: int) -> float:
@@ -212,26 +234,36 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
     consecutive rows: forward from the anchor before it (the carried last
     row of the block before, if any) and backward from the one after it,
     whichever is smaller, times ``_chain_margin(m)`` plus
-    ``_chain_floor(m)``.  The anchor with the largest bound gets its SVD
-    first when it is sure to raise best: when its bound beats best even
-    divided by m^(1/16), the most the bound of G^4 overestimates (always,
-    while best is -inf).  Only rows whose chained bound still beats best
-    get a product bound, refined up to G^(2^_SQUARINGS) from
-    m = ``_REFINE_MIN_ORDER`` on; the others cannot raise best.  The row
-    that got its SVD gets that value as its bound, which no later SVD
+    ``_chain_floor(m)``.  The step differences are taken in chunks of
+    ``_chunk_rows(m)`` rows, each dropped as soon as its norms are taken.
+    The anchor with the largest bound gets its
+    SVD first when it is sure to raise best: when its bound beats best
+    even divided by m^(1/16), the most the bound of G^4 overestimates
+    (always, while best is -inf).
+
+    Only rows whose chained bound still beats best get a product bound,
+    refined up to G^(2^_SQUARINGS) from m = ``_REFINE_MIN_ORDER`` on; the
+    others cannot raise best.  They get it in chunks of ``_chunk_rows(m)``
+    rows, in decreasing order of chained bound, so the product workspace
+    stays within half a stack of ``_BLOCK_DOUBLES``.  After each chunk, its
+    row with the largest bound gets its SVD if that bound beats best, and
+    the next chunk keeps only the rows that beat the raised maximum.  A
+    row that got its SVD gets that value as its bound, which no later SVD
     exceeds; the carry takes its bound from before.
     """
     k, m, _ = stack.shape
-    stride = _CHAIN_STRIDE
+    stride, size = _CHAIN_STRIDE, _chunk_rows(m)
     anchors = np.append(np.arange(stride - 1, k - 1, stride), k - 1)
     anchor_upper = _sigma_max_upper(stack[anchors])
     # segment s holds the rows after anchor s - 1 up to anchor s, padded
     # with zero steps after the last row
     steps = np.zeros(anchors.size * stride)
     with np.errstate(over="ignore"):  # inf is still an upper bound
-        if k > 1:
-            diff = (stack[1:] - stack[:-1]).reshape(k - 1, -1)
-            steps[1:k] = np.sqrt(np.vecdot(diff, diff))
+        for first in range(1, k, size):
+            stop = min(first + size, k)
+            diff = (stack[first:stop] - stack[first - 1 : stop - 1]).reshape(-1, m * m)
+            steps[first:stop] = np.sqrt(np.vecdot(diff, diff))
+            del diff
         if carry is not None:
             diff = (stack[0] - carry[0]).ravel()
             steps[0] = math.sqrt(np.vecdot(diff, diff))
@@ -243,18 +275,31 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
         backward = anchor_upper[:, None] + np.cumsum(back[:, ::-1], axis=1)[:, ::-1]
         upper = np.minimum(forward, backward).ravel()[:k] * _chain_margin(m) + _chain_floor(m)
     top = int(np.argmax(anchor_upper))
-    seeded = anchors[top]
-    seed = _sigma_max(stack[seeded]) if anchor_upper[top] * m ** (-1 / 16) > best else None
-    if seed is not None:
-        best = max(best, seed)
-    rows = np.flatnonzero(upper > best)
-    if rows.size:
-        squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
-        refined = _sigma_max_upper(stack[rows], best, squarings)
-        upper[rows] = np.minimum(upper[rows], refined)
+    settled = {}  # row -> sigma_max, for the rows that got their SVD
+    if anchor_upper[top] * m ** (-1 / 16) > best:
+        seeded = int(anchors[top])
+        settled[seeded] = _sigma_max(stack[seeded])
+        best = max(best, settled[seeded])
+    squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
+    candidate = upper > best
+    candidate[list(settled)] = False
+    rows = np.flatnonzero(candidate)
+    rows = rows[np.argsort(upper[rows])[::-1]]
+    for first in range(0, rows.size, size):
+        chunk = rows[first : first + size]
+        # the chunks' bounds decrease and best only rises: once a chunk
+        # has no row above best, no later chunk has one
+        chunk = chunk[upper[chunk] > best]
+        if not chunk.size:
+            break
+        upper[chunk] = np.minimum(upper[chunk], _sigma_max_upper(stack[chunk], best, squarings))
+        row = int(chunk[np.argmax(upper[chunk])])
+        if upper[row] > best:
+            settled[row] = _sigma_max(stack[row])
+            best = max(best, settled[row])
     carry = (stack[-1].copy(), float(upper[-1]))
-    if seed is not None:
-        upper[seeded] = seed
+    for row, sigma in settled.items():
+        upper[row] = sigma
     return upper, best, carry
 
 
@@ -270,10 +315,12 @@ def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
     ``_chained_upper``.  ``carry`` is None or (matrix, bound): the last row
     of the block before and an upper bound on its exact sigma_max, which
     the chain starts from; the carry of this block's last row is returned
-    with the maximum.  A stack with a non-finite entry, or an m whose
-    margin would pass 1%, takes the norm of every matrix as before and
-    drops the carry, so it fails the same way (numpy raises
-    ``LinAlgError``) or yields NaN, which ``np.max`` keeps.
+    with the maximum.  Beside the stack, the (k, m, m) temporaries alive
+    at once come to about half a stack (``_chained_upper``).  A stack
+    with a non-finite entry, or an m whose margin would pass 1%, takes the
+    norm of every matrix as before and drops the carry, so it fails the
+    same way (numpy raises ``LinAlgError``) or yields NaN, which
+    ``np.max`` keeps.
     """
     k, m, _ = stack.shape
     if _sigma_margin(m) > 1.01 or not np.all(np.isfinite(stack)):
@@ -484,9 +531,11 @@ class BoundCertificate:
     ``passed`` means every grid point satisfies lhs <= rhs within the
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
     argument held on the same grid.  ``majorants["max_comp_h"]`` is the
-    exact max over the grid of sigma_max((P - I) H), the SVD of an actual
+    exact max over the grid of sigma_max((P - I) H): the SVD of an actual
     grid point (the points whose chained or product upper bounds cannot
-    beat it get none), and ``max_forcing`` the max of ||A0 c'||.
+    beat it get none), or exactly 0 when l = m, where P = I.
+    ``max_forcing`` is the max of ||A0 c'||.  Neither depends on the
+    order of the grid or on how the grid loop splits it into blocks.
     """
 
     constants: BoundConstants
@@ -539,14 +588,23 @@ def certify_bound(
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a 1-D basis).
 
-    ``max_comp_h`` is exact, from candidate rows: per block, upper bounds
-    on sigma_max((P - I) H) pick the rows that could hold the maximum, and
-    only those get an SVD (``_max_sigma``).  A few rows get a bound from
-    products of G = M^T M; the others chain theirs from them along the
-    grid by Weyl's inequality, and the last row of each block carries the
-    chain into the next.  Any grid order gives the same maximum.  The
-    design and its SVD are computed once, for the hypotheses, the
-    constants and the solves.  c' is evaluated once per block.
+    The grid is solved in solve blocks of ``_solve_block_rows(m)`` rows,
+    and a(x), its norm, the nearest node, H and c' are computed once per
+    solve block.  The operators (the coefficient map A0, P - I and
+    (P - I) H) and the forcing products A0 c' are built per operator
+    sub-block of ``_block_rows(m)`` rows, so the (rows, m, m) temporaries
+    alive at once come to about 1.5 times ``_BLOCK_DOUBLES``, whatever m.
+
+    ``max_comp_h`` is exact, from candidate rows: per sub-block, upper
+    bounds on sigma_max((P - I) H) pick the rows that could hold the
+    maximum, and only those get an SVD (``_max_sigma``).  A few rows get a
+    bound from products of G = M^T M; the others chain theirs from them
+    along the grid by Weyl's inequality, and the last row of each
+    sub-block carries the chain into the next.  Any grid order and any
+    block size give the same maximum.  With l = m the design is square
+    and invertible, so P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and
+    no P - I is built.  The design and its SVD are computed once, for the
+    hypotheses, the constants and the solves.
     """
     # the design and its SVD serve the hypotheses, the constants and the
     # solves; nothing before it in the checks can raise
@@ -571,30 +629,37 @@ def certify_bound(
     anchor_coeffs, _ = build_systems(xs_nodes, points, basis, weight, design=design)
     anchor_norm = _norms(anchor_coeffs)
 
-    m1 = consts.forcing_bound
-    m2 = consts.growth_rate
+    m, m1, m2 = points.m, consts.forcing_bound, consts.growth_rate
     lhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
     forcing = np.empty(grid.size)
-    max_comp_h, carry = -math.inf, None
+    # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
+    max_comp_h = 0.0 if basis.size == m else -math.inf
+    carry, sub = None, _block_rows(m)
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
-    for start, rows in solve_blocks(
-        grid[:, None], points, basis, weight, design, _block_rows(points.m)
-    ):
+    blocks = solve_blocks(grid[:, None], points, basis, weight, design, _solve_block_rows(m))
+    for start, rows in blocks:
         block = slice(start, start + len(rows.coeffs))
-        coef_map, comp = operator_stack(rows.qmats, rows.rmats, rows.roots, design)
-        # P - I, then (P - I) H, in place: a block holds one (rows, m, m) stack
-        comp -= np.eye(points.m)
-        comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
-        max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
         # the nearest node anchors the envelope; a tie goes to the smaller index
         k0s[block] = np.argmin(rows.dists, axis=1)
         lhs[block] = _norms(rows.coeffs)
-        # a stacked matmul runs one BLAS matrix-vector product per row, as
-        # coef_map[i] @ c'(x_i) does (an einsum sums in another order)
+        hdiags = dlogw_diag(grid[block], points, alpha)
         dcs = basis.derivative_rows(grid[block])
-        forcing[block] = _norms((coef_map @ dcs[:, :, None])[:, :, 0])
+        # operator sub-blocks: one (rows, m, m) stack each
+        for first in range(0, len(rows.coeffs), sub):
+            part = slice(first, first + sub)
+            coef_map = coef_map_stack(rows.qmats[part], rows.rmats[part], rows.roots[part])
+            if basis.size < m:
+                # P - I, then (P - I) H, in place
+                comp = coef_map @ design.T
+                comp -= np.eye(m)
+                comp *= hdiags[part, None, :]
+                max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
+                del comp  # before the next sub-block builds its stack
+            # a stacked matmul runs one BLAS matrix-vector product per row,
+            # as coef_map[i] @ c'(x_i) does (an einsum sums in another order)
+            forcing[block][part] = _norms((coef_map @ dcs[part, :, None])[:, :, 0])
     # np.max keeps a NaN sample (Python's max would skip it)
     max_forcing = float(np.max(forcing))
 

@@ -111,6 +111,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """``float(value)``, but a bool is refused."""
+    if isinstance(value, bool):
+        raise ValueError(value)
+    return float(value)
+
+
 def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0.0
 
@@ -133,8 +140,7 @@ def _weight(value) -> WeightSpec:
 # arguments of ``_read`` after the key.
 _WEIGHT_KEYS = {
     "family": ("bad weight config:", None, lambda v: v, "a family name"),
-    "alpha": ("bad weight config:", 1.0, lambda v: None if isinstance(v, bool) else float(v),
-              "a number"),
+    "alpha": ("bad weight config:", 1.0, _number, "a number"),
 }
 #: the keys of ``fit``, ``diagnose`` and ``bound``: the basis size and weight
 _INSTANCE_KEYS = {
@@ -149,11 +155,11 @@ _STUDY_KEYS = {
     "function": (_STUDY, "sin", error_analysis.TEST_FUNCTIONS.__getitem__,
                  f"one of {sorted(error_analysis.TEST_FUNCTIONS)}"),
     "l": (_STUDY, 2, _integer, "an integer"),
-    "domain": (_STUDY, [0.0, 3.0], lambda v: tuple(map(float, v)) if isinstance(v, list) else None,
+    "domain": (_STUDY, [0.0, 3.0], lambda v: tuple(map(_number, v)) if isinstance(v, list) else None,
                "two finite numbers [a, b]", lambda v: len(v) == 2 and all(map(math.isfinite, v))),
-    "h0": (_STUDY, 0.2, float, "positive and finite", _positive),
+    "h0": (_STUDY, 0.2, _number, "positive and finite", _positive),
     "levels": (_STUDY, 3, _integer, "an integer"),
-    "alpha0": (_STUDY, 1.0, float, "positive and finite", _positive),
+    "alpha0": (_STUDY, 1.0, _number, "positive and finite", _positive),
     "policy": (_STUDY, "scaled", str, "a string"),
     "family": (_STUDY, "exp", str, "a string"),
 }

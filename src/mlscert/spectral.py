@@ -33,6 +33,7 @@ from .core import MlsSystem, rank_tolerance
 __all__ = [
     "OperatorBundle",
     "SpectralReport",
+    "coef_map_stack",
     "operator_stack",
     "build_operators",
     "check_sv_products",
@@ -67,21 +68,29 @@ class OperatorBundle:
     system: MlsSystem
 
 
-def operator_stack(qmats, rmats, roots, design):
-    """Coefficient maps and projectors of a block of k systems.
-
-    ``qmats`` (k, m, l) and ``rmats`` (k, l, l) are the QR factors of the
-    scaled designs, ``roots`` (k, m) the square roots of their weight
-    diagonals, ``design`` the design (m, l) they share or a stack (k, m, l)
-    of one design each.  Returns ``coef_map`` (k, m, l) = Q R^{-T} / sqrt(d)
-    and ``proj`` (k, m, m) = coef_map E^T, each system computed as on its
-    own (stacked LAPACK and BLAS calls run per matrix); the complement is
-    ``proj - I``.
-    """
+def coef_map_stack(qmats, rmats, roots):
+    """Coefficient maps Q R^{-T} / sqrt(d), (k, m, l), of a block of k
+    systems: ``qmats`` (k, m, l) and ``rmats`` (k, l, l) are the QR factors
+    of the scaled designs, ``roots`` (k, m) the square roots of their
+    weight diagonals.  Each map is computed as on its own (stacked LAPACK
+    and BLAS calls run per matrix)."""
     l = rmats.shape[-1]
     # one triangular solve per column of the identity
     coef_map = qmats @ np.linalg.solve(rmats.transpose(0, 2, 1), np.eye(l))
     coef_map /= roots[:, :, None]
+    return coef_map
+
+
+def operator_stack(qmats, rmats, roots, design):
+    """Coefficient maps and projectors of a block of k systems.
+
+    The arguments are those of ``coef_map_stack``, and ``design`` the
+    design (m, l) the systems share or a stack (k, m, l) of one design
+    each.  Returns ``coef_map`` (k, m, l) and ``proj`` (k, m, m) =
+    coef_map E^T, each system computed as on its own; the complement is
+    ``proj - I``.
+    """
+    coef_map = coef_map_stack(qmats, rmats, roots)
     return coef_map, coef_map @ _t(design)
 
 

@@ -3,6 +3,7 @@ derivative identity for the coefficient vector, envelope constants, and the
 grid certificate."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mlscert.core import (
     build_weight_diag,
 )
 from mlscert.points import PointSet
+from mlscert.reporting import canonical_json
 from mlscert.spectral import build_operators
 from mlscert.weights import WeightSpec
 
@@ -334,7 +336,8 @@ def _nearest_node(x: float, points: PointSet) -> int:
 
 def _per_point_certificate(pts, basis, weight, grid):
     """Reference: one build_system, build_operators and nearest node per
-    grid point, as the certificate was computed before it was batched."""
+    grid point, as the certificate was computed before it was batched; with
+    l = m, max_comp_h is the exact 0 of P - I = 0."""
     xs = pts.nodes[:, 0]
     consts = bound_constants(pts, basis, weight.alpha)
     anchor = [np.linalg.norm(build_system(x, pts, basis, weight).coeffs) for x in xs]
@@ -351,9 +354,10 @@ def _per_point_certificate(pts, basis, weight, grid):
         lhs.append(np.linalg.norm(sysm.coeffs))
         rhs.append(env)
         k0s.append(k0)
-        comp_h = np.linalg.norm(bundle.comp * dlogw_diag(x, pts, weight.alpha)[None, :], 2)
         forcing = np.linalg.norm(bundle.coef_map @ basis.derivative_at(x))
-        max_comp_h = max(max_comp_h, float(comp_h))
+        if basis.size < pts.m:  # l = m: P = I exactly, so (P - I) H = 0
+            comp_h = np.linalg.norm(bundle.comp * dlogw_diag(x, pts, weight.alpha)[None, :], 2)
+            max_comp_h = max(max_comp_h, float(comp_h))
         max_forcing = max(max_forcing, float(forcing))
     return {
         "lhs": np.array(lhs), "rhs": np.array(rhs), "k0": np.array(k0s),
@@ -413,7 +417,7 @@ def test_batched_certificate_matches_per_point(
     span = math.exp(log_span)
     xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
     pts = PointSet(xs, values=np.cos(xs))
-    block = bound1d._block_rows(len(xs))
+    block = bound1d._solve_block_rows(len(xs))
     if n_grid == "block+1":
         n_grid = block + 1 if block < 400 else 41
     grid = uniform_grid(pts, n_grid)
@@ -465,8 +469,8 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
     xs = np.concatenate([np.linspace(0.0, 1.0, 15), np.linspace(4.0, 5.0, 15)])
     pts = PointSet(xs, values=np.sin(xs))
     basis, weight = monomial_basis(2), WeightSpec("exp", 2.0)
-    grid = uniform_grid(pts, 200)
-    block = bound1d._block_rows(pts.m)
+    grid = uniform_grid(pts, 400)  # the peak lies past the first solve block
+    block = bound1d._solve_block_rows(pts.m)
     cond = [build_system(x, pts, basis, weight).cond_gram for x in grid]
     worst_before = max(build_system(x, pts, basis, weight).cond_gram for x in xs)
     # a point past the first block whose condition tops every earlier one
@@ -489,7 +493,7 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
     (tmp_path / "cfg.json").write_text('{"l": 2, "weight": {"family": "exp", "alpha": 2.0}}')
     code = cli.main([
         "bound", "--input", str(tmp_path / "in.csv"),
-        "--config", str(tmp_path / "cfg.json"), "--grid", "200",
+        "--config", str(tmp_path / "cfg.json"), "--grid", "400",
     ])
     assert code == 4
 
@@ -576,9 +580,11 @@ def _smooth_run(rng, m, n, peak):
     return a + t * b + 3.0 * np.exp(-(((t - peak) / 0.15) ** 2)) * c
 
 
-def _blocks_of(run):
-    """The blocks a certificate grid of these rows would be split into."""
-    rows = bound1d._block_rows(run.shape[1])
+def _blocks_of(run, rows=None):
+    """The run split into blocks of ``rows`` rows; by default those of a
+    certificate sub-block of 2^15 doubles, which the counts below were
+    measured on."""
+    rows = rows or max(1, 2**15 // run.shape[1] ** 2)
     return [run[i : i + rows] for i in range(0, len(run), rows)]
 
 
@@ -725,7 +731,7 @@ def test_non_finite_block_drops_the_carry(monkeypatch):
     (a NaN raises LinAlgError, as ``test_pruned_max_sigma_with_a_nan_block``
     checks), so the maximum is NaN, and the carry is dropped; the blocks
     after it start a new chain, and a NaN maximum takes no SVD."""
-    blocks = _blocks_of(_smooth_run(np.random.default_rng(4), 20, 300, 0.5))
+    blocks = _blocks_of(_smooth_run(np.random.default_rng(4), 20, 300, 0.5), rows=75)
     blocks[2] = blocks[2].copy()
     blocks[2][5, 3, 3] = np.inf
     assert math.isnan(_full_max(blocks))
@@ -793,6 +799,9 @@ def _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order):
         with monkeypatch.context() as mp:
             mp.setattr(bound1d, "_max_sigma", full)
             ref = certify_bound(pts, monomial_basis(l), weight, grid=grid)
+        if l == m:  # P - I = 0: no stack is built, and the maximum is 0
+            assert stacks == [] and repr(cert.majorants["max_comp_h"]) == "0.0"
+            continue
         assert len(stacks) > 1 or n_grid * m * m <= bound1d._BLOCK_DOUBLES
         assert repr(cert.majorants["max_comp_h"]) == repr(ref.majorants["max_comp_h"])
         assert repr(cert.majorants["max_comp_h"]) == repr(_full_max(stacks))
@@ -802,14 +811,80 @@ def test_certificate_work_counts(monkeypatch):
     """A 38-node, 400-point certificate gives an SVD to at most 8 grid rows
     and a product bound to at most a third of them (every row got a
     product bound, and about 41 an SVD, before the chain)."""
-    rng = np.random.default_rng(0)
-    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 36)]))
-    pts = PointSet(xs, values=np.sin(xs))
     counts = _count_work(monkeypatch)
-    cert = certify_bound(pts, monomial_basis(3), WeightSpec("exp", 1.0), n_grid=400)
+    cert = certify_bound(*_work_count_instance(), n_grid=400)
     assert cert.metadata["n_grid"] == 400
     assert counts["svd"] <= 8
     assert counts["product"] <= 400 / 3
+
+
+def _work_count_instance():
+    """The 38-node instance of ``test_certificate_work_counts``."""
+    rng = np.random.default_rng(0)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 36)]))
+    return PointSet(xs, values=np.sin(xs)), monomial_basis(3), WeightSpec("exp", 1.0)
+
+
+#: peak traced memory of the certificate of ``test_certificate_work_counts``
+#: when the grid loop kept about six (rows, m, m) stacks of 2^15 doubles
+#: alive at once (numpy 2.4, Python 3.11)
+_SIX_STACK_PEAK = 1_616_054
+
+
+def test_certificate_peak_memory():
+    """The grid loop's temporaries stay below those of six stacks of 2^15
+    doubles, although a sub-block now holds twice as many rows."""
+    args = _work_count_instance()
+    certify_bound(*args, n_grid=400)  # numpy's first calls allocate once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        certify_bound(*args, n_grid=400)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < _SIX_STACK_PEAK
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [3, 12, 38, 40])
+def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, order):
+    """Solve blocks, operator sub-blocks and product chunks of any size
+    give the same report bytes, down to sub-blocks of one row; and so
+    does a budget that holds the whole grid in one block."""
+    rng = np.random.default_rng(m + 10 * l)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
+    pts = PointSet(xs, values=np.sin(xs))
+    grid = uniform_grid(pts, 300)
+    if order == "reversed":
+        grid = grid[::-1].copy()
+    elif order == "shuffled":
+        grid = grid[rng.permutation(len(grid))]
+    reports = set()
+    for doubles in (2**8, 2**15, 2**16, 2**20):
+        monkeypatch.setattr(bound1d, "_BLOCK_DOUBLES", doubles)
+        reports.add(_outcome(lambda: canonical_json(certify_bound(
+            pts, monomial_basis(l), WeightSpec("exp", 0.7), grid=grid).to_dict())))
+    assert len(reports) == 1
+    assert (l > m) == (next(iter(reports))[0] is None)
+
+
+def test_square_design_reports_an_exact_zero_comp_h(monkeypatch):
+    """With l = m, P = E^(-T) E^T = I exactly: max_comp_h is 0, not the
+    rounding noise of P - I, and no (P - I) H stack is built; the forcing
+    product still runs and matches the point-by-point loop."""
+    pts = PointSet(np.array([0.1, 0.35, 0.6, 0.9]), values=np.zeros(4))
+    basis, weight = monomial_basis(4), WeightSpec("exp", 1.0)
+    grid = uniform_grid(pts, 200)
+    ops = [build_operators(build_system(x, pts, basis, weight)) for x in grid]
+    assert max(np.abs(op.comp).max() for op in ops) > 0.0  # the noise P - I had
+    calls = []
+    monkeypatch.setattr(bound1d, "_max_sigma", lambda *args: calls.append(args))
+    cert = _assert_same_certificate(pts, basis, weight, grid)
+    maj = cert.majorants
+    assert calls == [] and repr(maj["max_comp_h"]) == "0.0"
+    assert repr(maj["comp_h_margin"]) == repr(maj["growth_rate"])
 
 
 # --- c' per block -------------------------------------------------------------

@@ -445,6 +445,10 @@ def test_converge_unknown_function(tmp_path, capsys):
         ('{"levels": 3.5}', "levels"),
         ('{"levels": false}', "levels"),
         ('{"alpha0": NaN}', "alpha0"),
+        # a bool is not a number, as for the basis size and a weight's alpha
+        ('{"h0": true}', "h0"),
+        ('{"alpha0": true}', "alpha0"),
+        ('{"domain": [false, true]}', "domain"),
     ]:
         cfg.write_text(text)
         code, out, err = run_cli(["converge", "--config", str(cfg)], capsys)
