@@ -34,7 +34,9 @@ thread:
   size 2.5, a config key no subcommand reads (a misspelt one, ``basis``,
   ``grid``, or one inside ``weight``) or alpha ``true``; and ``diagnose``
   given a flag of its other mode (``--seed`` with ``--input``,
-  ``--config`` and ``--grid`` without it).  Each of these exits 2.
+  ``--config`` and ``--grid`` without it); ``converge`` on the domain
+  [0, 1e308], whose node count overflows, and ``fit`` with the basis size
+  0.  Each of these exits 2.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -139,6 +141,11 @@ def _fixed_runs():
     yield "edge", "diagnose_input_seed", argv, inputs, "diagnose.out"
     argv = ["diagnose", "--config", "cfg.json", "--grid", "5", "--out", "diagnose.out"]
     yield "edge", "diagnose_suite_config_grid", argv, {"cfg.json": "{}"}, "diagnose.out"
+    argv = ["converge", "--config", "study.json", "--out", "converge.out"]
+    files = {"study.json": '{"domain": [0, 1e308]}'}
+    yield "edge", "converge_domain_overflow", argv, files, "converge.out"
+    argv = ["fit", "--input", "n3.csv", "--config", "cfg.json", "--grid", "3", "--out", "fit.out"]
+    yield "edge", "fit_l_zero", argv, {**inputs, "cfg.json": '{"l": 0}'}, "fit.out"
 
 
 def main() -> None:

@@ -32,7 +32,6 @@ import numpy as np
 from .bases import BasisSpec
 from .config import Tolerances
 from .core import (
-    _BLOCK,
     HypothesisFailure,
     MlsSystem,
     build_design,
@@ -41,7 +40,7 @@ from .core import (
     solve_blocks,
 )
 from .points import PointSet
-from .spectral import OperatorBundle, coef_map_stack
+from .spectral import OperatorBundle, _block_rows, coef_map_stack
 from .weights import WeightSpec
 
 __all__ = [
@@ -55,14 +54,6 @@ __all__ = [
     "uniform_grid",
     "certify_bound",
 ]
-
-#: the memory budget of ``certify_bound``'s grid loop, in doubles: an
-#: operator sub-block holds one (rows, m, m) stack of at most this size
-#: (one row when m^2 exceeds it), and ``_chained_upper`` takes its step
-#: differences and product bounds in chunks of an eighth of those rows,
-#: so every (rows, m, m) temporary alive beside the stack fits in half of
-#: one more: all of them together come to about 1.5 times this, 768 KiB
-_BLOCK_DOUBLES = 2**16
 
 #: log of the largest finite double; envelopes are clipped here
 _MAX_LOG = math.log(np.finfo(float).max)
@@ -82,25 +73,12 @@ _SQUARINGS = 6
 _REFINE_MIN_ORDER = 16
 
 
-def _block_rows(m: int) -> int:
-    """Grid rows per operator sub-block of the certificate for m nodes:
-    one (rows, m, m) stack of at most ``_BLOCK_DOUBLES`` doubles.  A solve
-    block holds max(``core._BLOCK``, this) rows (``_solve_block_rows``)."""
-    return max(1, _BLOCK_DOUBLES // (m * m))
-
-
-def _solve_block_rows(m: int) -> int:
-    """Grid rows per solve block of the certificate for m nodes: the
-    (rows, m, l) solve takes ``core._BLOCK`` rows, as ``build_systems``
-    does, and never fewer than one operator sub-block."""
-    return max(_BLOCK, _block_rows(m))
-
-
 def _chunk_rows(m: int) -> int:
     """Rows per chunk of ``_chained_upper``'s step differences and
     product bounds: a chunk of candidate rows, its scaled copy, the
     transposed copy and the product are four (rows, m, m) arrays, an
-    eighth of a sub-block's stack each."""
+    eighth of a block's stack (``spectral._block_rows``) each, so all of
+    them together fit in half of one more stack."""
     return max(1, _block_rows(m) // 8)
 
 
@@ -245,9 +223,9 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
     refined up to G^(2^_SQUARINGS) from m = ``_REFINE_MIN_ORDER`` on; the
     others cannot raise best.  They get it in chunks of ``_chunk_rows(m)``
     rows, in decreasing order of chained bound, so the product workspace
-    stays within half a stack of ``_BLOCK_DOUBLES``.  After each chunk, its
-    row with the largest bound gets its SVD if that bound beats best, and
-    the next chunk keeps only the rows that beat the raised maximum.  A
+    stays within half a block's stack.  After each chunk, its row with the
+    largest bound gets its SVD if that bound beats best, and the next
+    chunk keeps only the rows that beat the raised maximum.  A
     row that got its SVD gets that value as its bound, which no later SVD
     exceeds; the carry takes its bound from before.
     """
@@ -315,7 +293,8 @@ def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
     ``_chained_upper``.  ``carry`` is None or (matrix, bound): the last row
     of the block before and an upper bound on its exact sigma_max, which
     the chain starts from; the carry of this block's last row is returned
-    with the maximum.  Beside the stack, the (k, m, m) temporaries alive
+    with the maximum.  The stack is one block of the grid
+    (``spectral._block_rows``); beside it, the (k, m, m) temporaries alive
     at once come to about half a stack (``_chained_upper``).  A stack
     with a non-finite entry, or an m whose margin would pass 1%, takes the
     norm of every matrix as before and drops the carry, so it fails the
@@ -588,23 +567,23 @@ def certify_bound(
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a 1-D basis).
 
-    The grid is solved in solve blocks of ``_solve_block_rows(m)`` rows,
-    and a(x), its norm, the nearest node, H and c' are computed once per
-    solve block.  The operators (the coefficient map A0, P - I and
-    (P - I) H) and the forcing products A0 c' are built per operator
-    sub-block of ``_block_rows(m)`` rows, so the (rows, m, m) temporaries
-    alive at once come to about 1.5 times ``_BLOCK_DOUBLES``, whatever m.
+    The grid is walked once, in blocks of ``spectral._block_rows(m)``
+    rows.  Each block is solved in one stacked call, then a(x), its norm,
+    the nearest node, the operators (the coefficient map A0, P - I and
+    (P - I) H) and the forcing products A0 c' are built for the whole
+    block, so the (rows, m, m) temporaries alive at once come to about 1.5
+    times ``spectral._BLOCK_DOUBLES``, whatever m.
 
-    ``max_comp_h`` is exact, from candidate rows: per sub-block, upper
-    bounds on sigma_max((P - I) H) pick the rows that could hold the
-    maximum, and only those get an SVD (``_max_sigma``).  A few rows get a
-    bound from products of G = M^T M; the others chain theirs from them
-    along the grid by Weyl's inequality, and the last row of each
-    sub-block carries the chain into the next.  Any grid order and any
-    block size give the same maximum.  With l = m the design is square
-    and invertible, so P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and
-    no P - I is built.  The design and its SVD are computed once, for the
-    hypotheses, the constants and the solves.
+    ``max_comp_h`` is exact, from candidate rows: per block, upper bounds
+    on sigma_max((P - I) H) pick the rows that could hold the maximum, and
+    only those get an SVD (``_max_sigma``).  A few rows get a bound from
+    products of G = M^T M; the others chain theirs from them along the
+    grid by Weyl's inequality, and the last row of each block carries the
+    chain into the next.  Any grid order and any block size give the same
+    maximum.  With l = m the design is square and invertible, so
+    P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and no P - I is built.
+    The design and its SVD are computed once, for the hypotheses, the
+    constants and the solves.
     """
     # the design and its SVD serve the hypotheses, the constants and the
     # solves; nothing before it in the checks can raise
@@ -635,31 +614,27 @@ def certify_bound(
     forcing = np.empty(grid.size)
     # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
     max_comp_h = 0.0 if basis.size == m else -math.inf
-    carry, sub = None, _block_rows(m)
+    carry = None
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
-    blocks = solve_blocks(grid[:, None], points, basis, weight, design, _solve_block_rows(m))
+    blocks = solve_blocks(grid[:, None], points, basis, weight, design, _block_rows(m))
     for start, rows in blocks:
         block = slice(start, start + len(rows.coeffs))
         # the nearest node anchors the envelope; a tie goes to the smaller index
         k0s[block] = np.argmin(rows.dists, axis=1)
         lhs[block] = _norms(rows.coeffs)
-        hdiags = dlogw_diag(grid[block], points, alpha)
+        coef_map = coef_map_stack(rows.qmats, rows.rmats, rows.roots)
+        if basis.size < m:
+            # P - I, then (P - I) H, in place
+            comp = coef_map @ design.T
+            comp -= np.eye(m)
+            comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
+            max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
+            del comp  # before the next block builds its stack
+        # a stacked matmul runs one BLAS matrix-vector product per row,
+        # as coef_map[i] @ c'(x_i) does (an einsum sums in another order)
         dcs = basis.derivative_rows(grid[block])
-        # operator sub-blocks: one (rows, m, m) stack each
-        for first in range(0, len(rows.coeffs), sub):
-            part = slice(first, first + sub)
-            coef_map = coef_map_stack(rows.qmats[part], rows.rmats[part], rows.roots[part])
-            if basis.size < m:
-                # P - I, then (P - I) H, in place
-                comp = coef_map @ design.T
-                comp -= np.eye(m)
-                comp *= hdiags[part, None, :]
-                max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
-                del comp  # before the next sub-block builds its stack
-            # a stacked matmul runs one BLAS matrix-vector product per row,
-            # as coef_map[i] @ c'(x_i) does (an einsum sums in another order)
-            forcing[block][part] = _norms((coef_map @ dcs[part, :, None])[:, :, 0])
+        forcing[block] = _norms((coef_map @ dcs[:, :, None])[:, :, 0])
     # np.max keeps a NaN sample (Python's max would skip it)
     max_forcing = float(np.max(forcing))
 

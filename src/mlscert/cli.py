@@ -90,17 +90,21 @@ def _read_keys(cfg: dict, table: dict, where: str = "") -> dict:
     return {key: _read(cfg, key, *spec) for key, spec in table.items()}
 
 
-def _read(cfg: dict, key: str, label: str, default, cast, what: str, ok=lambda v: True):
+def _read(cfg: dict, key: str, label: str, default, cast, what: str, ok=lambda v: True,
+          ok_what: str | None = None):
     """``cast`` of the config value of ``key``, ``default`` when absent.  A
-    value that ``cast`` refuses (or maps to None) or ``ok`` rejects is a
-    ``CliError`` naming the key."""
+    value that ``cast`` refuses (or maps to None) is a ``CliError`` naming
+    the key and ``what`` it must be; one that ``ok`` rejects, the same
+    with ``ok_what`` when given."""
     value = cfg.get(key, default)
     try:
         result = cast(value)
     except (TypeError, ValueError, OverflowError, KeyError):
         result = None
-    if result is None or not ok(result):
+    if result is None:
         raise CliError(f"{label} {key!r} must be {what}, got {value!r}")
+    if not ok(result):
+        raise CliError(f"{label} {key!r} must be {ok_what or what}, got {value!r}")
     return result
 
 
@@ -122,6 +126,10 @@ def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0.0
 
 
+def _at_least_one(v: int) -> bool:
+    return v >= 1
+
+
 def _weight(value) -> WeightSpec:
     """The weight of a config ``weight`` object, None when ``value`` is not
     an object.  The family and alpha go through ``WeightSpec``'s checks."""
@@ -136,15 +144,15 @@ def _weight(value) -> WeightSpec:
         raise CliError(f"bad weight config: {exc}") from None
 
 
-# Config key tables: key -> (label, default, cast, what[, ok]), the
-# arguments of ``_read`` after the key.
+# Config key tables: key -> (label, default, cast, what[, ok[, ok_what]]),
+# the arguments of ``_read`` after the key.
 _WEIGHT_KEYS = {
     "family": ("bad weight config:", None, lambda v: v, "a family name"),
     "alpha": ("bad weight config:", 1.0, _number, "a number"),
 }
 #: the keys of ``fit``, ``diagnose`` and ``bound``: the basis size and weight
 _INSTANCE_KEYS = {
-    "l": ("bad basis config:", 2, _integer, "an integer"),
+    "l": ("bad basis config:", 2, _integer, "an integer", _at_least_one, "a positive integer"),
     "weight": ("bad weight config:", {"family": "exp"}, _weight, "an object"),
 }
 _STUDY = "converge config"
@@ -154,7 +162,7 @@ _STUDY = "converge config"
 _STUDY_KEYS = {
     "function": (_STUDY, "sin", error_analysis.TEST_FUNCTIONS.__getitem__,
                  f"one of {sorted(error_analysis.TEST_FUNCTIONS)}"),
-    "l": (_STUDY, 2, _integer, "an integer"),
+    "l": (_STUDY, 2, _integer, "an integer", _at_least_one, "a positive integer"),
     "domain": (_STUDY, [0.0, 3.0], lambda v: tuple(map(_number, v)) if isinstance(v, list) else None,
                "two finite numbers [a, b]", lambda v: len(v) == 2 and all(map(math.isfinite, v))),
     "h0": (_STUDY, 0.2, _number, "positive and finite", _positive),

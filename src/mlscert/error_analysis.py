@@ -9,7 +9,7 @@ furnishes the best-approximation factor without linear programming.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -175,6 +175,9 @@ SATURATION_FACTOR = 1e2
 #: size of the evaluation grid every level of a study shares
 EVAL_N = 301
 
+#: the most doubles one array can hold: the node count of a level is capped here
+_MAX_NODES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 def _slope(hs, errs) -> float:
     hs = np.asarray(hs, dtype=float)
@@ -208,17 +211,7 @@ class ConvergenceStudy:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "hs": self.hs,
-            "sup_errors": self.sup_errors,
-            "amplifications": self.amplifications,
-            "saturated": self.saturated,
-            "observed_order": self.observed_order,
-            "order_per_level": self.order_per_level,
-            "exact_reproduction": self.exact_reproduction,
-            "product_bound": self.product_bound,
-            "meta": self.meta,
-        }
+        return asdict(self)
 
     def rows_csv(self) -> list[tuple]:
         rows = []
@@ -233,6 +226,19 @@ class ConvergenceStudy:
                 )
             )
         return rows
+
+
+def _level_size(lo: float, hi: float, h: float) -> int:
+    """Nodes of the uniform level of step h on [lo, hi].  A count that is
+    not finite, or that no array can hold, is a ``ValueError`` naming the
+    domain and h."""
+    steps = (hi - lo) / h if h else math.inf
+    if not steps < _MAX_NODES:
+        raise ValueError(
+            f"domain [{lo!r}, {hi!r}] at h = {h!r} needs {steps + 1:.6g} nodes, "
+            f"more than an array holds ({_MAX_NODES})"
+        )
+    return int(round(steps)) + 1
 
 
 def _on_grid(f_true, grid: np.ndarray) -> np.ndarray:
@@ -361,15 +367,15 @@ def convergence_studies(
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise ValueError("domain must be a nondegenerate interval")
+    hs = [h0 / (2.0**level) for level in range(n_levels)]
+    sizes = [_level_size(lo, hi, h) for h in hs]
     basis = monomial_basis(l)
     eval_grid = np.linspace(lo, hi, EVAL_N)
     dense = np.linspace(lo, hi, 10 * (EVAL_N - 1) + 1)
     tracks = [_Track(f, eval_grid, dense, l) for f in fs]
 
-    hs, amps = [], []
-    for level in range(n_levels):
-        h = h0 / (2.0**level)
-        m = int(round((hi - lo) / h)) + 1
+    amps = []
+    for h, m in zip(hs, sizes):
         nodes = np.linspace(lo, hi, m)
         samples = [PointSet(nodes, values=_on_grid(t.f_true, nodes)) for t in tracks]
         alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
@@ -379,7 +385,6 @@ def convergence_studies(
         amp = amplification(coeffs)  # 2 on a node row, whose a(x) is a unit vector
         for track, pts in zip(tracks, samples):
             track.add_level(fitted_values(coeffs, at_node, pts.values), amp)
-        hs.append(h)
         amps.append(float(np.max(amp)))
 
     meta = {

@@ -34,7 +34,6 @@ __all__ = [
     "OperatorBundle",
     "SpectralReport",
     "coef_map_stack",
-    "operator_stack",
     "build_operators",
     "check_sv_products",
     "check_eig_products",
@@ -44,8 +43,17 @@ __all__ = [
     "diagnose_stack",
 ]
 
-# systems per stacked diagnose call: bounds the (k, m, m) temporaries
-_BLOCK = 256
+#: the memory budget of a block of operators, in doubles: one (rows, m, m)
+#: stack of a block holds at most this many (``_block_rows``)
+_BLOCK_DOUBLES = 2**16
+
+
+def _block_rows(m: int) -> int:
+    """Systems per block of (m, m) operators: one (rows, m, m) stack of at
+    most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and one system when m^2
+    exceeds it.  ``diagnose_each`` and the certificate's grid loop
+    (``bound1d.certify_bound``) build their stacks in blocks of this many."""
+    return max(1, _BLOCK_DOUBLES // (m * m))
 
 
 @dataclass(frozen=True)
@@ -79,19 +87,6 @@ def coef_map_stack(qmats, rmats, roots):
     coef_map = qmats @ np.linalg.solve(rmats.transpose(0, 2, 1), np.eye(l))
     coef_map /= roots[:, :, None]
     return coef_map
-
-
-def operator_stack(qmats, rmats, roots, design):
-    """Coefficient maps and projectors of a block of k systems.
-
-    The arguments are those of ``coef_map_stack``, and ``design`` the
-    design (m, l) the systems share or a stack (k, m, l) of one design
-    each.  Returns ``coef_map`` (k, m, l) and ``proj`` (k, m, m) =
-    coef_map E^T, each system computed as on its own; the complement is
-    ``proj - I``.
-    """
-    coef_map = coef_map_stack(qmats, rmats, roots)
-    return coef_map, coef_map @ _t(design)
 
 
 def _t(stack: np.ndarray) -> np.ndarray:
@@ -130,9 +125,8 @@ def _operators(systems) -> _Ops:
         )
     qmats = _stack(systems, "qmat")
     dvecs = _stack(systems, "dvec")
-    coef_map, proj = operator_stack(
-        qmats, _stack(systems, "rmat"), np.sqrt(dvecs), _stack(systems, "design")
-    )
+    coef_map = coef_map_stack(qmats, _stack(systems, "rmat"), np.sqrt(dvecs))
+    proj = coef_map @ _t(_stack(systems, "design"))
     comp = proj - np.eye(proj.shape[-1])
     return _Ops(
         coef_map, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
@@ -156,9 +150,10 @@ def _row(tree, i: int):
 def build_operators(system: MlsSystem) -> OperatorBundle:
     """Materialize the coefficient map, the projector and its scaled forms.
 
-    The one-system case of ``operator_stack``.  Requires a strictly
-    positive weight diagonal: at an interpolation-limit point (x on a node
-    of an interpolating weight family) the scaled operators do not exist.
+    The one-system case of the operators of ``diagnose_stack``.  Requires
+    a strictly positive weight diagonal: at an interpolation-limit point (x
+    on a node of an interpolating weight family) the scaled operators do
+    not exist.
     """
     ops = _operators([system])
     return OperatorBundle(*(a[0] for a in ops[:5]), system=system)
@@ -623,13 +618,16 @@ def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
     """The ``SpectralReport`` of each of the systems, all of one shape
     (m, l), in order.
 
-    The systems run through ``diagnose_stack`` in blocks.  A block that
-    fails is replayed one system at a time, so the first failing system
-    raises its own error, what ``diagnose`` raises for it.
+    The systems run through ``diagnose_stack`` in blocks of
+    ``_block_rows(m)``, so each (rows, m, m) operator stack holds at most
+    ``_BLOCK_DOUBLES`` doubles, whatever m.  A block that fails is
+    replayed one system at a time, so the first failing system raises its
+    own error, what ``diagnose`` raises for it.
     """
     reports = []
-    for start in range(0, len(systems), _BLOCK):
-        block = systems[start : start + _BLOCK]
+    size = _block_rows(systems[0].m) if systems else 1
+    for start in range(0, len(systems), size):
+        block = systems[start : start + size]
         try:
             stacks = [diagnose_stack(block, tol)]
         except ValueError:  # LinAlgError is a ValueError

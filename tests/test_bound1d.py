@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mlscert import bound1d, cli, core
+from mlscert import bound1d, cli, core, spectral
 from mlscert.bases import monomial_basis
 from mlscert.bound1d import (
     BoundConstants,
@@ -417,7 +417,7 @@ def test_batched_certificate_matches_per_point(
     span = math.exp(log_span)
     xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
     pts = PointSet(xs, values=np.cos(xs))
-    block = bound1d._solve_block_rows(len(xs))
+    block = spectral._block_rows(len(xs))
     if n_grid == "block+1":
         n_grid = block + 1 if block < 400 else 41
     grid = uniform_grid(pts, n_grid)
@@ -457,7 +457,7 @@ def test_batched_certificate_with_overflowing_weights():
     pts = PointSet(xs, values=np.sin(xs))
     weight = WeightSpec("exp", 709.5)
     assert np.isinf(build_system(0.0, pts, monomial_basis(1), weight).dvec[-1])
-    grid = uniform_grid(pts, bound1d._block_rows(40) + 1)
+    grid = uniform_grid(pts, spectral._block_rows(40) + 1)
     cert = _assert_same_certificate(pts, monomial_basis(1), weight, grid)
     assert cert is not None and cert.metadata["n_grid"] == len(grid)
 
@@ -469,8 +469,8 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
     xs = np.concatenate([np.linspace(0.0, 1.0, 15), np.linspace(4.0, 5.0, 15)])
     pts = PointSet(xs, values=np.sin(xs))
     basis, weight = monomial_basis(2), WeightSpec("exp", 2.0)
-    grid = uniform_grid(pts, 400)  # the peak lies past the first solve block
-    block = bound1d._solve_block_rows(pts.m)
+    grid = uniform_grid(pts, 400)  # the peak lies past the first block
+    block = spectral._block_rows(pts.m)
     cond = [build_system(x, pts, basis, weight).cond_gram for x in grid]
     worst_before = max(build_system(x, pts, basis, weight).cond_gram for x in xs)
     # a point past the first block whose condition tops every earlier one
@@ -582,7 +582,7 @@ def _smooth_run(rng, m, n, peak):
 
 def _blocks_of(run, rows=None):
     """The run split into blocks of ``rows`` rows; by default those of a
-    certificate sub-block of 2^15 doubles, which the counts below were
+    certificate block of 2^15 doubles, which the counts below were
     measured on."""
     rows = rows or max(1, 2**15 // run.shape[1] ** 2)
     return [run[i : i + rows] for i in range(0, len(run), rows)]
@@ -802,7 +802,7 @@ def _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order):
         if l == m:  # P - I = 0: no stack is built, and the maximum is 0
             assert stacks == [] and repr(cert.majorants["max_comp_h"]) == "0.0"
             continue
-        assert len(stacks) > 1 or n_grid * m * m <= bound1d._BLOCK_DOUBLES
+        assert len(stacks) > 1 or n_grid * m * m <= spectral._BLOCK_DOUBLES
         assert repr(cert.majorants["max_comp_h"]) == repr(ref.majorants["max_comp_h"])
         assert repr(cert.majorants["max_comp_h"]) == repr(_full_max(stacks))
 
@@ -833,7 +833,7 @@ _SIX_STACK_PEAK = 1_616_054
 
 def test_certificate_peak_memory():
     """The grid loop's temporaries stay below those of six stacks of 2^15
-    doubles, although a sub-block now holds twice as many rows."""
+    doubles, although a block now holds twice as many rows."""
     args = _work_count_instance()
     certify_bound(*args, n_grid=400)  # numpy's first calls allocate once
     tracemalloc.start()
@@ -850,8 +850,8 @@ def test_certificate_peak_memory():
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [3, 12, 38, 40])
 def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, order):
-    """Solve blocks, operator sub-blocks and product chunks of any size
-    give the same report bytes, down to sub-blocks of one row; and so
+    """Blocks and product chunks of any size give the same report
+    bytes, down to blocks of one row; and so
     does a budget that holds the whole grid in one block."""
     rng = np.random.default_rng(m + 10 * l)
     xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
@@ -863,7 +863,7 @@ def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, orde
         grid = grid[rng.permutation(len(grid))]
     reports = set()
     for doubles in (2**8, 2**15, 2**16, 2**20):
-        monkeypatch.setattr(bound1d, "_BLOCK_DOUBLES", doubles)
+        monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
         reports.add(_outcome(lambda: canonical_json(certify_bound(
             pts, monomial_basis(l), WeightSpec("exp", 0.7), grid=grid).to_dict())))
     assert len(reports) == 1

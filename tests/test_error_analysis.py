@@ -172,6 +172,22 @@ def test_study_requires_three_levels():
         ea.convergence_study(np.sin, l=2, n_levels=2)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(domain=(0.0, 1e308)),  # (b - a) / h overflows to inf
+    dict(h0=1e-300),  # 3e300 nodes
+    dict(n_levels=70),  # the last levels hold 15 * 2^69 nodes
+    dict(h0=0.0),
+])
+def test_study_refuses_a_level_no_array_holds(kw):
+    """A level whose node count is not finite or exceeds what an array can
+    hold is a ValueError naming the domain and h, raised before any level
+    is solved or f_true called."""
+    calls = []
+    with pytest.raises(ValueError, match=r"^domain \[.*\] at h = .* nodes, more than an array"):
+        ea.convergence_study(lambda x: calls.append(x) or np.sin(x), l=2, **kw)
+    assert calls == []
+
+
 def test_study_rows_csv_shape():
     study = ea.convergence_study(np.sin, l=2)
     rows = study.rows_csv()

@@ -456,6 +456,38 @@ def test_converge_unknown_function(tmp_path, capsys):
         assert err.startswith(f"error: converge config {key!r} must be "), (text, err)
 
 
+@pytest.mark.parametrize("text,message", [
+    ('{"domain": [0, 1e308]}', "domain [0.0, 1e+308] at h = 0.2 needs inf nodes, "),
+    ('{"domain": [-1e308, 1e308]}', "domain [-1e+308, 1e+308] at h = 0.2 needs inf nodes, "),
+    ('{"h0": 1e-300}', "domain [0.0, 3.0] at h = 1e-300 needs 3e+300 nodes, "),
+])
+def test_converge_level_no_array_holds_is_exit_2(text, message, tmp_path, capsys):
+    """A level whose node count is not finite, or too large for an array,
+    exits 2 naming the domain and h, not with an OverflowError traceback
+    or numpy's "Maximum allowed size exceeded"."""
+    cfg = tmp_path / "conv.json"
+    cfg.write_text(text)
+    code, out, err = run_cli(["converge", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}"), err
+    assert err.endswith(" more than an array holds (1152921504606846975)\n"), err
+
+
+@pytest.mark.parametrize("l", [0, -2])
+@pytest.mark.parametrize("command", ["fit", "diagnose", "bound", "converge"])
+def test_basis_size_below_one_names_its_key(command, l, linear_csv, tmp_path, capsys):
+    """l < 1 exits 2 with a message that names the key, not the basis's
+    "dim and size must be positive"."""
+    cfg = tmp_path / "b.json"
+    cfg.write_text(f'{{"l": {l}}}')
+    argv = [command, "--config", str(cfg)]
+    if command != "converge":
+        argv += ["--input", linear_csv, "--grid", "3"]
+    code, out, err = run_cli(argv, capsys)
+    label = "converge config" if command == "converge" else "bad basis config:"
+    assert (code, out, err) == (2, "", f"error: {label} 'l' must be a positive integer, got {l}\n")
+
+
 def test_selftest_deterministic_bytes(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run_cli(["selftest", "--seed", "42", "--out", str(out1)], capsys)[0] == 0

@@ -1,18 +1,20 @@
 """Operator structure: oblique projection, spectra, scaled symmetry,
 positivity, and the norm chains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlscert.bases import monomial_basis
 from mlscert.config import Tolerances
-from mlscert.core import build_system
+from mlscert.core import build_system, build_system_list
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
 from mlscert import spectral
 from mlscert.reporting import canonical_json
-from mlscert.spectral import build_operators, diagnose, diagnose_each, operator_stack
+from mlscert.spectral import build_operators, coef_map_stack, diagnose, diagnose_each
 from mlscert.weights import WeightSpec
 
 TOL = Tolerances()
@@ -158,7 +160,8 @@ def test_trace_counts_basis_size(seed):
 
 @pytest.mark.parametrize("family", ["exp", "shepard", "levin"])
 def test_operator_stack_rows_match_build_operators(family):
-    """A stacked block gives each system's operators bit for bit."""
+    """A stacked block of coefficient maps, and its projectors
+    coef_map @ design.T, give each system's operators bit for bit."""
     rng = np.random.default_rng(11)
     nodes = np.sort(rng.uniform(0.0, 2.0, 9))
     pts = PointSet(nodes)
@@ -166,12 +169,12 @@ def test_operator_stack_rows_match_build_operators(family):
         build_system(x, pts, monomial_basis(3), WeightSpec(family, 1.3))
         for x in rng.uniform(-0.2, 2.2, 25)
     ]
-    coef_map, proj = operator_stack(
+    coef_map = coef_map_stack(
         np.stack([s.qmat for s in systems]),
         np.stack([s.rmat for s in systems]),
         np.sqrt(np.stack([s.dvec for s in systems])),
-        systems[0].design,
     )
+    proj = coef_map @ systems[0].design.T
     for i, sysm in enumerate(systems):
         b = build_operators(sysm)
         assert coef_map[i].tobytes() == b.coef_map.tobytes()
@@ -181,7 +184,9 @@ def test_operator_stack_rows_match_build_operators(family):
 def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
     """Blocks of 4 systems, the last one short: every report equals the
     one-system ``diagnose`` report, bit for bit."""
-    monkeypatch.setattr(spectral, "_BLOCK", 4)
+    # a budget of four (7, 7) operators
+    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", 4 * 7 * 7)
+    assert spectral._block_rows(7) == 4
     systems = [_system(m=7, l=3, x=x) for x in np.linspace(-0.3, 1.3, 11)]
     got = [canonical_json(rep.to_dict()) for rep in diagnose_each(systems, TOL)]
     want = [canonical_json(diagnose(s, TOL).to_dict()) for s in systems]
@@ -191,7 +196,8 @@ def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
 def test_diagnose_each_replays_a_failing_block(monkeypatch):
     """A system at an interpolation-limit node in the second block raises
     what ``diagnose`` raises for it."""
-    monkeypatch.setattr(spectral, "_BLOCK", 4)
+    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", 4 * 7 * 7)
+    assert spectral._block_rows(7) == 4
     pts = PointSet(np.linspace(0.0, 1.0, 7))
     basis, weight = monomial_basis(3), WeightSpec("mclain", 1.0)
     xs = [0.05, 0.3, 0.45, 0.6, 0.7, 0.8, 1.0 / 6.0, 0.9]
@@ -202,3 +208,24 @@ def test_diagnose_each_replays_a_failing_block(monkeypatch):
         diagnose_each(systems, TOL)
     assert str(got.value) == str(want.value)
     assert len(diagnose_each(systems[:6], TOL)) == 6
+
+
+def test_diagnose_each_peak_memory():
+    """256 systems of 60 nodes run in blocks of the budget: beside the
+    reports it keeps, the traced memory peaks below eight stacks of
+    ``_BLOCK_DOUBLES`` doubles (4 MiB), while one (256, 60, 60) stack of
+    all the systems would take 7.4 MB."""
+    pts = PointSet(np.linspace(0.0, 1.0, 60))
+    xs = np.linspace(0.013, 0.987, 256)[:, None]
+    systems, error = build_system_list(xs, pts, monomial_basis(3), WeightSpec("exp", 1.0))
+    assert error is None
+    diagnose_each(systems[:2], TOL)  # numpy's first calls allocate once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reports = diagnose_each(systems, TOL)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 256
+    assert peak - kept < 8 * 8 * spectral._BLOCK_DOUBLES
