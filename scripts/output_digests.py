@@ -35,8 +35,9 @@ thread:
   ``grid``, or one inside ``weight``) or alpha ``true``; and ``diagnose``
   given a flag of its other mode (``--seed`` with ``--input``,
   ``--config`` and ``--grid`` without it); ``converge`` on the domain
-  [0, 1e308], whose node count overflows, and ``fit`` with the basis size
-  0.  Each of these exits 2.
+  [0, 1e308], whose node count overflows, ``fit`` with the basis size
+  0, and ``selftest --seed -1`` and ``diagnose --seed -3``.  Each of
+  these exits 2.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -146,6 +147,9 @@ def _fixed_runs():
     yield "edge", "converge_domain_overflow", argv, files, "converge.out"
     argv = ["fit", "--input", "n3.csv", "--config", "cfg.json", "--grid", "3", "--out", "fit.out"]
     yield "edge", "fit_l_zero", argv, {**inputs, "cfg.json": '{"l": 0}'}, "fit.out"
+    for command, seed in (("selftest", "-1"), ("diagnose", "-3")):
+        argv = [command, "--seed", seed, "--out", f"{command}.json"]
+        yield "edge", f"{command}_negative_seed", argv, {}, f"{command}.json"
 
 
 def main() -> None:

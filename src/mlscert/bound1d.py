@@ -615,6 +615,9 @@ def certify_bound(
     # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
     max_comp_h = 0.0 if basis.size == m else -math.inf
     carry = None
+    # C-ordered: numpy's stacked matmul against the transposed view of E
+    # takes a slower loop, with the same bits
+    design_t = np.ascontiguousarray(design.T)
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
     blocks = solve_blocks(grid[:, None], points, basis, weight, design, _block_rows(m))
@@ -626,7 +629,7 @@ def certify_bound(
         coef_map = coef_map_stack(rows.qmats, rows.rmats, rows.roots)
         if basis.size < m:
             # P - I, then (P - I) H, in place
-            comp = coef_map @ design.T
+            comp = coef_map @ design_t
             comp -= np.eye(m)
             comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
             max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)

@@ -52,15 +52,21 @@ class CliError(Exception):
 
 
 def _resolve_seed(value) -> int:
+    """The seed from ``--seed``, else from ``MLS_SEED``, else the default;
+    a negative one is refused with a message naming its source."""
     if value is not None:
-        return int(value)
-    env = os.environ.get("MLS_SEED")
-    if env is not None:
+        seed, source = int(value), "--seed"
+    else:
+        env = os.environ.get("MLS_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), "MLS_SEED"
         except ValueError:
             raise CliError(f"MLS_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    if seed < 0:
+        raise CliError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _load_config(args) -> dict:

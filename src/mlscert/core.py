@@ -17,8 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bases import BasisSpec
-from .points import PointSet
-from .weights import WeightSpec
+from .points import PointSet, distances_each
+from .weights import WeightSpec, w_each
 
 #: admissible condition number of the normal-equations (Gram) matrix;
 #: beyond it the solve refuses rather than return noise.  The solve reads
@@ -72,18 +72,26 @@ def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
 
     A node whose basis values overflow raises ``ValueError`` naming the
     first such node: an infinite design is malformed input, not a rank or
-    conditioning failure.
+    conditioning failure.  The one-node-set case of ``_designs``.
     """
-    if basis.dim != points.dim:
-        raise ValueError(
-            f"basis expects dim {basis.dim}, nodes have dim {points.dim}"
-        )
+    return _designs(points.nodes[None], basis)[0]
+
+
+def _designs(nodes, basis: BasisSpec) -> np.ndarray:
+    """The designs (k, m, l) of the node sets ``nodes`` (k, m, d), in one
+    call; each is what ``build_design`` gives for its node set, bit for bit
+    (the basis is evaluated node by node).  The first node set with a
+    non-finite design raises its ``build_design`` error."""
+    k, m, d = nodes.shape
+    if basis.dim != d:
+        raise ValueError(f"basis expects dim {basis.dim}, nodes have dim {d}")
+    rows = nodes.reshape(k * m, d)
     with np.errstate(over="ignore"):
-        E = basis.eval_design(points.nodes)
-    bad = _first_nonfinite(points.nodes, E)
+        E = basis.eval_design(rows)
+    bad = _first_nonfinite(rows, E)
     if bad is not None:
         raise ValueError(f"basis values at node {bad} are not finite")
-    return E
+    return E.reshape(k, m, basis.size)
 
 
 def _first_nonfinite(rows, values) -> str | None:
@@ -314,7 +322,12 @@ def _certified(rmats, m: int, l: int) -> bool:
 
 def _design_for(points, basis, design) -> np.ndarray:
     E = build_design(points, basis) if design is None else np.asarray(design, float)
-    if E.shape[1] > E.shape[0]:
+    return _at_most_m(E)
+
+
+def _at_most_m(E) -> np.ndarray:
+    """The design (m, l), or a stack of them, refused when l > m."""
+    if E.shape[-1] > E.shape[-2]:
         raise HypothesisFailure(["basis_size_le_nodes"])
     return E
 
@@ -403,17 +416,21 @@ def build_system_stack(xs, point_sets, basis: BasisSpec, weights) -> list:
     one stacked call.
 
     Problem i is the node set ``point_sets[i]`` with weight ``weights[i]``
-    at the point ``xs[i]``, a row of xs (k, d); all share ``basis``.  Each
+    at the point ``xs[i]``, a row of xs (k, d); all share ``basis``.  The
+    designs, the node distances and the weight diagonals are built in
+    stacked calls too, the weights one call per family.  Each
     system equals, bit for bit, what ``build_system`` gives for its
     problem.  If a problem fails, the error of a failing one is raised (an
     ``MlsError`` or ``ValueError``); a caller that needs each problem's own
     error replays them with ``build_system``.
     """
     xs = np.asarray(xs, dtype=float)
-    designs = np.stack([_design_for(p, basis, None) for p in point_sets])
+    nodes = np.stack([p.nodes for p in point_sets])
+    designs = _at_most_m(_designs(nodes, basis))
     cvecs = _basis_rows(xs, basis)
-    dists = np.stack([p.distances(x) for p, x in zip(point_sets, xs)])
-    dvecs = np.stack([build_weight_diag(d, w) for d, w in zip(dists, weights)])
+    dists = distances_each(nodes, xs)
+    with np.errstate(over="ignore"):  # as in build_weight_diag
+        dvecs = 2.0 * w_each(weights, dists)
     return _systems(xs, designs, _solve_rows(designs, cvecs, dists, dvecs, conds=True))
 
 

@@ -358,7 +358,8 @@ def convergence_studies(
     function.  Each function is evaluated on each grid as in its own study
     -- the evaluation grid, the dense oracle grid, then the nodes of each
     level -- and gets its own fitted values, minimax oracle and product
-    bound.
+    bound.  A level that memory cannot hold raises ``ValueError`` naming
+    the domain, h and its node count.
     """
     if n_levels < 3:
         raise ValueError("need at least three refinement levels")
@@ -376,12 +377,18 @@ def convergence_studies(
 
     amps = []
     for h, m in zip(hs, sizes):
-        nodes = np.linspace(lo, hi, m)
-        samples = [PointSet(nodes, values=_on_grid(t.f_true, nodes)) for t in tracks]
         alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
-        coeffs, at_node = build_systems(
-            eval_grid, PointSet(nodes), basis, WeightSpec(family, alpha)
-        )
+        try:
+            nodes = np.linspace(lo, hi, m)
+            samples = [PointSet(nodes, values=_on_grid(t.f_true, nodes)) for t in tracks]
+            coeffs, at_node = build_systems(
+                eval_grid, PointSet(nodes), basis, WeightSpec(family, alpha)
+            )
+        except MemoryError:
+            raise ValueError(
+                f"domain [{lo!r}, {hi!r}] at h = {h!r} needs {m} nodes, "
+                "more than memory holds"
+            ) from None
         amp = amplification(coeffs)  # 2 on a node row, whose a(x) is a unit vector
         for track, pts in zip(tracks, samples):
             track.add_level(fitted_values(coeffs, at_node, pts.values), amp)

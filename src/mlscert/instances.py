@@ -41,6 +41,7 @@ __all__ = [
     "random_suite",
     "random_h2_instance",
     "h2_suite",
+    "H2Stream",
     "matrix_pair_suite",
     "FAMILY_MIX",
 ]
@@ -274,11 +275,34 @@ def random_h2_instance(rng) -> Instance:
     return _draw_accepted(rng, 1, _draw_h2, _accept_h2, "1-d bound instance")[0]
 
 
+class H2Stream:
+    """The ``random_h2_instance`` draws of one seeded generator, drawn as
+    they are asked for.
+
+    ``first(n)`` gives the first n instances of the stream.  It draws only
+    the ones still missing, in one ``_draw_accepted`` batch, which ends
+    where one-by-one draws end; so ``first(n)`` holds what
+    ``h2_suite(n, seed)`` holds, however the stream was asked before, and
+    it never draws past the n-th instance.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._drawn = []
+
+    def first(self, n: int) -> list:
+        missing = n - len(self._drawn)
+        if missing > 0:
+            self._drawn += _draw_accepted(
+                self._rng, missing, _draw_h2, _accept_h2, "1-d bound instance"
+            )
+        return self._drawn[:n]
+
+
 def h2_suite(n: int, seed: int) -> list:
     """n independent ``random_h2_instance`` draws from a single seeded
     generator."""
-    rng = np.random.default_rng(seed)
-    return _draw_accepted(rng, n, _draw_h2, _accept_h2, "1-d bound instance")
+    return H2Stream(seed).first(n)
 
 
 def _draw_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):

@@ -75,8 +75,7 @@ class PointSet:
         rows = x if x.ndim == 2 else x.reshape(1, -1)
         if rows.shape[1] != self.dim:
             raise ValueError(f"point has dim {rows.shape[1]}, nodes have dim {self.dim}")
-        with np.errstate(over="ignore"):
-            dist = np.linalg.norm(self.nodes[None] - rows[:, None, :], axis=2)
+        dist = _norms(self.nodes[None] - rows[:, None, :])
         return dist if x.ndim == 2 else dist[0]
 
     @classmethod
@@ -123,3 +122,20 @@ class PointSet:
                 if self.values is not None:
                     row.append(repr(float(self.values[i])))
                 writer.writerow(row)
+
+
+def _norms(diff) -> np.ndarray:
+    """Euclidean norms over the last axis of the node-to-point differences;
+    a norm past the largest double is inf, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(diff, axis=-1)
+
+
+def distances_each(nodes, xs) -> np.ndarray:
+    """Distances (k, m) from each point of xs (k, d) to the nodes of its
+    own node set, the (k, m, d) stack ``nodes``, in one call: row i is
+    ``PointSet(nodes[i]).distances(xs[i])``, bit for bit."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[-1] != nodes.shape[-1]:
+        raise ValueError(f"point has dim {xs.shape[-1]}, nodes have dim {nodes.shape[-1]}")
+    return _norms(nodes - xs[:, None, :])

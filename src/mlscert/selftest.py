@@ -17,12 +17,14 @@ from .core import (
     fitted_values,
     solve_stack,
 )
+from .points import distances_each
 from .spectral import (
     build_operators,
-    check_sv_products,
     diagnose_stack,
     eig_product_stack,
+    sv_product_reports,
 )
+from .weights import w_each
 
 __all__ = ["SUITE_NAMES", "run_suite", "run_selftest"]
 
@@ -145,14 +147,12 @@ def _core_invariance(suite, systems, coefs, scales) -> dict:
     the reproduction of the basis combination ``coefs[i]``, and the change
     of a(x) when the weight family is multiplied by ``scales[i]``, solved
     for the whole group in one stacked call."""
-    a, design, cvecs = (_stack(systems, n) for n in ("coeffs", "design", "basis_at_x"))
-    dists = np.stack([it.points.distances(sysm.x) for it, sysm in zip(suite, systems)])
+    a, design, cvecs, xs = (_stack(systems, n) for n in ("coeffs", "design", "basis_at_x", "x"))
+    dists = distances_each(np.stack([it.points.nodes for it in suite]), xs)
     # the weight diagonal 2 (s w) of the rescaled family s w, with the
     # operations build_weight_diag applies to it
     with np.errstate(over="ignore"):
-        dvecs = 2.0 * np.stack(
-            [s * np.asarray(it.weight.w(d)) for it, s, d in zip(suite, scales, dists)]
-        )
+        dvecs = 2.0 * (np.array(scales)[:, None] * w_each([it.weight for it in suite], dists))
     a2 = solve_stack(design, cvecs, dists, dvecs)
     coef = np.stack(coefs)
     target = _dots(cvecs, coef)
@@ -289,17 +289,22 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
 
 
 def suite_sv_product(seed: int, tol: Tolerances) -> dict:
-    """Singular-value product inequalities on random rectangular pairs."""
+    """Singular-value product inequalities on random rectangular pairs.
+
+    Every pair is drawn first, in order; ``sv_product_reports`` then checks
+    them all, with one stacked SVD per operand shape."""
     rng = np.random.default_rng(seed)
-    n_fail = 0
-    n_checks = 0
+    pairs = []
     for _ in range(PAIR_N):
         d1, d2, d4 = (int(v) for v in rng.integers(1, 7, size=3))
         scale_u = float(np.exp(rng.uniform(-2.0, 2.0)))
         scale_v = float(np.exp(rng.uniform(-2.0, 2.0)))
         u = scale_u * rng.standard_normal((d1, d2))
         v = scale_v * rng.standard_normal((d2, d4))
-        rep = check_sv_products(u, v, tol)
+        pairs.append((u, v))
+    n_fail = 0
+    n_checks = 0
+    for rep in sv_product_reports(pairs, tol):
         applicable = [c for c in rep["checks"] if c.get("applicable", True)]
         n_checks += len(applicable)
         if not rep["pass"]:
@@ -388,20 +393,31 @@ def _fd_slope(it, tol: Tolerances) -> dict:
     return {"measurable": True, "slope": float(sol[0]), "n_points": len(keep), "errs": errs}
 
 
-def suite_ode(seed: int, tol: Tolerances) -> dict:
-    """Finite-difference validation of the coefficient-derivative formula."""
-    rng = np.random.default_rng(seed)
+def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
+    """Finite-difference validation of the coefficient-derivative formula.
+
+    ``stream`` is ``instances.H2Stream(seed)``, made here if not given.
+    Each round takes as many instances from it as measured slopes are
+    still missing (at most what ``ODE_MAX_DRAWS`` leaves), so the suite
+    draws the instances a loop drawing one at a time draws, and stops
+    where that loop stops.  A round's instances are drawn before they are
+    checked, so a draw error within a round comes before a check error of
+    an earlier instance of that round.
+    """
+    if stream is None:
+        stream = instances.H2Stream(seed)
     slopes = []
     n_skipped = 0
     n_drawn = 0
     while len(slopes) < ODE_TARGET and n_drawn < ODE_MAX_DRAWS:
-        it = instances.random_h2_instance(rng)
-        n_drawn += 1
-        res = _fd_slope(it, tol)
-        if res["measurable"]:
-            slopes.append(res["slope"])
-        else:
-            n_skipped += 1
+        batch = min(ODE_TARGET - len(slopes), ODE_MAX_DRAWS - n_drawn)
+        for it in stream.first(n_drawn + batch)[n_drawn:]:
+            n_drawn += 1
+            res = _fd_slope(it, tol)
+            if res["measurable"]:
+                slopes.append(res["slope"])
+            else:
+                n_skipped += 1
     lo, hi = FD_SLOPE_RANGE
     in_range = [lo <= s <= hi for s in slopes]
     return {
@@ -414,9 +430,13 @@ def suite_ode(seed: int, tol: Tolerances) -> dict:
     }
 
 
-def suite_certificate(seed: int, tol: Tolerances) -> dict:
-    """Exponential-envelope certificates on generated 1-d instances."""
-    suite = instances.h2_suite(CERTIFICATE_N, seed)
+def suite_certificate(seed: int, tol: Tolerances, suite=None) -> dict:
+    """Exponential-envelope certificates on generated 1-d instances.
+
+    ``suite`` is ``instances.h2_suite(CERTIFICATE_N, seed)``, drawn here
+    if not given."""
+    if suite is None:
+        suite = instances.h2_suite(CERTIFICATE_N, seed)
     worst_slack = float("inf")
     n_fail = 0
     for it in suite:
@@ -502,14 +522,23 @@ def run_suite(name: str, seed: int, tol: Tolerances = Tolerances(), **kw) -> dic
 
 def run_selftest(seed: int = 42, tol: Tolerances = Tolerances(), suites=None) -> dict:
     names = SUITE_NAMES if suites is None else tuple(suites)
-    # core and spectral check the same seeded instances: draw them once per
-    # call, never across calls, so every run pays for its own draw
+    # core and spectral check the same seeded instances, and ode and
+    # certificate take theirs from one stream of 1-d instances (the
+    # certificate its first CERTIFICATE_N): draw them once per call, never
+    # across calls, so every run pays for its own draws
     general = None
     if not set(names).isdisjoint(_GENERAL_SUITES):
         general = instances.random_suite(GENERAL_N, seed)
+    h2 = instances.H2Stream(seed)
     reports = {}
     for name in names:
-        kw = {"suite": general} if name in _GENERAL_SUITES else {}
+        kw = {}
+        if name in _GENERAL_SUITES:
+            kw = {"suite": general}
+        elif name == "ode":
+            kw = {"stream": h2}
+        elif name == "certificate":
+            kw = {"suite": h2.first(CERTIFICATE_N)}
         reports[name] = run_suite(name, seed, tol, **kw)
     return {
         "seed": int(seed),

@@ -18,8 +18,10 @@ their structure numerically:
 Every check returns residuals and slacks rather than booleans alone, so a
 report is auditable after the fact.  The checks run on stacks of systems
 (or matrix pairs) of one shape, one stacked LAPACK or BLAS call per check
-(``diagnose_stack``, ``eig_product_stack``); those calls run per matrix, so
-the single-system entries are the one-row cases and agree bit for bit.
+(``diagnose_stack``, ``eig_product_stack``), or on pairs of mixed shapes,
+one stacked call per check and shape (``sv_product_reports``); those calls
+run per matrix, so the single-system entries are the one-row cases and
+agree bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ __all__ = [
     "coef_map_stack",
     "build_operators",
     "check_sv_products",
+    "sv_product_reports",
     "check_eig_products",
     "eig_product_stack",
     "diagnose",
@@ -126,7 +129,9 @@ def _operators(systems) -> _Ops:
     qmats = _stack(systems, "qmat")
     dvecs = _stack(systems, "dvec")
     coef_map = coef_map_stack(qmats, _stack(systems, "rmat"), np.sqrt(dvecs))
-    proj = coef_map @ _t(_stack(systems, "design"))
+    # against a C-ordered E^T: the transposed view takes a slower matmul
+    # loop, with the same bits
+    proj = coef_map @ np.ascontiguousarray(_t(_stack(systems, "design")))
     comp = proj - np.eye(proj.shape[-1])
     return _Ops(
         coef_map, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
@@ -295,21 +300,102 @@ def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
       absolute eigenvalues
 
     Inapplicable entries are reported with ``applicable: False`` rather than
-    silently skipped.
+    silently skipped.  The one-pair case of ``sv_product_reports``.
     """
+    return next(sv_product_reports([(U, V)], tol))
+
+
+def _pair(U, V) -> tuple:
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     if U.ndim != 2 or V.ndim != 2:
         raise ValueError("U and V must be 2-D matrices")
-    d1, d2 = U.shape
-    d3, d4 = V.shape
+    (d1, d2), (d3, d4) = U.shape, V.shape
     if d2 != d3:
         raise ValueError(
             f"inner dimensions must agree: U is {d1}x{d2}, V is {d3}x{d4}"
         )
-    su = np.linalg.svd(U, compute_uv=False)
-    sv = np.linalg.svd(V, compute_uv=False)
-    sp = np.linalg.svd(U @ V, compute_uv=False)
+    return U, V
+
+
+def _by_shape(mats, idx) -> list:
+    """The indices ``idx`` into mats grouped by matrix shape, groups in
+    order of first appearance."""
+    groups = {}
+    for i in idx:
+        groups.setdefault(mats[i].shape, []).append(i)
+    return list(groups.values())
+
+
+def _svals(mats, idx, invert: bool = False) -> dict:
+    """Singular values, descending, of mats[i] (of its inverse, with
+    ``invert``) for each i of ``idx``, by i: one stacked call per shape."""
+    out = {}
+    for group in _by_shape(mats, idx):
+        stack = np.stack([mats[i] for i in group])
+        if invert:
+            stack = np.linalg.inv(stack)
+        out.update(zip(group, np.linalg.svd(stack, compute_uv=False)))
+    return out
+
+
+def _symmetric_residuals(mats, svals, idx) -> dict:
+    """For each square mats[i], i of ``idx``: None unless it equals its
+    transpose to within 1e-12 max(1, smax) per entry, as ``np.allclose``
+    decides it, and otherwise the largest gap between its absolute
+    eigenvalues and its singular values ``svals[i]``, both descending.
+    One stacked call per check and shape."""
+    out = {}
+    for group in _by_shape(mats, idx):
+        stack = np.stack([mats[i] for i in group])
+        atol = np.array([1e-12 * max(1.0, float(svals[i][0])) for i in group])
+        close = np.isclose(stack, _t(stack), rtol=0.0, atol=atol[:, None, None])
+        sym = close.all(axis=(1, 2))
+        out.update((i, None) for i in group)
+        if sym.any():
+            hits = [i for i, hit in zip(group, sym) if hit]
+            ev = np.sort(np.abs(np.linalg.eigvalsh(stack[sym])), axis=-1)[:, ::-1]
+            resid = np.max(np.abs(ev - np.stack([svals[i] for i in hits])), axis=-1)
+            out.update(zip(hits, resid.tolist()))
+    return out
+
+
+def sv_product_reports(pairs, tol: Tolerances = Tolerances()):
+    """``check_sv_products`` of each matrix pair (U, V) of ``pairs``, with
+    the pairs' shapes mixed: an iterator over the reports, in order.
+
+    The singular values of every U, V and UV, and of the inverse of every
+    square nonsingular U, are taken in one stacked SVD per operand shape,
+    the inverses in one stacked call per size, and the symmetry test and
+    eigenvalues of the square U in one stacked call per size, all before
+    this returns.  Stacked LAPACK calls run per matrix, so each pair's
+    report is that pair's own, bit for bit; a report is assembled only as
+    it is read, so they are not all alive at once.  The first invalid pair
+    raises what ``check_sv_products`` raises for it, before any pair is
+    checked.
+    """
+    checked = [_pair(U, V) for U, V in pairs]
+    us, vs = [u for u, _ in checked], [v for _, v in checked]
+    idx = range(len(checked))
+    su, sv, sp = (_svals(mats, idx) for mats in (us, vs, [u @ v for u, v in checked]))
+    square = [i for i in idx if us[i].shape[0] == us[i].shape[1]]
+    invertible = [
+        i for i in square if su[i][-1] > rank_tolerance(*us[i].shape, su[i][0])
+    ]
+    s_inv = _svals(us, invertible, invert=True)
+    sym_resid = _symmetric_residuals(us, su, square)
+    shapes = [(u.shape, v.shape) for u, v in checked]
+    return (
+        _sv_report(*shapes[i], su[i], sv[i], sp[i], s_inv.get(i), sym_resid.get(i), tol)
+        for i in idx
+    )
+
+
+def _sv_report(ushape, vshape, su, sv, sp, s_inv, sym_resid, tol) -> dict:
+    """The ``check_sv_products`` report of one pair from its singular
+    values: of U, V, UV and, for a square nonsingular U, of its inverse
+    (None otherwise), and the residual of a symmetric U (None otherwise)."""
+    (d1, d2), (d3, d4) = ushape, vshape
     smax_u, smin_u = float(su[0]), float(su[-1])
     smax_v, smin_v = float(sv[0]), float(sv[-1])
     smax_p = float(sp[0])
@@ -320,8 +406,8 @@ def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
     ]
 
     inv_entry = {"name": "smax_inverse_equals_inv_smin", "applicable": False}
-    if d1 == d2 and smin_u > rank_tolerance(d1, d2, smax_u):
-        smax_inv = float(np.linalg.svd(np.linalg.inv(U), compute_uv=False)[0])
+    if s_inv is not None:
+        smax_inv = float(s_inv[0])
         resid = abs(smax_inv * smin_u - 1.0)
         inv_entry = {
             "name": "smax_inverse_equals_inv_smin",
@@ -349,14 +435,12 @@ def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
     checks.append(wide)
 
     herm = {"name": "symmetric_norm_is_abs_eigs", "applicable": False}
-    if d1 == d2 and np.allclose(U, U.T, rtol=0.0, atol=1e-12 * max(1.0, smax_u)):
-        ev = np.abs(np.linalg.eigvalsh(U))
-        resid = float(np.max(np.abs(np.sort(ev)[::-1] - su))) if d1 else 0.0
+    if sym_resid is not None:
         herm = {
             "name": "symmetric_norm_is_abs_eigs",
             "applicable": True,
-            "residual": resid,
-            "pass": bool(resid <= 1e-10 * max(1.0, smax_u)),
+            "residual": sym_resid,
+            "pass": bool(sym_resid <= 1e-10 * max(1.0, smax_u)),
         }
     checks.append(herm)
 

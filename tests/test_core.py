@@ -1,6 +1,7 @@
 """Solver-level checks: the coefficient vector, its invariants, and the
 failure modes (hypotheses, rank, conditioning)."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from mlscert.cli import main
 from mlscert.core import (
     ConditioningError,
     HypothesisFailure,
+    MlsError,
     build_design,
     build_system,
     build_systems,
@@ -25,9 +27,9 @@ from mlscert.core import (
     solve_stack,
 )
 from mlscert.error_analysis import amplification
-from mlscert.points import PointSet
+from mlscert.points import PointSet, distances_each
 from mlscert.reporting import canonical_json, csv_text
-from mlscert.weights import WeightSpec
+from mlscert.weights import FAMILIES, WeightSpec, w_each
 
 NODES_012 = PointSet(np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 1.0, 2.0]))
 EXP1 = WeightSpec("exp", 1.0)
@@ -402,6 +404,82 @@ def test_distances_of_a_stack_match_per_point_calls(d):
     assert stack.tobytes() == ref.tobytes()
     with pytest.raises(ValueError):
         pts.distances(np.zeros((2, d + 1)))
+
+
+#: alphas whose square numpy's power could take a fast path for (none is
+#: exactly 0.5 or 2), the round ones a config would give, and extremes
+_ALPHAS = st.one_of(
+    st.sampled_from([1.0, 2.0, 0.5, math.sqrt(0.5), math.sqrt(2.0), 1e-3, 30.0]),
+    st.floats(0.05, 5.0),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.sampled_from([1, 2]))
+def test_stacked_problems_match_one_problem_at_a_time(data, d):
+    """``build_system_stack`` on k problems of one shape, with all four
+    weight families in the one group, gives each problem's
+    ``build_system`` bit for bit; its stacked inputs give each problem's
+    ``PointSet.distances``, ``WeightSpec.w`` and ``build_design``."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    l = data.draw(st.integers(1, 3 if d == 1 else 4))
+    m = data.draw(st.integers(max(l, 2), l + 6))
+    k = data.draw(st.integers(4, 12))
+    families = list(FAMILIES) + [data.draw(st.sampled_from(FAMILIES)) for _ in range(k - 4)]
+    weights = [WeightSpec(families[i], data.draw(_ALPHAS)) for i in rng.permutation(k)]
+    point_sets = [PointSet(rng.uniform(0.0, 1.0, (m, d))) for _ in range(k)]
+    xs = rng.uniform(-0.2, 1.2, (k, d))
+    for i in data.draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        xs[i] = point_sets[i].nodes[0]  # an interpolation limit, or w(0) = 1
+    basis = monomial_basis(l, d)
+
+    nodes = np.stack([p.nodes for p in point_sets])
+    dists = distances_each(nodes, xs)
+    designs = core._designs(nodes, basis)
+    for i, (pts, weight) in enumerate(zip(point_sets, weights)):
+        assert dists[i].tobytes() == pts.distances(xs[i]).tobytes()
+        assert designs[i].tobytes() == build_design(pts, basis).tobytes()
+        with np.errstate(over="ignore"):
+            assert w_each(weights, dists)[i].tobytes() == weight.w(dists[i]).tobytes()
+
+    singles = {}
+    for i, (x, pts, weight) in enumerate(zip(xs, point_sets, weights)):
+        try:
+            singles[i] = build_system(x, pts, basis, weight)
+        except (MlsError, ValueError):
+            pass
+    if len(singles) < k:
+        with pytest.raises((MlsError, ValueError)):
+            core.build_system_stack(xs, point_sets, basis, weights)
+    ok = list(singles)  # the problems that solve alone solve together
+    stacked = core.build_system_stack(
+        xs[ok], [point_sets[i] for i in ok], basis, [weights[i] for i in ok]
+    ) if ok else []
+    for got, ref in zip(stacked, singles.values()):
+        for name in ("x", "design", "dvec", "basis_at_x", "coeffs"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        for name in ("qmat", "rmat"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert repr(got.cond_gram) == repr(ref.cond_gram)
+        assert got.at_node == ref.at_node
+
+
+def test_stacked_designs_name_the_first_failing_node_set():
+    """A node set whose design overflows raises what ``build_design``
+    raises for it, the first such set in the stack."""
+    basis = monomial_basis(3)
+    ok = PointSet(np.array([0.0, 1.0, 2.0]))
+    far = [PointSet(np.array([0.0, 1.0, x])) for x in (1e200, 3e200)]
+    with pytest.raises(ValueError) as ref:
+        build_design(far[0], basis)
+    with pytest.raises(ValueError) as got:
+        core.build_system_stack([[0.5]] * 4, [ok, far[0], ok, far[1]], basis,
+                                [WeightSpec("exp")] * 4)
+    assert str(got.value) == str(ref.value) == "basis values at node 1e+200 are not finite"
+    with pytest.raises(HypothesisFailure, match="basis_size_le_nodes"):
+        core.build_system_stack([[0.5]], [PointSet(np.array([0.0, 1.0]))], basis,
+                                [WeightSpec("exp")])
 
 
 def test_csv_round_trip(tmp_path):

@@ -188,6 +188,28 @@ def test_study_refuses_a_level_no_array_holds(kw):
     assert calls == []
 
 
+def test_study_level_memory_cannot_hold_is_a_value_error(monkeypatch):
+    """A level whose allocation fails is a ValueError naming the domain,
+    h and the node count; the earlier levels ran.  The allocation is made
+    to fail at the third level."""
+    sizes = []
+    linspace = np.linspace
+
+    def no_memory(start, stop, num=50, **kw):
+        sizes.append(num)
+        if num == 81:  # [-1, 1] at h = 0.1 / 2^2
+            raise MemoryError("Unable to allocate")
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    with pytest.raises(ValueError) as err:
+        ea.convergence_study(np.sin, l=2, domain=(-1.0, 1.0), h0=0.1)
+    assert str(err.value) == ("domain [-1.0, 1.0] at h = 0.025 needs 81 nodes, "
+                              "more than memory holds")
+    assert err.value.__suppress_context__
+    assert [n for n in sizes if n in (21, 41, 81)] == [21, 41, 81]
+
+
 def test_study_rows_csv_shape():
     study = ea.convergence_study(np.sin, l=2)
     rows = study.rows_csv()

@@ -223,6 +223,22 @@ def test_batched_draw_matches_one_at_a_time(monkeypatch, kind, n, seed):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("asks", [(1, 1, 5, 20), (20, 3, 24), (7, 60)])
+def test_h2_stream_asked_in_pieces_is_one_stream(asks):
+    """``H2Stream.first(n)`` gives the first n one-by-one draws, however
+    it was asked before, and leaves the generator after the n-th."""
+    stream = inst.H2Stream(5)
+    ref_rng = np.random.default_rng(5)
+    ref = []
+    for n in asks:
+        got = stream.first(n)
+        ref += [_one_at_a_time(ref_rng, True) for _ in range(n - len(ref))]
+        assert len(got) == n
+        for a, b in zip(got, ref):
+            _assert_same_instance(a, b)
+        assert stream._rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("h2", [False, True])
 def test_single_draws_share_the_stream(h2):
     """``random_instance`` and ``random_h2_instance`` are the one-instance

@@ -512,6 +512,45 @@ def test_seed_precedence(tmp_path, capsys, monkeypatch):
     assert run_cli(["diagnose"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv,env,message", [
+    (["selftest", "--seed", "-1"], None, "--seed must be a non-negative integer, got -1"),
+    (["diagnose", "--seed", "-3"], None, "--seed must be a non-negative integer, got -3"),
+    (["selftest"], "-5", "MLS_SEED must be a non-negative integer, got -5"),
+    (["diagnose"], "-5", "MLS_SEED must be a non-negative integer, got -5"),
+])
+def test_negative_seed_names_its_source(argv, env, message, tmp_path, capsys, monkeypatch):
+    """A negative seed exits 2 naming --seed or MLS_SEED, not with numpy's
+    "expected non-negative integer"; no report is written."""
+    if env is None:
+        monkeypatch.delenv("MLS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MLS_SEED", env)
+    out = tmp_path / "report.json"
+    code, stdout, err = run_cli(argv + ["--out", str(out)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_converge_level_memory_cannot_hold_is_exit_2(tmp_path, capsys, monkeypatch):
+    """A level whose node count fits an array but not memory exits 2
+    naming the domain, h and the count, not with numpy's _ArrayMemoryError
+    traceback.  The allocation is made to fail; none is attempted."""
+    linspace = np.linspace
+
+    def no_memory(start, stop, num=50, **kw):
+        if num > 10**6:
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    cfg = tmp_path / "conv.json"
+    cfg.write_text('{"h0": 1e-12}')
+    code, out, err = run_cli(["converge", "--config", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: domain [0.0, 3.0] at h = 1e-12 needs 3000000000001 nodes, "
+                   "more than memory holds\n")
+
+
 def test_console_script_installed(const_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "mlscert", "fit", "--input", const_csv],

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mlscert import selftest, spectral
 from mlscert.config import Tolerances
 from mlscert.instances import matrix_pair_suite
+from mlscert.reporting import canonical_json
 from mlscert.spectral import check_eig_products, check_sv_products
 
 TOL = Tolerances()
@@ -162,3 +164,89 @@ def test_eig_product_against_dense_oracle(seed):
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(np.sort(rep["product_eigenvalues"]) - dense)) <= 1e-9 * scale
     assert rep["violations"] == []
+
+
+# --- singular-value products of many pairs at once ---------------------------
+
+
+def _operand(data, d1, d2, kind):
+    """A (d1, d2) matrix of the kind: Gaussian, or for a square one
+    singular (a zero row and column) or nonsingular (shifted)."""
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((d1, d2)) * np.exp(rng.uniform(-3.0, 3.0))
+    if kind == "singular":
+        u[0], u[:, 0] = 0.0, 0.0
+    elif kind == "nonsingular":
+        u += 4.0 * np.abs(u).max() * np.eye(d1)
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 25))
+def test_sv_product_reports_match_one_pair_at_a_time(data, n):
+    """Every pair's report from ``sv_product_reports`` is the report of
+    ``check_sv_products`` on that pair alone, bit for bit, with shapes 1-6
+    mixed, square singular and nonsingular U, and 1x1 (symmetric) U."""
+    pairs = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["any", "singular", "nonsingular", "one"]))
+        d1, d2, d4 = (data.draw(st.integers(1, 6)) for _ in range(3))
+        if kind == "one":
+            d1 = d2 = 1
+        elif kind != "any":
+            d2 = d1
+        pairs.append((_operand(data, d1, d2, kind), _operand(data, d2, d4, "any")))
+    got = list(spectral.sv_product_reports(pairs, TOL))
+    assert len(got) == n
+    for rep, (u, v) in zip(got, pairs):
+        assert canonical_json(rep) == canonical_json(check_sv_products(u, v, TOL))
+
+
+def test_sv_product_reports_cover_every_entry():
+    """Pairs of the kinds the property test draws reach every entry of
+    the report, and pass."""
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((3, 3))
+    pairs = [(u + 8.0 * np.eye(3), rng.standard_normal((3, 2))),
+             (np.array([[2.5]]), rng.standard_normal((1, 4))),
+             (rng.standard_normal((5, 2)), rng.standard_normal((2, 6)))]
+    reps = list(spectral.sv_product_reports(pairs, TOL))
+    applicable = {c["name"] for rep in reps for c in rep["checks"] if c.get("applicable", True)}
+    assert len(applicable) == 5
+    assert all(rep["pass"] for rep in reps)
+
+
+def test_sv_product_reports_raise_for_the_first_invalid_pair():
+    ok = (np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="inner dimensions must agree: U is 2x2, V is 3x3"):
+        spectral.sv_product_reports([ok, (np.eye(2), np.eye(3)), (np.ones(2), np.eye(2))])
+    with pytest.raises(ValueError, match="must be 2-D"):
+        spectral.sv_product_reports([ok, (np.ones(2), np.eye(2)), (np.eye(2), np.eye(3))])
+    assert list(spectral.sv_product_reports([])) == []
+
+
+def test_sv_product_suite_takes_one_svd_per_operand_shape(monkeypatch):
+    """The selftest's sv_product suite makes one stacked SVD call per
+    distinct shape of U, V, UV and the inverted U (633 single-matrix calls
+    at this seed when each pair was checked alone)."""
+    calls, seen = [], []
+    svd, checked = np.linalg.svd, spectral.sv_product_reports
+
+    def counted(a, *args, **kw):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    def recorded(pairs, tol):
+        seen.extend(pairs)
+        return checked(pairs, tol)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(selftest, "sv_product_reports", recorded)
+    report = selftest.run_suite("sv_product", 773817)
+    assert report["pass"] and len(seen) == selftest.PAIR_N
+    shapes = [{u.shape for u, _ in seen}, {v.shape for _, v in seen},
+              {(u @ v).shape for u, v in seen},
+              {u.shape for u, _ in seen if u.shape[0] == u.shape[1]}]
+    assert len(calls) == sum(len(s) for s in shapes) <= 3 * 36 + 6
+    assert all(len(shape) == 3 for shape in calls)  # every call is a stack

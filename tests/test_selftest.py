@@ -1,8 +1,10 @@
 """The selftest reuses work without changing a report: instances keep the
 system their generator solved, core and spectral share one draw per run,
-and the finite-difference probes are solved in one batch."""
+ode and certificate one stream of 1-d instances, and the
+finite-difference probes are solved in one batch."""
 
 import numpy as np
+import pytest
 
 from mlscert import bound1d, instances, selftest
 from mlscert.config import Tolerances
@@ -48,6 +50,93 @@ def test_core_and_spectral_share_one_draw_per_run(monkeypatch):
     for name in ("core", "spectral"):
         alone = selftest.run_suite(name, 42)
         assert canonical_json(report["suites"][name]) == canonical_json(alone)
+
+
+def _ode_one_at_a_time(seed, tol):
+    """The ode suite as a loop that draws and checks one instance at a
+    time, the reference of its batched rounds."""
+    rng = np.random.default_rng(seed)
+    slopes, n_skipped, n_drawn = [], 0, 0
+    while len(slopes) < selftest.ODE_TARGET and n_drawn < selftest.ODE_MAX_DRAWS:
+        res = selftest._fd_slope(instances.random_h2_instance(rng), tol)
+        n_drawn += 1
+        if res["measurable"]:
+            slopes.append(res["slope"])
+        else:
+            n_skipped += 1
+    lo, hi = selftest.FD_SLOPE_RANGE
+    return {
+        "n_measured": len(slopes), "n_skipped_at_floor": n_skipped, "n_drawn": n_drawn,
+        "slope_min": min(slopes) if slopes else float("nan"),
+        "slope_max": max(slopes) if slopes else float("nan"),
+        "pass": bool(len(slopes) >= selftest.ODE_TARGET
+                     and all(lo <= x <= hi for x in slopes)),
+    }
+
+
+_DRAW_H2 = instances._draw_h2
+
+
+def _counting_h2_draws(monkeypatch, fail_at=None):
+    """Count the 1-d candidate draws; the draw numbered ``fail_at`` (from
+    1) raises."""
+    calls = []
+
+    def counted(rng):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise RuntimeError("draw past the end")
+        return _DRAW_H2(rng)
+
+    monkeypatch.setattr(instances, "_draw_h2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ode_and_certificate_share_one_draw_per_run(monkeypatch, seed):
+    """One run draws one stream of 1-d instances: the certificate takes the
+    first CERTIFICATE_N that ode drew and draws none itself.  Each suite's
+    report is what it gives alone, and ode's is that of a loop drawing one
+    instance at a time."""
+    calls = _counting_h2_draws(monkeypatch)
+    ode_alone = selftest.run_suite("ode", seed)
+    ode_draws = len(calls)
+    assert ode_alone == _ode_one_at_a_time(seed, Tolerances())
+    assert ode_alone["n_drawn"] >= selftest.CERTIFICATE_N
+    cert_alone = selftest.run_suite("certificate", seed)
+    del calls[:]
+    report = selftest.run_selftest(seed, suites=("ode", "certificate"))
+    assert len(calls) == ode_draws
+    for name, alone in (("ode", ode_alone), ("certificate", cert_alone)):
+        assert canonical_json(report["suites"][name]) == canonical_json(alone)
+    # nothing is kept between runs: the next run draws again
+    selftest.run_selftest(seed, suites=("ode",))
+    assert len(calls) == 2 * ode_draws
+
+
+def test_certificate_first_draws_what_ode_continues():
+    """Asked in the other order, the run draws the same stream."""
+    first = selftest.run_selftest(3, suites=("certificate", "ode"))
+    second = selftest.run_selftest(3, suites=("ode", "certificate"))
+    assert canonical_json(first["suites"]) == canonical_json(second["suites"])
+
+
+def test_a_draw_error_past_the_last_ode_instance_is_not_raised(monkeypatch):
+    """ode draws in rounds of the slopes still missing, so it draws no
+    candidate past the instance where a one-by-one loop stops: an error
+    in the next draw is never raised."""
+    calls = _counting_h2_draws(monkeypatch)
+    ref = _ode_one_at_a_time(18, Tolerances())
+    last = len(calls)
+    assert ref["n_drawn"] < last  # a candidate was rejected
+    _counting_h2_draws(monkeypatch, fail_at=last + 1)
+    assert selftest.run_suite("ode", 18) == ref
+    _counting_h2_draws(monkeypatch, fail_at=last + 1)  # counts from 0 again
+    report = selftest.run_selftest(18, suites=("ode", "certificate"))
+    assert report["suites"]["ode"] == ref
+    _counting_h2_draws(monkeypatch, fail_at=last)
+    with pytest.raises(RuntimeError, match="draw past the end"):
+        selftest.run_suite("ode", 18)
 
 
 def test_fd_probes_match_point_by_point_solves():
