@@ -36,8 +36,11 @@ thread:
   given a flag of its other mode (``--seed`` with ``--input``,
   ``--config`` and ``--grid`` without it); ``converge`` on the domain
   [0, 1e308], whose node count overflows, ``fit`` with the basis size
-  0, and ``selftest --seed -1`` and ``diagnose --seed -3``.  Each of
-  these exits 2.
+  0, and ``selftest --seed -1`` and ``diagnose --seed -3``; ``fit`` on
+  an input with a blank record and then a malformed one, which names the
+  malformed record's line.  Each of these exits 2.  Per seed, ``edge``
+  also runs the first ``fit`` job on a copy of its input that starts with
+  a UTF-8 byte-order mark; it exits 0 with that job's own output.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -59,6 +62,8 @@ from perfbench import workloads  # noqa: E402
 
 EDGE_INPUT = "x1,f\n0,0\n1,1\n2,4\n"
 SQUARE_INPUT = "x1,f\n0.1,0\n0.35,1\n0.6,0\n0.9,1\n"
+#: a blank record (line 3), then a malformed one (line 4)
+MALFORMED_INPUT = "x1,f\n0,0\n\n1,one\n2,4\n"
 
 
 def _digest(data: bytes) -> str:
@@ -106,6 +111,11 @@ def _seed_runs(seed: int):
     for command in ("selftest", "diagnose"):
         argv = [command, "--seed", str(seed), "--out", f"{command}.json"]
         yield "selftest", command, argv, {}, f"{command}.json"
+    job = jobs["fit"][0]
+    files = _files(job)
+    csv_name = job.input_path(Path("."), "--input").name
+    files[csv_name] = "\ufeff" + files[csv_name]
+    yield "edge", f"{job.name}_bom", job.argv(Path(".")), files, job.out_path(Path(".")).name
 
 
 def _fixed_runs():
@@ -147,6 +157,8 @@ def _fixed_runs():
     yield "edge", "converge_domain_overflow", argv, files, "converge.out"
     argv = ["fit", "--input", "n3.csv", "--config", "cfg.json", "--grid", "3", "--out", "fit.out"]
     yield "edge", "fit_l_zero", argv, {**inputs, "cfg.json": '{"l": 0}'}, "fit.out"
+    argv = ["fit", "--input", "n3.csv", "--grid", "3", "--out", "fit.out"]
+    yield "edge", "fit_blank_and_malformed_record", argv, {"n3.csv": MALFORMED_INPUT}, "fit.out"
     for command, seed in (("selftest", "-1"), ("diagnose", "-3")):
         argv = [command, "--seed", seed, "--out", f"{command}.json"]
         yield "edge", f"{command}_negative_seed", argv, {}, f"{command}.json"
@@ -163,7 +175,7 @@ def main() -> None:
             workdir = Path(tmp)
             (workdir / "taken").mkdir()  # the directory edge/out_is_directory writes to
             for name, text in files.items():
-                (workdir / name).write_text(text)
+                (workdir / name).write_text(text, encoding="utf-8")
             code, out_digest, err_digest = _run(argv, workdir, out)
         print(f"{workload} {seed} {job} exit={code} out={out_digest} err={err_digest}",
               flush=True)

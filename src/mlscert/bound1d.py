@@ -536,10 +536,11 @@ class BoundCertificate:
         return self.envelope_ok and bool(self.majorants["pass"])
 
     def to_dict(self) -> dict:
-        columns = (self.xs, self.lhs, self.rhs, self.k0, self.slack)
+        """The wire form; ``points`` is an (n, 5) float array of rows
+        (x, lhs, rhs, k0, slack), ``k0`` an integral float."""
         return {
             "constants": self.constants.to_dict(),
-            "points": [list(row) for row in zip(*(c.tolist() for c in columns))],
+            "points": np.column_stack([self.xs, self.lhs, self.rhs, self.k0, self.slack]),
             "min_slack": float(np.min(self.slack)),
             "majorants": self.majorants,
             "pass": self.passed,
@@ -547,10 +548,9 @@ class BoundCertificate:
             "metadata": self.metadata,
         }
 
-    def rows_csv(self) -> list[tuple]:
-        """Plot-ready rows (x, lhs, rhs, slack)."""
-        return list(zip(self.xs.tolist(), self.lhs.tolist(), self.rhs.tolist(),
-                        self.slack.tolist()))
+    def rows_csv(self) -> np.ndarray:
+        """Plot-ready rows (x, lhs, rhs, slack), an (n, 4) float array."""
+        return np.column_stack([self.xs, self.lhs, self.rhs, self.slack])
 
 
 def certify_bound(
@@ -644,15 +644,17 @@ def certify_bound(
     # evaluate the envelope in log space and clip at the largest finite
     # double: clipping only ever lowers the right-hand side, so a pass
     # stays a valid certificate.  The log and exp stay math.log and
-    # math.exp, one row at a time: on 1e6 random inputs np.log differs from
-    # math.log in the last bit about once in 10^4, np.exp from math.exp
-    # about once in 20.
+    # math.exp, mapped over the positive bases: on 1e6 random inputs np.log
+    # differs from math.log in the last bit about once in 10^4, np.exp from
+    # math.exp about once in 20.  A base that is 0 or NaN gives 0.
     dist = np.abs(grid - xs_nodes[k0s])
     base = anchor_norm[k0s] + m1 * dist
-    rhs = np.array([
-        math.exp(min(math.log(b) + m2 * d, _MAX_LOG)) if b > 0.0 else 0.0
-        for b, d in zip(base.tolist(), dist.tolist())
-    ])
+    positive = base > 0.0
+    logs = np.fromiter(map(math.log, base[positive].tolist()), float)
+    rhs = np.zeros(grid.size)
+    # np.minimum, like min, keeps a NaN exponent
+    exponent = np.minimum(logs + m2 * dist[positive], _MAX_LOG)
+    rhs[positive] = list(map(math.exp, exponent.tolist()))
     slack = rhs - lhs
     majorants = {
         "max_comp_h": max_comp_h,

@@ -232,6 +232,27 @@ def _parse_grid(spec, points: PointSet, weight: WeightSpec) -> np.ndarray:
     raise CliError(f"bad grid spec {spec!r}; expected N or a:b:N")
 
 
+class _GridMemory:
+    """Context that turns a ``MemoryError`` raised inside, while the grid of
+    the ``--grid`` spec is built, solved or written out, into a
+    ``CliError`` naming the spec and its point count N.  Without a spec it
+    propagates.  A class, not a ``contextlib.contextmanager`` function:
+    that would carry ``__wrapped__``, which perfbench's tracer tests refuse
+    on a library module's names."""
+
+    def __init__(self, spec):
+        self.spec = spec
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, MemoryError) and self.spec is not None:
+            n = str(self.spec).split(":")[-1]
+            raise CliError(f"--grid {self.spec} asks for {n} points, more than memory holds") from None
+        return False
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -249,28 +270,27 @@ def cmd_fit(args) -> int:
     points = _load_points(args.input, need_values=True)
     weight = cfg["weight"]
     basis = monomial_basis(cfg["l"], points.dim)
-    grid = _parse_grid(args.grid, points, weight)
-    if grid is None:
-        grid = points.nodes
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.ndim == 1:
-        grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
+    with _GridMemory(args.grid):
+        grid = _parse_grid(args.grid, points, weight)
+        if grid is None:
+            grid = points.nodes
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        if grid.ndim == 1:
+            grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
 
-    coeffs, at_node = build_systems(grid, points, basis, weight)
-    rows = [
-        xrow + [f, s, amp]
-        for xrow, f, s, amp in zip(
-            grid.tolist(),
-            fitted_values(coeffs, at_node, points.values).tolist(),
-            coeffs.sum(axis=1).tolist(),
-            error_analysis.amplification(coeffs).tolist(),
-        )
-    ]
-    header = [f"x{i+1}" for i in range(points.dim)] + ["Lhat", "sum_a", "amplification"]
-    if args.format == "csv":
-        _emit(csv_text(header, rows), args.out)
-    else:
-        _emit(canonical_json({"columns": header, "rows": rows}), args.out)
+        coeffs, at_node = build_systems(grid, points, basis, weight)
+        rows = np.column_stack([
+            grid,
+            fitted_values(coeffs, at_node, points.values),
+            coeffs.sum(axis=1),
+            error_analysis.amplification(coeffs),
+        ])
+        header = [f"x{i+1}" for i in range(points.dim)] + ["Lhat", "sum_a", "amplification"]
+        if args.format == "csv":
+            text = csv_text(header, rows)
+        else:
+            text = canonical_json({"columns": header, "rows": rows})
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -298,27 +318,29 @@ def cmd_diagnose(args) -> int:
     points = _load_points(args.input, need_values=False)
     weight = cfg["weight"]
     basis = monomial_basis(cfg["l"], points.dim)
-    grid = _parse_grid(args.grid, points, weight)
-    if grid is None:
-        grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    if grid.ndim == 1 and points.dim != 1:
-        grid = grid.reshape(1, -1)
+    with _GridMemory(args.grid):
+        grid = _parse_grid(args.grid, points, weight)
+        if grid is None:
+            grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
+        grid = np.atleast_1d(np.asarray(grid, dtype=float))
+        if grid.ndim == 1 and points.dim != 1:
+            grid = grid.reshape(1, -1)
 
-    systems, error = build_system_list(
-        grid[:, None] if grid.ndim == 1 else grid, points, basis, weight
-    )
-    # the points before a failing one are diagnosed first, so an error
-    # there still comes first, as in a loop over the points
-    reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
-    if error is not None:
-        raise error
-    all_pass = True
-    for d, xrow in zip(reports, grid):
-        d["x"] = [float(v) for v in np.atleast_1d(xrow)]
-        all_pass = all_pass and d["pass"]
-    out = {"n_points": len(reports), "reports": reports, "pass": bool(all_pass)}
-    _emit(canonical_json(out), args.out)
+        systems, error = build_system_list(
+            grid[:, None] if grid.ndim == 1 else grid, points, basis, weight
+        )
+        # the points before a failing one are diagnosed first, so an error
+        # there still comes first, as in a loop over the points
+        reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
+        if error is not None:
+            raise error
+        all_pass = True
+        for d, xrow in zip(reports, grid):
+            d["x"] = [float(v) for v in np.atleast_1d(xrow)]
+            all_pass = all_pass and d["pass"]
+        out = {"n_points": len(reports), "reports": reports, "pass": bool(all_pass)}
+        text = canonical_json(out)
+    _emit(text, args.out)
     return EXIT_OK if all_pass else EXIT_VIOLATION
 
 
@@ -328,19 +350,21 @@ def cmd_bound(args) -> int:
     points = _load_points(args.input, need_values=True)
     weight = cfg["weight"]
     basis = monomial_basis(cfg["l"], points.dim)
-    grid = _parse_grid(args.grid, points, weight)
-    cert = bound1d.certify_bound(
-        points,
-        basis,
-        weight,
-        grid=grid,
-        n_grid=DEFAULT_GRID_N,
-        tol=tol,
-    )
-    if args.format == "csv":
-        _emit(csv_text(["x", "lhs", "rhs", "slack"], cert.rows_csv()), args.out)
-    else:
-        _emit(canonical_json(cert.to_dict()), args.out)
+    with _GridMemory(args.grid):
+        grid = _parse_grid(args.grid, points, weight)
+        cert = bound1d.certify_bound(
+            points,
+            basis,
+            weight,
+            grid=grid,
+            n_grid=DEFAULT_GRID_N,
+            tol=tol,
+        )
+        if args.format == "csv":
+            text = csv_text(["x", "lhs", "rhs", "slack"], cert.rows_csv())
+        else:
+            text = canonical_json(cert.to_dict())
+    _emit(text, args.out)
     return EXIT_OK if cert.passed else EXIT_VIOLATION
 
 

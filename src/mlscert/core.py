@@ -219,7 +219,12 @@ def _solve_rows(E, cvecs, dists, dvecs, conds: bool = False) -> _Rows:
             E = E[regular]
 
     root = np.sqrt(dvecs)
-    qmats, rmats = np.linalg.qr(E / root[:, :, None], mode="reduced")
+    # divide with the node axis innermost and contiguous in every operand:
+    # the same quotients, about 3x faster from m = 25 on.  QR copies its
+    # input into its own buffer, so the layout leaves its factors unchanged
+    e_t = np.ascontiguousarray(np.swapaxes(E, -1, -2))
+    scaled = np.swapaxes(e_t / root[:, None, :], -1, -2)
+    qmats, rmats = np.linalg.qr(scaled, mode="reduced")
     estimates = None
     if conds or not _certified(rmats, m, l):
         estimates = _checked_conds(rmats, m, l)

@@ -2,6 +2,8 @@
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,8 +82,15 @@ class PointSet:
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":
-        """Read nodes from a CSV file with header ``x1,...,xd[,f]``."""
-        with open(path, newline="") as fh:
+        """Read nodes from a CSV file with header ``x1,...,xd[,f]``.
+
+        The file is read as UTF-8; a leading byte-order mark is dropped.
+        Records whose cells are all blank are skipped, though they count
+        in the line numbers.  The x and f cells of all records go through
+        one ``map(float, ...)``; only when that fails are the records
+        replayed, to name the line of the first malformed one.
+        """
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -94,20 +103,27 @@ class PointSet:
                 raise ValueError(
                     f"{path}: header must be x1,...,xd optionally followed by f"
                 )
-            val_col = header.index("f") if has_values else None
-            rows, vals = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
+            records = [(lineno, row) for lineno, row in enumerate(reader, start=2)
+                       if any(map(str.strip, row))]
+        if not records:
+            raise ValueError(f"{path}: no data rows")
+        cols = coord_cols + [header.index("f")] if has_values else coord_cols
+        # itemgetter of one index gives the cell itself, of more a tuple
+        picked = map(itemgetter(*cols), map(itemgetter(1), records))
+        if len(cols) > 1:
+            picked = chain.from_iterable(picked)
+        try:
+            cells = np.fromiter(map(float, picked), float, len(records) * len(cols))
+        except (ValueError, IndexError):
+            for lineno, row in records:
                 try:
-                    rows.append([float(row[i]) for i in coord_cols])
-                    if has_values:
-                        vals.append(float(row[val_col]))
+                    [float(row[i]) for i in cols]
                 except (ValueError, IndexError):
                     raise ValueError(f"{path}:{lineno}: malformed row") from None
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        return cls(np.asarray(rows), np.asarray(vals) if has_values else None)
+            raise
+        cells = cells.reshape(len(records), len(cols))
+        d = len(coord_cols)
+        return cls(np.ascontiguousarray(cells[:, :d]), cells[:, d] if has_values else None)
 
     def to_csv(self, path) -> None:
         """Write the node set (and values, when present) as CSV."""

@@ -9,15 +9,26 @@ target directory, then rename); a failed write leaves no temp file behind.
 Tables take one path and everything else another.  A table is a list or
 tuple of list or tuple rows that all have one type signature made only of
 exact ``float`` and ``int`` cells, every one finite; a flat list or tuple
-of such cells is the one-row case.  Its text comes from a single ``%``
-operation: a template built from the signature (``%.17g`` per float,
-``%d`` per int, with the brackets and commas of JSON or of CSV) applied to
-the flattened cells.  One builtin ``sum`` checks the cells without a branch
-per value: it is finite exactly when no cell is NaN or +-inf and nothing
-overflows, and an ``OverflowError`` (an int too large for a double) counts
-as not finite.  Any other value takes the per-value path, which alone
-decides its bytes: NaN and +-inf tokens, ``bool``, numpy scalars, strings,
-ragged or mixed rows, dicts, and tables whose sum is not finite.
+of such cells is the one-row case.  A 2-D ``float64`` ndarray with at
+least one entry, every one finite, is a table too, of float columns; this
+is the form ``fit`` and ``bound`` hand over, built as numpy columns with
+no Python per cell.  Its text comes from a single ``%`` operation: a
+template built from the signature (``%.17g`` per float, ``%d`` per int,
+with the brackets and commas of JSON or of CSV) applied to the flattened
+cells.  One builtin ``sum`` checks the cells of a list table without a
+branch per value: it is finite exactly when no cell is NaN or +-inf and
+nothing overflows, and an ``OverflowError`` (an int too large for a
+double) counts as not finite; an array is checked by one
+``np.isfinite(...).all()``.  Any other value takes the per-value path,
+which alone decides its bytes: NaN and +-inf tokens, ``bool``, numpy
+scalars, strings, ragged or mixed rows, dicts, and tables whose sum is not
+finite.  Any other array goes through its ``tolist()``: one with a NaN or
++-inf entry, an empty one, another dtype or another number of dimensions.
+
+An integer column may ride in a float array: ``%.17g`` prints an integral
+double below 2**53 with the digits ``%d`` prints for the int (``3.0`` and
+``3`` both print ``3``), so ``bound``'s nearest-node index ``k0`` is a
+float column of its points table with unchanged bytes.
 
 ``"%.17g" % x`` and ``format(x, ".17g")`` give the same digits: both pass
 the double, the ``g`` type and precision 17 with no flags to CPython's
@@ -70,10 +81,15 @@ def _finite(cells: tuple) -> bool:
 def _table(rows):
     """(specs of one row, cells in row order) of a table, or None.
 
-    ``rows`` must be a non-empty list or tuple of list or tuple rows of one
-    length whose cells have, column by column, one exact type in
-    ``_SPECS``, and whose ``sum`` is finite; anything else gives None.
+    ``rows`` must be a 2-D float64 ndarray with entries, all finite, or a
+    non-empty list or tuple of list or tuple rows of one length whose
+    cells have, column by column, one exact type in ``_SPECS``, and whose
+    ``sum`` is finite; anything else gives None.
     """
+    if type(rows) is np.ndarray:
+        if rows.ndim == 2 and rows.dtype == np.float64 and rows.size and np.isfinite(rows).all():
+            return [_FLOAT_SPEC] * rows.shape[1], tuple(rows.ravel().tolist())
+        return None
     if type(rows) not in _ROW_TYPES or not rows or not set(map(type, rows)) <= _ROW_TYPES:
         return None
     first = rows[0]
@@ -88,9 +104,7 @@ def _table(rows):
 
 def _json_table(obj):
     """JSON text of a table or of a flat list of cells (one row), or None."""
-    if type(obj) not in _ROW_TYPES or not obj:
-        return None
-    flat = type(obj[0]) in _SPECS
+    flat = type(obj) in _ROW_TYPES and bool(obj) and type(obj[0]) in _SPECS
     table = _table((obj,) if flat else obj)
     if table is None:
         return None
@@ -115,7 +129,11 @@ def _serialize(obj, out: list) -> None:
     elif isinstance(obj, np.bool_):
         out.append("true" if bool(obj) else "false")
     elif isinstance(obj, np.ndarray):
-        _serialize(obj.tolist(), out)
+        table = _json_table(obj)
+        if table is None:
+            _serialize(obj.tolist(), out)
+        else:
+            out.append(table)
     elif isinstance(obj, dict):
         out.append("{")
         first = True
@@ -185,14 +203,15 @@ def csv_text(header, rows) -> str:
     """CSV text: the header, then one line per row, each ending in a newline.
 
     A table (see the module docstring) is written in one ``%`` operation;
-    any other rows go through ``csv.writer`` cell by cell.
+    any other rows, an array through its ``tolist()``, go through
+    ``csv.writer`` cell by cell.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     table = _table(rows)
     if table is None:
-        for row in rows:
+        for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
             writer.writerow([_cell(v) for v in row])
         return buf.getvalue()
     specs, cells = table

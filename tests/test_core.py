@@ -498,6 +498,51 @@ def test_csv_without_values(tmp_path):
     assert again.values is None
 
 
+# text -> (nodes, values) of a node CSV that reads, or the line it names
+CSV_RECORDS = {
+    "blank records": ("x1,f\n0.5,1\n\n  ,\t\n1.5,2\n", ([[0.5], [1.5]], [1.0, 2.0])),
+    "blank records count as lines": ("x1,f\n\n \n0.5,1\n1.5,oops\n", 5),
+    "short record": ("x1,x2,f\n0,0,1\n1,2\n", 3),
+    "non-numeric cell": ("x1,f\n0.5,1\n0.75,abc\n1,2\n", 3),
+    "first of two malformed": ("x1,f\n0.5,bad\n1.5,\n", 2),
+    "one column": ("x1\n0.5\n1.5\n", ([[0.5], [1.5]], None)),
+    "one column malformed": ("x1\n0.5\nx\n", 3),
+    "f before the last column": ("x1,f,note\n0.5,1,a\n1.5,2,b\n", ([[0.5], [1.5]], [1.0, 2.0])),
+    "f before a short last column": ("x1,x2,f,note\n0,1,2\n1,0,3,c\n",
+                                     ([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0])),
+    "quoted fields": ('x1,f\n"0.5","1e0"\n" 1.5 ","-2"\n', ([[0.5], [1.5]], [1.0, -2.0])),
+    "a cell only float parses": ("x1,f\n1_0,2\n0.5,1\n", ([[10.0], [0.5]], [2.0, 1.0])),
+    "byte-order mark": ("\ufeffx1,f\n0.5,1\n1.5,2\n", ([[0.5], [1.5]], [1.0, 2.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_RECORDS))
+def test_csv_reader_edge_records(name, tmp_path):
+    text, want = CSV_RECORDS[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(want, int):
+        with pytest.raises(ValueError) as err:
+            PointSet.from_csv(path)
+        assert str(err.value) == f"{path}:{want}: malformed row"
+        return
+    pts = PointSet.from_csv(path)
+    nodes, values = want
+    np.testing.assert_array_equal(pts.nodes, nodes)
+    assert pts.nodes.flags.c_contiguous
+    if values is None:
+        assert pts.values is None
+    else:
+        np.testing.assert_array_equal(pts.values, values)
+
+
+def test_csv_reader_without_data_rows(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x1,f\n\n , \n")
+    with pytest.raises(ValueError, match="no data rows"):
+        PointSet.from_csv(path)
+
+
 # --- property tests --------------------------------------------------------
 
 node_sets = st.integers(2, 8).flatmap(

@@ -551,6 +551,52 @@ def test_converge_level_memory_cannot_hold_is_exit_2(tmp_path, capsys, monkeypat
                    "more than memory holds\n")
 
 
+@pytest.mark.parametrize("command", ["fit", "bound", "diagnose"])
+@pytest.mark.parametrize("spec", ["100000000000", "0:2:100000000000"])
+def test_grid_memory_cannot_hold_is_exit_2(command, spec, linear_csv, capsys, monkeypatch):
+    """A --grid whose N points memory cannot hold exits 2 naming the spec
+    and N, not with numpy's MemoryError traceback.  The allocation is
+    made to fail; none is attempted."""
+    linspace = np.linspace
+
+    def no_memory(start, stop, num=50, **kw):
+        if num > 10**6:
+            raise MemoryError(f"Unable to allocate an array with shape ({num},)")
+        return linspace(start, stop, num, **kw)
+
+    monkeypatch.setattr(np, "linspace", no_memory)
+    code, out, err = run_cli([command, "--input", linear_csv, "--grid", spec], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --grid {spec} asks for 100000000000 points, more than memory holds\n"
+
+
+@pytest.mark.parametrize("command, solver", [("fit", "mlscert.cli.build_systems"),
+                                             ("bound", "mlscert.bound1d.certify_bound"),
+                                             ("diagnose", "mlscert.cli.build_system_list")])
+def test_grid_solve_memory_cannot_hold_is_exit_2(command, solver, linear_csv, capsys,
+                                                 monkeypatch):
+    """A MemoryError while the grid is solved names --grid and N too."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(solver, no_memory)
+    code, out, err = run_cli([command, "--input", linear_csv, "--grid", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --grid 5 asks for 5 points, more than memory holds\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "bound"])
+def test_input_with_a_byte_order_mark_reads_as_without(command, linear_csv, tmp_path, capsys):
+    """A node CSV saved with a UTF-8 byte-order mark (as spreadsheet
+    programs write it) gives the output of the same file without one."""
+    bom = tmp_path / "bom.csv"
+    with open(linear_csv, "rb") as fh:
+        bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    want = run_cli([command, "--input", linear_csv, "--grid", "7"], capsys)
+    got = run_cli([command, "--input", str(bom), "--grid", "7"], capsys)
+    assert got == want and got[0] == 0
+
+
 def test_console_script_installed(const_csv):
     proc = subprocess.run(
         [sys.executable, "-m", "mlscert", "fit", "--input", const_csv],

@@ -171,7 +171,8 @@ def test_eig_product_against_dense_oracle(seed):
 
 def _operand(data, d1, d2, kind):
     """A (d1, d2) matrix of the kind: Gaussian, or for a square one
-    singular (a zero row and column) or nonsingular (shifted)."""
+    singular (a zero row and column), nonsingular (shifted) or symmetric
+    (S + S^T)."""
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     u = rng.standard_normal((d1, d2)) * np.exp(rng.uniform(-3.0, 3.0))
@@ -179,7 +180,13 @@ def _operand(data, d1, d2, kind):
         u[0], u[:, 0] = 0.0, 0.0
     elif kind == "nonsingular":
         u += 4.0 * np.abs(u).max() * np.eye(d1)
+    elif kind == "symmetric":
+        u = u + u.T
     return u
+
+
+def _symmetric_applies(rep) -> bool:
+    return next(c for c in rep["checks"] if c["name"] == "symmetric_norm_is_abs_eigs")["applicable"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,34 +194,48 @@ def _operand(data, d1, d2, kind):
 def test_sv_product_reports_match_one_pair_at_a_time(data, n):
     """Every pair's report from ``sv_product_reports`` is the report of
     ``check_sv_products`` on that pair alone, bit for bit, with shapes 1-6
-    mixed, square singular and nonsingular U, and 1x1 (symmetric) U."""
-    pairs = []
+    mixed, square singular and nonsingular U, symmetric U of sizes 2-6
+    (several of one size among non-symmetric ones of it reach the stacked
+    symmetry test together), and 1x1 (symmetric) U."""
+    pairs, kinds = [], []
     for _ in range(n):
-        kind = data.draw(st.sampled_from(["any", "singular", "nonsingular", "one"]))
+        kind = data.draw(st.sampled_from(["any", "singular", "nonsingular", "symmetric", "one"]))
         d1, d2, d4 = (data.draw(st.integers(1, 6)) for _ in range(3))
         if kind == "one":
             d1 = d2 = 1
+        elif kind == "symmetric":
+            d1 = d2 = data.draw(st.integers(2, 6))
         elif kind != "any":
             d2 = d1
+        kinds.append(kind)
         pairs.append((_operand(data, d1, d2, kind), _operand(data, d2, d4, "any")))
     got = list(spectral.sv_product_reports(pairs, TOL))
     assert len(got) == n
-    for rep, (u, v) in zip(got, pairs):
+    for rep, (u, v), kind in zip(got, pairs, kinds):
         assert canonical_json(rep) == canonical_json(check_sv_products(u, v, TOL))
+        if kind in ("symmetric", "one"):
+            assert _symmetric_applies(rep)
 
 
 def test_sv_product_reports_cover_every_entry():
     """Pairs of the kinds the property test draws reach every entry of
-    the report, and pass."""
+    the report, and pass; two symmetric 3x3 U among a non-symmetric one
+    get the symmetric check, each as it gets it alone."""
     rng = np.random.default_rng(8)
     u = rng.standard_normal((3, 3))
+    s = rng.standard_normal((3, 3))
     pairs = [(u + 8.0 * np.eye(3), rng.standard_normal((3, 2))),
+             (s + s.T, rng.standard_normal((3, 4))),
              (np.array([[2.5]]), rng.standard_normal((1, 4))),
-             (rng.standard_normal((5, 2)), rng.standard_normal((2, 6)))]
+             (rng.standard_normal((5, 2)), rng.standard_normal((2, 6))),
+             (3.0 * (s + s.T) + np.eye(3), rng.standard_normal((3, 1)))]
     reps = list(spectral.sv_product_reports(pairs, TOL))
     applicable = {c["name"] for rep in reps for c in rep["checks"] if c.get("applicable", True)}
     assert len(applicable) == 5
     assert all(rep["pass"] for rep in reps)
+    assert [_symmetric_applies(rep) for rep in reps] == [False, True, True, False, True]
+    for rep, (u, v) in zip(reps, pairs):
+        assert canonical_json(rep) == canonical_json(check_sv_products(u, v, TOL))
 
 
 def test_sv_product_reports_raise_for_the_first_invalid_pair():

@@ -266,3 +266,71 @@ def test_tables_take_the_table_path():
     assert rep._json_table((1.0, 2**70)) == "[1,1180591620717411303424]"
     assert rep._json_table([[], ()]) == "[[],[]]"
     assert rep.csv_text(["x", "k", "y"], rows[:1] * 2) == "x,k,y\n" + "0.10000000000000001,2,-0\n" * 2
+
+
+# --- float arrays: the table form of ``fit`` and ``bound`` -------------------
+
+# finite cells with the edge cases of %.17g and of a sum that overflows
+ARRAY_CELLS = st.one_of(
+    FINITE,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, MAX_DOUBLE,
+                     -MAX_DOUBLE]),
+)
+
+
+@st.composite
+def float_arrays(draw):
+    """An (n, k) float64 array, 1 <= n <= 8 and 1 <= k <= 6, sometimes
+    with a NaN or +-inf entry."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    arr = np.array(draw(st.lists(ARRAY_CELLS, min_size=n * k, max_size=n * k))).reshape(n, k)
+    if draw(st.integers(0, 3)) == 0:
+        arr[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_arrays())
+def test_float_arrays_write_as_their_rows(arr):
+    """A 2-D float array gives the bytes of its ``tolist()`` rows in both
+    writers; only an array with a NaN or +-inf entry leaves the table path."""
+    rows = arr.tolist()
+    assert (rep._table(arr) is None) == (not np.isfinite(arr).all())
+    assert rep.canonical_json(arr) == rep.canonical_json(rows) == ref_json(rows)
+    assert rep.canonical_json({"t": arr}) == ref_json({"t": rows})
+    assert rep.csv_text(["a", "b"], arr) == rep.csv_text(["a", "b"], rows) == ref_csv(["a", "b"], rows)
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+ARRAY_FALLBACKS = {
+    "nan": np.array([[1.0, math.nan], [2.0, 3.0]]),
+    "-inf": np.array([[-math.inf]]),
+    "no rows": np.zeros((0, 3)),
+    "no columns": np.zeros((2, 0)),
+    "int": np.array([[1, -2], [3, 2**40]]),
+    "float32": np.array([[0.1, 2.5]], dtype=np.float32),
+    "bool": np.array([[True, False]]),
+    "1-d": np.array([0.5, -0.0]),
+    "3-d": np.arange(8.0).reshape(2, 2, 2),
+    "subclass": np.arange(4.0).reshape(2, 2).view(_Sub),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_FALLBACKS))
+def test_other_arrays_take_their_tolist_route(name):
+    arr = ARRAY_FALLBACKS[name]
+    assert rep._table(arr) is None
+    assert rep.canonical_json({"t": arr}) == ref_json({"t": arr.tolist()})
+    if arr.ndim == 2:
+        assert rep.csv_text(["h"], arr) == ref_csv(["h"], arr.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**53) + 1, 2**53 - 1))
+def test_integral_float_below_2_53_prints_as_its_int(k):
+    """Why ``bound``'s k0 may ride in a float column."""
+    assert rep.canonical_json(np.array([[float(k)]])) == rep.canonical_json([[k]]) == f"[[{k}]]"
