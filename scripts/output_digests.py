@@ -38,9 +38,13 @@ thread:
   [0, 1e308], whose node count overflows, ``fit`` with the basis size
   0, and ``selftest --seed -1`` and ``diagnose --seed -3``; ``fit`` on
   an input with a blank record and then a malformed one, which names the
-  malformed record's line.  Each of these exits 2.  Per seed, ``edge``
-  also runs the first ``fit`` job on a copy of its input that starts with
-  a UTF-8 byte-order mark; it exits 0 with that job's own output.
+  malformed record's line; ``fit`` on an input that is not valid UTF-8,
+  which names its line, and ``fit --grid 0:inf:3``, whose end is not
+  finite.  Each of these exits 2.  ``fit``, ``bound`` and ``diagnose``
+  with the basis size 100000 on five nodes exit 3 at once
+  (``basis_size_le_nodes``).  Per seed, ``edge`` also runs the first
+  ``fit`` job on a copy of its input that starts with a UTF-8 byte-order
+  mark; it exits 0 with that job's own output.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -64,6 +68,10 @@ EDGE_INPUT = "x1,f\n0,0\n1,1\n2,4\n"
 SQUARE_INPUT = "x1,f\n0.1,0\n0.35,1\n0.6,0\n0.9,1\n"
 #: a blank record (line 3), then a malformed one (line 4)
 MALFORMED_INPUT = "x1,f\n0,0\n\n1,one\n2,4\n"
+#: a byte that is not UTF-8 on line 3
+NOT_UTF8_INPUT = b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n"
+#: five nodes inside [0, 1], where no basis value overflows
+FIVE_NODES_INPUT = "x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n"
 
 
 def _digest(data: bytes) -> str:
@@ -162,6 +170,13 @@ def _fixed_runs():
     for command, seed in (("selftest", "-1"), ("diagnose", "-3")):
         argv = [command, "--seed", seed, "--out", f"{command}.json"]
         yield "edge", f"{command}_negative_seed", argv, {}, f"{command}.json"
+    argv = ["fit", "--input", "n3.csv", "--out", "fit.out"]
+    yield "edge", "fit_not_utf8", argv, {"n3.csv": NOT_UTF8_INPUT}, "fit.out"
+    yield "edge", "fit_grid_end_inf", fit + ["0:inf:3", "--out", "fit.out"], inputs, "fit.out"
+    files = {"n5.csv": FIVE_NODES_INPUT, "cfg.json": '{"l": 100000}'}
+    for command in ("fit", "bound", "diagnose"):
+        argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--out", f"{command}.out"]
+        yield "edge", f"{command}_l_huge", argv, files, f"{command}.out"
 
 
 def main() -> None:
@@ -175,7 +190,8 @@ def main() -> None:
             workdir = Path(tmp)
             (workdir / "taken").mkdir()  # the directory edge/out_is_directory writes to
             for name, text in files.items():
-                (workdir / name).write_text(text, encoding="utf-8")
+                data = text if isinstance(text, bytes) else text.encode("utf-8")
+                (workdir / name).write_bytes(data)
             code, out_digest, err_digest = _run(argv, workdir, out)
         print(f"{workload} {seed} {job} exit={code} out={out_digest} err={err_digest}",
               flush=True)

@@ -16,22 +16,24 @@ def monomial_exponents(dim: int, size: int) -> list[tuple[int, ...]]:
     """First `size` exponent multi-indices in graded lexicographic order.
 
     For d = 1 this is simply 0, 1, 2, ...; for higher d the constant comes
-    first, then all degree-1 terms, and so on.
+    first, then all degree-1 terms, and so on.  Each degree's exponents are
+    built in order, none filtered out, so the cost is linear in size.
     """
     if dim < 1 or size < 1:
         raise ValueError("dim and size must be positive")
-    out: list[tuple[int, ...]] = []
-    degree = 0
-    while len(out) < size:
-        combos = [
-            e
-            for e in itertools.product(range(degree + 1), repeat=dim)
-            if sum(e) == degree
-        ]
-        combos.sort()
-        out.extend(combos)
-        degree += 1
-    return out[:size]
+    graded = (e for degree in itertools.count() for e in _of_degree(degree, dim))
+    return list(itertools.islice(graded, size))
+
+
+def _of_degree(degree: int, dim: int):
+    """The exponents of total degree ``degree`` in ``dim`` variables, in
+    lexicographic order: the first exponent ascending, then the rest."""
+    if dim == 1:
+        yield (degree,)
+        return
+    for first in range(degree + 1):
+        for rest in _of_degree(degree - first, dim - 1):
+            yield (first, *rest)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,12 @@ from .core import (
     HypothesisFailure,
     MlsSystem,
     build_design,
+    build_rows,
     build_systems,
     check_hypotheses,
-    solve_blocks,
 )
 from .points import PointSet
-from .spectral import OperatorBundle, _block_rows, coef_map_stack
+from .spectral import OperatorBundle, _block_rows, _smax, coef_map_stack
 from .weights import WeightSpec
 
 __all__ = [
@@ -125,14 +125,6 @@ def _chain_floor(m: int) -> float:
     up to ``_CHAIN_STRIDE`` steps (``_chain_margin``), with room for the
     rounding of the SVD."""
     return _CHAIN_STRIDE * m * 2.0**-536
-
-
-def _sigma_max(matrix: np.ndarray) -> float:
-    """sigma_max of a finite (m, m) matrix, bit for bit what
-    ``np.linalg.norm(stack, 2, axis=(1, 2))`` gives for it in any stack:
-    the same LAPACK SVD, whose values come sorted, without the norm's axis
-    handling and maximum."""
-    return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
@@ -256,7 +248,7 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
     settled = {}  # row -> sigma_max, for the rows that got their SVD
     if anchor_upper[top] * m ** (-1 / 16) > best:
         seeded = int(anchors[top])
-        settled[seeded] = _sigma_max(stack[seeded])
+        settled[seeded] = float(_smax(stack[seeded]))
         best = max(best, settled[seeded])
     squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
     candidate = upper > best
@@ -273,7 +265,7 @@ def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
         upper[chunk] = np.minimum(upper[chunk], _sigma_max_upper(stack[chunk], best, squarings))
         row = int(chunk[np.argmax(upper[chunk])])
         if upper[row] > best:
-            settled[row] = _sigma_max(stack[row])
+            settled[row] = float(_smax(stack[row]))
             best = max(best, settled[row])
     carry = (stack[-1].copy(), float(upper[-1]))
     for row, sigma in settled.items():
@@ -310,7 +302,7 @@ def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
         # NaN best stops here too: nothing can change it
         if not upper[row] > best:
             break
-        best = max(best, _sigma_max(stack[row]))
+        best = max(best, float(_smax(stack[row])))
     return best, carry
 
 
@@ -366,10 +358,7 @@ def monomial_diff_matrix(l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    mat = np.zeros((l, l))
-    for i in range(1, l):
-        mat[i, i - 1] = float(i)
-    return mat
+    return np.diag(np.arange(1.0, l), -1)
 
 
 def check_hypotheses_1d(
@@ -620,7 +609,8 @@ def certify_bound(
     design_t = np.ascontiguousarray(design.T)
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
-    blocks = solve_blocks(grid[:, None], points, basis, weight, design, _block_rows(m))
+    blocks = build_rows(grid[:, None], points, basis, weight, design=design,
+                        block_rows=_block_rows(m))
     for start, rows in blocks:
         block = slice(start, start + len(rows.coeffs))
         # the nearest node anchors the envelope; a tie goes to the smaller index

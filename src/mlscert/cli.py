@@ -28,7 +28,8 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
-    build_system_list,
+    _ERRORS,
+    build_rows,
     build_systems,
     fitted_values,
 )
@@ -224,12 +225,23 @@ def _parse_grid(spec, points: PointSet, weight: WeightSpec) -> np.ndarray:
             return bound1d.uniform_grid(points, n, weight)
         if len(parts) == 3:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise CliError(f"bad grid spec {spec!r}; the ends a and b must be finite")
             if n < 1:
                 raise CliError("grid size must be >= 1")
             return np.linspace(a, b, n)
     except ValueError:
         raise CliError(f"bad grid spec {spec!r}; expected N or a:b:N") from None
     raise CliError(f"bad grid spec {spec!r}; expected N or a:b:N")
+
+
+def _as_points(grid, points: PointSet) -> np.ndarray:
+    """The evaluation points (n, d) of a grid: a 1-d grid is a column of
+    1-d points for 1-d nodes, and one point otherwise."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    if grid.ndim == 1:
+        grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
+    return grid
 
 
 class _GridMemory:
@@ -272,12 +284,7 @@ def cmd_fit(args) -> int:
     basis = monomial_basis(cfg["l"], points.dim)
     with _GridMemory(args.grid):
         grid = _parse_grid(args.grid, points, weight)
-        if grid is None:
-            grid = points.nodes
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if grid.ndim == 1:
-            grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
-
+        grid = _as_points(points.nodes if grid is None else grid, points)
         coeffs, at_node = build_systems(grid, points, basis, weight)
         rows = np.column_stack([
             grid,
@@ -301,15 +308,7 @@ def cmd_diagnose(args) -> int:
         for flag in ("config", "grid"):
             if getattr(args, flag) is not None:
                 raise CliError(f"--{flag} requires --input")
-        tol = _tolerances(args.tol)
-        seed = _resolve_seed(args.seed)
-        names = ("spectral", "sv_product", "eig_product")
-        report = selftest_mod.run_selftest(seed, tol, suites=names)
-        for name in names:
-            r = report["suites"][name]
-            print(f"[{'PASS' if r['pass'] else 'FAIL'}] {name}", file=sys.stderr)
-        _emit(canonical_json(report), args.out)
-        return EXIT_OK if report["pass"] else EXIT_VIOLATION
+        return _run_suites(args, ("spectral", "sv_product", "eig_product"))
 
     if args.seed is not None:
         raise CliError("--seed is not read with --input")
@@ -322,21 +321,22 @@ def cmd_diagnose(args) -> int:
         grid = _parse_grid(args.grid, points, weight)
         if grid is None:
             grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
-        grid = np.atleast_1d(np.asarray(grid, dtype=float))
-        if grid.ndim == 1 and points.dim != 1:
-            grid = grid.reshape(1, -1)
-
-        systems, error = build_system_list(
-            grid[:, None] if grid.ndim == 1 else grid, points, basis, weight
-        )
-        # the points before a failing one are diagnosed first, so an error
-        # there still comes first, as in a loop over the points
+        grid = _as_points(grid, points)
+        # the systems before the first failing point, and its error; they
+        # are diagnosed first, so an error there still comes first, as in a
+        # loop over the points
+        systems, error = [], None
+        try:
+            for _, rows in build_rows(grid, points, basis, weight, conds=True):
+                systems += rows.systems()
+        except _ERRORS as exc:
+            error = exc
         reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
         if error is not None:
             raise error
         all_pass = True
         for d, xrow in zip(reports, grid):
-            d["x"] = [float(v) for v in np.atleast_1d(xrow)]
+            d["x"] = xrow.tolist()
             all_pass = all_pass and d["pass"]
         out = {"n_points": len(reports), "reports": reports, "pass": bool(all_pass)}
         text = canonical_json(out)
@@ -383,10 +383,15 @@ def cmd_converge(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    return _run_suites(args, selftest_mod.SUITE_NAMES)
+
+
+def _run_suites(args, names) -> int:
+    """Run the selftest suites ``names``: a verdict line per suite on
+    stderr, then the report."""
     tol = _tolerances(args.tol)
-    seed = _resolve_seed(args.seed)
-    report = selftest_mod.run_selftest(seed, tol)
-    for name in selftest_mod.SUITE_NAMES:
+    report = selftest_mod.run_selftest(_resolve_seed(args.seed), tol, suites=names)
+    for name in names:
         r = report["suites"][name]
         print(f"[{'PASS' if r['pass'] else 'FAIL'}] {name}", file=sys.stderr)
     _emit(canonical_json(report), args.out)

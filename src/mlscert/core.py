@@ -49,6 +49,10 @@ class HypothesisFailure(MlsError):
         super().__init__("hypothesis failure: " + ", ".join(self.items))
 
 
+#: what a solve or a check raises for a bad row; a block that raises one
+#: is replayed row by row (``_replayed``)
+_ERRORS = (MlsError, ValueError)  # LinAlgError is a ValueError
+
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -74,20 +78,21 @@ def build_design(points: PointSet, basis: BasisSpec) -> np.ndarray:
     first such node: an infinite design is malformed input, not a rank or
     conditioning failure.  The one-node-set case of ``_designs``.
     """
-    return _designs(points.nodes[None], basis)[0]
+    with np.errstate(over="ignore"):
+        return _designs(points.nodes[None], basis)[0]
 
 
 def _designs(nodes, basis: BasisSpec) -> np.ndarray:
     """The designs (k, m, l) of the node sets ``nodes`` (k, m, d), in one
     call; each is what ``build_design`` gives for its node set, bit for bit
     (the basis is evaluated node by node).  The first node set with a
-    non-finite design raises its ``build_design`` error."""
+    non-finite design raises its ``build_design`` error.  Basis values
+    that overflow are silent under the caller's ``np.errstate``."""
     k, m, d = nodes.shape
     if basis.dim != d:
         raise ValueError(f"basis expects dim {basis.dim}, nodes have dim {d}")
     rows = nodes.reshape(k * m, d)
-    with np.errstate(over="ignore"):
-        E = basis.eval_design(rows)
+    E = basis.eval_design(rows)
     bad = _first_nonfinite(rows, E)
     if bad is not None:
         raise ValueError(f"basis values at node {bad} are not finite")
@@ -105,18 +110,6 @@ def _first_nonfinite(rows, values) -> str | None:
     return repr(row[0]) if len(row) == 1 else repr(tuple(row))
 
 
-def build_weight_diag(dist, weight: WeightSpec) -> np.ndarray:
-    """Diagonal of the solver's scaling matrix: entries 2 * w(dist).
-
-    ``dist`` holds distances of any shape.  The doubled reciprocal weights
-    are what the operator diagnostics are phrased in; the factor 2 cancels
-    from the fitted coefficients.  Doubling a finite weight may overflow to
-    inf, the documented zero-influence limit, so that overflow is silent.
-    """
-    with np.errstate(over="ignore"):
-        return 2.0 * np.asarray(weight.w(dist), dtype=float)
-
-
 @dataclass(frozen=True)
 class MlsSystem:
     """Assembled local system at one evaluation point.
@@ -125,7 +118,8 @@ class MlsSystem:
     ------
     x : (d,) ndarray               evaluation point
     design : (m, l) ndarray        basis values at the nodes
-    dvec : (m,) ndarray            diagonal of the scaling matrix (2 * w)
+    dvec : (m,) ndarray            diagonal of the scaling matrix: 2 * w, or
+                                   what the caller of ``build_rows`` gave
     basis_at_x : (l,) ndarray      basis values at x
     coeffs : (m,) ndarray          fitted coefficient vector a(x)
     qmat, rmat : ndarray or None   QR factors of design scaled by dvec^{-1/2};
@@ -160,8 +154,26 @@ class MlsSystem:
         return self.design.shape[1]
 
 
-#: grid rows per stacked solve in ``build_systems``; bounds the (rows, m, l)
-#: temporaries of a block
+def _stack(systems, name: str) -> np.ndarray:
+    """Field ``name`` of every system, stacked on axis 0 (a view for one)."""
+    if len(systems) == 1:
+        return getattr(systems[0], name)[None]
+    return np.stack([getattr(s, name) for s in systems])
+
+
+def _by_shape(keys, idx=None) -> list:
+    """The indices ``idx`` (every index of keys by default) grouped by
+    keys[i], a shape or any other key, groups in order of first
+    appearance; a None key leaves its index out."""
+    groups = {}
+    for i in range(len(keys)) if idx is None else idx:
+        if keys[i] is not None:
+            groups.setdefault(keys[i], []).append(i)
+    return list(groups.values())
+
+
+#: rows per block of ``build_rows``; bounds the (rows, m, l) temporaries of
+#: a block
 _BLOCK = 128
 
 
@@ -179,29 +191,53 @@ class _Rows(NamedTuple):
     at_node: np.ndarray | None  # (n,)
     qmats: np.ndarray  # (k, m, l)
     rmats: np.ndarray  # (k, l, l)
-    roots: np.ndarray  # (k, m) square roots of 2 * w
+    roots: np.ndarray  # (k, m) square roots of the weight diagonals
     conds: list | None  # k Gram condition estimates
     cvecs: np.ndarray  # (n, l) basis values at the points
     dists: np.ndarray  # (n, m) node distances
-    dvecs: np.ndarray  # (n, m) weight diagonals 2 * w
+    dvecs: np.ndarray  # (n, m) weight diagonals
+    xs: np.ndarray  # (n, d) the points
+    design: np.ndarray  # (m, l) shared by every row, or (n, m, l)
+
+    def systems(self) -> list:
+        """The ``MlsSystem`` of each row, in row order; it needs the
+        condition estimates, so the block is solved with ``conds=True``."""
+        out, k = [], 0  # k: index among the rows off the nodes, with QR factors
+        for i, xv in enumerate(self.xs):
+            node = -1 if self.at_node is None else int(self.at_node[i])
+            solve = dict(qmat=None, rmat=None, cond_gram=np.inf, at_node=node)
+            if node < 0:
+                solve = dict(qmat=self.qmats[k], rmat=self.rmats[k], cond_gram=self.conds[k])
+                k += 1
+            out.append(MlsSystem(
+                x=xv, design=self.design if self.design.ndim == 2 else self.design[i],
+                dvec=self.dvecs[i], basis_at_x=self.cvecs[i], coeffs=self.coeffs[i], **solve,
+            ))
+        return out
 
 
-def _solve_rows(E, cvecs, dists, dvecs, conds: bool = False) -> _Rows:
-    """Solve the local systems of a block of rows with stacked LAPACK calls.
+def _solve_rows(xs, nodes, basis, weight, dvecs, E, conds: bool) -> _Rows:
+    """One block of ``build_rows``, its arguments cut to the block (a
+    shared node set as ``nodes`` (1, m, d)), solved in stacked calls.  Its
+    inputs are built under one ``np.errstate``: an overflow to inf is the
+    zero-influence limit.  The weight diagonal is 2 * w, the form the
+    operator diagnostics take; the 2 cancels from a(x).
 
-    ``E`` is the design (m, l) shared by every row, or a stack (n, m, l)
-    of one design per row.  ``cvecs`` (n, l) holds the basis values at the
-    evaluation points, ``dists`` and ``dvecs`` (n, m) their node distances
-    and 2 * w.  A row with a vanishing weight at a node is the
-    interpolation limit; every other row goes through QR of the scaled
-    design, the rank check, the conditioning check against ``COND_LIMIT``
-    and the coefficient solve.  The checks take an SVD of every R
-    (``_checked_conds``) unless ``_certified`` proves they pass; ``conds``
-    asks for the condition estimates, and so for the SVD, in any case.
-    If a row fails, the error of a failing row is raised: for a single
-    row, that point's error.
+    A row with a vanishing weight at a node is the interpolation limit;
+    every other row goes through QR of the scaled design, the rank check,
+    the conditioning check against ``COND_LIMIT`` and the coefficient
+    solve.  The checks take an SVD of every R (``_checked_conds``) unless
+    ``_certified`` proves they pass and ``conds`` asks for no estimates.
+    A failing block raises the error of one of its failing rows.
     """
-    inputs = (cvecs, dists, dvecs)
+    with np.errstate(over="ignore"):
+        if E is None:
+            E = _at_most_m(_designs(nodes, basis))
+        cvecs = _basis_rows(xs, basis)
+        dists = distances_each(nodes, xs)
+        if dvecs is None:
+            dvecs = 2.0 * w_each(weight, dists)
+    inputs = (cvecs, dists, dvecs, xs, E)
     n, m = dvecs.shape
     l = E.shape[-1]
     at_node = None
@@ -325,11 +361,6 @@ def _certified(rmats, m: int, l: int) -> bool:
     return bool(np.multiply.reduce(ratios).min(initial=np.inf) * limit > margin)
 
 
-def _design_for(points, basis, design) -> np.ndarray:
-    E = build_design(points, basis) if design is None else np.asarray(design, float)
-    return _at_most_m(E)
-
-
 def _at_most_m(E) -> np.ndarray:
     """The design (m, l), or a stack of them, refused when l > m."""
     if E.shape[-1] > E.shape[-2]:
@@ -337,8 +368,85 @@ def _at_most_m(E) -> np.ndarray:
     return E
 
 
+def _basis_rows(xs, basis) -> np.ndarray:
+    """Basis values (n, l) at the rows of xs (n, d).  A non-finite point,
+    or one whose basis values overflow, raises ``ValueError`` naming the
+    first one; the overflow is silent under the caller's ``np.errstate``."""
+    bad = _first_nonfinite(xs, xs)
+    if bad is not None:
+        raise ValueError(f"evaluation point {bad} is not finite")
+    cvecs = basis.eval_rows(xs)
+    bad = _first_nonfinite(xs, cvecs)
+    if bad is not None:
+        raise ValueError(f"basis values at evaluation point {bad} are not finite")
+    return cvecs
+
+
+def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=None,
+               block_rows: int = _BLOCK, conds: bool = False):
+    """Solve the local systems at the points xs (n, d), block by block: the
+    one builder of local systems.
+
+    Row i is the problem at xs[i] with the node set, weight and design of
+    row i; all rows share ``basis``.  ``nodes`` is one ``PointSet`` or an
+    (n, m, d) stack; ``weight`` is one weight or a sequence of n (see
+    ``weights.w_each``), unless ``dvecs`` (n, m) gives the weight diagonals
+    themselves; ``design``, when the caller has it, is (m, l) for a shared
+    node set, whose design is otherwise built once here, or (n, m, l).  A
+    shared node set and weight are broadcast: no per-row design, node
+    stack or loop over rows.
+
+    Yields ``(start, rows)`` per solved block of at most ``block_rows``
+    rows, in row order (``_replayed``): ``rows`` holds the rows from
+    ``start`` on, and ``rows.systems()`` gives their ``MlsSystem`` when
+    ``conds`` asked for the Gram condition estimates.  The first failing
+    row raises what ``build_system`` raises for it.
+    """
+    xs = np.asarray(xs, dtype=float)
+    shared = isinstance(nodes, PointSet)
+    if shared:
+        if design is None:
+            design = build_design(nodes, basis)
+        nodes = nodes.nodes[None]
+    else:
+        nodes = np.asarray(nodes, dtype=float)
+    if design is not None:
+        design = _at_most_m(np.asarray(design, dtype=float))
+    one_weight = dvecs is not None or hasattr(weight, "w")
+
+    def solve(lo, hi):
+        part = slice(lo, hi)
+        return _solve_rows(
+            xs[part], nodes if shared else nodes[part], basis,
+            weight if one_weight else weight[part],
+            None if dvecs is None else dvecs[part],
+            design if design is None or design.ndim == 2 else design[part],
+            conds,
+        )
+
+    return _replayed(solve, len(xs), block_rows)
+
+
+def _replayed(solve, n: int, size: int):
+    """``(start, solve(start, stop))`` for each block of at most ``size``
+    of n rows, in row order, each solved as the caller asks for it.  A
+    block that raises is replayed one row per yield, so the first failing
+    row raises its own error: a stacked LAPACK error names no row at all.
+    """
+    for start in range(0, n, size):
+        stop = min(start + size, n)
+        try:
+            blocks = [(start, solve(start, stop))]
+        except _ERRORS:
+            if stop - start == 1:
+                raise
+            blocks = ((i, solve(i, i + 1)) for i in range(start, stop))
+        yield from blocks
+
+
 def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> MlsSystem:
-    """Assemble and solve the local system at evaluation point x.
+    """Assemble and solve the local system at evaluation point x: the
+    one-row case of ``build_rows``.
 
     Parameters
     ----------
@@ -357,150 +465,26 @@ def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> M
         If the Gram condition estimate exceeds ``COND_LIMIT``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[None]
-    E = _design_for(points, basis, None)
-    return _systems(xv, E, _solve_points(xv, points, basis, weight, E, conds=True))[0]
+    ((_, rows),) = build_rows(xv, points, basis, weight, conds=True)
+    return rows.systems()[0]
 
 
-def _systems(xs, E, rows) -> list:
-    """The ``MlsSystem`` of each row of the block ``rows`` solved at the
-    points xs (n, d), whose design is ``E`` (m, l) or the stack (n, m, l)."""
-    out = []
-    k = 0  # index among the rows off the nodes, which carry QR factors
-    for i, xv in enumerate(xs):
-        node = -1 if rows.at_node is None else int(rows.at_node[i])
-        if node >= 0:
-            solve = dict(qmat=None, rmat=None, cond_gram=np.inf, at_node=node)
-        else:
-            solve = dict(qmat=rows.qmats[k], rmat=rows.rmats[k], cond_gram=rows.conds[k])
-            k += 1
-        out.append(MlsSystem(
-            x=xv, design=E if E.ndim == 2 else E[i], dvec=rows.dvecs[i],
-            basis_at_x=rows.cvecs[i], coeffs=rows.coeffs[i], **solve,
-        ))
-    return out
+def build_systems(xs, points, basis: BasisSpec, weight=None, *, dvecs=None,
+                  design=None) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors a(x) at every row of xs: ``build_rows``,
+    collected.  A 1-d xs is a column of 1-d points.
 
-
-def _basis_rows(xs, basis) -> np.ndarray:
-    """Basis values (n, l) at the rows of xs (n, d).  A non-finite point,
-    or one whose basis values overflow, raises ``ValueError`` naming the
-    first one."""
-    bad = _first_nonfinite(xs, xs)
-    if bad is not None:
-        raise ValueError(f"evaluation point {bad} is not finite")
-    with np.errstate(over="ignore"):
-        cvecs = basis.eval_rows(xs)
-    bad = _first_nonfinite(xs, cvecs)
-    if bad is not None:
-        raise ValueError(f"basis values at evaluation point {bad} are not finite")
-    return cvecs
-
-
-def _solve_points(xs, points, basis, weight, E, conds=False) -> _Rows:
-    """Solve the local systems at the rows of xs (n, d) in one block;
-    ``conds`` as in ``_solve_rows``."""
-    cvecs = _basis_rows(xs, basis)
-    dists = points.distances(xs)
-    return _solve_rows(E, cvecs, dists, build_weight_diag(dists, weight), conds)
-
-
-def solve_stack(designs, cvecs, dists, dvecs) -> np.ndarray:
-    """Coefficient vectors of k unrelated systems of one shape, solved in
-    one stacked call.
-
-    Row i is the system of design ``designs[i]`` (m, l), basis values
-    ``cvecs[i]`` (l,), node distances ``dists[i]`` and weight diagonal
-    ``dvecs[i]`` (m,); its coefficients equal, bit for bit, what
-    ``build_system`` gives for it.  If a row fails, the error of a failing
-    row is raised: for a single row, that system's error.
-    """
-    return _solve_rows(designs, cvecs, dists, dvecs).coeffs
-
-
-def build_system_stack(xs, point_sets, basis: BasisSpec, weights) -> list:
-    """The systems of k unrelated problems of one shape (m, l), solved in
-    one stacked call.
-
-    Problem i is the node set ``point_sets[i]`` with weight ``weights[i]``
-    at the point ``xs[i]``, a row of xs (k, d); all share ``basis``.  The
-    designs, the node distances and the weight diagonals are built in
-    stacked calls too, the weights one call per family.  Each
-    system equals, bit for bit, what ``build_system`` gives for its
-    problem.  If a problem fails, the error of a failing one is raised (an
-    ``MlsError`` or ``ValueError``); a caller that needs each problem's own
-    error replays them with ``build_system``.
-    """
-    xs = np.asarray(xs, dtype=float)
-    nodes = np.stack([p.nodes for p in point_sets])
-    designs = _at_most_m(_designs(nodes, basis))
-    cvecs = _basis_rows(xs, basis)
-    dists = distances_each(nodes, xs)
-    with np.errstate(over="ignore"):  # as in build_weight_diag
-        dvecs = 2.0 * w_each(weights, dists)
-    return _systems(xs, designs, _solve_rows(designs, cvecs, dists, dvecs, conds=True))
-
-
-def solve_blocks(xs, points, basis, weight, E, block_rows, *, conds=False):
-    """Solve the rows of xs (n, d) in blocks of at most ``block_rows`` rows;
-    ``conds`` asks for the condition estimates, as in ``_solve_rows``.
-
-    Yields ``(start, rows)`` per solved block, in row order: the solved
-    rows from ``start`` on.  A block that fails is replayed point by point,
-    one row per yield, so the first failing point raises its own error --
-    what ``build_system`` raises there (a stacked LAPACK error names no row
-    at all).  Blocks are solved only as the caller asks for them, so a
-    caller's own per-row error before that point still comes first.
-    """
-    for start in range(0, len(xs), block_rows):
-        stop = min(start + block_rows, len(xs))
-        try:
-            rows = _solve_points(xs[start:stop], points, basis, weight, E, conds)
-        except (MlsError, ValueError):  # LinAlgError is a ValueError
-            rows = None
-        if rows is not None:
-            yield start, rows
-            continue
-        for i in range(start, stop):
-            yield i, _solve_points(xs[i : i + 1], points, basis, weight, E, conds)
-
-
-def build_system_list(xs, points: PointSet, basis: BasisSpec, weight: WeightSpec):
-    """The systems at the rows of xs (n, d), solved in blocks: those of the
-    points before the first failing one, in row order, and the error that
-    ``build_system`` raises at that point (None when every point solves).
-    """
-    systems = []
-    try:
-        E = _design_for(points, basis, None)
-        for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK, conds=True):
-            systems += _systems(xs[start : start + len(rows.coeffs)], E, rows)
-    except (MlsError, ValueError) as exc:  # LinAlgError is a ValueError
-        return systems, exc
-    return systems, None
-
-
-def build_systems(
-    xs,
-    points: PointSet,
-    basis: BasisSpec,
-    weight: WeightSpec,
-    *,
-    design: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient vectors a(x) at every row of xs, solved in blocks.
-
-    ``xs`` is (n, d), one evaluation point per row; a 1-d array is a column
-    of 1-d points.  Returns the coefficient stack (n, m), equal bit for bit
-    to ``build_system(x).coeffs`` row by row, and the node index of every
-    interpolation-limit row (-1 elsewhere).  The first failing row, in row
-    order, raises what ``build_system`` raises at that point.
+    Returns the coefficient stack (n, m), equal bit for bit to
+    ``build_system(x).coeffs`` row by row, and the node index of every
+    interpolation-limit row (-1 elsewhere).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim == 1:
         xs = xs[:, None]
-    E = _design_for(points, basis, design)
-    coeffs = np.empty((len(xs), E.shape[0]))
+    m = points.m if isinstance(points, PointSet) else np.shape(points)[1]
+    coeffs = np.empty((len(xs), m))
     at_node = np.empty(len(xs), dtype=int)
-    for start, rows in solve_blocks(xs, points, basis, weight, E, _BLOCK):
+    for start, rows in build_rows(xs, points, basis, weight, dvecs=dvecs, design=design):
         block = slice(start, start + len(rows.coeffs))
         coeffs[block] = rows.coeffs
         at_node[block] = -1 if rows.at_node is None else rows.at_node

@@ -179,13 +179,15 @@ EVAL_N = 301
 _MAX_NODES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
-def _slope(hs, errs) -> float:
+def _slope(hs, errs, log=np.log) -> float:
+    """Least-squares slope of log(errs) against log(hs); NaN below two
+    points."""
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     if hs.size < 2:
         return float("nan")
-    lg_h = np.log(hs)
-    lg_e = np.log(errs)
+    lg_h = log(hs)
+    lg_e = log(errs)
     a = np.vstack([lg_h, np.ones_like(lg_h)]).T
     sol, *_ = np.linalg.lstsq(a, lg_e, rcond=None)
     return float(sol[0])
@@ -214,18 +216,8 @@ class ConvergenceStudy:
         return asdict(self)
 
     def rows_csv(self) -> list[tuple]:
-        rows = []
-        for k in range(len(self.hs)):
-            rows.append(
-                (
-                    k,
-                    self.hs[k],
-                    self.sup_errors[k],
-                    self.amplifications[k],
-                    self.order_per_level[k],
-                )
-            )
-        return rows
+        columns = (self.hs, self.sup_errors, self.amplifications, self.order_per_level)
+        return list(zip(range(len(self.hs)), *columns))
 
 
 def _level_size(lo: float, hi: float, h: float) -> int:

@@ -27,10 +27,10 @@ from .bases import BasisSpec, monomial_basis
 from .core import (
     ConditioningError,
     HypothesisFailure,
-    MlsError,
     MlsSystem,
+    _by_shape,
+    build_rows,
     build_system,
-    build_system_stack,
 )
 from .points import PointSet
 from .weights import WeightSpec
@@ -181,39 +181,31 @@ def _solve_candidates(cands) -> list:
     build raises ``ConditioningError`` or ``HypothesisFailure``, and the
     error for one whose build raises any other ``ValueError``.
 
-    One stacked solve per shape (m, l).  A group whose solve raises is
-    replayed one candidate at a time, so each candidate gets what
-    ``build_system`` gives it.
+    One stacked solve per shape (m, l).  Its first failing candidate
+    raises what ``build_system`` raises for it, and the solve resumes
+    after that candidate, so each candidate gets its own outcome.
     """
     out = [None] * len(cands)
-    groups = {}
-    for i, cand in enumerate(cands):
-        groups.setdefault((cand.points.m, cand.basis.size), []).append(i)
-    for idx in groups.values():
+    for idx in _by_shape([(c.points.m, c.basis.size) for c in cands]):
         group = [cands[i] for i in idx]
-        try:
-            solved = build_system_stack(
-                [[c.x] for c in group], [c.points for c in group],
-                group[0].basis, [c.weight for c in group],
-            )
-        except (MlsError, ValueError):  # LinAlgError is a ValueError
-            solved = None
-        if solved is None:
-            solved = [_solve_one(c) for c in group]
+        nodes = np.stack([c.points.nodes for c in group])
+        solved = []
+        while len(solved) < len(group):
+            rest = group[len(solved):]
+            try:
+                for _, rows in build_rows([[c.x] for c in rest], nodes[len(solved):],
+                                          group[0].basis, [c.weight for c in rest], conds=True):
+                    solved += rows.systems()
+            # a rejection keeps no exception: its traceback would hold the
+            # solve's frames in a reference cycle until the next full
+            # garbage collection
+            except (ConditioningError, HypothesisFailure):
+                solved.append(None)
+            except ValueError as exc:  # LinAlgError is a ValueError
+                solved.append(exc)
         for i, sysm in zip(idx, solved):
             out[i] = sysm
     return out
-
-
-def _solve_one(cand):
-    # a rejection keeps no exception: its traceback would hold the solve's
-    # frames in a reference cycle until the next full garbage collection
-    try:
-        return build_system(cand.x, cand.points, cand.basis, cand.weight)
-    except (ConditioningError, HypothesisFailure):
-        return None
-    except ValueError as exc:  # LinAlgError is a ValueError
-        return exc
 
 
 def _draw_accepted(rng, n: int, draw, accept, what: str) -> list:
@@ -342,7 +334,7 @@ def _draw_pair(rng) -> tuple:
     return kind, m, udraw, vdraw
 
 
-def _symmetric_stack(draws: list) -> np.ndarray:
+def _with_spectra(draws: list) -> np.ndarray:
     """Q diag(eigs) Q^T for each (eigs, gauss) of ``draws``, all of one size,
     with Q from the QR of gauss.
 
@@ -368,9 +360,9 @@ def matrix_pair_suite(n: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     pairs = [_draw_pair(rng) for _ in range(n)]
     out = [None] * n
-    for m in {m for _, m, _, _ in pairs}:
-        idx = [i for i, pair in enumerate(pairs) if pair[1] == m]
-        mats = _symmetric_stack([d for i in idx for d in pairs[i][2:]])
+    for idx in _by_shape([m for _, m, _, _ in pairs]):
+        mats = _with_spectra([d for i in idx for d in pairs[i][2:]])
         for j, i in enumerate(idx):
-            out[i] = {"umat": mats[2 * j], "vmat": mats[2 * j + 1], "kind": pairs[i][0], "m": m}
+            kind, m = pairs[i][:2]
+            out[i] = {"umat": mats[2 * j], "vmat": mats[2 * j + 1], "kind": kind, "m": m}
     return out

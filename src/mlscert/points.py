@@ -1,6 +1,7 @@
 """Scattered node sets with optional sampled values, plus CSV round-tripping."""
 
 import csv
+import io
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -75,36 +76,40 @@ class PointSet:
         """
         x = np.asarray(x, dtype=float)
         rows = x if x.ndim == 2 else x.reshape(1, -1)
-        if rows.shape[1] != self.dim:
-            raise ValueError(f"point has dim {rows.shape[1]}, nodes have dim {self.dim}")
-        dist = _norms(self.nodes[None] - rows[:, None, :])
+        with np.errstate(over="ignore"):
+            dist = distances_each(self.nodes[None], rows)
         return dist if x.ndim == 2 else dist[0]
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":
         """Read nodes from a CSV file with header ``x1,...,xd[,f]``.
 
-        The file is read as UTF-8; a leading byte-order mark is dropped.
+        The file is read as UTF-8; a leading byte-order mark is dropped, and
+        a file that does not decode names the line of its first bad byte.
         Records whose cells are all blank are skipped, though they count
         in the line numbers.  The x and f cells of all records go through
         one ``map(float, ...)``; only when that fails are the records
         replayed, to name the line of the first malformed one.
         """
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValueError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            coord_cols = [i for i, h in enumerate(header) if h.startswith("x")]
-            has_values = "f" in header
-            if not coord_cols or coord_cols != list(range(len(coord_cols))):
-                raise ValueError(
-                    f"{path}: header must be x1,...,xd optionally followed by f"
-                )
-            records = [(lineno, row) for lineno, row in enumerate(reader, start=2)
-                       if any(map(str.strip, row))]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+        reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        coord_cols = [i for i, h in enumerate(header) if h.startswith("x")]
+        has_values = "f" in header
+        if not coord_cols or coord_cols != list(range(len(coord_cols))):
+            raise ValueError(f"{path}: header must be x1,...,xd optionally followed by f")
+        records = [(lineno, row) for lineno, row in enumerate(reader, start=2)
+                   if any(map(str.strip, row))]
         if not records:
             raise ValueError(f"{path}: no data rows")
         cols = coord_cols + [header.index("f")] if has_values else coord_cols
@@ -140,18 +145,13 @@ class PointSet:
                 writer.writerow(row)
 
 
-def _norms(diff) -> np.ndarray:
-    """Euclidean norms over the last axis of the node-to-point differences;
-    a norm past the largest double is inf, without an overflow warning."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(diff, axis=-1)
-
-
 def distances_each(nodes, xs) -> np.ndarray:
-    """Distances (k, m) from each point of xs (k, d) to the nodes of its
-    own node set, the (k, m, d) stack ``nodes``, in one call: row i is
-    ``PointSet(nodes[i]).distances(xs[i])``, bit for bit."""
+    """Distances (k, m) from each point of xs (k, d) to its node set: row i
+    of the (k, m, d) stack ``nodes``, or the one set (1, m, d) of every
+    point.  Row i is ``PointSet(nodes[i]).distances(xs[i])``, bit for bit.
+    A distance past the largest double is inf, silently under the caller's
+    ``np.errstate(over="ignore")``."""
     xs = np.asarray(xs, dtype=float)
     if xs.shape[-1] != nodes.shape[-1]:
         raise ValueError(f"point has dim {xs.shape[-1]}, nodes have dim {nodes.shape[-1]}")
-    return _norms(nodes - xs[:, None, :])
+    return np.linalg.norm(nodes - xs[:, None, :], axis=-1)

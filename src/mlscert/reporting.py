@@ -136,13 +136,11 @@ def _serialize(obj, out: list) -> None:
             out.append(table)
     elif isinstance(obj, dict):
         out.append("{")
-        first = True
-        for key in sorted(obj):
+        for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if not first:
+            if i:
                 out.append(",")
-            first = False
             out.append(json.dumps(key))
             out.append(":")
             _serialize(obj[key], out)

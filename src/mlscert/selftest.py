@@ -11,12 +11,7 @@ import numpy as np
 
 from . import bound1d, error_analysis, instances
 from .config import Tolerances
-from .core import (
-    MlsError,
-    build_systems,
-    fitted_values,
-    solve_stack,
-)
+from .core import _ERRORS, _by_shape, _replayed, _stack, build_systems, evaluate_many
 from .points import distances_each
 from .spectral import (
     build_operators,
@@ -62,21 +57,6 @@ CERTIFICATE_GRID = 200
 DIFF_MATRIX_L_MAX = 8
 
 
-#: what a check raises for a bad instance; a group that raises one is
-#: replayed instance by instance
-_ERRORS = (MlsError, ValueError)  # LinAlgError is a ValueError
-
-
-def _by_shape(keys) -> list:
-    """Instance indices grouped by key, groups in order of first
-    appearance; a None key leaves its instance out."""
-    groups = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
 def _systems(suite):
     """The instances' systems up to the first that fails, and its error."""
     systems = []
@@ -93,29 +73,22 @@ def _stacked(check, groups, limit, error):
     ``limit``: the first instance already known to fail, with ``error``.
 
     ``check(idx)`` checks the instances ``idx`` in one stacked call.  A
-    group that raises is replayed one instance at a time, so the earliest
-    failing instance is found; it becomes the new limit and its error the
-    new error.  Checks run stage by stage like this raise, in the end, what
-    a loop running every stage per instance raises first.  Returns the
-    results of the groups (and replayed instances) that passed, the limit
-    and the error.
+    group that raises is replayed one instance at a time
+    (``core._replayed``), so the earliest failing instance is found; it
+    becomes the new limit and its error the new error.  Checks run stage by
+    stage like this raise, in the end, what a loop running every stage per
+    instance raises first.  Returns the results of the groups (and
+    replayed instances) that passed, the limit and the error.
     """
     done = []
     for idx in groups:
         idx = [i for i in idx if i < limit]
-        if not idx:
-            continue
+        start = len(done)
         try:
-            done.append(check(idx))
-            continue
-        except _ERRORS:
-            pass
-        for i in idx:
-            try:
-                done.append(check([i]))
-            except _ERRORS as exc:
-                limit, error = i, exc
-                break
+            for _, res in _replayed(lambda lo, hi: check(idx[lo:hi]), len(idx), len(idx) or 1):
+                done.append(res)
+        except _ERRORS as exc:
+            limit, error = idx[len(done) - start], exc
     return done, limit, error
 
 
@@ -131,16 +104,6 @@ def _values(done, key=None) -> list:
     return out
 
 
-def _dots(a, b) -> np.ndarray:
-    """Row-wise dot products of two (k, n) stacks: one BLAS dot per row,
-    as ``a[i] @ b[i]`` computes it."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _stack(systems, name: str) -> np.ndarray:
-    return np.stack([getattr(sysm, name) for sysm in systems])
-
-
 def _core_invariance(suite, systems, coefs, scales) -> dict:
     """Per-instance metrics of ``suite_core`` for instances of one shape
     (m, l) and their systems: the partition of unity, the amplification,
@@ -148,15 +111,17 @@ def _core_invariance(suite, systems, coefs, scales) -> dict:
     of a(x) when the weight family is multiplied by ``scales[i]``, solved
     for the whole group in one stacked call."""
     a, design, cvecs, xs = (_stack(systems, n) for n in ("coeffs", "design", "basis_at_x", "x"))
-    dists = distances_each(np.stack([it.points.nodes for it in suite]), xs)
+    nodes = np.stack([it.points.nodes for it in suite])
     # the weight diagonal 2 (s w) of the rescaled family s w, with the
-    # operations build_weight_diag applies to it
+    # operations the solver applies to w
     with np.errstate(over="ignore"):
+        dists = distances_each(nodes, xs)
         dvecs = 2.0 * (np.array(scales)[:, None] * w_each([it.weight for it in suite], dists))
-    a2 = solve_stack(design, cvecs, dists, dvecs)
+    a2, _ = build_systems(xs, nodes, suite[0].basis, dvecs=dvecs, design=design)
     coef = np.stack(coefs)
-    target = _dots(cvecs, coef)
-    got = _dots(a, (design @ coef[:, :, None])[:, :, 0])
+    # np.vecdot takes one BLAS dot per row, as a[i] @ b[i] does
+    target = np.vecdot(cvecs, coef)
+    got = np.vecdot(a, (design @ coef[:, :, None])[:, :, 0])
     return {
         "unity": np.abs(np.sum(a, axis=1) - 1.0),
         "amplification": error_analysis.amplification(a),
@@ -172,7 +137,7 @@ def _core_oracle(systems) -> np.ndarray:
     gram = np.swapaxes(design, 1, 2) @ (design / dvecs[:, :, None])
     sol = np.linalg.solve(gram, _stack(systems, "basis_at_x")[:, :, None])
     diff = a - (design @ sol)[:, :, 0] / dvecs
-    return np.sqrt(_dots(diff, diff)) / np.sqrt(_dots(a, a))
+    return np.sqrt(np.vecdot(diff, diff)) / np.sqrt(np.vecdot(a, a))
 
 
 def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
@@ -205,7 +170,7 @@ def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
 
     def interpolation(idx):
         pts, basis, weight = suite[idx[0]].points, suite[idx[0]].basis, suite[idx[0]].weight
-        fitted = fitted_values(*build_systems(pts.nodes, pts, basis, weight), pts.values)
+        fitted = evaluate_many(pts.nodes, pts, basis, weight)
         return [max(np.abs(fitted - pts.values).tolist())]
 
     shapes = [(s.m, s.l) for s in systems]
@@ -302,13 +267,10 @@ def suite_sv_product(seed: int, tol: Tolerances) -> dict:
         u = scale_u * rng.standard_normal((d1, d2))
         v = scale_v * rng.standard_normal((d2, d4))
         pairs.append((u, v))
-    n_fail = 0
-    n_checks = 0
+    n_fail = n_checks = 0
     for rep in sv_product_reports(pairs, tol):
-        applicable = [c for c in rep["checks"] if c.get("applicable", True)]
-        n_checks += len(applicable)
-        if not rep["pass"]:
-            n_fail += 1
+        n_checks += sum(c.get("applicable", True) for c in rep["checks"])
+        n_fail += not rep["pass"]
     return {"n": PAIR_N, "n_checks": n_checks, "n_fail": n_fail, "pass": bool(n_fail == 0)}
 
 
@@ -386,11 +348,9 @@ def _fd_slope(it, tol: Tolerances) -> dict:
             keep.append(i)
     if len(keep) < 2:
         return {"measurable": False, "errs": errs}
-    lg_h = np.log10([FD_BATTERY[i] for i in keep])
-    lg_e = np.log10([errs[i] for i in keep])
-    a = np.vstack([lg_h, np.ones_like(lg_h)]).T
-    sol, *_ = np.linalg.lstsq(a, lg_e, rcond=None)
-    return {"measurable": True, "slope": float(sol[0]), "n_points": len(keep), "errs": errs}
+    slope = error_analysis._slope([FD_BATTERY[i] for i in keep], [errs[i] for i in keep],
+                                  np.log10)
+    return {"measurable": True, "slope": slope, "n_points": len(keep), "errs": errs}
 
 
 def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:

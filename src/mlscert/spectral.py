@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Tolerances
-from .core import MlsSystem, rank_tolerance
+from .core import MlsSystem, _by_shape, _stack, _replayed, rank_tolerance
 
 __all__ = [
     "OperatorBundle",
@@ -98,7 +98,8 @@ def _t(stack: np.ndarray) -> np.ndarray:
 
 
 def _smax(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a (k, r, c) stack."""
+    """Largest singular value of every matrix of a (k, r, c) stack, or of
+    one matrix: the LAPACK SVD of ``np.linalg.norm(., 2)``, bit for bit."""
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
@@ -112,13 +113,6 @@ class _Ops(NamedTuple):
     comp_dinv: np.ndarray  # (k, m, m)
     qmats: np.ndarray  # (k, m, l) Q factors of the scaled designs
     dvecs: np.ndarray  # (k, m) weight diagonals
-
-
-def _stack(systems, name: str) -> np.ndarray:
-    """Field ``name`` of every system, stacked on axis 0 (a view for one)."""
-    if len(systems) == 1:
-        return getattr(systems[0], name)[None]
-    return np.stack([getattr(s, name) for s in systems])
 
 
 def _operators(systems) -> _Ops:
@@ -318,20 +312,11 @@ def _pair(U, V) -> tuple:
     return U, V
 
 
-def _by_shape(mats, idx) -> list:
-    """The indices ``idx`` into mats grouped by matrix shape, groups in
-    order of first appearance."""
-    groups = {}
-    for i in idx:
-        groups.setdefault(mats[i].shape, []).append(i)
-    return list(groups.values())
-
-
 def _svals(mats, idx, invert: bool = False) -> dict:
     """Singular values, descending, of mats[i] (of its inverse, with
     ``invert``) for each i of ``idx``, by i: one stacked call per shape."""
     out = {}
-    for group in _by_shape(mats, idx):
+    for group in _by_shape([mat.shape for mat in mats], idx):
         stack = np.stack([mats[i] for i in group])
         if invert:
             stack = np.linalg.inv(stack)
@@ -346,7 +331,7 @@ def _symmetric_residuals(mats, svals, idx) -> dict:
     eigenvalues and its singular values ``svals[i]``, both descending.
     One stacked call per check and shape."""
     out = {}
-    for group in _by_shape(mats, idx):
+    for group in _by_shape([mat.shape for mat in mats], idx):
         stack = np.stack([mats[i] for i in group])
         atol = np.array([1e-12 * max(1.0, float(svals[i][0])) for i in group])
         close = np.isclose(stack, _t(stack), rtol=0.0, atol=atol[:, None, None])
@@ -420,19 +405,13 @@ def _sv_report(ushape, vshape, su, sv, sp, s_inv, sym_resid, tol) -> dict:
         }
     checks.append(inv_entry)
 
-    tall = {"name": "smin_u_smax_v_le_smax_product", "applicable": d1 >= d2}
-    if d1 >= d2:
-        tall.update(_ineq("smin_u_smax_v_le_smax_product",
-                          smin_u * smax_v, smax_p, scale=scale, tol=tol.ineq))
-        tall["applicable"] = True
-    checks.append(tall)
-
-    wide = {"name": "smax_u_smin_v_le_smax_product", "applicable": d4 >= d3}
-    if d4 >= d3:
-        wide.update(_ineq("smax_u_smin_v_le_smax_product",
-                          smax_u * smin_v, smax_p, scale=scale, tol=tol.ineq))
-        wide["applicable"] = True
-    checks.append(wide)
+    # the lower bounds on smax(UV), for a tall U and for a wide V
+    for name, applies, lhs in (("smin_u_smax_v_le_smax_product", d1 >= d2, smin_u * smax_v),
+                               ("smax_u_smin_v_le_smax_product", d4 >= d3, smax_u * smin_v)):
+        entry = {"name": name, "applicable": applies}
+        if applies:
+            entry.update(_ineq(name, lhs, smax_p, scale=scale, tol=tol.ineq))
+        checks.append(entry)
 
     herm = {"name": "symmetric_norm_is_abs_eigs", "applicable": False}
     if sym_resid is not None:
@@ -704,24 +683,17 @@ def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
 
     The systems run through ``diagnose_stack`` in blocks of
     ``_block_rows(m)``, so each (rows, m, m) operator stack holds at most
-    ``_BLOCK_DOUBLES`` doubles, whatever m.  A block that fails is
-    replayed one system at a time, so the first failing system raises its
-    own error, what ``diagnose`` raises for it.
+    ``_BLOCK_DOUBLES`` doubles, whatever m.  The first failing system
+    raises its own error, what ``diagnose`` raises for it
+    (``core._replayed``).
     """
     reports = []
     size = _block_rows(systems[0].m) if systems else 1
-    for start in range(0, len(systems), size):
-        block = systems[start : start + size]
-        try:
-            stacks = [diagnose_stack(block, tol)]
-        except ValueError:  # LinAlgError is a ValueError
-            stacks = [diagnose_stack([sysm], tol) for sysm in block]
-        for stack in stacks:
-            for i in range(len(stack["pass"])):
-                rep = _row(stack, i)
-                reports.append(
-                    SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep)
-                )
+    stacks = _replayed(lambda lo, hi: diagnose_stack(systems[lo:hi], tol), len(systems), size)
+    for _, stack in stacks:
+        for i in range(len(stack["pass"])):
+            rep = _row(stack, i)
+            reports.append(SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep))
     return reports
 
 

@@ -63,44 +63,47 @@ class WeightSpec:
         weight W = 1/w is exactly zero, i.e. a node with no influence, and
         the solver handles that limit exactly (its coefficient comes out 0).
         """
-        arr = _distances(r)
-        out = _w(self.family, self.alpha, arr)
+        with np.errstate(over="ignore"):
+            out = w_each(self, r)
         return out if np.ndim(r) else float(out)
-
-
-def _distances(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=float)
-    if (arr < 0).any():
-        raise ValueError("distance must be nonnegative")
-    return arr
 
 
 def _w(family: str, a, arr) -> np.ndarray:
     """w of ``family`` at the distances ``arr`` for the shape alpha ``a``:
     a float, or an array of alphas that broadcasts against arr."""
-    with np.errstate(over="ignore"):
-        if family == "exp":
-            return np.exp(a * arr**2)
-        if family == "shepard":
-            return arr ** (a * a)
-        if family == "mclain":
-            return arr**2 * np.exp(-(a * a) * arr**2)
-        return np.expm1((a * a) * arr**2)  # levin
+    if family == "exp":
+        return np.exp(a * arr**2)
+    if family == "shepard":
+        return arr ** (a * a)
+    if family == "mclain":
+        return arr**2 * np.exp(-(a * a) * arr**2)
+    return np.expm1((a * a) * arr**2)  # levin
 
 
 def w_each(weights, r) -> np.ndarray:
-    """Row i of the distances r (k, m) through ``weights[i].w``.
+    """Reciprocal weights at the distances r: the one weight path, which
+    ``WeightSpec.w`` and the solver both take.
 
-    The rows of ``WeightSpec`` weights take one call per family, with one
-    alpha per row; any other weight object's ``w`` runs on its own row,
-    in row order.  Each row is what ``weights[i].w(r[i])`` gives, bit for
-    bit: numpy applies the same elementwise operations to a column of
-    alphas as to a single one.  numpy's power takes a fast path only for
-    the scalar exponents 0.5, 2 and -1, and no double alpha has
-    alpha * alpha exactly 0.5 or 2, so shepard's per-row exponent keeps
-    the bits too.
+    ``weights`` is one weight for every entry of r, or a sequence with the
+    weight ``weights[i]`` of row i of r (k, m).  A weight object other than
+    ``WeightSpec`` runs its own ``w``, row by row in a sequence.  The
+    ``WeightSpec`` rows of a sequence take one call per family with a
+    column of alphas, and each row is what ``weights[i].w(r[i])`` gives,
+    bit for bit: numpy applies the same elementwise operations to a column
+    of alphas as to one.  Its power takes a fast path only for the scalar
+    exponents 0.5, 2 and -1, and no double alpha has alpha * alpha exactly
+    0.5 or 2, so shepard's per-row exponent keeps the bits too.
+
+    Negative distances raise ``ValueError``.  An overflow to inf is silent
+    under the caller's ``np.errstate(over="ignore")``.
     """
     arr = np.asarray(r, dtype=float)
+    if (arr < 0).any():
+        raise ValueError("distance must be nonnegative")
+    if isinstance(weights, WeightSpec):
+        return _w(weights.family, weights.alpha, arr)
+    if hasattr(weights, "w"):
+        return np.asarray(weights.w(arr), dtype=float)
     out = np.empty(arr.shape)
     families = {}
     for i, wt in enumerate(weights):
@@ -110,5 +113,5 @@ def w_each(weights, r) -> np.ndarray:
             out[i] = wt.w(arr[i])
     for family, rows in families.items():
         alphas = np.array([weights[i].alpha for i in rows], dtype=float)
-        out[rows] = _w(family, alphas[:, None], _distances(arr[rows]))
+        out[rows] = _w(family, alphas[:, None], arr[rows])
     return out

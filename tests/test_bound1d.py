@@ -26,7 +26,6 @@ from mlscert.core import (
     ConditioningError,
     HypothesisFailure,
     build_system,
-    build_weight_diag,
 )
 from mlscert.points import PointSet
 from mlscert.reporting import canonical_json
@@ -48,7 +47,7 @@ def test_weight_derivative_identity_fd():
     weight = WeightSpec("exp", alpha)
 
     def dvec(at):
-        return build_weight_diag(PTS3.distances(at), weight)
+        return build_system(at, PTS3, monomial_basis(2), weight).dvec
 
     analytic = dlogw_diag(x, PTS3, alpha) * dvec(x)
 
@@ -569,7 +568,7 @@ def test_sigma_max_upper_bounds_the_svd(stack):
 def test_sigma_max_is_the_stacked_norm(stack):
     """The one-matrix SVD gives the bits of the stacked norm."""
     sigma = np.linalg.norm(stack, 2, axis=(1, 2))
-    assert [bound1d._sigma_max(mat) for mat in stack] == sigma.tolist()
+    assert [float(bound1d._smax(mat)) for mat in stack] == sigma.tolist()
 
 
 def _smooth_run(rng, m, n, peak):
@@ -592,7 +591,7 @@ def _count_work(monkeypatch) -> dict:
     """Count the rows that get a product bound and the rows that get an
     SVD in ``bound1d`` from here on."""
     counts = {"product": 0, "svd": 0}
-    upper, sigma = bound1d._sigma_max_upper, bound1d._sigma_max
+    upper, sigma = bound1d._sigma_max_upper, bound1d._smax
 
     def counted_upper(stack, *args):
         counts["product"] += len(stack)
@@ -603,7 +602,7 @@ def _count_work(monkeypatch) -> dict:
         return sigma(matrix)
 
     monkeypatch.setattr(bound1d, "_sigma_max_upper", counted_upper)
-    monkeypatch.setattr(bound1d, "_sigma_max", counted_sigma)
+    monkeypatch.setattr(bound1d, "_smax", counted_sigma)
     return counts
 
 

@@ -1,6 +1,7 @@
 """Solver-level checks: the coefficient vector, its invariants, and the
 failure modes (hypotheses, rank, conditioning)."""
 
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mlscert import core
-from mlscert.bases import BasisSpec, monomial_basis
+from mlscert.bases import BasisSpec, monomial_basis, monomial_exponents
 from mlscert.bound1d import certify_bound, uniform_grid
 from mlscert.cli import main
 from mlscert.core import (
@@ -17,14 +18,13 @@ from mlscert.core import (
     HypothesisFailure,
     MlsError,
     build_design,
+    build_rows,
     build_system,
     build_systems,
-    build_weight_diag,
     check_hypotheses,
     evaluate,
     evaluate_many,
     fitted_values,
-    solve_stack,
 )
 from mlscert.error_analysis import amplification
 from mlscert.points import PointSet, distances_each
@@ -47,7 +47,7 @@ def test_coefficients_match_hand_oracle():
 
 
 def test_weight_diag_example():
-    dvec = build_weight_diag(NODES_012.distances(1.0), EXP1)
+    dvec = build_system(1.0, NODES_012, monomial_basis(2), EXP1).dvec
     np.testing.assert_allclose(dvec, [2.0 * np.e, 2.0, 2.0 * np.e], rtol=1e-15)
 
 
@@ -269,9 +269,12 @@ WELL_CONDITIONED = np.eye(3, 2)
 
 
 def _solve_designs(*designs):
+    """The coefficients of k problems at x = 0.5 (basis values 1, 0.5) with
+    the given (3, 2) designs and unit weights, solved as one stack."""
     k = len(designs)
-    ones = np.ones((k, 3))
-    return solve_stack(np.stack(designs), np.tile([1.0, 0.5], (k, 1)), ones, 2.0 * ones)
+    nodes = np.tile([[0.0], [1.0], [2.0]], (k, 1, 1))
+    return build_systems(np.full((k, 1), 0.5), nodes, monomial_basis(2),
+                         dvecs=np.full((k, 3), 2.0), design=np.stack(designs))[0]
 
 
 @pytest.mark.parametrize("designs,expected", [
@@ -406,6 +409,42 @@ def test_distances_of_a_stack_match_per_point_calls(d):
         pts.distances(np.zeros((2, d + 1)))
 
 
+def _built(xs, nodes, basis, weight, **kwargs):
+    """The systems ``build_rows`` gives, in row order, up to the first
+    failing row, and that row's error as (type, message)."""
+    systems = []
+    try:
+        for _, rows in build_rows(xs, nodes, basis, weight, conds=True, **kwargs):
+            systems += rows.systems()
+    except Exception as exc:
+        return systems, (type(exc), str(exc))
+    return systems, None
+
+
+def _one_row_loop(xs, point_sets, basis, weights):
+    """Reference: ``build_system`` row by row, up to the first failing row."""
+    systems = []
+    for x, pts, weight in zip(xs, point_sets, weights):
+        try:
+            systems.append(build_system(x, pts, basis, weight))
+        except Exception as exc:
+            return systems, (type(exc), str(exc))
+    return systems, None
+
+
+def _assert_same_systems(got, ref):
+    assert got[1] == ref[1]
+    assert len(got[0]) == len(ref[0])
+    for a, b in zip(got[0], ref[0]):
+        for name in ("x", "design", "dvec", "basis_at_x", "coeffs"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        for name in ("qmat", "rmat"):
+            qa, qb = getattr(a, name), getattr(b, name)
+            assert (qa is None and qb is None) or qa.tobytes() == qb.tobytes(), name
+        assert repr(a.cond_gram) == repr(b.cond_gram)
+        assert a.at_node == b.at_node
+
+
 #: alphas whose square numpy's power could take a fast path for (none is
 #: exactly 0.5 or 2), the round ones a config would give, and extremes
 _ALPHAS = st.one_of(
@@ -417,9 +456,10 @@ _ALPHAS = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), d=st.sampled_from([1, 2]))
 def test_stacked_problems_match_one_problem_at_a_time(data, d):
-    """``build_system_stack`` on k problems of one shape, with all four
-    weight families in the one group, gives each problem's
-    ``build_system`` bit for bit; its stacked inputs give each problem's
+    """``build_rows`` on k problems of one shape, each with its own node
+    set and weight, all four weight families in the one stack, gives each
+    problem's ``build_system`` bit for bit, and the first failing
+    problem's error; its stacked inputs give each problem's
     ``PointSet.distances``, ``WeightSpec.w`` and ``build_design``."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     l = data.draw(st.integers(1, 3 if d == 1 else 4))
@@ -434,35 +474,59 @@ def test_stacked_problems_match_one_problem_at_a_time(data, d):
     basis = monomial_basis(l, d)
 
     nodes = np.stack([p.nodes for p in point_sets])
-    dists = distances_each(nodes, xs)
+    with np.errstate(over="ignore"):
+        dists = distances_each(nodes, xs)
+        stacked_w = w_each(weights, dists)
     designs = core._designs(nodes, basis)
     for i, (pts, weight) in enumerate(zip(point_sets, weights)):
         assert dists[i].tobytes() == pts.distances(xs[i]).tobytes()
         assert designs[i].tobytes() == build_design(pts, basis).tobytes()
-        with np.errstate(over="ignore"):
-            assert w_each(weights, dists)[i].tobytes() == weight.w(dists[i]).tobytes()
+        assert stacked_w[i].tobytes() == weight.w(dists[i]).tobytes()
 
-    singles = {}
-    for i, (x, pts, weight) in enumerate(zip(xs, point_sets, weights)):
-        try:
-            singles[i] = build_system(x, pts, basis, weight)
-        except (MlsError, ValueError):
-            pass
-    if len(singles) < k:
-        with pytest.raises((MlsError, ValueError)):
-            core.build_system_stack(xs, point_sets, basis, weights)
-    ok = list(singles)  # the problems that solve alone solve together
-    stacked = core.build_system_stack(
-        xs[ok], [point_sets[i] for i in ok], basis, [weights[i] for i in ok]
-    ) if ok else []
-    for got, ref in zip(stacked, singles.values()):
-        for name in ("x", "design", "dvec", "basis_at_x", "coeffs"):
-            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
-        for name in ("qmat", "rmat"):
-            a, b = getattr(got, name), getattr(ref, name)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
-        assert repr(got.cond_gram) == repr(ref.cond_gram)
-        assert got.at_node == ref.at_node
+    ref = _one_row_loop(xs, point_sets, basis, weights)
+    _assert_same_systems(_built(xs, nodes, basis, weights), ref)
+    # the problems that solve alone solve together
+    ok = [i for i in range(k) if _one_row_loop(xs[i:i + 1], point_sets[i:i + 1], basis,
+                                                weights[i:i + 1])[1] is None]
+    _assert_same_systems(_built(xs[ok], nodes[ok], basis, [weights[i] for i in ok]),
+                         _one_row_loop(xs[ok], [point_sets[i] for i in ok], basis,
+                                       [weights[i] for i in ok]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from((1, 2)),
+    m=st.integers(3, 9),
+    l=st.integers(1, 3),
+    family=st.sampled_from(FAMILIES),
+    alpha=_ALPHAS,
+    block_rows=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_builder_cases_agree_with_one_row_builds(d, m, l, family, alpha, block_rows, seed):
+    """The three ways into ``build_rows`` agree bit for bit: one node set
+    and weight broadcast over the rows, the same given per row as a node
+    stack and a weight list, and a loop of one-row ``build_system`` calls.
+    They agree on which row raises first and on what it raises, whatever
+    the block size; the rows before it are the same systems."""
+    rng = np.random.default_rng(seed)
+    pts = PointSet(rng.uniform(0.0, 1.0, (m, d)))
+    basis, weight = monomial_basis(l, d), WeightSpec(family, alpha)
+    # inside the span, on nodes, next to a node and far outside the span
+    xs = np.vstack([
+        rng.uniform(-0.1, 1.1, (8, d)),
+        pts.nodes[rng.integers(0, m, 2)],
+        pts.nodes[rng.integers(0, m, 1)] + 1e-9,
+        rng.uniform(5.0, 50.0, (1, d)),
+    ])
+    rng.shuffle(xs)
+    n = len(xs)
+    ref = _one_row_loop(xs, [pts] * n, basis, [weight] * n)
+    broadcast = _built(xs, pts, basis, weight, block_rows=block_rows)
+    per_row = _built(xs, np.stack([pts.nodes] * n), basis, [weight] * n,
+                     block_rows=block_rows)
+    _assert_same_systems(broadcast, ref)
+    _assert_same_systems(per_row, ref)
 
 
 def test_stacked_designs_name_the_first_failing_node_set():
@@ -473,13 +537,12 @@ def test_stacked_designs_name_the_first_failing_node_set():
     far = [PointSet(np.array([0.0, 1.0, x])) for x in (1e200, 3e200)]
     with pytest.raises(ValueError) as ref:
         build_design(far[0], basis)
+    nodes = np.stack([p.nodes for p in (ok, far[0], ok, far[1])])
     with pytest.raises(ValueError) as got:
-        core.build_system_stack([[0.5]] * 4, [ok, far[0], ok, far[1]], basis,
-                                [WeightSpec("exp")] * 4)
+        build_systems([[0.5]] * 4, nodes, basis, [WeightSpec("exp")] * 4)
     assert str(got.value) == str(ref.value) == "basis values at node 1e+200 are not finite"
     with pytest.raises(HypothesisFailure, match="basis_size_le_nodes"):
-        core.build_system_stack([[0.5]], [PointSet(np.array([0.0, 1.0]))], basis,
-                                [WeightSpec("exp")])
+        build_systems([[0.5]], np.array([[[0.0], [1.0]]]), basis, [WeightSpec("exp")])
 
 
 def test_csv_round_trip(tmp_path):
@@ -534,6 +597,21 @@ def test_csv_reader_edge_records(name, tmp_path):
         assert pts.values is None
     else:
         np.testing.assert_array_equal(pts.values, values)
+
+
+def test_csv_that_is_not_utf8_names_its_line(tmp_path):
+    """A byte that does not decode names the file and the line it is on;
+    a byte-order mark still reads as no mark."""
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n")
+    with pytest.raises(ValueError) as err:
+        PointSet.from_csv(path)
+    assert str(err.value) == f"{path}:3: not valid UTF-8"
+    path.write_bytes(b"\xef\xbb\xbfx1,f\n0.1,1\n0.9,\xff3\n")
+    with pytest.raises(ValueError, match=r":3: not valid UTF-8$"):
+        PointSet.from_csv(path)
+    path.write_bytes(b"\xef\xbb\xbfx1,f\n0.1,1\n0.9,3\n")
+    np.testing.assert_array_equal(PointSet.from_csv(path).values, [1.0, 3.0])
 
 
 def test_csv_reader_without_data_rows(tmp_path):
@@ -746,9 +824,9 @@ def test_condition_estimates_keep_their_svd(monkeypatch):
     basis, weight = monomial_basis(3), WeightSpec("exp", 2.0)
     xs = np.array([[0.2], [0.55]])
     monkeypatch.setattr(core, "_certified", lambda rmats, m, l: True)
-    systems, error = core.build_system_list(xs, pts, basis, weight)
+    systems, error = _built(xs, pts, basis, weight)
     assert error is None
-    stacked = core.build_system_stack(xs, [pts, pts], basis, [weight, weight])
+    stacked, _ = _built(xs, np.stack([pts.nodes] * 2), basis, [weight, weight])
     for x, sysm, other in zip(xs, systems, stacked):
         svals = np.linalg.svd(sysm.rmat, compute_uv=False)
         expected = (float(svals[0]) / float(svals[-1])) ** 2
@@ -769,3 +847,32 @@ def test_well_conditioned_grid_takes_no_svd(monkeypatch):
     coeffs, at_node = build_systems(xs, pts, monomial_basis(2), WeightSpec("exp", 3.0))
     assert coeffs.shape == (2000, 25) and np.all(at_node == -1)
     assert calls == []
+
+
+def _quadratic_exponents(dim, size):
+    """The exponent generator the linear one replaced: every tuple of each
+    degree's box, filtered by its sum and sorted."""
+    out, degree = [], 0
+    while len(out) < size:
+        out += sorted(e for e in itertools.product(range(degree + 1), repeat=dim)
+                      if sum(e) == degree)
+        degree += 1
+    return out[:size]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monomial_exponents_match_the_filtered_boxes(dim):
+    for size in range(1, 61):
+        assert monomial_exponents(dim, size) == _quadratic_exponents(dim, size)
+
+
+def test_huge_basis_is_refused_quickly(tmp_path, capsys):
+    """l = 100000 on 5 nodes is the basis-size hypothesis failure, not a
+    minutes-long exponent build."""
+    (tmp_path / "in.csv").write_text("x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n")
+    (tmp_path / "cfg.json").write_text('{"l": 100000}')
+    args = ["--input", str(tmp_path / "in.csv"), "--config", str(tmp_path / "cfg.json")]
+    for command, failed in (("fit", "basis_size_le_nodes"), ("diagnose", "basis_size_le_nodes"),
+                            ("bound", "basis_size_le_nodes, design_full_rank")):
+        assert main([command, *args]) == 3
+        assert capsys.readouterr().err == f"hypothesis failure: {failed}\n"

@@ -266,21 +266,24 @@ def test_low_gram_cap_rejects_whole_groups(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["general", "h2"])
 def test_failing_group_solves_are_replayed(monkeypatch, kind):
-    """A low conditioning limit makes stacked solves raise; their groups
-    are replayed one candidate at a time, and the instances do not change."""
+    """A low conditioning limit makes stacked solves raise; each such group
+    is solved again from after its failing candidate, and the instances do
+    not change."""
     monkeypatch.setattr(core, "COND_LIMIT", 1e3)
-    singles = []
-    one = inst.build_system
+    failed = []
+    stacked = inst.build_rows
 
-    def counted(*args):
-        singles.append(args)
-        return one(*args)
+    def counted(*args, **kwargs):
+        try:
+            yield from stacked(*args, **kwargs)
+        except core.MlsError:
+            failed.append(args)
+            raise
 
-    monkeypatch.setattr(inst, "build_system", counted)
+    monkeypatch.setattr(inst, "build_rows", counted)
     suite_fn, h2 = _SUITES[kind]
     got = suite_fn(40, 9)
-    assert singles, "no group was replayed"
-    monkeypatch.setattr(inst, "build_system", one)
+    assert failed, "no stacked solve failed"
     ref_rng = np.random.default_rng(9)
     ref = [_one_at_a_time(ref_rng, h2) for _ in range(40)]
     for a, b in zip(got, ref):
@@ -312,18 +315,15 @@ def test_other_build_errors_raise_at_their_candidate(monkeypatch):
     """An error that is not a rejection is raised where the walk reaches
     its candidate: the first such candidate in draw order, whatever group
     it was solved in."""
-    one = inst.build_system
+    basis_rows = core._basis_rows
 
-    def stack_fails(*args):
-        raise ValueError("stacked solve failed")
+    def fails_right_of(xs, basis):
+        if np.any(xs > 0.9):
+            raise ValueError(f"no solve at {float(xs[xs > 0.9][0])!r}")
+        return basis_rows(xs, basis)
 
-    def fails_right_of(x, points, basis, weight):
-        if x > 0.9:
-            raise ValueError(f"no solve at {x!r}")
-        return one(x, points, basis, weight)
-
-    monkeypatch.setattr(inst, "build_system_stack", stack_fails)
-    monkeypatch.setattr(inst, "build_system", fails_right_of)
+    # the stacked solves and the one-at-a-time reference both fail there
+    monkeypatch.setattr(core, "_basis_rows", fails_right_of)
     # seed 1: the 13th candidate is the first right of 0.9, and its group
     # is solved after one that holds a later such candidate
     ref_rng = np.random.default_rng(1)

@@ -126,10 +126,18 @@ def test_bad_grid_specs(const_csv, capsys):
     assert run_cli(["fit", "--input", const_csv, "--grid", "0"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("spec", ["0:inf:3", "-inf:1:3", "nan:1:5", "0:nan:2"])
+def test_non_finite_grid_end_is_refused(const_csv, capsys, spec):
+    """Refused before numpy sees the spec: no RuntimeWarning, exit 2."""
+    code, out, err = run_cli(["fit", "--input", const_csv, f"--grid={spec}"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad grid spec {spec!r}; the ends a and b must be finite\n"
+
+
 def test_fit_nan_grid_names_the_point(const_csv, capsys):
     code, out, err = run_cli(["fit", "--input", const_csv, "--grid", "nan:1:5"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: evaluation point nan is not finite\n"
+    assert err == "error: bad grid spec 'nan:1:5'; the ends a and b must be finite\n"
 
 
 def test_bad_tol_specs(const_csv, capsys):
@@ -205,18 +213,23 @@ def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys,
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-def _per_point_systems(xs, points, basis, weight):
-    """Reference: one ``build_system`` per point, up to the first failing
-    point, and its error."""
-    from mlscert.core import MlsError, build_system
+class _OneSystem:
+    """A solved block of one row, for ``_per_point_rows``."""
 
-    systems = []
-    for x in xs:
-        try:
-            systems.append(build_system(x, points, basis, weight))
-        except (MlsError, ValueError) as exc:
-            return systems, exc
-    return systems, None
+    def __init__(self, sysm):
+        self.sysm = sysm
+
+    def systems(self):
+        return [self.sysm]
+
+
+def _per_point_rows(xs, points, basis, weight, **_):
+    """Reference for ``build_rows``: one ``build_system`` per point, each
+    yielded as its own block, so the first failing point raises."""
+    from mlscert.core import build_system
+
+    for i, x in enumerate(xs):
+        yield i, _OneSystem(build_system(x, points, basis, weight))
 
 
 @pytest.mark.parametrize(
@@ -256,7 +269,7 @@ def test_diagnose_input_matches_per_point_builds(
     if grid is not None:
         argv.append(f"--grid={grid}")
     got = run_cli(argv, capsys)
-    monkeypatch.setattr(cli, "build_system_list", _per_point_systems)
+    monkeypatch.setattr(cli, "build_rows", _per_point_rows)
     assert got == run_cli(argv, capsys)
 
 
@@ -345,7 +358,7 @@ def test_bound_rejects_2d_input(tmp_path, capsys):
 def test_bound_nan_grid_names_the_point(linear_csv, capsys):
     code, out, err = run_cli(["bound", "--input", linear_csv, "--grid", "nan:1:5"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: evaluation point nan is not finite\n"
+    assert err == "error: bad grid spec 'nan:1:5'; the ends a and b must be finite\n"
 
 
 @pytest.mark.parametrize("command", ["fit", "diagnose", "bound"])
@@ -572,7 +585,7 @@ def test_grid_memory_cannot_hold_is_exit_2(command, spec, linear_csv, capsys, mo
 
 @pytest.mark.parametrize("command, solver", [("fit", "mlscert.cli.build_systems"),
                                              ("bound", "mlscert.bound1d.certify_bound"),
-                                             ("diagnose", "mlscert.cli.build_system_list")])
+                                             ("diagnose", "mlscert.cli.build_rows")])
 def test_grid_solve_memory_cannot_hold_is_exit_2(command, solver, linear_csv, capsys,
                                                  monkeypatch):
     """A MemoryError while the grid is solved names --grid and N too."""

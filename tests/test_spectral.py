@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlscert.bases import monomial_basis
 from mlscert.config import Tolerances
-from mlscert.core import build_system, build_system_list
+from mlscert.core import build_rows, build_system
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
 from mlscert import spectral
@@ -217,8 +217,8 @@ def test_diagnose_each_peak_memory():
     all the systems would take 7.4 MB."""
     pts = PointSet(np.linspace(0.0, 1.0, 60))
     xs = np.linspace(0.013, 0.987, 256)[:, None]
-    systems, error = build_system_list(xs, pts, monomial_basis(3), WeightSpec("exp", 1.0))
-    assert error is None
+    blocks = build_rows(xs, pts, monomial_basis(3), WeightSpec("exp", 1.0), conds=True)
+    systems = [sysm for _, rows in blocks for sysm in rows.systems()]
     diagnose_each(systems[:2], TOL)  # numpy's first calls allocate once
     tracemalloc.start()
     try:
