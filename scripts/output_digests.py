@@ -26,7 +26,8 @@ thread:
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``bound`` (seed ``-``): a certificate with l = m (four nodes, l = 4),
-  whose P - I is exactly 0;
+  whose P - I is exactly 0; and one on 30 nodes with l = 3 and
+  ``--grid 4000``, with its grid given forwards and backwards;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
   ``converge`` with h0 = 0 or h0 ``true``, ``bound --tol bound=nan``;
@@ -40,7 +41,8 @@ thread:
   an input with a blank record and then a malformed one, which names the
   malformed record's line; ``fit`` on an input that is not valid UTF-8,
   which names its line, and ``fit --grid 0:inf:3``, whose end is not
-  finite.  Each of these exits 2.  ``fit``, ``bound`` and ``diagnose``
+  finite, and ``converge`` with 2000 levels, past what any array holds.
+  Each of these exits 2.  ``fit``, ``bound`` and ``diagnose``
   with the basis size 100000 on five nodes exit 3 at once
   (``basis_size_le_nodes``).  Per seed, ``edge`` also runs the first
   ``fit`` job on a copy of its input that starts with a UTF-8 byte-order
@@ -53,6 +55,7 @@ read the same in every checkout.
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +75,9 @@ MALFORMED_INPUT = "x1,f\n0,0\n\n1,one\n2,4\n"
 NOT_UTF8_INPUT = b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n"
 #: five nodes inside [0, 1], where no basis value overflows
 FIVE_NODES_INPUT = "x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n"
+#: 30 nodes on [0, 1], denser at 0, for a long certificate grid
+THIRTY_NODES = [(i / 29) ** 1.5 for i in range(30)]
+THIRTY_NODES_INPUT = "x1,f\n" + "".join(f"{x!r},{math.sin(3 * x)!r}\n" for x in THIRTY_NODES)
 
 
 def _digest(data: bytes) -> str:
@@ -134,6 +140,11 @@ def _fixed_runs():
             "--out", "bound.out"]
     files = {"n4.csv": SQUARE_INPUT, "cfg.json": '{"l": 4, "weight": {"family": "exp"}}'}
     yield "bound", "square_design", argv, files, "bound.out"
+    files = {"n30.csv": THIRTY_NODES_INPUT, "cfg.json": '{"l": 3, "weight": {"family": "exp"}}'}
+    for name, grid in (("long_grid", "4000"), ("long_grid_reversed", "1.0:0.0:4000")):
+        argv = ["bound", "--input", "n30.csv", "--config", "cfg.json", f"--grid={grid}",
+                "--out", "bound.out"]
+        yield "bound", name, argv, files, "bound.out"
     fit = ["fit", "--input", "n3.csv", "--grid"]
     inputs = {"n3.csv": EDGE_INPUT}
     yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None
@@ -177,6 +188,8 @@ def _fixed_runs():
     for command in ("fit", "bound", "diagnose"):
         argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--out", f"{command}.out"]
         yield "edge", f"{command}_l_huge", argv, files, f"{command}.out"
+    argv = ["converge", "--config", "study.json", "--out", "converge.out"]
+    yield "edge", "converge_levels_2000", argv, {"study.json": '{"levels": 2000}'}, "converge.out"
 
 
 def main() -> None:

@@ -22,6 +22,17 @@ The constants rest on two proven norm bounds.  P = D^(-1/2) Pi D^(1/2) with
 Pi the orthogonal projector onto range(D^(-1/2) E), so ||P|| <= sqrt(cond D);
 and A0 = D^(-1/2) (D^(-1/2) E)^(+T), so ||A0|| <= sqrt(cond D) / smin(E).
 On [x_1, x_m] cond D <= exp(alpha r^2), with r the span.
+
+The reported ``max_comp_h``, the largest sigma_max((P - I) H) over the grid,
+is the SVD of an actual grid row, and most rows never build their (m, m)
+(P - I) H.  From m = 16 on, each row first gets an upper bound from its
+(m, l) coefficient map U alone (``_comp_h_upper``): with L L^T >= E^T E
+from one Cholesky factor per certificate, ||(P - I) H|| <= ||P - I|| ||H||,
+||P - I|| = ||P|| for a projector P != 0, I (Szyld 2006) and
+||P|| = ||U E^T|| <= sigma_max(U L), each step with its rounding proven.
+Only rows whose bound beats the running maximum build the stack, and
+``_max_sigma`` searches those with bounds of its own.  Below m = 16 every
+row builds it, which costs less there than the bounds would.
 """
 
 import math
@@ -32,6 +43,7 @@ import numpy as np
 from .bases import BasisSpec
 from .config import Tolerances
 from .core import (
+    _BLOCK,
     HypothesisFailure,
     MlsSystem,
     build_design,
@@ -68,8 +80,10 @@ _CHAIN_STRIDE = 8
 #: Gram squarings of the refined bound, G^(2^_SQUARINGS) (``_sigma_max_upper``)
 _SQUARINGS = 6
 
-#: least m whose candidate rows get the refined bound: below it, an SVD
-#: of the rows left costs less than the numpy calls of a refinement
+#: least m whose candidate rows get the refined bound, and whose grid rows
+#: are filtered before any (m, m) work (``_CompHMax``): below it, an SVD of
+#: the rows left, or the stack of every row, costs less than the numpy
+#: calls of a refinement or of the filter
 _REFINE_MIN_ORDER = 16
 
 
@@ -82,23 +96,26 @@ def _chunk_rows(m: int) -> int:
     return max(1, _block_rows(m) // 8)
 
 
-def _sigma_margin(m: int) -> float:
-    """Relative rounding margin of ``_sigma_max_upper`` for (m, m) matrices.
+def _sigma_margin(m: int, l: int | None = None) -> float:
+    """Relative rounding margin of ``_sigma_max_upper`` for (m, l)
+    matrices, l <= m; l = m by default.
 
     With u = 2^-53, forming G = A^T A in floating point moves it by at
-    most m^2 u ||A||^2 in the 2-norm (|fl(XY) - XY| <= m u |X||Y| per
-    product, and || |X| || <= sqrt(m) ||X||).  Each squaring doubles the
-    relative error it is given and adds its own m^2 u, so G^(2^p) is off
-    by (2^(p+1) - 1) m^2 u ||A||^(2^(p+1)), and its Frobenius norm, which
-    is at least sigma_max^(2^(p+1)), by sqrt(m) times that.  The
+    most m l u ||A||^2 in the 2-norm (|fl(XY) - XY| <= n u |X||Y| for an
+    inner dimension n, and || |A|^T |A| || <= ||A||_F^2 <= l ||A||^2).
+    Each squaring of the (l, l) power doubles the relative error it is
+    given and adds its own l^2 u <= m l u, so G^(2^p) is off by
+    (2^(p+1) - 1) m l u ||A||^(2^(p+1)), and its Frobenius norm, which
+    is at least sigma_max^(2^(p+1)), by sqrt(l) times that.  The
     2^(p+1)-th root divides the relative error by 2^(p+1), so less than
-    m^2.5 u is left for every p.  The sum of squares adds at most
-    m^2 u / 16 after the root, the square roots 2 u together and the last
+    m l^1.5 u is left for every p.  The sum of squares adds at most
+    l^2 u / 16 after the root, the square roots 2 u together and the last
     product u, and LAPACK's SVD returns sigma_max within p(m) u of the
-    exact value, taken here as p(m) = m^2.  All of it stays below
-    8 m^3 u for every m >= 1.
+    exact value, taken here as p(m) = m l (m^2 for a square matrix).
+    All of it stays below 8 m l^2 u for every m >= l >= 1.
     """
-    return 1.0 + 8.0 * m**3 * _UNIT_ROUNDOFF
+    l = m if l is None else l
+    return 1.0 + 8.0 * m * l * l * _UNIT_ROUNDOFF
 
 
 def _chain_margin(m: int) -> float:
@@ -130,26 +147,28 @@ def _chain_floor(m: int) -> float:
 def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
                      squarings: int = 2) -> np.ndarray:
     """Upper bounds on the computed sigma_max of each matrix of a finite
-    (k, m, m) stack, from matrix products instead of an SVD.
+    (k, m, l) stack, l <= m, from matrix products instead of an SVD.
 
     Each matrix M is scaled by the exact power of two 2^-e that brings its
     largest |entry| into [1/2, 1) (``ldexp`` per entry, so a subnormal
     maximum is scaled exactly too), and A = 2^-e M has sigma_max in
-    [1/2, m].  Since sigma_max(A)^(2^(p+2)) <= tr(G^(2^(p+1))) =
-    ||G^(2^p)||_F^2 for G = A^T A, the power G^(2^p) bounds sigma_max(M)
-    by 2^e ||G^(2^p)||_F^(2^-(p+1)) times ``_sigma_margin(m)``, an
-    overestimate by a factor of at most m^(2^-(p+2)): 1.26 for p = 2,
-    1.06 for p = 4 and 1.015 for p = 6 at m = 40.
+    [1/2, sqrt(m l)].  Since sigma_max(A)^(2^(p+2)) <= tr(G^(2^(p+1))) =
+    ||G^(2^p)||_F^2 for the (l, l) Gram G = A^T A, the power G^(2^p)
+    bounds sigma_max(M) by 2^e ||G^(2^p)||_F^(2^-(p+1)) times
+    ``_sigma_margin(m, l)``, an overestimate by a factor of at most
+    l^(2^-(p+2)): 1.26 for p = 2, 1.06 for p = 4 and 1.015 for p = 6 at
+    l = 40, and 1.005 for p = 6 at l = 4.
 
     Every matrix gets the bound of G^4 (three products).  Up to an even
-    ``squarings``, the matrices whose bound still exceeds ``best`` square
+    ``squarings``, the matrices whose bound still exceeds ``best`` (one
+    threshold for all, or one per matrix) square
     their last power twice more, G^4 to G^16 to G^64, each time after
     rescaling it by the exact power of two that brings its largest |entry|
     back into [1/2, 1), and keep the least bound.  So every power's norm
-    lies in [1/16, m^4] before its exponent (G^4 in [2^-8, m^8]), nothing
-    overflows, and what underflows is below 2^-900 of that norm.
+    lies in [1/16, l^4] before its exponent (G^4 in [2^-8, (m l)^4]),
+    nothing overflows, and what underflows is below 2^-900 of that norm.
     """
-    k, m, _ = stack.shape
+    k, m, l = stack.shape
     _, expo = np.frexp(np.abs(stack).reshape(k, -1).max(axis=1))
     power = np.ldexp(stack, -expo[:, None, None])
     # contiguous operands: a transposed view takes numpy's slower matmul loop
@@ -161,7 +180,7 @@ def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
     if squarings > 2 and rows.size:
         power, shift = power[rows], np.zeros(rows.size, dtype=int)
         for _ in range(2, squarings, 2):
-            _, rescale = np.frexp(np.abs(power).reshape(rows.size, m * m).max(axis=1))
+            _, rescale = np.frexp(np.abs(power).reshape(rows.size, l * l).max(axis=1))
             power = np.ldexp(power, -rescale[:, None, None])
             power = power @ power
             power = power @ power
@@ -172,8 +191,8 @@ def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
 
 
 def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
-    """The bound of ``_sigma_max_upper`` from a stack of powers
-    2^-shift G^(2^p) of matrices scaled by 2^-expo.
+    """The bound of ``_sigma_max_upper`` from a stack of (l, l) powers
+    2^-shift G^(2^p) of (m, l) matrices scaled by 2^-expo.
 
     sigma_max^n <= 2^(2 shift) ||power||_F^2 with n = 2^(p+2), and
     2 shift = n q + r with 0 <= r < n, so the n-th root, p + 2 square
@@ -181,13 +200,14 @@ def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
     subnormal one, which ``ldexp`` rounds to nearest, stays an upper
     bound; it is 0 for power = 0.
     """
+    l = power.shape[-1]
     q, r = np.divmod(2 * shift, 2 ** (p + 2))
-    flat = power.reshape(len(power), m * m)
+    flat = power.reshape(len(power), l * l)
     root = np.ldexp(np.vecdot(flat, flat), r)
     for _ in range(p + 2):
         root = np.sqrt(root)
     with np.errstate(over="ignore"):  # inf is still an upper bound
-        upper = np.ldexp(root * _sigma_margin(m), expo + q)
+        upper = np.ldexp(root * _sigma_margin(m, l), expo + q)
     return np.nextafter(upper, np.inf, out=upper, where=root > 0)
 
 
@@ -304,6 +324,260 @@ def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
             break
         best = max(best, float(_smax(stack[row])))
     return best, carry
+
+
+#: computed norms, and the row's H bound, outside [2^-300, 2^300] leave a
+#: row without a filter bound (``_comp_h_upper``)
+_NORM_RANGE = (2.0**-300, 2.0**300)
+
+
+def _in_range(value) -> np.ndarray:
+    """True where a computed norm lies in ``_NORM_RANGE``; NaN never does."""
+    low, high = _NORM_RANGE
+    return (value >= low) & (value <= high)
+
+
+def _norm_margin(m: int) -> float:
+    """Factor that turns a computed Frobenius norm of at most m^2 entries,
+    in ``_NORM_RANGE``, into an upper bound on the exact one, with its own
+    product rounded.
+
+    The BLAS dot product of the N entries with themselves is within
+    gamma_N of the sum of their squares (each term rounds once, and the
+    sums of nonnegative terms at most N - 1 times in any order), and an
+    underflowing square loses at most 2^-1075; the root rounds once.  So
+    ||X||_F <= n^ (1 + (N/2 + 2) u) + sqrt(N) 2^-536 for the computed
+    norm n^.  With n^ >= 2^-300 and sqrt(N) <= m < 2^15 the last term is
+    below u 2^-160 n^.  The factor 1 + (m^2 + 4) u rounds to at least
+    1 + (m^2 + 3) u, and with the product's own rounding n^ times it is at
+    least n^ (1 + (m^2 + 1) u), which covers the rest for N <= m^2.
+    """
+    return 1.0 + (m * m + 4.0) * _UNIT_ROUNDOFF
+
+
+def _gram_factor(design: np.ndarray):
+    """(L, lam, eps) for the (m, l) design E of ``_comp_h_upper``, or None
+    when no bound is proven: a lower-triangular (l, l) L with
+    L L^T >= E^T E, and bounds lam >= ||L||_F and eps >= ||E||_F.
+
+    L is LAPACK's Cholesky factor of A = fl(fl(E^T E) + s I), shifted by
+    s = 4 (m + l + 2) u eps^2 for eps^ the computed ||E||_F, with
+    u = 2^-53 and gamma_n = n u / (1 - n u).  In the 2-norm:
+
+    - fl(E^T E) is within gamma_m ||E||_F^2 of E^T E, and its diagonal,
+      so its trace, within a relative gamma_m of that of E^T E;
+    - A - fl(E^T E) is diagonal, each entry s rounded with one more
+      entry, so A >= fl(E^T E) + (s (1 - u) - u (1 + gamma_m) ||E||_F^2) I;
+    - the computed factor satisfies L L^T = A + dA with
+      |dA| <= gamma_(l+1) |L| |L|^T (Higham, Accuracy and Stability of
+      Numerical Algorithms, Thm 10.3, taken to hold for LAPACK's
+      blocked factorization), so ||dA|| <= gamma_(l+1) ||L||_F^2 and
+      ||L||_F^2 = tr(A + dA) <= tr(A) / (1 - gamma_(l+1)), with
+      tr(A) <= (1 + u)((1 + gamma_m) ||E||_F^2 + l s).
+
+    So L L^T - E^T E >= (s (1 - u - 1.0001 (l + 1) l u) - 1.0002
+    (m + l + 2) u ||E||_F^2) I, as every n u with n <= m^2 is below
+    1/12800 here.  The computed s is at least 3.99 (m + l + 2) u
+    ||E||_F^2 (three roundings, and ||E||_F^2 <= eps^2 (1 + (m l + 7) u)
+    by ``_norm_margin``'s lemma), so the bracket is positive.  What
+    underflows in the Gram is below l m 2^-1075, far below u ||E||_F^2
+    for eps^ >= 2^-300.
+
+    None when ``_sigma_margin(m)`` passes 1% (so that every n u above
+    stays that small), when eps^ or the computed ||L||_F lies outside
+    ``_NORM_RANGE``, or when the factorization fails.
+    """
+    m, l = design.shape
+    if _sigma_margin(m) > 1.01:
+        return None
+    eps = float(_norms(design.reshape(1, m * l))[0])
+    if not _in_range(eps):
+        return None
+    shift = 4.0 * (m + l + 2) * _UNIT_ROUNDOFF * eps * eps
+    try:
+        chol = np.linalg.cholesky(design.T @ design + shift * np.eye(l))
+    except np.linalg.LinAlgError:
+        return None
+    lam = float(_norms(chol.reshape(1, l * l))[0])
+    if not _in_range(lam):
+        return None
+    return chol, lam * _norm_margin(m), eps * _norm_margin(m)
+
+
+def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
+                  factor, best: float = -math.inf) -> np.ndarray:
+    """Upper bounds on the computed sigma_max of the (P - I) H each of k
+    grid rows would build, from (k, m, l) and (k, l, l) work alone, for
+    m >= 16 and 0 < l < m.
+
+    The stack as built is C = fl(fl(fl(U V^T) - I) H): U is the row's
+    coefficient map (``coef_map[i]``, as computed), V the design E
+    (``design_t`` is E^T) and H = diag(h), h the row's ``hdiag``.  With
+    u = 2^-53, gamma_n = n u / (1 - n u), eta = ||h||_inf and nu, eps,
+    lam the bounds on ||U||_F, ||E||_F and ||L||_F (``_norm_margin``,
+    ``_gram_factor``), the computed sigma_max of C is bounded in six
+    steps:
+
+    1. LAPACK's sigma^ <= (1 + m^2 u) sigma_max(C), as ``_sigma_margin``
+       takes.
+    2. fl(U V^T) = U V^T + D with |D| <= gamma_l |U| |V|^T, so
+       ||D||_F <= gamma_l nu eps, and ||fl(U V^T) - I||_F <=
+       (1 + gamma_l) nu eps + sqrt(m).  Subtracting I and scaling by h
+       round each entry twice, a relative gamma_2, and gamma_2 gamma_l <=
+       gamma_2.  So C is within ((gamma_l + 2 gamma_2) nu eps +
+       gamma_2 sqrt(m)) eta of (U V^T - I) H in the 2-norm.
+    3. ||(U V^T - I) H|| <= ||U V^T - I|| eta.
+    4. Let F = V^T U - I with ||F|| <= phi < 1.  Pi = U (I + F)^-1 V^T is
+       an exact projector, Pi^2 = Pi, of rank l, so Pi != 0, I for
+       0 < l < m, and ||I - Pi|| = ||Pi|| (Szyld 2006, "The many proofs
+       of an identity on the norm of oblique projections").  As
+       U V^T - Pi = U (I + F)^-1 F V^T, ||U V^T - I|| <= ||U V^T|| +
+       2 ||U|| ||V|| phi / (1 - phi) <= ||U V^T|| + 4 nu eps phi for
+       phi <= 1/2.
+    5. ||U V^T||^2 = ||U V^T V U^T|| <= ||U L L^T U^T|| = sigma_max(UL)^2,
+       as L L^T >= V^T V (``_gram_factor``).
+    6. fl(U L) = UL + D' with ||D'||_F <= gamma_l nu lam, and
+       ``_sigma_max_upper`` bounds sigma_max(fl(UL)) from the (l, l)
+       powers of its Gram, with the margin ``_sigma_margin(m, l)``
+       re-derived there for an (m, l) stack.
+
+    phi: fl(E^T U) is within gamma_m eps nu of E^T U in the Frobenius
+    norm, and F^ = fl(fl(E^T U) - I) rounds each entry once more, so
+    ||F|| <= ||F^||_F / (1 - u) + gamma_m eps nu.  The computed phi is
+    ||F^||_F (computed) times ``_norm_margin(m)``, plus 2 m u nu eps, plus
+    2^-500 for what underflows (the lemma of ``_norm_margin`` without its
+    lower guard: sqrt(l^2) 2^-536, and l m 2^-1075 in fl(E^T U)).
+
+    Together, sigma^ <= (1 + m^2 u) [(s + gamma_l nu lam + 4 nu eps phi +
+    (gamma_l + 2 gamma_2) nu eps + gamma_2 sqrt(m)) eta + r], with s the
+    bound of step 6 and r what underflows: below 2 l m 2^-1075 (eta + 1)
+    in fl(U V^T), fl(U L) and the scaling by h.  The bound is computed as
+
+        (s + (2 l u nu lam + nu eps (2 (l + 4) u + 4 phi) + 4 m u))
+          * (eta (1 + (m^2 + 16) u)),
+
+    with each constant at least the gamma it stands for (every n u here
+    is below 1/12800, so gamma_n <= 1.0001 n u, and 3 sqrt(m) u covers
+    gamma_2 sqrt(m)).  Every term is nonnegative and normal, so each of
+    the at most nine roundings on the way loses a factor 1 - u, which the
+    16 u covers (the factor itself rounds to at least 1 + (m^2 + 15) u);
+    and r is below u 2^-600 of the sum, since the sum is at least
+    sigma_max(UL) >= ||U V^T|| >= ||U (I + F)|| / ||U|| >= 1 - phi >= 1/2
+    by steps 5 and 6, and eta >= 2^-300.
+
+    A row gets +inf, so it stays a candidate, when ``factor`` is None,
+    when the computed ||U||_F or eta lies outside ``_NORM_RANGE`` (every
+    non-finite input does), or when phi is not below 1/2.  Within the
+    range nothing overflows: every term stays below 2^910.  Only rows
+    whose bound from G^4 may still exceed ``best`` get the refined powers
+    of step 6; the others keep that bound, which is as valid and looser.
+    """
+    k, m, l = coef_map.shape
+    upper = np.full(k, np.inf)
+    if factor is None:
+        return upper
+    chol, lam, eps = factor
+    unit = _UNIT_ROUNDOFF
+    # a non-finite row may overflow or take inf - inf: it fails the range
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu = _norms(coef_map.reshape(k, m * l))
+        eta = np.max(np.abs(hdiag), axis=1)
+        resid = design_t @ coef_map
+        resid -= np.eye(l)
+        phi = _norms(resid.reshape(k, l * l))
+        ok = _in_range(nu) & _in_range(eta)
+        nu = nu * _norm_margin(m)
+        phi = phi * _norm_margin(m) + (2.0 * m * unit) * nu * eps + 2.0**-500
+    rows = np.flatnonzero(ok & (phi < 0.5))
+    if rows.size:
+        nu, phi = nu[rows], phi[rows]
+        rest = ((2.0 * l * unit) * nu * lam
+                + nu * eps * (2.0 * (l + 4) * unit + 4.0 * phi) + 4.0 * m * unit)
+        scale = eta[rows] * (1.0 + (m * m + 16.0) * unit)
+        with np.errstate(over="ignore"):  # an inf threshold refines nothing
+            below = best / scale - rest
+        smax = _sigma_max_upper(coef_map[rows] @ chol, below, _SQUARINGS)
+        upper[rows] = (smax + rest) * scale
+    return upper
+
+
+class _CompHMax:
+    """The running maximum of sigma_max((P - I) H) over the grid rows
+    handed to ``add``, block by block, and the carry of ``_max_sigma``,
+    which searches every (P - I) H stack built.
+
+    Below m = ``_REFINE_MIN_ORDER`` every row's stack is built and
+    searched with its block.  From there on, each row first gets the
+    bound of ``_comp_h_upper``, which needs no (m, m) work, and only a
+    row whose bound is not at most the running maximum can hold
+    ``max_comp_h`` (the test is "not <=", so a NaN maximum keeps every
+    row, as it kept every block before).  The row of a block with the
+    largest bound is searched first, on its own, so the maximum starts
+    near the block's; the block's other candidates, filtered against it,
+    wait in a buffer of (m, l) maps and H rows.  Whenever the buffer holds
+    ``spectral._block_rows(m)`` rows, one (rows, m, m) budget, and at the
+    end, it is searched in stacks of at most that many rows, each
+    filtered again against the maximum as it rose.  So no (n, m, l) array
+    spans the grid, and only candidate rows get an (m, m) stack.
+    """
+
+    def __init__(self, design: np.ndarray):
+        m, _ = design.shape
+        # C-ordered: numpy's stacked matmul against the transposed view of
+        # E takes a slower loop, with the same bits
+        self.design_t = np.ascontiguousarray(design.T)
+        self.filtered = m >= _REFINE_MIN_ORDER
+        self.factor = _gram_factor(design) if self.filtered else None
+        self.size = _block_rows(m)
+        self.best, self.carry = -math.inf, None
+        self.pending, self.held = [], 0
+
+    def add(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
+        """Take the rows of one grid block: their (k, m, l) coefficient
+        maps and (k, m) H diagonals."""
+        if not self.filtered:
+            self._search(coef_map, hdiag)
+            return
+        upper = _comp_h_upper(coef_map, hdiag, self.design_t, self.factor, self.best)
+        top = int(np.argmax(upper))
+        if upper[top] > self.best and math.isfinite(upper[top]):
+            # a finite bound means a finite stack: its SVD is the one
+            # ``_max_sigma`` would take
+            sigma = float(_smax(self._comp(coef_map[[top]], hdiag[[top]])[0]))
+            self.best = max(self.best, sigma)
+            upper[top] = -math.inf  # searched
+        rows = np.flatnonzero(~(upper <= self.best))
+        if rows.size:
+            self.pending.append((coef_map[rows], hdiag[rows], upper[rows]))
+            self.held += rows.size
+        if self.held >= self.size:
+            self._flush()
+
+    def result(self) -> float:
+        """The maximum over every row handed over."""
+        self._flush()
+        return self.best
+
+    def _flush(self) -> None:
+        if not self.held:
+            return
+        maps, hdiag, upper = (np.concatenate(part) for part in zip(*self.pending))
+        self.pending, self.held = [], 0
+        for first in range(0, len(upper), self.size):
+            part = slice(first, first + self.size)
+            keep = np.flatnonzero(~(upper[part] <= self.best)) + first
+            if keep.size:
+                self._search(maps[keep], hdiag[keep])
+
+    def _comp(self, coef_map: np.ndarray, hdiag: np.ndarray) -> np.ndarray:
+        """The (k, m, m) stack of (P - I) H, formed in place."""
+        comp = coef_map @ self.design_t
+        comp -= np.eye(comp.shape[-1])
+        comp *= hdiag[:, None, :]
+        return comp
+
+    def _search(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
+        self.best, self.carry = _max_sigma(self._comp(coef_map, hdiag), self.best, self.carry)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -501,7 +775,11 @@ class BoundCertificate:
     argument held on the same grid.  ``majorants["max_comp_h"]`` is the
     exact max over the grid of sigma_max((P - I) H): the SVD of an actual
     grid point (the points whose chained or product upper bounds cannot
-    beat it get none), or exactly 0 when l = m, where P = I.
+    beat it get none), or exactly 0 when l = m, where P = I.  From m = 16
+    on, a point whose bound from its (m, l) coefficient map alone
+    (``_comp_h_upper``: ||P - I|| = ||P|| <= sigma_max(U L) for
+    L L^T >= E^T E, times ||H||, with every rounding proven) cannot beat
+    the running maximum does not even build its (P - I) H.
     ``max_forcing`` is the max of ||A0 c'||.  Neither depends on the
     order of the grid or on how the grid loop splits it into blocks.
     """
@@ -556,20 +834,26 @@ def certify_bound(
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a 1-D basis).
 
-    The grid is walked once, in blocks of ``spectral._block_rows(m)``
-    rows.  Each block is solved in one stacked call, then a(x), its norm,
-    the nearest node, the operators (the coefficient map A0, P - I and
-    (P - I) H) and the forcing products A0 c' are built for the whole
-    block, so the (rows, m, m) temporaries alive at once come to about 1.5
-    times ``spectral._BLOCK_DOUBLES``, whatever m.
+    The grid is walked once.  Each block is solved in one stacked call,
+    then a(x), its norm, the nearest node, the coefficient maps A0 and the
+    forcing products A0 c' are built for the whole block.  Below
+    m = ``_REFINE_MIN_ORDER`` (16) a block has ``spectral._block_rows(m)``
+    rows and builds P - I and (P - I) H for all of them, so the
+    (rows, m, m) temporaries alive at once come to about 1.5 times
+    ``spectral._BLOCK_DOUBLES``.  From m = 16 on a block has core's 128
+    rows (fewer when its (rows, m, l) maps would pass that budget), and
+    only the rows the filter of ``_CompHMax`` keeps build (P - I) H, in
+    stacks of at most ``spectral._block_rows(m)`` rows.
 
-    ``max_comp_h`` is exact, from candidate rows: per block, upper bounds
-    on sigma_max((P - I) H) pick the rows that could hold the maximum, and
-    only those get an SVD (``_max_sigma``).  A few rows get a bound from
-    products of G = M^T M; the others chain theirs from them along the
-    grid by Weyl's inequality, and the last row of each block carries the
-    chain into the next.  Any grid order and any block size give the same
-    maximum.  With l = m the design is square and invertible, so
+    ``max_comp_h`` is exact, from candidate rows: upper bounds on
+    sigma_max((P - I) H) pick the rows that could hold the maximum, and
+    only those get an SVD.  From m = 16 on each row gets a bound from its
+    (m, l) map first (``_comp_h_upper``), and only rows whose bound beats
+    the running maximum build their stack.  In ``_max_sigma`` a few rows
+    of a stack get a bound from products of G = M^T M; the others chain
+    theirs from them by Weyl's inequality, and the last row of each stack
+    carries the chain into the next.  Any grid order and any block size
+    give the same maximum.  With l = m the design is square and invertible, so
     P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and no P - I is built.
     The design and its SVD are computed once, for the hypotheses, the
     constants and the solves.
@@ -601,33 +885,30 @@ def certify_bound(
     lhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
     forcing = np.empty(grid.size)
-    # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
-    max_comp_h = 0.0 if basis.size == m else -math.inf
-    carry = None
-    # C-ordered: numpy's stacked matmul against the transposed view of E
-    # takes a slower loop, with the same bits
-    design_t = np.ascontiguousarray(design.T)
+    comp_h = None if basis.size == m else _CompHMax(design)
+    # from m = 16 on no block builds (rows, m, m) stacks of all its rows:
+    # core's blocks, or fewer rows when (rows, m, l) would pass the budget
+    size = _block_rows(m)
+    if m >= _REFINE_MIN_ORDER:
+        size = min(_BLOCK, _block_rows(m, basis.size))
     # exp weights never vanish, so no row is an interpolation limit and
     # every row carries its QR factors
     blocks = build_rows(grid[:, None], points, basis, weight, design=design,
-                        block_rows=_block_rows(m))
+                        block_rows=size)
     for start, rows in blocks:
         block = slice(start, start + len(rows.coeffs))
         # the nearest node anchors the envelope; a tie goes to the smaller index
         k0s[block] = np.argmin(rows.dists, axis=1)
         lhs[block] = _norms(rows.coeffs)
         coef_map = coef_map_stack(rows.qmats, rows.rmats, rows.roots)
-        if basis.size < m:
-            # P - I, then (P - I) H, in place
-            comp = coef_map @ design_t
-            comp -= np.eye(m)
-            comp *= dlogw_diag(grid[block], points, alpha)[:, None, :]
-            max_comp_h, carry = _max_sigma(comp, max_comp_h, carry)
-            del comp  # before the next block builds its stack
+        if comp_h is not None:
+            comp_h.add(coef_map, dlogw_diag(grid[block], points, alpha))
         # a stacked matmul runs one BLAS matrix-vector product per row,
         # as coef_map[i] @ c'(x_i) does (an einsum sums in another order)
         dcs = basis.derivative_rows(grid[block])
         forcing[block] = _norms((coef_map @ dcs[:, :, None])[:, :, 0])
+    # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
+    max_comp_h = 0.0 if comp_h is None else comp_h.result()
     # np.max keeps a NaN sample (Python's max would skip it)
     max_forcing = float(np.max(forcing))
 

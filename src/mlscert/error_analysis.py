@@ -360,7 +360,19 @@ def convergence_studies(
     lo, hi = float(domain[0]), float(domain[1])
     if hi <= lo:
         raise ValueError("domain must be a nondegenerate interval")
-    hs = [h0 / (2.0**level) for level in range(n_levels)]
+    # h0 / 2^level by ldexp, which cannot overflow (2.0**level does from
+    # level 1024 on) and gives the same bits before.  The finest level
+    # holds the most nodes, so it is checked before any list of levels is
+    # built; when it fails, the first level that fails is the one named,
+    # and that one lies within the first few thousand levels, since
+    # h0 / 2^level is 0 from there on
+    try:
+        _level_size(lo, hi, math.ldexp(h0, 1 - n_levels))
+    except ValueError:
+        for level in range(n_levels):
+            _level_size(lo, hi, math.ldexp(h0, -level))
+        raise
+    hs = [math.ldexp(h0, -level) for level in range(n_levels)]
     sizes = [_level_size(lo, hi, h) for h in hs]
     basis = monomial_basis(l)
     eval_grid = np.linspace(lo, hi, EVAL_N)

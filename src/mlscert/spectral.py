@@ -51,12 +51,13 @@ __all__ = [
 _BLOCK_DOUBLES = 2**16
 
 
-def _block_rows(m: int) -> int:
-    """Systems per block of (m, m) operators: one (rows, m, m) stack of at
-    most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and one system when m^2
-    exceeds it.  ``diagnose_each`` and the certificate's grid loop
-    (``bound1d.certify_bound``) build their stacks in blocks of this many."""
-    return max(1, _BLOCK_DOUBLES // (m * m))
+def _block_rows(m: int, l: int | None = None) -> int:
+    """Systems per block of (m, l) operators, (m, m) by default: one
+    (rows, m, l) stack of at most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and
+    one system when m l exceeds it.  ``diagnose_each`` and the
+    certificate's grid loop (``bound1d.certify_bound``) build their stacks
+    in blocks of this many."""
+    return max(1, _BLOCK_DOUBLES // (m * (m if l is None else l)))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from mlscert import bound1d, cli, core, spectral
+from mlscert import bound1d, cli, core, instances, spectral
 from mlscert.bases import monomial_basis
 from mlscert.bound1d import (
     BoundConstants,
@@ -543,6 +543,15 @@ def _upper_bound_stacks():
         yield f"some zero m={m}", mixed
         yield f"subnormal m={m}", np.ldexp(rng.standard_normal((k, m, m)), -1060)
         yield f"near max double m={m}", np.ldexp(rng.uniform(-1.0, 1.0, (k, m, m)), 1023)
+    # (m, l) stacks, as the certificate's filter bounds them
+    for m, l in ((2, 1), (16, 3), (60, 6)):
+        for e in (-1060, 0, 1000):
+            yield f"gauss {m}x{l} 2^{e}", np.ldexp(rng.standard_normal((50, m, l)), e)
+        near = np.concatenate([1.0 + np.ldexp(rng.uniform(0.0, 1.0, 2), -40),
+                               rng.uniform(0.0, 0.5, l)])[:l]
+        u, _ = np.linalg.qr(rng.standard_normal((m, l)))
+        v, _ = np.linalg.qr(rng.standard_normal((l, l)))
+        yield f"near-equal top {m}x{l}", ((u * near) @ v.T)[None]
 
 
 UPPER_BOUND_STACKS = [pytest.param(stack, id=name) for name, stack in _upper_bound_stacks()]
@@ -552,7 +561,7 @@ UPPER_BOUND_STACKS = [pytest.param(stack, id=name) for name, stack in _upper_bou
 def test_sigma_max_upper_bounds_the_svd(stack):
     """The product bound of G^4 and the refined bounds of G^16 and G^64
     are never below numpy's stacked sigma_max, and each refinement keeps
-    the smaller bound."""
+    the smaller bound; for (m, m) and for (m, l) stacks."""
     sigma = np.linalg.norm(stack, 2, axis=(1, 2))
     upper = bound1d._sigma_max_upper(stack)
     assert np.all(upper >= sigma)
@@ -588,13 +597,15 @@ def _blocks_of(run, rows=None):
 
 
 def _count_work(monkeypatch) -> dict:
-    """Count the rows that get a product bound and the rows that get an
-    SVD in ``bound1d`` from here on."""
+    """Count the rows that get an (m, m) product bound and the rows that
+    get an SVD in ``bound1d`` from here on.  The (m, l) product bounds of
+    the certificate's filter (``_comp_h_upper``) are not counted here."""
     counts = {"product": 0, "svd": 0}
     upper, sigma = bound1d._sigma_max_upper, bound1d._smax
 
     def counted_upper(stack, *args):
-        counts["product"] += len(stack)
+        if stack.shape[1] == stack.shape[2]:
+            counts["product"] += len(stack)
         return upper(stack, *args)
 
     def counted_sigma(matrix):
@@ -765,21 +776,38 @@ def test_pruned_max_sigma_keeps_a_nan_maximum():
         assert math.isnan(best)
 
 
-def test_certificate_max_comp_h_is_the_full_stacked_max(monkeypatch):
-    """The reported max_comp_h equals the maximum of the full stacked norm
-    of every block (the computation before candidate rows) bit for bit."""
-    _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, "sorted")
+def test_certificate_max_comp_h_is_the_full_stacked_max():
+    """The reported max_comp_h equals the maximum of the stacked norm of
+    every grid row's (P - I) H, bit for bit, whichever rows the
+    certificate builds."""
+    _assert_max_comp_h_is_the_full_stacked_max("sorted")
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled"])
-def test_certificate_max_comp_h_on_reordered_grids(monkeypatch, order):
+def test_certificate_max_comp_h_on_reordered_grids(order):
     """The same holds on a grid given backwards or in no order."""
-    _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order)
+    _assert_max_comp_h_is_the_full_stacked_max(order)
 
 
-def _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order):
+def _every_row_max(pts, basis, weight, grid) -> float:
+    """Reference: the stacked ``np.linalg.norm(., 2)`` of the (P - I) H of
+    every grid row, built from ``build_rows`` and ``coef_map_stack`` the
+    way the certificate builds a stack, and pruned nowhere."""
+    design = core.build_design(pts, basis)
+    design_t = np.ascontiguousarray(design.T)
+    sigmas = []
+    for start, rows in core.build_rows(grid[:, None], pts, basis, weight, design=design):
+        comp = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots) @ design_t
+        comp -= np.eye(pts.m)
+        comp *= dlogw_diag(grid[start : start + len(comp)], pts, weight.alpha)[:, None, :]
+        sigmas.append(np.linalg.norm(comp, 2, axis=(1, 2)))
+    return float(np.max(np.concatenate(sigmas)))
+
+
+def _assert_max_comp_h_is_the_full_stacked_max(order):
     rng = np.random.default_rng(11)
-    for m, l, n_grid in ((3, 1, 50), (4, 4, 60), (12, 3, 400), (30, 2, 200), (40, 4, 100)):
+    for m, l, n_grid in ((3, 1, 50), (4, 4, 60), (12, 3, 400), (16, 3, 300), (23, 5, 257),
+                         (30, 2, 200), (40, 4, 100), (60, 6, 400)):
         xs = np.sort(rng.uniform(0.0, 1.0, m))
         pts = PointSet(xs, values=np.sin(xs))
         weight = WeightSpec("exp", float(rng.uniform(0.1, 2.0)))
@@ -789,32 +817,61 @@ def _assert_max_comp_h_is_the_full_stacked_max(monkeypatch, order):
         elif order == "shuffled":
             grid = grid[rng.permutation(n_grid)]
         cert = certify_bound(pts, monomial_basis(l), weight, grid=grid)
-        stacks = []
-
-        def full(stack, best, carry):
-            stacks.append(stack.copy())
-            return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best)), None
-
-        with monkeypatch.context() as mp:
-            mp.setattr(bound1d, "_max_sigma", full)
-            ref = certify_bound(pts, monomial_basis(l), weight, grid=grid)
-        if l == m:  # P - I = 0: no stack is built, and the maximum is 0
-            assert stacks == [] and repr(cert.majorants["max_comp_h"]) == "0.0"
+        if l == m:  # P - I = 0: the maximum is 0
+            assert repr(cert.majorants["max_comp_h"]) == "0.0"
             continue
-        assert len(stacks) > 1 or n_grid * m * m <= spectral._BLOCK_DOUBLES
-        assert repr(cert.majorants["max_comp_h"]) == repr(ref.majorants["max_comp_h"])
-        assert repr(cert.majorants["max_comp_h"]) == repr(_full_max(stacks))
+        ref = _every_row_max(pts, monomial_basis(l), weight, grid)
+        assert repr(cert.majorants["max_comp_h"]) == repr(ref), (m, l, n_grid)
+
+
+def _count_stacks(monkeypatch) -> dict:
+    """Count the grid rows that get an (m, m) stack of (P - I) H and the
+    rows that get a filter bound (``_comp_h_upper``) from here on."""
+    counts = {"stack": 0, "filter": 0}
+    comp, upper = bound1d._CompHMax._comp, bound1d._comp_h_upper
+
+    def counted_comp(self, coef_map, hdiag):
+        counts["stack"] += len(coef_map)
+        return comp(self, coef_map, hdiag)
+
+    def counted_upper(coef_map, *args):
+        counts["filter"] += len(coef_map)
+        return upper(coef_map, *args)
+
+    monkeypatch.setattr(bound1d._CompHMax, "_comp", counted_comp)
+    monkeypatch.setattr(bound1d, "_comp_h_upper", counted_upper)
+    return counts
 
 
 def test_certificate_work_counts(monkeypatch):
     """A 38-node, 400-point certificate gives an SVD to at most 8 grid rows
-    and a product bound to at most a third of them (every row got a
-    product bound, and about 41 an SVD, before the chain)."""
-    counts = _count_work(monkeypatch)
-    cert = certify_bound(*_work_count_instance(), n_grid=400)
-    assert cert.metadata["n_grid"] == 400
-    assert counts["svd"] <= 8
-    assert counts["product"] <= 400 / 3
+    and an (m, m) product bound to at most a third of them (every row got
+    a product bound, and about 41 an SVD, before the chain); and builds
+    the (m, m) stack of (P - I) H for at most 100 rows (every row before
+    the filter), on a grid read forwards, where sigma_max peaks late, or
+    backwards.  Every row gets exactly one filter bound."""
+    pts, basis, weight = _work_count_instance()
+    for grid in (uniform_grid(pts, 400), uniform_grid(pts, 400)[::-1].copy()):
+        with monkeypatch.context() as mp:
+            counts, stacks = _count_work(mp), _count_stacks(mp)
+            cert = certify_bound(pts, basis, weight, grid=grid)
+        assert cert.metadata["n_grid"] == 400
+        assert counts["svd"] <= 8
+        assert counts["product"] <= 400 / 3
+        assert stacks["stack"] <= 100
+        assert stacks["filter"] == 400
+
+
+def test_small_orders_build_every_row(monkeypatch):
+    """Below m = ``_REFINE_MIN_ORDER`` the walk is the one before the
+    filter: no filter bound, and every grid row gets its (m, m) stack."""
+    rng = np.random.default_rng(9)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 13)]))
+    pts = PointSet(xs, values=np.sin(xs))
+    assert pts.m == bound1d._REFINE_MIN_ORDER - 1
+    counts = _count_stacks(monkeypatch)
+    certify_bound(pts, monomial_basis(3), WeightSpec("exp", 1.0), n_grid=700)
+    assert counts == {"stack": 700, "filter": 0}
 
 
 def _work_count_instance():
@@ -822,6 +879,166 @@ def _work_count_instance():
     rng = np.random.default_rng(0)
     xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 36)]))
     return PointSet(xs, values=np.sin(xs)), monomial_basis(3), WeightSpec("exp", 1.0)
+
+
+# --- the filter's bound on sigma_max((P - I) H), from (m, l) work --------------
+
+
+def _filter_instance(m, layout, seed) -> PointSet:
+    """m nodes on [0, 1], both ends among them: spread uniformly, in three
+    clusters of width about 1e-3, or in pairs 1e-7 apart."""
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        xs = rng.uniform(0.0, 1.0, m - 2)
+    elif layout == "clustered":
+        centres = rng.uniform(0.0, 1.0, 3)
+        xs = np.clip(centres[rng.integers(3, size=m - 2)] + rng.normal(0.0, 1e-3, m - 2),
+                     0.0, 1.0)
+    else:
+        base = rng.uniform(0.0, 1.0, (m - 1) // 2)
+        xs = np.concatenate([base, base + 1e-7])[: m - 2]
+    xs = np.unique(np.concatenate([[0.0, 1.0], xs]))
+    return PointSet(xs, values=np.sin(xs))
+
+
+def _filter_bounds(pts, basis, weight, grid, best=-math.inf):
+    """Per grid row, the filter's bound (``_comp_h_upper``, given the
+    running maximum ``best``) and the stacked norm of its (P - I) H."""
+    design = core.build_design(pts, basis)
+    design_t = np.ascontiguousarray(design.T)
+    factor = bound1d._gram_factor(design)
+    uppers, sigmas = [], []
+    for start, rows in core.build_rows(grid[:, None], pts, basis, weight, design=design):
+        coef_map = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots)
+        hdiag = dlogw_diag(grid[start : start + len(coef_map)], pts, weight.alpha)
+        uppers.append(bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, best))
+        comp = coef_map @ design_t
+        comp -= np.eye(pts.m)
+        comp *= hdiag[:, None, :]
+        sigmas.append(np.linalg.norm(comp, 2, axis=(1, 2)))
+    return np.concatenate(uppers), np.concatenate(sigmas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(16, 60),
+    l=st.integers(1, 6),
+    log_alpha=st.floats(math.log(1e-3), math.log(700.0)),
+    layout=st.sampled_from(["uniform", "clustered", "near_duplicate"]),
+    best_share=st.sampled_from([None, 0.5, 0.99, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, best_share, seed):
+    """On nodes spanning [0, 1], so alpha r^2 = alpha from 1e-3 to 700,
+    every row's filter bound is finite and at least numpy's sigma_max of
+    the (P - I) H the row builds, refined or not (rows whose G^4 bound
+    cannot beat ``best`` keep it)."""
+    pts = _filter_instance(m, layout, seed)
+    basis, weight = monomial_basis(min(l, pts.m - 1)), WeightSpec("exp", math.exp(log_alpha))
+    grid = uniform_grid(pts, 60)
+    try:
+        upper, sigma = _filter_bounds(pts, basis, weight, grid)
+    except (ConditioningError, HypothesisFailure):
+        assume(False)
+    assert np.all(np.isfinite(upper))
+    assert np.all(upper >= sigma)
+    if best_share is not None:
+        best = best_share * float(np.max(sigma))
+        upper, _ = _filter_bounds(pts, basis, weight, grid, best)
+        assert np.all(upper >= sigma)
+
+
+def test_filter_bound_falls_back_to_inf():
+    """A row with a NaN or inf in its map or its H row, or one whose
+    V^T U is far from I (phi >= 1/2), gets +inf; the others keep a
+    finite bound."""
+    pts = _filter_instance(20, "uniform", 1)
+    basis, weight = monomial_basis(3), WeightSpec("exp", 1.0)
+    design = core.build_design(pts, basis)
+    grid = uniform_grid(pts, 12)
+    (_, rows), = core.build_rows(grid[:, None], pts, basis, weight, design=design)
+    coef_map = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots)
+    hdiag = dlogw_diag(grid, pts, weight.alpha)
+    coef_map[3, 4, 1] = np.nan
+    coef_map[5, 0, 0] = np.inf
+    hdiag[7, 2] = np.nan
+    coef_map[9] *= 2.0  # V^T U = 2 I: phi is about sqrt(l)
+    design_t = np.ascontiguousarray(design.T)
+    upper = bound1d._comp_h_upper(coef_map, hdiag, design_t, bound1d._gram_factor(design))
+    assert np.flatnonzero(np.isinf(upper)).tolist() == [3, 5, 7, 9]
+    assert np.all(np.isfinite(np.delete(upper, [3, 5, 7, 9])))
+    assert np.all(np.isinf(bound1d._comp_h_upper(coef_map, hdiag, design_t, None)))
+
+
+def _poisoned(monkeypatch, row, value):
+    """Make the certificate's coefficient map of grid row ``row`` hold
+    ``value`` in one entry."""
+    maps, seen = spectral.coef_map_stack, [0]
+
+    def poisoned(qmats, rmats, roots):
+        out = maps(qmats, rmats, roots)
+        if seen[0] <= row < seen[0] + len(out):
+            out[row - seen[0], 1, 0] = value
+        seen[0] += len(out)
+        return out
+
+    monkeypatch.setattr(bound1d, "coef_map_stack", poisoned)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("row", [0, 150, 299])
+def test_non_finite_row_stays_a_candidate(monkeypatch, value, row):
+    """A row whose map holds a NaN or inf keeps +inf as its bound, so it
+    reaches ``_max_sigma``'s non-finite path: the certificate raises or
+    reports max_comp_h as the walk without the filter does."""
+    pts = _filter_instance(30, "uniform", 2)
+    basis, weight = monomial_basis(3), WeightSpec("exp", 1.0)
+    outcomes = []
+    for refine_min in (bound1d._REFINE_MIN_ORDER, 10**9):  # the filter on, then off
+        with monkeypatch.context() as mp:
+            _poisoned(mp, row, value)
+            mp.setattr(bound1d, "_REFINE_MIN_ORDER", refine_min)
+            outcomes.append(_outcome(lambda: repr(certify_bound(
+                pts, basis, weight, n_grid=300).majorants["max_comp_h"])))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] is not None or outcomes[0][0] == "nan"
+
+
+def test_failed_cholesky_keeps_every_row(monkeypatch):
+    """When the Cholesky factor of E^T E + s I cannot be formed, no row
+    gets a finite bound: every row builds its stack, and max_comp_h is
+    still the exact maximum."""
+    pts = _filter_instance(24, "clustered", 3)
+    basis, weight = monomial_basis(4), WeightSpec("exp", 0.5)
+    grid = uniform_grid(pts, 200)
+
+    def no_factor(matrix):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    assert bound1d._gram_factor(core.build_design(pts, basis)) is None
+    counts = _count_stacks(monkeypatch)
+    cert = certify_bound(pts, basis, weight, grid=grid)
+    assert counts["stack"] == 200
+    assert repr(cert.majorants["max_comp_h"]) == repr(_every_row_max(pts, basis, weight, grid))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_complement_of_a_projector_has_its_norm(seed):
+    """||I - P|| = ||P|| for the oblique projector P != 0, I of every
+    system of ``random_suite`` with l < m (Szyld 2006), to 1e-12
+    relative: the identity behind step 4 of ``_comp_h_upper``."""
+    checked = 0
+    for inst in instances.random_suite(200, seed):
+        system = inst.system()
+        m, l = system.design.shape
+        if l == m:
+            continue
+        proj = build_operators(system).proj
+        norm = np.linalg.norm(proj, 2)
+        assert abs(np.linalg.norm(np.eye(m) - proj, 2) - norm) <= 1e-12 * norm
+        checked += 1
+    assert checked > 100
 
 
 #: peak traced memory of the certificate of ``test_certificate_work_counts``

@@ -473,11 +473,15 @@ def test_converge_unknown_function(tmp_path, capsys):
     ('{"domain": [0, 1e308]}', "domain [0.0, 1e+308] at h = 0.2 needs inf nodes, "),
     ('{"domain": [-1e308, 1e308]}', "domain [-1e+308, 1e+308] at h = 0.2 needs inf nodes, "),
     ('{"h0": 1e-300}', "domain [0.0, 3.0] at h = 1e-300 needs 3e+300 nodes, "),
+    # however many levels, the first one that no array holds is named
+    *[(f'{{"levels": {n}}}', "domain [0.0, 3.0] at h = 1.3877787807814458e-18 needs "
+       "2.16173e+18 nodes, ") for n in (60, 2000, 10**12)],
 ])
 def test_converge_level_no_array_holds_is_exit_2(text, message, tmp_path, capsys):
     """A level whose node count is not finite, or too large for an array,
     exits 2 naming the domain and h, not with an OverflowError traceback
-    or numpy's "Maximum allowed size exceeded"."""
+    or numpy's "Maximum allowed size exceeded"; so does a level count past
+    what any array holds, however large."""
     cfg = tmp_path / "conv.json"
     cfg.write_text(text)
     code, out, err = run_cli(["converge", "--config", str(cfg)], capsys)
