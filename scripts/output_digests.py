@@ -26,8 +26,10 @@ thread:
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``bound`` (seed ``-``): a certificate with l = m (four nodes, l = 4),
-  whose P - I is exactly 0; and one on 30 nodes with l = 3 and
-  ``--grid 4000``, with its grid given forwards and backwards;
+  whose P - I is exactly 0; and ones on 30 and on 15 nodes with l = 3
+  and ``--grid 4000``, each with its grid given forwards and backwards
+  (15 nodes is below the order from which grid rows are filtered, so
+  every row builds its (P - I) H, in about 14 blocks);
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
   ``converge`` with h0 = 0 or h0 ``true``, ``bound --tol bound=nan``;
@@ -75,9 +77,12 @@ MALFORMED_INPUT = "x1,f\n0,0\n\n1,one\n2,4\n"
 NOT_UTF8_INPUT = b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n"
 #: five nodes inside [0, 1], where no basis value overflows
 FIVE_NODES_INPUT = "x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n"
-#: 30 nodes on [0, 1], denser at 0, for a long certificate grid
-THIRTY_NODES = [(i / 29) ** 1.5 for i in range(30)]
-THIRTY_NODES_INPUT = "x1,f\n" + "".join(f"{x!r},{math.sin(3 * x)!r}\n" for x in THIRTY_NODES)
+
+
+def _long_grid_input(m: int) -> str:
+    """m nodes on [0, 1], denser at 0, for a long certificate grid."""
+    nodes = [(i / (m - 1)) ** 1.5 for i in range(m)]
+    return "x1,f\n" + "".join(f"{x!r},{math.sin(3 * x)!r}\n" for x in nodes)
 
 
 def _digest(data: bytes) -> str:
@@ -140,11 +145,13 @@ def _fixed_runs():
             "--out", "bound.out"]
     files = {"n4.csv": SQUARE_INPUT, "cfg.json": '{"l": 4, "weight": {"family": "exp"}}'}
     yield "bound", "square_design", argv, files, "bound.out"
-    files = {"n30.csv": THIRTY_NODES_INPUT, "cfg.json": '{"l": 3, "weight": {"family": "exp"}}'}
-    for name, grid in (("long_grid", "4000"), ("long_grid_reversed", "1.0:0.0:4000")):
-        argv = ["bound", "--input", "n30.csv", "--config", "cfg.json", f"--grid={grid}",
-                "--out", "bound.out"]
-        yield "bound", name, argv, files, "bound.out"
+    for m, name in ((30, "long_grid"), (15, "long_grid_small_m")):
+        files = {f"n{m}.csv": _long_grid_input(m),
+                 "cfg.json": '{"l": 3, "weight": {"family": "exp"}}'}
+        for grid, suffix in (("4000", ""), ("1.0:0.0:4000", "_reversed")):
+            argv = ["bound", "--input", f"n{m}.csv", "--config", "cfg.json", f"--grid={grid}",
+                    "--out", "bound.out"]
+            yield "bound", name + suffix, argv, files, "bound.out"
     fit = ["fit", "--input", "n3.csv", "--grid"]
     inputs = {"n3.csv": EDGE_INPUT}
     yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None

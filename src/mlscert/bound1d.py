@@ -30,9 +30,11 @@ is the SVD of an actual grid row, and most rows never build their (m, m)
 from one Cholesky factor per certificate, ||(P - I) H|| <= ||P - I|| ||H||,
 ||P - I|| = ||P|| for a projector P != 0, I (Szyld 2006) and
 ||P|| = ||U E^T|| <= sigma_max(U L), each step with its rounding proven.
-Only rows whose bound beats the running maximum build the stack, and
-``_max_sigma`` searches those with bounds of its own.  Below m = 16 every
-row builds it, which costs less there than the bounds would.
+Only rows whose bound beats the running maximum build the stack.  Below
+m = 16 every row builds it, which costs less there than the bounds would.
+``_max_sigma`` searches each stack built: every row gets a bound from
+products of its Gram matrix, and only rows whose bound beats the running
+maximum get an SVD.
 """
 
 import math
@@ -73,10 +75,6 @@ _MAX_LOG = math.log(np.finfo(float).max)
 #: unit roundoff of doubles
 _UNIT_ROUNDOFF = 2.0**-53
 
-#: one grid row in this many gets a product bound up front; the rows
-#: between chain theirs from it (see ``_chained_upper``)
-_CHAIN_STRIDE = 8
-
 #: Gram squarings of the refined bound, G^(2^_SQUARINGS) (``_sigma_max_upper``)
 _SQUARINGS = 6
 
@@ -85,15 +83,6 @@ _SQUARINGS = 6
 #: the rows left, or the stack of every row, costs less than the numpy
 #: calls of a refinement or of the filter
 _REFINE_MIN_ORDER = 16
-
-
-def _chunk_rows(m: int) -> int:
-    """Rows per chunk of ``_chained_upper``'s step differences and
-    product bounds: a chunk of candidate rows, its scaled copy, the
-    transposed copy and the product are four (rows, m, m) arrays, an
-    eighth of a block's stack (``spectral._block_rows``) each, so all of
-    them together fit in half of one more stack."""
-    return max(1, _block_rows(m) // 8)
 
 
 def _sigma_margin(m: int, l: int | None = None) -> float:
@@ -116,32 +105,6 @@ def _sigma_margin(m: int, l: int | None = None) -> float:
     """
     l = m if l is None else l
     return 1.0 + 8.0 * m * l * l * _UNIT_ROUNDOFF
-
-
-def _chain_margin(m: int) -> float:
-    """Relative rounding margin of a bound chained over at most
-    ``_CHAIN_STRIDE`` = S steps between (m, m) matrices.
-
-    A chained bound is fl(U + d_1 + ... + d_s), s <= S, with U an upper
-    bound on the exact sigma_max of the starting matrix and d_i the
-    computed ||A_i - A_(i-1)||_F.  The subtraction is exact up to a factor
-    1 + u (and exact when the result is subnormal), the squares lose a
-    relative u, and at most 2^-1075 each to underflow, the sum of m^2
-    nonnegative terms a relative (m^2 - 1) u and the root u, so the exact
-    step is below d_i (1 + (m^2/2 + 3) u) + m 2^-537.  The s additions of
-    nonnegative terms lose at most a relative s u, LAPACK's SVD adds
-    m^2 u as in ``_sigma_margin``, and the product with this margin and
-    the sum with the absolute term ``_chain_floor(m)`` round once each:
-    together less than (2 m^2 + S + 8) u while that is far below 1.
-    """
-    return 1.0 + (2.0 * m * m + _CHAIN_STRIDE + 8.0) * _UNIT_ROUNDOFF
-
-
-def _chain_floor(m: int) -> float:
-    """Absolute term of a chained bound: the underflow of the squares in
-    up to ``_CHAIN_STRIDE`` steps (``_chain_margin``), with room for the
-    rounding of the SVD."""
-    return _CHAIN_STRIDE * m * 2.0**-536
 
 
 def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
@@ -211,119 +174,37 @@ def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
     return np.nextafter(upper, np.inf, out=upper, where=root > 0)
 
 
-def _chained_upper(stack: np.ndarray, best: float, carry) -> tuple:
-    """Upper bounds on the computed sigma_max of each matrix of a finite
-    (k, m, m) stack of consecutive grid rows, most of them chained from a
-    few product bounds; and the running maximum and carry of
-    ``_max_sigma``.
-
-    Every ``_CHAIN_STRIDE``-th row and the last row (the anchors) get
-    ``_sigma_max_upper``.  Weyl's inequality, |sigma_max(A) -
-    sigma_max(B)| <= ||A - B||_2 <= ||A - B||_F, bounds every other row
-    by an anchor's bound plus the Frobenius norms of the steps between
-    consecutive rows: forward from the anchor before it (the carried last
-    row of the block before, if any) and backward from the one after it,
-    whichever is smaller, times ``_chain_margin(m)`` plus
-    ``_chain_floor(m)``.  The step differences are taken in chunks of
-    ``_chunk_rows(m)`` rows, each dropped as soon as its norms are taken.
-    The anchor with the largest bound gets its
-    SVD first when it is sure to raise best: when its bound beats best
-    even divided by m^(1/16), the most the bound of G^4 overestimates
-    (always, while best is -inf).
-
-    Only rows whose chained bound still beats best get a product bound,
-    refined up to G^(2^_SQUARINGS) from m = ``_REFINE_MIN_ORDER`` on; the
-    others cannot raise best.  They get it in chunks of ``_chunk_rows(m)``
-    rows, in decreasing order of chained bound, so the product workspace
-    stays within half a block's stack.  After each chunk, its row with the
-    largest bound gets its SVD if that bound beats best, and the next
-    chunk keeps only the rows that beat the raised maximum.  A
-    row that got its SVD gets that value as its bound, which no later SVD
-    exceeds; the carry takes its bound from before.
-    """
-    k, m, _ = stack.shape
-    stride, size = _CHAIN_STRIDE, _chunk_rows(m)
-    anchors = np.append(np.arange(stride - 1, k - 1, stride), k - 1)
-    anchor_upper = _sigma_max_upper(stack[anchors])
-    # segment s holds the rows after anchor s - 1 up to anchor s, padded
-    # with zero steps after the last row
-    steps = np.zeros(anchors.size * stride)
-    with np.errstate(over="ignore"):  # inf is still an upper bound
-        for first in range(1, k, size):
-            stop = min(first + size, k)
-            diff = (stack[first:stop] - stack[first - 1 : stop - 1]).reshape(-1, m * m)
-            steps[first:stop] = np.sqrt(np.vecdot(diff, diff))
-            del diff
-        if carry is not None:
-            diff = (stack[0] - carry[0]).ravel()
-            steps[0] = math.sqrt(np.vecdot(diff, diff))
-        steps = steps.reshape(anchors.size, stride)
-        start = np.concatenate(([math.inf if carry is None else carry[1]], anchor_upper[:-1]))
-        forward = start[:, None] + np.cumsum(steps, axis=1)
-        back = np.zeros_like(steps)
-        back[:, :-1] = steps[:, 1:]
-        backward = anchor_upper[:, None] + np.cumsum(back[:, ::-1], axis=1)[:, ::-1]
-        upper = np.minimum(forward, backward).ravel()[:k] * _chain_margin(m) + _chain_floor(m)
-    top = int(np.argmax(anchor_upper))
-    settled = {}  # row -> sigma_max, for the rows that got their SVD
-    if anchor_upper[top] * m ** (-1 / 16) > best:
-        seeded = int(anchors[top])
-        settled[seeded] = float(_smax(stack[seeded]))
-        best = max(best, settled[seeded])
-    squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
-    candidate = upper > best
-    candidate[list(settled)] = False
-    rows = np.flatnonzero(candidate)
-    rows = rows[np.argsort(upper[rows])[::-1]]
-    for first in range(0, rows.size, size):
-        chunk = rows[first : first + size]
-        # the chunks' bounds decrease and best only rises: once a chunk
-        # has no row above best, no later chunk has one
-        chunk = chunk[upper[chunk] > best]
-        if not chunk.size:
-            break
-        upper[chunk] = np.minimum(upper[chunk], _sigma_max_upper(stack[chunk], best, squarings))
-        row = int(chunk[np.argmax(upper[chunk])])
-        if upper[row] > best:
-            settled[row] = float(_smax(stack[row]))
-            best = max(best, settled[row])
-    carry = (stack[-1].copy(), float(upper[-1]))
-    for row, sigma in settled.items():
-        upper[row] = sigma
-    return upper, best, carry
-
-
-def _max_sigma(stack: np.ndarray, best: float, carry=None) -> tuple:
-    """max(best, sigma_max of every matrix of the (k, m, m) stack), and
-    the carry for the next block of the same grid.
+def _max_sigma(stack: np.ndarray, best: float) -> float:
+    """max(best, sigma_max of every matrix of the (k, m, m) stack).
 
     The result is exact: an SVD of an actual matrix, the same stacked
-    ``np.linalg.norm(., 2)`` as over the whole stack.  Only matrices whose
-    upper bound exceeds the running maximum are decomposed, in decreasing
-    order of that bound, one at a time, so each SVD drops the rows it
-    settles; the others cannot raise the maximum.  The bounds come from
-    ``_chained_upper``.  ``carry`` is None or (matrix, bound): the last row
-    of the block before and an upper bound on its exact sigma_max, which
-    the chain starts from; the carry of this block's last row is returned
-    with the maximum.  The stack is one block of the grid
-    (``spectral._block_rows``); beside it, the (k, m, m) temporaries alive
-    at once come to about half a stack (``_chained_upper``).  A stack
-    with a non-finite entry, or an m whose margin would pass 1%, takes the
-    norm of every matrix as before and drops the carry, so it fails the
-    same way (numpy raises ``LinAlgError``) or yields NaN, which
-    ``np.max`` keeps.
+    ``np.linalg.norm(., 2)`` as over the whole stack.  Every matrix gets
+    the product bound of ``_sigma_max_upper``, refined up to
+    G^(2^_SQUARINGS) from m = ``_REFINE_MIN_ORDER`` on for the matrices
+    whose bound of G^4 beats ``best``.  Only matrices whose bound exceeds the running maximum are
+    decomposed, in decreasing order of that bound, one at a time, so each
+    SVD drops the rows it settles; the others cannot raise the maximum.
+    The bounds are taken in chunks of a quarter of a block's rows
+    (``spectral._block_rows``): a chunk's scaled copy, transposed copy and
+    product stay below one more stack.  A stack with a non-finite entry,
+    or an m whose margin would pass 1%, takes the norm of every matrix, so
+    it fails the same way (numpy raises ``LinAlgError``) or yields NaN,
+    which ``np.max`` keeps.
     """
     k, m, _ = stack.shape
     if _sigma_margin(m) > 1.01 or not np.all(np.isfinite(stack)):
-        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best)), None
-    upper, best, carry = _chained_upper(stack, best, carry)
+        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
+    squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
+    size = max(1, _block_rows(m) // 4)
+    upper = np.concatenate([_sigma_max_upper(stack[first : first + size], best, squarings)
+                            for first in range(0, k, size)])
     for row in np.argsort(upper)[::-1].tolist():
         # the bounds decrease, so the rows that beat best are a prefix; a
         # NaN best stops here too: nothing can change it
         if not upper[row] > best:
             break
         best = max(best, float(_smax(stack[row])))
-    return best, carry
+    return best
 
 
 #: computed norms, and the row's H bound, outside [2^-300, 2^300] leave a
@@ -502,23 +383,21 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
 
 
 class _CompHMax:
-    """The running maximum of sigma_max((P - I) H) over the grid rows
-    handed to ``add``, block by block, and the carry of ``_max_sigma``,
-    which searches every (P - I) H stack built.
+    """The running maximum ``best`` of sigma_max((P - I) H) over the grid
+    rows handed to ``add``, block by block; ``_max_sigma`` searches every
+    (P - I) H stack built.
 
     Below m = ``_REFINE_MIN_ORDER`` every row's stack is built and
     searched with its block.  From there on, each row first gets the
     bound of ``_comp_h_upper``, which needs no (m, m) work, and only a
     row whose bound is not at most the running maximum can hold
     ``max_comp_h`` (the test is "not <=", so a NaN maximum keeps every
-    row, as it kept every block before).  The row of a block with the
-    largest bound is searched first, on its own, so the maximum starts
-    near the block's; the block's other candidates, filtered against it,
-    wait in a buffer of (m, l) maps and H rows.  Whenever the buffer holds
-    ``spectral._block_rows(m)`` rows, one (rows, m, m) budget, and at the
-    end, it is searched in stacks of at most that many rows, each
-    filtered again against the maximum as it rose.  So no (n, m, l) array
-    spans the grid, and only candidate rows get an (m, m) stack.
+    row, as it keeps every block below m = 16).  The row of a block with
+    the largest bound is searched first, on its own, so the maximum
+    starts near the block's; the block's other candidates follow in
+    stacks of at most ``spectral._block_rows(m)`` rows, one (rows, m, m)
+    budget, each filtered again against the maximum as it rose.  So only
+    candidate rows get an (m, m) stack.
     """
 
     def __init__(self, design: np.ndarray):
@@ -529,8 +408,7 @@ class _CompHMax:
         self.filtered = m >= _REFINE_MIN_ORDER
         self.factor = _gram_factor(design) if self.filtered else None
         self.size = _block_rows(m)
-        self.best, self.carry = -math.inf, None
-        self.pending, self.held = [], 0
+        self.best = -math.inf
 
     def add(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
         """Take the rows of one grid block: their (k, m, l) coefficient
@@ -547,27 +425,10 @@ class _CompHMax:
             self.best = max(self.best, sigma)
             upper[top] = -math.inf  # searched
         rows = np.flatnonzero(~(upper <= self.best))
-        if rows.size:
-            self.pending.append((coef_map[rows], hdiag[rows], upper[rows]))
-            self.held += rows.size
-        if self.held >= self.size:
-            self._flush()
-
-    def result(self) -> float:
-        """The maximum over every row handed over."""
-        self._flush()
-        return self.best
-
-    def _flush(self) -> None:
-        if not self.held:
-            return
-        maps, hdiag, upper = (np.concatenate(part) for part in zip(*self.pending))
-        self.pending, self.held = [], 0
-        for first in range(0, len(upper), self.size):
-            part = slice(first, first + self.size)
-            keep = np.flatnonzero(~(upper[part] <= self.best)) + first
-            if keep.size:
-                self._search(maps[keep], hdiag[keep])
+        while rows.size:
+            part, rows = rows[: self.size], rows[self.size :]
+            self._search(coef_map[part], hdiag[part])
+            rows = rows[~(upper[rows] <= self.best)]
 
     def _comp(self, coef_map: np.ndarray, hdiag: np.ndarray) -> np.ndarray:
         """The (k, m, m) stack of (P - I) H, formed in place."""
@@ -577,7 +438,7 @@ class _CompHMax:
         return comp
 
     def _search(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
-        self.best, self.carry = _max_sigma(self._comp(coef_map, hdiag), self.best, self.carry)
+        self.best = _max_sigma(self._comp(coef_map, hdiag), self.best)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -774,9 +635,9 @@ class BoundCertificate:
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
     argument held on the same grid.  ``majorants["max_comp_h"]`` is the
     exact max over the grid of sigma_max((P - I) H): the SVD of an actual
-    grid point (the points whose chained or product upper bounds cannot
-    beat it get none), or exactly 0 when l = m, where P = I.  From m = 16
-    on, a point whose bound from its (m, l) coefficient map alone
+    grid point (the points whose product upper bounds cannot beat it get
+    none), or exactly 0 when l = m, where P = I.  From m = 16 on, a point
+    whose bound from its (m, l) coefficient map alone
     (``_comp_h_upper``: ||P - I|| = ||P|| <= sigma_max(U L) for
     L L^T >= E^T E, times ||H||, with every rounding proven) cannot beat
     the running maximum does not even build its (P - I) H.
@@ -839,7 +700,7 @@ def certify_bound(
     forcing products A0 c' are built for the whole block.  Below
     m = ``_REFINE_MIN_ORDER`` (16) a block has ``spectral._block_rows(m)``
     rows and builds P - I and (P - I) H for all of them, so the
-    (rows, m, m) temporaries alive at once come to about 1.5 times
+    (rows, m, m) temporaries alive at once stay below four times
     ``spectral._BLOCK_DOUBLES``.  From m = 16 on a block has core's 128
     rows (fewer when its (rows, m, l) maps would pass that budget), and
     only the rows the filter of ``_CompHMax`` keeps build (P - I) H, in
@@ -849,12 +710,12 @@ def certify_bound(
     sigma_max((P - I) H) pick the rows that could hold the maximum, and
     only those get an SVD.  From m = 16 on each row gets a bound from its
     (m, l) map first (``_comp_h_upper``), and only rows whose bound beats
-    the running maximum build their stack.  In ``_max_sigma`` a few rows
-    of a stack get a bound from products of G = M^T M; the others chain
-    theirs from them by Weyl's inequality, and the last row of each stack
-    carries the chain into the next.  Any grid order and any block size
-    give the same maximum.  With l = m the design is square and invertible, so
-    P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and no P - I is built.
+    the running maximum build their stack.  In ``_max_sigma`` every row of
+    a stack gets a bound from products of G = M^T M, and only rows whose
+    bound beats the running maximum get an SVD.  Any grid order and any
+    block size give the same maximum.  With l = m the design is square and
+    invertible, so P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and no
+    P - I is built.
     The design and its SVD are computed once, for the hypotheses, the
     constants and the solves.
     """
@@ -873,7 +734,8 @@ def certify_bound(
     grid = np.asarray(grid, dtype=float).ravel()
     if grid.size == 0:
         raise ValueError("empty evaluation grid")
-    if grid.min() < xs_nodes[0] - 1e-12 or grid.max() > xs_nodes[-1] + 1e-12:
+    # the constants are proven on [x_1, x_m] only
+    if grid.min() < xs_nodes[0] or grid.max() > xs_nodes[-1]:
         raise ValueError("grid must lie within [x_1, x_m]")
 
     # anchor norms ||a(x_k)|| at every node (exp weights: nodes are regular
@@ -908,7 +770,7 @@ def certify_bound(
         dcs = basis.derivative_rows(grid[block])
         forcing[block] = _norms((coef_map @ dcs[:, :, None])[:, :, 0])
     # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
-    max_comp_h = 0.0 if comp_h is None else comp_h.result()
+    max_comp_h = 0.0 if comp_h is None else comp_h.best
     # np.max keeps a NaN sample (Python's max would skip it)
     max_forcing = float(np.max(forcing))
 

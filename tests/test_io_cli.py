@@ -361,6 +361,20 @@ def test_bound_nan_grid_names_the_point(linear_csv, capsys):
     assert err == "error: bad grid spec 'nan:1:5'; the ends a and b must be finite\n"
 
 
+def test_bound_refuses_a_grid_outside_the_nodes(tmp_path, capsys):
+    """A grid end outside [x_1, x_m], even by 9e-13 on a span of 4e-14,
+    is a usage error: the certificate's constants hold on the span only."""
+    p = tmp_path / "tiny.csv"
+    p.write_text("x1,f\n" + "".join(f"{x!r},0\n" for x in (np.arange(5) * 1e-14).tolist()))
+    cfg = tmp_path / "l1.json"
+    cfg.write_text('{"l": 1, "weight": {"family": "exp", "alpha": 1.0}}')
+    for spec in ("-9e-13:4e-14:5", "0:9.4e-13:5"):
+        code, out, err = run_cli(["bound", "--input", str(p), "--config", str(cfg),
+                                  f"--grid={spec}"], capsys)
+        assert (code, out) == (2, ""), spec
+        assert err == "error: grid must lie within [x_1, x_m]\n"
+
+
 @pytest.mark.parametrize("command", ["fit", "diagnose", "bound"])
 def test_overflowing_design_names_the_node(command, tmp_path, capfd):
     """x^2 overflows at 1e155: malformed input naming the node, with no
