@@ -26,10 +26,12 @@ thread:
 - ``selftest``: ``selftest --seed`` and ``diagnose --seed``;
 - ``converge`` (seed ``-``): the study on sin, exp and runge;
 - ``bound`` (seed ``-``): a certificate with l = m (four nodes, l = 4),
-  whose P - I is exactly 0; and ones on 30 and on 15 nodes with l = 3
-  and ``--grid 4000``, each with its grid given forwards and backwards
-  (15 nodes is below the order from which grid rows are filtered, so
-  every row builds its (P - I) H, in about 14 blocks);
+  whose P - I is exactly 0; and ones with ``--grid 4000`` on 30 and on
+  15 nodes with l = 3 and on 60 nodes with l = 4, each with its grid
+  given forwards and backwards (15 nodes is below the order from which
+  grid rows are filtered, so every row builds its (P - I) H, in about 14
+  blocks; 60 nodes with l = 4 solve the grid in about 60 blocks of 68
+  rows);
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
   ``converge`` with h0 = 0 or h0 ``true``, ``bound --tol bound=nan``;
@@ -145,9 +147,10 @@ def _fixed_runs():
             "--out", "bound.out"]
     files = {"n4.csv": SQUARE_INPUT, "cfg.json": '{"l": 4, "weight": {"family": "exp"}}'}
     yield "bound", "square_design", argv, files, "bound.out"
-    for m, name in ((30, "long_grid"), (15, "long_grid_small_m")):
+    for m, l, name in ((30, 3, "long_grid"), (15, 3, "long_grid_small_m"),
+                       (60, 4, "long_grid_m60")):
         files = {f"n{m}.csv": _long_grid_input(m),
-                 "cfg.json": '{"l": 3, "weight": {"family": "exp"}}'}
+                 "cfg.json": f'{{"l": {l}, "weight": {{"family": "exp"}}}}'}
         for grid, suffix in (("4000", ""), ("1.0:0.0:4000", "_reversed")):
             argv = ["bound", "--input", f"n{m}.csv", "--config", "cfg.json", f"--grid={grid}",
                     "--out", "bound.out"]

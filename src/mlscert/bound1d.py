@@ -35,6 +35,10 @@ m = 16 every row builds it, which costs less there than the bounds would.
 ``_max_sigma`` searches each stack built: every row gets a bound from
 products of its Gram matrix, and only rows whose bound beats the running
 maximum get an SVD.
+
+The node anchors ||a(x_k)|| and the grid are solved in one pass, the
+anchors first, in blocks of one memory budget
+(``_certificate_block_rows``).
 """
 
 import math
@@ -45,12 +49,10 @@ import numpy as np
 from .bases import BasisSpec
 from .config import Tolerances
 from .core import (
-    _BLOCK,
     HypothesisFailure,
     MlsSystem,
     build_design,
     build_rows,
-    build_systems,
     check_hypotheses,
 )
 from .points import PointSet
@@ -441,6 +443,21 @@ class _CompHMax:
         self.best = _max_sigma(self._comp(coef_map, hdiag), self.best)
 
 
+def _certificate_block_rows(m: int, l: int) -> int:
+    """Rows per solved block of the certificate's grid loop, one budget
+    for every m.  Below m = ``_REFINE_MIN_ORDER`` every row builds its
+    (m, m) (P - I) H, so a block has ``spectral._block_rows(m)`` rows: one
+    (rows, m, m) stack of ``spectral._BLOCK_DOUBLES`` doubles.  From there
+    on only the filter's candidates build that stack, in stacks of at most
+    ``_block_rows(m)`` rows (``_CompHMax``), and a block holds
+    (rows, m, l) maps of at most a quarter of that budget, 2^14 doubles:
+    the solve's factors, the coefficient maps and the filter's products
+    then stay beside a candidate stack within four such stacks."""
+    if m < _REFINE_MIN_ORDER:
+        return _block_rows(m)
+    return max(1, _block_rows(m, l) // 4)
+
+
 def _norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a real (n, k) stack, equal bit for bit
     to ``np.linalg.norm(row)`` per row: numpy computes that as
@@ -641,8 +658,10 @@ class BoundCertificate:
     (``_comp_h_upper``: ||P - I|| = ||P|| <= sigma_max(U L) for
     L L^T >= E^T E, times ||H||, with every rounding proven) cannot beat
     the running maximum does not even build its (P - I) H.
-    ``max_forcing`` is the max of ||A0 c'||.  Neither depends on the
-    order of the grid or on how the grid loop splits it into blocks.
+    ``max_forcing`` is the max of ||A0 c'||.  Both are maxima over the
+    grid points only, not the node anchors that share their solve pass,
+    and neither depends on the order of the grid or on how the grid loop
+    splits it into blocks.
     """
 
     constants: BoundConstants
@@ -695,16 +714,20 @@ def certify_bound(
     instance is outside the certified setting (needs d = 1, increasing nodes,
     the exponential weight family, and a 1-D basis).
 
-    The grid is walked once.  Each block is solved in one stacked call,
-    then a(x), its norm, the nearest node, the coefficient maps A0 and the
-    forcing products A0 c' are built for the whole block.  Below
-    m = ``_REFINE_MIN_ORDER`` (16) a block has ``spectral._block_rows(m)``
-    rows and builds P - I and (P - I) H for all of them, so the
-    (rows, m, m) temporaries alive at once stay below four times
-    ``spectral._BLOCK_DOUBLES``.  From m = 16 on a block has core's 128
-    rows (fewer when its (rows, m, l) maps would pass that budget), and
-    only the rows the filter of ``_CompHMax`` keeps build (P - I) H, in
-    stacks of at most ``spectral._block_rows(m)`` rows.
+    One ``build_rows`` pass solves the m nodes, for the anchor norms
+    ||a(x_k)||, and then the grid.  A failing anchor raises before any
+    grid row is read, and the anchor rows, which may span several blocks,
+    feed nothing but the anchor norms.  Each block is solved in one
+    stacked call, then a(x), its norm, the nearest node, the coefficient
+    maps A0 and the forcing products A0 c' are built for the block's grid
+    rows.  One budget sizes every block (``_certificate_block_rows``).
+    Below m = ``_REFINE_MIN_ORDER`` (16) a block has
+    ``spectral._block_rows(m)`` rows and builds P - I and (P - I) H for
+    all of them, so the (rows, m, m) temporaries alive at once stay below
+    four times ``spectral._BLOCK_DOUBLES``.  From m = 16 on a block's
+    (rows, m, l) maps hold at most a quarter of that budget, and only the
+    rows the filter of ``_CompHMax`` keeps build (P - I) H, in stacks of
+    at most ``spectral._block_rows(m)`` rows.
 
     ``max_comp_h`` is exact, from candidate rows: upper bounds on
     sigma_max((P - I) H) pick the rows that could hold the maximum, and
@@ -738,31 +761,32 @@ def certify_bound(
     if grid.min() < xs_nodes[0] or grid.max() > xs_nodes[-1]:
         raise ValueError("grid must lie within [x_1, x_m]")
 
-    # anchor norms ||a(x_k)|| at every node (exp weights: nodes are regular
-    # points of the solve)
-    anchor_coeffs, _ = build_systems(xs_nodes, points, basis, weight, design=design)
-    anchor_norm = _norms(anchor_coeffs)
-
     m, m1, m2 = points.m, consts.forcing_bound, consts.growth_rate
+    anchor_norm = np.empty(m)
     lhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
     forcing = np.empty(grid.size)
     comp_h = None if basis.size == m else _CompHMax(design)
-    # from m = 16 on no block builds (rows, m, m) stacks of all its rows:
-    # core's blocks, or fewer rows when (rows, m, l) would pass the budget
-    size = _block_rows(m)
-    if m >= _REFINE_MIN_ORDER:
-        size = min(_BLOCK, _block_rows(m, basis.size))
-    # exp weights never vanish, so no row is an interpolation limit and
-    # every row carries its QR factors
-    blocks = build_rows(grid[:, None], points, basis, weight, design=design,
-                        block_rows=size)
+    # one solve pass: the m node anchors ||a(x_k)|| lead, the grid follows,
+    # so a failing anchor raises before any grid row is read.  exp weights
+    # never vanish, so no row is an interpolation limit and every row
+    # carries its QR factors
+    rows_x = np.concatenate([xs_nodes, grid])[:, None]
+    blocks = build_rows(rows_x, points, basis, weight, design=design,
+                        block_rows=_certificate_block_rows(m, basis.size))
     for start, rows in blocks:
-        block = slice(start, start + len(rows.coeffs))
+        # the block's anchor rows, then its grid rows from ``cut`` on
+        n_rows = len(rows.coeffs)
+        cut = min(max(m - start, 0), n_rows)
+        if cut:
+            anchor_norm[start : start + cut] = _norms(rows.coeffs[:cut])
+        if cut == n_rows:
+            continue
+        block = slice(start + cut - m, start + n_rows - m)
         # the nearest node anchors the envelope; a tie goes to the smaller index
-        k0s[block] = np.argmin(rows.dists, axis=1)
-        lhs[block] = _norms(rows.coeffs)
-        coef_map = coef_map_stack(rows.qmats, rows.rmats, rows.roots)
+        k0s[block] = np.argmin(rows.dists[cut:], axis=1)
+        lhs[block] = _norms(rows.coeffs[cut:])
+        coef_map = coef_map_stack(rows.qmats[cut:], rows.rmats[cut:], rows.roots[cut:])
         if comp_h is not None:
             comp_h.add(coef_map, dlogw_diag(grid[block], points, alpha))
         # a stacked matmul runs one BLAS matrix-vector product per row,

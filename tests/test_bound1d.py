@@ -827,6 +827,72 @@ def test_certificate_work_counts(monkeypatch):
         assert stacks["filter"] == 400
 
 
+def _count_passes(monkeypatch) -> dict:
+    """Count the certificate's ``build_rows`` and ``build_systems`` calls,
+    the grid rows' coefficient maps, and the H diagonals the filter
+    (``_comp_h_upper``) is handed, in order, from here on."""
+    seen = {"build_rows": 0, "build_systems": 0, "maps": 0, "filtered": []}
+    rows, maps, upper = core.build_rows, bound1d.coef_map_stack, bound1d._comp_h_upper
+
+    def counted_rows(*args, **kwargs):
+        seen["build_rows"] += 1
+        return rows(*args, **kwargs)
+
+    def counted_systems(*args, **kwargs):
+        seen["build_systems"] += 1
+        raise AssertionError("the certificate solves in one build_rows pass")
+
+    def counted_maps(qmats, *args):
+        seen["maps"] += len(qmats)
+        return maps(qmats, *args)
+
+    def counted_upper(coef_map, hdiag, *args):
+        seen["filtered"].append(hdiag.copy())
+        return upper(coef_map, hdiag, *args)
+
+    for module in (core, bound1d):
+        monkeypatch.setattr(module, "build_rows", counted_rows)
+        monkeypatch.setattr(module, "build_systems", counted_systems, raising=False)
+    monkeypatch.setattr(bound1d, "coef_map_stack", counted_maps)
+    monkeypatch.setattr(bound1d, "_comp_h_upper", counted_upper)
+    return seen
+
+
+@pytest.mark.parametrize("doubles", [2**10, spectral._BLOCK_DOUBLES])
+def test_certificate_solves_in_one_pass(monkeypatch, doubles):
+    """The node anchors and the grid go through one ``build_rows`` call,
+    and no ``build_systems`` call.  The filter is handed every grid row
+    once, in grid order, and no anchor row, also when a small budget
+    spreads the anchors over several blocks."""
+    pts, basis, weight = _work_count_instance()
+    grid = uniform_grid(pts, 400)[::-1].copy()
+    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+    assert (doubles > 2**10) == (bound1d._certificate_block_rows(pts.m, basis.size) > pts.m)
+    seen = _count_passes(monkeypatch)
+    cert = certify_bound(pts, basis, weight, grid=grid)
+    assert (seen["build_rows"], seen["build_systems"], seen["maps"]) == (1, 0, 400)
+    filtered = np.concatenate(seen["filtered"])
+    assert filtered.tobytes() == dlogw_diag(grid, pts, weight.alpha).tobytes()
+    assert cert.metadata["n_grid"] == 400
+
+
+@pytest.mark.parametrize("doubles", [2**10, spectral._BLOCK_DOUBLES])
+def test_failing_anchor_raises_before_any_grid_row(monkeypatch, doubles):
+    """A node anchor over the condition limit raises its own error, that
+    of the first failing node, before any grid row's map is built."""
+    pts, basis, weight = _work_count_instance()
+    cond = [build_system(x, pts, basis, weight).cond_gram for x in pts.nodes[:, 0]]
+    limit = (min(cond) + max(cond)) / 2.0
+    first = next(c for c in cond if c > limit)
+    monkeypatch.setattr(core, "COND_LIMIT", limit)
+    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+    seen = _count_passes(monkeypatch)
+    with pytest.raises(ConditioningError) as err:
+        certify_bound(pts, basis, weight, n_grid=400)
+    assert str(err.value) == str(ConditioningError(first, limit))
+    assert (seen["build_rows"], seen["maps"], seen["filtered"]) == (1, 0, [])
+
+
 def test_small_orders_build_every_row(monkeypatch):
     """Below m = ``_REFINE_MIN_ORDER`` the walk is the one before the
     filter: no filter bound, and every grid row gets its (m, m) stack."""
@@ -1026,18 +1092,19 @@ def _certificate_peak(args, n_grid: int) -> int:
 
 def test_certificate_peak_memory():
     """The grid loop's temporaries stay below those of six stacks of 2^15
-    doubles, although a block now holds twice as many rows.  Below the
-    filter's order, where every row builds its stack in blocks of
-    ``spectral._block_rows(m)`` rows and ``_max_sigma`` takes its product
-    bounds in chunks, they stay below four stacks of
-    ``spectral._BLOCK_DOUBLES`` doubles (2 MiB)."""
+    doubles, although a block now holds twice as many rows.  On 4000
+    points they stay below four stacks of ``spectral._BLOCK_DOUBLES``
+    doubles (2 MiB): below the filter's order, where every row builds its
+    stack in blocks of ``spectral._block_rows(m)`` rows and ``_max_sigma``
+    takes its product bounds in chunks, and from there on, where a block
+    holds (rows, m, l) maps of a quarter of that budget."""
     assert _certificate_peak(_work_count_instance(), 400) < _SIX_STACK_PEAK
-    for m in (9, 15):
+    for m, l in ((9, 3), (15, 3), (16, 1), (20, 2), (60, 4)):
         rng = np.random.default_rng(m)
         xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
-        args = PointSet(xs, values=np.sin(xs)), monomial_basis(3), WeightSpec("exp", 1.0)
+        args = PointSet(xs, values=np.sin(xs)), monomial_basis(l), WeightSpec("exp", 1.0)
         peak = _certificate_peak(args, 4000)
-        assert peak < 4 * spectral._BLOCK_DOUBLES * 8, (m, peak)
+        assert peak < 4 * spectral._BLOCK_DOUBLES * 8, (m, l, peak)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
@@ -1045,8 +1112,9 @@ def test_certificate_peak_memory():
 @pytest.mark.parametrize("m", [3, 12, 38, 40])
 def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, order):
     """Blocks and product chunks of any size give the same report
-    bytes, down to blocks of one row; and so
-    does a budget that holds the whole grid in one block."""
+    bytes, down to blocks of one row, where the node anchors that lead
+    the solve span several blocks; and so does a budget that holds the
+    whole grid in one block."""
     rng = np.random.default_rng(m + 10 * l)
     xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
     pts = PointSet(xs, values=np.sin(xs))
@@ -1056,7 +1124,7 @@ def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, orde
     elif order == "shuffled":
         grid = grid[rng.permutation(len(grid))]
     reports = set()
-    for doubles in (2**8, 2**15, 2**16, 2**20):
+    for doubles in (2**4, 2**8, 2**15, 2**16, 2**20):
         monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
         reports.add(_outcome(lambda: canonical_json(certify_bound(
             pts, monomial_basis(l), WeightSpec("exp", 0.7), grid=grid).to_dict())))
