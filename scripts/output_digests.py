@@ -48,7 +48,11 @@ thread:
   finite, and ``converge`` with 2000 levels, past what any array holds.
   Each of these exits 2.  ``fit``, ``bound`` and ``diagnose``
   with the basis size 100000 on five nodes exit 3 at once
-  (``basis_size_le_nodes``).  Per seed, ``edge`` also runs the first
+  (``basis_size_le_nodes``).  On five nodes in [0, 1] with exp alpha 1,
+  ``fit`` and ``diagnose`` at x = 30 with l = 2 exit 3 and on
+  ``--grid 0:200:50`` with l = 3 exit 4, and ``bound`` on two clusters
+  of five nodes, 7 apart, exits 4; each message names the first failing
+  point and its grid index.  Per seed, ``edge`` also runs the first
   ``fit`` job on a copy of its input that starts with a UTF-8 byte-order
   mark; it exits 0 with that job's own output.
 
@@ -79,6 +83,11 @@ MALFORMED_INPUT = "x1,f\n0,0\n\n1,one\n2,4\n"
 NOT_UTF8_INPUT = b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n"
 #: five nodes inside [0, 1], where no basis value overflows
 FIVE_NODES_INPUT = "x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n"
+#: five nodes spanning [0, 1]
+SPAN_NODES_INPUT = "x1,f\n0,1\n0.25,2\n0.5,0\n0.75,1\n1,3\n"
+#: two clusters of five nodes, [0, 1] and [8, 9]
+CLUSTERS_INPUT = "x1,f\n" + "".join(f"{x},0.5\n" for x in
+                                     (0, 0.25, 0.5, 0.75, 1, 8, 8.25, 8.5, 8.75, 9))
 
 
 def _long_grid_input(m: int) -> str:
@@ -200,6 +209,17 @@ def _fixed_runs():
         yield "edge", f"{command}_l_huge", argv, files, f"{command}.out"
     argv = ["converge", "--config", "study.json", "--out", "converge.out"]
     yield "edge", "converge_levels_2000", argv, {"study.json": '{"levels": 2000}'}, "converge.out"
+    for name, l, grid in (("design_rank_far_point", 2, "30:30:1"),
+                          ("conditioning_far_grid", 3, "0:200:50")):
+        files = {"n5.csv": SPAN_NODES_INPUT,
+                 "cfg.json": f'{{"l": {l}, "weight": {{"family": "exp"}}}}'}
+        for command in ("fit", "diagnose"):
+            argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--grid", grid,
+                    "--out", f"{command}.out"]
+            yield "edge", f"{command}_{name}", argv, files, f"{command}.out"
+    files = {"c.csv": CLUSTERS_INPUT, "cfg.json": '{"l": 3, "weight": {"family": "exp", "alpha": 3}}'}
+    argv = ["bound", "--input", "c.csv", "--config", "cfg.json", "--out", "bound.out"]
+    yield "edge", "bound_conditioning_between_clusters", argv, files, "bound.out"
 
 
 def main() -> None:

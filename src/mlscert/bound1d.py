@@ -51,6 +51,7 @@ from .config import Tolerances
 from .core import (
     HypothesisFailure,
     MlsSystem,
+    _located,
     build_design,
     build_rows,
     check_hypotheses,
@@ -774,7 +775,14 @@ def certify_bound(
     rows_x = np.concatenate([xs_nodes, grid])[:, None]
     blocks = build_rows(rows_x, points, basis, weight, design=design,
                         block_rows=_certificate_block_rows(m, basis.size))
-    for start, rows in blocks:
+
+    def point(row):
+        """A failing row: a node anchor, or a point of the grid."""
+        if row < m:
+            return xs_nodes[row], row, m, "node"
+        return grid[row - m], row - m, grid.size
+
+    for start, rows in _located(blocks, point):
         # the block's anchor rows, then its grid rows from ``cut`` on
         n_rows = len(rows.coeffs)
         cut = min(max(m - start, 0), n_rows)

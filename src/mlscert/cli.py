@@ -28,6 +28,7 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
+    MlsError,
     _ERRORS,
     build_rows,
     build_systems,
@@ -326,11 +327,14 @@ def cmd_diagnose(args) -> int:
         # are diagnosed first, so an error there still comes first, as in a
         # loop over the points
         systems, error = [], None
+        blocks = build_rows(grid, points, basis, weight, conds=True)
         try:
-            for _, rows in build_rows(grid, points, basis, weight, conds=True):
+            for _, rows in blocks:
                 systems += rows.systems()
         except _ERRORS as exc:
             error = exc
+            if isinstance(exc, MlsError):
+                exc.locate(grid[len(systems)], len(systems), len(grid))
         reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
         if error is not None:
             raise error
@@ -457,10 +461,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except HypothesisFailure as exc:
-        print(str(exc), file=sys.stderr)
+        print(f"{exc}{exc.where}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConditioningError as exc:
-        print(f"conditioning failure: {exc}", file=sys.stderr)
+        print(f"conditioning failure: {exc}{exc.where}", file=sys.stderr)
         return EXIT_CONDITIONING
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

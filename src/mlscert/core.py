@@ -29,6 +29,18 @@ COND_LIMIT = 1e12
 class MlsError(Exception):
     """Base class for fitting errors."""
 
+    #: the point whose solve failed, as `` at x = 30.0 (grid point 0 of
+    #: 1)``, once the caller that walked the points names it (``locate``);
+    #: the CLI appends it to the message, which stays as raised
+    where = ""
+
+    def locate(self, x, index: int, count: int, what: str = "grid point") -> None:
+        """Name the failing point x, a scalar or a (d,) row, as point
+        ``index`` of the ``count`` points of its kind."""
+        coords = np.ravel(x).tolist()
+        text = repr(coords[0]) if len(coords) == 1 else "(" + ", ".join(map(repr, coords)) + ")"
+        self.where = f" at x = {text} ({what} {index} of {count})"
+
 
 class ConditioningError(MlsError):
     """Gram matrix condition estimate exceeded the admissible limit."""
@@ -444,6 +456,21 @@ def _replayed(solve, n: int, size: int):
         yield from blocks
 
 
+def _located(blocks, point):
+    """The ``(start, rows)`` blocks of ``build_rows``, passed on in row
+    order.  An ``MlsError`` raised while a block is solved belongs to the
+    first row not passed on yet, so it is located there
+    (``MlsError.locate``): ``point(row)`` gives the arguments."""
+    done = 0
+    try:
+        for start, rows in blocks:
+            done = start + len(rows.coeffs)
+            yield start, rows
+    except MlsError as exc:
+        exc.locate(*point(done))
+        raise
+
+
 def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> MlsSystem:
     """Assemble and solve the local system at evaluation point x: the
     one-row case of ``build_rows``.
@@ -476,7 +503,8 @@ def build_systems(xs, points, basis: BasisSpec, weight=None, *, dvecs=None,
 
     Returns the coefficient stack (n, m), equal bit for bit to
     ``build_system(x).coeffs`` row by row, and the node index of every
-    interpolation-limit row (-1 elsewhere).
+    interpolation-limit row (-1 elsewhere).  An ``MlsError`` of a row
+    names that row as a grid point.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if xs.ndim == 1:
@@ -484,7 +512,8 @@ def build_systems(xs, points, basis: BasisSpec, weight=None, *, dvecs=None,
     m = points.m if isinstance(points, PointSet) else np.shape(points)[1]
     coeffs = np.empty((len(xs), m))
     at_node = np.empty(len(xs), dtype=int)
-    for start, rows in build_rows(xs, points, basis, weight, dvecs=dvecs, design=design):
+    blocks = build_rows(xs, points, basis, weight, dvecs=dvecs, design=design)
+    for start, rows in _located(blocks, lambda row: (xs[row], row, len(xs))):
         block = slice(start, start + len(rows.coeffs))
         coeffs[block] = rows.coeffs
         at_node[block] = -1 if rows.at_node is None else rows.at_node

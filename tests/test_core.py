@@ -246,6 +246,24 @@ def test_build_systems_block_boundary():
     assert rows[-1].at_node == 4
 
 
+@pytest.mark.parametrize("first", [0, core._BLOCK - 1, core._BLOCK, 2 * core._BLOCK + 5])
+def test_build_systems_locates_the_first_failing_row(first):
+    """A failing row keeps the message its one-row solve raises, and
+    ``where`` names it as the grid point it is, in whichever block it
+    lies; the rows before it pass."""
+    pts = PointSet(np.linspace(0.0, 1.0, 5), values=np.zeros(5))
+    basis, weight = monomial_basis(2), WeightSpec("exp", 1.0)
+    xs = np.full(2 * core._BLOCK + 9, 0.5)
+    xs[first:] = 30.0  # every weight overflows: the design_full_rank failure
+    with pytest.raises(HypothesisFailure) as err:
+        build_systems(xs, pts, basis, weight)
+    with pytest.raises(HypothesisFailure) as one:
+        build_system(30.0, pts, basis, weight)
+    assert str(err.value) == str(one.value) == "hypothesis failure: design_full_rank"
+    assert err.value.where == f" at x = 30.0 (grid point {first} of {len(xs)})"
+    assert one.value.where == ""
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 25, 300])
 def test_fitted_values_match_per_row_products(m):
     """The stacked dot products equal a @ values row by row, bit for bit,

@@ -411,7 +411,48 @@ def test_overflowing_distance_gives_no_warning(linear_csv, capfd):
     code = main(["fit", "--input", linear_csv, "--grid", "1e160:1e160:1"])
     out, err = capfd.readouterr()
     assert (code, out) == (3, "")
-    assert err == "hypothesis failure: design_full_rank\n"
+    assert err == "hypothesis failure: design_full_rank at x = 1e+160 (grid point 0 of 1)\n"
+
+
+#: five nodes on [0, 1], for the failures far outside them
+_FIVE_NODES = "x1,f\n0,1\n0.25,2\n0.5,0\n0.75,1\n1,3\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize("l,grid,code,message", [
+    # every weight overflows to inf: no row of the scaled design is left
+    (2, "30:30:1", 3, "hypothesis failure: design_full_rank at x = 30.0 (grid point 0 of 1)"),
+    (3, "0:200:50", 4, "conditioning failure: gram condition estimate 1.813e+13 exceeds "
+                       "limit 1.000e+12 at x = 24.48979591836735 (grid point 6 of 50)"),
+])
+def test_exits_3_and_4_name_the_first_failing_point(command, l, grid, code, message,
+                                                     tmp_path, capsys):
+    """A rank or conditioning failure names the first failing point and
+    its index in the grid, after the message's usual prefix."""
+    (tmp_path / "n5.csv").write_text(_FIVE_NODES)
+    (tmp_path / "cfg.json").write_text(f'{{"l": {l}, "weight": {{"family": "exp"}}}}')
+    argv = [command, "--input", str(tmp_path / "n5.csv"), "--config", str(tmp_path / "cfg.json"),
+            "--grid", grid]
+    assert run_cli(argv, capsys) == (code, "", message + "\n")
+
+
+def test_bound_names_the_failing_grid_point_or_node(tmp_path, capsys, monkeypatch):
+    """``bound`` names a failing grid point by its index in the grid, and
+    a failing node anchor, which is solved first, by its node index."""
+    from mlscert import core
+
+    xs = np.concatenate([np.linspace(0.0, 1.0, 5), np.linspace(8.0, 9.0, 5)])
+    (tmp_path / "c.csv").write_text("x1,f\n" + "".join(f"{x!r},0.5\n" for x in xs.tolist()))
+    (tmp_path / "cfg.json").write_text('{"l": 3, "weight": {"family": "exp", "alpha": 3}}')
+    argv = ["bound", "--input", str(tmp_path / "c.csv"), "--config", str(tmp_path / "cfg.json")]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("conditioning failure: gram condition estimate ")
+    assert err.endswith(" at x = 4.974874371859297 (grid point 110 of 200)\n")
+    monkeypatch.setattr(core, "COND_LIMIT", 1.0)  # every node fails, the first one first
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert err.endswith(" at x = 0.0 (node 0 of 10)\n")
 
 
 @pytest.mark.parametrize("target", ["outdir", "missing/out.json"])
