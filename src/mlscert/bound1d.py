@@ -651,7 +651,8 @@ class BoundCertificate:
 
     ``passed`` means every grid point satisfies lhs <= rhs within the
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
-    argument held on the same grid.  ``majorants["max_comp_h"]`` is the
+    argument held on the same grid.  At a grid point on a node, rhs is the
+    anchor norm itself, which lhs equals there bit for bit.  ``majorants["max_comp_h"]`` is the
     exact max over the grid of sigma_max((P - I) H): the SVD of an actual
     grid point (the points whose product upper bounds cannot beat it get
     none), or exactly 0 when l = m, where P = I.  From m = 16 on, a point
@@ -820,6 +821,10 @@ def certify_bound(
     # np.minimum, like min, keeps a NaN exponent
     exponent = np.minimum(logs + m2 * dist[positive], _MAX_LOG)
     rhs[positive] = list(map(math.exp, exponent.tolist()))
+    # at a node the envelope is b = ||a(x_k)|| itself, which exp(log b)
+    # can miss by one ulp either way; an inf b stays clipped
+    exact = positive & (dist == 0.0) & np.isfinite(base)
+    rhs[exact] = base[exact]
     slack = rhs - lhs
     majorants = {
         "max_comp_h": max_comp_h,

@@ -2,8 +2,11 @@
 derivative identity for the coefficient vector, envelope constants, and the
 grid certificate."""
 
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +272,68 @@ def test_certificate_builds_the_design_and_its_svd_once(monkeypatch):
     assert cert.constants == bound_constants(pts, basis, alpha=1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(2, 40),
+    l=st.integers(1, 4),
+    log_alpha=st.floats(math.log(0.05), math.log(20.0)),
+    log_span=st.floats(math.log(1e-3), math.log(3.0)),
+    between=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_envelope_at_a_node_is_its_anchor_norm(m, l, log_alpha, log_span, between, seed):
+    """On a grid through every node, the envelope at a node is exactly
+    the anchor norm b = ||a(x_k)||, which lhs equals bit for bit there:
+    the slack is exactly 0, not an ulp below it."""
+    rng = np.random.default_rng(seed)
+    span = math.exp(log_span)
+    xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
+    pts = PointSet(xs, values=np.cos(xs))
+    weight = WeightSpec("exp", math.exp(log_alpha))
+    assume(weight.alpha * span * span < bound1d._MAX_LOG)
+    fill = [np.linspace(a, b, between + 2)[1:-1] for a, b in zip(xs[:-1], xs[1:])]
+    grid = np.sort(np.concatenate([xs, *fill]))
+    try:
+        cert = certify_bound(pts, monomial_basis(min(l, len(xs))), weight, grid=grid)
+    except (ConditioningError, HypothesisFailure):
+        assume(False)
+    on_node = np.isin(cert.xs, xs)
+    assert on_node.sum() == len(xs)
+    assert np.all(cert.slack[on_node] == 0.0)
+    assert np.all(cert.rhs[on_node] == cert.lhs[on_node])
+
+
+def _bench_bound_jobs(seed: int) -> list:
+    """The benchmark's ``bound`` jobs of a seed, from
+    ``perfbench/workloads.py``, loaded without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    written, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+        del sys.modules[spec.name]
+    return module.make_jobs("bound", seed)
+
+
+def test_benchmark_certificates_have_no_negative_slack():
+    """The 80 certificates of the benchmark's ``bound`` jobs of seeds 42,
+    7, 3, 1 and 2 pass without the slack tolerance: 7 of them had a min
+    slack of -2.8e-17 or -5.6e-17 at a node, where exp(log b) fell one
+    ulp below b."""
+    for seed in (42, 7, 3, 1, 2):
+        for job in _bench_bound_jobs(seed):
+            spec = job.spec
+            pts = PointSet(spec["nodes"][:, 0], values=spec["values"])
+            weight = WeightSpec("exp", spec["alpha"])
+            cert = certify_bound(pts, monomial_basis(spec["l"]), weight,
+                                 grid=uniform_grid(pts, spec["n"], weight))
+            assert float(np.min(cert.slack)) >= 0.0, (seed, job.name)
+
+
 def test_certificate_hypothesis_errors_keep_their_order():
     """With the design built up front, a certificate still fails first on
     the design (a dimension mismatch or an overflowing node), then on the
@@ -369,6 +434,8 @@ def _per_point_certificate(pts, basis, weight, grid):
         dist = float(abs(x - xs[k0]))
         base = float(anchor[k0]) + m1 * dist
         env = math.exp(min(math.log(base) + m2 * dist, bound1d._MAX_LOG)) if base > 0 else 0.0
+        if dist == 0.0 and 0.0 < base < math.inf:
+            env = base  # at a node the envelope is b itself
         lhs.append(np.linalg.norm(sysm.coeffs))
         rhs.append(env)
         k0s.append(k0)
