@@ -652,8 +652,9 @@ class BoundCertificate:
     ``passed`` means every grid point satisfies lhs <= rhs within the
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
     argument held on the same grid.  At a grid point on a node, rhs is the
-    anchor norm itself, which lhs equals there bit for bit.  ``majorants["max_comp_h"]`` is the
-    exact max over the grid of sigma_max((P - I) H): the SVD of an actual
+    anchor norm itself, which lhs equals there bit for bit.
+    ``majorants["max_comp_h"]`` is the exact max over the grid of
+    sigma_max((P - I) H): the SVD of an actual
     grid point (the points whose product upper bounds cannot beat it get
     none), or exactly 0 when l = m, where P = I.  From m = 16 on, a point
     whose bound from its (m, l) coefficient map alone

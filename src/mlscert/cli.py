@@ -325,7 +325,8 @@ def cmd_diagnose(args) -> int:
         grid = _as_points(grid, points)
         # the systems before the first failing point, and its error; they
         # are diagnosed first, so an error there still comes first, as in a
-        # loop over the points
+        # loop over the points.  A refusal of the whole call (l > m) raises
+        # here, before the walk, so it names no point
         systems, error = [], None
         blocks = build_rows(grid, points, basis, weight, conds=True)
         try:
