@@ -934,6 +934,7 @@ def test_certificate_solves_in_one_pass(monkeypatch, doubles):
     pts, basis, weight = _work_count_instance()
     grid = uniform_grid(pts, 400)[::-1].copy()
     monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+    # the small budget spreads the 38 anchors over blocks of 2 rows
     assert (doubles > 2**10) == (bound1d._certificate_block_rows(pts.m, basis.size) > pts.m)
     seen = _count_passes(monkeypatch)
     cert = certify_bound(pts, basis, weight, grid=grid)
