@@ -28,10 +28,11 @@ thread:
 - ``bound`` (seed ``-``): a certificate with l = m (four nodes, l = 4),
   whose P - I is exactly 0; and ones with ``--grid 4000`` on 30 and on
   15 nodes with l = 3 and on 60 nodes with l = 4, each with its grid
-  given forwards and backwards (15 nodes is below the order from which
-  grid rows are filtered, so every row builds its (P - I) H, in about 14
-  blocks; 60 nodes with l = 4 solve the grid in about 60 blocks of 68
-  rows);
+  given forwards and backwards (60 nodes with l = 4 solve the grid in
+  about 60 blocks of 68 rows); and the hard regime, where M2 is far
+  above sigma_max((P - I) H) and rhs far above lhs: exp alpha 1 on nine
+  evenly spaced nodes on [0, r] with alpha r^2 = 4, 9 and 16, and alpha
+  0.3 on 21 on [0, 10] (alpha r^2 = 30), each with l = 2 on 400 points;
 - ``edge`` (seed ``-``): an evaluation point whose node distances
   overflow, ``--out`` naming a directory or a path under a missing one,
   ``converge`` with h0 = 0 or h0 ``true``, ``bound --tol bound=nan``;
@@ -88,6 +89,12 @@ SPAN_NODES_INPUT = "x1,f\n0,1\n0.25,2\n0.5,0\n0.75,1\n1,3\n"
 #: two clusters of five nodes, [0, 1] and [8, 9]
 CLUSTERS_INPUT = "x1,f\n" + "".join(f"{x},0.5\n" for x in
                                      (0, 0.25, 0.5, 0.75, 1, 8, 8.25, 8.5, 8.75, 9))
+
+
+def _even_input(r: float, m: int) -> str:
+    """m evenly spaced nodes on [0, r]."""
+    nodes = [r * i / (m - 1) for i in range(m)]
+    return "x1,f\n" + "".join(f"{x!r},{math.sin(3 * x)!r}\n" for x in nodes)
 
 
 def _long_grid_input(m: int) -> str:
@@ -164,6 +171,12 @@ def _fixed_runs():
             argv = ["bound", "--input", f"n{m}.csv", "--config", "cfg.json", f"--grid={grid}",
                     "--out", "bound.out"]
             yield "bound", name + suffix, argv, files, "bound.out"
+    for r, m, alpha in ((2.0, 9, 1.0), (3.0, 9, 1.0), (4.0, 9, 1.0), (10.0, 21, 0.3)):
+        files = {"nodes.csv": _even_input(r, m),
+                 "cfg.json": f'{{"l": 2, "weight": {{"family": "exp", "alpha": {alpha!r}}}}}'}
+        argv = ["bound", "--input", "nodes.csv", "--config", "cfg.json", "--grid", "400",
+                "--out", "bound.out"]
+        yield "bound", f"hard_alpha_r2_{round(alpha * r * r)}", argv, files, "bound.out"
     fit = ["fit", "--input", "n3.csv", "--grid"]
     inputs = {"n3.csv": EDGE_INPUT}
     yield "edge", "distance_overflow", fit + ["1e160:1e160:1"], inputs, None

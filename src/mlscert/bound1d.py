@@ -23,22 +23,16 @@ Pi the orthogonal projector onto range(D^(-1/2) E), so ||P|| <= sqrt(cond D);
 and A0 = D^(-1/2) (D^(-1/2) E)^(+T), so ||A0|| <= sqrt(cond D) / smin(E).
 On [x_1, x_m] cond D <= exp(alpha r^2), with r the span.
 
-The reported ``max_comp_h``, the largest sigma_max((P - I) H) over the grid,
-is the SVD of an actual grid row, and most rows never build their (m, m)
-(P - I) H.  From m = 16 on, each row first gets an upper bound from its
-(m, l) coefficient map U alone (``_comp_h_upper``): with L L^T >= E^T E
-from one Cholesky factor per certificate, ||(P - I) H|| <= ||P - I|| ||H||,
-||P - I|| = ||P|| for a projector P != 0, I (Szyld 2006) and
-||P|| = ||U E^T|| <= sigma_max(U L), each step with its rounding proven.
-Only rows whose bound beats the running maximum build the stack.  Below
-m = 16 every row builds it, which costs less there than the bounds would.
-``_max_sigma`` searches each stack built: every row gets a bound from
-products of its Gram matrix, and only rows whose bound beats the running
-maximum get an SVD.
+The majorant check M2 >= sigma_max((P - I) H) needs no (m, m) work on most
+grid rows.  Each row with l < m gets a proven upper bound on the computed
+sigma_max of its (P - I) H from its (m, l) coefficient map alone
+(``_comp_h_upper``, through ||I - P|| = ||P||, Szyld 2006), and a row whose
+bound is not at most M2 + ``tol.bound`` takes the SVD of its (P - I) H
+instead.  The certificate reports ``comp_h_upper``, the largest of these
+per-row values, so it passes exactly when every row's SVD value would.
 
 The node anchors ||a(x_k)|| and the grid are solved in one pass, the
-anchors first, in blocks of one memory budget
-(``_certificate_block_rows``).
+anchors first, in blocks of one memory budget.
 """
 
 import math
@@ -81,16 +75,10 @@ _UNIT_ROUNDOFF = 2.0**-53
 #: Gram squarings of the refined bound, G^(2^_SQUARINGS) (``_sigma_max_upper``)
 _SQUARINGS = 6
 
-#: least m whose candidate rows get the refined bound, and whose grid rows
-#: are filtered before any (m, m) work (``_CompHMax``): below it, an SVD of
-#: the rows left, or the stack of every row, costs less than the numpy
-#: calls of a refinement or of the filter
-_REFINE_MIN_ORDER = 16
 
-
-def _sigma_margin(m: int, l: int | None = None) -> float:
+def _sigma_margin(m: int, l: int) -> float:
     """Relative rounding margin of ``_sigma_max_upper`` for (m, l)
-    matrices, l <= m; l = m by default.
+    matrices, l <= m.
 
     With u = 2^-53, forming G = A^T A in floating point moves it by at
     most m l u ||A||^2 in the 2-norm (|fl(XY) - XY| <= n u |X||Y| for an
@@ -106,12 +94,10 @@ def _sigma_margin(m: int, l: int | None = None) -> float:
     exact value, taken here as p(m) = m l (m^2 for a square matrix).
     All of it stays below 8 m l^2 u for every m >= l >= 1.
     """
-    l = m if l is None else l
     return 1.0 + 8.0 * m * l * l * _UNIT_ROUNDOFF
 
 
-def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
-                     squarings: int = 2) -> np.ndarray:
+def _sigma_max_upper(stack: np.ndarray, best) -> np.ndarray:
     """Upper bounds on the computed sigma_max of each matrix of a finite
     (k, m, l) stack, l <= m, from matrix products instead of an SVD.
 
@@ -125,12 +111,12 @@ def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
     l^(2^-(p+2)): 1.26 for p = 2, 1.06 for p = 4 and 1.015 for p = 6 at
     l = 40, and 1.005 for p = 6 at l = 4.
 
-    Every matrix gets the bound of G^4 (three products).  Up to an even
-    ``squarings``, the matrices whose bound still exceeds ``best`` (one
-    threshold for all, or one per matrix) square
-    their last power twice more, G^4 to G^16 to G^64, each time after
-    rescaling it by the exact power of two that brings its largest |entry|
-    back into [1/2, 1), and keep the least bound.  So every power's norm
+    Every matrix gets the bound of G^4 (three products).  The matrices
+    whose bound exceeds ``best`` (one threshold for all, or one per
+    matrix) square their last power twice at a time up to
+    G^(2^_SQUARINGS), G^4 to G^16 to G^64, each time after rescaling it
+    by the exact power of two that brings its largest |entry| back into
+    [1/2, 1), and keep the least bound.  So every power's norm
     lies in [1/16, l^4] before its exponent (G^4 in [2^-8, (m l)^4]),
     nothing overflows, and what underflows is below 2^-900 of that norm.
     """
@@ -143,15 +129,15 @@ def _sigma_max_upper(stack: np.ndarray, best: float = -math.inf,
     power = power @ power
     upper = _power_bound(power, 2, 0, expo, m)
     rows = np.flatnonzero(upper > best)
-    if squarings > 2 and rows.size:
+    if rows.size:
         power, shift = power[rows], np.zeros(rows.size, dtype=int)
-        for _ in range(2, squarings, 2):
+        for _ in range(2, _SQUARINGS, 2):
             _, rescale = np.frexp(np.abs(power).reshape(rows.size, l * l).max(axis=1))
             power = np.ldexp(power, -rescale[:, None, None])
             power = power @ power
             power = power @ power
             shift = 4 * (shift + rescale)
-        refined = _power_bound(power, squarings, shift, expo[rows], m)
+        refined = _power_bound(power, _SQUARINGS, shift, expo[rows], m)
         upper[rows] = np.minimum(upper[rows], refined)
     return upper
 
@@ -177,41 +163,8 @@ def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
     return np.nextafter(upper, np.inf, out=upper, where=root > 0)
 
 
-def _max_sigma(stack: np.ndarray, best: float) -> float:
-    """max(best, sigma_max of every matrix of the (k, m, m) stack).
-
-    The result is exact: an SVD of an actual matrix, the same stacked
-    ``np.linalg.norm(., 2)`` as over the whole stack.  Every matrix gets
-    the product bound of ``_sigma_max_upper``, refined up to
-    G^(2^_SQUARINGS) from m = ``_REFINE_MIN_ORDER`` on for the matrices
-    whose bound of G^4 beats ``best``.  Only matrices whose bound exceeds the running maximum are
-    decomposed, in decreasing order of that bound, one at a time, so each
-    SVD drops the rows it settles; the others cannot raise the maximum.
-    The bounds are taken in chunks of a quarter of a block's rows
-    (``spectral._block_rows``): a chunk's scaled copy, transposed copy and
-    product stay below one more stack.  A stack with a non-finite entry,
-    or an m whose margin would pass 1%, takes the norm of every matrix, so
-    it fails the same way (numpy raises ``LinAlgError``) or yields NaN,
-    which ``np.max`` keeps.
-    """
-    k, m, _ = stack.shape
-    if _sigma_margin(m) > 1.01 or not np.all(np.isfinite(stack)):
-        return float(np.max(np.linalg.norm(stack, 2, axis=(1, 2)), initial=best))
-    squarings = _SQUARINGS if m >= _REFINE_MIN_ORDER else 2
-    size = max(1, _block_rows(m) // 4)
-    upper = np.concatenate([_sigma_max_upper(stack[first : first + size], best, squarings)
-                            for first in range(0, k, size)])
-    for row in np.argsort(upper)[::-1].tolist():
-        # the bounds decrease, so the rows that beat best are a prefix; a
-        # NaN best stops here too: nothing can change it
-        if not upper[row] > best:
-            break
-        best = max(best, float(_smax(stack[row])))
-    return best
-
-
 #: computed norms, and the row's H bound, outside [2^-300, 2^300] leave a
-#: row without a filter bound (``_comp_h_upper``)
+#: row without a bound (``_comp_h_upper``)
 _NORM_RANGE = (2.0**-300, 2.0**300)
 
 
@@ -260,19 +213,20 @@ def _gram_factor(design: np.ndarray):
       tr(A) <= (1 + u)((1 + gamma_m) ||E||_F^2 + l s).
 
     So L L^T - E^T E >= (s (1 - u - 1.0001 (l + 1) l u) - 1.0002
-    (m + l + 2) u ||E||_F^2) I, as every n u with n <= m^2 is below
-    1/12800 here.  The computed s is at least 3.99 (m + l + 2) u
+    (m + l + 2) u ||E||_F^2) I, as every n u with n <= m^2 + 16 is below
+    1/12800 here (the guard below keeps m < 22,500, so m^2 + 16 < 2^29,
+    for every l < m).  The computed s is at least 3.99 (m + l + 2) u
     ||E||_F^2 (three roundings, and ||E||_F^2 <= eps^2 (1 + (m l + 7) u)
     by ``_norm_margin``'s lemma), so the bracket is positive.  What
     underflows in the Gram is below l m 2^-1075, far below u ||E||_F^2
     for eps^ >= 2^-300.
 
-    None when ``_sigma_margin(m)`` passes 1% (so that every n u above
+    None when ``_sigma_margin(m, m)`` passes 1% (so that every n u above
     stays that small), when eps^ or the computed ||L||_F lies outside
     ``_NORM_RANGE``, or when the factorization fails.
     """
     m, l = design.shape
-    if _sigma_margin(m) > 1.01:
+    if _sigma_margin(m, m) > 1.01:
         return None
     eps = float(_norms(design.reshape(1, m * l))[0])
     if not _in_range(eps):
@@ -289,10 +243,10 @@ def _gram_factor(design: np.ndarray):
 
 
 def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
-                  factor, best: float = -math.inf) -> np.ndarray:
+                  factor, best: float) -> np.ndarray:
     """Upper bounds on the computed sigma_max of the (P - I) H each of k
     grid rows would build, from (k, m, l) and (k, l, l) work alone, for
-    m >= 16 and 0 < l < m.
+    0 < l < m.
 
     The stack as built is C = fl(fl(fl(U V^T) - I) H): U is the row's
     coefficient map (``coef_map[i]``, as computed), V the design E
@@ -341,15 +295,18 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
           * (eta (1 + (m^2 + 16) u)),
 
     with each constant at least the gamma it stands for (every n u here
-    is below 1/12800, so gamma_n <= 1.0001 n u, and 3 sqrt(m) u covers
-    gamma_2 sqrt(m)).  Every term is nonnegative and normal, so each of
-    the at most nine roundings on the way loses a factor 1 - u, which the
-    16 u covers (the factor itself rounds to at least 1 + (m^2 + 15) u);
-    and r is below u 2^-600 of the sum, since the sum is at least
-    sigma_max(UL) >= ||U V^T|| >= ||U (I + F)|| / ||U|| >= 1 - phi >= 1/2
-    by steps 5 and 6, and eta >= 2^-300.
+    is below 1/12800, so gamma_n <= 1.0001 n u, and 4 m u >= 3 sqrt(m) u
+    covers gamma_2 sqrt(m)).  Every term is nonnegative and normal, so
+    each of the at most nine roundings on the way loses a factor 1 - u,
+    which the 16 u covers (the factor itself rounds to at least
+    1 + (m^2 + 15) u); and r is below u 2^-600 of the sum, since the sum
+    is at least sigma_max(UL) >= ||U V^T|| >= ||U (I + F)|| / ||U|| >=
+    1 - phi >= 1/2 by steps 5 and 6, and eta >= 2^-300.
 
-    A row gets +inf, so it stays a candidate, when ``factor`` is None,
+    No step needs a least m: each n above is at most m^2 + 16, which
+    ``_gram_factor`` keeps below 2^29 whenever it gives a factor.
+
+    A row gets +inf, so it takes its SVD, when ``factor`` is None,
     when the computed ||U||_F or eta lies outside ``_NORM_RANGE`` (every
     non-finite input does), or when phi is not below 1/2.  Within the
     range nothing overflows: every term stays below 2^910.  Only rows
@@ -380,83 +337,29 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
         scale = eta[rows] * (1.0 + (m * m + 16.0) * unit)
         with np.errstate(over="ignore"):  # an inf threshold refines nothing
             below = best / scale - rest
-        smax = _sigma_max_upper(coef_map[rows] @ chol, below, _SQUARINGS)
+        smax = _sigma_max_upper(coef_map[rows] @ chol, below)
         upper[rows] = (smax + rest) * scale
     return upper
 
 
-class _CompHMax:
-    """The running maximum ``best`` of sigma_max((P - I) H) over the grid
-    rows handed to ``add``, block by block; ``_max_sigma`` searches every
-    (P - I) H stack built.
-
-    Below m = ``_REFINE_MIN_ORDER`` every row's stack is built and
-    searched with its block.  From there on, each row first gets the
-    bound of ``_comp_h_upper``, which needs no (m, m) work, and only a
-    row whose bound is not at most the running maximum can hold
-    ``max_comp_h`` (the test is "not <=", so a NaN maximum keeps every
-    row, as it keeps every block below m = 16).  The row of a block with
-    the largest bound is searched first, on its own, so the maximum
-    starts near the block's; the block's other candidates follow in
-    stacks of at most ``spectral._block_rows(m)`` rows, one (rows, m, m)
-    budget, each filtered again against the maximum as it rose.  So only
-    candidate rows get an (m, m) stack.
-    """
-
-    def __init__(self, design: np.ndarray):
-        m, _ = design.shape
-        # C-ordered: numpy's stacked matmul against the transposed view of
-        # E takes a slower loop, with the same bits
-        self.design_t = np.ascontiguousarray(design.T)
-        self.filtered = m >= _REFINE_MIN_ORDER
-        self.factor = _gram_factor(design) if self.filtered else None
-        self.size = _block_rows(m)
-        self.best = -math.inf
-
-    def add(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
-        """Take the rows of one grid block: their (k, m, l) coefficient
-        maps and (k, m) H diagonals."""
-        if not self.filtered:
-            self._search(coef_map, hdiag)
-            return
-        upper = _comp_h_upper(coef_map, hdiag, self.design_t, self.factor, self.best)
-        top = int(np.argmax(upper))
-        if upper[top] > self.best and math.isfinite(upper[top]):
-            # a finite bound means a finite stack: its SVD is the one
-            # ``_max_sigma`` would take
-            sigma = float(_smax(self._comp(coef_map[[top]], hdiag[[top]])[0]))
-            self.best = max(self.best, sigma)
-            upper[top] = -math.inf  # searched
-        rows = np.flatnonzero(~(upper <= self.best))
-        while rows.size:
-            part, rows = rows[: self.size], rows[self.size :]
-            self._search(coef_map[part], hdiag[part])
-            rows = rows[~(upper[rows] <= self.best)]
-
-    def _comp(self, coef_map: np.ndarray, hdiag: np.ndarray) -> np.ndarray:
-        """The (k, m, m) stack of (P - I) H, formed in place."""
-        comp = coef_map @ self.design_t
-        comp -= np.eye(comp.shape[-1])
-        comp *= hdiag[:, None, :]
-        return comp
-
-    def _search(self, coef_map: np.ndarray, hdiag: np.ndarray) -> None:
-        self.best = _max_sigma(self._comp(coef_map, hdiag), self.best)
-
-
-def _certificate_block_rows(m: int, l: int) -> int:
-    """Rows per solved block of the certificate's grid loop, one budget
-    for every m.  Below m = ``_REFINE_MIN_ORDER`` every row builds its
-    (m, m) (P - I) H, so a block has ``spectral._block_rows(m)`` rows: one
-    (rows, m, m) stack of ``spectral._BLOCK_DOUBLES`` doubles.  From there
-    on only the filter's candidates build that stack, in stacks of at most
-    ``_block_rows(m)`` rows (``_CompHMax``), and a block holds
-    (rows, m, l) maps of at most a quarter of that budget, 2^14 doubles:
-    the solve's factors, the coefficient maps and the filter's products
-    then stay beside a candidate stack within four such stacks."""
-    if m < _REFINE_MIN_ORDER:
-        return _block_rows(m)
-    return max(1, _block_rows(m, l) // 4)
+def _comp_h_values(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
+                   factor, best: float) -> np.ndarray:
+    """Per grid row, its ``_comp_h_upper`` bound on the computed
+    sigma_max((P - I) H), or, where that bound is not at most ``best`` or
+    is +inf (none proven), the SVD value itself, from (m, m) stacks of at
+    most ``spectral._block_rows(m)`` rows.  So every value is at least
+    the row's SVD value, and a value above ``best`` is that SVD value."""
+    values = _comp_h_upper(coef_map, hdiag, design_t, factor, best)
+    rows = np.flatnonzero(~(values <= best) | np.isinf(values))
+    m = coef_map.shape[1]
+    size = _block_rows(m)
+    for first in range(0, rows.size, size):
+        part = rows[first : first + size]
+        comp = coef_map[part] @ design_t
+        comp -= np.eye(m)
+        comp *= hdiag[part][:, None, :]
+        values[part] = _smax(comp)
+    return values
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -653,14 +556,12 @@ class BoundCertificate:
     absolute slack tolerance AND the pointwise majorants behind the Gronwall
     argument held on the same grid.  At a grid point on a node, rhs is the
     anchor norm itself, which lhs equals there bit for bit.
-    ``majorants["max_comp_h"]`` is the exact max over the grid of
-    sigma_max((P - I) H): the SVD of an actual
-    grid point (the points whose product upper bounds cannot beat it get
-    none), or exactly 0 when l = m, where P = I.  From m = 16 on, a point
-    whose bound from its (m, l) coefficient map alone
-    (``_comp_h_upper``: ||P - I|| = ||P|| <= sigma_max(U L) for
-    L L^T >= E^T E, times ||H||, with every rounding proven) cannot beat
-    the running maximum does not even build its (P - I) H.
+    ``majorants["comp_h_upper"]`` is the largest over the grid points of a
+    proven upper bound on sigma_max((P - I) H): per point, the bound from
+    its (m, l) coefficient map alone (``_comp_h_upper``: ||P - I|| =
+    ||P|| <= sigma_max(U L) for L L^T >= E^T E, times ||H||, with every
+    rounding proven), or the point's SVD value where that bound is not at
+    most M2 + ``tol.bound``.  It is exactly 0 when l = m, where P = I.
     ``max_forcing`` is the max of ||A0 c'||.  Both are maxima over the
     grid points only, not the node anchors that share their solve pass,
     and neither depends on the order of the grid or on how the grid loop
@@ -723,27 +624,18 @@ def certify_bound(
     feed nothing but the anchor norms.  Each block is solved in one
     stacked call, then a(x), its norm, the nearest node, the coefficient
     maps A0 and the forcing products A0 c' are built for the block's grid
-    rows.  One budget sizes every block (``_certificate_block_rows``).
-    Below m = ``_REFINE_MIN_ORDER`` (16) a block has
-    ``spectral._block_rows(m)`` rows and builds P - I and (P - I) H for
-    all of them, so the (rows, m, m) temporaries alive at once stay below
-    four times ``spectral._BLOCK_DOUBLES``.  From m = 16 on a block's
-    (rows, m, l) maps hold at most a quarter of that budget, and only the
-    rows the filter of ``_CompHMax`` keeps build (P - I) H, in stacks of
-    at most ``spectral._block_rows(m)`` rows.
+    rows.  A block's (rows, m, l) maps hold at most a quarter of one
+    (rows, m, m) stack of ``spectral._BLOCK_DOUBLES`` doubles, so with the
+    stacks of the rows that take an SVD (``_comp_h_values``) the
+    temporaries alive at once stay below four such stacks.
 
-    ``max_comp_h`` is exact, from candidate rows: upper bounds on
-    sigma_max((P - I) H) pick the rows that could hold the maximum, and
-    only those get an SVD.  From m = 16 on each row gets a bound from its
-    (m, l) map first (``_comp_h_upper``), and only rows whose bound beats
-    the running maximum build their stack.  In ``_max_sigma`` every row of
-    a stack gets a bound from products of G = M^T M, and only rows whose
-    bound beats the running maximum get an SVD.  Any grid order and any
-    block size give the same maximum.  With l = m the design is square and
-    invertible, so P = E^(-T) E^T = I exactly: ``max_comp_h`` is 0 and no
-    P - I is built.
-    The design and its SVD are computed once, for the hypotheses, the
-    constants and the solves.
+    ``comp_h_upper`` is the largest per-row value of ``_comp_h_values``
+    against the threshold M2 + ``tol.bound``, so ``majorants["pass"]`` is
+    the verdict every row's SVD would give, and no value depends on the
+    grid order or the block size.  With l = m the design is square and
+    invertible, so P = E^(-T) E^T = I exactly: ``comp_h_upper`` is 0 and
+    no P - I is built.  The design and its SVD are computed once, for the
+    hypotheses, the constants and the solves.
     """
     # the design and its SVD serve the hypotheses, the constants and the
     # solves; nothing before it in the checks can raise
@@ -765,18 +657,23 @@ def certify_bound(
         raise ValueError("grid must lie within [x_1, x_m]")
 
     m, m1, m2 = points.m, consts.forcing_bound, consts.growth_rate
+    threshold = m2 + tol.bound
     anchor_norm = np.empty(m)
     lhs = np.empty(grid.size)
     k0s = np.empty(grid.size, dtype=int)
     forcing = np.empty(grid.size)
-    comp_h = None if basis.size == m else _CompHMax(design)
+    comp_h = np.zeros(grid.size)  # l = m: P = E^(-T) E^T = I exactly
+    # C-ordered: numpy's stacked matmul against the transposed view of E
+    # takes a slower loop, with the same bits
+    design_t = np.ascontiguousarray(design.T)
+    factor = _gram_factor(design)
     # one solve pass: the m node anchors ||a(x_k)|| lead, the grid follows,
     # so a failing anchor raises before any grid row is read.  exp weights
     # never vanish, so no row is an interpolation limit and every row
     # carries its QR factors
     rows_x = np.concatenate([xs_nodes, grid])[:, None]
     blocks = build_rows(rows_x, points, basis, weight, design=design,
-                        block_rows=_certificate_block_rows(m, basis.size))
+                        block_rows=max(1, _block_rows(m, basis.size) // 4))
 
     def point(row):
         """A failing row: a node anchor, or a point of the grid."""
@@ -797,15 +694,15 @@ def certify_bound(
         k0s[block] = np.argmin(rows.dists[cut:], axis=1)
         lhs[block] = _norms(rows.coeffs[cut:])
         coef_map = coef_map_stack(rows.qmats[cut:], rows.rmats[cut:], rows.roots[cut:])
-        if comp_h is not None:
-            comp_h.add(coef_map, dlogw_diag(grid[block], points, alpha))
+        if basis.size < m:
+            comp_h[block] = _comp_h_values(coef_map, dlogw_diag(grid[block], points, alpha),
+                                           design_t, factor, threshold)
         # a stacked matmul runs one BLAS matrix-vector product per row,
         # as coef_map[i] @ c'(x_i) does (an einsum sums in another order)
         dcs = basis.derivative_rows(grid[block])
         forcing[block] = _norms((coef_map @ dcs[:, :, None])[:, :, 0])
-    # l = m: E is square and invertible, so P = E^(-T) E^T = I exactly
-    max_comp_h = 0.0 if comp_h is None else comp_h.best
     # np.max keeps a NaN sample (Python's max would skip it)
+    comp_h_upper = float(np.max(comp_h))
     max_forcing = float(np.max(forcing))
 
     # evaluate the envelope in log space and clip at the largest finite
@@ -828,13 +725,13 @@ def certify_bound(
     rhs[exact] = base[exact]
     slack = rhs - lhs
     majorants = {
-        "max_comp_h": max_comp_h,
+        "comp_h_upper": comp_h_upper,
         "growth_rate": m2,
-        "comp_h_margin": m2 - max_comp_h,
+        "comp_h_margin": m2 - comp_h_upper,
         "max_forcing": max_forcing,
         "forcing_bound": m1,
         "forcing_margin": m1 - max_forcing,
-        "pass": bool(max_comp_h <= m2 + tol.bound and max_forcing <= m1 + tol.bound),
+        "pass": bool(comp_h_upper <= threshold and max_forcing <= m1 + tol.bound),
     }
     return BoundCertificate(
         constants=consts,

@@ -462,7 +462,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except HypothesisFailure as exc:
-        print(f"{exc}{exc.where}", file=sys.stderr)
+        print(f"{exc}{exc.where}{exc.measured}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except ConditioningError as exc:
         print(f"conditioning failure: {exc}{exc.where}", file=sys.stderr)

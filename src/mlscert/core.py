@@ -54,10 +54,13 @@ class ConditioningError(MlsError):
 
 
 class HypothesisFailure(MlsError):
-    """A structural requirement of the method does not hold."""
+    """A structural requirement of the method does not hold.  ``measured``
+    names the numbers a check compared, as ``: sigma_min 0.000e+00 <=
+    rank tolerance 2.225e-308``; the CLI appends it after ``where``."""
 
-    def __init__(self, items: list[str]):
+    def __init__(self, items: list[str], measured: str = ""):
         self.items = list(items)
+        self.measured = f": {measured}" if measured else ""
         super().__init__("hypothesis failure: " + ", ".join(self.items))
 
 
@@ -295,12 +298,14 @@ def _checked_conds(rmats, m: int, l: int) -> list:
     A row fails the rank check when smin <= ``rank_tolerance`` and the
     conditioning check when its estimate exceeds ``COND_LIMIT``; a row's
     first failing check decides, and the first failing row in row order
-    raises ``HypothesisFailure`` or ``ConditioningError``.
+    raises ``HypothesisFailure``, naming its smin and tolerance, or
+    ``ConditioningError``.
     """
     svals = np.linalg.svd(rmats, compute_uv=False)
     smax, smin = svals[:, 0], svals[:, -1]
+    tols = rank_tolerance(m, l, smax)
     # rows up to the first rank-deficient one
-    deficient = (smin <= rank_tolerance(m, l, smax)).tolist()
+    deficient = (smin <= tols).tolist()
     full = deficient.index(True) if True in deficient else len(deficient)
     # Python's float power, not np.square: the two differ in the last bit
     # on about 1 value in 1200 (2e6 random ratios)
@@ -309,7 +314,8 @@ def _checked_conds(rmats, m: int, l: int) -> list:
     if failing is not None:
         raise ConditioningError(failing, COND_LIMIT)
     if full < len(deficient):
-        raise HypothesisFailure(["design_full_rank"])
+        raise HypothesisFailure(["design_full_rank"],
+                                f"sigma_min {smin[full]:.3e} <= rank tolerance {tols[full]:.3e}")
     return conds
 
 

@@ -226,7 +226,7 @@ def test_certificate_on_wide_stencil():
     # anchors: the envelope is tight at the reference node of its own segment
     assert min(cert.slack) == 0.0
     assert cert.majorants["pass"]
-    assert cert.majorants["max_comp_h"] <= cert.majorants["growth_rate"] + 1e-9
+    assert cert.majorants["comp_h_upper"] <= cert.majorants["growth_rate"] + 1e-9
 
 
 def test_certificate_paper_convention():
@@ -369,7 +369,8 @@ def test_certificate_rejects_wrong_family():
 def test_certificate_refuses_a_grid_point_outside_the_nodes(grid):
     """The constants are proven on [x_1, x_m] only, so a grid point
     outside it by any amount is refused.  On a span of 4e-14, points
-    9e-13 outside once gave max_comp_h above growth_rate and a pass."""
+    9e-13 outside once gave a sigma_max((P - I) H) above growth_rate
+    and a pass."""
     pts = PointSet(np.arange(5) * 1e-14, values=np.zeros(5))
     basis, weight = monomial_basis(1), WeightSpec("exp", 1.0)
     with pytest.raises(ValueError, match=r"^grid must lie within \[x_1, x_m\]$"):
@@ -377,7 +378,7 @@ def test_certificate_refuses_a_grid_point_outside_the_nodes(grid):
     xs = pts.nodes[:, 0]
     cert = certify_bound(pts, basis, weight, grid=np.array([xs[0], 2e-14, xs[-1]]))
     assert cert.passed
-    assert cert.majorants["max_comp_h"] <= cert.majorants["growth_rate"]
+    assert cert.majorants["comp_h_upper"] <= cert.majorants["growth_rate"]
 
 
 def test_certificate_wire_format():
@@ -419,8 +420,9 @@ def _nearest_node(x: float, points: PointSet) -> int:
 
 def _per_point_certificate(pts, basis, weight, grid):
     """Reference: one build_system, build_operators and nearest node per
-    grid point, as the certificate was computed before it was batched; with
-    l = m, max_comp_h is the exact 0 of P - I = 0."""
+    grid point, as the certificate was computed before it was batched;
+    ``max_comp_h`` is the exact max of sigma_max((P - I) H), with l = m
+    the exact 0 of P - I = 0."""
     xs = pts.nodes[:, 0]
     consts = bound_constants(pts, basis, weight.alpha)
     anchor = [np.linalg.norm(build_system(x, pts, basis, weight).coeffs) for x in xs]
@@ -468,10 +470,13 @@ def _assert_same_certificate(pts, basis, weight, grid):
         assert getattr(cert, name).tobytes() == ref[name].tobytes(), name
     maj = cert.majorants
     m1, m2 = cert.constants.forcing_bound, cert.constants.growth_rate
+    # the proven per-row values majorize the exact maximum, and the
+    # verdict is the one the exact maximum gives
+    assert ref["max_comp_h"] <= maj["comp_h_upper"]
     expected = {
-        "max_comp_h": ref["max_comp_h"],
+        "comp_h_upper": maj["comp_h_upper"],
         "growth_rate": m2,
-        "comp_h_margin": m2 - ref["max_comp_h"],
+        "comp_h_margin": m2 - maj["comp_h_upper"],
         "max_forcing": ref["max_forcing"],
         "forcing_bound": m1,
         "forcing_margin": m1 - ref["max_forcing"],
@@ -496,8 +501,9 @@ def _assert_same_certificate(pts, basis, weight, grid):
 def test_batched_certificate_matches_per_point(
     m, l, log_alpha, log_span, n_grid, seed
 ):
-    """lhs, rhs, k0, slack and every majorant equal the point-by-point loop
-    bit for bit, and a failing instance raises the same error."""
+    """lhs, rhs, k0, slack, the forcing majorants and the verdict equal
+    the point-by-point loop bit for bit, ``comp_h_upper`` is at least its
+    exact maximum, and a failing instance raises the same error."""
     rng = np.random.default_rng(seed)
     span = math.exp(log_span)
     xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
@@ -599,7 +605,7 @@ def test_overflowing_growth_factor_is_a_value_error(tmp_path, capsys):
     assert f"alpha r^2 = 800.0 exceeds {limit}" in capsys.readouterr().err
 
 
-# --- max_comp_h from candidate rows -----------------------------------------
+# --- the product bound on sigma_max ------------------------------------------
 
 
 def _with_singular_values(rng, k, m, svals):
@@ -629,7 +635,7 @@ def _upper_bound_stacks():
         yield f"some zero m={m}", mixed
         yield f"subnormal m={m}", np.ldexp(rng.standard_normal((k, m, m)), -1060)
         yield f"near max double m={m}", np.ldexp(rng.uniform(-1.0, 1.0, (k, m, m)), 1023)
-    # (m, l) stacks, as the certificate's filter bounds them
+    # (m, l) stacks, as the certificate's per-row bound takes them
     for m, l in ((2, 1), (16, 3), (60, 6)):
         for e in (-1060, 0, 1000):
             yield f"gauss {m}x{l} 2^{e}", np.ldexp(rng.standard_normal((50, m, l)), e)
@@ -645,18 +651,17 @@ UPPER_BOUND_STACKS = [pytest.param(stack, id=name) for name, stack in _upper_bou
 
 @pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
 def test_sigma_max_upper_bounds_the_svd(stack):
-    """The product bound of G^4 and the refined bounds of G^16 and G^64
-    are never below numpy's stacked sigma_max, and each refinement keeps
+    """The product bound of G^4 (no matrix refined, ``best`` = inf) and
+    the refined bound of G^64 (every matrix refined, ``best`` = -inf)
+    are never below numpy's stacked sigma_max, and the refinement keeps
     the smaller bound; for (m, m) and for (m, l) stacks."""
     sigma = np.linalg.norm(stack, 2, axis=(1, 2))
-    upper = bound1d._sigma_max_upper(stack)
+    upper = bound1d._sigma_max_upper(stack, math.inf)
+    refined = bound1d._sigma_max_upper(stack, -math.inf)
     assert np.all(upper >= sigma)
-    assert not np.any(np.isnan(upper))
-    for squarings in range(4, bound1d._SQUARINGS + 1, 2):
-        refined = bound1d._sigma_max_upper(stack, -math.inf, squarings)
-        assert np.all(refined >= sigma), squarings
-        assert np.all(refined <= upper), squarings
-        assert not np.any(np.isnan(refined))
+    assert np.all(refined >= sigma)
+    assert np.all(refined <= upper)
+    assert not np.any(np.isnan(upper)) and not np.any(np.isnan(refined))
 
 
 @pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
@@ -674,168 +679,95 @@ def _smooth_run(rng, m, n, peak):
     return a + t * b + 3.0 * np.exp(-(((t - peak) / 0.15) ** 2)) * c
 
 
-def _blocks_of(run, rows=None):
-    """The run split into blocks of ``rows`` rows; by default those of a
-    certificate block of 2^15 doubles, which the counts below were
-    measured on."""
-    rows = rows or max(1, 2**15 // run.shape[1] ** 2)
-    return [run[i : i + rows] for i in range(0, len(run), rows)]
-
-
-def _count_work(monkeypatch) -> dict:
-    """Count the rows that get an (m, m) product bound and the rows that
-    get an SVD in ``bound1d`` from here on.  The (m, l) product bounds of
-    the certificate's filter (``_comp_h_upper``) are not counted here."""
-    counts = {"product": 0, "svd": 0}
-    upper, sigma = bound1d._sigma_max_upper, bound1d._smax
-
-    def counted_upper(stack, *args):
-        if stack.shape[1] == stack.shape[2]:
-            counts["product"] += len(stack)
-        return upper(stack, *args)
-
-    def counted_sigma(matrix):
-        counts["svd"] += 1
-        return sigma(matrix)
-
-    monkeypatch.setattr(bound1d, "_sigma_max_upper", counted_upper)
-    monkeypatch.setattr(bound1d, "_smax", counted_sigma)
-    return counts
-
-
-def _full_max(blocks):
-    return float(np.max(np.concatenate([np.linalg.norm(b, 2, axis=(1, 2)) for b in blocks])))
-
-
-def _pruned_max(blocks):
-    best = -math.inf
-    for b in blocks:
-        best = bound1d._max_sigma(b, best)
-    return best
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(1, 30),
-    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5),
-    decay=st.floats(0.0, 3.0),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pruned_max_sigma_equals_the_full_max(m, sizes, decay, seed):
-    """Over a run of blocks, the candidate-row maximum is the maximum of
-    the full stacked norm, bit for bit."""
-    rng = np.random.default_rng(seed)
-    blocks = [
-        rng.standard_normal((k, m, m)) * np.exp(-decay * rng.uniform(0.0, 1.0, (k, 1, 1)))
-        for k in sizes
-    ]
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
-
-
 @pytest.mark.parametrize("m,n,peak", [
-    (12, 300, 0.43),  # the maximum inside the grid
+    (12, 300, 0.43),  # the maximum inside the run
     (20, 400, 0.0),
     (30, 200, 0.2),
     (5, 200, 0.61),
 ])
-def test_product_bounds_prune_smooth_runs(monkeypatch, m, n, peak):
-    """On smooth grid-like runs the product bounds leave a few rows with
-    an SVD (more below the order that gets refined bounds), and the
-    maximum is still the full one, bit for bit."""
+def test_product_bounds_prune_smooth_runs(m, n, peak):
+    """On smooth grid-like runs, a threshold 2% above the largest
+    sigma_max settles every row by its product bound: the rows whose
+    G^4 bound is above it refine to G^64, which overestimates by at most
+    m^(1/256) (1.014 at m = 30), so no row would need an SVD."""
     run = _smooth_run(np.random.default_rng(m), m, n, peak)
-    blocks = _blocks_of(run)
-    counts = _count_work(monkeypatch)
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
-    assert counts["svd"] <= (8 if m >= bound1d._REFINE_MIN_ORDER else 16)
-
-
-@pytest.mark.parametrize("order", ["reversed", "shuffled"])
-def test_pruned_max_sigma_on_reordered_runs(order):
-    """A run read backwards, or in no order at all, gives the full
-    maximum too: no bound depends on the order of the rows."""
-    run = _smooth_run(np.random.default_rng(2), 15, 300, 0.37)
-    run = run[::-1] if order == "reversed" else run[np.random.default_rng(3).permutation(300)]
-    blocks = _blocks_of(np.ascontiguousarray(run))
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+    sigma = np.linalg.norm(run, 2, axis=(1, 2))
+    best = 1.02 * float(np.max(sigma))
+    upper = bound1d._sigma_max_upper(run, best)
+    assert np.all(upper >= sigma)
+    assert np.all(upper <= best)
 
 
 @pytest.mark.parametrize("e", [1000, -600, -1060])
 def test_chain_on_huge_and_tiny_runs(e):
     """Huge, tiny and subnormal matrices are scaled by an exact power of
     two before their products, so no bound overflows or underflows
-    (pytest makes a warning an error), and the maximum is the full one."""
+    (pytest makes a warning an error), refined or not, and every bound
+    is at least the matrix's SVD value."""
     run = np.ldexp(_smooth_run(np.random.default_rng(6), 12, 200, 0.4), e)
-    blocks = _blocks_of(run)
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
+    sigma = np.linalg.norm(run, 2, axis=(1, 2))
+    for best in (math.inf, float(np.median(sigma)), -math.inf):
+        upper = bound1d._sigma_max_upper(run, best)
+        assert np.all(upper >= sigma) and np.all(np.isfinite(upper)), best
+
+
+def _grid_rows(pts, basis, weight, grid):
+    """(coef_map, hdiag) of every grid row, in ``build_rows`` blocks."""
+    design = core.build_design(pts, basis)
+    for start, rows in core.build_rows(grid[:, None], pts, basis, weight, design=design):
+        coef_map = bound1d.coef_map_stack(rows.qmats, rows.rmats, rows.roots)
+        yield coef_map, dlogw_diag(grid[start : start + len(coef_map)], pts, weight.alpha)
 
 
 @pytest.mark.parametrize("m", [3, 17])
 def test_one_row_blocks_give_the_full_max(m):
-    """Blocks of one row, as a failing block is replayed, give the full
-    maximum."""
-    run = _smooth_run(np.random.default_rng(m), m, 60, 0.3)
-    blocks = [run[i : i + 1] for i in range(60)]
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
-
-
-@pytest.mark.parametrize("where", [0, 1, 2])
-def test_pruned_max_sigma_with_a_nan_block(where):
-    """A block with a NaN takes the full stacked norm, so it fails exactly
-    as the full maximum does, whichever block it is."""
-    rng = np.random.default_rng(where)
-    blocks = [rng.standard_normal((6, 5, 5)) for _ in range(3)]
-    blocks[where][3, 1, 2] = np.nan
-    full, full_error = _outcome(lambda: _full_max(blocks))
-    pruned, pruned_error = _outcome(lambda: _pruned_max(blocks))
-    assert pruned_error == full_error
-    assert repr(pruned) == repr(full)
-
-
-@pytest.mark.parametrize("zero", [(0,), (1,), (0, 1)])
-def test_pruned_max_sigma_with_zero_blocks(zero):
-    """All-zero blocks (P - I = 0 when l = m) give the full maximum too."""
-    rng = np.random.default_rng(len(zero))
-    blocks = [rng.standard_normal((5, 4, 4)) for _ in range(2)]
-    for i in zero:
-        blocks[i][:] = 0.0
-    assert repr(_pruned_max(blocks)) == repr(_full_max(blocks))
-
-
-def test_pruned_max_sigma_keeps_a_nan_maximum():
-    """A NaN maximum stays NaN through later finite blocks, as in np.max."""
-    stack = np.random.default_rng(3).standard_normal((4, 6, 6))
-    assert math.isnan(bound1d._max_sigma(stack, math.nan))
-
-
-def test_certificate_max_comp_h_is_the_full_stacked_max():
-    """The reported max_comp_h equals the maximum of the stacked norm of
-    every grid row's (P - I) H, bit for bit, whichever rows the
-    certificate builds."""
-    _assert_max_comp_h_is_the_full_stacked_max("sorted")
-
-
-@pytest.mark.parametrize("order", ["reversed", "shuffled"])
-def test_certificate_max_comp_h_on_reordered_grids(order):
-    """The same holds on a grid given backwards or in no order."""
-    _assert_max_comp_h_is_the_full_stacked_max(order)
+    """Blocks of one row, as a failing block is replayed, give every row
+    the value of the whole block bit for bit, bounds and SVDs alike, so
+    the maximum is the full one."""
+    rng = np.random.default_rng(m)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
+    pts, basis, weight = PointSet(xs, values=np.sin(xs)), monomial_basis(2), WeightSpec("exp", 1.0)
+    design = core.build_design(pts, basis)
+    design_t, factor = np.ascontiguousarray(design.T), bound1d._gram_factor(design)
+    (coef_map, hdiag), = _grid_rows(pts, basis, weight, uniform_grid(pts, 60))
+    bounds = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, math.inf)
+    best = float(np.median(bounds))  # half the rows take the SVD
+    whole = bound1d._comp_h_values(coef_map, hdiag, design_t, factor, best)
+    rows = [bound1d._comp_h_values(coef_map[[i]], hdiag[[i]], design_t, factor, best)
+            for i in range(60)]
+    assert np.concatenate(rows).tobytes() == whole.tobytes()
+    assert np.sum(whole < bounds) >= 25
 
 
 def _every_row_max(pts, basis, weight, grid) -> float:
     """Reference: the stacked ``np.linalg.norm(., 2)`` of the (P - I) H of
     every grid row, built from ``build_rows`` and ``coef_map_stack`` the
     way the certificate builds a stack, and pruned nowhere."""
-    design = core.build_design(pts, basis)
-    design_t = np.ascontiguousarray(design.T)
+    design_t = np.ascontiguousarray(core.build_design(pts, basis).T)
     sigmas = []
-    for start, rows in core.build_rows(grid[:, None], pts, basis, weight, design=design):
-        comp = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots) @ design_t
+    for coef_map, hdiag in _grid_rows(pts, basis, weight, grid):
+        comp = coef_map @ design_t
         comp -= np.eye(pts.m)
-        comp *= dlogw_diag(grid[start : start + len(comp)], pts, weight.alpha)[:, None, :]
+        comp *= hdiag[:, None, :]
         sigmas.append(np.linalg.norm(comp, 2, axis=(1, 2)))
     return float(np.max(np.concatenate(sigmas)))
 
 
-def _assert_max_comp_h_is_the_full_stacked_max(order):
+def test_certificate_comp_h_upper_majorizes_the_full_stacked_max():
+    """The reported comp_h_upper is at least the maximum of the stacked
+    norm of every grid row's (P - I) H, and at most twice it, with no
+    row taking an SVD."""
+    _assert_comp_h_upper_majorizes_the_full_stacked_max("sorted")
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_certificate_comp_h_upper_on_reordered_grids(order):
+    """The same holds on a grid given backwards or in no order, with the
+    bits of the sorted grid's comp_h_upper."""
+    _assert_comp_h_upper_majorizes_the_full_stacked_max(order)
+
+
+def _assert_comp_h_upper_majorizes_the_full_stacked_max(order):
     rng = np.random.default_rng(11)
     for m, l, n_grid in ((3, 1, 50), (4, 4, 60), (12, 3, 400), (16, 3, 300), (23, 5, 257),
                          (30, 2, 200), (40, 4, 100), (60, 6, 400)):
@@ -843,60 +775,60 @@ def _assert_max_comp_h_is_the_full_stacked_max(order):
         pts = PointSet(xs, values=np.sin(xs))
         weight = WeightSpec("exp", float(rng.uniform(0.1, 2.0)))
         grid = uniform_grid(pts, n_grid)
+        sorted_cert = certify_bound(pts, monomial_basis(l), weight, grid=grid)
         if order == "reversed":
             grid = grid[::-1].copy()
         elif order == "shuffled":
             grid = grid[rng.permutation(n_grid)]
-        cert = certify_bound(pts, monomial_basis(l), weight, grid=grid)
+        upper = certify_bound(pts, monomial_basis(l), weight, grid=grid).majorants["comp_h_upper"]
+        assert repr(upper) == repr(sorted_cert.majorants["comp_h_upper"]), (m, l, n_grid)
         if l == m:  # P - I = 0: the maximum is 0
-            assert repr(cert.majorants["max_comp_h"]) == "0.0"
+            assert repr(upper) == "0.0"
             continue
         ref = _every_row_max(pts, monomial_basis(l), weight, grid)
-        assert repr(cert.majorants["max_comp_h"]) == repr(ref), (m, l, n_grid)
+        assert ref <= upper <= 2.0 * ref, (m, l, n_grid)
 
 
 def _count_stacks(monkeypatch) -> dict:
-    """Count the grid rows that get an (m, m) stack of (P - I) H and the
-    rows that get a filter bound (``_comp_h_upper``) from here on."""
+    """Count the grid rows that get an (m, m) stack of (P - I) H and an
+    SVD, and the rows that get a bound (``_comp_h_upper``), from here
+    on."""
     counts = {"stack": 0, "filter": 0}
-    comp, upper = bound1d._CompHMax._comp, bound1d._comp_h_upper
+    sigma, upper = bound1d._smax, bound1d._comp_h_upper
 
-    def counted_comp(self, coef_map, hdiag):
-        counts["stack"] += len(coef_map)
-        return comp(self, coef_map, hdiag)
+    def counted_sigma(stack):
+        counts["stack"] += len(stack)
+        return sigma(stack)
 
     def counted_upper(coef_map, *args):
         counts["filter"] += len(coef_map)
         return upper(coef_map, *args)
 
-    monkeypatch.setattr(bound1d._CompHMax, "_comp", counted_comp)
+    monkeypatch.setattr(bound1d, "_smax", counted_sigma)
     monkeypatch.setattr(bound1d, "_comp_h_upper", counted_upper)
     return counts
 
 
 def test_certificate_work_counts(monkeypatch):
-    """A 38-node, 400-point certificate gives an SVD to at most 8 grid rows
-    and an (m, m) product bound to at most a third of them (``_max_sigma``
-    gives one to every row of each stack it is handed, so the filter does
-    this pruning); and builds the (m, m) stack of (P - I) H for at most
-    100 rows (every row before the filter), on a grid read forwards, where
-    sigma_max peaks late, or backwards.  Every row gets exactly one filter
-    bound."""
-    pts, basis, weight = _work_count_instance()
-    for grid in (uniform_grid(pts, 400), uniform_grid(pts, 400)[::-1].copy()):
-        with monkeypatch.context() as mp:
-            counts, stacks = _count_work(mp), _count_stacks(mp)
-            cert = certify_bound(pts, basis, weight, grid=grid)
-        assert cert.metadata["n_grid"] == 400
-        assert counts["svd"] <= 8
-        assert counts["product"] <= 400 / 3
-        assert stacks["stack"] <= 100
-        assert stacks["filter"] == 400
+    """A 38-node, 400-point certificate and a 15-node, 700-point one give
+    every grid row exactly one bound, and no row builds its (m, m) stack
+    of (P - I) H, on a grid read forwards, where sigma_max peaks late, or
+    backwards."""
+    rng = np.random.default_rng(9)
+    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 13)]))
+    small = PointSet(xs, values=np.sin(xs)), monomial_basis(3), WeightSpec("exp", 1.0)
+    for args, n in ((_work_count_instance(), 400), (small, 700)):
+        for grid in (uniform_grid(args[0], n), uniform_grid(args[0], n)[::-1].copy()):
+            with monkeypatch.context() as mp:
+                counts = _count_stacks(mp)
+                cert = certify_bound(*args, grid=grid)
+            assert cert.metadata["n_grid"] == n
+            assert counts == {"stack": 0, "filter": n}
 
 
 def _count_passes(monkeypatch) -> dict:
     """Count the certificate's ``build_rows`` and ``build_systems`` calls,
-    the grid rows' coefficient maps, and the H diagonals the filter
+    the grid rows' coefficient maps, and the H diagonals the per-row bound
     (``_comp_h_upper``) is handed, in order, from here on."""
     seen = {"build_rows": 0, "build_systems": 0, "maps": 0, "filtered": []}
     rows, maps, upper = core.build_rows, bound1d.coef_map_stack, bound1d._comp_h_upper
@@ -928,14 +860,15 @@ def _count_passes(monkeypatch) -> dict:
 @pytest.mark.parametrize("doubles", [2**10, spectral._BLOCK_DOUBLES])
 def test_certificate_solves_in_one_pass(monkeypatch, doubles):
     """The node anchors and the grid go through one ``build_rows`` call,
-    and no ``build_systems`` call.  The filter is handed every grid row
-    once, in grid order, and no anchor row, also when a small budget
-    spreads the anchors over several blocks."""
+    and no ``build_systems`` call.  The per-row bound is handed every
+    grid row once, in grid order, and no anchor row, also when a small
+    budget spreads the anchors over several blocks."""
     pts, basis, weight = _work_count_instance()
     grid = uniform_grid(pts, 400)[::-1].copy()
     monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
-    # the small budget spreads the 38 anchors over blocks of 2 rows
-    assert (doubles > 2**10) == (bound1d._certificate_block_rows(pts.m, basis.size) > pts.m)
+    # the small budget spreads the 38 anchors over blocks of 2 rows: a
+    # block's (rows, m, l) maps hold a quarter of the budget
+    assert (doubles > 2**10) == (spectral._block_rows(pts.m, basis.size) // 4 > pts.m)
     seen = _count_passes(monkeypatch)
     cert = certify_bound(pts, basis, weight, grid=grid)
     assert (seen["build_rows"], seen["build_systems"], seen["maps"]) == (1, 0, 400)
@@ -961,18 +894,6 @@ def test_failing_anchor_raises_before_any_grid_row(monkeypatch, doubles):
     assert (seen["build_rows"], seen["maps"], seen["filtered"]) == (1, 0, [])
 
 
-def test_small_orders_build_every_row(monkeypatch):
-    """Below m = ``_REFINE_MIN_ORDER`` the walk is the one before the
-    filter: no filter bound, and every grid row gets its (m, m) stack."""
-    rng = np.random.default_rng(9)
-    xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 13)]))
-    pts = PointSet(xs, values=np.sin(xs))
-    assert pts.m == bound1d._REFINE_MIN_ORDER - 1
-    counts = _count_stacks(monkeypatch)
-    certify_bound(pts, monomial_basis(3), WeightSpec("exp", 1.0), n_grid=700)
-    assert counts == {"stack": 700, "filter": 0}
-
-
 def _work_count_instance():
     """The 38-node instance of ``test_certificate_work_counts``."""
     rng = np.random.default_rng(0)
@@ -980,7 +901,7 @@ def _work_count_instance():
     return PointSet(xs, values=np.sin(xs)), monomial_basis(3), WeightSpec("exp", 1.0)
 
 
-# --- the filter's bound on sigma_max((P - I) H), from (m, l) work --------------
+# --- the per-row bound on sigma_max((P - I) H), from (m, l) work ---------------
 
 
 def _filter_instance(m, layout, seed) -> PointSet:
@@ -1001,15 +922,13 @@ def _filter_instance(m, layout, seed) -> PointSet:
 
 
 def _filter_bounds(pts, basis, weight, grid, best=-math.inf):
-    """Per grid row, the filter's bound (``_comp_h_upper``, given the
-    running maximum ``best``) and the stacked norm of its (P - I) H."""
+    """Per grid row, the bound (``_comp_h_upper``, refined where its G^4
+    bound exceeds ``best``) and the stacked norm of its (P - I) H."""
     design = core.build_design(pts, basis)
     design_t = np.ascontiguousarray(design.T)
     factor = bound1d._gram_factor(design)
     uppers, sigmas = [], []
-    for start, rows in core.build_rows(grid[:, None], pts, basis, weight, design=design):
-        coef_map = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots)
-        hdiag = dlogw_diag(grid[start : start + len(coef_map)], pts, weight.alpha)
+    for coef_map, hdiag in _grid_rows(pts, basis, weight, grid):
         uppers.append(bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, best))
         comp = coef_map @ design_t
         comp -= np.eye(pts.m)
@@ -1020,18 +939,20 @@ def _filter_bounds(pts, basis, weight, grid, best=-math.inf):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    m=st.integers(16, 60),
+    m=st.integers(2, 60),
     l=st.integers(1, 6),
     log_alpha=st.floats(math.log(1e-3), math.log(700.0)),
     layout=st.sampled_from(["uniform", "clustered", "near_duplicate"]),
-    best_share=st.sampled_from([None, 0.5, 0.99, 1.0]),
+    best_share=st.sampled_from([None, 0.5, 0.99, 1.0, "threshold"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, best_share, seed):
     """On nodes spanning [0, 1], so alpha r^2 = alpha from 1e-3 to 700,
-    every row's filter bound is finite and at least numpy's sigma_max of
-    the (P - I) H the row builds, refined or not (rows whose G^4 bound
-    cannot beat ``best`` keep it)."""
+    every row's bound is finite and at least numpy's sigma_max of the
+    (P - I) H the row builds, refined or not (rows whose G^4 bound
+    cannot beat ``best`` keep it).  With ``best`` the certificate's
+    threshold M2 + ``tol.bound``, every row the bound settles has an SVD
+    value at or below it."""
     pts = _filter_instance(m, layout, seed)
     basis, weight = monomial_basis(min(l, pts.m - 1)), WeightSpec("exp", math.exp(log_alpha))
     grid = uniform_grid(pts, 60)
@@ -1041,10 +962,15 @@ def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, best_share, s
         assume(False)
     assert np.all(np.isfinite(upper))
     assert np.all(upper >= sigma)
-    if best_share is not None:
+    if best_share == "threshold":
+        best = bound_constants(pts, basis, weight.alpha).growth_rate + Tolerances().bound
+    elif best_share is not None:
         best = best_share * float(np.max(sigma))
-        upper, _ = _filter_bounds(pts, basis, weight, grid, best)
-        assert np.all(upper >= sigma)
+    else:
+        return
+    upper, _ = _filter_bounds(pts, basis, weight, grid, best)
+    assert np.all(upper >= sigma)
+    assert np.all(sigma[upper <= best] <= best)
 
 
 def test_filter_bound_falls_back_to_inf():
@@ -1055,23 +981,22 @@ def test_filter_bound_falls_back_to_inf():
     basis, weight = monomial_basis(3), WeightSpec("exp", 1.0)
     design = core.build_design(pts, basis)
     grid = uniform_grid(pts, 12)
-    (_, rows), = core.build_rows(grid[:, None], pts, basis, weight, design=design)
-    coef_map = spectral.coef_map_stack(rows.qmats, rows.rmats, rows.roots)
-    hdiag = dlogw_diag(grid, pts, weight.alpha)
+    (coef_map, hdiag), = _grid_rows(pts, basis, weight, grid)
     coef_map[3, 4, 1] = np.nan
     coef_map[5, 0, 0] = np.inf
     hdiag[7, 2] = np.nan
     coef_map[9] *= 2.0  # V^T U = 2 I: phi is about sqrt(l)
     design_t = np.ascontiguousarray(design.T)
-    upper = bound1d._comp_h_upper(coef_map, hdiag, design_t, bound1d._gram_factor(design))
+    factor = bound1d._gram_factor(design)
+    upper = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, -math.inf)
     assert np.flatnonzero(np.isinf(upper)).tolist() == [3, 5, 7, 9]
     assert np.all(np.isfinite(np.delete(upper, [3, 5, 7, 9])))
-    assert np.all(np.isinf(bound1d._comp_h_upper(coef_map, hdiag, design_t, None)))
+    assert np.all(np.isinf(bound1d._comp_h_upper(coef_map, hdiag, design_t, None, -math.inf)))
 
 
 def _poisoned(monkeypatch, row, value):
-    """Make the certificate's coefficient map of grid row ``row`` hold
-    ``value`` in one entry."""
+    """Make the coefficient map of grid row ``row`` that ``bound1d``
+    builds from here on hold ``value`` in one entry."""
     maps, seen = spectral.coef_map_stack, [0]
 
     def poisoned(qmats, rmats, roots):
@@ -1088,25 +1013,25 @@ def _poisoned(monkeypatch, row, value):
 @pytest.mark.parametrize("row", [0, 150, 299])
 def test_non_finite_row_stays_a_candidate(monkeypatch, value, row):
     """A row whose map holds a NaN or inf keeps +inf as its bound, so it
-    reaches ``_max_sigma``'s non-finite path: the certificate raises or
-    reports max_comp_h as the walk without the filter does."""
+    takes the SVD: the certificate raises the error, or reports the NaN,
+    that the SVD of every row's (P - I) H gives (``_every_row_max``)."""
     pts = _filter_instance(30, "uniform", 2)
     basis, weight = monomial_basis(3), WeightSpec("exp", 1.0)
+    grid = uniform_grid(pts, 300)
     outcomes = []
-    for refine_min in (bound1d._REFINE_MIN_ORDER, 10**9):  # the filter on, then off
+    for run in (lambda: certify_bound(pts, basis, weight, grid=grid).majorants["comp_h_upper"],
+                lambda: _every_row_max(pts, basis, weight, grid)):
         with monkeypatch.context() as mp:
             _poisoned(mp, row, value)
-            mp.setattr(bound1d, "_REFINE_MIN_ORDER", refine_min)
-            outcomes.append(_outcome(lambda: repr(certify_bound(
-                pts, basis, weight, n_grid=300).majorants["max_comp_h"])))
+            outcomes.append(_outcome(lambda: repr(run())))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] is not None or outcomes[0][0] == "nan"
 
 
 def test_failed_cholesky_keeps_every_row(monkeypatch):
     """When the Cholesky factor of E^T E + s I cannot be formed, no row
-    gets a finite bound: every row builds its stack, and max_comp_h is
-    still the exact maximum."""
+    gets a finite bound: every row builds its stack and takes the SVD,
+    so comp_h_upper is the exact maximum, bit for bit."""
     pts = _filter_instance(24, "clustered", 3)
     basis, weight = monomial_basis(4), WeightSpec("exp", 0.5)
     grid = uniform_grid(pts, 200)
@@ -1119,7 +1044,8 @@ def test_failed_cholesky_keeps_every_row(monkeypatch):
     counts = _count_stacks(monkeypatch)
     cert = certify_bound(pts, basis, weight, grid=grid)
     assert counts["stack"] == 200
-    assert repr(cert.majorants["max_comp_h"]) == repr(_every_row_max(pts, basis, weight, grid))
+    expected = _every_row_max(pts, basis, weight, grid)
+    assert repr(cert.majorants["comp_h_upper"]) == repr(expected)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -1160,12 +1086,11 @@ def _certificate_peak(args, n_grid: int) -> int:
 
 def test_certificate_peak_memory():
     """The grid loop's temporaries stay below those of six stacks of 2^15
-    doubles, although a block now holds twice as many rows.  On 4000
-    points they stay below four stacks of ``spectral._BLOCK_DOUBLES``
-    doubles (2 MiB): below the filter's order, where every row builds its
-    stack in blocks of ``spectral._block_rows(m)`` rows and ``_max_sigma``
-    takes its product bounds in chunks, and from there on, where a block
-    holds (rows, m, l) maps of a quarter of that budget."""
+    doubles.  On 4000 points they stay below four stacks of
+    ``spectral._BLOCK_DOUBLES`` doubles (2 MiB), for small and large m:
+    a block holds (rows, m, l) maps of a quarter of that budget, and a
+    row builds its (m, m) (P - I) H only where its bound does not settle
+    it."""
     assert _certificate_peak(_work_count_instance(), 400) < _SIX_STACK_PEAK
     for m, l in ((9, 3), (15, 3), (16, 1), (20, 2), (60, 4)):
         rng = np.random.default_rng(m)
@@ -1179,8 +1104,8 @@ def test_certificate_peak_memory():
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 @pytest.mark.parametrize("m", [3, 12, 38, 40])
 def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, order):
-    """Blocks and product chunks of any size give the same report
-    bytes, down to blocks of one row, where the node anchors that lead
+    """Blocks of any size give the same report bytes, comp_h_upper
+    included, down to blocks of one row, where the node anchors that lead
     the solve span several blocks; and so does a budget that holds the
     whole grid in one block."""
     rng = np.random.default_rng(m + 10 * l)
@@ -1201,19 +1126,20 @@ def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, orde
 
 
 def test_square_design_reports_an_exact_zero_comp_h(monkeypatch):
-    """With l = m, P = E^(-T) E^T = I exactly: max_comp_h is 0, not the
-    rounding noise of P - I, and no (P - I) H stack is built; the forcing
-    product still runs and matches the point-by-point loop."""
+    """With l = m, P = E^(-T) E^T = I exactly: comp_h_upper is 0, not
+    the rounding noise of P - I, and no row gets a bound or a (P - I) H
+    stack; the forcing product still runs and matches the point-by-point
+    loop."""
     pts = PointSet(np.array([0.1, 0.35, 0.6, 0.9]), values=np.zeros(4))
     basis, weight = monomial_basis(4), WeightSpec("exp", 1.0)
     grid = uniform_grid(pts, 200)
     ops = [build_operators(build_system(x, pts, basis, weight)) for x in grid]
     assert max(np.abs(op.comp).max() for op in ops) > 0.0  # the noise P - I had
     calls = []
-    monkeypatch.setattr(bound1d, "_max_sigma", lambda *args: calls.append(args))
+    monkeypatch.setattr(bound1d, "_comp_h_upper", lambda *args: calls.append(args))
     cert = _assert_same_certificate(pts, basis, weight, grid)
     maj = cert.majorants
-    assert calls == [] and repr(maj["max_comp_h"]) == "0.0"
+    assert calls == [] and repr(maj["comp_h_upper"]) == "0.0"
     assert repr(maj["comp_h_margin"]) == repr(maj["growth_rate"])
 
 

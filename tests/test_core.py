@@ -262,6 +262,20 @@ def test_build_systems_locates_the_first_failing_row(first):
     assert str(err.value) == str(one.value) == "hypothesis failure: design_full_rank"
     assert err.value.where == f" at x = 30.0 (grid point {first} of {len(xs)})"
     assert one.value.where == ""
+    measured = ": sigma_min 0.000e+00 <= rank tolerance 2.225e-308"
+    assert err.value.measured == one.value.measured == measured
+
+
+def test_rank_failure_names_what_it_measured():
+    """The first rank-deficient R names its smin and the tolerance it
+    was held to; the message itself keeps its prefix."""
+    rmats = np.array([np.diag([2.0, 1.0]), np.diag([1.0, 1e-17]), np.diag([1.0, 0.0])])
+    with pytest.raises(HypothesisFailure) as err:
+        core._checked_conds(rmats, 5, 2)
+    tol = float(core.rank_tolerance(5, 2, 1.0))
+    assert str(err.value) == "hypothesis failure: design_full_rank"
+    assert err.value.measured == f": sigma_min 1.000e-17 <= rank tolerance {tol:.3e}"
+    assert f"{tol:.3e}" == "1.776e-14"
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 25, 300])

@@ -411,7 +411,8 @@ def test_overflowing_distance_gives_no_warning(linear_csv, capfd):
     code = main(["fit", "--input", linear_csv, "--grid", "1e160:1e160:1"])
     out, err = capfd.readouterr()
     assert (code, out) == (3, "")
-    assert err == "hypothesis failure: design_full_rank at x = 1e+160 (grid point 0 of 1)\n"
+    assert err == ("hypothesis failure: design_full_rank at x = 1e+160 (grid point 0 of 1): "
+                   "sigma_min 0.000e+00 <= rank tolerance 2.225e-308\n")
 
 
 #: five nodes on [0, 1], for the failures far outside them
@@ -421,14 +422,16 @@ _FIVE_NODES = "x1,f\n0,1\n0.25,2\n0.5,0\n0.75,1\n1,3\n"
 @pytest.mark.parametrize("command", ["fit", "diagnose"])
 @pytest.mark.parametrize("l,grid,code,message", [
     # every weight overflows to inf: no row of the scaled design is left
-    (2, "30:30:1", 3, "hypothesis failure: design_full_rank at x = 30.0 (grid point 0 of 1)"),
+    (2, "30:30:1", 3, "hypothesis failure: design_full_rank at x = 30.0 (grid point 0 of 1): "
+                      "sigma_min 0.000e+00 <= rank tolerance 2.225e-308"),
     (3, "0:200:50", 4, "conditioning failure: gram condition estimate 1.813e+13 exceeds "
                        "limit 1.000e+12 at x = 24.48979591836735 (grid point 6 of 50)"),
 ])
 def test_exits_3_and_4_name_the_first_failing_point(command, l, grid, code, message,
                                                      tmp_path, capsys):
     """A rank or conditioning failure names the first failing point and
-    its index in the grid, after the message's usual prefix."""
+    its index in the grid, after the message's usual prefix, and then
+    the numbers its check compared."""
     (tmp_path / "n5.csv").write_text(_FIVE_NODES)
     (tmp_path / "cfg.json").write_text(f'{{"l": {l}, "weight": {{"family": "exp"}}}}')
     argv = [command, "--input", str(tmp_path / "n5.csv"), "--config", str(tmp_path / "cfg.json"),
