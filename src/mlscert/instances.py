@@ -130,6 +130,15 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
+class _Bases(dict):
+    """The monomial basis of each size l, built when first asked for: the
+    candidates of one ``_draw_accepted`` call share it."""
+
+    def __missing__(self, l: int) -> BasisSpec:
+        self[l] = basis = monomial_basis(l)
+        return basis
+
+
 class _Candidate(NamedTuple):
     """One draw of a generator, before its system is solved."""
 
@@ -140,7 +149,7 @@ class _Candidate(NamedTuple):
     meta: dict  # m, l, family and alpha
 
 
-def _draw_general(rng) -> _Candidate:
+def _draw_general(rng, bases: _Bases) -> _Candidate:
     m = int(rng.integers(M_RANGE[0], M_RANGE[1] + 1))
     l = int(rng.integers(1, min(m, L_MAX) + 1))
     family = _pick_family(rng)
@@ -149,7 +158,7 @@ def _draw_general(rng) -> _Candidate:
     x = _sample_x(rng, nodes, X_NODE_MARGIN)
     points = PointSet(nodes, values=_smooth_values(rng, nodes))
     meta = {"m": m, "l": l, "family": family, "alpha": alpha}
-    return _Candidate(points, monomial_basis(l), WeightSpec(family, alpha), x, meta)
+    return _Candidate(points, bases[l], WeightSpec(family, alpha), x, meta)
 
 
 def _accept_general(sysm) -> dict | None:
@@ -159,7 +168,7 @@ def _accept_general(sysm) -> dict | None:
     return {"cond_gram": float(sysm.cond_gram), "cond_d": cond_d}
 
 
-def _draw_h2(rng) -> _Candidate:
+def _draw_h2(rng, bases: _Bases) -> _Candidate:
     m = int(rng.integers(H2_M_RANGE[0], H2_M_RANGE[1] + 1))
     l = int(rng.integers(1, min(m, H2_L_MAX) + 1))
     alpha = _log_uniform(rng, *H2_ALPHA_RANGE)
@@ -167,7 +176,7 @@ def _draw_h2(rng) -> _Candidate:
     x = _sample_x(rng, nodes, X_NODE_MARGIN)
     points = PointSet(nodes, values=_smooth_values(rng, nodes))
     meta = {"m": m, "l": l, "family": "exp", "alpha": alpha}
-    return _Candidate(points, monomial_basis(l), WeightSpec("exp", alpha), x, meta)
+    return _Candidate(points, bases[l], WeightSpec("exp", alpha), x, meta)
 
 
 def _accept_h2(sysm) -> dict | None:
@@ -210,7 +219,8 @@ def _solve_candidates(cands) -> list:
 
 def _draw_accepted(rng, n: int, draw, accept, what: str) -> list:
     """The first n instances that ``accept`` keeps among the candidates
-    ``draw(rng)`` draws, in draw order.
+    ``draw(rng, bases)`` draws, in draw order; ``bases`` gives them one
+    basis per size.
 
     A candidate is rejected when its build raises ``ConditioningError`` or
     ``HypothesisFailure``, or when ``accept(system)`` gives None; otherwise
@@ -225,8 +235,9 @@ def _draw_accepted(rng, n: int, draw, accept, what: str) -> list:
     """
     out = []
     attempt = 0
+    bases = _Bases()
     while len(out) < n:
-        cands = [draw(rng) for _ in range(n - len(out))]
+        cands = [draw(rng, bases) for _ in range(n - len(out))]
         for cand, sysm in zip(cands, _solve_candidates(cands)):
             attempt += 1
             if isinstance(sysm, Exception):

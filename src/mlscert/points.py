@@ -26,27 +26,30 @@ class PointSet:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        if nodes.ndim == 1:
-            nodes = nodes[:, None]
+        nodes = np.asarray(self.nodes, dtype=float)
+        if nodes.ndim < 2:
+            nodes = nodes.reshape(-1)[:, None]
         if nodes.ndim != 2 or nodes.shape[0] < 1:
             raise ValueError("nodes must be a (m, d) array with m >= 1")
-        if not np.all(np.isfinite(nodes)):
+        if not np.isfinite(nodes).all():
             raise ValueError("nodes must be finite")
         # exact duplicates are always a construction error; sorted rows put
         # them next to each other (0.0 and -0.0 compare, and sort, equal)
-        srt = nodes[np.lexsort(nodes.T)]
-        if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
+        if nodes.shape[1] == 1:
+            srt = np.sort(nodes[:, 0])
+            dup = (srt[1:] == srt[:-1]).any()
+        else:
+            srt = nodes[np.lexsort(nodes.T)]
+            dup = (srt[1:] == srt[:-1]).all(axis=1).any()
+        if dup:
             raise ValueError("nodes must be pairwise distinct")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         if self.values is not None:
             vals = np.asarray(self.values, dtype=float).ravel()
-            if vals.shape[0] != nodes.shape[0]:
-                raise ValueError(
-                    f"got {vals.shape[0]} values for {nodes.shape[0]} nodes"
-                )
-            if not np.all(np.isfinite(vals)):
+            if len(vals) != len(nodes):
+                raise ValueError(f"got {len(vals)} values for {len(nodes)} nodes")
+            if not np.isfinite(vals).all():
                 raise ValueError("values must be finite")
             vals.setflags(write=False)
             object.__setattr__(self, "values", vals)

@@ -217,8 +217,9 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
     """Full operator diagnostics on every generated instance.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.  ``diagnose_stack`` checks each group of one shape
-    (m, l) at once, and the worst values are reduced from its arrays; a
+    if not given.  ``diagnose_stack`` checks each group of one node count
+    m at once, one stack per m for the (m, m) checks; per (m, l) for the
+    coefficient maps.  The worst values are reduced from its arrays; a
     failing instance raises what ``diagnose`` raises for the first one.
     """
     if suite is None:
@@ -239,9 +240,7 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
             "lmax_slack": psd["lmax_slack"],
         }
 
-    reports, _, error = _stacked(
-        check, _by_shape([(s.m, s.l) for s in systems]), len(systems), error
-    )
+    reports, _, error = _stacked(check, _by_shape([s.m for s in systems]), len(systems), error)
     if error is not None:
         raise error
     n_fail = _values(reports, "pass").count(False)

@@ -16,12 +16,13 @@ their structure numerically:
   chain rests on.
 
 Every check returns residuals and slacks rather than booleans alone, so a
-report is auditable after the fact.  The checks run on stacks of systems
-(or matrix pairs) of one shape, one stacked LAPACK or BLAS call per check
-(``diagnose_stack``, ``eig_product_stack``), or on pairs of mixed shapes,
-one stacked call per check and shape (``sv_product_reports``); those calls
-run per matrix, so the single-system entries are the one-row cases and
-agree bit for bit.
+report is auditable after the fact.  The checks run on stacks, one stacked
+LAPACK or BLAS call per check: ``diagnose_stack`` takes systems of one node
+count m, one stack per m for the (m, m) checks; per (m, l) for the
+coefficient maps.  ``eig_product_stack`` takes matrix pairs of one size,
+and ``sv_product_reports`` pairs of mixed shapes, one stacked call per
+check and shape.  Those calls run per matrix, so the single-system entries
+are the one-row cases and agree bit for bit.
 """
 
 from dataclasses import dataclass, field
@@ -105,32 +106,44 @@ def _smax(stack: np.ndarray) -> np.ndarray:
 
 
 class _Ops(NamedTuple):
-    """Operators of k systems of one shape (m, l), stacked on axis 0."""
+    """Operators of k systems of one node count m, stacked on axis 0."""
 
-    coef_map: np.ndarray  # (k, m, l)
+    coef_maps: list  # (k_l, m, l) per basis size l, in order of first appearance
     proj: np.ndarray  # (k, m, m)
     comp: np.ndarray  # (k, m, m)
     proj_dinv: np.ndarray  # (k, m, m)
     comp_dinv: np.ndarray  # (k, m, m)
-    qmats: np.ndarray  # (k, m, l) Q factors of the scaled designs
+    qqt: np.ndarray  # (k, m, m) Q Q^T, Q the QR factor of the scaled design
     dvecs: np.ndarray  # (k, m) weight diagonals
+    ls: np.ndarray  # (k,) basis sizes
 
 
 def _operators(systems) -> _Ops:
+    """The operators of systems of one node count m: the (m, l) work, the
+    coefficient maps and their products P and Q Q^T, runs once per basis
+    size l, and its (m, m) results are joined back in the systems' order."""
     if any(s.at_node is not None or s.qmat is None for s in systems):
         raise ValueError(
             "operators require x off the nodes for interpolating weights"
         )
-    qmats = _stack(systems, "qmat")
     dvecs = _stack(systems, "dvec")
-    coef_map = coef_map_stack(qmats, _stack(systems, "rmat"), np.sqrt(dvecs))
-    # against a C-ordered E^T: the transposed view takes a slower matmul
-    # loop, with the same bits
-    proj = coef_map @ np.ascontiguousarray(_t(_stack(systems, "design")))
-    comp = proj - np.eye(proj.shape[-1])
+    k, m = dvecs.shape
+    ls = [s.l for s in systems]
+    coef_maps = []
+    proj, qqt = np.empty((k, m, m)), np.empty((k, m, m))
+    for idx in _by_shape(ls):
+        group = [systems[i] for i in idx]
+        qmats = _stack(group, "qmat")
+        coef_map = coef_map_stack(qmats, _stack(group, "rmat"), np.sqrt(dvecs[idx]))
+        # against a C-ordered E^T: the transposed view takes a slower matmul
+        # loop, with the same bits
+        proj[idx] = coef_map @ np.ascontiguousarray(_t(_stack(group, "design")))
+        qqt[idx] = qmats @ _t(qmats)
+        coef_maps.append(coef_map)
+    comp = proj - np.eye(m)
     return _Ops(
-        coef_map, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
-        qmats, dvecs,
+        coef_maps, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
+        qqt, dvecs, np.array(ls),
     )
 
 
@@ -156,7 +169,7 @@ def build_operators(system: MlsSystem) -> OperatorBundle:
     not exist.
     """
     ops = _operators([system])
-    return OperatorBundle(*(a[0] for a in ops[:5]), system=system)
+    return OperatorBundle(ops.coef_maps[0][0], *(a[0] for a in ops[1:5]), system=system)
 
 
 def _symmetry(ops: _Ops, smax_proj_dinv) -> dict:
@@ -177,13 +190,13 @@ def _symmetry(ops: _Ops, smax_proj_dinv) -> dict:
     }
 
 
-def _cluster(evals: np.ndarray, centers: tuple, expected: tuple) -> dict:
+def _cluster(evals: np.ndarray, centers: tuple, expected: np.ndarray) -> dict:
     cvec = np.asarray(centers)
     idx = np.argmin(np.abs(evals[..., None] - cvec), axis=-1)
     return {
         "centers": list(centers),
         "counts": np.sum(idx[..., None] == np.arange(len(cvec)), axis=-2),
-        "expected_counts": list(expected),
+        "expected_counts": expected,
         "max_dev": np.max(np.abs(evals - cvec[idx]), axis=-1),
         "eigenvalues": np.sort(evals, axis=-1)[..., ::-1],
     }
@@ -193,23 +206,25 @@ def _eigen(ops: _Ops, tol: Tolerances) -> dict:
     """Eigenvalue clusters of the projector and its complement.
 
     The projector's spectrum is computed from its symmetric similarity
-    transform (an orthogonal projector assembled from the QR factor), so a
-    symmetric solver does the work; the complement's spectrum is the same
-    shifted by -1.  Counts are checked against (l, m - l) and any eigenvalue
-    further than ``tol.cluster_fail`` from its nearest center raises the
+    transform (the orthogonal projector Q Q^T assembled from the QR
+    factor), so a symmetric solver does the work; the complement's
+    spectrum is the same shifted by -1.  Counts are checked against
+    (l, m - l), l each system's own basis size, and any eigenvalue further
+    than ``tol.cluster_fail`` from its nearest center raises the
     structural-failure flag.
     """
-    m, l = ops.qmats.shape[-2:]
-    evals = np.linalg.eigvalsh(ops.qmats @ _t(ops.qmats))
-    proj = _cluster(evals, (1.0, 0.0), (l, m - l))
-    comp = _cluster(evals - 1.0, (0.0, -1.0), (l, m - l))
+    m = ops.qqt.shape[-1]
+    expected = np.stack([ops.ls, m - ops.ls], axis=-1)
+    evals = np.linalg.eigvalsh(ops.qqt)
+    proj = _cluster(evals, (1.0, 0.0), expected)
+    comp = _cluster(evals - 1.0, (0.0, -1.0), expected)
     return {
         "proj": proj,
         "comp": comp,
         "structural_failure": np.maximum(proj["max_dev"], comp["max_dev"])
         > tol.cluster_fail,
-        "counts_ok": np.all(proj["counts"] == (l, m - l), axis=-1)
-        & np.all(comp["counts"] == (l, m - l), axis=-1),
+        "counts_ok": np.all(proj["counts"] == expected, axis=-1)
+        & np.all(comp["counts"] == expected, axis=-1),
     }
 
 
@@ -636,23 +651,27 @@ class SpectralReport:
 
 
 def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
-    """Run every operator check on k assembled systems of one shape (m, l).
+    """Run every operator check on k assembled systems of one node count
+    m, with any basis sizes l.
 
     Returns the fields of ``SpectralReport.to_dict()`` but ``tolerances``,
     with every per-system value an array whose axis 0 runs over the
-    systems (shared values, such as check names, are plain).  Each check
-    is one stacked LAPACK or BLAS call for the whole stack, and those run
-    per matrix, so system i gets exactly what ``diagnose`` reports for it.
-    Raises ``ValueError`` if any system sits at an interpolation-limit
-    node, where the scaled operators do not exist.
+    systems (shared values, such as check names, are plain).  One stack
+    per m for the (m, m) checks; per (m, l) for the coefficient maps: the
+    maps, P and Q Q^T take one stacked call per basis size, every (m, m)
+    check one stacked LAPACK or BLAS call for the whole stack, and the
+    checks that read l (``trace_dev`` and the eigenvalue counts) take it
+    per system.  Those calls run per matrix, so system i gets exactly what
+    ``diagnose`` reports for it.  Raises ``ValueError`` if any system sits
+    at an interpolation-limit node, where the scaled operators do not
+    exist.
     """
     ops = _operators(systems)
-    proj = ops.proj
-    l = ops.qmats.shape[-1]
+    proj, ls = ops.proj, ops.ls
     norms = _norm_bounds(ops, tol)
     norm_p = norms["smax_proj"]
     idem = _smax(proj @ proj - proj) / np.where(norm_p != 0, norm_p, 1.0)
-    trace_dev = np.abs(np.trace(proj, axis1=1, axis2=2) - l) / max(1.0, l)
+    trace_dev = np.abs(np.trace(proj, axis1=1, axis2=2) - ls) / np.maximum(1.0, ls)
     symmetry = _symmetry(ops, norms["smax_proj_dinv"])
     eigen = _eigen(ops, tol)
     psd = _psd(ops, tol)
@@ -679,12 +698,13 @@ def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
 
 
 def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
-    """The ``SpectralReport`` of each of the systems, all of one shape
-    (m, l), in order.
+    """The ``SpectralReport`` of each of the systems, all of one node
+    count m, in order.
 
     The systems run through ``diagnose_stack`` in blocks of
     ``_block_rows(m)``, so each (rows, m, m) operator stack holds at most
-    ``_BLOCK_DOUBLES`` doubles, whatever m.  The first failing system
+    ``_BLOCK_DOUBLES`` doubles, whatever m: one stack per m for the (m, m)
+    checks; per (m, l) for the coefficient maps.  The first failing system
     raises its own error, what ``diagnose`` raises for it
     (``core._replayed``).
     """

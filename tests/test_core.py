@@ -418,13 +418,44 @@ def test_non_finite_evaluation_point_is_named():
 
 
 def test_nonfinite_nodes_rejected():
-    with pytest.raises(ValueError):
-        PointSet(np.array([0.0, np.nan]))
+    for nodes in ([0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf, 1.0],
+                  [[0.0, 1.0], [np.nan, 0.0]], [[0.0, 0.0], [0.0, 0.0], [np.inf, 1.0]]):
+        with pytest.raises(ValueError, match="^nodes must be finite$"):
+            PointSet(np.array(nodes))
 
 
 def test_value_count_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^got 1 values for 2 nodes$"):
         PointSet(np.array([0.0, 1.0]), values=np.array([1.0]))
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        PointSet(np.array([0.0, 1.0]), values=np.array([1.0, np.nan]))
+
+
+def test_point_set_shapes_and_messages():
+    """A scalar is one node in 1-d; an empty or 3-d array is refused, and
+    exact duplicates are named in 1-d and 2-d."""
+    assert PointSet(0.5).nodes.shape == (1, 1)
+    assert PointSet([0.5, 0.25]).nodes.tolist() == [[0.5], [0.25]]
+    for nodes in (np.zeros(0), np.zeros((0, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match=r"^nodes must be a \(m, d\) array with m >= 1$"):
+            PointSet(nodes)
+    for nodes in ([0.5, 0.25, 0.5], [[0.5, 1.0], [0.0, 0.0], [0.5, 1.0]]):
+        with pytest.raises(ValueError, match="^nodes must be pairwise distinct$"):
+            PointSet(np.array(nodes))
+
+
+def test_point_set_keeps_a_float64_input_read_only():
+    """A (m, d) float64 array is taken as it is and made read-only; a 1-d
+    one, and the values, as read-only views of the caller's array."""
+    nodes, values = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([2.0, 3.0])
+    pts = PointSet(nodes, values=values)
+    assert pts.nodes is nodes and not nodes.flags.writeable
+    assert np.shares_memory(pts.values, values) and not pts.values.flags.writeable
+    column = np.array([0.0, 0.5, 1.0])
+    pts = PointSet(column)
+    assert np.shares_memory(pts.nodes, column) and not pts.nodes.flags.writeable
+    copied = PointSet(np.array([0, 1]))
+    assert copied.nodes.dtype == float and not copied.nodes.flags.writeable
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

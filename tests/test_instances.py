@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mlscert import core, instances as inst
 from mlscert.bases import monomial_basis
 from mlscert.core import ConditioningError, HypothesisFailure
 from mlscert.points import PointSet
+from mlscert.reporting import canonical_json
 from mlscert.weights import WeightSpec
 
 
@@ -333,3 +336,31 @@ def test_other_build_errors_raise_at_their_candidate(monkeypatch):
     with pytest.raises(ValueError) as got_err:
         inst.random_suite(200, 1)
     assert str(got_err.value) == str(ref_err.value)
+
+
+#: sha256 of the draws of ``random_suite(200, seed)`` for seeds 0-4 (see
+#: ``_draw_digest``), recorded before candidates shared one basis per size
+#: and point sets were checked in fewer calls: neither may move the stream
+_DRAW_DIGESTS = (
+    "fa31b242ad1cfe7ff1e3e7554959e3d637204c86682cd869381a2a64155bfd41",
+    "12de57902ad5dd45044b732c99065dc34c56c97f24f279a824abb7d3c3f944fb",
+    "2aad003735562d56a915dbb66bf09cddda6894908118b959e4f028ad177d9751",
+    "c323bd6a9bbd21686b36e12b5afb791096393c406487e3a1b00afdbcf74e1cd0",
+    "84593310b0bee133675f58843f7bbb27ceb2629bd4f93748f8e5b7bdeac4d88b",
+)
+
+
+def _draw_digest(suite) -> str:
+    keys = ("m", "l", "family", "alpha", "attempts")
+    rows = [[[it.meta[k] for k in keys], it.points.nodes.tolist(), it.x] for it in suite]
+    return hashlib.sha256(canonical_json(rows).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_suite_draws_the_recorded_instances(seed):
+    suite = inst.random_suite(200, seed)
+    assert _draw_digest(suite) == _DRAW_DIGESTS[seed]
+    # one basis object per size, shared by the candidates of a call
+    by_size = {}
+    for it in suite:
+        assert by_size.setdefault(it.basis.size, it.basis) is it.basis

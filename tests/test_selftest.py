@@ -82,11 +82,11 @@ def _counting_h2_draws(monkeypatch, fail_at=None):
     1) raises."""
     calls = []
 
-    def counted(rng):
+    def counted(rng, bases):
         calls.append(None)
         if len(calls) == fail_at:
             raise RuntimeError("draw past the end")
-        return _DRAW_H2(rng)
+        return _DRAW_H2(rng, bases)
 
     monkeypatch.setattr(instances, "_draw_h2", counted)
     return calls

@@ -99,7 +99,7 @@ def _ref_diagnose(sysm, tol):
         and psd_ok and norms_ok and idem <= tol.idem and trace_dev <= tol.lin
     )
     return {
-        "symmetry": [sym_p, sym_c], "eig_dev": devs,
+        "symmetry": [sym_p, sym_c], "eig_dev": devs, "expected_counts": [[l, m - l]] * 2,
         "psd": [float(ev_p[0]), float(ev_c[0]), dscale, dscale - float(ev_p[-1])],
         "norms": [smax_p, smax_pd], "idempotence": idem, "trace_dev": trace_dev,
         "pass": bool(passed),
@@ -112,6 +112,7 @@ def _flat(rep: dict) -> dict:
     return {
         "symmetry": [rep["symmetry"]["proj_dinv"], rep["symmetry"]["comp_dinv"]],
         "eig_dev": [e["proj"]["max_dev"], e["comp"]["max_dev"]],
+        "expected_counts": [e["proj"]["expected_counts"], e["comp"]["expected_counts"]],
         "psd": [p["proj_dinv_min_eig"], p["neg_comp_dinv_min_eig"], p["scale"],
                 p["lmax_slack"]],
         "norms": [n["smax_proj"], n["smax_proj_dinv"]],
@@ -322,14 +323,17 @@ def test_stacked_checks_match_per_instance_loops(seed, n):
     suite = instances.random_suite(n, seed)
     systems = [it.system() for it in suite]
     rows = _ref_core_rows(seed, suite)
-    for idx in _groups([(s.m, s.l) for s in systems]):
+    # the operator checks take one stack per node count m, whatever l
+    for idx in _groups([s.m for s in systems]):
         stack = diagnose_stack([systems[i] for i in idx], TOL)
+        for j, i in enumerate(idx):
+            _same(_flat(spectral._row(stack, j)), _ref_diagnose(systems[i], TOL))
+    for idx in _groups([(s.m, s.l) for s in systems]):
         got = selftest._core_invariance(
             [suite[i] for i in idx], [systems[i] for i in idx],
             [rows[i]["coef"] for i in idx], [rows[i]["s"] for i in idx],
         )
         for j, i in enumerate(idx):
-            _same(_flat(spectral._row(stack, j)), _ref_diagnose(systems[i], TOL))
             _same({k: got[k][j] for k in got}, {k: rows[i][k] for k in got})
         oracle = [i for i in idx if rows[i]["oracle"] is not None]
         if oracle:
@@ -352,6 +356,17 @@ def test_stacked_checks_match_per_instance_loops(seed, n):
             _same(check_eig_products(pairs[i]["umat"], pairs[i]["vmat"], TOL), ref)
     with mock.patch.object(selftest, "PAIR_N", n):
         _same(selftest.suite_eig_product(seed, TOL), _ref_eig_suite(pairs, TOL))
+
+
+def test_spectral_takes_one_stack_per_node_count():
+    """Seed 42's 200 systems fall into 39 shapes (m, l) but only 9 node
+    counts m: the spectral suite calls ``diagnose_stack`` once per m."""
+    suite = instances.random_suite(selftest.GENERAL_N, 42)
+    assert len({(it.meta["m"], it.meta["l"]) for it in suite}) == 39
+    with mock.patch.object(selftest, "diagnose_stack", wraps=diagnose_stack) as calls:
+        selftest.suite_spectral(42, TOL, suite=suite)
+    assert calls.call_count == len({it.meta["m"] for it in suite}) == 9
+    assert sorted(len({s.l for s in c.args[0]}) for c in calls.call_args_list)[-1] > 1
 
 
 def test_the_selftest_suite_mixes_weight_families_within_groups():
@@ -420,6 +435,34 @@ def test_spectral_raises_the_first_failing_instance(order):
     expected = _raised(lambda: _ref_spectral(suite, TOL))
     assert expected is not None
     assert _raised(lambda: selftest.suite_spectral(6, TOL, suite=suite)) == expected
+
+
+@pytest.mark.parametrize("order", ["node_first", "nan_first"])
+def test_spectral_raises_the_first_failing_instance_of_a_mixed_l_stack(order):
+    """One node count m with several basis sizes in one stack: an instance
+    at a node of an interpolating weight, of another l, and one whose
+    scaled operators are NaN.  The suite raises the earlier one's error,
+    as a loop over single systems does."""
+    base = instances.random_suite(12, 6)
+    it = base[0]
+    m, l = it.meta["m"], it.meta["l"]
+    other = 1 if l > 1 else 2
+    node = float(it.points.nodes[1, 0])
+    at_node = Instance(it.points, monomial_basis(other), WeightSpec("shepard", 1.0), node,
+                       meta={**it.meta, "l": other, "family": "shepard"})
+    assert at_node.system().at_node == 1
+    broken = dataclasses.replace(it.solved, dvec=np.full_like(it.solved.dvec, np.nan))
+    nan_ops = _like(it, solved=broken)
+    bad = [at_node, nan_ops] if order == "node_first" else [nan_ops, at_node]
+    suite = base[:2] + bad[:1] + base[2:7] + bad[1:] + base[7:]
+    same_m = {x.meta["l"] for x in suite if x.meta["m"] == m}
+    assert len(same_m) > 1
+    expected = _raised(lambda: _ref_spectral(suite, TOL))
+    assert expected is not None
+    assert expected == _raised(lambda: [diagnose(x.system(), TOL) for x in suite])
+    assert _raised(lambda: selftest.suite_spectral(6, TOL, suite=suite)) == expected
+    want = "operators require x off the nodes" if order == "node_first" else "SVD"
+    assert want in expected[1]
 
 
 @pytest.mark.parametrize("order", ["odd_first", "odd_last"])
