@@ -643,7 +643,9 @@ def certify_bound(
     svals = np.linalg.svd(design, compute_uv=False)
     failed = check_hypotheses_1d(points, basis, weight, design_svals=svals)
     if failed:
-        raise HypothesisFailure(failed)
+        # the numbers the structural items compared, after the item names
+        measured = check_hypotheses(points, basis, design_svals=svals).measured
+        raise HypothesisFailure(failed, measured)
     xs_nodes = points.nodes[:, 0]
     alpha = weight.alpha
     consts = bound_constants(points, basis, alpha, design_svals=svals)

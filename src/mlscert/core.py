@@ -381,8 +381,9 @@ def _certified(rmats, m: int, l: int) -> bool:
 
 def _at_most_m(E) -> np.ndarray:
     """The design (m, l), or a stack of them, refused when l > m."""
-    if E.shape[-1] > E.shape[-2]:
-        raise HypothesisFailure(["basis_size_le_nodes"])
+    m, l = E.shape[-2:]
+    if l > m:
+        raise HypothesisFailure(["basis_size_le_nodes"], f"l {l} > m {m}")
     return E
 
 
@@ -560,12 +561,16 @@ class HypothesisReport:
     ``basis_size_le_nodes`` basis dimension does not exceed the node count
     ``design_full_rank``    design matrix has full column rank
 
-    The basis needs no check of its own: its first function is x^0 = 1.
+    ``rank`` is the design's numerical rank, ``m`` the node count and ``l``
+    the basis size.  The basis needs no check of its own: its first
+    function is x^0 = 1.
     """
 
     basis_size_le_nodes: bool
     design_full_rank: bool
     rank: int
+    m: int
+    l: int
 
     @property
     def failed_items(self) -> list[str]:
@@ -574,6 +579,18 @@ class HypothesisReport:
             for name in ("basis_size_le_nodes", "design_full_rank")
             if not getattr(self, name)
         ]
+
+    @property
+    def measured(self) -> str:
+        """What the failed items compared, in their order, as
+        ``HypothesisFailure`` takes it: ``l 100000 > m 5, design rank 5 <
+        l 100000``; empty when both hold."""
+        parts = []
+        if not self.basis_size_le_nodes:
+            parts.append(f"l {self.l} > m {self.m}")
+        if not self.design_full_rank:
+            parts.append(f"design rank {self.rank} < l {self.l}")
+        return ", ".join(parts)
 
 
 def check_hypotheses(
@@ -590,4 +607,6 @@ def check_hypotheses(
         basis_size_le_nodes=l <= m,
         design_full_rank=rank == l,
         rank=rank,
+        m=m,
+        l=l,
     )

@@ -346,11 +346,13 @@ def test_certificate_hypothesis_errors_keep_their_order():
         certify_bound(planar, monomial_basis(3, 2), WeightSpec("shepard", 1.0))
     assert err.value.items == ["dimension_one", "basis_derivative_available",
                                "exp_weight_family"]
+    assert err.value.measured == ""
     with pytest.raises(ValueError, match=r"basis values at node 1e\+200 are not finite"):
         certify_bound(PointSet(np.array([0.0, 1.0, 1e200])), monomial_basis(3), exp)
     with pytest.raises(HypothesisFailure) as err:
         certify_bound(PointSet(np.array([1.0, 0.0, 2.0])), monomial_basis(4), exp)
     assert err.value.items == ["nodes_increasing", "basis_size_le_nodes", "design_full_rank"]
+    assert err.value.measured == ": l 4 > m 3, design rank 3 < l 4"
     with pytest.raises(ValueError, match="need at least two nodes"):
         certify_bound(PointSet(np.array([1.0])), monomial_basis(1), exp)
 

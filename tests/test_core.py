@@ -76,7 +76,12 @@ def test_square_system_reproduces_data():
 def test_basis_larger_than_nodes_fails():
     with pytest.raises(HypothesisFailure) as err:
         build_system(0.5, NODES_012, monomial_basis(4), EXP1)
-    assert "basis_size_le_nodes" in err.value.items
+    assert err.value.items == ["basis_size_le_nodes"]
+    assert err.value.measured == ": l 4 > m 3"
+    rep = check_hypotheses(NODES_012, monomial_basis(4))
+    assert rep.failed_items == ["basis_size_le_nodes", "design_full_rank"]
+    assert rep.measured == "l 4 > m 3, design rank 3 < l 4"
+    assert check_hypotheses(NODES_012, monomial_basis(3)).measured == ""
 
 
 def test_rank_deficient_design_fails():
@@ -88,6 +93,7 @@ def test_rank_deficient_design_fails():
     assert "design_full_rank" in err.value.items
     rep = check_hypotheses(collinear, basis)
     assert rep.rank == 2 and rep.failed_items == ["design_full_rank"]
+    assert rep.measured == "design rank 2 < l 3"
 
 
 def test_conditioning_limit_enforced(monkeypatch):
@@ -935,7 +941,9 @@ def test_huge_basis_is_refused_quickly(tmp_path, capsys):
     (tmp_path / "in.csv").write_text("x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n")
     (tmp_path / "cfg.json").write_text('{"l": 100000}')
     args = ["--input", str(tmp_path / "in.csv"), "--config", str(tmp_path / "cfg.json")]
-    for command, failed in (("fit", "basis_size_le_nodes"), ("diagnose", "basis_size_le_nodes"),
-                            ("bound", "basis_size_le_nodes, design_full_rank")):
+    size = "basis_size_le_nodes: l 100000 > m 5"
+    for command, failed in (("fit", size), ("diagnose", size),
+                            ("bound", "basis_size_le_nodes, design_full_rank: "
+                                      "l 100000 > m 5, design rank 5 < l 100000")):
         assert main([command, *args]) == 3
         assert capsys.readouterr().err == f"hypothesis failure: {failed}\n"
