@@ -238,6 +238,7 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
             "psd_min_rel": (psd["proj_dinv_min_eig"] / psd["scale"],
                             psd["neg_comp_dinv_min_eig"] / psd["scale"]),
             "lmax_slack": psd["lmax_slack"],
+            "lmax_slack_rel": psd["lmax_slack"] / psd["scale"],
         }
 
     reports, _, error = _stacked(check, _by_shape([s.m for s in systems]), len(systems), error)
@@ -249,6 +250,9 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
         out[key] = max([0.0, *_values(reports, key)])
     out["psd_min_rel"] = min([0.0, *_values(reports, "psd_min_rel")])
     out["lmax_slack"] = min([float("inf"), *_values(reports, "lmax_slack")])
+    # lmax_slack relative to its bound 1 / d_min, where rounding reads the
+    # same whatever the weights' scale; reported, not gated
+    out["lmax_slack_rel"] = min([float("inf"), *_values(reports, "lmax_slack_rel")])
     return out
 
 

@@ -123,7 +123,8 @@ def _flat(rep: dict) -> dict:
 
 def _ref_spectral(suite, tol):
     worst = {"symmetry": 0.0, "eig_dev": 0.0, "idempotence": 0.0, "trace_dev": 0.0,
-             "psd_min_rel": 0.0, "lmax_slack": float("inf")}
+             "psd_min_rel": 0.0, "lmax_slack": float("inf"),
+             "lmax_slack_rel": float("inf")}
     n_fail = 0
     for it in suite:
         sysm = it.system()
@@ -138,6 +139,7 @@ def _ref_spectral(suite, tol):
         pe, ce, scale, slack = r["psd"]
         worst["psd_min_rel"] = min(worst["psd_min_rel"], pe / scale, ce / scale)
         worst["lmax_slack"] = min(worst["lmax_slack"], slack)
+        worst["lmax_slack_rel"] = min(worst["lmax_slack_rel"], slack / scale)
     return {"n": len(suite), "n_fail": n_fail, "pass": n_fail == 0, **worst}
 
 
