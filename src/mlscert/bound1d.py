@@ -45,13 +45,14 @@ from .config import Tolerances
 from .core import (
     HypothesisFailure,
     MlsSystem,
+    _block_rows,
     _located,
     build_design,
     build_rows,
     check_hypotheses,
 )
 from .points import PointSet
-from .spectral import OperatorBundle, _block_rows, _smax, coef_map_stack
+from .spectral import OperatorBundle, _smax, coef_map_stack
 from .weights import WeightSpec
 
 __all__ = [
@@ -347,7 +348,7 @@ def _comp_h_values(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray
     """Per grid row, its ``_comp_h_upper`` bound on the computed
     sigma_max((P - I) H), or, where that bound is not at most ``best`` or
     is +inf (none proven), the SVD value itself, from (m, m) stacks of at
-    most ``spectral._block_rows(m)`` rows.  So every value is at least
+    most ``core._block_rows(m)`` rows.  So every value is at least
     the row's SVD value, and a value above ``best`` is that SVD value."""
     values = _comp_h_upper(coef_map, hdiag, design_t, factor, best)
     rows = np.flatnonzero(~(values <= best) | np.isinf(values))
@@ -624,10 +625,11 @@ def certify_bound(
     feed nothing but the anchor norms.  Each block is solved in one
     stacked call, then a(x), its norm, the nearest node, the coefficient
     maps A0 and the forcing products A0 c' are built for the block's grid
-    rows.  A block's (rows, m, l) maps hold at most a quarter of one
-    (rows, m, m) stack of ``spectral._BLOCK_DOUBLES`` doubles, so with the
-    stacks of the rows that take an SVD (``_comp_h_values``) the
-    temporaries alive at once stay below four such stacks.
+    rows.  ``build_rows`` sizes the blocks: a block's (rows, m, l) maps
+    hold at most a quarter of one (rows, m, m) stack of
+    ``core._BLOCK_DOUBLES`` doubles, so with the stacks of the rows that
+    take an SVD (``_comp_h_values``) the temporaries alive at once stay
+    below four such stacks.
 
     ``comp_h_upper`` is the largest per-row value of ``_comp_h_values``
     against the threshold M2 + ``tol.bound``, so ``majorants["pass"]`` is
@@ -674,8 +676,7 @@ def certify_bound(
     # never vanish, so no row is an interpolation limit and every row
     # carries its QR factors
     rows_x = np.concatenate([xs_nodes, grid])[:, None]
-    blocks = build_rows(rows_x, points, basis, weight, design=design,
-                        block_rows=max(1, _block_rows(m, basis.size) // 4))
+    blocks = build_rows(rows_x, points, basis, weight, design=design)
 
     def point(row):
         """A failing row: a node anchor, or a point of the grid."""

@@ -9,6 +9,9 @@ coefficient vector a solves the weighted least-squares problem
 and a_i collects the linear dependence of p(x) on f_i.  All linear algebra
 goes through one thin QR factorization of the row-scaled design matrix, so
 the squared conditioning of the normal equations never enters the solve.
+Many points are solved in blocks of rows (``build_rows``), and one budget
+of doubles here (``_block_rows``) sizes every block: the solve's and those
+of the operator stacks built from its rows.
 """
 
 from dataclasses import dataclass
@@ -187,9 +190,18 @@ def _by_shape(keys, idx=None) -> list:
     return list(groups.values())
 
 
-#: rows per block of ``build_rows``; bounds the (rows, m, l) temporaries of
-#: a block
-_BLOCK = 128
+#: the memory budget of a block, in doubles (``_block_rows``)
+_BLOCK_DOUBLES = 2**16
+
+
+def _block_rows(m: int, l: int | None = None) -> int:
+    """Rows per block of (m, l) stacks, (m, m) by default: one (rows, m, l)
+    stack of at most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and one row when
+    m l exceeds it.  ``build_rows`` solves blocks of a quarter of
+    ``_block_rows(m, l)`` rows; ``spectral.diagnose_each`` and
+    ``bound1d._comp_h_values`` build their (m, m) stacks in blocks of
+    ``_block_rows(m)``.  The one rule for every block size."""
+    return max(1, _BLOCK_DOUBLES // (m * (m if l is None else l)))
 
 
 class _Rows(NamedTuple):
@@ -402,7 +414,7 @@ def _basis_rows(xs, basis) -> np.ndarray:
 
 
 def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=None,
-               block_rows: int = _BLOCK, conds: bool = False):
+               conds: bool = False):
     """Solve the local systems at the points xs (n, d), block by block: the
     one builder of local systems.
 
@@ -415,11 +427,14 @@ def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=N
     shared node set and weight are broadcast: no per-row design, node
     stack or loop over rows.
 
-    Yields ``(start, rows)`` per solved block of at most ``block_rows``
-    rows, in row order (``_replayed``): ``rows`` holds the rows from
-    ``start`` on, and ``rows.systems()`` gives their ``MlsSystem`` when
-    ``conds`` asked for the Gram condition estimates.  The first failing
-    row raises what ``build_system`` raises for it.
+    Yields ``(start, rows)`` per solved block, in row order
+    (``_replayed``): ``rows`` holds the rows from ``start`` on, and
+    ``rows.systems()`` gives their ``MlsSystem`` when ``conds`` asked for
+    the Gram condition estimates.  The first failing row raises what
+    ``build_system`` raises for it.  A block has at most
+    ``max(1, _block_rows(m, l) // 4)`` rows, so each of its (rows, m, l)
+    stacks holds at most 2^14 doubles, whatever m and l; a stacked call
+    runs per matrix, so no value depends on the block size.
     """
     xs = np.asarray(xs, dtype=float)
     shared = isinstance(nodes, PointSet)
@@ -429,6 +444,7 @@ def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=N
         nodes = nodes.nodes[None]
     else:
         nodes = np.asarray(nodes, dtype=float)
+    size = max(1, _block_rows(nodes.shape[1], basis.size) // 4)
     if design is not None:
         design = _at_most_m(np.asarray(design, dtype=float))
     one_weight = dvecs is not None or hasattr(weight, "w")
@@ -443,7 +459,7 @@ def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=N
             conds,
         )
 
-    return _replayed(solve, len(xs), block_rows)
+    return _replayed(solve, len(xs), size)
 
 
 def _replayed(solve, n: int, size: int):

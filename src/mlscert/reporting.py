@@ -6,24 +6,17 @@ small canonical serializer: keys sorted, floats at 17 significant digits
 dependence, no timestamps.  Files are written atomically (temp file in the
 target directory, then rename); a failed write leaves no temp file behind.
 
-Tables take one path and everything else another.  A table is a list or
-tuple of list or tuple rows that all have one type signature made only of
-exact ``float`` and ``int`` cells, every one finite; a flat list or tuple
-of such cells is the one-row case.  A 2-D ``float64`` ndarray with at
-least one entry, every one finite, is a table too, of float columns; this
-is the form ``fit`` and ``bound`` hand over, built as numpy columns with
-no Python per cell.  Its text comes from a single ``%`` operation: a
-template built from the signature (``%.17g`` per float, ``%d`` per int,
-with the brackets and commas of JSON or of CSV) applied to the flattened
-cells.  One builtin ``sum`` checks the cells of a list table without a
-branch per value: it is finite exactly when no cell is NaN or +-inf and
-nothing overflows, and an ``OverflowError`` (an int too large for a
-double) counts as not finite; an array is checked by one
-``np.isfinite(...).all()``.  Any other value takes the per-value path,
-which alone decides its bytes: NaN and +-inf tokens, ``bool``, numpy
-scalars, strings, ragged or mixed rows, dicts, and tables whose sum is not
-finite.  Any other array goes through its ``tolist()``: one with a NaN or
-+-inf entry, an empty one, another dtype or another number of dimensions.
+A table takes one path and everything else another.  A table is a 2-D
+``float64`` ndarray with at least one entry, every one finite: the form
+``fit`` and ``bound`` hand over, built as numpy columns with no Python per
+cell.  One ``np.isfinite(...).all()`` checks it, and its text comes from a
+single ``%`` operation: a template of ``%.17g`` per cell, with the
+brackets and commas of JSON or of CSV, applied to the flattened cells.
+Every other value takes the per-value path, which alone decides its bytes:
+lists and tuples, NaN and +-inf tokens, ``bool``, numpy scalars, strings
+and dicts.  Any other array goes through its ``tolist()``: one with a NaN
+or +-inf entry, an empty one, another dtype or another number of
+dimensions.
 
 An integer column may ride in a float array: ``%.17g`` prints an integral
 double below 2**53 with the digits ``%d`` prints for the int (``3.0`` and
@@ -34,8 +27,7 @@ float column of its points table with unchanged bytes.
 the double, the ``g`` type and precision 17 with no flags to CPython's
 ``PyOS_double_to_string`` (the ``#`` flag and the empty type, which add
 flags, are not used).  ``format_float`` is the one-value case and uses the
-same spec string, so a float prints the same on either path; so does an
-int, since ``"%d" % n == str(n)`` for an exact ``int``.
+same spec string, so a float prints the same on either path.
 """
 
 import csv
@@ -43,7 +35,6 @@ import io
 import json
 import math
 import os
-from itertools import chain
 
 import numpy as np
 
@@ -56,9 +47,6 @@ __all__ = [
 
 #: the %-spec of a finite double: 17 significant digits round-trip it
 _FLOAT_SPEC = "%.17g"
-#: the %-spec of each cell type the table path takes, keyed by exact type
-_SPECS = {float: _FLOAT_SPEC, int: "%d"}
-_ROW_TYPES = {list, tuple}
 
 
 def format_float(x: float) -> str:
@@ -71,46 +59,22 @@ def format_float(x: float) -> str:
     return _FLOAT_SPEC % x
 
 
-def _finite(cells: tuple) -> bool:
-    try:
-        return math.isfinite(sum(cells))
-    except OverflowError:
-        return False
-
-
 def _table(rows):
-    """(specs of one row, cells in row order) of a table, or None.
-
-    ``rows`` must be a 2-D float64 ndarray with entries, all finite, or a
-    non-empty list or tuple of list or tuple rows of one length whose
-    cells have, column by column, one exact type in ``_SPECS``, and whose
-    ``sum`` is finite; anything else gives None.
-    """
-    if type(rows) is np.ndarray:
-        if rows.ndim == 2 and rows.dtype == np.float64 and rows.size and np.isfinite(rows).all():
-            return [_FLOAT_SPEC] * rows.shape[1], tuple(rows.ravel().tolist())
-        return None
-    if type(rows) not in _ROW_TYPES or not rows or not set(map(type, rows)) <= _ROW_TYPES:
-        return None
-    first = rows[0]
-    if set(map(len, rows)) != {len(first)}:
-        return None
-    signature = tuple(map(type, first))
-    cells = tuple(chain.from_iterable(rows))
-    if tuple(map(type, cells)) != signature * len(rows) or not set(signature) <= _SPECS.keys():
-        return None
-    return ([_SPECS[t] for t in signature], cells) if _finite(cells) else None
+    """The cells of a table in row order, or None: ``rows`` must be a 2-D
+    float64 ndarray with entries, all finite."""
+    if (type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype == np.float64
+            and rows.size and np.isfinite(rows).all()):
+        return tuple(rows.ravel().tolist())
+    return None
 
 
 def _json_table(obj):
-    """JSON text of a table or of a flat list of cells (one row), or None."""
-    flat = type(obj) in _ROW_TYPES and bool(obj) and type(obj[0]) in _SPECS
-    table = _table((obj,) if flat else obj)
-    if table is None:
+    """JSON text of a table, or None."""
+    cells = _table(obj)
+    if cells is None:
         return None
-    specs, cells = table
-    row = "[" + ",".join(specs) + "]"
-    return (row if flat else "[" + ",".join([row] * len(obj)) + "]") % cells
+    row = "[" + ",".join([_FLOAT_SPEC] * obj.shape[1]) + "]"
+    return ("[" + ",".join([row] * len(obj)) + "]") % cells
 
 
 def _serialize(obj, out: list) -> None:
@@ -146,10 +110,6 @@ def _serialize(obj, out: list) -> None:
             _serialize(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        table = _json_table(obj)
-        if table is not None:
-            out.append(table)
-            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -207,10 +167,10 @@ def csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
-    table = _table(rows)
-    if table is None:
+    cells = _table(rows)
+    if cells is None:
         for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
             writer.writerow([_cell(v) for v in row])
         return buf.getvalue()
-    specs, cells = table
-    return buf.getvalue() + ("\n".join([",".join(specs)] * len(rows)) + "\n") % cells
+    line = ",".join([_FLOAT_SPEC] * rows.shape[1])
+    return buf.getvalue() + ("\n".join([line] * len(rows)) + "\n") % cells

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Tolerances
-from .core import MlsSystem, _by_shape, _stack, _replayed, rank_tolerance
+from .core import MlsSystem, _block_rows, _by_shape, _stack, _replayed, rank_tolerance
 
 __all__ = [
     "OperatorBundle",
@@ -46,20 +46,6 @@ __all__ = [
     "diagnose_each",
     "diagnose_stack",
 ]
-
-#: the memory budget of a block of operators, in doubles: one (rows, m, m)
-#: stack of a block holds at most this many (``_block_rows``)
-_BLOCK_DOUBLES = 2**16
-
-
-def _block_rows(m: int, l: int | None = None) -> int:
-    """Systems per block of (m, l) operators, (m, m) by default: one
-    (rows, m, l) stack of at most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and
-    one system when m l exceeds it.  ``diagnose_each`` and the
-    certificate's grid loop (``bound1d.certify_bound``) build their stacks
-    in blocks of this many."""
-    return max(1, _BLOCK_DOUBLES // (m * (m if l is None else l)))
-
 
 @dataclass(frozen=True)
 class OperatorBundle:
@@ -702,9 +688,9 @@ def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
     count m, in order.
 
     The systems run through ``diagnose_stack`` in blocks of
-    ``_block_rows(m)``, so each (rows, m, m) operator stack holds at most
-    ``_BLOCK_DOUBLES`` doubles, whatever m: one stack per m for the (m, m)
-    checks; per (m, l) for the coefficient maps.  The first failing system
+    ``core._block_rows(m)``, so each (rows, m, m) operator stack holds at
+    most ``core._BLOCK_DOUBLES`` doubles, whatever m: one stack per m for
+    the (m, m) checks; per (m, l) for the coefficient maps.  The first failing system
     raises its own error, what ``diagnose`` raises for it
     (``core._replayed``).
     """

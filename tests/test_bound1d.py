@@ -510,7 +510,7 @@ def test_batched_certificate_matches_per_point(
     span = math.exp(log_span)
     xs = np.unique(np.concatenate([[0.0, span], rng.uniform(0.0, span, m - 2)]))
     pts = PointSet(xs, values=np.cos(xs))
-    block = spectral._block_rows(len(xs))
+    block = core._block_rows(len(xs))
     if n_grid == "block+1":
         n_grid = block + 1 if block < 400 else 41
     grid = uniform_grid(pts, n_grid)
@@ -550,7 +550,7 @@ def test_batched_certificate_with_overflowing_weights():
     pts = PointSet(xs, values=np.sin(xs))
     weight = WeightSpec("exp", 709.5)
     assert np.isinf(build_system(0.0, pts, monomial_basis(1), weight).dvec[-1])
-    grid = uniform_grid(pts, spectral._block_rows(40) + 1)
+    grid = uniform_grid(pts, core._block_rows(40) + 1)
     cert = _assert_same_certificate(pts, monomial_basis(1), weight, grid)
     assert cert is not None and cert.metadata["n_grid"] == len(grid)
 
@@ -563,7 +563,7 @@ def test_first_failing_grid_point_decides_the_error(monkeypatch, tmp_path):
     pts = PointSet(xs, values=np.sin(xs))
     basis, weight = monomial_basis(2), WeightSpec("exp", 2.0)
     grid = uniform_grid(pts, 400)  # the peak lies past the first block
-    block = spectral._block_rows(pts.m)
+    block = core._block_rows(pts.m)
     cond = [build_system(x, pts, basis, weight).cond_gram for x in grid]
     worst_before = max(build_system(x, pts, basis, weight).cond_gram for x in xs)
     # a point past the first block whose condition tops every earlier one
@@ -859,7 +859,7 @@ def _count_passes(monkeypatch) -> dict:
     return seen
 
 
-@pytest.mark.parametrize("doubles", [2**10, spectral._BLOCK_DOUBLES])
+@pytest.mark.parametrize("doubles", [2**10, core._BLOCK_DOUBLES])
 def test_certificate_solves_in_one_pass(monkeypatch, doubles):
     """The node anchors and the grid go through one ``build_rows`` call,
     and no ``build_systems`` call.  The per-row bound is handed every
@@ -867,10 +867,10 @@ def test_certificate_solves_in_one_pass(monkeypatch, doubles):
     budget spreads the anchors over several blocks."""
     pts, basis, weight = _work_count_instance()
     grid = uniform_grid(pts, 400)[::-1].copy()
-    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+    monkeypatch.setattr(core, "_BLOCK_DOUBLES", doubles)
     # the small budget spreads the 38 anchors over blocks of 2 rows: a
     # block's (rows, m, l) maps hold a quarter of the budget
-    assert (doubles > 2**10) == (spectral._block_rows(pts.m, basis.size) // 4 > pts.m)
+    assert (doubles > 2**10) == (core._block_rows(pts.m, basis.size) // 4 > pts.m)
     seen = _count_passes(monkeypatch)
     cert = certify_bound(pts, basis, weight, grid=grid)
     assert (seen["build_rows"], seen["build_systems"], seen["maps"]) == (1, 0, 400)
@@ -879,7 +879,7 @@ def test_certificate_solves_in_one_pass(monkeypatch, doubles):
     assert cert.metadata["n_grid"] == 400
 
 
-@pytest.mark.parametrize("doubles", [2**10, spectral._BLOCK_DOUBLES])
+@pytest.mark.parametrize("doubles", [2**10, core._BLOCK_DOUBLES])
 def test_failing_anchor_raises_before_any_grid_row(monkeypatch, doubles):
     """A node anchor over the condition limit raises its own error, that
     of the first failing node, before any grid row's map is built."""
@@ -888,7 +888,7 @@ def test_failing_anchor_raises_before_any_grid_row(monkeypatch, doubles):
     limit = (min(cond) + max(cond)) / 2.0
     first = next(c for c in cond if c > limit)
     monkeypatch.setattr(core, "COND_LIMIT", limit)
-    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+    monkeypatch.setattr(core, "_BLOCK_DOUBLES", doubles)
     seen = _count_passes(monkeypatch)
     with pytest.raises(ConditioningError) as err:
         certify_bound(pts, basis, weight, n_grid=400)
@@ -1089,7 +1089,7 @@ def _certificate_peak(args, n_grid: int) -> int:
 def test_certificate_peak_memory():
     """The grid loop's temporaries stay below those of six stacks of 2^15
     doubles.  On 4000 points they stay below four stacks of
-    ``spectral._BLOCK_DOUBLES`` doubles (2 MiB), for small and large m:
+    ``core._BLOCK_DOUBLES`` doubles (2 MiB), for small and large m:
     a block holds (rows, m, l) maps of a quarter of that budget, and a
     row builds its (m, m) (P - I) H only where its bound does not settle
     it."""
@@ -1099,7 +1099,7 @@ def test_certificate_peak_memory():
         xs = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, m - 2)]))
         args = PointSet(xs, values=np.sin(xs)), monomial_basis(l), WeightSpec("exp", 1.0)
         peak = _certificate_peak(args, 4000)
-        assert peak < 4 * spectral._BLOCK_DOUBLES * 8, (m, l, peak)
+        assert peak < 4 * core._BLOCK_DOUBLES * 8, (m, l, peak)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
@@ -1120,7 +1120,7 @@ def test_certificate_does_not_depend_on_its_block_budget(monkeypatch, m, l, orde
         grid = grid[rng.permutation(len(grid))]
     reports = set()
     for doubles in (2**4, 2**8, 2**15, 2**16, 2**20):
-        monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", doubles)
+        monkeypatch.setattr(core, "_BLOCK_DOUBLES", doubles)
         reports.add(_outcome(lambda: canonical_json(certify_bound(
             pts, monomial_basis(l), WeightSpec("exp", 0.7), grid=grid).to_dict())))
     assert len(reports) == 1

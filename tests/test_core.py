@@ -237,9 +237,16 @@ def test_build_systems_rows_match_build_system(dim, m, l, family, log_alpha, see
         _assert_rows_equal(build_systems(np.array(good), pts, basis, weight), rows)
 
 
+def _blocks_of(patch, rows: int, m: int, l: int) -> None:
+    """Make ``build_rows`` solve (m, l) problems in blocks of ``rows``
+    rows, through the budget that sizes every block."""
+    patch.setattr(core, "_BLOCK_DOUBLES", 4 * rows * m * l)
+    assert core._block_rows(m, l) // 4 == rows
+
+
 def test_build_systems_block_boundary():
     """One row past a full block, with a node hit as the last row."""
-    n = core._BLOCK + 1
+    n = core._block_rows(7, 2) // 4 + 1
     nodes = np.linspace(0.0, 1.0, 7)
     pts = PointSet(nodes, values=np.cos(nodes))
     basis = monomial_basis(2)
@@ -252,14 +259,35 @@ def test_build_systems_block_boundary():
     assert rows[-1].at_node == 4
 
 
-@pytest.mark.parametrize("first", [0, core._BLOCK - 1, core._BLOCK, 2 * core._BLOCK + 5])
+def test_solve_blocks_follow_the_doubles_budget(monkeypatch):
+    """300 nodes with l = 2 solve in blocks of ``_block_rows(300, 2) // 4``
+    = 27 rows, so 50 points take 2 solve blocks."""
+    sizes, solve = [], core._solve_rows
+
+    def counted(xs, *args):
+        sizes.append(len(xs))
+        return solve(xs, *args)
+
+    monkeypatch.setattr(core, "_solve_rows", counted)
+    nodes = np.linspace(0.0, 1.0, 300)
+    pts = PointSet(nodes, values=np.sin(nodes))
+    evaluate_many(np.linspace(0.1, 0.9, 50)[:, None], pts, monomial_basis(2),
+                  WeightSpec("exp", 1.0))
+    assert sizes == [27, 23]
+
+
+# the solve block of 64 nodes and l = 2: 128 rows
+LOCATE_BLOCK = core._block_rows(64, 2) // 4
+
+
+@pytest.mark.parametrize("first", [0, LOCATE_BLOCK - 1, LOCATE_BLOCK, 2 * LOCATE_BLOCK + 5])
 def test_build_systems_locates_the_first_failing_row(first):
     """A failing row keeps the message its one-row solve raises, and
     ``where`` names it as the grid point it is, in whichever block it
     lies; the rows before it pass."""
-    pts = PointSet(np.linspace(0.0, 1.0, 5), values=np.zeros(5))
+    pts = PointSet(np.linspace(0.0, 1.0, 64), values=np.zeros(64))
     basis, weight = monomial_basis(2), WeightSpec("exp", 1.0)
-    xs = np.full(2 * core._BLOCK + 9, 0.5)
+    xs = np.full(2 * LOCATE_BLOCK + 9, 0.5)
     xs[first:] = 30.0  # every weight overflows: the design_full_rank failure
     with pytest.raises(HypothesisFailure) as err:
         build_systems(xs, pts, basis, weight)
@@ -346,12 +374,14 @@ def test_subnormal_design_fails_the_rank_check():
 
 NEAR = 0.2 + 1e-9  # next to a node of an interpolating weight: ConditioningError
 FAR = 1e3  # mclain weight underflows to 0: ValueError
+# the solve block of the six nodes and l = 2 below
+_FIRST_BLOCK = core._block_rows(6, 2) // 4
 FIRST_FAILURES = [
     ([0.5, NEAR, FAR, np.nan], ConditioningError),
     ([0.5, FAR, NEAR], ValueError),
     ([0.5, np.nan, NEAR, FAR], ValueError),  # names the point, not LAPACK
-    ([0.5] * core._BLOCK + [NEAR, FAR], ConditioningError),
-    ([0.5, FAR] + [0.5] * core._BLOCK + [NEAR], ValueError),
+    ([0.5] * _FIRST_BLOCK + [NEAR, FAR], ConditioningError),
+    ([0.5, FAR] + [0.5] * _FIRST_BLOCK + [NEAR], ValueError),
 ]
 
 
@@ -374,7 +404,7 @@ def test_cmd_fit_matches_per_point_evaluate(tmp_path):
     (tmp_path / "cfg.json").write_text(
         '{"l": 3, "weight": {"family": "exp", "alpha": 900.0}}'
     )
-    n = 2 * core._BLOCK + 7
+    n = 2 * (core._block_rows(40, 3) // 4) + 7
     code = main([
         "fit", "--input", str(tmp_path / "in.csv"),
         "--config", str(tmp_path / "cfg.json"), "--grid", str(n),
@@ -591,9 +621,10 @@ def test_builder_cases_agree_with_one_row_builds(d, m, l, family, alpha, block_r
     rng.shuffle(xs)
     n = len(xs)
     ref = _one_row_loop(xs, [pts] * n, basis, [weight] * n)
-    broadcast = _built(xs, pts, basis, weight, block_rows=block_rows)
-    per_row = _built(xs, np.stack([pts.nodes] * n), basis, [weight] * n,
-                     block_rows=block_rows)
+    with pytest.MonkeyPatch.context() as patch:
+        _blocks_of(patch, block_rows, m, l)
+        broadcast = _built(xs, pts, basis, weight)
+        per_row = _built(xs, np.stack([pts.nodes] * n), basis, [weight] * n)
     _assert_same_systems(broadcast, ref)
     _assert_same_systems(per_row, ref)
 
@@ -829,19 +860,21 @@ def _assert_same_outcome(got, ref):
             assert a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+#: the solve block of ``test_gate_keeps_build_systems_bits``, in rows
+GATE_BLOCK = 128
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from((1, 2)),
     m=st.integers(3, 10),
     l=st.integers(1, 3),
     family=st.sampled_from(("exp", "shepard", "mclain", "levin")),
     log_alpha=st.floats(np.log(1e-2), np.log(1e2)),
-    fail_at=st.one_of(st.none(), st.integers(0, 2 * core._BLOCK)),
+    fail_at=st.one_of(st.none(), st.integers(0, 2 * GATE_BLOCK)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_gate_keeps_build_systems_bits(monkeypatch, dim, m, l, family, log_alpha, fail_at,
-                                       seed):
+def test_gate_keeps_build_systems_bits(dim, m, l, family, log_alpha, fail_at, seed):
     """``build_systems`` gives the bytes and the errors of the SVD-only
     path, with rows at nodes and a failing point in any block."""
     rng = np.random.default_rng(seed)
@@ -849,13 +882,18 @@ def test_gate_keeps_build_systems_bits(monkeypatch, dim, m, l, family, log_alpha
     pts = PointSet(nodes)
     basis = monomial_basis(l, dim)
     weight = WeightSpec(family, float(np.exp(log_alpha)))
-    xs = rng.uniform(-0.1, 1.1, (2 * core._BLOCK + 1, dim))
+    xs = rng.uniform(-0.1, 1.1, (2 * GATE_BLOCK + 1, dim))
     xs[rng.integers(0, len(xs), 5)] = nodes[rng.integers(0, m, 5)]
     if fail_at is not None:  # a node nudged off itself, or a far point
         xs[fail_at] = nodes[0] + 1e-9 if rng.random() < 0.5 else 50.0
-    gated = _outcome(build_systems, xs, pts, basis, weight)
-    _svd_only(monkeypatch)
-    _assert_same_outcome(gated, _outcome(build_systems, xs, pts, basis, weight))
+    # patched per example: a patch that outlived one would leave the
+    # next example comparing the SVD-only path with itself
+    with pytest.MonkeyPatch.context() as patch:
+        _blocks_of(patch, GATE_BLOCK, m, l)
+        gated = _outcome(build_systems, xs, pts, basis, weight)
+        _svd_only(patch)
+        svd = _outcome(build_systems, xs, pts, basis, weight)
+    _assert_same_outcome(gated, svd)
 
 
 @pytest.mark.parametrize("designs", [

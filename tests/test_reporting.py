@@ -83,11 +83,11 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     assert list((tmp_path / "taken").iterdir()) == []
 
 
-# --- the table path against a per-value reference ---------------------------
+# --- the writers against a per-value reference -------------------------------
 #
 # ``ref_json`` and ``ref_csv`` format every value on its own, as the
 # serializer did before it had a table path; the real writers must give
-# the same bytes for every input.
+# the same bytes for every input, lists and tuples of rows included.
 
 
 def _ref_float(x) -> str:
@@ -261,10 +261,12 @@ def test_fallback_triggers_take_the_per_value_path(name):
 
 
 def test_tables_take_the_table_path():
+    """Lists and tuples of float and int cells take the per-value path,
+    with the bytes the list-table path they no longer take gave them."""
     rows = [[0.1, 2, -0.0], (5e-324, -3, 1e16)]
-    assert rep._json_table(rows) == "[[0.10000000000000001,2,-0],[4.9406564584124654e-324,-3,10000000000000000]]"
-    assert rep._json_table((1.0, 2**70)) == "[1,1180591620717411303424]"
-    assert rep._json_table([[], ()]) == "[[],[]]"
+    assert rep.canonical_json(rows) == "[[0.10000000000000001,2,-0],[4.9406564584124654e-324,-3,10000000000000000]]"
+    assert rep.canonical_json((1.0, 2**70)) == "[1,1180591620717411303424]"
+    assert rep.canonical_json([[], ()]) == "[[],[]]"
     assert rep.csv_text(["x", "k", "y"], rows[:1] * 2) == "x,k,y\n" + "0.10000000000000001,2,-0\n" * 2
 
 

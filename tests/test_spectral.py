@@ -12,7 +12,7 @@ from mlscert.config import Tolerances
 from mlscert.core import build_rows, build_system
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
-from mlscert import spectral
+from mlscert import core
 from mlscert.reporting import canonical_json
 from mlscert.spectral import build_operators, coef_map_stack, diagnose, diagnose_each
 from mlscert.weights import WeightSpec
@@ -185,8 +185,8 @@ def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
     """Blocks of 4 systems, the last one short: every report equals the
     one-system ``diagnose`` report, bit for bit."""
     # a budget of four (7, 7) operators
-    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", 4 * 7 * 7)
-    assert spectral._block_rows(7) == 4
+    monkeypatch.setattr(core, "_BLOCK_DOUBLES", 4 * 7 * 7)
+    assert core._block_rows(7) == 4
     systems = [_system(m=7, l=3, x=x) for x in np.linspace(-0.3, 1.3, 11)]
     got = [canonical_json(rep.to_dict()) for rep in diagnose_each(systems, TOL)]
     want = [canonical_json(diagnose(s, TOL).to_dict()) for s in systems]
@@ -196,8 +196,8 @@ def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
 def test_diagnose_each_replays_a_failing_block(monkeypatch):
     """A system at an interpolation-limit node in the second block raises
     what ``diagnose`` raises for it."""
-    monkeypatch.setattr(spectral, "_BLOCK_DOUBLES", 4 * 7 * 7)
-    assert spectral._block_rows(7) == 4
+    monkeypatch.setattr(core, "_BLOCK_DOUBLES", 4 * 7 * 7)
+    assert core._block_rows(7) == 4
     pts = PointSet(np.linspace(0.0, 1.0, 7))
     basis, weight = monomial_basis(3), WeightSpec("mclain", 1.0)
     xs = [0.05, 0.3, 0.45, 0.6, 0.7, 0.8, 1.0 / 6.0, 0.9]
@@ -228,4 +228,4 @@ def test_diagnose_each_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(reports) == 256
-    assert peak - kept < 8 * 8 * spectral._BLOCK_DOUBLES
+    assert peak - kept < 8 * 8 * core._BLOCK_DOUBLES
