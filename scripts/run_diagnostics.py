@@ -2,18 +2,22 @@
 """Sweep the random instance suite and summarize operator diagnostics.
 
 With --seeds, repeats the battery across a seed range to demonstrate that
-the verdicts are seed-independent (every seed should print PASS).  The
+the verdicts are seed-independent: each seed runs every selftest suite
+(``spectral`` on ``--n`` instances, the others as ``mlscert selftest``
+runs them) and should print PASS.  The spectral columns come first.  The
 ``lmax slack rel`` column is the smallest 1/d_min - lambda_max(sym(P D^-1))
 relative to 1/d_min over the seed's systems.  The bound holds with equality
 for a square system (P = I), so a value just below zero (-2.7e-13 at seed
-42, a square system) is rounding, not a violation.
+42, a square system) is rounding, not a violation.  The last column names
+the suites that failed, and after the table each suite lists its failing
+seeds.
 """
 
 import argparse
 
 from mlscert import instances
 from mlscert.config import Tolerances
-from mlscert.selftest import suite_spectral
+from mlscert.selftest import SUITE_NAMES, run_selftest, suite_spectral
 
 
 def sweep(seed: int, n: int) -> dict:
@@ -24,7 +28,17 @@ def sweep(seed: int, n: int) -> dict:
         fams[it.meta["family"]] = fams.get(it.meta["family"], 0) + 1
     return {"n_fail": r["n_fail"], "worst_sym": r["symmetry"], "worst_dev": r["eig_dev"],
             "worst_min_eig": r["psd_min_rel"], "lmax_slack_rel": r["lmax_slack_rel"],
-            "families": fams}
+            "pass": r["pass"], "families": fams}
+
+
+def failing_suites(seed: int, n: int) -> tuple[dict, list]:
+    """The spectral sweep of the seed, and every suite that fails there."""
+    r = sweep(seed, n)
+    others = run_selftest(seed, suites=[s for s in SUITE_NAMES if s != "spectral"])
+    failed = {name for name, rep in others["suites"].items() if not rep["pass"]}
+    if not r["pass"]:
+        failed.add("spectral")
+    return r, [s for s in SUITE_NAMES if s in failed]
 
 
 def main() -> None:
@@ -37,12 +51,19 @@ def main() -> None:
     if args.seeds:
         lo, hi = (int(v) for v in args.seeds.split(":"))
         print(f"{'seed':>5}  {'fail':>4}  {'worst sym':>11}  {'worst dev':>11}"
-              f"  {'lmax slack rel':>14}  verdict")
+              f"  {'lmax slack rel':>14}  verdict  failing suites")
+        by_suite = {name: [] for name in SUITE_NAMES}
         for seed in range(lo, hi + 1):
-            r = sweep(seed, args.n)
-            verdict = "PASS" if r["n_fail"] == 0 else "FAIL"
+            r, failed = failing_suites(seed, args.n)
+            for name in failed:
+                by_suite[name].append(seed)
+            verdict = "FAIL" if failed else "PASS"
             print(f"{seed:>5}  {r['n_fail']:>4}  {r['worst_sym']:11.3e}"
-                  f"  {r['worst_dev']:11.3e}  {r['lmax_slack_rel']:14.3e}  {verdict}")
+                  f"  {r['worst_dev']:11.3e}  {r['lmax_slack_rel']:14.3e}  {verdict:<7}"
+                  f"  {','.join(failed) or '-'}")
+        print(f"failing seeds per suite, seeds {lo}-{hi}:")
+        for name, seeds in by_suite.items():
+            print(f"  {name:<12} {' '.join(map(str, seeds)) or 'none'}")
         return
 
     r = sweep(args.seed, args.n)

@@ -222,7 +222,8 @@ def _parse_grid(spec, points: PointSet, weight: WeightSpec) -> np.ndarray:
             if n < 1:
                 raise CliError("grid size must be >= 1")
             if points.dim != 1:
-                raise CliError("numeric grid spec requires 1-d nodes; use a:b:N")
+                raise CliError("numeric grid spec requires 1-d nodes; omit --grid to "
+                               "evaluate at the nodes")
             return bound1d.uniform_grid(points, n, weight)
         if len(parts) == 3:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
@@ -238,10 +239,13 @@ def _parse_grid(spec, points: PointSet, weight: WeightSpec) -> np.ndarray:
 
 def _as_points(grid, points: PointSet) -> np.ndarray:
     """The evaluation points (n, d) of a grid: a 1-d grid is a column of
-    1-d points for 1-d nodes, and one point otherwise."""
+    1-d points, which only 1-d nodes take."""
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.ndim == 1:
-        grid = grid[:, None] if points.dim == 1 else grid.reshape(1, -1)
+        if points.dim != 1:
+            raise CliError(f"a:b:N grid point has dim 1, nodes have dim {points.dim}; "
+                           "omit --grid to evaluate at the nodes")
+        grid = grid[:, None]
     return grid
 
 

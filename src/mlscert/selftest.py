@@ -38,9 +38,12 @@ SUITE_NAMES = (
 FD_BATTERY = (1e-3, 1e-4, 1e-5)
 #: a battery point counts as pre-floor when the truncation error predicted
 #: from the largest step exceeds this multiple of the roundoff floor
-#: eps * ||a|| / (2h)
+#: eps * sqrt(cond_gram) * ||a|| / (2h)
 FD_FLOOR_SAFETY = 4.0
 FD_SLOPE_RANGE = (1.7, 2.3)
+
+#: the Gram condition up to which core and ode check their normal-equations oracles
+ORACLE_COND_MAX = 1e6
 
 #: instances of the general random suite, which core and spectral check
 GENERAL_N = 200
@@ -109,7 +112,8 @@ def _core_invariance(suite, systems, coefs, scales) -> dict:
     (m, l) and their systems: the partition of unity, the amplification,
     the reproduction of the basis combination ``coefs[i]``, and the change
     of a(x) when the weight family is multiplied by ``scales[i]``, solved
-    for the whole group in one stacked call."""
+    for the whole group in one stacked call, relative to max(1, ||a||):
+    both solves are only forward stable, to about cond(E) u ||a||."""
     a, design, cvecs, xs = (_stack(systems, n) for n in ("coeffs", "design", "basis_at_x", "x"))
     nodes = np.stack([it.points.nodes for it in suite])
     # the weight diagonal 2 (s w) of the rescaled family s w, with the
@@ -126,7 +130,7 @@ def _core_invariance(suite, systems, coefs, scales) -> dict:
         "unity": np.abs(np.sum(a, axis=1) - 1.0),
         "amplification": error_analysis.amplification(a),
         "reproduction": np.abs(got - target) / np.maximum(1.0, np.abs(target)),
-        "scale": np.max(np.abs(a - a2), axis=1),
+        "scale": np.max(np.abs(a - a2), axis=1) / np.maximum(1.0, np.sqrt(np.vecdot(a, a))),
     }
 
 
@@ -176,8 +180,8 @@ def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
     shapes = [(s.m, s.l) for s in systems]
     checked, limit, error = _stacked(invariance, _by_shape(shapes), len(systems), error)
     eligible = [
-        key if it.meta["m"] <= 8 and it.meta["l"] <= 4 and it.meta["cond_gram"] <= 1e6
-        else None
+        key if it.meta["m"] <= 8 and it.meta["l"] <= 4
+        and it.meta["cond_gram"] <= ORACLE_COND_MAX else None
         for it, key in zip(suite, shapes)
     ]
     oracles, limit, error = _stacked(oracle, _by_shape(eligible), limit, error)
@@ -320,13 +324,31 @@ def suite_eig_product(seed: int, tol: Tolerances) -> dict:
     }
 
 
+def _product_rule(sysm, points, basis, alpha: float) -> np.ndarray:
+    """a'(x) by the product rule on a = D^-1 E G^-1 c, G = E^T D^-1 E, with
+    no QR and no operator of the solve: D' = H D gives G' = -E^T D^-1 H E
+    and a' = -H a + D^-1 E G^-1 (c' - G' G^-1 c)."""
+    x = float(sysm.x[0])
+    hdiag, dc = bound1d.dlogw_diag(x, points, alpha), basis.derivative_at(x)
+    design, dinv = sysm.design, 1.0 / sysm.dvec
+    gram = design.T @ (dinv[:, None] * design)
+    dgram = -design.T @ ((dinv * hdiag)[:, None] * design)
+    y = np.linalg.solve(gram, sysm.basis_at_x)
+    a = dinv * (design @ y)
+    return -hdiag * a + dinv * (design @ np.linalg.solve(gram, dc - dgram @ y))
+
+
 def _fd_slope(it, tol: Tolerances) -> dict:
-    """Central-difference convergence slope of the coefficient derivative.
+    """Central-difference convergence slope of the coefficient derivative,
+    and the derivative's distance to the product-rule oracle.
 
     Battery points past the cancellation floor — where the truncation error
     predicted from the largest step falls under FD_FLOOR_SAFETY times the
-    roundoff floor eps*||a||/(2h) — are excluded; with fewer than two usable
+    roundoff floor eps*sqrt(cond_gram)*||a||/(2h), sqrt(cond_gram) since each
+    probe is only forward stable — are excluded; with fewer than two usable
     points the slope is unmeasurable and the instance is skipped.
+    ``oracle_rel`` is ||rhs - _product_rule|| / max(1, ||rhs||), or None
+    past ``ORACLE_COND_MAX``.
     """
     pts, basis, weight, x = it.points, it.basis, it.weight, it.x
     sysm = it.system()
@@ -346,18 +368,25 @@ def _fd_slope(it, tol: Tolerances) -> dict:
     keep = []
     for i, h in enumerate(FD_BATTERY):
         predicted = errs[0] * (h / h0) ** 2
-        floor = eps * anorm / (2.0 * h)
+        floor = eps * np.sqrt(sysm.cond_gram) * anorm / (2.0 * h)
         if predicted >= FD_FLOOR_SAFETY * floor:
             keep.append(i)
     if len(keep) < 2:
         return {"measurable": False, "errs": errs}
     slope = error_analysis._slope([FD_BATTERY[i] for i in keep], [errs[i] for i in keep],
                                   np.log10)
-    return {"measurable": True, "slope": slope, "n_points": len(keep), "errs": errs}
+    oracle_rel = None
+    if sysm.cond_gram <= ORACLE_COND_MAX:
+        oracle = _product_rule(sysm, pts, basis, weight.alpha)
+        oracle_rel = float(np.linalg.norm(rhs - oracle)) / max(1.0, float(np.linalg.norm(rhs)))
+    return {"measurable": True, "slope": slope, "n_points": len(keep), "errs": errs,
+            "oracle_rel": oracle_rel}
 
 
 def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
-    """Finite-difference validation of the coefficient-derivative formula.
+    """Finite-difference validation of the coefficient-derivative formula,
+    and its product-rule oracle (``_fd_slope``) on the measured instances
+    with cond_gram up to ``ORACLE_COND_MAX``, gated at ``tol.lin``.
 
     ``stream`` is ``instances.H2Stream(seed)``, made here if not given.
     Each round takes as many instances from it as measured slopes are
@@ -369,9 +398,8 @@ def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
     """
     if stream is None:
         stream = instances.H2Stream(seed)
-    slopes = []
-    n_skipped = 0
-    n_drawn = 0
+    slopes, oracle_rels = [], []
+    n_skipped = n_drawn = 0
     while len(slopes) < ODE_TARGET and n_drawn < ODE_MAX_DRAWS:
         batch = min(ODE_TARGET - len(slopes), ODE_MAX_DRAWS - n_drawn)
         for it in stream.first(n_drawn + batch)[n_drawn:]:
@@ -379,17 +407,22 @@ def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
             res = _fd_slope(it, tol)
             if res["measurable"]:
                 slopes.append(res["slope"])
+                if res["oracle_rel"] is not None:
+                    oracle_rels.append(res["oracle_rel"])
             else:
                 n_skipped += 1
     lo, hi = FD_SLOPE_RANGE
     in_range = [lo <= s <= hi for s in slopes]
+    oracle_max = max([0.0, *oracle_rels])
     return {
         "n_measured": len(slopes),
         "n_skipped_at_floor": n_skipped,
         "n_drawn": n_drawn,
         "slope_min": min(slopes) if slopes else float("nan"),
         "slope_max": max(slopes) if slopes else float("nan"),
-        "pass": bool(len(slopes) >= ODE_TARGET and all(in_range)),
+        "oracle_max_rel": oracle_max,
+        "n_oracle": len(oracle_rels),
+        "pass": bool(len(slopes) >= ODE_TARGET and all(in_range) and oracle_max <= tol.lin),
     }
 
 

@@ -245,7 +245,7 @@ def _per_point_rows(xs, points, basis, weight, **_):
         # a node of an interpolating weight, then a vanished weight
         ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0:100:3"),
         ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0.5:100:3"),
-        # 2-d nodes: at the nodes, then on a row of a:b:N
+        # 2-d nodes: at the nodes, then an a:b:N grid, which they refuse
         ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', None),
         ("plane", '{"l": 3, "weight": {"family": "mclain", "alpha": 1.0}}', "0:1:2"),
         ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', "0:1:3"),
@@ -353,6 +353,20 @@ def test_bound_rejects_2d_input(tmp_path, capsys):
     code, out, err = run_cli(["bound", "--input", str(p)], capsys)
     assert (code, out) == (3, "")
     assert err == "hypothesis failure: dimension_one, basis_derivative_available\n"
+
+
+@pytest.mark.parametrize("spec", ["0:1:2", "0:1:50", "5"])
+def test_fit_refuses_a_1d_grid_on_2d_nodes(tmp_path, capsys, spec):
+    """A grid spec gives 1-d points, so 2-d nodes refuse it (exit 2), also
+    when N equals the dimension and the N values would make one point."""
+    nodes = np.random.default_rng(0).uniform(0.0, 1.0, (12, 2)).tolist()
+    p = tmp_path / "plane.csv"
+    p.write_text("x1,x2,f\n" + "".join(f"{a!r},{b!r},{a + b!r}\n" for a, b in nodes))
+    code, out, err = run_cli(["fit", "--input", str(p), "--grid", spec], capsys)
+    assert (code, out) == (2, "")
+    what = ("numeric grid spec requires 1-d nodes" if spec == "5"
+            else "a:b:N grid point has dim 1, nodes have dim 2")
+    assert err == f"error: {what}; omit --grid to evaluate at the nodes\n"
 
 
 def test_bound_nan_grid_names_the_point(linear_csv, capsys):

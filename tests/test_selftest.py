@@ -56,12 +56,14 @@ def _ode_one_at_a_time(seed, tol):
     """The ode suite as a loop that draws and checks one instance at a
     time, the reference of its batched rounds."""
     rng = np.random.default_rng(seed)
-    slopes, n_skipped, n_drawn = [], 0, 0
+    slopes, oracles, n_skipped, n_drawn = [], [], 0, 0
     while len(slopes) < selftest.ODE_TARGET and n_drawn < selftest.ODE_MAX_DRAWS:
         res = selftest._fd_slope(instances.random_h2_instance(rng), tol)
         n_drawn += 1
         if res["measurable"]:
             slopes.append(res["slope"])
+            if res["oracle_rel"] is not None:
+                oracles.append(res["oracle_rel"])
         else:
             n_skipped += 1
     lo, hi = selftest.FD_SLOPE_RANGE
@@ -69,8 +71,10 @@ def _ode_one_at_a_time(seed, tol):
         "n_measured": len(slopes), "n_skipped_at_floor": n_skipped, "n_drawn": n_drawn,
         "slope_min": min(slopes) if slopes else float("nan"),
         "slope_max": max(slopes) if slopes else float("nan"),
+        "oracle_max_rel": max([0.0, *oracles]), "n_oracle": len(oracles),
         "pass": bool(len(slopes) >= selftest.ODE_TARGET
-                     and all(lo <= x <= hi for x in slopes)),
+                     and all(lo <= x <= hi for x in slopes)
+                     and max([0.0, *oracles]) <= tol.lin),
     }
 
 
@@ -153,3 +157,36 @@ def test_fd_probes_match_point_by_point_solves():
             am = build_system(x - h, pts, basis, weight).coeffs
             ref.append(float(np.linalg.norm((ap - am) / (2.0 * h) - rhs)))
         assert repr(selftest._fd_slope(it, Tolerances())["errs"]) == repr(ref)
+
+
+@pytest.mark.parametrize("seed", [741421, 797933])
+def test_core_scale_check_is_relative_to_the_coefficients(seed):
+    """At these seeds an ill-conditioned instance moves a(x) by more than
+    1e-10 absolute when its weights are rescaled, yet by under 1e-12 of
+    max(1, ||a||), the forward error both solves allow: core passes."""
+    res = selftest.run_suite("core", seed)
+    assert res["pass"]
+    assert res["worst_scale_invariance"] <= Tolerances().norm_chain
+
+
+@pytest.mark.parametrize("seed", [3, 9, 53, 773817])
+def test_ode_floor_carries_the_conditioning(seed):
+    """With the roundoff floor scaled by sqrt(cond_gram), no h = 1e-5
+    point on the floor drags a slope out of range, and the product-rule
+    oracle agrees with ``ode_rhs`` within ``tol.lin``."""
+    res = selftest.run_suite("ode", seed)
+    lo, hi = selftest.FD_SLOPE_RANGE
+    assert res["pass"]
+    assert lo <= res["slope_min"] and res["slope_max"] <= hi
+    assert 0 < res["n_oracle"] <= res["n_measured"]
+    assert res["oracle_max_rel"] <= Tolerances().lin
+
+
+def test_ode_oracle_catches_a_perturbed_rhs(monkeypatch):
+    """An ``ode_rhs`` off by 1e-6 relative is caught by the oracle alone,
+    whatever the slopes say."""
+    rhs = bound1d.ode_rhs
+    monkeypatch.setattr(bound1d, "ode_rhs", lambda *args: rhs(*args) * (1.0 + 1e-6))
+    res = selftest.run_suite("ode", 42)
+    assert res["oracle_max_rel"] > 1e-7 > Tolerances().lin
+    assert not res["pass"]

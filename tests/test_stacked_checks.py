@@ -164,7 +164,7 @@ def _ref_core_rows(seed, suite):
             interpolating=it.weight.interpolating,
         )
         a2 = build_system(it.x, it.points, it.basis, scaled).coeffs
-        row["scale"] = float(np.max(np.abs(a - a2)))
+        row["scale"] = float(np.max(np.abs(a - a2))) / max(1.0, float(np.linalg.norm(a)))
         if it.meta["m"] <= 8 and it.meta["l"] <= 4 and it.meta["cond_gram"] <= 1e6:
             gram = sysm.design.T @ (sysm.design / sysm.dvec[:, None])
             cvec = it.basis.eval_at(np.atleast_1d(it.x))
