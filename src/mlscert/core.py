@@ -197,11 +197,10 @@ _BLOCK_DOUBLES = 2**16
 def _block_rows(m: int, l: int | None = None) -> int:
     """Rows per block of (m, l) stacks, (m, m) by default: one (rows, m, l)
     stack of at most ``_BLOCK_DOUBLES`` doubles, 512 KiB, and one row when
-    m l exceeds it.  ``build_rows`` solves blocks of a quarter of
-    ``_block_rows(m, l)`` rows; ``spectral.diagnose_each`` and
-    ``bound1d._comp_h_values`` build their (m, m) stacks in blocks of
-    ``_block_rows(m)``.  The one rule for every block size."""
-    return max(1, _BLOCK_DOUBLES // (m * (m if l is None else l)))
+    m l exceeds it or is 0.  ``build_rows`` solves blocks of a quarter of
+    this; ``spectral.diagnose_each`` and ``bound1d._comp_h_values`` build
+    (m, m) stacks in blocks of ``_block_rows(m)``."""
+    return max(1, _BLOCK_DOUBLES // max(1, m * (m if l is None else l)))
 
 
 class _Rows(NamedTuple):

@@ -154,6 +154,8 @@ def test_criterion_06_derivative_matches_finite_differences():
         res["n_measured"] >= 20
         and res["slope_min"] >= 1.7
         and res["slope_max"] <= 2.3
+        and res["n_oracle"] > 0
+        and res["oracle_max_rel"] <= TOL.lin
     )
     assert _verdict(
         ok,
@@ -161,7 +163,8 @@ def test_criterion_06_derivative_matches_finite_differences():
         f"{res['n_measured']} measurable instances "
         f"({res['n_skipped_at_floor']} below the cancellation floor); "
         f"slopes in [{res['slope_min']:.3f}, {res['slope_max']:.3f}] "
-        f"(required 2.0 +/- 0.3)",
+        f"(required 2.0 +/- 0.3); product-rule oracle {res['oracle_max_rel']:.3e} "
+        f"over {res['n_oracle']} instances (tolerance {TOL.lin:.0e})",
     )
 
 
@@ -220,7 +223,7 @@ def test_criterion_09_core_fitting_invariants():
         "criterion 09 core fitting invariants",
         f"unity {res['worst_unity']:.3e} (tol 1e-9); "
         f"reproduction {res['worst_reproduction']:.3e} (tol 1e-9); "
-        f"scaling invariance {res['worst_scale_invariance']:.3e} (tol 1e-10); "
+        f"scaling invariance {res['worst_scale_invariance']:.3e} of max(1, ||a||) (tol 1e-10); "
         f"normal-equations agreement {res['worst_oracle_rel']:.3e} over "
         f"{res['n_oracle']} instances (tol 1e-8); "
         f"node interpolation error {res['worst_node_interpolation']:.1e} (exact)",

@@ -643,6 +643,8 @@ def test_stacked_designs_name_the_first_failing_node_set():
     assert str(got.value) == str(ref.value) == "basis values at node 1e+200 are not finite"
     with pytest.raises(HypothesisFailure, match="basis_size_le_nodes"):
         build_systems([[0.5]], np.array([[[0.0], [1.0]]]), basis, [WeightSpec("exp")])
+    with pytest.raises(HypothesisFailure, match="basis_size_le_nodes"):  # no node at all
+        build_systems([[0.5]], np.zeros((1, 0, 1)), monomial_basis(1), [WeightSpec("exp")])
 
 
 def test_csv_round_trip(tmp_path):

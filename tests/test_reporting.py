@@ -261,8 +261,8 @@ def test_fallback_triggers_take_the_per_value_path(name):
 
 
 def test_tables_take_the_table_path():
-    """Lists and tuples of float and int cells take the per-value path,
-    with the bytes the list-table path they no longer take gave them."""
+    """Lists and tuples of float and int cells, which take the per-value
+    path, print these bytes."""
     rows = [[0.1, 2, -0.0], (5e-324, -3, 1e16)]
     assert rep.canonical_json(rows) == "[[0.10000000000000001,2,-0],[4.9406564584124654e-324,-3,10000000000000000]]"
     assert rep.canonical_json((1.0, 2**70)) == "[1,1180591620717411303424]"
