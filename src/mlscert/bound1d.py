@@ -73,9 +73,6 @@ _MAX_LOG = math.log(np.finfo(float).max)
 #: unit roundoff of doubles
 _UNIT_ROUNDOFF = 2.0**-53
 
-#: Gram squarings of the refined bound, G^(2^_SQUARINGS) (``_sigma_max_upper``)
-_SQUARINGS = 6
-
 
 def _sigma_margin(m: int, l: int) -> float:
     """Relative rounding margin of ``_sigma_max_upper`` for (m, l)
@@ -84,42 +81,36 @@ def _sigma_margin(m: int, l: int) -> float:
     With u = 2^-53, forming G = A^T A in floating point moves it by at
     most m l u ||A||^2 in the 2-norm (|fl(XY) - XY| <= n u |X||Y| for an
     inner dimension n, and || |A|^T |A| || <= ||A||_F^2 <= l ||A||^2).
-    Each squaring of the (l, l) power doubles the relative error it is
-    given and adds its own l^2 u <= m l u, so G^(2^p) is off by
-    (2^(p+1) - 1) m l u ||A||^(2^(p+1)), and its Frobenius norm, which
-    is at least sigma_max^(2^(p+1)), by sqrt(l) times that.  The
-    2^(p+1)-th root divides the relative error by 2^(p+1), so less than
-    m l^1.5 u is left for every p.  The sum of squares adds at most
-    l^2 u / 16 after the root, the square roots 2 u together and the last
-    product u, and LAPACK's SVD returns sigma_max within p(m) u of the
-    exact value, taken here as p(m) = m l (m^2 for a square matrix).
-    All of it stays below 8 m l^2 u for every m >= l >= 1.
+    Each of the two squarings to G^4 doubles the relative error it is
+    given and adds its own l^2 u <= m l u, so G^4 is off by
+    7 m l u ||A||^8, and its Frobenius norm, which is at least
+    sigma_max^8, by sqrt(l) times that.  The 8th root divides the
+    relative error by 8, so less than m l^1.5 u is left.  The sum of
+    squares adds at most l^2 u / 16 after the root, the four square roots
+    2 u together and the last product u, and LAPACK's SVD returns
+    sigma_max within p(m) u of the exact value, taken here as
+    p(m) = m l (m^2 for a square matrix).  All of it stays below
+    8 m l^2 u for every m >= l >= 1.
     """
     return 1.0 + 8.0 * m * l * l * _UNIT_ROUNDOFF
 
 
-def _sigma_max_upper(stack: np.ndarray, best) -> np.ndarray:
+def _sigma_max_upper(stack: np.ndarray) -> np.ndarray:
     """Upper bounds on the computed sigma_max of each matrix of a finite
     (k, m, l) stack, l <= m, from matrix products instead of an SVD.
 
     Each matrix M is scaled by the exact power of two 2^-e that brings its
     largest |entry| into [1/2, 1) (``ldexp`` per entry, so a subnormal
     maximum is scaled exactly too), and A = 2^-e M has sigma_max in
-    [1/2, sqrt(m l)].  Since sigma_max(A)^(2^(p+2)) <= tr(G^(2^(p+1))) =
-    ||G^(2^p)||_F^2 for the (l, l) Gram G = A^T A, the power G^(2^p)
-    bounds sigma_max(M) by 2^e ||G^(2^p)||_F^(2^-(p+1)) times
-    ``_sigma_margin(m, l)``, an overestimate by a factor of at most
-    l^(2^-(p+2)): 1.26 for p = 2, 1.06 for p = 4 and 1.015 for p = 6 at
-    l = 40, and 1.005 for p = 6 at l = 4.
+    [1/2, sqrt(m l)].  Since sigma_max(A)^16 <= tr(G^8) = ||G^4||_F^2 for
+    the (l, l) Gram G = A^T A, G^4 (three products) bounds sigma_max(M)
+    by 2^e ||G^4||_F^(1/8) times ``_sigma_margin(m, l)``, an overestimate
+    by a factor of at most l^(1/16): 1.26 at l = 40.  The norm of G^4
+    lies in [2^-8, (m l)^4], so nothing overflows, and what underflows is
+    below 2^-900 of that norm.
 
-    Every matrix gets the bound of G^4 (three products).  The matrices
-    whose bound exceeds ``best`` (one threshold for all, or one per
-    matrix) square their last power twice at a time up to
-    G^(2^_SQUARINGS), G^4 to G^16 to G^64, each time after rescaling it
-    by the exact power of two that brings its largest |entry| back into
-    [1/2, 1), and keep the least bound.  So every power's norm
-    lies in [1/16, l^4] before its exponent (G^4 in [2^-8, (m l)^4]),
-    nothing overflows, and what underflows is below 2^-900 of that norm.
+    The bound is rounded up one ulp, so that a subnormal one, which
+    ``ldexp`` rounds to nearest, stays an upper bound; it is 0 for M = 0.
     """
     k, m, l = stack.shape
     _, expo = np.frexp(np.abs(stack).reshape(k, -1).max(axis=1))
@@ -127,40 +118,12 @@ def _sigma_max_upper(stack: np.ndarray, best) -> np.ndarray:
     # contiguous operands: a transposed view takes numpy's slower matmul loop
     power = power.transpose(0, 2, 1).copy() @ power
     power = power @ power
-    power = power @ power
-    upper = _power_bound(power, 2, 0, expo, m)
-    rows = np.flatnonzero(upper > best)
-    if rows.size:
-        power, shift = power[rows], np.zeros(rows.size, dtype=int)
-        for _ in range(2, _SQUARINGS, 2):
-            _, rescale = np.frexp(np.abs(power).reshape(rows.size, l * l).max(axis=1))
-            power = np.ldexp(power, -rescale[:, None, None])
-            power = power @ power
-            power = power @ power
-            shift = 4 * (shift + rescale)
-        refined = _power_bound(power, _SQUARINGS, shift, expo[rows], m)
-        upper[rows] = np.minimum(upper[rows], refined)
-    return upper
-
-
-def _power_bound(power, p: int, shift, expo, m: int) -> np.ndarray:
-    """The bound of ``_sigma_max_upper`` from a stack of (l, l) powers
-    2^-shift G^(2^p) of (m, l) matrices scaled by 2^-expo.
-
-    sigma_max^n <= 2^(2 shift) ||power||_F^2 with n = 2^(p+2), and
-    2 shift = n q + r with 0 <= r < n, so the n-th root, p + 2 square
-    roots, is exact in 2^q.  The bound is rounded up one ulp, so that a
-    subnormal one, which ``ldexp`` rounds to nearest, stays an upper
-    bound; it is 0 for power = 0.
-    """
-    l = power.shape[-1]
-    q, r = np.divmod(2 * shift, 2 ** (p + 2))
-    flat = power.reshape(len(power), l * l)
-    root = np.ldexp(np.vecdot(flat, flat), r)
-    for _ in range(p + 2):
+    flat = (power @ power).reshape(k, l * l)
+    root = np.vecdot(flat, flat)
+    for _ in range(4):
         root = np.sqrt(root)
     with np.errstate(over="ignore"):  # inf is still an upper bound
-        upper = np.ldexp(root * _sigma_margin(m, l), expo + q)
+        upper = np.ldexp(root * _sigma_margin(m, l), expo)
     return np.nextafter(upper, np.inf, out=upper, where=root > 0)
 
 
@@ -244,7 +207,7 @@ def _gram_factor(design: np.ndarray):
 
 
 def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
-                  factor, best: float) -> np.ndarray:
+                  factor) -> np.ndarray:
     """Upper bounds on the computed sigma_max of the (P - I) H each of k
     grid rows would build, from (k, m, l) and (k, l, l) work alone, for
     0 < l < m.
@@ -276,9 +239,9 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
     5. ||U V^T||^2 = ||U V^T V U^T|| <= ||U L L^T U^T|| = sigma_max(UL)^2,
        as L L^T >= V^T V (``_gram_factor``).
     6. fl(U L) = UL + D' with ||D'||_F <= gamma_l nu lam, and
-       ``_sigma_max_upper`` bounds sigma_max(fl(UL)) from the (l, l)
-       powers of its Gram, with the margin ``_sigma_margin(m, l)``
-       re-derived there for an (m, l) stack.
+       ``_sigma_max_upper`` bounds sigma_max(fl(UL)) from G^4, G the
+       (l, l) Gram of fl(UL), with the margin ``_sigma_margin(m, l)``
+       derived there for an (m, l) stack.
 
     phi: fl(E^T U) is within gamma_m eps nu of E^T U in the Frobenius
     norm, and F^ = fl(fl(E^T U) - I) rounds each entry once more, so
@@ -310,9 +273,7 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
     A row gets +inf, so it takes its SVD, when ``factor`` is None,
     when the computed ||U||_F or eta lies outside ``_NORM_RANGE`` (every
     non-finite input does), or when phi is not below 1/2.  Within the
-    range nothing overflows: every term stays below 2^910.  Only rows
-    whose bound from G^4 may still exceed ``best`` get the refined powers
-    of step 6; the others keep that bound, which is as valid and looser.
+    range nothing overflows: every term stays below 2^910.
     """
     k, m, l = coef_map.shape
     upper = np.full(k, np.inf)
@@ -336,10 +297,7 @@ def _comp_h_upper(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray,
         rest = ((2.0 * l * unit) * nu * lam
                 + nu * eps * (2.0 * (l + 4) * unit + 4.0 * phi) + 4.0 * m * unit)
         scale = eta[rows] * (1.0 + (m * m + 16.0) * unit)
-        with np.errstate(over="ignore"):  # an inf threshold refines nothing
-            below = best / scale - rest
-        smax = _sigma_max_upper(coef_map[rows] @ chol, below)
-        upper[rows] = (smax + rest) * scale
+        upper[rows] = (_sigma_max_upper(coef_map[rows] @ chol) + rest) * scale
     return upper
 
 
@@ -350,7 +308,7 @@ def _comp_h_values(coef_map: np.ndarray, hdiag: np.ndarray, design_t: np.ndarray
     is +inf (none proven), the SVD value itself, from (m, m) stacks of at
     most ``core._block_rows(m)`` rows.  So every value is at least
     the row's SVD value, and a value above ``best`` is that SVD value."""
-    values = _comp_h_upper(coef_map, hdiag, design_t, factor, best)
+    values = _comp_h_upper(coef_map, hdiag, design_t, factor)
     rows = np.flatnonzero(~(values <= best) | np.isinf(values))
     m = coef_map.shape[1]
     size = _block_rows(m)

@@ -28,8 +28,8 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
-    MlsError,
     _ERRORS,
+    _located,
     build_rows,
     build_systems,
     fitted_values,
@@ -334,12 +334,10 @@ def cmd_diagnose(args) -> int:
         systems, error = [], None
         blocks = build_rows(grid, points, basis, weight, conds=True)
         try:
-            for _, rows in blocks:
+            for _, rows in _located(blocks, lambda row: (grid[row], row, len(grid))):
                 systems += rows.systems()
         except _ERRORS as exc:
             error = exc
-            if isinstance(exc, MlsError):
-                exc.locate(grid[len(systems)], len(systems), len(grid))
         reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
         if error is not None:
             raise error

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mlscert import bound1d, cli, core, instances, spectral
+from mlscert import bound1d, cli, core, instances, selftest, spectral
 from mlscert.bases import monomial_basis
 from mlscert.bound1d import (
     BoundConstants,
@@ -653,17 +653,27 @@ UPPER_BOUND_STACKS = [pytest.param(stack, id=name) for name, stack in _upper_bou
 
 @pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
 def test_sigma_max_upper_bounds_the_svd(stack):
-    """The product bound of G^4 (no matrix refined, ``best`` = inf) and
-    the refined bound of G^64 (every matrix refined, ``best`` = -inf)
-    are never below numpy's stacked sigma_max, and the refinement keeps
-    the smaller bound; for (m, m) and for (m, l) stacks."""
+    """The product bound of G^4 is never below numpy's stacked sigma_max,
+    for (m, m) and for (m, l) stacks."""
     sigma = np.linalg.norm(stack, 2, axis=(1, 2))
-    upper = bound1d._sigma_max_upper(stack, math.inf)
-    refined = bound1d._sigma_max_upper(stack, -math.inf)
+    upper = bound1d._sigma_max_upper(stack)
     assert np.all(upper >= sigma)
-    assert np.all(refined >= sigma)
-    assert np.all(refined <= upper)
-    assert not np.any(np.isnan(upper)) and not np.any(np.isnan(refined))
+    assert not np.any(np.isnan(upper))
+
+
+@pytest.mark.parametrize("stack", [
+    case for case in UPPER_BOUND_STACKS if np.max(np.abs(case.values[0])) >= 2.0**-900
+])
+def test_sigma_max_upper_is_tight(stack):
+    """The product bound overestimates numpy's stacked sigma_max by at
+    most the factor its docstring states, l^(1/16) times its rounding
+    margin, with 8 u for the rounding of that factor; a stack whose
+    largest entry is below 2^-900 is held to its upper bound alone."""
+    _, m, l = stack.shape
+    sigma = np.linalg.norm(stack, 2, axis=(1, 2))
+    factor = l ** (1.0 / 16.0) * bound1d._sigma_margin(m, l) * (1.0 + 8.0 * 2.0**-53)
+    with np.errstate(over="ignore"):  # past the largest double both sides are inf
+        assert np.all(bound1d._sigma_max_upper(stack) <= sigma * factor)
 
 
 @pytest.mark.parametrize("stack", UPPER_BOUND_STACKS)
@@ -681,36 +691,16 @@ def _smooth_run(rng, m, n, peak):
     return a + t * b + 3.0 * np.exp(-(((t - peak) / 0.15) ** 2)) * c
 
 
-@pytest.mark.parametrize("m,n,peak", [
-    (12, 300, 0.43),  # the maximum inside the run
-    (20, 400, 0.0),
-    (30, 200, 0.2),
-    (5, 200, 0.61),
-])
-def test_product_bounds_prune_smooth_runs(m, n, peak):
-    """On smooth grid-like runs, a threshold 2% above the largest
-    sigma_max settles every row by its product bound: the rows whose
-    G^4 bound is above it refine to G^64, which overestimates by at most
-    m^(1/256) (1.014 at m = 30), so no row would need an SVD."""
-    run = _smooth_run(np.random.default_rng(m), m, n, peak)
-    sigma = np.linalg.norm(run, 2, axis=(1, 2))
-    best = 1.02 * float(np.max(sigma))
-    upper = bound1d._sigma_max_upper(run, best)
-    assert np.all(upper >= sigma)
-    assert np.all(upper <= best)
-
-
 @pytest.mark.parametrize("e", [1000, -600, -1060])
 def test_chain_on_huge_and_tiny_runs(e):
     """Huge, tiny and subnormal matrices are scaled by an exact power of
     two before their products, so no bound overflows or underflows
-    (pytest makes a warning an error), refined or not, and every bound
-    is at least the matrix's SVD value."""
+    (pytest makes a warning an error), and every bound is at least the
+    matrix's SVD value."""
     run = np.ldexp(_smooth_run(np.random.default_rng(6), 12, 200, 0.4), e)
     sigma = np.linalg.norm(run, 2, axis=(1, 2))
-    for best in (math.inf, float(np.median(sigma)), -math.inf):
-        upper = bound1d._sigma_max_upper(run, best)
-        assert np.all(upper >= sigma) and np.all(np.isfinite(upper)), best
+    upper = bound1d._sigma_max_upper(run)
+    assert np.all(upper >= sigma) and np.all(np.isfinite(upper))
 
 
 def _grid_rows(pts, basis, weight, grid):
@@ -732,7 +722,7 @@ def test_one_row_blocks_give_the_full_max(m):
     design = core.build_design(pts, basis)
     design_t, factor = np.ascontiguousarray(design.T), bound1d._gram_factor(design)
     (coef_map, hdiag), = _grid_rows(pts, basis, weight, uniform_grid(pts, 60))
-    bounds = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, math.inf)
+    bounds = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor)
     best = float(np.median(bounds))  # half the rows take the SVD
     whole = bound1d._comp_h_values(coef_map, hdiag, design_t, factor, best)
     rows = [bound1d._comp_h_values(coef_map[[i]], hdiag[[i]], design_t, factor, best)
@@ -826,6 +816,21 @@ def test_certificate_work_counts(monkeypatch):
                 cert = certify_bound(*args, grid=grid)
             assert cert.metadata["n_grid"] == n
             assert counts == {"stack": 0, "filter": n}
+
+
+def test_selftest_certificates_need_no_stack(monkeypatch):
+    """The selftest's certificates, the 20 of ``instances.h2_suite(20, 42)``
+    on its 200-point grid, settle every grid row by its bound: no row
+    builds its (m, m) stack of (P - I) H.  A change to M2 that leaves rows
+    to the SVD shows here.  A certificate with l = m has P = I and builds
+    neither."""
+    suite = instances.h2_suite(selftest.CERTIFICATE_N, 42)
+    counts = _count_stacks(monkeypatch)
+    for it in suite:
+        certify_bound(it.points, it.basis, it.weight, n_grid=selftest.CERTIFICATE_GRID)
+    square = sum(it.basis.size == it.points.m for it in suite)
+    assert (len(suite), square) == (20, 3)
+    assert counts == {"stack": 0, "filter": (20 - square) * 200}
 
 
 def _count_passes(monkeypatch) -> dict:
@@ -923,15 +928,15 @@ def _filter_instance(m, layout, seed) -> PointSet:
     return PointSet(xs, values=np.sin(xs))
 
 
-def _filter_bounds(pts, basis, weight, grid, best=-math.inf):
-    """Per grid row, the bound (``_comp_h_upper``, refined where its G^4
-    bound exceeds ``best``) and the stacked norm of its (P - I) H."""
+def _filter_bounds(pts, basis, weight, grid):
+    """Per grid row, the bound (``_comp_h_upper``) and the stacked norm of
+    its (P - I) H."""
     design = core.build_design(pts, basis)
     design_t = np.ascontiguousarray(design.T)
     factor = bound1d._gram_factor(design)
     uppers, sigmas = [], []
     for coef_map, hdiag in _grid_rows(pts, basis, weight, grid):
-        uppers.append(bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, best))
+        uppers.append(bound1d._comp_h_upper(coef_map, hdiag, design_t, factor))
         comp = coef_map @ design_t
         comp -= np.eye(pts.m)
         comp *= hdiag[:, None, :]
@@ -945,16 +950,14 @@ def _filter_bounds(pts, basis, weight, grid, best=-math.inf):
     l=st.integers(1, 6),
     log_alpha=st.floats(math.log(1e-3), math.log(700.0)),
     layout=st.sampled_from(["uniform", "clustered", "near_duplicate"]),
-    best_share=st.sampled_from([None, 0.5, 0.99, 1.0, "threshold"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, best_share, seed):
+def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, seed):
     """On nodes spanning [0, 1], so alpha r^2 = alpha from 1e-3 to 700,
     every row's bound is finite and at least numpy's sigma_max of the
-    (P - I) H the row builds, refined or not (rows whose G^4 bound
-    cannot beat ``best`` keep it).  With ``best`` the certificate's
-    threshold M2 + ``tol.bound``, every row the bound settles has an SVD
-    value at or below it."""
+    (P - I) H the row builds.  With the certificate's threshold
+    M2 + ``tol.bound``, every row the bound settles has an SVD value at
+    or below it."""
     pts = _filter_instance(m, layout, seed)
     basis, weight = monomial_basis(min(l, pts.m - 1)), WeightSpec("exp", math.exp(log_alpha))
     grid = uniform_grid(pts, 60)
@@ -964,14 +967,7 @@ def test_filter_bound_majorizes_every_row(m, l, log_alpha, layout, best_share, s
         assume(False)
     assert np.all(np.isfinite(upper))
     assert np.all(upper >= sigma)
-    if best_share == "threshold":
-        best = bound_constants(pts, basis, weight.alpha).growth_rate + Tolerances().bound
-    elif best_share is not None:
-        best = best_share * float(np.max(sigma))
-    else:
-        return
-    upper, _ = _filter_bounds(pts, basis, weight, grid, best)
-    assert np.all(upper >= sigma)
+    best = bound_constants(pts, basis, weight.alpha).growth_rate + Tolerances().bound
     assert np.all(sigma[upper <= best] <= best)
 
 
@@ -990,10 +986,10 @@ def test_filter_bound_falls_back_to_inf():
     coef_map[9] *= 2.0  # V^T U = 2 I: phi is about sqrt(l)
     design_t = np.ascontiguousarray(design.T)
     factor = bound1d._gram_factor(design)
-    upper = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor, -math.inf)
+    upper = bound1d._comp_h_upper(coef_map, hdiag, design_t, factor)
     assert np.flatnonzero(np.isinf(upper)).tolist() == [3, 5, 7, 9]
     assert np.all(np.isfinite(np.delete(upper, [3, 5, 7, 9])))
-    assert np.all(np.isinf(bound1d._comp_h_upper(coef_map, hdiag, design_t, None, -math.inf)))
+    assert np.all(np.isinf(bound1d._comp_h_upper(coef_map, hdiag, design_t, None)))
 
 
 def _poisoned(monkeypatch, row, value):

@@ -218,6 +218,7 @@ class _OneSystem:
 
     def __init__(self, sysm):
         self.sysm = sysm
+        self.coeffs = sysm.coeffs[None]
 
     def systems(self):
         return [self.sysm]

@@ -260,9 +260,10 @@ def test_fallback_triggers_take_the_per_value_path(name):
         assert rep.csv_text(["h"], doc) == ref_csv(["h"], doc)
 
 
-def test_tables_take_the_table_path():
-    """Lists and tuples of float and int cells, which take the per-value
-    path, print these bytes."""
+def test_list_and_tuple_cells_print_per_value_bytes():
+    """Lists and tuples of float and int cells, written one value at a
+    time (only float arrays take the table form), print these bytes in
+    JSON and CSV."""
     rows = [[0.1, 2, -0.0], (5e-324, -3, 1e16)]
     assert rep.canonical_json(rows) == "[[0.10000000000000001,2,-0],[4.9406564584124654e-324,-3,10000000000000000]]"
     assert rep.canonical_json((1.0, 2**70)) == "[1,1180591620717411303424]"
