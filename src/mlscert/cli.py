@@ -28,7 +28,6 @@ from .config import Tolerances
 from .core import (
     ConditioningError,
     HypothesisFailure,
-    _ERRORS,
     _located,
     build_rows,
     build_systems,
@@ -327,20 +326,15 @@ def cmd_diagnose(args) -> int:
         if grid is None:
             grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
         grid = _as_points(grid, points)
-        # the systems before the first failing point, and its error; they
-        # are diagnosed first, so an error there still comes first, as in a
-        # loop over the points.  A refusal of the whole call (l > m) raises
-        # here, before the walk, so it names no point
-        systems, error = [], None
+        # each solved block is diagnosed as it comes.  A block that fails
+        # to solve is replayed one row per yield, so the points before a
+        # failing point are diagnosed first: an error there still comes
+        # first, as in a loop over the points.  A refusal of the whole call
+        # (l > m) raises before the walk, so it names no point
+        reports = []
         blocks = build_rows(grid, points, basis, weight, conds=True)
-        try:
-            for _, rows in _located(blocks, lambda row: (grid[row], row, len(grid))):
-                systems += rows.systems()
-        except _ERRORS as exc:
-            error = exc
-        reports = [rep.to_dict() for rep in diagnose_each(systems, tol)]
-        if error is not None:
-            raise error
+        for _, rows in _located(blocks, lambda row: (grid[row], row, len(grid))):
+            reports += diagnose_each(rows.systems(), tol)
         all_pass = True
         for d, xrow in zip(reports, grid):
             d["x"] = xrow.tolist()

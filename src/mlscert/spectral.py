@@ -25,7 +25,7 @@ check and shape.  Those calls run per matrix, so the single-system entries
 are the one-row cases and agree bit for bit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +35,6 @@ from .core import MlsSystem, _block_rows, _by_shape, _stack, _replayed, rank_tol
 
 __all__ = [
     "OperatorBundle",
-    "SpectralReport",
     "coef_map_stack",
     "build_operators",
     "check_sv_products",
@@ -609,40 +608,13 @@ def _pair_report(stack: dict, i: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SpectralReport:
-    """Certification result for one assembled system; ``passed`` is the
-    conjunction of every check at the report's tolerances."""
-
-    symmetry: dict
-    eigen: dict
-    psd: dict
-    norms: dict
-    idempotence: float
-    trace_dev: float
-    passed: bool
-    tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def to_dict(self) -> dict:
-        return {
-            "symmetry": self.symmetry,
-            "eigen": self.eigen,
-            "psd": self.psd,
-            "norms": self.norms,
-            "idempotence": self.idempotence,
-            "trace_dev": self.trace_dev,
-            "pass": self.passed,
-            "tolerances": self.tolerances.to_dict(),
-        }
-
-
 def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
     """Run every operator check on k assembled systems of one node count
     m, with any basis sizes l.
 
-    Returns the fields of ``SpectralReport.to_dict()`` but ``tolerances``,
-    with every per-system value an array whose axis 0 runs over the
-    systems (shared values, such as check names, are plain).  One stack
+    Returns the keys of a ``diagnose`` report but ``tolerances``, with
+    every per-system value an array whose axis 0 runs over the systems
+    (shared values, such as check names, are plain).  One stack
     per m for the (m, m) checks; per (m, l) for the coefficient maps: the
     maps, P and Q Q^T take one stacked call per basis size, every (m, m)
     check one stacked LAPACK or BLAS call for the whole stack, and the
@@ -684,8 +656,9 @@ def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
 
 
 def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
-    """The ``SpectralReport`` of each of the systems, all of one node
-    count m, in order.
+    """The ``diagnose`` report of each of the systems, all of one node
+    count m, in order: ``diagnose_stack``'s row of the system, plus the
+    ``tolerances`` it was checked at.
 
     The systems run through ``diagnose_stack`` in blocks of
     ``core._block_rows(m)``, so each (rows, m, m) operator stack holds at
@@ -694,17 +667,15 @@ def diagnose_each(systems, tol: Tolerances = Tolerances()) -> list:
     raises its own error, what ``diagnose`` raises for it
     (``core._replayed``).
     """
-    reports = []
     size = _block_rows(systems[0].m) if systems else 1
     stacks = _replayed(lambda lo, hi: diagnose_stack(systems[lo:hi], tol), len(systems), size)
-    for _, stack in stacks:
-        for i in range(len(stack["pass"])):
-            rep = _row(stack, i)
-            reports.append(SpectralReport(passed=rep.pop("pass"), tolerances=tol, **rep))
-    return reports
+    return [{**_row(stack, i), "tolerances": tol.to_dict()}
+            for _, stack in stacks for i in range(len(stack["pass"]))]
 
 
-def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> SpectralReport:
+def diagnose(system: MlsSystem, tol: Tolerances = Tolerances()) -> dict:
     """Run every operator check on one assembled system: the one-system
-    case of ``diagnose_each`` and ``diagnose_stack``."""
+    case of ``diagnose_each`` and ``diagnose_stack``.  The report is a
+    plain dict, like those of the product checks; its ``pass`` is the
+    conjunction of every check at ``tol``."""
     return diagnose_each([system], tol)[0]

@@ -44,7 +44,7 @@ def spectral_material():
 def test_criterion_01_scaled_operators_symmetric(spectral_material):
     worst = 0.0
     for _, sysm, _ in spectral_material:
-        res = diagnose(sysm, TOL).to_dict()["symmetry"]
+        res = diagnose(sysm, TOL)["symmetry"]
         worst = max(worst, res["proj_dinv"], res["comp_dinv"])
     ok = worst <= 1e-10
     assert _verdict(
@@ -58,7 +58,7 @@ def test_criterion_02_eigenvalue_clusters(spectral_material):
     worst_dev = 0.0
     counts_ok = True
     for it, sysm, _ in spectral_material:
-        rep = diagnose(sysm, TOL).to_dict()
+        rep = diagnose(sysm, TOL)
         m, l = it.meta["m"], it.meta["l"]
         for side in ("proj", "comp"):
             e = rep["eigen"][side]

@@ -189,7 +189,7 @@ def test_diagnose_input_matches_per_point_reports(const_csv, tmp_path, capsys):
     reports = []
     for x in np.linspace(-0.5, 3.5, 300):
         sysm = build_system(float(x), pts, monomial_basis(3), WeightSpec("exp", 0.7))
-        reports.append({**diagnose(sysm).to_dict(), "x": [float(x)]})
+        reports.append({**diagnose(sysm), "x": [float(x)]})
     ok = all(r["pass"] for r in reports)
     want = canonical_json({"n_points": 300, "reports": reports, "pass": ok})
     assert code == (0 if ok else 5)
@@ -234,31 +234,38 @@ def _per_point_rows(xs, points, basis, weight, **_):
 
 
 @pytest.mark.parametrize(
-    "csv_text,config,grid",
+    "csv_text,config,grid,budget",
     [
         # passes; three blocks
-        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "-0.5:3.5:300"),
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "-0.5:3.5:300", None),
         # conditioning failure in a later block
-        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "0.5:60:300"),
-        ("const", '{"l": 4, "weight": {"family": "shepard", "alpha": 3}}', "0.5:60:300"),
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "0.5:60:300", None),
+        ("const", '{"l": 4, "weight": {"family": "shepard", "alpha": 3}}', "0.5:60:300", None),
         # rank failure
-        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 30}}', "0.1:2.9:257"),
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 30}}', "0.1:2.9:257", None),
         # a node of an interpolating weight, then a vanished weight
-        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0:100:3"),
-        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0.5:100:3"),
+        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0:100:3", None),
+        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0.5:100:3", None),
         # 2-d nodes: at the nodes, then an a:b:N grid, which they refuse
-        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', None),
-        ("plane", '{"l": 3, "weight": {"family": "mclain", "alpha": 1.0}}', "0:1:2"),
-        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', "0:1:3"),
+        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', None, None),
+        ("plane", '{"l": 3, "weight": {"family": "mclain", "alpha": 1.0}}', "0:1:2", None),
+        ("plane", '{"l": 3, "weight": {"family": "exp", "alpha": 1.0}}', "0:1:3", None),
+        # one row per solved block and per diagnosed stack: a diagnose
+        # error at a node, then a vanished weight; a conditioning failure
+        ("const", '{"l": 2, "weight": {"family": "mclain", "alpha": 1.0}}', "0:100:3", 1),
+        ("const", '{"l": 3, "weight": {"family": "exp", "alpha": 0.7}}', "0.5:60:300", 1),
     ],
 )
 def test_diagnose_input_matches_per_point_builds(
-    tmp_path, capsys, monkeypatch, csv_text, config, grid
+    tmp_path, capsys, monkeypatch, csv_text, config, grid, budget
 ):
     """Block-solved systems give the output, exit code and error of one
-    ``build_system`` per point."""
-    from mlscert import cli
+    ``build_system`` per point.  A ``budget`` of doubles per block, when
+    given, replaces ``core._BLOCK_DOUBLES`` in both runs."""
+    from mlscert import cli, core
 
+    if budget is not None:
+        monkeypatch.setattr(core, "_BLOCK_DOUBLES", budget)
     data = tmp_path / "in.csv"
     data.write_text({
         "const": "x1,f\n0.0,7.0\n1.0,7.0\n2.0,7.0\n3.0,7.0\n",

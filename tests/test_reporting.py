@@ -251,6 +251,11 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_fallback_triggers_take_the_per_value_path(name):
+    """Edge values written one value at a time: NaN, +-inf, ints past
+    2**1024, bools, numpy scalars, strings, and ragged, nested and empty
+    rows.  Only a finite 2-D float64 array takes the table form, so no list
+    here does; each prints the per-value reference bytes in JSON, as a list
+    and as a tuple, and, when every row is a list or tuple, in CSV."""
     doc = FALLBACKS[name]
     assert rep._json_table(doc) is None
     assert rep.canonical_json(doc) == ref_json(doc)

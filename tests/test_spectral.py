@@ -32,7 +32,7 @@ def _bundle(m=5, l=2, alpha=1.0, x=0.37):
 
 def _report(section, m=5, l=2):
     """One section of the ``diagnose`` report of ``_system(m, l)``."""
-    return diagnose(_system(m, l), TOL).to_dict()[section]
+    return diagnose(_system(m, l), TOL)[section]
 
 
 def test_projector_idempotent():
@@ -96,7 +96,7 @@ def test_eigenvalues_against_dense_oracle():
     solve on the raw projector."""
     b = _bundle(m=7, l=2)
     dense = np.sort(np.linalg.eigvals(b.proj).real)
-    rep = diagnose(b.system, TOL).to_dict()["eigen"]
+    rep = diagnose(b.system, TOL)["eigen"]
     mine = np.sort(np.asarray(rep["proj"]["eigenvalues"]))
     np.testing.assert_allclose(mine, dense, atol=1e-9)
 
@@ -138,16 +138,16 @@ def test_interpolation_limit_rejected():
 def test_diagnose_full_report():
     nodes = np.linspace(0.0, 2.0, 6)
     sysm = build_system(0.9, PointSet(nodes), monomial_basis(2), WeightSpec("exp", 1.0))
-    rep = diagnose(sysm, TOL)
-    assert rep.passed
-    d = rep.to_dict()
+    d = diagnose(sysm, TOL)
     assert d["pass"]
-    assert set(d) >= {"symmetry", "eigen", "psd", "norms", "idempotence", "trace_dev"}
+    assert set(d) == {"symmetry", "eigen", "psd", "norms", "idempotence", "trace_dev",
+                      "pass", "tolerances"}
+    assert d["tolerances"] == TOL.to_dict()
 
 
 def test_diagnose_over_random_instances():
     for it in random_suite(40, 7):
-        assert diagnose(it.system(), TOL).passed, it.meta
+        assert diagnose(it.system(), TOL)["pass"], it.meta
 
 
 @settings(max_examples=30, deadline=None)
@@ -188,8 +188,8 @@ def test_diagnose_each_matches_diagnose_across_blocks(monkeypatch):
     monkeypatch.setattr(core, "_BLOCK_DOUBLES", 4 * 7 * 7)
     assert core._block_rows(7) == 4
     systems = [_system(m=7, l=3, x=x) for x in np.linspace(-0.3, 1.3, 11)]
-    got = [canonical_json(rep.to_dict()) for rep in diagnose_each(systems, TOL)]
-    want = [canonical_json(diagnose(s, TOL).to_dict()) for s in systems]
+    got = [canonical_json(rep) for rep in diagnose_each(systems, TOL)]
+    want = [canonical_json(diagnose(s, TOL)) for s in systems]
     assert got == want
 
 

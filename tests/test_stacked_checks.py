@@ -342,7 +342,7 @@ def test_stacked_checks_match_per_instance_loops(seed, n):
             got = selftest._core_oracle([systems[i] for i in oracle])
             _same(got.tolist(), [rows[i]["oracle"] for i in oracle])
     for it in suite:
-        _same(_flat(diagnose(it.system(), TOL).to_dict()), _ref_diagnose(it.system(), TOL))
+        _same(_flat(diagnose(it.system(), TOL)), _ref_diagnose(it.system(), TOL))
     _same(selftest.suite_spectral(seed, TOL, suite=suite), _ref_spectral(suite, TOL))
     _same(selftest.suite_core(seed, TOL, suite=suite), _ref_core(seed, TOL, suite))
 
