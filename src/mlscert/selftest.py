@@ -60,30 +60,18 @@ CERTIFICATE_GRID = 200
 DIFF_MATRIX_L_MAX = 8
 
 
-def _systems(suite):
-    """The instances' systems up to the first that fails, and its error."""
-    systems = []
-    for it in suite:
-        try:
-            systems.append(it.system())
-        except _ERRORS as exc:
-            return systems, exc
-    return systems, None
+def _stacked(check, groups) -> list:
+    """The results of ``check`` on each group of instance indices (and on
+    each replayed instance) that passed, in order.
 
-
-def _stacked(check, groups, limit, error):
-    """Run ``check`` once per group of instance indices, on those below
-    ``limit``: the first instance already known to fail, with ``error``.
-
-    ``check(idx)`` checks the instances ``idx`` in one stacked call.  A
-    group that raises is replayed one instance at a time
-    (``core._replayed``), so the earliest failing instance is found; it
-    becomes the new limit and its error the new error.  Checks run stage by
-    stage like this raise, in the end, what a loop running every stage per
-    instance raises first.  Returns the results of the groups (and
-    replayed instances) that passed, the limit and the error.
+    ``check(idx)`` runs every stage of the instances ``idx``, in stacked
+    calls.  A group that raises is replayed one instance at a time
+    (``core._replayed``), each through all its stages, which finds its
+    earliest failing instance; later groups are checked only below it.
+    The earliest failing instance of all raises its error at the end:
+    what a loop checking one instance at a time raises first.
     """
-    done = []
+    done, limit, error = [], float("inf"), None
     for idx in groups:
         idx = [i for i in idx if i < limit]
         start = len(done)
@@ -92,7 +80,9 @@ def _stacked(check, groups, limit, error):
                 done.append(res)
         except _ERRORS as exc:
             limit, error = idx[len(done) - start], exc
-    return done, limit, error
+    if error is not None:
+        raise error
+    return done
 
 
 def _values(done, key=None) -> list:
@@ -150,61 +140,50 @@ def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
     if not given.  The instances are checked in groups of one shape
-    (m, l), a stacked solve per group for the rescaled weights and one for
-    the normal-equations oracle; every per-instance value is what a solve
-    per instance gives, bit for bit, and the first failing instance raises
-    its own error.
+    (m, l), every stage of a group in one call: its systems, a stacked
+    solve for the rescaled weights, one for the normal-equations oracle
+    and the node interpolation of its shepard instances.  Every
+    per-instance value is what a solve per instance gives, bit for bit,
+    and the first failing instance raises its own error.
     """
     if suite is None:
         suite = instances.random_suite(GENERAL_N, seed)
-    n = len(suite)
     rng = np.random.default_rng(seed + 1)
-    coefs, scales = [], []
-    for it in suite:
-        coefs.append(rng.standard_normal(it.basis.size))
-        scales.append(float(np.exp(rng.uniform(-3.0, 3.0))))
-    systems, error = _systems(suite)
+    # per instance, in order: a basis combination and a weight scale
+    draws = [(rng.standard_normal(it.basis.size), float(np.exp(rng.uniform(-3.0, 3.0))))
+             for it in suite]
 
-    def invariance(idx):
-        group = ([seq[i] for i in idx] for seq in (suite, systems, coefs, scales))
-        return _core_invariance(*group)
+    def check(idx):
+        group = [suite[i] for i in idx]
+        systems = [it.system() for it in group]
+        res = _core_invariance(group, systems, *zip(*(draws[i] for i in idx)))
+        eligible = [s for it, s in zip(group, systems) if it.meta["m"] <= 8 and it.meta["l"] <= 4
+                    and it.meta["cond_gram"] <= ORACLE_COND_MAX]
+        res["oracle"] = _core_oracle(eligible) if eligible else []
+        res["interpolation"] = [
+            max(np.abs(evaluate_many(it.points.nodes, it.points, it.basis, it.weight)
+                       - it.points.values).tolist())
+            for it in group if it.weight.family == "shepard"
+        ]
+        return res
 
-    def oracle(idx):
-        return _core_oracle([systems[i] for i in idx])
-
-    def interpolation(idx):
-        pts, basis, weight = suite[idx[0]].points, suite[idx[0]].basis, suite[idx[0]].weight
-        fitted = evaluate_many(pts.nodes, pts, basis, weight)
-        return [max(np.abs(fitted - pts.values).tolist())]
-
-    shapes = [(s.m, s.l) for s in systems]
-    checked, limit, error = _stacked(invariance, _by_shape(shapes), len(systems), error)
-    eligible = [
-        key if it.meta["m"] <= 8 and it.meta["l"] <= 4
-        and it.meta["cond_gram"] <= ORACLE_COND_MAX else None
-        for it, key in zip(suite, shapes)
-    ]
-    oracles, limit, error = _stacked(oracle, _by_shape(eligible), limit, error)
-    shepard = [[i] for i, it in enumerate(suite) if it.weight.family == "shepard"]
-    interps, limit, error = _stacked(interpolation, shepard, limit, error)
-    if error is not None:
-        raise error
-
+    checked = _stacked(check, _by_shape([(it.points.m, it.basis.size) for it in suite]))
     worst_unity = max([0.0, *_values(checked, "unity")])
     worst_repro = max([0.0, *_values(checked, "reproduction")])
     worst_scale = max([0.0, *_values(checked, "scale")])
     min_amp = min([float("inf"), *_values(checked, "amplification")])
-    worst_oracle = max([0.0, *_values(oracles)])
-    worst_interp = max([0.0, *_values(interps)])
+    oracles, interps = _values(checked, "oracle"), _values(checked, "interpolation")
+    worst_oracle = max([0.0, *oracles])
+    worst_interp = max([0.0, *interps])
     return {
-        "n": n,
+        "n": len(suite),
         "worst_unity": worst_unity,
         "worst_reproduction": worst_repro,
         "worst_scale_invariance": worst_scale,
         "worst_oracle_rel": worst_oracle,
-        "n_oracle": len(_values(oracles)),
+        "n_oracle": len(oracles),
         "worst_node_interpolation": worst_interp,
-        "n_interpolating": len(shepard),
+        "n_interpolating": len(interps),
         "min_amplification": min_amp,
         "pass": bool(
             worst_unity <= tol.bound
@@ -221,17 +200,17 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
     """Full operator diagnostics on every generated instance.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.  ``diagnose_stack`` checks each group of one node count
-    m at once, one stack per m for the (m, m) checks; per (m, l) for the
-    coefficient maps.  The worst values are reduced from its arrays; a
-    failing instance raises what ``diagnose`` raises for the first one.
+    if not given.  ``diagnose_stack`` checks the systems of each group of
+    one node count m at once, one stack per m for the (m, m) checks; per
+    (m, l) for the coefficient maps.  The worst values are reduced from
+    its arrays; a failing instance raises what building its system or
+    ``diagnose`` raises for the first one.
     """
     if suite is None:
         suite = instances.random_suite(GENERAL_N, seed)
-    systems, error = _systems(suite)
 
     def check(idx):
-        rep = diagnose_stack([systems[i] for i in idx], tol)
+        rep = diagnose_stack([suite[i].system() for i in idx], tol)
         sym, eigen, psd = rep["symmetry"], rep["eigen"], rep["psd"]
         return {
             "pass": rep["pass"],
@@ -245,9 +224,7 @@ def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
             "lmax_slack_rel": psd["lmax_slack"] / psd["scale"],
         }
 
-    reports, _, error = _stacked(check, _by_shape([s.m for s in systems]), len(systems), error)
-    if error is not None:
-        raise error
+    reports = _stacked(check, _by_shape([it.points.m for it in suite]))
     n_fail = _values(reports, "pass").count(False)
     out = {"n": len(suite), "n_fail": n_fail, "pass": bool(n_fail == 0)}
     for key in ("symmetry", "eig_dev", "idempotence", "trace_dev"):
@@ -308,9 +285,7 @@ def suite_eig_product(seed: int, tol: Tolerances) -> dict:
         }
 
     shapes = [(p["umat"].shape, p["vmat"].shape) for p in pairs]
-    reports, _, error = _stacked(check, _by_shape(shapes), len(pairs), None)
-    if error is not None:
-        raise error
+    reports = _stacked(check, _by_shape(shapes))
     worst_oracle = max([0.0, *_values(reports, "oracle_dev")])
     n_violations = sum(_values(reports, "n_violations"))
     return {
