@@ -53,9 +53,12 @@ thread:
   ``fit`` and ``diagnose`` at x = 30 with l = 2 exit 3 and on
   ``--grid 0:200:50`` with l = 3 exit 4, and ``bound`` on two clusters
   of five nodes, 7 apart, exits 4; each message names the first failing
-  point and its grid index.  Per seed, ``edge`` also runs the first
-  ``fit`` job on a copy of its input that starts with a UTF-8 byte-order
-  mark; it exits 0 with that job's own output.
+  point and its grid index.  On those five nodes in [0, 1] with l = 2
+  and ``--grid 0.1:0.9:5``, ``diagnose`` with levin alpha 1e-160, whose
+  weight diagonal is subnormal, and ``fit`` with shepard alpha 30, whose
+  weight vanishes below r = 0.44, exit 2 on one line.  Per seed, ``edge``
+  also runs the first ``fit`` job on a copy of its input that starts with
+  a UTF-8 byte-order mark; it exits 0 with that job's own output.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -233,6 +236,13 @@ def _fixed_runs():
     files = {"c.csv": CLUSTERS_INPUT, "cfg.json": '{"l": 3, "weight": {"family": "exp", "alpha": 3}}'}
     argv = ["bound", "--input", "c.csv", "--config", "cfg.json", "--out", "bound.out"]
     yield "edge", "bound_conditioning_between_clusters", argv, files, "bound.out"
+    for command, name, weight in (
+            ("diagnose", "levin_subnormal_diagonal", '{"family": "levin", "alpha": 1e-160}'),
+            ("fit", "shepard_weight_vanished", '{"family": "shepard", "alpha": 30}')):
+        files = {"n5.csv": SPAN_NODES_INPUT, "cfg.json": f'{{"l": 2, "weight": {weight}}}'}
+        argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--grid", "0.1:0.9:5",
+                "--out", f"{command}.out"]
+        yield "edge", f"{command}_{name}", argv, files, f"{command}.out"
 
 
 def main() -> None:

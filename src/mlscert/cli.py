@@ -463,8 +463,8 @@ def main(argv=None) -> int:
     except ConditioningError as exc:
         print(f"conditioning failure: {exc}{exc.where}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a vanished weight names its point (``where``)
+        print(f"error: {exc}{getattr(exc, 'where', '')}", file=sys.stderr)
         return EXIT_MALFORMED
 
 

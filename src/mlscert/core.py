@@ -67,6 +67,14 @@ class HypothesisFailure(MlsError):
         super().__init__("hypothesis failure: " + ", ".join(self.items))
 
 
+class _WeightVanished(MlsError, ValueError):
+    """A weight is 0 at a node a positive ``distance`` away: malformed
+    input (exit 2), whose point the caller names like a fitting error's."""
+
+    def __init__(self, distance: float):
+        super().__init__(f"weight vanished at positive distance {distance:.3e}")
+
+
 #: what a solve or a check raises for a bad row; a block that raises one
 #: is replayed row by row (``_replayed``)
 _ERRORS = (MlsError, ValueError)  # LinAlgError is a ValueError
@@ -271,8 +279,9 @@ def _solve_rows(xs, nodes, basis, weight, dvecs, E, conds: bool) -> _Rows:
         zero = dvecs == 0.0
         hit_rows = np.flatnonzero(zero.any(axis=1))
         hits = np.argmax(zero[hit_rows], axis=1)
-        if np.any(dists[hit_rows, hits] > 0):
-            raise ValueError("weight vanished at positive distance")
+        hit_dists = dists[hit_rows, hits]
+        if np.any(hit_dists > 0):
+            raise _WeightVanished(hit_dists[np.argmax(hit_dists > 0)])
         at_node = np.full(n, -1)
         at_node[hit_rows] = hits
         regular = at_node < 0

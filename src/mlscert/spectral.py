@@ -126,10 +126,15 @@ def _operators(systems) -> _Ops:
         qqt[idx] = qmats @ _t(qmats)
         coef_maps.append(coef_map)
     comp = proj - np.eye(m)
-    return _Ops(
-        coef_maps, proj, comp, proj / dvecs[:, None, :], comp / dvecs[:, None, :],
-        qqt, dvecs, np.array(ls),
-    )
+    # refused here, before an SVD meets an inf or NaN entry
+    with np.errstate(all="ignore"):
+        proj_dinv, comp_dinv = proj / dvecs[:, None, :], comp / dvecs[:, None, :]
+    finite = np.isfinite(proj_dinv).all(axis=(1, 2)) & np.isfinite(comp_dinv).all(axis=(1, 2))
+    if not finite.all():
+        dmin = np.min(dvecs[np.argmin(finite)])
+        raise ValueError(f"weight-scaled operators are not finite: smallest weight "
+                         f"diagonal entry {dmin:.3e}")
+    return _Ops(coef_maps, proj, comp, proj_dinv, comp_dinv, qqt, dvecs, np.array(ls))
 
 
 def _row(tree, i: int):

@@ -388,11 +388,13 @@ FIRST_FAILURES = [
 @pytest.mark.parametrize("xs,expected", FIRST_FAILURES)
 def test_build_systems_first_failure_wins(xs, expected):
     """The first failing grid point decides, even when a later point in the
-    same block fails differently or is not finite."""
+    same block fails differently or is not finite.  A vanished weight's
+    error is a ``ValueError`` that is also an ``MlsError``, so that the
+    point it names is located."""
     pts = PointSet(np.linspace(0.0, 1.0, 6), values=np.arange(6.0))
     basis, weight = monomial_basis(2), WeightSpec("mclain", 1.5)
     _, error = _per_point(xs, pts, basis, weight)
-    assert error[0] is expected
+    assert issubclass(error[0], expected)
     assert _batched(np.array(xs), pts, basis, weight)[1] == error
 
 

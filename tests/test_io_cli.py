@@ -210,6 +210,35 @@ def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys,
     code, out, err = run_cli(
         ["diagnose", "--input", const_csv, "--config", str(cfg), "--grid", grid], capsys
     )
+    # a vanished weight also names the distance and the point
+    where = {"0.5:100:3": " 5.025e+01 at x = 50.25 (grid point 1 of 3)"}.get(grid, "")
+    assert (code, out, err) == (2, "", f"error: {message}{where}\n")
+
+
+@pytest.mark.parametrize(
+    "command,weight,message",
+    [
+        # a weight diagonal of 2e-322 to 1.6e-320: fit solves it, but the
+        # operators scaled by its inverse overflow
+        ("diagnose", '{"family": "levin", "alpha": 1e-160}',
+         "weight-scaled operators are not finite: smallest weight diagonal entry 1.976e-322"),
+        # w = r^900 underflows to 0 below r = 0.44
+        ("fit", '{"family": "shepard", "alpha": 30}',
+         "weight vanished at positive distance 1.000e-01 at x = 0.1 (grid point 0 of 5)"),
+        ("fit", '{"family": "mclain", "alpha": 100}',
+         "weight vanished at positive distance 4.000e-01 at x = 0.1 (grid point 0 of 5)"),
+    ],
+    ids=["levin_diagnose", "shepard_fit", "mclain_fit"],
+)
+def test_underflowing_weights_exit_2_on_one_line(command, weight, message, tmp_path, capfd):
+    """One stderr line naming the cause, with no numpy warning and no
+    LAPACK message on the process's stdout."""
+    data = tmp_path / "five.csv"
+    data.write_text("x1,f\n0,0\n0.25,0.1\n0.5,0.3\n0.75,0.2\n1,0.5\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"l": 2, "weight": {weight}}}')
+    code = main([command, "--input", str(data), "--config", str(cfg), "--grid", "0.1:0.9:5"])
+    out, err = capfd.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

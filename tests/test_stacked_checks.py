@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from mlscert import instances, selftest, spectral
 from mlscert.bases import monomial_basis
 from mlscert.config import Tolerances
-from mlscert.core import build_system, build_systems, fitted_values
+from mlscert.core import build_system, evaluate_many
 from mlscert.instances import Instance
 from mlscert.points import PointSet
 from mlscert.reporting import canonical_json
@@ -62,7 +62,11 @@ def _ref_diagnose(sysm, tol):
     coef_map /= np.sqrt(dvec)[:, None]
     proj = coef_map @ sysm.design.T
     comp = proj - np.eye(m)
-    proj_dinv, comp_dinv = proj / dvec[None, :], comp / dvec[None, :]
+    with np.errstate(all="ignore"):
+        proj_dinv, comp_dinv = proj / dvec[None, :], comp / dvec[None, :]
+    if not (np.isfinite(proj_dinv).all() and np.isfinite(comp_dinv).all()):
+        raise ValueError("weight-scaled operators are not finite: smallest weight "
+                         f"diagonal entry {float(np.min(dvec)):.3e}")
 
     scale = max(_norm2(proj_dinv), _norm2(comp_dinv), np.finfo(float).tiny)
     sym_p = _norm2(proj_dinv - proj_dinv.T) / scale
@@ -172,9 +176,7 @@ def _ref_core_rows(seed, suite):
             row["oracle"] = float(np.linalg.norm(a - a_alt) / np.linalg.norm(a))
         if it.weight.family == "shepard":
             pts = it.points
-            fitted = fitted_values(
-                *build_systems(pts.nodes, pts, it.basis, it.weight), pts.values
-            )
+            fitted = evaluate_many(pts.nodes, pts, it.basis, it.weight)
             row["interpolation"] = np.abs(fitted - pts.values).tolist()
         rows.append(row)
     return rows
@@ -423,6 +425,17 @@ def test_core_raises_the_first_failing_instance(order):
         mixed = suite[:pos] + [bad_x] + suite[pos:]
         expected = _raised(lambda: _ref_core(5, TOL, mixed))
         assert _raised(lambda: selftest.suite_core(5, TOL, suite=mixed)) == expected
+    # in the first group, fails only its last stage, the node interpolation:
+    # it carries no values.  Before odd's failure in a later group, it decides
+    it = base[0]
+    no_values = Instance(PointSet(it.points.nodes), it.basis, WeightSpec("shepard", 1.0), it.x,
+                         meta=dict(it.meta))
+    pair = [odd, no_values] if order == "odd_first" else [no_values, odd]
+    mixed = base[:4] + pair + base[4:]
+    expected = _raised(lambda: _ref_core(5, TOL, mixed))
+    want = "weight vanished" if order == "odd_first" else "points carry no values to fit"
+    assert want in expected[1]
+    assert _raised(lambda: selftest.suite_core(5, TOL, suite=mixed)) == expected
 
 
 @pytest.mark.parametrize("order", ["odd_first", "odd_last"])
@@ -430,7 +443,7 @@ def test_spectral_raises_the_first_failing_instance(order):
     base = instances.random_suite(12, 6)
     # at a node of an interpolating weight: no scaled operators
     odd = _odd_shape_instance(WeightSpec("shepard", 1.0), x=0.5)
-    # a NaN weight diagonal: the SVD of the scaled projector fails
+    # a NaN weight diagonal: the scaled operators are not finite
     sysm = base[0].solved
     broken = dataclasses.replace(sysm, dvec=np.full_like(sysm.dvec, np.nan))
     same = _like(base[0], solved=broken)
@@ -463,7 +476,8 @@ def test_spectral_raises_the_first_failing_instance_of_a_mixed_l_stack(order):
     assert expected is not None
     assert expected == _raised(lambda: [diagnose(x.system(), TOL) for x in suite])
     assert _raised(lambda: selftest.suite_spectral(6, TOL, suite=suite)) == expected
-    want = "operators require x off the nodes" if order == "node_first" else "SVD"
+    want = ("operators require x off the nodes" if order == "node_first"
+            else "weight-scaled operators are not finite")
     assert want in expected[1]
 
 
