@@ -627,7 +627,8 @@ def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:
     per system.  Those calls run per matrix, so system i gets exactly what
     ``diagnose`` reports for it.  Raises ``ValueError`` if any system sits
     at an interpolation-limit node, where the scaled operators do not
-    exist.
+    exist, or if its operators scaled by the inverse weight diagonal are
+    not finite (a subnormal diagonal overflows them).
     """
     ops = _operators(systems)
     proj, ls = ops.proj, ops.ls
