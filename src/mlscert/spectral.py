@@ -156,7 +156,9 @@ def build_operators(system: MlsSystem) -> OperatorBundle:
     The one-system case of the operators of ``diagnose_stack``.  Requires
     a strictly positive weight diagonal: at an interpolation-limit point (x
     on a node of an interpolating weight family) the scaled operators do
-    not exist.
+    not exist.  Raises ``ValueError`` there, and also when the operators
+    scaled by the inverse weight diagonal are not finite (a subnormal
+    diagonal overflows them).
     """
     ops = _operators([system])
     return OperatorBundle(ops.coef_maps[0][0], *(a[0] for a in ops[1:5]), system=system)

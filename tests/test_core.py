@@ -373,28 +373,30 @@ def test_subnormal_design_fails_the_rank_check():
 
 
 NEAR = 0.2 + 1e-9  # next to a node of an interpolating weight: ConditioningError
-FAR = 1e3  # mclain weight underflows to 0: ValueError
+FAR = 1e3  # mclain weight underflows to 0: a ValueError naming its point
 # the solve block of the six nodes and l = 2 below
 _FIRST_BLOCK = core._block_rows(6, 2) // 4
 FIRST_FAILURES = [
     ([0.5, NEAR, FAR, np.nan], ConditioningError),
-    ([0.5, FAR, NEAR], ValueError),
+    ([0.5, FAR, NEAR], core._WeightVanished),
     ([0.5, np.nan, NEAR, FAR], ValueError),  # names the point, not LAPACK
     ([0.5] * _FIRST_BLOCK + [NEAR, FAR], ConditioningError),
-    ([0.5, FAR] + [0.5] * _FIRST_BLOCK + [NEAR], ValueError),
+    ([0.5, FAR] + [0.5] * _FIRST_BLOCK + [NEAR], core._WeightVanished),
 ]
 
 
-@pytest.mark.parametrize("xs,expected", FIRST_FAILURES)
+# the ids name the exit-2 class, ValueError, of which _WeightVanished is one
+@pytest.mark.parametrize("xs,expected", FIRST_FAILURES, ids=[
+    "xs0-ConditioningError", "xs1-ValueError", "xs2-ValueError",
+    "xs3-ConditioningError", "xs4-ValueError",
+])
 def test_build_systems_first_failure_wins(xs, expected):
     """The first failing grid point decides, even when a later point in the
-    same block fails differently or is not finite.  A vanished weight's
-    error is a ``ValueError`` that is also an ``MlsError``, so that the
-    point it names is located."""
+    same block fails differently or is not finite."""
     pts = PointSet(np.linspace(0.0, 1.0, 6), values=np.arange(6.0))
     basis, weight = monomial_basis(2), WeightSpec("mclain", 1.5)
     _, error = _per_point(xs, pts, basis, weight)
-    assert issubclass(error[0], expected)
+    assert error[0] is expected
     assert _batched(np.array(xs), pts, basis, weight)[1] == error
 
 

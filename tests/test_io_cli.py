@@ -201,8 +201,12 @@ def test_diagnose_input_matches_per_point_reports(const_csv, tmp_path, capsys):
     [
         # 0 is a node: its diagnosis fails before 50 fails to build
         ("0:100:3", "operators require x off the nodes for interpolating weights"),
-        ("0.5:100:3", "weight vanished at positive distance"),
+        # a vanished weight also names the distance and the point
+        ("0.5:100:3", "weight vanished at positive distance 5.025e+01 at x = 50.25 "
+                      "(grid point 1 of 3)"),
     ],
+    ids=["0:100:3-operators require x off the nodes for interpolating weights",
+         "0.5:100:3-weight vanished at positive distance"],
 )
 def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys, grid, message):
     cfg = tmp_path / "cfg.json"
@@ -210,9 +214,7 @@ def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys,
     code, out, err = run_cli(
         ["diagnose", "--input", const_csv, "--config", str(cfg), "--grid", grid], capsys
     )
-    # a vanished weight also names the distance and the point
-    where = {"0.5:100:3": " 5.025e+01 at x = 50.25 (grid point 1 of 3)"}.get(grid, "")
-    assert (code, out, err) == (2, "", f"error: {message}{where}\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(
