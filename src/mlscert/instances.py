@@ -40,7 +40,6 @@ __all__ = [
     "random_instance",
     "random_suite",
     "random_h2_instance",
-    "h2_suite",
     "H2Stream",
     "matrix_pair_suite",
     "FAMILY_MIX",
@@ -268,7 +267,7 @@ def random_suite(n: int, seed: int) -> list:
 
 def random_h2_instance(rng) -> Instance:
     """Instance satisfying the 1-d growth-bound hypotheses: the
-    one-instance case of ``h2_suite``.
+    one-instance case of ``H2Stream(seed).first(n)``.
 
     One dimension, strictly increasing nodes, exponential weight family,
     monomial basis (continuously differentiable).  Node separation and the
@@ -284,9 +283,9 @@ class H2Stream:
 
     ``first(n)`` gives the first n instances of the stream.  It draws only
     the ones still missing, in one ``_draw_accepted`` batch, which ends
-    where one-by-one draws end; so ``first(n)`` holds what
-    ``h2_suite(n, seed)`` holds, however the stream was asked before, and
-    it never draws past the n-th instance.
+    where one-by-one draws end; so ``first(n)`` holds the same n
+    instances however the stream was asked before, and it never draws
+    past the n-th instance.
     """
 
     def __init__(self, seed: int):
@@ -300,12 +299,6 @@ class H2Stream:
                 self._rng, missing, _draw_h2, _accept_h2, "1-d bound instance"
             )
         return self._drawn[:n]
-
-
-def h2_suite(n: int, seed: int) -> list:
-    """n independent ``random_h2_instance`` draws from a single seeded
-    generator."""
-    return H2Stream(seed).first(n)
 
 
 def _draw_symmetric(rng, m: int, eig_lo: float, eig_hi: float, n_zero: int = 0):

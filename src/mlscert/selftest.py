@@ -1,10 +1,11 @@
 """Self-certification battery.
 
-Each suite draws its instances deterministically from a seed, checks one
-family of claims at the configured tolerances, and returns a plain-dict
-report (floats, ints, bools only) that serializes canonically.  The CLI
-prints one verdict line per suite; the acceptance tests re-run the same
-suites and assert on the same fields.
+Each suite checks one family of claims on instances drawn deterministically
+from a seed, at the configured tolerances, and returns a plain-dict report
+(floats, ints, bools only) that serializes canonically.  ``run_selftest``
+draws the instances that suites share, once per call, and hands them out.
+The CLI prints one verdict line per suite; the acceptance tests re-run the
+same suites and assert on the same fields.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from .spectral import (
 )
 from .weights import w_each
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_selftest"]
+__all__ = ["SUITE_NAMES", "run_selftest"]
 
 SUITE_NAMES = (
     "core",
@@ -134,20 +135,18 @@ def _core_oracle(systems) -> np.ndarray:
     return np.sqrt(np.vecdot(diff, diff)) / np.sqrt(np.vecdot(a, a))
 
 
-def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
+def suite_core(seed: int, tol: Tolerances, suite) -> dict:
     """Partition of unity, polynomial reproduction, weight-scaling
     invariance, normal-equations cross-check, interpolation at nodes.
 
-    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.  The instances are checked in groups of one shape
+    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``.  The
+    instances are checked in groups of one shape
     (m, l), every stage of a group in one call: its systems, a stacked
     solve for the rescaled weights, one for the normal-equations oracle
     and the node interpolation of its shepard instances.  Every
     per-instance value is what a solve per instance gives, bit for bit,
     and the first failing instance raises its own error.
     """
-    if suite is None:
-        suite = instances.random_suite(GENERAL_N, seed)
     rng = np.random.default_rng(seed + 1)
     # per instance, in order: a basis combination and a weight scale
     draws = [(rng.standard_normal(it.basis.size), float(np.exp(rng.uniform(-3.0, 3.0))))
@@ -196,18 +195,16 @@ def suite_core(seed: int, tol: Tolerances, suite=None) -> dict:
     }
 
 
-def suite_spectral(seed: int, tol: Tolerances, suite=None) -> dict:
+def suite_spectral(seed: int, tol: Tolerances, suite) -> dict:
     """Full operator diagnostics on every generated instance.
 
-    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``, drawn here
-    if not given.  ``diagnose_stack`` checks the systems of each group of
+    ``suite`` is ``instances.random_suite(GENERAL_N, seed)``.
+    ``diagnose_stack`` checks the systems of each group of
     one node count m at once, one stack per m for the (m, m) checks; per
     (m, l) for the coefficient maps.  The worst values are reduced from
     its arrays; a failing instance raises what building its system or
     ``diagnose`` raises for the first one.
     """
-    if suite is None:
-        suite = instances.random_suite(GENERAL_N, seed)
 
     def check(idx):
         rep = diagnose_stack([suite[i].system() for i in idx], tol)
@@ -358,21 +355,18 @@ def _fd_slope(it, tol: Tolerances) -> dict:
             "oracle_rel": oracle_rel}
 
 
-def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
+def suite_ode(seed: int, tol: Tolerances, stream) -> dict:
     """Finite-difference validation of the coefficient-derivative formula,
     and its product-rule oracle (``_fd_slope``) on the measured instances
     with cond_gram up to ``ORACLE_COND_MAX``, gated at ``tol.lin``.
 
-    ``stream`` is ``instances.H2Stream(seed)``, made here if not given.
-    Each round takes as many instances from it as measured slopes are
+    ``stream`` is ``instances.H2Stream(seed)``.  Each round takes as many instances from it as measured slopes are
     still missing (at most what ``ODE_MAX_DRAWS`` leaves), so the suite
     draws the instances a loop drawing one at a time draws, and stops
     where that loop stops.  A round's instances are drawn before they are
     checked, so a draw error within a round comes before a check error of
     an earlier instance of that round.
     """
-    if stream is None:
-        stream = instances.H2Stream(seed)
     slopes, oracle_rels = [], []
     n_skipped = n_drawn = 0
     while len(slopes) < ODE_TARGET and n_drawn < ODE_MAX_DRAWS:
@@ -401,13 +395,10 @@ def suite_ode(seed: int, tol: Tolerances, stream=None) -> dict:
     }
 
 
-def suite_certificate(seed: int, tol: Tolerances, suite=None) -> dict:
+def suite_certificate(seed: int, tol: Tolerances, suite) -> dict:
     """Exponential-envelope certificates on generated 1-d instances.
 
-    ``suite`` is ``instances.h2_suite(CERTIFICATE_N, seed)``, drawn here
-    if not given."""
-    if suite is None:
-        suite = instances.h2_suite(CERTIFICATE_N, seed)
+    ``suite`` is ``instances.H2Stream(seed).first(CERTIFICATE_N)``."""
     worst_slack = float("inf")
     n_fail = 0
     for it in suite:
@@ -482,17 +473,11 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, tol: Tolerances = Tolerances(), **kw) -> dict:
-    """Run one suite; ``kw`` goes to the suite function."""
-    try:
-        fn = _SUITES[name]
-    except KeyError:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}") from None
-    return fn(seed, tol, **kw)
-
-
 def run_selftest(seed: int = 42, tol: Tolerances = Tolerances(), suites=None) -> dict:
     names = SUITE_NAMES if suites is None else tuple(suites)
+    unknown = [name for name in names if name not in _SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; choose from {SUITE_NAMES}")
     # core and spectral check the same seeded instances, and ode and
     # certificate take theirs from one stream of 1-d instances (the
     # certificate its first CERTIFICATE_N): draw them once per call, never
@@ -510,7 +495,7 @@ def run_selftest(seed: int = 42, tol: Tolerances = Tolerances(), suites=None) ->
             kw = {"stream": h2}
         elif name == "certificate":
             kw = {"suite": h2.first(CERTIFICATE_N)}
-        reports[name] = run_suite(name, seed, tol, **kw)
+        reports[name] = _SUITES[name](seed, tol, **kw)
     return {
         "seed": int(seed),
         "tolerances": tol.to_dict(),

@@ -149,7 +149,7 @@ def test_criterion_05_eigenvalue_product_sandwich():
 
 
 def test_criterion_06_derivative_matches_finite_differences():
-    res = selftest.suite_ode(SEED, TOL)
+    res = selftest.run_selftest(SEED, TOL, suites=("ode",))["suites"]["ode"]
     ok = (
         res["n_measured"] >= 20
         and res["slope_min"] >= 1.7
@@ -172,7 +172,7 @@ def test_criterion_07_growth_envelope_certificates():
     worst_slack = np.inf
     worst_comp_margin = np.inf
     worst_forcing_margin = np.inf
-    suite = instances.h2_suite(20, SEED)
+    suite = instances.H2Stream(SEED).first(20)
     for it in suite:
         cert = bound1d.certify_bound(
             it.points, it.basis, it.weight, n_grid=200, tol=TOL
@@ -210,7 +210,7 @@ def test_criterion_08_differentiation_matrix_singular_values():
 
 
 def test_criterion_09_core_fitting_invariants():
-    res = selftest.suite_core(SEED, TOL)
+    res = selftest.run_selftest(SEED, TOL, suites=("core",))["suites"]["core"]
     ok = (
         res["worst_unity"] <= 1e-9
         and res["worst_reproduction"] <= 1e-9

@@ -819,12 +819,12 @@ def test_certificate_work_counts(monkeypatch):
 
 
 def test_selftest_certificates_need_no_stack(monkeypatch):
-    """The selftest's certificates, the 20 of ``instances.h2_suite(20, 42)``
-    on its 200-point grid, settle every grid row by its bound: no row
-    builds its (m, m) stack of (P - I) H.  A change to M2 that leaves rows
-    to the SVD shows here.  A certificate with l = m has P = I and builds
-    neither."""
-    suite = instances.h2_suite(selftest.CERTIFICATE_N, 42)
+    """The selftest's certificates, the 20 of
+    ``instances.H2Stream(42).first(20)`` on its 200-point grid, settle
+    every grid row by its bound: no row builds its (m, m) stack of
+    (P - I) H.  A change to M2 that leaves rows to the SVD shows here.  A
+    certificate with l = m has P = I and builds neither."""
+    suite = instances.H2Stream(42).first(selftest.CERTIFICATE_N)
     counts = _count_stacks(monkeypatch)
     for it in suite:
         certify_bound(it.points, it.basis, it.weight, n_grid=selftest.CERTIFICATE_GRID)

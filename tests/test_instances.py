@@ -56,7 +56,7 @@ def test_instances_solve():
 
 
 def test_h2_suite_properties():
-    suite = inst.h2_suite(20, 11)
+    suite = inst.H2Stream(11).first(20)
     for it in suite:
         assert it.meta["family"] == "exp"
         assert it.meta["m"] <= 9 and it.meta["l"] <= 4
@@ -206,7 +206,11 @@ def _suite_and_rng(monkeypatch, suite_fn, n, seed):
     return suite, made[0]
 
 
-_SUITES = {"general": (inst.random_suite, False), "h2": (inst.h2_suite, True)}
+def _h2_first(n, seed):
+    return inst.H2Stream(seed).first(n)
+
+
+_SUITES = {"general": (inst.random_suite, False), "h2": (_h2_first, True)}
 
 
 @pytest.mark.parametrize("kind,n,seed", [
@@ -299,7 +303,7 @@ def test_max_attempts_raises_the_same_error(monkeypatch, h2):
     monkeypatch.setattr(inst, "MAX_ATTEMPTS", 7)
     with pytest.raises(RuntimeError) as ref_err:
         _one_at_a_time(np.random.default_rng(4), h2)
-    suite_fn = inst.h2_suite if h2 else inst.random_suite
+    suite_fn = _h2_first if h2 else inst.random_suite
     with pytest.raises(RuntimeError) as got_err:
         suite_fn(5, 4)
     assert str(got_err.value) == str(ref_err.value)

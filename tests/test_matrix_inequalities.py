@@ -264,7 +264,7 @@ def test_sv_product_suite_takes_one_svd_per_operand_shape(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     monkeypatch.setattr(selftest, "sv_product_reports", recorded)
-    report = selftest.run_suite("sv_product", 773817)
+    report = selftest.run_selftest(773817, suites=("sv_product",))["suites"]["sv_product"]
     assert report["pass"] and len(seen) == selftest.PAIR_N
     shapes = [{u.shape for u, _ in seen}, {v.shape for _, v in seen},
               {(u @ v).shape for u, v in seen},

@@ -20,8 +20,13 @@ def _same_system(a, b):
     assert a.at_node == b.at_node
 
 
+def _alone(name, seed):
+    """The report of the suite ``name`` run on its own."""
+    return selftest.run_selftest(seed, suites=(name,))["suites"][name]
+
+
 def test_instance_keeps_the_generator_system():
-    suite = instances.random_suite(20, 42) + instances.h2_suite(5, 42)
+    suite = instances.random_suite(20, 42) + instances.H2Stream(42).first(5)
     for it in suite:
         assert it.system() is it.solved
         fresh = build_system(it.x, it.points, it.basis, it.weight)
@@ -48,8 +53,20 @@ def test_core_and_spectral_share_one_draw_per_run(monkeypatch):
     assert len(calls) == 2
     # the shared draw gives the reports each suite gives on its own
     for name in ("core", "spectral"):
-        alone = selftest.run_suite(name, 42)
+        alone = _alone(name, 42)
         assert canonical_json(report["suites"][name]) == canonical_json(alone)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_each_suite_alone_reports_what_the_full_run_reports(seed):
+    full = selftest.run_selftest(seed)["suites"]
+    for name in selftest.SUITE_NAMES:
+        assert canonical_json(_alone(name, seed)) == canonical_json(full[name]), name
+
+
+def test_an_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match=r"unknown suite 'nope'; choose from \('core', "):
+        selftest.run_selftest(42, suites=("nope",))
 
 
 def _ode_one_at_a_time(seed, tol):
@@ -103,11 +120,11 @@ def test_ode_and_certificate_share_one_draw_per_run(monkeypatch, seed):
     report is what it gives alone, and ode's is that of a loop drawing one
     instance at a time."""
     calls = _counting_h2_draws(monkeypatch)
-    ode_alone = selftest.run_suite("ode", seed)
+    ode_alone = _alone("ode", seed)
     ode_draws = len(calls)
     assert ode_alone == _ode_one_at_a_time(seed, Tolerances())
     assert ode_alone["n_drawn"] >= selftest.CERTIFICATE_N
-    cert_alone = selftest.run_suite("certificate", seed)
+    cert_alone = _alone("certificate", seed)
     del calls[:]
     report = selftest.run_selftest(seed, suites=("ode", "certificate"))
     assert len(calls) == ode_draws
@@ -134,13 +151,13 @@ def test_a_draw_error_past_the_last_ode_instance_is_not_raised(monkeypatch):
     last = len(calls)
     assert ref["n_drawn"] < last  # a candidate was rejected
     _counting_h2_draws(monkeypatch, fail_at=last + 1)
-    assert selftest.run_suite("ode", 18) == ref
+    assert _alone("ode", 18) == ref
     _counting_h2_draws(monkeypatch, fail_at=last + 1)  # counts from 0 again
     report = selftest.run_selftest(18, suites=("ode", "certificate"))
     assert report["suites"]["ode"] == ref
     _counting_h2_draws(monkeypatch, fail_at=last)
     with pytest.raises(RuntimeError, match="draw past the end"):
-        selftest.run_suite("ode", 18)
+        _alone("ode", 18)
 
 
 def test_fd_probes_match_point_by_point_solves():
@@ -164,7 +181,7 @@ def test_core_scale_check_is_relative_to_the_coefficients(seed):
     """At these seeds an ill-conditioned instance moves a(x) by more than
     1e-10 absolute when its weights are rescaled, yet by under 1e-12 of
     max(1, ||a||), the forward error both solves allow: core passes."""
-    res = selftest.run_suite("core", seed)
+    res = _alone("core", seed)
     assert res["pass"]
     assert res["worst_scale_invariance"] <= Tolerances().norm_chain
 
@@ -174,7 +191,7 @@ def test_ode_floor_carries_the_conditioning(seed):
     """With the roundoff floor scaled by sqrt(cond_gram), no h = 1e-5
     point on the floor drags a slope out of range, and the product-rule
     oracle agrees with ``ode_rhs`` within ``tol.lin``."""
-    res = selftest.run_suite("ode", seed)
+    res = _alone("ode", seed)
     lo, hi = selftest.FD_SLOPE_RANGE
     assert res["pass"]
     assert lo <= res["slope_min"] and res["slope_max"] <= hi
@@ -187,6 +204,6 @@ def test_ode_oracle_catches_a_perturbed_rhs(monkeypatch):
     whatever the slopes say."""
     rhs = bound1d.ode_rhs
     monkeypatch.setattr(bound1d, "ode_rhs", lambda *args: rhs(*args) * (1.0 + 1e-6))
-    res = selftest.run_suite("ode", 42)
+    res = _alone("ode", 42)
     assert res["oracle_max_rel"] > 1e-7 > Tolerances().lin
     assert not res["pass"]
