@@ -56,9 +56,12 @@ thread:
   point and its grid index.  On those five nodes in [0, 1] with l = 2
   and ``--grid 0.1:0.9:5``, ``diagnose`` with levin alpha 1e-160, whose
   weight diagonal is subnormal, and ``fit`` with shepard alpha 30, whose
-  weight vanishes below r = 0.44, exit 2 on one line.  Per seed, ``edge``
-  also runs the first ``fit`` job on a copy of its input that starts with
-  a UTF-8 byte-order mark; it exits 0 with that job's own output.
+  weight vanishes below r = 0.44, exit 2 on one line; so does ``diagnose``
+  with mclain alpha 1 and l = 2 on the nodes 0, 1, 2 and 3 and ``--grid
+  0.5:3:6``, whose second point, a node, has no weight-scaled operators;
+  the message names that point.  Per seed, ``edge`` also runs the first
+  ``fit`` job on a copy of its input that starts with a UTF-8 byte-order
+  mark; it exits 0 with that job's own output.
 
 Paths are relative to the run's directory, so messages that name a file
 read the same in every checkout.
@@ -89,6 +92,8 @@ NOT_UTF8_INPUT = b"x1,f\n0.1,1\n0.5,2\xe9\n0.9,3\n"
 FIVE_NODES_INPUT = "x1,f\n0.1,1\n0.3,2\n0.5,0\n0.7,1\n0.9,3\n"
 #: five nodes spanning [0, 1]
 SPAN_NODES_INPUT = "x1,f\n0,1\n0.25,2\n0.5,0\n0.75,1\n1,3\n"
+#: the nodes 0, 1, 2 and 3
+FOUR_NODES_INPUT = "x1,f\n0,7\n1,7\n2,7\n3,7\n"
 #: two clusters of five nodes, [0, 1] and [8, 9]
 CLUSTERS_INPUT = "x1,f\n" + "".join(f"{x},0.5\n" for x in
                                      (0, 0.25, 0.5, 0.75, 1, 8, 8.25, 8.5, 8.75, 9))
@@ -243,6 +248,11 @@ def _fixed_runs():
         argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--grid", "0.1:0.9:5",
                 "--out", f"{command}.out"]
         yield "edge", f"{command}_{name}", argv, files, f"{command}.out"
+    files = {"n4.csv": FOUR_NODES_INPUT,
+             "cfg.json": '{"l": 2, "weight": {"family": "mclain", "alpha": 1}}'}
+    argv = ["diagnose", "--input", "n4.csv", "--config", "cfg.json", "--grid", "0.5:3:6",
+            "--out", "diagnose.out"]
+    yield "edge", "diagnose_mclain_at_node", argv, files, "diagnose.out"
 
 
 def main() -> None:

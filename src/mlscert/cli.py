@@ -29,6 +29,7 @@ from .core import (
     ConditioningError,
     HypothesisFailure,
     _located,
+    _replayed,
     build_rows,
     build_systems,
     fitted_values,
@@ -326,15 +327,24 @@ def cmd_diagnose(args) -> int:
         if grid is None:
             grid = bound1d.uniform_grid(points, 1, weight) if points.dim == 1 else points.nodes
         grid = _as_points(grid, points)
-        # each solved block is diagnosed as it comes.  A block that fails
-        # to solve is replayed one row per yield, so the points before a
-        # failing point are diagnosed first: an error there still comes
-        # first, as in a loop over the points.  A refusal of the whole call
+        # each solved block is diagnosed as it comes, inside the walk that
+        # ``_located`` wraps.  A block that fails to solve, or whose
+        # diagnosis fails, is replayed one row per yield, so the points
+        # before a failing point are diagnosed first and the error names its
+        # point, as in a loop over the points.  A refusal of the whole call
         # (l > m) raises before the walk, so it names no point
+        blocks = build_rows(grid, points, basis, weight)
+
+        def diagnosed():
+            for start, rows in blocks:
+                systems = rows.systems()
+                stacks = _replayed(lambda lo, hi: diagnose_each(systems[lo:hi], tol),
+                                   len(systems), len(systems))
+                yield from ((start + i, reps) for i, reps in stacks)
+
         reports = []
-        blocks = build_rows(grid, points, basis, weight, conds=True)
-        for _, rows in _located(blocks, lambda row: (grid[row], row, len(grid))):
-            reports += diagnose_each(rows.systems(), tol)
+        for _, reps in _located(diagnosed(), lambda row: (grid[row], row, len(grid))):
+            reports += reps
         all_pass = True
         for d, xrow in zip(reports, grid):
             d["x"] = xrow.tolist()

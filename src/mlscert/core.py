@@ -216,9 +216,8 @@ class _Rows(NamedTuple):
 
     ``at_node`` holds, per row, the node of an interpolation-limit row or
     -1, and is None when no row is one; the QR fields cover the k rows
-    that are not at a node.  ``conds`` is None when the caller reads no
-    condition estimates and ``_certified`` proved the block's checks pass,
-    so no SVD was taken.
+    that are not at a node.  ``conds`` is None when ``_certified`` proved
+    the block's checks pass, so the solve took no SVD.
     """
 
     coeffs: np.ndarray  # (n, m)
@@ -234,14 +233,18 @@ class _Rows(NamedTuple):
     design: np.ndarray  # (m, l) shared by every row, or (n, m, l)
 
     def systems(self) -> list:
-        """The ``MlsSystem`` of each row, in row order; it needs the
-        condition estimates, so the block is solved with ``conds=True``."""
+        """The ``MlsSystem`` of each row, in row order, with the Gram
+        condition estimates of the solve, or of an SVD taken here when the
+        solve took none (it cannot raise: the gate proved every row passes)."""
+        conds = self.conds
+        if conds is None:
+            conds = _checked_conds(self.rmats, *self.qmats.shape[1:])
         out, k = [], 0  # k: index among the rows off the nodes, with QR factors
         for i, xv in enumerate(self.xs):
             node = -1 if self.at_node is None else int(self.at_node[i])
             solve = dict(qmat=None, rmat=None, cond_gram=np.inf, at_node=node)
             if node < 0:
-                solve = dict(qmat=self.qmats[k], rmat=self.rmats[k], cond_gram=self.conds[k])
+                solve = dict(qmat=self.qmats[k], rmat=self.rmats[k], cond_gram=conds[k])
                 k += 1
             out.append(MlsSystem(
                 x=xv, design=self.design if self.design.ndim == 2 else self.design[i],
@@ -250,7 +253,7 @@ class _Rows(NamedTuple):
         return out
 
 
-def _solve_rows(xs, nodes, basis, weight, dvecs, E, conds: bool) -> _Rows:
+def _solve_rows(xs, nodes, basis, weight, dvecs, E) -> _Rows:
     """One block of ``build_rows``, its arguments cut to the block (a
     shared node set as ``nodes`` (1, m, d)), solved in stacked calls.  Its
     inputs are built under one ``np.errstate``: an overflow to inf is the
@@ -261,7 +264,7 @@ def _solve_rows(xs, nodes, basis, weight, dvecs, E, conds: bool) -> _Rows:
     every other row goes through QR of the scaled design, the rank check,
     the conditioning check against ``COND_LIMIT`` and the coefficient
     solve.  The checks take an SVD of every R (``_checked_conds``) unless
-    ``_certified`` proves they pass and ``conds`` asks for no estimates.
+    ``_certified`` proves they pass.
     A failing block raises the error of one of its failing rows.
     """
     with np.errstate(over="ignore"):
@@ -296,9 +299,7 @@ def _solve_rows(xs, nodes, basis, weight, dvecs, E, conds: bool) -> _Rows:
     e_t = np.ascontiguousarray(np.swapaxes(E, -1, -2))
     scaled = np.swapaxes(e_t / root[:, None, :], -1, -2)
     qmats, rmats = np.linalg.qr(scaled, mode="reduced")
-    estimates = None
-    if conds or not _certified(rmats, m, l):
-        estimates = _checked_conds(rmats, m, l)
+    estimates = None if _certified(rmats, m, l) else _checked_conds(rmats, m, l)
 
     sol = np.linalg.solve(rmats.transpose(0, 2, 1), cvecs[:, :, None])
     coeffs = (qmats @ sol)[:, :, 0] / root
@@ -421,8 +422,7 @@ def _basis_rows(xs, basis) -> np.ndarray:
     return cvecs
 
 
-def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=None,
-               conds: bool = False):
+def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=None):
     """Solve the local systems at the points xs (n, d), block by block: the
     one builder of local systems.
 
@@ -437,9 +437,8 @@ def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=N
 
     Yields ``(start, rows)`` per solved block, in row order
     (``_replayed``): ``rows`` holds the rows from ``start`` on, and
-    ``rows.systems()`` gives their ``MlsSystem`` when ``conds`` asked for
-    the Gram condition estimates.  The first failing row raises what
-    ``build_system`` raises for it.  A block has at most
+    ``rows.systems()`` gives their ``MlsSystem``.  The first failing row
+    raises what ``build_system`` raises for it.  A block has at most
     ``max(1, _block_rows(m, l) // 4)`` rows, so each of its (rows, m, l)
     stacks holds at most 2^14 doubles, whatever m and l; a stacked call
     runs per matrix, so no value depends on the block size.
@@ -464,7 +463,6 @@ def build_rows(xs, nodes, basis: BasisSpec, weight=None, *, dvecs=None, design=N
             weight if one_weight else weight[part],
             None if dvecs is None else dvecs[part],
             design if design is None or design.ndim == 2 else design[part],
-            conds,
         )
 
     return _replayed(solve, len(xs), size)
@@ -488,14 +486,15 @@ def _replayed(solve, n: int, size: int):
 
 
 def _located(blocks, point):
-    """The ``(start, rows)`` blocks of ``build_rows``, passed on in row
-    order.  An ``MlsError`` raised while a block is solved belongs to the
-    first row not passed on yet, so it is located there
-    (``MlsError.locate``): ``point(row)`` gives the arguments."""
+    """The ``(start, rows)`` blocks of ``build_rows``, or of a walk that
+    yields a list of per-row results for ``rows``, passed on in row order.
+    An ``MlsError`` raised while a block is made belongs to the first row
+    not passed on yet, so it is located there (``MlsError.locate``):
+    ``point(row)`` gives the arguments."""
     done = 0
     try:
         for start, rows in blocks:
-            done = start + len(rows.coeffs)
+            done = start + len(rows.coeffs if isinstance(rows, _Rows) else rows)
             yield start, rows
     except MlsError as exc:
         exc.locate(*point(done))
@@ -523,7 +522,7 @@ def build_system(x, points: PointSet, basis: BasisSpec, weight: WeightSpec) -> M
         If the Gram condition estimate exceeds ``COND_LIMIT``.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float)).ravel()[None]
-    ((_, rows),) = build_rows(xv, points, basis, weight, conds=True)
+    ((_, rows),) = build_rows(xv, points, basis, weight)
     return rows.systems()[0]
 
 

@@ -202,7 +202,7 @@ def _solve_candidates(cands) -> list:
             rest = group[len(solved):]
             try:
                 for _, rows in build_rows([[c.x] for c in rest], nodes[len(solved):],
-                                          group[0].basis, [c.weight for c in rest], conds=True):
+                                          group[0].basis, [c.weight for c in rest]):
                     solved += rows.systems()
             # a rejection keeps no exception: its traceback would hold the
             # solve's frames in a reference cycle until the next full

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import Tolerances
-from .core import MlsSystem, _block_rows, _by_shape, _stack, _replayed, rank_tolerance
+from .core import MlsError, MlsSystem, _block_rows, _by_shape, _stack, _replayed, rank_tolerance
 
 __all__ = [
     "OperatorBundle",
@@ -103,14 +103,17 @@ class _Ops(NamedTuple):
     ls: np.ndarray  # (k,) basis sizes
 
 
+class _NoOperators(MlsError, ValueError):
+    """The weight-scaled operators of a system do not exist: malformed
+    input (exit 2), whose point the caller names like a fitting error's."""
+
+
 def _operators(systems) -> _Ops:
     """The operators of systems of one node count m: the (m, l) work, the
     coefficient maps and their products P and Q Q^T, runs once per basis
     size l, and its (m, m) results are joined back in the systems' order."""
     if any(s.at_node is not None or s.qmat is None for s in systems):
-        raise ValueError(
-            "operators require x off the nodes for interpolating weights"
-        )
+        raise _NoOperators("operators require x off the nodes for interpolating weights")
     dvecs = _stack(systems, "dvec")
     k, m = dvecs.shape
     ls = [s.l for s in systems]
@@ -132,8 +135,8 @@ def _operators(systems) -> _Ops:
     finite = np.isfinite(proj_dinv).all(axis=(1, 2)) & np.isfinite(comp_dinv).all(axis=(1, 2))
     if not finite.all():
         dmin = np.min(dvecs[np.argmin(finite)])
-        raise ValueError(f"weight-scaled operators are not finite: smallest weight "
-                         f"diagonal entry {dmin:.3e}")
+        raise _NoOperators(f"weight-scaled operators are not finite: smallest weight "
+                           f"diagonal entry {dmin:.3e}")
     return _Ops(coef_maps, proj, comp, proj_dinv, comp_dinv, qqt, dvecs, np.array(ls))
 
 

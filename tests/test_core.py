@@ -517,7 +517,7 @@ def _built(xs, nodes, basis, weight, **kwargs):
     failing row, and that row's error as (type, message)."""
     systems = []
     try:
-        for _, rows in build_rows(xs, nodes, basis, weight, conds=True, **kwargs):
+        for _, rows in build_rows(xs, nodes, basis, weight, **kwargs):
             systems += rows.systems()
     except Exception as exc:
         return systems, (type(exc), str(exc))
@@ -931,8 +931,8 @@ def test_gate_keeps_certificates(monkeypatch, limit):
 
 
 def test_condition_estimates_keep_their_svd(monkeypatch):
-    """The callers that read the condition estimates get the SVD's, even
-    where the gate would admit the rows."""
+    """A solved block's systems carry the SVD's condition estimates, also
+    where the gate admits the rows and the solve takes no SVD."""
     pts = PointSet(np.linspace(0.0, 1.0, 7), values=np.arange(7.0))
     basis, weight = monomial_basis(3), WeightSpec("exp", 2.0)
     xs = np.array([[0.2], [0.55]])

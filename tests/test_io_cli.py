@@ -200,12 +200,17 @@ def test_diagnose_input_matches_per_point_reports(const_csv, tmp_path, capsys):
     "grid,message",
     [
         # 0 is a node: its diagnosis fails before 50 fails to build
-        ("0:100:3", "operators require x off the nodes for interpolating weights"),
+        ("0:100:3", "operators require x off the nodes for interpolating weights at x = 0.0 "
+                    "(grid point 0 of 3)"),
+        # 1 is a node, the second point of a block whose first diagnoses
+        ("0.5:3:6", "operators require x off the nodes for interpolating weights at x = 1.0 "
+                    "(grid point 1 of 6)"),
         # a vanished weight also names the distance and the point
         ("0.5:100:3", "weight vanished at positive distance 5.025e+01 at x = 50.25 "
                       "(grid point 1 of 3)"),
     ],
     ids=["0:100:3-operators require x off the nodes for interpolating weights",
+         "0.5:3:6-operators require x off the nodes mid-block",
          "0.5:100:3-weight vanished at positive distance"],
 )
 def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys, grid, message):
@@ -223,7 +228,8 @@ def test_diagnose_input_first_failing_point_decides(const_csv, tmp_path, capsys,
         # a weight diagonal of 2e-322 to 1.6e-320: fit solves it, but the
         # operators scaled by its inverse overflow
         ("diagnose", '{"family": "levin", "alpha": 1e-160}',
-         "weight-scaled operators are not finite: smallest weight diagonal entry 1.976e-322"),
+         "weight-scaled operators are not finite: smallest weight diagonal entry 1.976e-322"
+         " at x = 0.1 (grid point 0 of 5)"),
         # w = r^900 underflows to 0 below r = 0.44
         ("fit", '{"family": "shepard", "alpha": 30}',
          "weight vanished at positive distance 1.000e-01 at x = 0.1 (grid point 0 of 5)"),

@@ -217,7 +217,7 @@ def test_diagnose_each_peak_memory():
     all the systems would take 7.4 MB."""
     pts = PointSet(np.linspace(0.0, 1.0, 60))
     xs = np.linspace(0.013, 0.987, 256)[:, None]
-    blocks = build_rows(xs, pts, monomial_basis(3), WeightSpec("exp", 1.0), conds=True)
+    blocks = build_rows(xs, pts, monomial_basis(3), WeightSpec("exp", 1.0))
     systems = [sysm for _, rows in blocks for sysm in rows.systems()]
     diagnose_each(systems[:2], TOL)  # numpy's first calls allocate once
     tracemalloc.start()

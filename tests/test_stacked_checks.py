@@ -20,6 +20,7 @@ from mlscert.instances import Instance
 from mlscert.points import PointSet
 from mlscert.reporting import canonical_json
 from mlscert.spectral import (
+    _NoOperators,
     check_eig_products,
     diagnose,
     diagnose_stack,
@@ -65,8 +66,8 @@ def _ref_diagnose(sysm, tol):
     with np.errstate(all="ignore"):
         proj_dinv, comp_dinv = proj / dvec[None, :], comp / dvec[None, :]
     if not (np.isfinite(proj_dinv).all() and np.isfinite(comp_dinv).all()):
-        raise ValueError("weight-scaled operators are not finite: smallest weight "
-                         f"diagonal entry {float(np.min(dvec)):.3e}")
+        raise _NoOperators("weight-scaled operators are not finite: smallest weight "
+                           f"diagonal entry {float(np.min(dvec)):.3e}")
 
     scale = max(_norm2(proj_dinv), _norm2(comp_dinv), np.finfo(float).tiny)
     sym_p = _norm2(proj_dinv - proj_dinv.T) / scale
@@ -133,7 +134,7 @@ def _ref_spectral(suite, tol):
     for it in suite:
         sysm = it.system()
         if sysm.at_node is not None:
-            raise ValueError("operators require x off the nodes for interpolating weights")
+            raise _NoOperators("operators require x off the nodes for interpolating weights")
         r = _ref_diagnose(sysm, tol)
         n_fail += not r["pass"]
         worst["symmetry"] = max(worst["symmetry"], *r["symmetry"])
