@@ -140,10 +140,10 @@ def suite_core(seed: int, tol: Tolerances, suite) -> dict:
     invariance, normal-equations cross-check, interpolation at nodes.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``.  The
-    instances are checked in groups of one shape
-    (m, l), every stage of a group in one call: its systems, a stacked
-    solve for the rescaled weights, one for the normal-equations oracle
-    and the node interpolation of its shepard instances.  Every
+    instances are checked in groups of one shape (m, l), every stage of a
+    group in one call: its systems, a stacked solve for the rescaled
+    weights, one for the normal-equations oracle and the node
+    interpolation of its shepard instances.  Every
     per-instance value is what a solve per instance gives, bit for bit,
     and the first failing instance raises its own error.
     """
@@ -199,11 +199,11 @@ def suite_spectral(seed: int, tol: Tolerances, suite) -> dict:
     """Full operator diagnostics on every generated instance.
 
     ``suite`` is ``instances.random_suite(GENERAL_N, seed)``.
-    ``diagnose_stack`` checks the systems of each group of
-    one node count m at once, one stack per m for the (m, m) checks; per
-    (m, l) for the coefficient maps.  The worst values are reduced from
-    its arrays; a failing instance raises what building its system or
-    ``diagnose`` raises for the first one.
+    ``diagnose_stack`` checks the systems of each group of one node count
+    m at once, one stack per m for the (m, m) checks; per (m, l) for the
+    coefficient maps.  The worst values are reduced from its arrays; a
+    failing instance raises what building its system or ``diagnose``
+    raises for the first one.
     """
 
     def check(idx):
@@ -360,12 +360,13 @@ def suite_ode(seed: int, tol: Tolerances, stream) -> dict:
     and its product-rule oracle (``_fd_slope``) on the measured instances
     with cond_gram up to ``ORACLE_COND_MAX``, gated at ``tol.lin``.
 
-    ``stream`` is ``instances.H2Stream(seed)``.  Each round takes as many instances from it as measured slopes are
-    still missing (at most what ``ODE_MAX_DRAWS`` leaves), so the suite
-    draws the instances a loop drawing one at a time draws, and stops
-    where that loop stops.  A round's instances are drawn before they are
-    checked, so a draw error within a round comes before a check error of
-    an earlier instance of that round.
+    ``stream`` is ``instances.H2Stream(seed)``.  Each round takes as many
+    instances from it as measured slopes are still missing (at most what
+    ``ODE_MAX_DRAWS`` leaves), so the suite draws the instances a loop
+    drawing one at a time draws, and stops where that loop stops.  A
+    round's instances are drawn before they are checked, so a draw error
+    within a round comes before a check error of an earlier instance of
+    that round.
     """
     slopes, oracle_rels = [], []
     n_skipped = n_drawn = 0
