@@ -18,7 +18,7 @@ from .spectral import (
     build_operators,
     diagnose_stack,
     eig_product_stack,
-    sv_product_reports,
+    sv_product_stack,
 )
 from .weights import w_each
 
@@ -237,8 +237,9 @@ def suite_spectral(seed: int, tol: Tolerances, suite) -> dict:
 def suite_sv_product(seed: int, tol: Tolerances) -> dict:
     """Singular-value product inequalities on random rectangular pairs.
 
-    Every pair is drawn first, in order; ``sv_product_reports`` then checks
-    them all, with one stacked SVD per operand shape."""
+    Every pair is drawn first, in order; ``sv_product_stack`` then checks
+    them all, with one stacked SVD per operand shape.  ``n_checks`` counts
+    the entries that apply, over the pairs."""
     rng = np.random.default_rng(seed)
     pairs = []
     for _ in range(PAIR_N):
@@ -248,10 +249,11 @@ def suite_sv_product(seed: int, tol: Tolerances) -> dict:
         u = scale_u * rng.standard_normal((d1, d2))
         v = scale_v * rng.standard_normal((d2, d4))
         pairs.append((u, v))
-    n_fail = n_checks = 0
-    for rep in sv_product_reports(pairs, tol):
-        n_checks += sum(c.get("applicable", True) for c in rep["checks"])
-        n_fail += not rep["pass"]
+    rep = sv_product_stack(pairs, tol)
+    # an entry without ``applicable`` applies to every pair
+    n_checks = sum(int(np.count_nonzero(c["applicable"])) if "applicable" in c else PAIR_N
+                   for c in rep["checks"])
+    n_fail = int(np.count_nonzero(~rep["pass"]))
     return {"n": PAIR_N, "n_checks": n_checks, "n_fail": n_fail, "pass": bool(n_fail == 0)}
 
 
@@ -259,8 +261,10 @@ def suite_eig_product(seed: int, tol: Tolerances) -> dict:
     """Eigenvalue-product sandwich bounds against a dense eigenvalue oracle.
 
     ``eig_product_stack`` checks each group of same-size pairs at once, and
-    the oracle's ``eigvals`` runs once per group too; a failing pair raises
-    what ``check_eig_products`` raises for the first one.
+    the oracle's ``eigvals`` runs once per group too; the suite reads the
+    stack's arrays, whose row i is ``check_eig_products`` of pair i.  A
+    failing pair raises what ``check_eig_products`` raises for the first
+    one.
     """
     pairs = instances.matrix_pair_suite(PAIR_N, seed)
 

@@ -20,9 +20,13 @@ report is auditable after the fact.  The checks run on stacks, one stacked
 LAPACK or BLAS call per check: ``diagnose_stack`` takes systems of one node
 count m, one stack per m for the (m, m) checks; per (m, l) for the
 coefficient maps.  ``eig_product_stack`` takes matrix pairs of one size,
-and ``sv_product_reports`` pairs of mixed shapes, one stacked call per
-check and shape.  Those calls run per matrix, so the single-system entries
-are the one-row cases and agree bit for bit.
+and ``sv_product_stack`` pairs of mixed shapes, one stacked call per check
+and shape.  A stack's report holds every per-instance value as an array
+over the instances; its inequalities are ``_ineq`` entries, and an entry
+that does not hold for every instance carries an ``applicable`` array.
+Those calls run per matrix, so each single entry (``diagnose``,
+``check_sv_products``, ``check_eig_products``) returns its row of its
+stack, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ __all__ = [
     "coef_map_stack",
     "build_operators",
     "check_sv_products",
-    "sv_product_reports",
+    "sv_product_stack",
     "check_eig_products",
     "eig_product_stack",
     "diagnose",
@@ -304,10 +308,11 @@ def check_sv_products(U, V, tol: Tolerances = Tolerances()) -> dict:
     * for symmetric U: smax(U) = max |eig| and the singular values equal the
       absolute eigenvalues
 
-    Inapplicable entries are reported with ``applicable: False`` rather than
-    silently skipped.  The one-pair case of ``sv_product_reports``.
+    The last four entries say whether they apply in ``applicable``; one
+    that does not apply passes, with NaN in its numbers.  The one-pair row
+    of ``sv_product_stack``.
     """
-    return next(sv_product_reports([(U, V)], tol))
+    return _row(sv_product_stack([(U, V)], tol), 0)
 
 
 def _pair(U, V) -> tuple:
@@ -336,18 +341,17 @@ def _svals(mats, idx, invert: bool = False) -> dict:
 
 
 def _symmetric_residuals(mats, svals, idx) -> dict:
-    """For each square mats[i], i of ``idx``: None unless it equals its
-    transpose to within 1e-12 max(1, smax) per entry, as ``np.allclose``
-    decides it, and otherwise the largest gap between its absolute
-    eigenvalues and its singular values ``svals[i]``, both descending.
-    One stacked call per check and shape."""
+    """For each square mats[i], i of ``idx``, that equals its transpose to
+    within 1e-12 max(1, smax) per entry, as ``np.allclose`` decides it:
+    the largest gap between its absolute eigenvalues and its singular
+    values ``svals[i]``, both descending, by i.  One stacked call per
+    check and shape."""
     out = {}
     for group in _by_shape([mat.shape for mat in mats], idx):
         stack = np.stack([mats[i] for i in group])
         atol = np.array([1e-12 * max(1.0, float(svals[i][0])) for i in group])
         close = np.isclose(stack, _t(stack), rtol=0.0, atol=atol[:, None, None])
         sym = close.all(axis=(1, 2))
-        out.update((i, None) for i in group)
         if sym.any():
             hits = [i for i, hit in zip(group, sym) if hit]
             ev = np.sort(np.abs(np.linalg.eigvalsh(stack[sym])), axis=-1)[:, ::-1]
@@ -356,89 +360,63 @@ def _symmetric_residuals(mats, svals, idx) -> dict:
     return out
 
 
-def sv_product_reports(pairs, tol: Tolerances = Tolerances()):
-    """``check_sv_products`` of each matrix pair (U, V) of ``pairs``, with
-    the pairs' shapes mixed: an iterator over the reports, in order.
+def sv_product_stack(pairs, tol: Tolerances = Tolerances()) -> dict:
+    """``check_sv_products`` on the matrix pairs (U, V) of ``pairs``, with
+    the pairs' shapes mixed: its report, with every per-pair value an array
+    over the pairs.
 
     The singular values of every U, V and UV, and of the inverse of every
     square nonsingular U, are taken in one stacked SVD per operand shape,
     the inverses in one stacked call per size, and the symmetry test and
-    eigenvalues of the square U in one stacked call per size, all before
-    this returns.  Stacked LAPACK calls run per matrix, so each pair's
-    report is that pair's own, bit for bit; a report is assembled only as
-    it is read, so they are not all alive at once.  The first invalid pair
-    raises what ``check_sv_products`` raises for it, before any pair is
-    checked.
+    eigenvalues of the square U in one stacked call per size.  Stacked
+    LAPACK calls run per matrix and the checks are elementwise, so pair i
+    gets what ``check_sv_products`` gives for it, bit for bit.  The first
+    invalid pair raises what ``check_sv_products`` raises for it, before
+    any pair is checked.
     """
     checked = [_pair(U, V) for U, V in pairs]
-    us, vs = [u for u, _ in checked], [v for _, v in checked]
-    idx = range(len(checked))
-    su, sv, sp = (_svals(mats, idx) for mats in (us, vs, [u @ v for u, v in checked]))
+    us, idx = [u for u, _ in checked], range(len(checked))
+    su, sv, sp = (_svals(mats, idx) for mats in
+                  (us, [v for _, v in checked], [u @ v for u, v in checked]))
     square = [i for i in idx if us[i].shape[0] == us[i].shape[1]]
-    invertible = [
-        i for i in square if su[i][-1] > rank_tolerance(*us[i].shape, su[i][0])
-    ]
-    s_inv = _svals(us, invertible, invert=True)
+    s_inv = _svals(us, [i for i in square if su[i][-1] > rank_tolerance(*us[i].shape, su[i][0])],
+                   invert=True)
     sym_resid = _symmetric_residuals(us, su, square)
-    shapes = [(u.shape, v.shape) for u, v in checked]
-    return (
-        _sv_report(*shapes[i], su[i], sv[i], sp[i], s_inv.get(i), sym_resid.get(i), tol)
-        for i in idx
-    )
 
+    def column(values, pos=0):
+        """values[i][pos] per pair, NaN where a pair has none."""
+        return np.array([values[i][pos] if i in values else np.nan for i in idx], dtype=float)
 
-def _sv_report(ushape, vshape, su, sv, sp, s_inv, sym_resid, tol) -> dict:
-    """The ``check_sv_products`` report of one pair from its singular
-    values: of U, V, UV and, for a square nonsingular U, of its inverse
-    (None otherwise), and the residual of a symmetric U (None otherwise)."""
-    (d1, d2), (d3, d4) = ushape, vshape
-    smax_u, smin_u = float(su[0]), float(su[-1])
-    smax_v, smin_v = float(sv[0]), float(sv[-1])
-    smax_p = float(sp[0])
-    scale = max(1.0, smax_u * smax_v)
-    checks = [
-        _ineq("smax_product_le_smax_times_smax", smax_p, smax_u * smax_v,
-              scale=scale, tol=tol.ineq),
-    ]
+    smax_u, smin_u = column(su), column(su, -1)
+    smax_v, smin_v, smax_p = column(sv), column(sv, -1), column(sp)
+    scale = np.maximum(1.0, smax_u * smax_v)
+    checks = [_ineq("smax_product_le_smax_times_smax", smax_p, smax_u * smax_v,
+                    scale=scale, tol=tol.ineq)]
 
-    inv_entry = {"name": "smax_inverse_equals_inv_smin", "applicable": False}
-    if s_inv is not None:
-        smax_inv = float(s_inv[0])
-        resid = abs(smax_inv * smin_u - 1.0)
-        inv_entry = {
-            "name": "smax_inverse_equals_inv_smin",
-            "applicable": True,
-            "lhs": smax_inv,
-            "rhs": 1.0 / smin_u,
-            "residual": resid,
-            # equality check: residual relative to 1, allow conditioning slack
-            "pass": bool(resid <= 1e-9 * (smax_u / smin_u)),
-        }
-    checks.append(inv_entry)
+    # equality check: residual relative to 1, allow conditioning slack; NaN
+    # off the nonsingular square U, so no division meets a zero smin(U)
+    inverts, smax_inv = np.isin(idx, list(s_inv)), column(s_inv)
+    smin_inv = np.where(inverts, smin_u, np.nan)
+    resid = np.abs(smax_inv * smin_inv - 1.0)
+    checks.append({"name": "smax_inverse_equals_inv_smin", "applicable": inverts,
+                   "lhs": smax_inv, "rhs": 1.0 / smin_inv, "residual": resid,
+                   "pass": (resid <= 1e-9 * (smax_u / smin_inv)) | ~inverts})
 
     # the lower bounds on smax(UV), for a tall U and for a wide V
-    for name, applies, lhs in (("smin_u_smax_v_le_smax_product", d1 >= d2, smin_u * smax_v),
-                               ("smax_u_smin_v_le_smax_product", d4 >= d3, smax_u * smin_v)):
-        entry = {"name": name, "applicable": applies}
-        if applies:
-            entry.update(_ineq(name, lhs, smax_p, scale=scale, tol=tol.ineq))
-        checks.append(entry)
+    d1, d2, d3, d4 = np.array([u.shape + v.shape for u, v in checked], dtype=int).reshape(-1, 4).T
+    for name, apply, lhs in (("smin_u_smax_v_le_smax_product", d1 >= d2, smin_u * smax_v),
+                             ("smax_u_smin_v_le_smax_product", d4 >= d3, smax_u * smin_v)):
+        lhs, rhs, at = (np.where(apply, val, np.nan) for val in (lhs, smax_p, scale))
+        entry = _ineq(name, lhs, rhs, scale=at, tol=tol.ineq)
+        checks.append({"name": name, "applicable": apply, **entry,
+                       "pass": entry["pass"] | ~apply})
 
-    herm = {"name": "symmetric_norm_is_abs_eigs", "applicable": False}
-    if sym_resid is not None:
-        herm = {
-            "name": "symmetric_norm_is_abs_eigs",
-            "applicable": True,
-            "residual": sym_resid,
-            "pass": bool(sym_resid <= 1e-10 * max(1.0, smax_u)),
-        }
-    checks.append(herm)
-
-    applicable = [c for c in checks if c.get("applicable", True)]
-    return {
-        "checks": checks,
-        "pass": bool(all(c["pass"] for c in applicable)),
-    }
+    symmetric = np.isin(idx, list(sym_resid))
+    resid = np.array([sym_resid.get(i, np.nan) for i in idx], dtype=float)
+    checks.append({"name": "symmetric_norm_is_abs_eigs", "applicable": symmetric,
+                   "residual": resid,
+                   "pass": (resid <= 1e-10 * np.maximum(1.0, smax_u)) | ~symmetric})
+    return {"checks": checks, "pass": np.all([c["pass"] for c in checks], axis=0)}
 
 
 def _symmetric_stack(mats, label: str) -> np.ndarray:
@@ -580,42 +558,14 @@ def check_eig_products(U, V, tol: Tolerances = Tolerances()) -> dict:
 
     When both factors are PD the global sandwich
     lambda_1(U) lambda_1(V) >= lambda_k(VU) >= lambda_m(U) lambda_m(V)
-    is verified as well.  The one-pair case of ``eig_product_stack``.
+    is verified as well (the ``pd_*`` fields).  The one-pair row of
+    ``eig_product_stack``: the bounds of index k are the entries k - 1 of
+    its per-index lists, and the inertia's zero count is
+    m - positive - negative.
     """
-    stack = eig_product_stack(
+    return _row(eig_product_stack(
         np.asarray(U, dtype=float)[None], np.asarray(V, dtype=float)[None], tol
-    )
-    return _pair_report(stack, 0)
-
-
-def _pair_report(stack: dict, i: int) -> dict:
-    """The ``check_eig_products`` report of pair i of ``eig_product_stack``."""
-    rep = _row(stack, i)
-    m = rep["m"]
-    violations = [
-        {"regime": rep["regime"][k], "k": k + 1, "lower": rep["lower"][k],
-         "value": rep["product_eigenvalues"][k], "upper": rep["upper"][k],
-         "excess": rep["excess"][k]}
-        for k in range(m)
-        if rep["violated"][k]
-    ]
-    pd_sandwich = {"applicable": False}
-    if rep["pd_applicable"]:
-        pd_sandwich = {"applicable": True, "upper": rep["pd_upper"],
-                       "lower": rep["pd_lower"], "max_excess": rep["pd_excess"],
-                       "pass": rep["pd_pass"]}
-    positive, negative = rep["positive"], rep["negative"]
-    return {
-        "m": m,
-        "swapped": rep["swapped"],
-        "inertia": {"positive": positive, "negative": negative,
-                    "zero": m - positive - negative},
-        "product_eigenvalues": rep["product_eigenvalues"],
-        "max_violation": rep["max_violation"],
-        "violations": violations,
-        "pd_sandwich": pd_sandwich,
-        "pass": rep["pass"],
-    }
+    ), 0)
 
 
 def diagnose_stack(systems, tol: Tolerances = Tolerances()) -> dict:

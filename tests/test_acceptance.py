@@ -129,10 +129,10 @@ def test_criterion_05_eigenvalue_product_sandwich():
     n_pd_sandwich = 0
     for p in pairs:
         rep = check_eig_products(p["umat"], p["vmat"], TOL)
-        n_violations += len(rep["violations"])
-        if rep["pd_sandwich"]["applicable"]:
+        n_violations += sum(rep["violated"])
+        if rep["pd_applicable"]:
             n_pd_sandwich += 1
-            if not rep["pd_sandwich"]["pass"]:
+            if not rep["pd_pass"]:
                 n_violations += 1
         lam = np.sort(np.linalg.eigvals(p["umat"] @ p["vmat"]).real)
         mine = np.sort(np.asarray(rep["product_eigenvalues"]))

@@ -1,6 +1,9 @@
 """Singular-value product bounds and the eigenvalue sandwich for products
 of symmetric matrices with a positive-semidefinite factor."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +64,25 @@ def test_sv_symmetric_values_are_abs_eigenvalues():
     assert chain["symmetric_norm_is_abs_eigs"]["pass"]
 
 
+def test_sv_lower_bounds_do_not_apply_to_a_wide_u_and_a_tall_v():
+    """U = [[1, 0]], V = [[0], [1]]: UV = 0 while smin(U) smax(V) = 1, but
+    neither lower bound applies, so the pair passes; an entry that does
+    not apply holds NaN and passes, and no numpy warning is raised, also
+    for a singular square U, whose smin is 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_sv_products([[1.0, 0.0]], [[0.0], [1.0]], TOL)
+        singular = check_sv_products(np.zeros((3, 3)), np.eye(3), TOL)
+    assert rep["pass"] and singular["pass"]
+    chain = {c["name"]: c for c in rep["checks"]}
+    assert chain["smax_product_le_smax_times_smax"]["lhs"] == 0.0
+    for name in ("smin_u_smax_v_le_smax_product", "smax_u_smin_v_le_smax_product"):
+        assert not chain[name]["applicable"] and chain[name]["pass"]
+        assert math.isnan(chain[name]["lhs"])
+    entry = next(c for c in singular["checks"] if c["name"] == "smax_inverse_equals_inv_smin")
+    assert not entry["applicable"] and entry["pass"] and math.isnan(entry["rhs"])
+
+
 def test_sv_inner_dimension_mismatch():
     with pytest.raises(ValueError):
         check_sv_products(np.eye(2), np.eye(3), TOL)
@@ -85,10 +107,9 @@ def test_eig_product_diagonal_example():
     u = np.diag([2.0, 3.0])
     v = np.diag([3.0, 1.0])
     rep = check_eig_products(u, v, TOL)
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
     np.testing.assert_allclose(sorted(rep["product_eigenvalues"]), [3.0, 6.0], atol=1e-12)
-    cor = rep["pd_sandwich"]
-    assert cor["applicable"] and cor["pass"]
+    assert rep["pd_applicable"] and rep["pd_pass"]
 
 
 def test_eig_product_requires_a_psd_factor():
@@ -109,7 +130,7 @@ def test_eig_product_swaps_when_only_left_factor_psd():
     v = q2 @ np.diag([-1.0, 0.3, 1.5, 3.0]) @ q2.T  # indefinite
     rep = check_eig_products(u, v, TOL)
     assert rep["swapped"]
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
     dense = np.sort(np.linalg.eigvals(u @ v).real)
     np.testing.assert_allclose(np.sort(rep["product_eigenvalues"]), dense, atol=1e-9)
 
@@ -120,7 +141,7 @@ def test_eig_product_singular_psd_factor():
     u = _sym(rng, 5, -2.0, 3.0)
     v = _sym(rng, 5, 0.3, 2.0, n_zero=2)
     rep = check_eig_products(u, v, TOL)
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
     # at least two product eigenvalues vanish with the PSD factor's rank
     lam = np.sort(np.abs(np.asarray(rep["product_eigenvalues"])))
     assert np.all(lam[:2] <= 1e-10)
@@ -130,7 +151,7 @@ def test_eig_product_identity_factor():
     rng = np.random.default_rng(14)
     u = _sym(rng, 4, -1.0, 2.0)
     rep = check_eig_products(u, np.eye(4), TOL)
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
     np.testing.assert_allclose(
         np.sort(rep["product_eigenvalues"]),
         np.sort(np.linalg.eigvalsh(u)),
@@ -145,14 +166,14 @@ def test_eig_product_nonsymmetric_rejected():
 
 def test_eig_product_scalar_case():
     rep = check_eig_products(np.array([[3.0]]), np.array([[2.0]]), TOL)
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
     assert rep["product_eigenvalues"][0] == pytest.approx(6.0, rel=1e-14)
 
 
 def test_pair_suite_zero_violations():
     for p in matrix_pair_suite(100, 123):
         rep = check_eig_products(p["umat"], p["vmat"], TOL)
-        assert rep["violations"] == [], (p["kind"], rep["max_violation"])
+        assert not any(rep["violated"]), (p["kind"], rep["max_violation"])
 
 
 @settings(max_examples=50, deadline=None)
@@ -163,7 +184,7 @@ def test_eig_product_against_dense_oracle(seed):
     dense = np.sort(np.linalg.eigvals(p["umat"] @ p["vmat"]).real)
     scale = max(1.0, float(np.max(np.abs(dense))))
     assert np.max(np.abs(np.sort(rep["product_eigenvalues"]) - dense)) <= 1e-9 * scale
-    assert rep["violations"] == []
+    assert not any(rep["violated"])
 
 
 # --- singular-value products of many pairs at once ---------------------------
@@ -192,7 +213,7 @@ def _symmetric_applies(rep) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 25))
 def test_sv_product_reports_match_one_pair_at_a_time(data, n):
-    """Every pair's report from ``sv_product_reports`` is the report of
+    """Every pair's row of ``sv_product_stack`` is the report of
     ``check_sv_products`` on that pair alone, bit for bit, with shapes 1-6
     mixed, square singular and nonsingular U, symmetric U of sizes 2-6
     (several of one size among non-symmetric ones of it reach the stacked
@@ -209,7 +230,8 @@ def test_sv_product_reports_match_one_pair_at_a_time(data, n):
             d2 = d1
         kinds.append(kind)
         pairs.append((_operand(data, d1, d2, kind), _operand(data, d2, d4, "any")))
-    got = list(spectral.sv_product_reports(pairs, TOL))
+    stack = spectral.sv_product_stack(pairs, TOL)
+    got = [spectral._row(stack, i) for i in range(len(stack["pass"]))]
     assert len(got) == n
     for rep, (u, v), kind in zip(got, pairs, kinds):
         assert canonical_json(rep) == canonical_json(check_sv_products(u, v, TOL))
@@ -219,7 +241,7 @@ def test_sv_product_reports_match_one_pair_at_a_time(data, n):
 
 def test_sv_product_reports_cover_every_entry():
     """Pairs of the kinds the property test draws reach every entry of
-    the report, and pass; two symmetric 3x3 U among a non-symmetric one
+    the stack, and pass; two symmetric 3x3 U among a non-symmetric one
     get the symmetric check, each as it gets it alone."""
     rng = np.random.default_rng(8)
     u = rng.standard_normal((3, 3))
@@ -229,7 +251,8 @@ def test_sv_product_reports_cover_every_entry():
              (np.array([[2.5]]), rng.standard_normal((1, 4))),
              (rng.standard_normal((5, 2)), rng.standard_normal((2, 6))),
              (3.0 * (s + s.T) + np.eye(3), rng.standard_normal((3, 1)))]
-    reps = list(spectral.sv_product_reports(pairs, TOL))
+    stack = spectral.sv_product_stack(pairs, TOL)
+    reps = [spectral._row(stack, i) for i in range(len(pairs))]
     applicable = {c["name"] for rep in reps for c in rep["checks"] if c.get("applicable", True)}
     assert len(applicable) == 5
     assert all(rep["pass"] for rep in reps)
@@ -241,10 +264,10 @@ def test_sv_product_reports_cover_every_entry():
 def test_sv_product_reports_raise_for_the_first_invalid_pair():
     ok = (np.eye(2), np.eye(2))
     with pytest.raises(ValueError, match="inner dimensions must agree: U is 2x2, V is 3x3"):
-        spectral.sv_product_reports([ok, (np.eye(2), np.eye(3)), (np.ones(2), np.eye(2))])
+        spectral.sv_product_stack([ok, (np.eye(2), np.eye(3)), (np.ones(2), np.eye(2))])
     with pytest.raises(ValueError, match="must be 2-D"):
-        spectral.sv_product_reports([ok, (np.ones(2), np.eye(2)), (np.eye(2), np.eye(3))])
-    assert list(spectral.sv_product_reports([])) == []
+        spectral.sv_product_stack([ok, (np.ones(2), np.eye(2)), (np.eye(2), np.eye(3))])
+    assert spectral.sv_product_stack([])["pass"].tolist() == []
 
 
 def test_sv_product_suite_takes_one_svd_per_operand_shape(monkeypatch):
@@ -252,7 +275,7 @@ def test_sv_product_suite_takes_one_svd_per_operand_shape(monkeypatch):
     distinct shape of U, V, UV and the inverted U (633 single-matrix calls
     at this seed when each pair was checked alone)."""
     calls, seen = [], []
-    svd, checked = np.linalg.svd, spectral.sv_product_reports
+    svd, checked = np.linalg.svd, spectral.sv_product_stack
 
     def counted(a, *args, **kw):
         calls.append(np.shape(a))
@@ -263,7 +286,7 @@ def test_sv_product_suite_takes_one_svd_per_operand_shape(monkeypatch):
         return checked(pairs, tol)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    monkeypatch.setattr(selftest, "sv_product_reports", recorded)
+    monkeypatch.setattr(selftest, "sv_product_stack", recorded)
     report = selftest.run_selftest(773817, suites=("sv_product",))["suites"]["sv_product"]
     assert report["pass"] and len(seen) == selftest.PAIR_N
     shapes = [{u.shape for u, _ in seen}, {v.shape for _, v in seen},

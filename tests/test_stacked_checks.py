@@ -1,8 +1,8 @@
-"""The selftest's spectral, core and eig-product suites check instances of
-one shape as a stack.  Each must give, bit for bit, what a loop checking
-one instance at a time gives, and raise that loop's first error.  The
-per-instance references below are written out in full, one numpy call per
-matrix, so they share no code with the stacked path."""
+"""The selftest's spectral, core, sv-product and eig-product suites check
+instances of one shape as a stack.  Each must give, bit for bit, what a
+loop checking one instance at a time gives, and raise that loop's first
+error.  The per-instance references below are written out in full, one
+numpy call per matrix, so they share no code with the stacked path."""
 
 import dataclasses
 import math
@@ -241,37 +241,38 @@ def _ref_eig_products(U, V, tol):
     ztol = m * max(1.0, float(np.max(np.abs(lu)))) * EPS * 64
     pi, nu = int(np.sum(lu > ztol)), int(np.sum(lu < -ztol))
     slack_tol = tol.ineq * max(1.0, mag)
-    violations, worst = [], 0.0
+    regime, lower, upper, excess, violated, worst = [], [], [], [], [], 0.0
     for k in range(1, m + 1):
         val = float(lvu[k - 1])
         if k <= pi:
-            regime = 1
+            reg = 1
             ub = min(lu[i - 1] * lv[k - i] for i in range(1, k + 1))
             lb = max(lu[i - 1] * lv[m + k - i - 1] for i in range(k, m + 1))
         elif k <= m - nu:
-            regime, ub, lb = 2, 0.0, 0.0
+            reg, ub, lb = 2, 0.0, 0.0
         else:
-            regime = 3
+            reg = 3
             ub = min(lu[i - 1] * lv[m + i - k - 1] for i in range(1, k + 1))
             lb = max(lu[i - 1] * lv[i - k] for i in range(k, m + 1))
         over = max(val - ub, lb - val)
         worst = max(worst, over)
-        if over > slack_tol:
-            violations.append({"regime": regime, "k": k, "lower": float(lb), "value": val,
-                               "upper": float(ub), "excess": float(over)})
-    pd = {"applicable": False}
-    if lu[-1] > ztol and lv[-1] > ztol_v:
-        ub, lb = float(lu[0] * lv[0]), float(lu[-1] * lv[-1])
-        over = max(float(np.max(lvu)) - ub, lb - float(np.min(lvu)))
-        worst = max(worst, over)
-        pd = {"applicable": True, "upper": ub, "lower": lb, "max_excess": float(over),
-              "pass": bool(over <= slack_tol)}
+        regime.append(reg)
+        lower.append(float(lb))
+        upper.append(float(ub))
+        excess.append(float(over))
+        violated.append(bool(over > slack_tol))
+    both_pd = bool(lu[-1] > ztol and lv[-1] > ztol_v)
+    pd_ub, pd_lb = float(lu[0] * lv[0]), float(lu[-1] * lv[-1])
+    pd_over = max(float(np.max(lvu)) - pd_ub, pd_lb - float(np.min(lvu)))
+    if both_pd:
+        worst = max(worst, pd_over)
     return {
-        "m": m, "swapped": swapped,
-        "inertia": {"positive": pi, "negative": nu, "zero": m - pi - nu},
-        "product_eigenvalues": [float(v) for v in lvu], "max_violation": float(worst),
-        "violations": violations, "pd_sandwich": pd,
-        "pass": bool(not violations and pd.get("pass", True)),
+        "m": m, "swapped": swapped, "positive": pi, "negative": nu,
+        "product_eigenvalues": [float(v) for v in lvu], "regime": regime,
+        "lower": lower, "upper": upper, "excess": excess, "violated": violated,
+        "max_violation": float(worst), "pd_applicable": both_pd, "pd_upper": pd_ub,
+        "pd_lower": pd_lb, "pd_excess": float(pd_over), "pd_pass": bool(pd_over <= slack_tol),
+        "pass": bool(not any(violated) and (not both_pd or pd_over <= slack_tol)),
     }
 
 
@@ -280,12 +281,12 @@ def _ref_eig_suite(pairs, tol):
     worst_slack = worst_oracle = 0.0
     for p in pairs:
         rep = _ref_eig_products(p["umat"], p["vmat"], tol)
-        n_violations += len(rep["violations"])
+        n_violations += sum(rep["violated"])
         worst_slack = max(worst_slack, rep["max_violation"])
         n_swapped += rep["swapped"]
-        if rep["pd_sandwich"]["applicable"]:
+        if rep["pd_applicable"]:
             n_pd += 1
-            n_violations += not rep["pd_sandwich"]["pass"]
+            n_violations += not rep["pd_pass"]
         lam = np.sort(np.linalg.eigvals(p["umat"] @ p["vmat"]).real)
         mine = np.sort(np.asarray(rep["product_eigenvalues"]))
         scale = max(1.0, float(np.max(np.abs(lam))))
@@ -294,6 +295,40 @@ def _ref_eig_suite(pairs, tol):
             "oracle_max_dev_rel": worst_oracle, "n_pd_sandwich": n_pd,
             "n_swapped": n_swapped,
             "pass": bool(n_violations == 0 and worst_oracle <= 1e-9)}
+
+
+def _ref_sv_products(u, v, tol):
+    """The entries of ``check_sv_products`` that apply to the pair (U, V),
+    by name, and the names of those that do not."""
+    (d1, d2), (d3, d4) = u.shape, v.shape
+    su = np.linalg.svd(u, compute_uv=False)
+    sv = np.linalg.svd(v, compute_uv=False)
+    smax_p = float(np.linalg.svd(u @ v, compute_uv=False)[0])
+    smax_u, smin_u = float(su[0]), float(su[-1])
+    smax_v, smin_v = float(sv[0]), float(sv[-1])
+    scale = max(1.0, smax_u * smax_v)
+
+    def ineq(lhs, rhs):
+        return {"lhs": lhs, "rhs": rhs, "slack": rhs - lhs, "scale": scale,
+                "pass": lhs <= rhs + tol.ineq * scale}
+
+    entries = {"smax_product_le_smax_times_smax": ineq(smax_p, smax_u * smax_v)}
+    if d1 == d2 and smin_u > max(max(d1, d2) * smax_u * (EPS * 16), np.finfo(float).tiny):
+        smax_inv = float(np.linalg.svd(np.linalg.inv(u), compute_uv=False)[0])
+        resid = abs(smax_inv * smin_u - 1.0)
+        entries["smax_inverse_equals_inv_smin"] = {
+            "lhs": smax_inv, "rhs": 1.0 / smin_u, "residual": resid,
+            "pass": resid <= 1e-9 * (smax_u / smin_u)}
+    if d1 >= d2:
+        entries["smin_u_smax_v_le_smax_product"] = ineq(smin_u * smax_v, smax_p)
+    if d4 >= d3:
+        entries["smax_u_smin_v_le_smax_product"] = ineq(smax_u * smin_v, smax_p)
+    if d1 == d2 and np.allclose(u, u.T, rtol=0.0, atol=1e-12 * max(1.0, smax_u)):
+        ev = np.sort(np.abs(np.linalg.eigvalsh(u)))[::-1]
+        resid = float(np.max(np.abs(ev - su)))
+        entries["symmetric_norm_is_abs_eigs"] = {
+            "residual": resid, "pass": resid <= 1e-10 * max(1.0, smax_u)}
+    return entries
 
 
 def _same(got, ref):
@@ -357,10 +392,41 @@ def test_stacked_checks_match_per_instance_loops(seed, n):
         )
         for j, i in enumerate(idx):
             ref = _ref_eig_products(pairs[i]["umat"], pairs[i]["vmat"], TOL)
-            _same(spectral._pair_report(stack, j), ref)
+            _same(spectral._row(stack, j), ref)
             _same(check_eig_products(pairs[i]["umat"], pairs[i]["vmat"], TOL), ref)
     with mock.patch.object(selftest, "PAIR_N", n):
         _same(selftest.suite_eig_product(seed, TOL), _ref_eig_suite(pairs, TOL))
+
+
+@pytest.mark.parametrize("seed", [42, 773817])
+def test_sv_product_stack_matches_a_per_pair_reference(seed):
+    """Every entry of ``sv_product_stack`` that applies to one of the
+    sv_product suite's 200 pairs holds, bit for bit, what the per-pair
+    reference computes for it, and applies exactly where the reference's
+    conditions hold; every other entry passes."""
+    with mock.patch.object(selftest, "sv_product_stack", wraps=spectral.sv_product_stack) as calls:
+        report = selftest.run_selftest(seed, TOL, suites=("sv_product",))["suites"]["sv_product"]
+    (pairs, _), = (c.args for c in calls.call_args_list)
+    stack = spectral.sv_product_stack(pairs, TOL)
+    assert len(pairs) == selftest.PAIR_N
+    n_checks = n_fail = 0
+    applied = set()
+    for i, (u, v) in enumerate(pairs):
+        ref = _ref_sv_products(u, v, TOL)
+        applied.update(ref)
+        row = spectral._row(stack, i)
+        for entry in row["checks"]:
+            name = entry["name"]
+            if entry.get("applicable", True):
+                _same({k: entry[k] for k in entry if k not in ("name", "applicable")}, ref[name])
+            else:
+                assert name not in ref and entry["pass"] is True
+        assert {c["name"] for c in row["checks"]} >= set(ref)
+        n_checks += len(ref)
+        n_fail += not all(e["pass"] for e in ref.values())
+        assert row["pass"] is all(e["pass"] for e in ref.values())
+    assert (report["n_checks"], report["n_fail"]) == (n_checks, n_fail)
+    assert len(applied) == 5  # every entry applies to some pair
 
 
 def test_spectral_takes_one_stack_per_node_count():
