@@ -49,7 +49,11 @@ thread:
   finite, and ``converge`` with 2000 levels, past what any array holds.
   Each of these exits 2.  ``fit``, ``bound`` and ``diagnose``
   with the basis size 100000 on five nodes exit 3 at once
-  (``basis_size_le_nodes``).  On five nodes in [0, 1] with exp alpha 1,
+  (``basis_size_le_nodes``), and so do ``fit`` with l = 10^12 and with
+  l = 10^30, and ``converge`` with l = 10^12 (its coarsest level has 16
+  nodes): no basis is built.  ``converge`` on the domain [0, 1e-300]
+  with h0 = 1e-310, where h^2 underflows to 0, exits 2 naming h and
+  alpha0.  On five nodes in [0, 1] with exp alpha 1,
   ``fit`` and ``diagnose`` at x = 30 with l = 2 exit 3 and on
   ``--grid 0:200:50`` with l = 3 exit 4, and ``bound`` on two clusters
   of five nodes, 7 apart, exits 4; each message names the first failing
@@ -228,6 +232,14 @@ def _fixed_runs():
     for command in ("fit", "bound", "diagnose"):
         argv = [command, "--input", "n5.csv", "--config", "cfg.json", "--out", f"{command}.out"]
         yield "edge", f"{command}_l_huge", argv, files, f"{command}.out"
+    for name, l in (("l_1e12", 10**12), ("l_1e30", 10**30)):
+        files = {"n5.csv": FIVE_NODES_INPUT, "cfg.json": f'{{"l": {l}}}'}
+        argv = ["fit", "--input", "n5.csv", "--config", "cfg.json", "--out", "fit.out"]
+        yield "edge", f"fit_{name}", argv, files, "fit.out"
+    argv = ["converge", "--config", "study.json", "--out", "converge.out"]
+    yield "edge", "converge_l_1e12", argv, {"study.json": '{"l": 1000000000000}'}, "converge.out"
+    files = {"study.json": '{"domain": [0, 1e-300], "h0": 1e-310}'}
+    yield "edge", "converge_h_squared_underflow", argv, files, "converge.out"
     argv = ["converge", "--config", "study.json", "--out", "converge.out"]
     yield "edge", "converge_levels_2000", argv, {"study.json": '{"levels": 2000}'}, "converge.out"
     for name, l, grid in (("design_rank_far_point", 2, "30:30:1"),

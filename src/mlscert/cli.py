@@ -29,6 +29,7 @@ from .core import (
     ConditioningError,
     HypothesisFailure,
     _located,
+    _refuse_l_above_m,
     _replayed,
     build_rows,
     build_systems,
@@ -270,6 +271,13 @@ class _GridMemory:
         return False
 
 
+def _basis(l: int, points: PointSet):
+    """The monomial basis of size l on the nodes of ``points``.  An l
+    above their count m is refused first (exit 3), so no l costs time."""
+    _refuse_l_above_m(l, points.m)
+    return monomial_basis(l, points.dim)
+
+
 def _emit(text: str, out_path) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -286,11 +294,10 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args)
     points = _load_points(args.input, need_values=True)
     weight = cfg["weight"]
-    basis = monomial_basis(cfg["l"], points.dim)
     with _GridMemory(args.grid):
         grid = _parse_grid(args.grid, points, weight)
         grid = _as_points(points.nodes if grid is None else grid, points)
-        coeffs, at_node = build_systems(grid, points, basis, weight)
+        coeffs, at_node = build_systems(grid, points, _basis(cfg["l"], points), weight)
         rows = np.column_stack([
             grid,
             fitted_values(coeffs, at_node, points.values),
@@ -321,7 +328,6 @@ def cmd_diagnose(args) -> int:
     tol = _tolerances(args.tol)
     points = _load_points(args.input, need_values=False)
     weight = cfg["weight"]
-    basis = monomial_basis(cfg["l"], points.dim)
     with _GridMemory(args.grid):
         grid = _parse_grid(args.grid, points, weight)
         if grid is None:
@@ -333,7 +339,7 @@ def cmd_diagnose(args) -> int:
         # before a failing point are diagnosed first and the error names its
         # point, as in a loop over the points.  A refusal of the whole call
         # (l > m) raises before the walk, so it names no point
-        blocks = build_rows(grid, points, basis, weight)
+        blocks = build_rows(grid, points, _basis(cfg["l"], points), weight)
 
         def diagnosed():
             for start, rows in blocks:
@@ -360,12 +366,11 @@ def cmd_bound(args) -> int:
     tol = _tolerances(args.tol)
     points = _load_points(args.input, need_values=True)
     weight = cfg["weight"]
-    basis = monomial_basis(cfg["l"], points.dim)
     with _GridMemory(args.grid):
         grid = _parse_grid(args.grid, points, weight)
         cert = bound1d.certify_bound(
             points,
-            basis,
+            _basis(cfg["l"], points),
             weight,
             grid=grid,
             n_grid=DEFAULT_GRID_N,

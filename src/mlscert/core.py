@@ -402,10 +402,16 @@ def _certified(rmats, m: int, l: int) -> bool:
 
 def _at_most_m(E) -> np.ndarray:
     """The design (m, l), or a stack of them, refused when l > m."""
-    m, l = E.shape[-2:]
+    _refuse_l_above_m(E.shape[-1], E.shape[-2])
+    return E
+
+
+def _refuse_l_above_m(l: int, m: int) -> None:
+    """Refuse a basis size l above the node count m
+    (``basis_size_le_nodes``).  The commands call it before they build a
+    basis of size l, whose exponents take time and memory linear in l."""
     if l > m:
         raise HypothesisFailure(["basis_size_le_nodes"], f"l {l} > m {m}")
-    return E
 
 
 def _basis_rows(xs, basis) -> np.ndarray:

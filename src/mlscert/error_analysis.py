@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .bases import monomial_basis
-from .core import build_systems, fitted_values
+from .core import _refuse_l_above_m, build_systems, fitted_values
 from .points import PointSet
 from .weights import WeightSpec
 
@@ -233,6 +233,21 @@ def _level_size(lo: float, hi: float, h: float) -> int:
     return int(round(steps)) + 1
 
 
+def _level_alpha(alpha0: float, h: float, policy: str) -> float:
+    """The weight shape of the level of step h: alpha0 / h^2 under the
+    "scaled" policy, alpha0 under "fixed".  One that is not a positive
+    finite double (h^2 underflows to 0, or the quotient overflows) is a
+    ``ValueError`` naming h and alpha0."""
+    alpha, form = alpha0, "alpha0"
+    if policy == "scaled":
+        hh, form = h * h, "alpha0 / h^2"
+        alpha = alpha0 / hh if hh else math.inf
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"weight shape {alpha!r} of the level h = {h!r} ({form}, "
+                         f"alpha0 = {alpha0!r}) must be positive and finite")
+    return alpha
+
+
 def _on_grid(f_true, grid: np.ndarray) -> np.ndarray:
     vals = np.asarray(f_true(grid), dtype=float)
     if vals.shape != grid.shape:
@@ -374,14 +389,15 @@ def convergence_studies(
         raise
     hs = [math.ldexp(h0, -level) for level in range(n_levels)]
     sizes = [_level_size(lo, hi, h) for h in hs]
+    alphas = [_level_alpha(alpha0, h, policy) for h in hs]
+    _refuse_l_above_m(l, sizes[0])
     basis = monomial_basis(l)
     eval_grid = np.linspace(lo, hi, EVAL_N)
     dense = np.linspace(lo, hi, 10 * (EVAL_N - 1) + 1)
     tracks = [_Track(f, eval_grid, dense, l) for f in fs]
 
     amps = []
-    for h, m in zip(hs, sizes):
-        alpha = alpha0 / (h * h) if policy == "scaled" else alpha0
+    for h, m, alpha in zip(hs, sizes, alphas):
         try:
             nodes = np.linspace(lo, hi, m)
             samples = [PointSet(nodes, values=_on_grid(t.f_true, nodes)) for t in tracks]

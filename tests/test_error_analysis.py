@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mlscert import error_analysis as ea
 from mlscert.bases import monomial_basis
-from mlscert.core import build_system, evaluate_many
+from mlscert.core import HypothesisFailure, build_system, evaluate_many
 from mlscert.instances import random_suite
 from mlscert.points import PointSet
 from mlscert.reporting import canonical_json
@@ -317,3 +317,25 @@ def test_each_selftest_run_does_its_own_solves(monkeypatch):
     assert len(solves) == 24
     assert solves[:12] == solves[12:]
     assert reports[0] == reports[1]
+
+
+def test_study_refuses_a_level_weight_shape_that_is_not_finite():
+    """alpha0 / h^2 is refused, naming h and alpha0, before any level's
+    nodes are built: h^2 underflows to 0 at h = 1e-310 (a level of 1e10
+    nodes), and 1e308 / 0.04 overflows."""
+    shape = r"weight shape inf of the level h = {} \(alpha0 / h\^2, alpha0 = {}\)"
+    with pytest.raises(ValueError, match=shape.format("1e-310", "1.0")):
+        ea.convergence_study(np.sin, 2, domain=(0.0, 1e-300), h0=1e-310)
+    with pytest.raises(ValueError, match=shape.format("0.2", r"1e\+308")):
+        ea.convergence_study(np.sin, 2, alpha0=1e308)
+
+
+def test_study_refuses_a_basis_above_its_coarsest_level_at_once():
+    """l above the coarsest level's node count (16 on [0, 3] at h = 0.2)
+    is refused before the basis or the minimax oracle of degree l - 1 is
+    built, whatever l."""
+    for l in (17, 10**6, 10**30):
+        with pytest.raises(HypothesisFailure) as err:
+            ea.convergence_study(np.sin, l)
+        assert err.value.items == ["basis_size_le_nodes"]
+        assert err.value.measured == f": l {l} > m 16"
