@@ -273,7 +273,8 @@ class _GridMemory:
 
 def _basis(l: int, points: PointSet):
     """The monomial basis of size l on the nodes of ``points``.  An l
-    above their count m is refused first (exit 3), so no l costs time."""
+    above their count m is refused before the basis is built (exit 3), so
+    a huge l is refused at once."""
     _refuse_l_above_m(l, points.m)
     return monomial_basis(l, points.dim)
 

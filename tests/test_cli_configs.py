@@ -8,7 +8,7 @@ size l above the node count m exits 3 at once, whatever l, naming l and m.
 The ``converge`` draws keep every study's finest level at about 10^4 nodes
 or fewer, or refuse it before it is built: a finite domain end lies in
 [-5, 5], a positive finite h0 in [0.05, 10] or at 1e12 and above, and an
-integer level count in [-3, 6] or at 1e12 and above.
+integer level count in [-3, 6] or at least 1e12 in magnitude.
 """
 
 import contextlib
